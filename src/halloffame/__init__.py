@@ -1,8 +1,8 @@
 """Hall of Fame monitoring engine.
 
 Generates top-K ranking queries from an annotated relational schema,
-maintains their results under an update stream with two-tier filtering,
-and ranks the detected ranking-change events by lexicographic tradeoffs
+maintains their results under an update stream by applying each update
+as a delta to per-family aggregates, and ranks the detected ranking-change events by lexicographic tradeoffs
 over selectivity, dynamic score, and entropy.
 """
 
@@ -21,14 +21,13 @@ from .catalog import (
 )
 from .detector import (
     Engine,
+    Family,
     RankEvent,
-    SelectionQuery,
     build_column_index,
-    build_selection_queries,
+    build_families,
     column_filter,
     detect,
     diff_rankings,
-    row_filter,
 )
 from .generator import (
     ConstraintCombination,

@@ -38,7 +38,7 @@ class ConfigParseError(CatalogError):
     """Config text is not syntactically valid; message carries a line number."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ColumnRef:
     """A fully resolved (relation, column) reference."""
 
@@ -49,7 +49,7 @@ class ColumnRef:
         return f"{self.relation}.{self.column}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinEdge:
     """Equi-join between two columns; undirected for path purposes."""
 
@@ -83,7 +83,7 @@ class JoinEdge:
         return f"{self.src}={self.dst}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingCriterion:
     """How one numeric column ranks entities."""
 
@@ -98,7 +98,7 @@ class RankingCriterion:
         return f"{self.aggregation}({self.column}) {self.direction}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintAtom:
     """One conjunct of a predicate.
 

@@ -180,7 +180,6 @@ def _iter_update_lines(text: str, on_error: str):
 @click.option("--b", default=5, show_default=True, help="undiscounted rank threshold")
 @click.option("--groups", default=4, show_default=True, help="coarse score groups")
 @click.option("--window", default=1000, show_default=True, help="window size in updates")
-@click.option("--workers", default=1, show_default=True, help="parallel re-evaluation workers")
 @click.option("--no-filters", is_flag=True, help="debug: re-evaluate every query on every update")
 @click.option("--flush-every", default=0, show_default=True, help="emit a window ranking every N updates")
 @click.option("--on-error", type=click.Choice(["abort", "skip"]), default="abort", show_default=True)
@@ -195,7 +194,6 @@ def run(
     b,
     groups,
     window,
-    workers,
     no_filters,
     flush_every,
     on_error,
@@ -209,7 +207,7 @@ def run(
     except (GenerationError, CatalogError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 
-    engine = Engine(catalog, store, queries, filters_enabled=not no_filters, workers=workers)
+    engine = Engine(catalog, store, queries, filters_enabled=not no_filters)
     chains = ChainStore()
     by_id = engine.queries
     window_events: deque[ScoredEvent] = deque()

@@ -1,30 +1,38 @@
-"""Two-tier filtering and rank-change detection for one update at a time.
+"""Two-tier filtering and delta maintenance of rankings, one update at a time.
+
+Queries that share entity attribute, criterion column, join path, fixed
+atoms and binding columns form a family; they differ only in their binding
+values, the instance. For every instance that is a query, a family keeps
+per-entity criterion totals and row counts, built by one scan at start-up.
 
 Per update the engine runs a column filter (does the update write any
-column a query depends on?), then a row filter (does any updated row,
-extended along the query's join path, satisfy the query's predicate in the
-pre- or post-update state?). Both filters are conservative: a query whose
-ranking actually changes always survives them, while survivors may turn
-out unchanged. Survivors are re-evaluated against the mutated snapshot and
-diffed; only rank improvements become events.
+column a family depends on?), then a row filter: the updated rows are
+extended along each touched family's join path before and after the update,
+and every extension that satisfies the family's fixed atoms and lands in a
+query's instance contributes (instance, entity, value). Subtracting the
+pre-image contributions and adding the post-image ones brings the
+totals and counts up to date; only the rankings of instances that received a
+contribution are rebuilt and diffed, and only rank improvements become
+events. Totals of integer columns are exact ints, those of real columns
+exact Fractions, so no order of updates can make them drift.
 
-Re-evaluation recomputes each surviving top-K from base rows rather than
-patching it incrementally; identifying the survivors, not optimizing their
-refresh, is the point of the filters.
+With filters disabled the engine rescans every family from scratch on
+every update instead. That path shares no maintenance code with the delta
+path, so the two cross-check each other.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .catalog import ColumnRef, ConstraintAtom, JoinEdge, SchemaCatalog
+from .catalog import ColumnRef, SchemaCatalog
 from .generator import HofQuery
-from .store import RankingState, Store, UpdateRecord, build_ranking, compile_predicate
+from .store import InstEval, RankingState, Store, UpdateRecord, build_ranking, compile_predicate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankEvent:
     """An entity improved from from_rank to to_rank in one ranking."""
 
@@ -35,103 +43,26 @@ class RankEvent:
     seq: int
 
 
-@dataclass(frozen=True)
-class SelectionQuery:
-    """A join cover rooted at one base table.
-
-    Extending an updated base row along the cover reaches every relation
-    reachable from the base table; where the join graph offers several
-    paths, one SelectionQuery exists per path choice so that every query's
-    own join path is embedded in at least one cover.
-    """
-
-    base_table: str
-    join_cover: tuple[JoinEdge, ...]
+ColumnIndex = dict[ColumnRef, set]
 
 
-ColumnIndex = dict[ColumnRef, set[str]]
-
-
-def build_column_index(queries: Iterable[HofQuery]) -> ColumnIndex:
-    """column -> ids of all queries whose referenced columns include it."""
+def build_column_index(items: Iterable) -> ColumnIndex:
+    """column -> ids of all items (queries or families) whose referenced
+    columns include it."""
     index: ColumnIndex = {}
-    for q in queries:
-        for col in q.referenced_columns:
-            index.setdefault(col, set()).add(q.id)
+    for item in items:
+        for col in item.referenced_columns:
+            index.setdefault(col, set()).add(item.id)
     return index
 
 
-def _reachable(catalog: SchemaCatalog, base: str) -> set[str]:
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        rel = frontier.pop()
-        for edge in catalog.edges_touching(rel):
-            for other in edge.relations():
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-    return seen
-
-
-def _spanning_trees(catalog: SchemaCatalog, base: str, component: set[str]) -> set[frozenset]:
-    edges = sorted(
-        (e for e in catalog.join_edges if e.relations() <= component), key=JoinEdge.sort_key
-    )
-    trees: set[frozenset] = set()
-
-    def grow(covered: frozenset, used: frozenset):
-        if covered == component:
-            trees.add(used)
-            return
-        for edge in edges:
-            new = edge.relations() - covered
-            if len(new) == 1:
-                grow(covered | new, used | {edge})
-
-    grow(frozenset((base,)), frozenset())
-    return trees
-
-
-def _growth_order(tree: frozenset, base: str) -> tuple[JoinEdge, ...]:
-    remaining = set(tree)
-    covered = {base}
-    ordered: list[JoinEdge] = []
-    while remaining:
-        eligible = [e for e in remaining if len(e.relations() - covered) == 1]
-        edge = min(eligible, key=JoinEdge.sort_key)
-        ordered.append(edge)
-        covered |= edge.relations()
-        remaining.remove(edge)
-    return tuple(ordered)
-
-
-def build_selection_queries(catalog: SchemaCatalog) -> dict[str, list[SelectionQuery]]:
-    """Per base table, every join cover over its reachable relations.
-
-    Built once at startup; covers are enumerated as the spanning trees of
-    the base table's join component, which yields exactly one cover per
-    combination of join paths.
-    """
-    out: dict[str, list[SelectionQuery]] = {}
-    for rel in catalog.relations:
-        component = _reachable(catalog, rel.name)
-        covers = [
-            SelectionQuery(rel.name, _growth_order(tree, rel.name))
-            for tree in _spanning_trees(catalog, rel.name, component)
-        ]
-        covers.sort(key=lambda sq: tuple(e.sort_key() for e in sq.join_cover))
-        out[rel.name] = covers
-    return out
-
-
-def column_filter(u: UpdateRecord, index: ColumnIndex) -> set[str]:
-    """Queries referencing at least one written column.
+def column_filter(u: UpdateRecord, index: ColumnIndex) -> set:
+    """Ids of the items referencing at least one written column.
 
     Inserts carry the full row in set_values, so every column of the table
     counts as written.
     """
-    hit: set[str] = set()
+    hit: set = set()
     for col in u.set_values:
         hit |= index.get(ColumnRef(u.table, col), set())
     return hit
@@ -156,30 +87,121 @@ class DetectStats:
     changed: int
 
 
-@dataclass
-class _Family:
-    """Queries sharing entity attribute, criterion column, join path and
-    constraint sources; one scan evaluates all their instantiations."""
-
-    entity: ColumnRef
-    crit_column: ColumnRef
-    needed: frozenset[str]
-    path: tuple[JoinEdge, ...]
-    fixed: tuple[ConstraintAtom, ...]
-    binding_cols: tuple[ColumnRef, ...]
-    members: dict[tuple, list[str]] = field(default_factory=dict)  # inst -> query ids
+Contribution = tuple[tuple, Any, Any]  # (instance, entity, criterion value)
 
 
-@dataclass
-class _ExtensionPlan:
-    rel_order: tuple[str, ...]
-    edges: tuple[JoinEdge, ...]
-    predicate: Any  # compiled env -> bool
-    cover: SelectionQuery
+class Family:
+    """Queries sharing entity attribute, criterion column, join path, fixed
+    atoms and binding columns; one scan evaluates all their instances."""
+
+    def __init__(self, fid: int, q: HofQuery, exact: bool):
+        self.id = fid
+        self.entity = q.entity_attr
+        self.crit_column = q.criterion.column
+        self.needed = q.relations()
+        self.path = q.join_path
+        self.fixed = q.fixed_atoms()
+        self.binding_cols = tuple(a.left for a in q.binding_atoms())
+        self.referenced_columns = q.referenced_columns
+        self.exact = exact  # real criterion column: Fraction totals
+        self.members: dict[tuple, list[str]] = {}  # instance -> query ids
+        self.n_queries = 0
+        self.totals: dict[tuple, dict[Any, Any]] = {}  # instance -> entity -> criterion total
+        self.counts: dict[tuple, dict[Any, int]] = {}  # instance -> entity -> joined rows
+        self.plans: dict[str, Callable[[Iterable[int]], list[Contribution]]] = {}
+
+    def plan(self, store: Store, base: str) -> Callable[[Iterable[int]], list[Contribution]]:
+        """Row ids of `base` -> contributions of their extensions along the
+        join path that satisfy the fixed atoms and land in a member instance."""
+        rel_order = [base]
+        steps = []
+        remaining = list(self.path)
+        while remaining:
+            for i, edge in enumerate(remaining):
+                new = edge.relations() - set(rel_order)
+                if len(new) == 1:
+                    break
+            else:
+                raise RuntimeError(f"join path {self.path} is not connected to {base}")
+            del remaining[i]
+            new_rel = next(iter(new))
+            old_ref = edge.other(new_rel)
+            old_table = store.table(old_ref.relation)
+            steps.append(
+                (
+                    store.table(new_rel),
+                    edge.endpoint(new_rel).column,
+                    rel_order.index(old_ref.relation),
+                    old_table.rows,
+                    old_table.col_pos[old_ref.column],
+                )
+            )
+            rel_order.append(new_rel)
+        rel_pos = {rel: i for i, rel in enumerate(rel_order)}
+        check = compile_predicate(self.fixed, rel_pos, store.tables)
+
+        def getter(ref: ColumnRef):
+            table = store.table(ref.relation)
+            return rel_pos[ref.relation], table.col_pos[ref.column], table.rows
+
+        ei, ep, erows = getter(self.entity)
+        ci, cp, crows = getter(self.crit_column)
+        bind = [getter(c) for c in self.binding_cols]
+        members = self.members
+
+        def contributions(row_ids: Iterable[int]) -> list[Contribution]:
+            envs = [(rid,) for rid in row_ids]
+            for table, column, oi, orows, opos in steps:
+                index = table.indices[column]
+                envs = [env + (rid,) for env in envs for rid in index.get(orows[env[oi]][opos], ())]
+            out = []
+            for env in envs:
+                if check(env):
+                    inst = tuple(rows[env[i]][p] for i, p, rows in bind)
+                    if inst in members:
+                        out.append((inst, erows[env[ei]][ep], crows[env[ci]][cp]))
+            return out
+
+        return contributions
+
+    def add(self, inst: tuple, entity: Any, value: Any, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) one joined row's value; an
+        entity whose count reaches 0 leaves the instance."""
+        if self.exact:
+            value = Fraction(value)
+        totals, counts = self.totals[inst], self.counts[inst]
+        count = counts.get(entity, 0) + sign
+        if count:
+            counts[entity] = count
+            totals[entity] = totals.get(entity, 0) + sign * value
+        else:
+            del counts[entity], totals[entity]
+
+    def view(self, inst: tuple) -> tuple[Mapping[Any, Any], Mapping[Any, int]]:
+        """The instance's totals and counts as build_ranking reads them;
+        exact totals become correctly rounded floats."""
+        totals = self.totals[inst]
+        if self.exact:
+            totals = {entity: float(total) for entity, total in totals.items()}
+        return totals, self.counts[inst]
+
+
+def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[Family]:
+    families: dict[tuple, Family] = {}
+    for q in queries:
+        bindings = q.binding_atoms()
+        key = (q.entity_attr, q.criterion.column, q.join_path, q.fixed_atoms(), tuple(a.left for a in bindings))
+        fam = families.get(key)
+        if fam is None:
+            exact = catalog.column_type(q.criterion.column) == "real"
+            fam = families[key] = Family(len(families), q, exact)
+        fam.members.setdefault(tuple(a.right for a in bindings), []).append(q.id)
+        fam.n_queries += 1
+    return list(families.values())
 
 
 class Engine:
-    """Detection state: queries, their cached rankings, filter indices."""
+    """Detection state: queries, their families, cached rankings, filter index."""
 
     def __init__(
         self,
@@ -187,193 +209,109 @@ class Engine:
         store: Store,
         queries: Iterable[HofQuery],
         filters_enabled: bool = True,
-        workers: int = 1,
     ):
         self.catalog = catalog
         self.store = store
         self.queries: dict[str, HofQuery] = {q.id: q for q in queries}
         self.filters_enabled = filters_enabled
-        self.workers = max(1, workers)
-        self.column_index = build_column_index(self.queries.values())
-        self.selection_queries = build_selection_queries(catalog)
-        self._families = self._build_families()
-        self._family_of: dict[str, tuple] = {}
-        for key, fam in self._families.items():
-            for qids in fam.members.values():
-                for qid in qids:
-                    self._family_of[qid] = key
-        self._plans: dict[tuple[str, str], _ExtensionPlan] = {}
-        for q in self.queries.values():
-            for relation in q.relations():
-                self._plans[(q.id, relation)] = self._build_plan(q, relation)
-        self.rankings: dict[str, RankingState] = self._reevaluate(sorted(self.queries))
+        self.families = build_families(self.queries.values(), catalog)
+        self.column_index = build_column_index(self.families)
+        self.rankings: dict[str, RankingState] = {}
+        if filters_enabled:
+            for fam in self.families:
+                scan = store.evaluate_family(
+                    fam.entity, fam.crit_column, fam.needed, fam.path, fam.fixed,
+                    fam.binding_cols, set(fam.members), exact=fam.exact,
+                )
+                for inst in fam.members:
+                    slot = scan.per_inst.get(inst) or InstEval()
+                    fam.totals[inst], fam.counts[inst] = slot.totals, slot.counts
+                    self.rankings.update(self._rank(fam, inst, *fam.view(inst)))
+                fam.plans = {rel: fam.plan(store, rel) for rel in fam.needed}
+            store.drop_join_cache()  # the delta path never scans again
+        else:
+            self.rankings = self._rescan()
         self.last_stats = DetectStats(0, 0, 0)
 
-    # -- construction ---------------------------------------------------
+    def _rank(
+        self, fam: Family, inst: tuple, totals: Mapping, counts: Mapping
+    ) -> Iterator[tuple[str, RankingState]]:
+        for qid in fam.members[inst]:
+            q = self.queries[qid]
+            yield qid, build_ranking(totals, counts, q.criterion.aggregation, q.criterion.direction, q.k)
 
-    def _build_families(self) -> dict[tuple, _Family]:
-        families: dict[tuple, _Family] = {}
-        for q in self.queries.values():
-            bindings = q.binding_atoms()
-            binding_cols = tuple(a.left for a in bindings)
-            inst = tuple(a.right for a in bindings)
-            fixed = q.fixed_atoms()
-            key = (q.entity_attr, q.criterion.column, q.relations(), q.join_path, fixed, binding_cols)
-            fam = families.get(key)
-            if fam is None:
-                fam = families[key] = _Family(
-                    q.entity_attr, q.criterion.column, q.relations(), q.join_path, fixed, binding_cols
-                )
-            fam.members.setdefault(inst, []).append(q.id)
-        return families
+    def _rescan(self) -> dict[str, RankingState]:
+        """Every ranking from one from-scratch scan per family."""
+        out: dict[str, RankingState] = {}
+        for fam in self.families:
+            scan = self.store.evaluate_family(
+                fam.entity, fam.crit_column, fam.needed, fam.path, fam.fixed,
+                fam.binding_cols, set(fam.members),
+            )
+            for inst in fam.members:
+                slot = scan.per_inst.get(inst) or InstEval()
+                out.update(self._rank(fam, inst, slot.totals, slot.counts))
+        return out
 
-    def _build_plan(self, q: HofQuery, base: str) -> _ExtensionPlan:
-        cover = None
-        path_edges = set(q.join_path)
-        for sq in self.selection_queries[base]:
-            if path_edges <= set(sq.join_cover):
-                cover = sq
-                break
-        if cover is None:
-            raise RuntimeError(f"no selection query covers {q.id} from {base}")
-        ordered: list[JoinEdge] = []
-        rel_order: list[str] = [base]
-        covered = {base}
-        remaining = list(q.join_path)
-        while remaining:
-            for i, edge in enumerate(remaining):
-                new = edge.relations() - covered
-                if len(new) == 1:
-                    ordered.append(edge)
-                    rel_order.append(next(iter(new)))
-                    covered |= new
-                    del remaining[i]
-                    break
-            else:
-                raise RuntimeError(f"join path of {q.id} is not connected to {base}")
-        rel_pos = {rel: i for i, rel in enumerate(rel_order)}
-        predicate = compile_predicate(q.predicate, rel_pos, self.store.tables)
-        return _ExtensionPlan(tuple(rel_order), tuple(ordered), predicate, cover)
+    def _replace(self, qid: str, new: RankingState, seq: int, events: list[RankEvent]) -> bool:
+        """Cache qid's new ranking, append its improvements to events and
+        tell whether its entity order changed."""
+        old = self.rankings[qid]
+        self.rankings[qid] = new
+        for entity, from_rank, to_rank in diff_rankings(old, new, self.queries[qid].k):
+            events.append(RankEvent(qid, entity, from_rank, to_rank, seq))
+        return old.entities() != new.entities()
 
     # -- filtering --------------------------------------------------------
 
-    def _row_selected(self, plan: _ExtensionPlan, row_ids: Iterable[int]) -> bool:
-        store = self.store
-        envs = [(rid,) for rid in row_ids]
-        known = [plan.rel_order[0]]
-        for edge in plan.edges:
-            new_rel = edge.relations() - set(known)
-            new_rel = next(iter(new_rel))
-            new_ref = edge.endpoint(new_rel)
-            old_ref = edge.other(new_rel)
-            table_new = store.table(new_rel)
-            index = table_new.indices.get(new_ref.column)
-            old_table = store.table(old_ref.relation)
-            oi = known.index(old_ref.relation)
-            opos = old_table.col_pos[old_ref.column]
-            orows = old_table.rows
-            extended = []
-            for env in envs:
-                for rid in index.get(orows[env[oi]][opos], ()):
-                    extended.append(env + (rid,))
-            envs = extended
-            known.append(new_rel)
-            if not envs:
-                return False
-        predicate = plan.predicate
-        return any(predicate(env) for env in envs)
-
-    def row_filter(self, u: UpdateRecord, affected_rows: Iterable[int], candidates: set[str]) -> set[str]:
-        """Candidates for which at least one affected row, extended along the
-        matching selection cover, satisfies the query's predicate."""
-        affected = list(affected_rows)
-        if not affected:
-            return set()
-        surviving = set()
-        for qid in candidates:
-            plan = self._plans.get((qid, u.table))
-            if plan is None:
-                continue  # update table not part of this query's join
-            if self._row_selected(plan, affected):
-                surviving.add(qid)
-        return surviving
-
-    # -- re-evaluation ------------------------------------------------------
-
-    def _reevaluate(self, qids: Iterable[str]) -> dict[str, RankingState]:
-        wanted: dict[tuple, set] = {}
-        for qid in qids:
-            key = self._family_of[qid]
-            bindings = self.queries[qid].binding_atoms()
-            wanted.setdefault(key, set()).add(tuple(a.right for a in bindings))
-
-        def run(item):
-            key, insts = item
-            fam = self._families[key]
-            return key, self.store.evaluate_family(
-                fam.entity, fam.crit_column, fam.needed, fam.path, fam.fixed, fam.binding_cols, insts
-            )
-
-        items = sorted(wanted.items(), key=lambda kv: repr(kv[0]))
-        if self.workers > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                evaluated = dict(pool.map(run, items))
-        else:
-            evaluated = dict(run(item) for item in items)
-
-        out: dict[str, RankingState] = {}
-        for qid in qids:
-            q = self.queries[qid]
-            inst = tuple(a.right for a in q.binding_atoms())
-            fam_eval = evaluated[self._family_of[qid]]
-            slot = fam_eval.per_inst.get(inst)
-            aggregates: Mapping = {} if slot is None else slot.aggregates
-            out[qid] = build_ranking(aggregates, q.criterion.aggregation, q.criterion.direction, q.k)
-        return out
+    def row_filter(
+        self, u: UpdateRecord, rows: Iterable[int], families: Iterable[Family]
+    ) -> list[tuple[Family, tuple, Any, Any]]:
+        """(family, instance, entity, value) for every extension of the given
+        rows of u.table along a family's join path that satisfies the fixed
+        atoms and the bindings of one of the family's queries."""
+        rows = list(rows)
+        if not rows:
+            return []
+        return [(fam, *c) for fam in families for c in fam.plans[u.table](rows)]
 
     # -- detection ----------------------------------------------------------
 
     def detect(self, u: UpdateRecord) -> list[RankEvent]:
         """Apply one update and return the rank improvements it caused.
 
-        Queries failing either filter keep their cached ranking untouched;
+        Queries no contribution reaches keep their cached ranking untouched;
         score-only changes that leave the entity order intact produce no
         events. The store is only mutated if the update is valid.
         """
-        if self.filters_enabled:
-            candidates = column_filter(u, self.column_index)
-            pre_rows = self.store.match_rows(u)
-            pre_survivors = self.row_filter(u, pre_rows, candidates)
-            affected = self.store.apply_update(u)
-            post_survivors = self.row_filter(u, affected, candidates)
-            survivors = pre_survivors | post_survivors
-        else:
-            candidates = set(self.queries)
-            self.store.apply_update(u)
-            survivors = set(self.queries)
-
-        ordered = sorted(survivors)
-        new_states = self._reevaluate(ordered)
         events: list[RankEvent] = []
         changed = 0
-        for qid in ordered:
-            old = self.rankings[qid]
-            new = new_states[qid]
-            if old.entities() != new.entities():
-                changed += 1
-            for entity, from_rank, to_rank in diff_rankings(old, new, self.queries[qid].k):
-                events.append(RankEvent(qid, entity, from_rank, to_rank, u.seq))
-            self.rankings[qid] = new
+        if not self.filters_enabled:
+            self.store.apply_update(u)
+            new_states = self._rescan()
+            for qid in sorted(new_states):
+                changed += self._replace(qid, new_states[qid], u.seq, events)
+            self.last_stats = DetectStats(len(self.queries), len(self.queries), changed)
+            events.sort(key=lambda e: (e.query_id, str(e.entity)))
+            return events
+
+        families = [self.families[i] for i in sorted(column_filter(u, self.column_index))]
+        pre = self.row_filter(u, self.store.match_rows(u), families)
+        post = self.row_filter(u, self.store.apply_update(u), families)
+        touched: dict[tuple[int, tuple], Family] = {}
+        for sign, contributions in ((-1, pre), (1, post)):
+            for fam, inst, entity, value in contributions:
+                fam.add(inst, entity, value, sign)
+                touched[fam.id, inst] = fam
+        survivors = 0
+        for (_, inst), fam in touched.items():
+            for qid, new in self._rank(fam, inst, *fam.view(inst)):
+                survivors += 1
+                changed += self._replace(qid, new, u.seq, events)
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
-        self.last_stats = DetectStats(len(candidates), len(survivors), changed)
+        self.last_stats = DetectStats(sum(f.n_queries for f in families), survivors, changed)
         return events
 
 
 def detect(u: UpdateRecord, engine: Engine) -> list[RankEvent]:
     return engine.detect(u)
-
-
-def row_filter(
-    u: UpdateRecord, affected_rows: Iterable[int], candidates: set[str], engine: Engine
-) -> set[str]:
-    return engine.row_filter(u, affected_rows, candidates)

@@ -53,7 +53,7 @@ def _source_key(source: Source) -> tuple:
     return (1,) + source.sort_key()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintCombination:
     """A set of constraint sources: categorical columns still to be bound
     per data, plus fixed user constraint atoms."""
@@ -109,7 +109,7 @@ def get_combinations(catalog: SchemaCatalog, cfg: GeneratorConfig) -> list[Const
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HofQuery:
     """One generated Hall of Fame: a top-K grouped ranking query."""
 
@@ -317,7 +317,7 @@ def generate_queries(
                     fam_cache[fam_key] = fam
 
                 for inst, slot in fam.per_inst.items():
-                    if len(slot.aggregates) < cfg.k:
+                    if len(slot.counts) < cfg.k:
                         continue
                     bindings = tuple(
                         ConstraintAtom(ATOM_BINDING, col, "=", value)

@@ -13,6 +13,7 @@ is intransitive in its indifference and is kept for spot comparisons only.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -39,14 +40,14 @@ class ScorerConfig:
             raise ValueError("groups must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImprovementPair:
     seq: int
     from_rank: int
     to_rank: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ImprovementChain:
     """Time-ordered rank improvements of one entity in one ranking."""
 
@@ -56,18 +57,29 @@ class ImprovementChain:
 
 
 class ChainStore:
-    """Per-(query, entity) improvement chains within the sliding window."""
+    """Per-(query, entity) improvement chains within the sliding window.
+
+    Chains are kept in the order they were last recorded to. Events arrive
+    in stream order, so a chain whose newest pair has left the window holds
+    no live state and is dropped from the front.
+    """
 
     def __init__(self):
-        self._chains: dict[tuple, ImprovementChain] = {}
+        self._chains: OrderedDict[tuple, ImprovementChain] = OrderedDict()
 
     def record(self, event, window_updates: int) -> ImprovementChain:
-        """Append the event's pair to its chain, evicting expired pairs."""
-        key = (event.query_id, event.entity)
-        chain = self._chains.get(key)
-        if chain is None:
-            chain = self._chains[key] = ImprovementChain(event.query_id, event.entity, [])
+        """Append the event's pair to its chain, evicting expired pairs and
+        chains."""
         horizon = event.seq - window_updates
+        chains = self._chains
+        while chains and next(iter(chains.values())).pairs[-1].seq <= horizon:
+            chains.popitem(last=False)
+        key = (event.query_id, event.entity)
+        chain = chains.get(key)
+        if chain is None:
+            chain = chains[key] = ImprovementChain(event.query_id, event.entity, [])
+        else:
+            chains.move_to_end(key)
         chain.pairs = [p for p in chain.pairs if p.seq > horizon]
         chain.pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
         return chain
@@ -168,7 +180,7 @@ def quantize(score: float, groups: int) -> int:
     return min(groups - 1, math.floor(score * groups))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredEvent:
     """A detected improvement enriched with its ranking ingredients."""
 

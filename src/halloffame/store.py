@@ -25,8 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .catalog import (
@@ -62,14 +65,14 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delta:
     """Additive update: new value = old value + amount."""
 
     amount: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateRecord:
     """One statement of the update stream.
 
@@ -85,7 +88,7 @@ class UpdateRecord:
     where: Mapping[str, Any]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingState:
     """Materialized top-K list of (entity, aggregate), best first.
 
@@ -107,13 +110,17 @@ class RankingState:
 
 
 def build_ranking(
-    aggregates: Mapping[Any, tuple[Any, int]], aggregation: str, direction: str, k: Optional[int]
+    totals: Mapping[Any, Any],
+    counts: Mapping[Any, int],
+    aggregation: str,
+    direction: str,
+    k: Optional[int],
 ) -> RankingState:
-    """Order grouped aggregates into a RankingState, truncated to k."""
+    """Order per-entity totals and row counts into a RankingState, truncated to k."""
     if aggregation == "sum":
-        items = [(entity, total) for entity, (total, _) in aggregates.items()]
+        items = list(totals.items())
     else:  # avg: arithmetic mean; groups exist only for present rows, so n >= 1
-        items = [(entity, total / n) for entity, (total, n) in aggregates.items()]
+        items = [(entity, total / counts[entity]) for entity, total in totals.items()]
     items.sort(key=lambda item: item[0])  # ascending-entity tie-break
     items.sort(key=lambda item: item[1], reverse=direction == "descending")
     if k is not None:
@@ -127,7 +134,7 @@ class FamilyEval:
 
     total_rows counts all joined rows (before any predicate), which is the
     selectivity denominator. per_inst maps each binding-value tuple to its
-    matching-row count and per-entity (sum, count) accumulators.
+    matching-row count and per-entity criterion totals and row counts.
     """
 
     total_rows: int
@@ -137,7 +144,8 @@ class FamilyEval:
 @dataclass
 class InstEval:
     row_count: int = 0
-    aggregates: dict[Any, list] = field(default_factory=dict)  # entity -> [total, n]
+    totals: dict[Any, Any] = field(default_factory=dict)  # entity -> sum of criterion values
+    counts: dict[Any, int] = field(default_factory=dict)  # entity -> matching rows
 
 
 class Table:
@@ -183,21 +191,24 @@ class Table:
 
 def _coerce_cell(text: str, col_type: str, where: str) -> Any:
     if col_type == "text":
-        return text
+        return sys.intern(text)  # equal cells share one object
     stripped = text.strip()
     try:
         if col_type == "integer":
             return int(stripped)
-        return float(stripped)
+        value = float(stripped)
     except ValueError:
         raise CsvLoadError(f"{where}: cannot parse {text!r} as {col_type}") from None
+    if not math.isfinite(value):
+        raise CsvLoadError(f"{where}: non-finite value {text!r}")
+    return value
 
 
 def _check_value(value: Any, col_type: str, where: str) -> Any:
     if col_type == "text":
         if not isinstance(value, str):
             raise UpdateError(f"{where}: expected text, got {value!r}")
-        return value
+        return sys.intern(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UpdateError(f"{where}: expected {col_type}, got {value!r}")
     if col_type == "integer":
@@ -206,7 +217,10 @@ def _check_value(value: Any, col_type: str, where: str) -> Any:
                 raise UpdateError(f"{where}: expected integer, got {value!r}")
             return int(value)
         return value
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise UpdateError(f"{where}: non-finite value {value!r}")
+    return value
 
 
 def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str] = ()) -> Table:
@@ -407,6 +421,10 @@ class Store:
             self._invalidate(u.table, changed_cols, inserted=False)
         return sorted(ids)
 
+    def drop_join_cache(self) -> None:
+        """Free every cached joined table; later scans rebuild what they need."""
+        self._join_cache.clear()
+
     def _invalidate(self, relation: str, written: set[str], inserted: bool) -> None:
         written_refs = {ColumnRef(relation, c) for c in written}
         stale = []
@@ -585,13 +603,17 @@ class Store:
         fixed_atoms: tuple[ConstraintAtom, ...] = (),
         binding_cols: tuple[ColumnRef, ...] = (),
         insts: Optional[set] = None,
+        exact: bool = False,
     ) -> FamilyEval:
         """Grouped aggregation for every binding instantiation in one pass.
 
         A "family" is every query sharing entity attribute, criterion column,
         join path and constraint sources; its members differ only in binding
         values, so all of them fall out of a single scan of the joined table.
-        insts restricts the scan to the given binding tuples.
+        insts restricts the scan to the given binding tuples. Totals of a
+        real criterion column are the correctly rounded math.fsum of their
+        values, whatever the row order, or with exact=True the exact
+        Fraction sum.
         """
         rel_order, envs, _ = self.joined_rows(needed, tuple(path))
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
@@ -604,6 +626,7 @@ class Store:
         ei, ep, erows = getter(entity)
         ci, cp, crows = getter(crit_column)
         bind = [getter(c) for c in binding_cols]
+        real = self.catalog.column_type(crit_column) == "real"
 
         result = FamilyEval(total_rows=len(envs), per_inst={})
         per_inst = result.per_inst
@@ -619,12 +642,18 @@ class Store:
             slot.row_count += 1
             ent = erows[env[ei]][ep]
             value = crows[env[ci]][cp]
-            acc = slot.aggregates.get(ent)
-            if acc is None:
-                slot.aggregates[ent] = [value, 1]
+            counts = slot.counts
+            if ent in counts:
+                slot.totals[ent] += [value] if real else value
+                counts[ent] += 1
             else:
-                acc[0] += value
-                acc[1] += 1
+                slot.totals[ent] = [value] if real else value
+                counts[ent] = 1
+        if real:
+            for slot in per_inst.values():
+                totals = slot.totals
+                for ent, values in totals.items():
+                    totals[ent] = sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
         return result
 
     def evaluate_hof(self, query) -> RankingState:
@@ -642,10 +671,9 @@ class Store:
             binding_cols,
             insts={inst},
         )
-        slot = fam.per_inst.get(inst)
-        aggregates = {} if slot is None else {e: (t, n) for e, (t, n) in slot.aggregates.items()}
+        slot = fam.per_inst.get(inst) or InstEval()
         return build_ranking(
-            aggregates, query.criterion.aggregation, query.criterion.direction, query.k
+            slot.totals, slot.counts, query.criterion.aggregation, query.criterion.direction, query.k
         )
 
 

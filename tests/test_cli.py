@@ -186,14 +186,58 @@ class TestRun:
         assert "skipping" in skipped.output
         assert len(events.read_text().splitlines()) >= 1
 
-    def test_workers_flag_matches_serial(self, runner, bloomberg_dir, tmp_path):
-        queries, _ = gen(runner, bloomberg_dir, tmp_path)
-        e1, _ = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text(), events="w1.jsonl")
-        e2, _ = run_cmd(
-            runner, bloomberg_dir, tmp_path, queries, fig5_stream_text(),
-            extra=["--workers", "4"], events="w2.jsonl",
+    def test_real_criterion_sums_are_exact_with_and_without_filters(self, runner, tmp_path):
+        # Summed left to right, ann's total 1e16 + 0.1 - 1e16 reads 0.0 and
+        # falls below bob's 0.05; both paths must rank on the exact 0.1.
+        data = tmp_path / "plays"
+        data.mkdir()
+        (data / "catalog.yaml").write_text(
+            """
+relations:
+  - name: plays
+    columns:
+      - {name: pid, type: integer}
+      - {name: player, type: text}
+      - {name: team, type: text}
+      - {name: pts, type: real}
+    key: [pid]
+entity_attrs: [player]
+categorical_attrs: [team]
+ranking_criteria:
+  - {column: pts, aggregation: sum, direction: descending}
+  - {column: pts, aggregation: avg, direction: ascending}
+"""
         )
-        assert e1.read_bytes() == e2.read_bytes()
+        (data / "plays.csv").write_text(
+            "pid,player,team,pts\n"
+            "0,ann,red,1e16\n1,ann,red,0.1\n2,ann,blue,-1e16\n3,bob,red,0.05\n"
+            "4,bob,blue,0.3\n5,cat,red,0.2\n6,cat,blue,0.02\n7,dan,blue,0.04\n8,dan,red,0.01\n"
+        )
+        writes = [
+            ("update", {"pts": Delta(0.25)}, {"pid": 3}),
+            ("update", {"team": "blue"}, {"pid": 0}),  # 1e16 moves between groups
+            ("insert", {"pid": 9, "player": "ann", "team": "red", "pts": 1e16}, {}),
+            ("update", {"player": "bob"}, {"pid": 2}),  # -1e16 moves to bob
+            ("update", {"pts": Delta(-1e16)}, {"pid": 9}),
+            ("update", {"pts": Delta(1e16)}, {"pid": 4}),
+            ("update", {"player": "ann"}, {"pid": 2}),
+            ("insert", {"pid": 10, "player": "cat", "team": "blue", "pts": 0.1}, {}),
+            ("update", {"pts": Delta(-1e16)}, {"pid": 4}),
+            ("update", {"team": "red"}, {"pid": 0}),
+            ("update", {"pts": 0.7}, {"pid": 5}),
+            ("update", {"player": "dan"}, {"pid": 1}),
+        ]
+        text = "".join(
+            update_to_json(UpdateRecord(seq, kind, "plays", set_values, where)) + "\n"
+            for seq, (kind, set_values, where) in enumerate(writes, start=1)
+        )
+        queries, _ = gen(runner, data, tmp_path)
+        filtered, r1 = run_cmd(runner, data, tmp_path, queries, text, events="e1.jsonl")
+        unfiltered, r2 = run_cmd(runner, data, tmp_path, queries, text, extra=["--no-filters"], events="e2.jsonl")
+        assert r1.exit_code == 0, r1.output
+        assert r2.exit_code == 0, r2.output
+        assert filtered.read_text().splitlines()
+        assert filtered.read_bytes() == unfiltered.read_bytes()
 
     def test_flush_cadence_writes_window_rankings(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,16 +10,20 @@ from halloffame import (
     GeneratorConfig,
     UpdateRecord,
     build_column_index,
-    build_selection_queries,
     column_filter,
     detect,
     diff_rankings,
     generate_queries,
-    load_catalog,
 )
 from halloffame.store import RankingState
 from conftest import load_instance
-from oracles import make_instance, make_updates, oracle_eval_query, oracle_run
+from oracles import (
+    make_instance,
+    make_updates,
+    oracle_apply,
+    oracle_eval_query,
+    oracle_run,
+)
 
 
 def fig5_update(seq=1):
@@ -30,6 +35,23 @@ def bloomberg_engine(bloomberg):
     catalog, store = bloomberg
     queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=3), store)
     return catalog, store, Engine(catalog, store, queries)
+
+
+def queries_of(engine, fids):
+    """Ids of the queries in the given families."""
+    return {qid for fid in fids for qids in engine.families[fid].members.values() for qid in qids}
+
+
+def column_candidates(engine, u):
+    """Ids of the queries in the families the column filter picks."""
+    return queries_of(engine, column_filter(u, engine.column_index))
+
+
+def lookup(engine, u, rows):
+    """Ids of the queries whose instances the family lookup reaches from the
+    given rows of u.table."""
+    families = [engine.families[fid] for fid in column_filter(u, engine.column_index)]
+    return {qid for fam, inst, _, _ in engine.row_filter(u, rows, families) for qid in fam.members[inst]}
 
 
 class TestColumnIndex:
@@ -53,78 +75,24 @@ class TestColumnIndex:
 
     def test_criterion_column_always_present(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
-        index = engine.column_index
         s_value = ColumnRef("stockmarket", "s_value")
-        assert index[s_value] == set(engine.queries)
-
-
-class TestSelectionQueries:
-    def test_single_table_schema_has_empty_cover(self):
-        catalog = load_catalog(
-            """
-relations:
-  - name: only
-    columns: [{name: x, type: integer}]
-"""
-        )
-        covers = build_selection_queries(catalog)
-        assert len(covers["only"]) == 1
-        assert covers["only"][0].join_cover == ()
-
-    def test_stockmarket_cover_reaches_all_relations(self, bloomberg):
-        catalog, _ = bloomberg
-        covers = build_selection_queries(catalog)["stockmarket"]
-        assert covers
-        for cover in covers:
-            reached = {"stockmarket"}
-            for edge in cover.join_cover:
-                reached |= edge.relations()
-            assert reached == {"stockmarket", "company", "country", "shareholder", "person"}
-
-    def test_parallel_edges_give_two_covers(self):
-        catalog = load_catalog(
-            """
-relations:
-  - name: orders
-    columns:
-      - {name: o_id, type: integer}
-      - {name: ship_addr, type: integer}
-      - {name: bill_addr, type: integer}
-    key: [o_id]
-  - name: address
-    columns: [{name: a_id, type: integer}, {name: city, type: text}]
-    key: [a_id]
-join_edges:
-  - {from: orders.ship_addr, to: address.a_id}
-  - {from: orders.bill_addr, to: address.a_id}
-"""
-        )
-        covers = build_selection_queries(catalog)["orders"]
-        assert len(covers) == 2
-        assert {len(c.join_cover) for c in covers} == {1}
-
-    def test_every_query_path_embeds_in_some_cover(self, bloomberg_engine):
-        _, _, engine = bloomberg_engine
-        for q in engine.queries.values():
-            for relation in q.relations():
-                plan = engine._plans[(q.id, relation)]
-                assert set(q.join_path) <= set(plan.cover.join_cover)
+        assert queries_of(engine, engine.column_index[s_value]) == set(engine.queries)
 
 
 class TestColumnFilter:
     def test_unreferenced_column_filtered(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
         u = UpdateRecord(1, "update", "shareholder", {"s_amount": 99}, {"s_personid": 0, "s_companyid": 3})
-        assert column_filter(u, engine.column_index) == set()
+        assert column_candidates(engine, u) == set()
 
     def test_criterion_column_matches_all_its_queries(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
-        assert column_filter(fig5_update(), engine.column_index) == set(engine.queries)
+        assert column_candidates(engine, fig5_update()) == set(engine.queries)
 
     def test_insert_counts_all_columns(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
         u = UpdateRecord(1, "insert", "stockmarket", {"s_companyid": 9, "s_value": 5}, {})
-        assert column_filter(u, engine.column_index) == set(engine.queries)
+        assert column_candidates(engine, u) == set(engine.queries)
 
 
 class TestRowFilter:
@@ -139,8 +107,7 @@ class TestRowFilter:
         u = fig5_update()
         rows = store.match_rows(u)
         assert rows == [8]
-        survivors = engine.row_filter(u, rows, {usa})
-        assert survivors == set()  # company 8 is Greek, not in the USA group
+        assert lookup(engine, u, rows) & {usa} == set()  # company 8 is Greek, not in the USA group
 
     def test_matching_row_retained(self, bloomberg):
         # k=2 so the Greece-bound ranking (two Greek companies) exists
@@ -153,12 +120,11 @@ class TestRowFilter:
             if any(a.kind == "binding" and a.right == "Greece" for a in q.predicate)
         )
         u = fig5_update()
-        survivors = engine.row_filter(u, store.match_rows(u), {greece})
-        assert survivors == {greece}
+        assert lookup(engine, u, store.match_rows(u)) & {greece} == {greece}
 
     def test_empty_affected_rows(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
-        assert engine.row_filter(fig5_update(), [], set(engine.queries)) == set()
+        assert lookup(engine, fig5_update(), []) == set()
 
 
 class TestDiffRankings:
@@ -282,3 +248,77 @@ class TestSoundness:
             )
             assert filtered == unfiltered
             assert engine.last_stats.row_candidates <= shadow.last_stats.row_candidates
+
+
+class TestDeltaSoundness:
+    """Delta-maintained rankings equal the oracle after every single update,
+    for structural writes the random streams never make: writes to the
+    joined-in table, inserts into it, join-column and key moves, and groups
+    that empty and refill."""
+
+    def check_stream(self, catalog, store, queries, tables, edges_inst, updates):
+        engine = Engine(catalog, store, queries)
+        assert engine.queries
+        for u in updates:
+            detect(u, engine)
+            oracle_apply(tables, u)
+            for qid, q in engine.queries.items():
+                want = oracle_eval_query(tables, edges_inst, q)
+                assert list(engine.rankings[qid].entries) == want, (u.seq, qid)
+
+    def test_two_table_structural_writes(self):
+        rng = random.Random(21)
+        inst = make_instance(rng, n_rows=90, n_entities=10, two_tables=True, with_user_atom=True)
+        catalog, store = load_instance(inst)
+        queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store)
+        tables = {name: [dict(r) for r in rows] for name, rows in inst.tables.items()}
+        player = tables["stats"][0]["player"]
+        writes = [
+            ("update", "teams", {"league": "L1"}, {"t_id": 0}),
+            ("insert", "teams", {"t_id": 5, "t_name": "team05", "league": "L0"}, {}),
+            ("update", "stats", {"team_id": 5}, {"sid": 3}),
+            ("update", "stats", {"team_id": 5}, {"team_id": 1}),
+            ("update", "teams", {"league": "L1"}, {"t_id": 5}),
+            ("update", "stats", {"player": "p999"}, {"player": player}),
+            ("update", "stats", {"m1": Delta(40)}, {"player": "p999"}),
+            ("update", "stats", {"player": player}, {"player": "p999"}),
+            ("update", "stats", {"c1": "a0"}, {"c1": "a1"}),
+            ("update", "stats", {"c1": "a1"}, {"sid": 7}),
+            ("update", "teams", {"league": "L0"}, {"league": "L1"}),
+            ("insert", "teams", {"t_id": 6, "t_name": "team06", "league": "L2"}, {}),
+            ("update", "stats", {"team_id": 6, "m2": 3}, {"sid": 11}),
+        ]
+        updates = [UpdateRecord(seq, *w) for seq, w in enumerate(writes, start=1)]
+        for u in make_updates(rng, inst, 40):
+            updates.append(UpdateRecord(u.seq + len(writes), u.kind, u.table, u.set_values, u.where))
+        self.check_stream(catalog, store, queries, tables, inst, updates)
+
+    def test_bloomberg_join_and_key_moves(self, bloomberg):
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=1, j_num=3), store)
+        tables = {
+            name: [dict(zip(t.meta.column_names(), row)) for row in t.rows]
+            for name, t in store.tables.items()
+        }
+        edges = SimpleNamespace(
+            edges=[(e.src.relation, e.src.column, e.dst.relation, e.dst.column) for e in catalog.join_edges]
+        )
+        writes = [
+            ("update", "company", {"c_countryid": 4}, {"c_id": 6}),  # Italy empties
+            ("update", "shareholder", {"s_companyid": 7}, {"s_personid": 1, "s_companyid": 8}),
+            ("update", "stockmarket", {"s_value": Delta(500)}, {"s_companyid": 7}),
+            ("update", "company", {"c_countryid": 3}, {"c_id": 3}),
+            ("update", "shareholder", {"s_companyid": 4}, {"s_personid": 0, "s_companyid": 3}),
+            ("update", "company", {"c_countryid": 2}, {"c_id": 6}),  # Italy refills
+            ("update", "shareholder", {"s_companyid": 8}, {"s_personid": 1, "s_companyid": 7}),
+            ("update", "shareholder", {"s_companyid": 6}, {"s_companyid": 5}),  # two rows
+            ("update", "stockmarket", {"s_value": 300}, {"s_companyid": 6}),
+            ("update", "person", {"p_countryid": 1}, {"p_id": 2}),
+            ("insert", "shareholder", {"s_personid": 2, "s_companyid": 4, "s_amount": 70}, {}),
+            ("insert", "company", {"c_id": 9, "c_name": "Volvo", "c_countryid": 4}, {}),
+            ("insert", "stockmarket", {"s_companyid": 9, "s_value": 80}, {}),
+            ("update", "company", {"c_countryid": 5}, {"c_id": 4}),
+            ("update", "stockmarket", {"s_value": Delta(-200)}, {"s_companyid": 4}),
+        ]
+        updates = [UpdateRecord(seq, *w) for seq, w in enumerate(writes, start=1)]
+        self.check_stream(catalog, store, queries, tables, edges, updates)

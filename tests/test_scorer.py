@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from halloffame import (
     quantize,
     rank_events,
     record_improvement,
+    score_event,
 )
 from halloffame.scorer import EQUAL, GREATER, LESS, ScoringError
 
@@ -49,6 +52,32 @@ class TestChains:
         chains.record(event(seq=100, frm=100, to=75), 1000)
         chain = chains.record(event(seq=200, frm=84, to=65), 1000)
         assert [(p.from_rank, p.to_rank) for p in chain.pairs] == [(100, 75), (84, 65)]
+
+    def test_dead_chains_dropped_without_changing_scores(self):
+        class KeepAllChains(ChainStore):
+            """Chains are never dropped, only their expired pairs."""
+
+            def record(self, event, window_updates):
+                key = (event.query_id, event.entity)
+                chain = self._chains.setdefault(key, ImprovementChain(event.query_id, event.entity, []))
+                horizon = event.seq - window_updates
+                chain.pairs = [p for p in chain.pairs if p.seq > horizon]
+                chain.pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
+                return chain
+
+        rng = random.Random(8)
+        cfg = ScorerConfig(k=20, window_updates=50)
+        query = SimpleNamespace(selectivity=0.5, entropy_bits=1.0)
+        bounded, reference = ChainStore(), KeepAllChains()
+        most = 0
+        for seq in range(1, 2001):  # 40 windows, up to 3 events per update
+            for _ in range(rng.randint(0, 3)):
+                to = rng.randint(1, 19)
+                e = event(f"q{rng.randrange(40)}", f"e{rng.randrange(25)}", rng.randint(to + 1, 21), to, seq)
+                assert score_event(e, query, bounded, cfg) == score_event(e, query, reference, cfg)
+            most = max(most, len(bounded._chains))
+        assert most <= 3 * cfg.window_updates
+        assert len(reference._chains) > 4 * most
 
 
 class TestAggregateChain:
@@ -243,7 +272,7 @@ class TestRankEvents:
         before = [e.query_id for e in rank_events(events, self.CFG)]
         # nudge all selectivities by a constant that keeps them in bucket 2
         moved = [
-            ScoredEvent(**{**e.__dict__, "selectivity": e.selectivity + 0.1}) for e in events
+            dataclasses.replace(e, selectivity=e.selectivity + 0.1) for e in events
         ]
         after = [e.query_id for e in rank_events(moved, self.CFG)]
         assert before == after

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -142,6 +143,20 @@ class TestApplyUpdate:
             store.apply_update(bad)
         assert store.table("plays").rows == before
 
+    def test_non_finite_real_values_rejected(self):
+        # a real total must stay exactly summable, so inf and nan never load
+        catalog = load_catalog(PLAYS_CONFIG.replace("points, type: integer", "points, type: real"))
+        store = Store(catalog)
+        for cell in ("inf", "nan", "-Infinity"):
+            with pytest.raises(StoreError, match="non-finite"):
+                store.load_table("plays", f"pid,team,year,league,points\n1,A,2010,NBA,{cell}\n")
+        store.load_table("plays", "pid,team,year,league,points\n1,A,2010,NBA,1e308\n")
+        before = [list(r) for r in store.table("plays").rows]
+        for value in (float("nan"), Delta(1e308)):
+            with pytest.raises(StoreError, match="non-finite"):
+                store.apply_update(UpdateRecord(1, "update", "plays", {"points": value}, {"pid": 1}))
+        assert store.table("plays").rows == before
+
     def test_index_consistency_after_random_updates(self):
         rng = random.Random(11)
         inst = make_instance(rng, n_rows=80, two_tables=True)
@@ -200,7 +215,7 @@ class TestEvaluateHof:
         catalog, store = plays
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=0, j_num=0), store)
         target = next(q for q in queries if not q.predicate)
-        big = type(target)(**{**target.__dict__, "k": 100})
+        big = dataclasses.replace(target, k=100)
         state = store.evaluate_hof(big)
         # sums: Phoenix 90, San Antonio Spurs 40, Boston 20
         assert state.entities() == ("Phoenix", "San Antonio Spurs", "Boston")
