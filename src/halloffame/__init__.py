@@ -26,7 +26,6 @@ from .detector import (
     build_column_index,
     build_families,
     column_filter,
-    detect,
     diff_rankings,
 )
 from .generator import (
@@ -53,7 +52,6 @@ from .scorer import (
     entropy,
     quantize,
     rank_events,
-    record_improvement,
     score_event,
 )
 from .store import (

@@ -1,15 +1,14 @@
 """Annotated schema catalog: attribute roles, ranking criteria, constraints, join graph.
 
 The catalog is loaded once from a YAML config (see ``catalog_schema.json`` for
-the machine-readable grammar) and is immutable afterwards, so it can be read
-from any number of workers without locking.
+the machine-readable grammar) and is immutable afterwards.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 import jsonschema
@@ -171,9 +170,6 @@ class SchemaCatalog:
                 return rel
         raise CatalogError(f"unknown relation {name!r}")
 
-    def has_relation(self, name: str) -> bool:
-        return any(rel.name == name for rel in self.relations)
-
     def column_type(self, ref: ColumnRef) -> str:
         return self.relation(ref.relation).column_type(ref.column)
 
@@ -198,9 +194,6 @@ class SchemaCatalog:
                 if ref.relation == relation:
                     cols.add(ref.column)
         return cols
-
-    def edges_touching(self, relation: str) -> list[JoinEdge]:
-        return [e for e in self.join_edges if relation in e.relations()]
 
     def allows_relations(self, needed: Iterable[str]) -> bool:
         if self.join_allowlist is None:

@@ -6,9 +6,8 @@ import json
 import statistics
 import time
 from collections import deque
-from dataclasses import dataclass
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Optional
 
 import click
 
@@ -22,24 +21,8 @@ from .generator import (
     load_queries,
 )
 from .scorer import ChainStore, ImprovementPair, ScoredEvent, ScorerConfig, rank_events, score_event
-from .store import Store, StoreError, update_from_json, write_update_stream
+from .store import Store, StoreError, read_update_stream, write_update_stream
 from .synth import SynthConfig, synth_stream
-
-
-@dataclass
-class RunConfig:
-    """Resolved paths and knobs for one command invocation."""
-
-    catalog_path: Path
-    data_dir: Path
-    queries_path: Optional[Path] = None
-    updates_path: Optional[Path] = None
-    events_path: Optional[Path] = None
-    generator: GeneratorConfig = GeneratorConfig()
-    scorer: ScorerConfig = ScorerConfig()
-    synth: SynthConfig = SynthConfig()
-    emit_stats: Optional[Path] = None
-    flush_every: int = 0
 
 
 def _read_file(path: Path, what: str) -> str:
@@ -151,24 +134,6 @@ def synth(config_path, data_dir, out_path, seed, updates_per_tuple, avg_literal)
     click.echo(f"synthesized {len(stream)} updates -> {out_path}")
 
 
-def _iter_update_lines(text: str, on_error: str):
-    last_seq = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            u = update_from_json(line)
-            if last_seq is not None and u.seq <= last_seq:
-                raise StoreError(f"seq {u.seq} not increasing")
-        except (json.JSONDecodeError, KeyError, StoreError) as exc:
-            if on_error == "skip":
-                click.echo(f"warning: skipping update line {lineno}: {exc}", err=True)
-                continue
-            raise click.ClickException(f"update line {lineno}: {exc}") from exc
-        last_seq = u.seq
-        yield u
-
-
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 @click.option("--data-dir", required=True, type=click.Path(path_type=Path))
@@ -219,70 +184,60 @@ def run(
     changed: list[int] = []
     latencies: list[float] = []
 
-    events_out = []
-    stats_out = []
-    flush_out = []
-    text = _read_file(updates_path, "update stream")
-    for u in _iter_update_lines(text, on_error):
-        started = time.perf_counter()
-        try:
-            detected = engine.detect(u)
-        except StoreError as exc:
-            if on_error == "skip":
-                click.echo(f"warning: skipping update seq {u.seq}: {exc}", err=True)
-                continue
-            raise click.ClickException(f"update seq {u.seq}: {exc}") from exc
-        latency_ms = (time.perf_counter() - started) * 1000.0
+    def bad_line(lineno: int, exc: Exception) -> None:
+        if on_error == "abort":
+            raise click.ClickException(f"update line {lineno}: {exc}") from exc
+        click.echo(f"warning: skipping update line {lineno}: {exc}", err=True)
 
-        for event in detected:
-            scored = score_event(event, by_id[event.query_id], chains, scorer_cfg)
-            events_out.append(_event_line(scored, by_id[event.query_id].sql()) + "\n")
-            window_events.append(scored)
-        while window_events and window_events[0].seq <= u.seq - scorer_cfg.window_updates:
-            window_events.popleft()
+    updates = read_update_stream(_read_file(updates_path, "update stream"), bad_line)
+    with ExitStack() as files:
+        # line-buffered, so a run that stops early leaves whole lines behind
+        def open_out(path: Path):
+            return files.enter_context(path.open("w", encoding="utf-8", buffering=1))
 
-        n_updates += 1
-        n_events += len(detected)
-        st = engine.last_stats
-        col_cands.append(st.column_candidates)
-        row_cands.append(st.row_candidates)
-        changed.append(st.changed)
-        latencies.append(latency_ms)
-        if stats_path is not None:
-            stats_out.append(
-                json.dumps(
-                    {
-                        "seq": u.seq,
-                        "column_candidates": st.column_candidates,
-                        "row_candidates": st.row_candidates,
-                        "changed": st.changed,
-                        "latency_ms": latency_ms,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        if flush_every and n_updates % flush_every == 0:
-            ranking = rank_events(window_events, scorer_cfg)
-            flush_out.append(
-                json.dumps(
-                    {
-                        "flush_at": u.seq,
-                        "ranking": [
-                            {"rank": i + 1, "seq": e.seq, "query_id": e.query_id, "entity": e.entity}
-                            for i, e in enumerate(ranking)
-                        ],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        events_out = open_out(events_path)
+        stats_out = open_out(stats_path) if stats_path is not None else None
+        flush_out = open_out(Path(f"{events_path}.flush")) if flush_every else None
+        for u in updates:
+            started = time.perf_counter()
+            try:
+                detected = engine.detect(u)
+            except StoreError as exc:
+                if on_error == "skip":
+                    click.echo(f"warning: skipping update seq {u.seq}: {exc}", err=True)
+                    continue
+                raise click.ClickException(f"update seq {u.seq}: {exc}") from exc
+            latency_ms = (time.perf_counter() - started) * 1000.0
 
-    events_path.write_text("".join(events_out), encoding="utf-8")
-    if stats_path is not None:
-        stats_path.write_text("".join(stats_out), encoding="utf-8")
-    if flush_out:
-        Path(str(events_path) + ".flush").write_text("".join(flush_out), encoding="utf-8")
+            for event in detected:
+                scored = score_event(event, by_id[event.query_id], chains, scorer_cfg)
+                events_out.write(_event_line(scored, by_id[event.query_id].sql()) + "\n")
+                window_events.append(scored)
+            while window_events and window_events[0].seq <= u.seq - scorer_cfg.window_updates:
+                window_events.popleft()
+
+            n_updates += 1
+            n_events += len(detected)
+            st = engine.last_stats
+            col_cands.append(st.column_candidates)
+            row_cands.append(st.row_candidates)
+            changed.append(st.changed)
+            latencies.append(latency_ms)
+            if stats_out is not None:
+                doc = {
+                    "seq": u.seq,
+                    "column_candidates": st.column_candidates,
+                    "row_candidates": st.row_candidates,
+                    "changed": st.changed,
+                    "latency_ms": latency_ms,
+                }
+                stats_out.write(json.dumps(doc, sort_keys=True) + "\n")
+            if flush_out is not None and n_updates % flush_every == 0:
+                ranking = [
+                    {"rank": i + 1, "seq": e.seq, "query_id": e.query_id, "entity": e.entity}
+                    for i, e in enumerate(rank_events(window_events, scorer_cfg))
+                ]
+                flush_out.write(json.dumps({"flush_at": u.seq, "ranking": ranking}, sort_keys=True) + "\n")
 
     def mean(xs):
         return statistics.fmean(xs) if xs else 0.0

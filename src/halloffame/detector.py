@@ -311,7 +311,3 @@ class Engine:
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
         self.last_stats = DetectStats(sum(f.n_queries for f in families), survivors, changed)
         return events
-
-
-def detect(u: UpdateRecord, engine: Engine) -> list[RankEvent]:
-    return engine.detect(u)

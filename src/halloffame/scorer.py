@@ -88,11 +88,6 @@ class ChainStore:
         return self._chains.get((query_id, entity))
 
 
-def record_improvement(chain_store: ChainStore, event, window_updates: int) -> ChainStore:
-    chain_store.record(event, window_updates)
-    return chain_store
-
-
 def aggregate_chain(chain: ImprovementChain) -> list[ImprovementPair]:
     """The suffix of the chain that counts as one combined improvement.
 

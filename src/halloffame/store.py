@@ -1,9 +1,8 @@
 """In-memory relational store.
 
 Holds the base tables, applies updates and inserts, and evaluates the
-query shapes the rest of the engine needs: distinct-value lookups,
-predicates, index-nested-loop joins along a fixed edge path, and grouped
-top-K aggregation.
+query shapes the rest of the engine needs: predicates, index-nested-loop
+joins along a fixed edge path, and grouped top-K aggregation.
 
 Indexing: hash value->rowset indices are kept for every categorical
 attribute, every join-edge column, and the key columns (as a composite
@@ -15,9 +14,10 @@ must be serialized by the caller; between mutations the store behaves as
 an immutable snapshot that any number of readers may evaluate against.
 
 Joined-row caching: the row-id tuples produced by a join path are cached
-per (path, relations) and stay valid until an update rewrites a join
-column of an involved relation or inserts into one, which is when the
-cache entry is dropped.
+per (path, relations). Every insert and every update that changes a value
+clears the whole cache. Set-up never writes, so its scans share every
+entry; the delta path reads no joined rows, so only the from-scratch
+reference path rebuilds them after each write.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .catalog import (
-    ATOM_BINDING,
     ColumnRef,
     ConstraintAtom,
     JoinEdge,
     RelationMeta,
     SchemaCatalog,
-    join_path,
 )
 
 
@@ -178,16 +176,6 @@ class Table:
         self._index_add(rid, row)
         return rid
 
-    def rebuild_indices(self) -> None:
-        for col in self.indices:
-            self.indices[col] = {}
-        self.key_index = {}
-        for rid, row in enumerate(self.rows):
-            for col, index in self.indices.items():
-                index.setdefault(row[self.col_pos[col]], set()).add(rid)
-            if self.meta.key_columns:
-                self.key_index[self._key_of(row)] = rid
-
 
 def _coerce_cell(text: str, col_type: str, where: str) -> Any:
     if col_type == "text":
@@ -307,7 +295,7 @@ class Store:
     def __init__(self, catalog: SchemaCatalog):
         self.catalog = catalog
         self.tables: dict[str, Table] = {}
-        # (path, relations) -> (rel_order, envs, join column names per relation)
+        # (path, relations) -> (rel_order, envs)
         self._join_cache: dict[tuple, tuple] = {}
 
     # -- loading ------------------------------------------------------------
@@ -379,7 +367,7 @@ class Store:
                 if key in table.key_index:
                     raise UpdateError(f"insert {u.seq}: duplicate key {key} in {u.table}")
             rid = table.append_row(row)
-            self._invalidate(u.table, set(u.set_values), inserted=True)
+            self._join_cache.clear()
             return [rid]
 
         if u.kind != "update":
@@ -399,9 +387,11 @@ class Store:
                 else:
                     new = _check_value(value, types[col], where)
                 pending.append((rid, col, new))
+        key_cols = set(table.meta.key_columns)
+        if key_cols & set(u.set_values):
+            self._check_keys(table, u, pending)
 
         changed_cols: set[str] = set()
-        key_cols = set(table.meta.key_columns)
         for rid, col, new in pending:
             row = table.rows[rid]
             old = row[pos[col]]
@@ -418,34 +408,37 @@ class Store:
         if changed_cols & key_cols:
             table.key_index = {table._key_of(r): i for i, r in enumerate(table.rows)}
         if changed_cols:
-            self._invalidate(u.table, changed_cols, inserted=False)
+            self._join_cache.clear()
         return sorted(ids)
+
+    @staticmethod
+    def _check_keys(table: Table, u: UpdateRecord, pending: list[tuple[int, str, Any]]) -> None:
+        """Reject an update that would give two rows the same key, either by
+        moving a row onto an unmoved row's key or two rows onto one key."""
+        moved = {rid: list(table.rows[rid]) for rid, _, _ in pending}
+        for rid, col, new in pending:
+            moved[rid][table.col_pos[col]] = new
+        seen = set()
+        for row in moved.values():
+            key = table._key_of(row)
+            holder = table.key_index.get(key)
+            if key in seen or (holder is not None and holder not in moved):
+                raise UpdateError(f"update {u.seq}: duplicate key {key} in {u.table}")
+            seen.add(key)
 
     def drop_join_cache(self) -> None:
         """Free every cached joined table; later scans rebuild what they need."""
         self._join_cache.clear()
 
-    def _invalidate(self, relation: str, written: set[str], inserted: bool) -> None:
-        written_refs = {ColumnRef(relation, c) for c in written}
-        stale = []
-        for key, (rel_order, _, join_cols) in self._join_cache.items():
-            if relation not in rel_order:
-                continue
-            if inserted or written_refs & join_cols:
-                stale.append(key)
-        for key in stale:
-            del self._join_cache[key]
-
     # -- join evaluation ----------------------------------------------------
 
     def joined_rows(
         self, needed: Iterable[str], path: tuple[JoinEdge, ...]
-    ) -> tuple[tuple[str, ...], list[tuple], frozenset[ColumnRef]]:
+    ) -> tuple[tuple[str, ...], list[tuple]]:
         """Materialize the joined table for a path as row-id tuples.
 
-        Returns (relation order, envs, join columns). With an empty path the
-        single needed relation is returned row by row. Cached until a
-        mutation invalidates it.
+        Returns (relation order, envs). With an empty path the single needed
+        relation is returned row by row. Cached until the next write.
         """
         path = tuple(path)
         needed_set = frozenset(needed)
@@ -459,11 +452,10 @@ class Store:
                 raise StoreError(f"empty join path cannot cover relations {sorted(needed_set)}")
             rel = next(iter(needed_set))
             table = self.table(rel)
-            result = ((rel,), [(rid,) for rid in range(len(table.rows))], frozenset())
+            result = ((rel,), [(rid,) for rid in range(len(table.rows))])
             self._join_cache[key] = result
             return result
 
-        join_cols = frozenset(ref for edge in path for ref in edge.columns())
         rel_order: list[str] = []
         envs: list[tuple] = []
         for edge in path:
@@ -506,7 +498,7 @@ class Store:
         uncovered = needed_set - set(rel_order)
         if uncovered:
             raise StoreError(f"join path does not reach relations {sorted(uncovered)}")
-        result = (tuple(rel_order), envs, join_cols)
+        result = (tuple(rel_order), envs)
         self._join_cache[key] = result
         return result
 
@@ -527,34 +519,6 @@ class Store:
 
     # -- spec operations ----------------------------------------------------
 
-    def select_distinct(
-        self, attrs: list[ColumnRef], fixed_atoms: Iterable[ConstraintAtom] = ()
-    ) -> set[tuple]:
-        """Distinct value tuples of attrs over the joined data, restricted by
-        fixed_atoms. Only combinations materialized in the data appear.
-
-        With no attrs and no atoms the single empty instantiation is returned.
-        """
-        fixed_atoms = tuple(fixed_atoms)
-        needed = self._relations_for((), attrs, fixed_atoms)
-        if not needed:
-            return {()}
-        path = join_path(self.catalog, needed, len(self.catalog.join_edges))
-        if path is None:
-            raise StoreError(f"relations {sorted(needed)} are not joinable")
-        rel_order, envs, _ = self.joined_rows(needed, tuple(path))
-        rel_pos = {rel: i for i, rel in enumerate(rel_order)}
-        check = compile_predicate(fixed_atoms, rel_pos, self.tables)
-        getters = [
-            (rel_pos[a.relation], self.table(a.relation).col_pos[a.column], self.table(a.relation).rows)
-            for a in attrs
-        ]
-        out: set[tuple] = set()
-        for env in envs:
-            if check(env):
-                out.add(tuple(rows[env[i]][p] for i, p, rows in getters))
-        return out
-
     def instantiation_counts(
         self,
         columns: list[ColumnRef],
@@ -563,7 +527,7 @@ class Store:
     ) -> dict[tuple, int]:
         """Count each distinct projection of ``columns`` over the joined rows."""
         rels = self._relations_for(tuple(path), columns, needed=needed)
-        rel_order, envs, _ = self.joined_rows(rels, tuple(path))
+        rel_order, envs = self.joined_rows(rels, tuple(path))
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         getters = [
             (rel_pos[c.relation], self.table(c.relation).col_pos[c.column], self.table(c.relation).rows)
@@ -586,7 +550,7 @@ class Store:
         rels = self._relations_for(tuple(path), atoms=predicate, needed=needed)
         if not rels:
             raise StoreError("selectivity needs at least one relation; pass needed=")
-        rel_order, envs, _ = self.joined_rows(rels, tuple(path))
+        rel_order, envs = self.joined_rows(rels, tuple(path))
         if not envs:
             raise StoreError("empty data table")
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
@@ -615,7 +579,7 @@ class Store:
         values, whatever the row order, or with exact=True the exact
         Fraction sum.
         """
-        rel_order, envs, _ = self.joined_rows(needed, tuple(path))
+        rel_order, envs = self.joined_rows(needed, tuple(path))
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         check = compile_predicate(fixed_atoms, rel_pos, self.tables)
 
@@ -656,26 +620,6 @@ class Store:
                     totals[ent] = sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
         return result
 
-    def evaluate_hof(self, query) -> RankingState:
-        """Evaluate one generated query against the current snapshot."""
-        bindings = tuple(a for a in query.predicate if a.kind == ATOM_BINDING)
-        fixed = tuple(a for a in query.predicate if a.kind != ATOM_BINDING)
-        binding_cols = tuple(a.left for a in bindings)
-        inst = tuple(a.right for a in bindings)
-        fam = self.evaluate_family(
-            query.entity_attr,
-            query.criterion.column,
-            query.relations(),
-            query.join_path,
-            fixed,
-            binding_cols,
-            insts={inst},
-        )
-        slot = fam.per_inst.get(inst) or InstEval()
-        return build_ranking(
-            slot.totals, slot.counts, query.criterion.aggregation, query.criterion.direction, query.k
-        )
-
 
 # ---------------------------------------------------------------------------
 # Update stream serialization (line-delimited JSON)
@@ -691,40 +635,62 @@ def update_to_json(u: UpdateRecord) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _expect(ok: bool, what: str, value: Any) -> None:
+    if not ok:
+        raise StoreError(f"{what}, got {value!r}")
+
+
 def update_from_json(line: str) -> UpdateRecord:
+    """Parse one stream line; a field of the wrong JSON type is a StoreError."""
     doc = json.loads(line)
+    _expect(isinstance(doc, dict), "an update must be a JSON object", doc)
+    seq, kind, table = doc["seq"], doc["kind"], doc["table"]
+    set_doc, where = doc["set"], doc.get("where", {})
+    _expect(isinstance(seq, int) and not isinstance(seq, bool), "seq must be an integer", seq)
+    _expect(isinstance(kind, str), "kind must be a string", kind)
+    _expect(isinstance(table, str), "table must be a string", table)
+    _expect(isinstance(set_doc, dict), "set must be an object", set_doc)
+    _expect(isinstance(where, dict), "where must be an object", where)
+    for col, v in where.items():
+        _expect(not isinstance(v, (dict, list)), f"where value for column {col!r} must be a scalar", v)
     set_values = {}
-    for col, v in doc["set"].items():
+    for col, v in set_doc.items():
         if isinstance(v, dict):
-            if set(v) != {"delta"}:
-                raise StoreError(f"bad set value for column {col!r}: {v!r}")
-            set_values[col] = Delta(v["delta"])
+            _expect(set(v) == {"delta"}, f"bad set value for column {col!r}", v)
+            amount = v["delta"]
+            number = isinstance(amount, (int, float)) and not isinstance(amount, bool)
+            _expect(number, f"delta for column {col!r} must be a number", amount)
+            set_values[col] = Delta(amount)
         else:
             set_values[col] = v
-    return UpdateRecord(
-        seq=doc["seq"],
-        kind=doc["kind"],
-        table=doc["table"],
-        set_values=set_values,
-        where=doc.get("where", {}),
-    )
+    return UpdateRecord(seq=seq, kind=kind, table=table, set_values=set_values, where=where)
 
 
 def write_update_stream(updates: Iterable[UpdateRecord]) -> str:
     return "".join(update_to_json(u) + "\n" for u in updates)
 
 
-def read_update_stream(text: str) -> Iterator[UpdateRecord]:
-    """Parse a stream, enforcing strictly increasing sequence numbers."""
+def read_update_stream(
+    text: str, on_error: Optional[Callable[[int, Exception], None]] = None
+) -> Iterator[UpdateRecord]:
+    """Parse a stream, enforcing strictly increasing sequence numbers.
+
+    A bad line raises a StoreError naming its line number; with on_error
+    given, on_error(line number, exception) is called instead and the line
+    is skipped.
+    """
     last = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             u = update_from_json(line)
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise StoreError(f"update stream line {lineno}: {exc}") from exc
-        if last is not None and u.seq <= last:
-            raise StoreError(f"update stream line {lineno}: seq {u.seq} not increasing")
+            if last is not None and u.seq <= last:
+                raise StoreError(f"seq {u.seq} not increasing")
+        except (json.JSONDecodeError, KeyError, StoreError) as exc:
+            if on_error is None:
+                raise StoreError(f"update stream line {lineno}: {exc}") from exc
+            on_error(lineno, exc)
+            continue
         last = u.seq
         yield u

@@ -26,7 +26,6 @@ from halloffame import (
     aggregate_chain,
     compare_tradeoff_sequences,
     count_unpruned,
-    detect,
     dynamic_score,
     entropy,
     generate_queries,
@@ -187,7 +186,7 @@ def _pipeline_log(catalog_store, queries, stream, scorer_cfg, filters_enabled):
     latencies = []
     for u in stream:
         t0 = time.perf_counter()
-        events = detect(u, engine)
+        events = engine.detect(u)
         latencies.append((time.perf_counter() - t0) * 1000.0)
         survivors.append(engine.last_stats.row_candidates)
         for event in events:
@@ -269,7 +268,7 @@ def test_c10_fig5_end_to_end_replay(bloomberg):
     person_query = next(q for q in queries if str(q.entity_attr) == "person.p_name")
     engine = Engine(catalog, store, queries)
     update = UpdateRecord(1, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": 8})
-    events = detect(update, engine)
+    events = engine.detect(update)
     assert [(e.query_id, e.entity, e.from_rank, e.to_rank) for e in events] == [
         (person_query.id, "Amancio O. Gaona", 3, 1)
     ]

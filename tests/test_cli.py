@@ -175,16 +175,46 @@ class TestRun:
 
     def test_malformed_line_abort_vs_skip(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
-        bad = "this is not json\n" + fig5_stream_text()
-        _, aborted = run_cmd(runner, bloomberg_dir, tmp_path, queries, bad, events="ea.jsonl")
-        assert aborted.exit_code != 0
-        events, skipped = run_cmd(
-            runner, bloomberg_dir, tmp_path, queries, bad,
-            extra=["--on-error", "skip"], events="es.jsonl",
+        fig5 = json.loads(fig5_stream_text())
+        malformed = ["this is not json"] + [
+            json.dumps({**fig5, **change})
+            for change in (
+                {"set": 5},
+                {"where": 7},
+                {"where": {"s_companyid": [8]}},
+                {"set": {"s_value": {"delta": "x"}}},
+                {"where": {"s_companyid": {"eq": 8}}},
+                {"seq": "1"},
+                {"seq": True},
+                {"kind": 1},
+                {"table": None},
+            )
+        ]
+        for i, line in enumerate(malformed):
+            bad = line + "\n" + fig5_stream_text()
+            _, aborted = run_cmd(runner, bloomberg_dir, tmp_path, queries, bad, events=f"ea{i}.jsonl")
+            assert aborted.exit_code != 0, line
+            assert "update line 1" in aborted.output, line
+            events, skipped = run_cmd(
+                runner, bloomberg_dir, tmp_path, queries, bad,
+                extra=["--on-error", "skip"], events=f"es{i}.jsonl",
+            )
+            assert skipped.exit_code == 0, (line, skipped.output)
+            assert "skipping update line 1" in skipped.output, line
+            assert len(events.read_text().splitlines()) >= 1, line
+
+    def test_abort_keeps_the_lines_already_written(self, runner, bloomberg_dir, tmp_path):
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        stats_path = tmp_path / "stats.jsonl"
+        events, result = run_cmd(
+            runner, bloomberg_dir, tmp_path, queries, fig5_stream_text() + "this is not json\n",
+            extra=["--stats", str(stats_path)],
         )
-        assert skipped.exit_code == 0
-        assert "skipping" in skipped.output
-        assert len(events.read_text().splitlines()) >= 1
+        assert result.exit_code != 0
+        assert "update line 2" in result.output
+        docs = [json.loads(line) for line in events.read_text().splitlines()]
+        assert any(d["seq"] == 1 and d["entity"] == "Amancio O. Gaona" for d in docs)
+        assert [json.loads(line)["seq"] for line in stats_path.read_text().splitlines()] == [1]
 
     def test_real_criterion_sums_are_exact_with_and_without_filters(self, runner, tmp_path):
         # Summed left to right, ann's total 1e16 + 0.1 - 1e16 reads 0.0 and

@@ -11,7 +11,6 @@ from halloffame import (
     UpdateRecord,
     build_column_index,
     column_filter,
-    detect,
     diff_rankings,
     generate_queries,
 )
@@ -146,7 +145,7 @@ class TestDiffRankings:
 class TestDetect:
     def test_fig5_produces_exactly_one_event(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
-        events = detect(fig5_update(), engine)
+        events = engine.detect(fig5_update())
         improvements = [(e.entity, e.from_rank, e.to_rank) for e in events]
         assert ("Amancio O. Gaona", 3, 1) in improvements
         person_events = [
@@ -160,7 +159,7 @@ class TestDetect:
     def test_no_match_update_skips_reevaluation(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
         u = UpdateRecord(1, "update", "stockmarket", {"s_value": 5}, {"s_companyid": 999})
-        assert detect(u, engine) == []
+        assert engine.detect(u) == []
         assert engine.last_stats.row_candidates == 0
 
     def test_unreferenced_column_skips_row_filter(self, bloomberg_engine):
@@ -168,7 +167,7 @@ class TestDetect:
         u = UpdateRecord(
             1, "update", "shareholder", {"s_amount": 1}, {"s_personid": 0, "s_companyid": 3}
         )
-        assert detect(u, engine) == []
+        assert engine.detect(u) == []
         assert engine.last_stats.column_candidates == 0
 
     def test_determinism(self, bloomberg):
@@ -178,7 +177,7 @@ class TestDetect:
             engine = Engine(catalog, store, queries)
             out = []
             for seq in range(1, 4):
-                out.append(detect(fig5_update(seq), engine))
+                out.append(engine.detect(fig5_update(seq)))
             return out
 
         def load_catalog_and_store():
@@ -193,7 +192,7 @@ class TestDetect:
         before = [list(r) for r in store.table("stockmarket").rows]
         bad = UpdateRecord(1, "update", "stockmarket", {"s_value": "oops"}, {"s_companyid": 8})
         with pytest.raises(Exception):
-            detect(bad, engine)
+            engine.detect(bad)
         assert store.table("stockmarket").rows == before
 
 
@@ -217,14 +216,16 @@ class TestSoundness:
             return
         engine = Engine(catalog, store, queries)
         updates = make_updates(rng, inst, 60)
+        tables = {name: [dict(r) for r in rows] for name, rows in inst.tables.items()}
         got = []
         for u in updates:
-            for e in detect(u, engine):
+            for e in engine.detect(u):
                 got.append((e.seq, e.query_id, e.entity, e.from_rank, e.to_rank))
+            oracle_apply(tables, u)
             # cached states must equal a from-scratch evaluation at all times
             if u.seq % 17 == 0:
                 for qid, q in engine.queries.items():
-                    assert engine.rankings[qid] == store.evaluate_hof(q)
+                    assert list(engine.rankings[qid].entries) == oracle_eval_query(tables, inst, q)
         want = oracle_run(inst, queries, updates)
         assert got == want, f"trial {trial}"
 
@@ -242,10 +243,8 @@ class TestSoundness:
         shadow_catalog, shadow_store = load_instance(inst)
         shadow = Engine(shadow_catalog, shadow_store, queries, filters_enabled=False)
         for u in make_updates(rng, inst, 80):
-            filtered = detect(u, engine)
-            unfiltered = detect(
-                UpdateRecord(u.seq, u.kind, u.table, u.set_values, u.where), shadow
-            )
+            filtered = engine.detect(u)
+            unfiltered = shadow.detect(UpdateRecord(u.seq, u.kind, u.table, u.set_values, u.where))
             assert filtered == unfiltered
             assert engine.last_stats.row_candidates <= shadow.last_stats.row_candidates
 
@@ -260,7 +259,7 @@ class TestDeltaSoundness:
         engine = Engine(catalog, store, queries)
         assert engine.queries
         for u in updates:
-            detect(u, engine)
+            engine.detect(u)
             oracle_apply(tables, u)
             for qid, q in engine.queries.items():
                 want = oracle_eval_query(tables, edges_inst, q)

@@ -15,7 +15,7 @@ from halloffame import (
     load_queries,
 )
 from conftest import load_instance
-from oracles import make_instance, oracle_enumerate, query_signature
+from oracles import make_instance, oracle_enumerate, oracle_eval_query, query_signature
 
 THREE_CATS_CONFIG = """
 relations:
@@ -107,7 +107,7 @@ class TestGenerateQueries:
         queries = generate_queries(catalog, GeneratorConfig(k=4, c_num=2, j_num=0), store)
         assert queries
         for q in queries:
-            assert len(store.evaluate_hof(q)) == q.k
+            assert len(oracle_eval_query(inst.tables, inst, q)) == q.k
 
     def test_counts_monotone_in_cnum_and_k(self):
         rng = random.Random(8)

@@ -20,7 +20,6 @@ from halloffame import (
     entropy,
     quantize,
     rank_events,
-    record_improvement,
     score_event,
 )
 from halloffame.scorer import EQUAL, GREATER, LESS, ScoringError
@@ -37,7 +36,7 @@ def event(qid="q", ent="e", frm=10, to=5, seq=1):
 class TestChains:
     def test_first_event_creates_chain(self):
         chains = ChainStore()
-        record_improvement(chains, event(seq=1), 1000)
+        chains.record(event(seq=1), 1000)
         chain = chains.get("q", "e")
         assert chain.pairs == [ImprovementPair(1, 10, 5)]
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import random
 
 import pytest
@@ -7,17 +9,21 @@ from halloffame import (
     ColumnRef,
     ConstraintAtom,
     Delta,
+    Engine,
     GeneratorConfig,
     Store,
     StoreError,
+    Table,
     UpdateRecord,
     generate_queries,
+    join_path,
     load_catalog,
     read_update_stream,
     update_from_json,
     update_to_json,
     write_update_stream,
 )
+from halloffame.store import UpdateError
 from conftest import load_instance
 from oracles import make_instance, make_updates, oracle_eval_query
 
@@ -52,6 +58,21 @@ def plays():
     store = Store(catalog)
     store.load_table("plays", PLAYS_CSV)
     return catalog, store
+
+
+def engine_rankings(catalog, store, queries):
+    """The rankings a newly built engine holds: delta, then from scratch."""
+    return [Engine(catalog, store, queries, filters_enabled=f).rankings for f in (True, False)]
+
+
+def reloaded(store):
+    """A new store loaded from CSV text of the store's current rows."""
+    fresh = Store(store.catalog)
+    for name, table in store.tables.items():
+        out = io.StringIO()
+        csv.writer(out).writerows([table.meta.column_names(), *table.rows])
+        fresh.load_table(name, out.getvalue())
+    return fresh
 
 
 class TestLoadTable:
@@ -164,69 +185,76 @@ class TestApplyUpdate:
         for u in make_updates(rng, inst, 150):
             store.apply_update(u)
         for table in store.tables.values():
-            live = {col: {v: set(ids) for v, ids in idx.items()} for col, idx in table.indices.items()}
-            key_live = dict(table.key_index)
-            table.rebuild_indices()
-            assert live == table.indices
-            assert key_live == table.key_index
+            fresh = Table(table.meta, table.indices)
+            for row in table.rows:
+                fresh.append_row(row)
+            assert fresh.indices == table.indices
+            assert fresh.key_index == table.key_index
 
+    def test_key_collisions_rejected_before_any_change(self, plays):
+        catalog, store = plays
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=0), store)
+        engine = Engine(catalog, store, queries)
+        table = store.table("plays")
 
-class TestSelectDistinct:
-    def test_single_column_dedupe(self, plays):
+        def state():
+            indices = {col: {v: set(ids) for v, ids in idx.items()} for col, idx in table.indices.items()}
+            return [list(r) for r in table.rows], indices, dict(table.key_index), dict(engine.rankings)
+
+        before = state()
+        assert engine.rankings
+        collisions = [
+            UpdateRecord(1, "update", "plays", {"pid": 3}, {"pid": 1}),  # onto an existing key
+            UpdateRecord(2, "update", "plays", {"pid": 9}, {"team": "Phoenix"}),  # three rows onto one key
+            UpdateRecord(3, "update", "plays", {"pid": Delta(1)}, {"team": "Phoenix"}),  # 1 -> 2, Boston's
+        ]
+        for u in collisions:
+            with pytest.raises(UpdateError, match=f"update {u.seq}: duplicate key"):
+                engine.detect(u)
+            assert state() == before
+
+    def test_key_moves_onto_free_keys(self, plays):
         _, store = plays
-        values = store.select_distinct([ColumnRef("plays", "league")])
-        assert values == {("NBA",), ("ABA",)}
-
-    def test_only_materialized_combinations(self, plays):
-        _, store = plays
-        pairs = store.select_distinct([ColumnRef("plays", "team"), ColumnRef("plays", "year")])
-        assert ("Phoenix", 2010) in pairs
-        assert ("Phoenix", 2011) not in pairs  # never co-occurs
-        assert len(pairs) == 3
-
-    def test_empty_table(self):
-        catalog = load_catalog(PLAYS_CONFIG)
-        store = Store(catalog)
-        store.load_table("plays", "pid,team,year,league,points\n")
-        assert store.select_distinct([ColumnRef("plays", "team")]) == set()
-
-    def test_fixed_atoms_restrict(self, plays):
-        _, store = plays
-        atom = ConstraintAtom("const_comparison", ColumnRef("plays", "points"), ">", 25)
-        values = store.select_distinct([ColumnRef("plays", "league")], [atom])
-        assert values == {("NBA",), ("ABA",)}
-        atom = ConstraintAtom("const_comparison", ColumnRef("plays", "points"), ">", 45)
-        assert store.select_distinct([ColumnRef("plays", "league")], [atom]) == {("NBA",)}
+        table = store.table("plays")
+        store.apply_update(UpdateRecord(1, "update", "plays", {"pid": Delta(10)}, {"team": "Phoenix"}))
+        # 11 and 13 are free again once their own rows move off them
+        store.apply_update(UpdateRecord(2, "update", "plays", {"pid": Delta(-2)}, {"team": "Phoenix"}))
+        assert [row[0] for row in table.rows] == [9, 2, 11, 4, 13]
+        assert table.key_index == {(9,): 0, (2,): 1, (11,): 2, (4,): 3, (13,): 4}
 
 
 class TestEvaluateHof:
+    """The rankings an engine starts from, built by the delta engine's
+    set-up scan and by the from-scratch path, against the oracle."""
+
     def test_figure_before_state(self, bloomberg):
         catalog, store = bloomberg
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=0, j_num=3), store)
         target = next(q for q in queries if str(q.entity_attr) == "person.p_name")
-        state = store.evaluate_hof(target)
-        assert set(state.entries) == {
-            ("Bill Gates", 210),
-            ("Warren E. Buffet", 210),
-            ("Amancio O. Gaona", 204),
-        }
+        for rankings in engine_rankings(catalog, store, queries):
+            assert set(rankings[target.id].entries) == {
+                ("Bill Gates", 210),
+                ("Warren E. Buffet", 210),
+                ("Amancio O. Gaona", 204),
+            }
 
     def test_true_predicate_large_k_returns_all_entities(self, plays):
         catalog, store = plays
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=0, j_num=0), store)
         target = next(q for q in queries if not q.predicate)
         big = dataclasses.replace(target, k=100)
-        state = store.evaluate_hof(big)
-        # sums: Phoenix 90, San Antonio Spurs 40, Boston 20
-        assert state.entities() == ("Phoenix", "San Antonio Spurs", "Boston")
+        for rankings in engine_rankings(catalog, store, [big]):
+            # sums: Phoenix 90, San Antonio Spurs 40, Boston 20
+            assert rankings[big.id].entities() == ("Phoenix", "San Antonio Spurs", "Boston")
 
     def test_three_row_toy_matches_brute_force(self):
         rng = random.Random(0)
         inst = make_instance(rng, n_rows=3, n_entities=2, n_c1=1, n_c2=1)
         catalog, store = load_instance(inst)
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=0, j_num=0), store)
-        for q in queries:
-            assert list(store.evaluate_hof(q).entries) == oracle_eval_query(inst.tables, inst, q)
+        for rankings in engine_rankings(catalog, store, queries):
+            for q in queries:
+                assert list(rankings[q.id].entries) == oracle_eval_query(inst.tables, inst, q)
 
     def test_random_instances_match_brute_force(self):
         rng = random.Random(202)
@@ -241,11 +269,12 @@ class TestEvaluateHof:
             catalog, store = load_instance(inst)
             queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=2, j_num=2), store)
             assert queries, f"trial {trial} generated nothing"
-            for q in queries:
-                got = store.evaluate_hof(q)
-                assert list(got.entries) == oracle_eval_query(inst.tables, inst, q)
-                assert len(got) <= q.k
-                assert len(set(got.entities())) == len(got)
+            for rankings in engine_rankings(catalog, store, queries):
+                for q in queries:
+                    got = rankings[q.id]
+                    assert list(got.entries) == oracle_eval_query(inst.tables, inst, q)
+                    assert len(got) <= q.k
+                    assert len(set(got.entities())) == len(got)
 
 
 class TestSelectivityAndCounts:
@@ -307,13 +336,30 @@ class TestSelectivityAndCounts:
 
     def test_counts_sum_to_joined_rows(self, bloomberg):
         _, store = bloomberg
-        from halloffame import join_path
-
-        catalog = store.catalog
-        path = tuple(join_path(catalog, {"person", "stockmarket"}, 3))
+        path = tuple(join_path(store.catalog, {"person", "stockmarket"}, 3))
         counts = store.instantiation_counts([ColumnRef("person", "p_name")], path)
-        _, envs, _ = store.joined_rows({"person", "stockmarket"}, path)
+        _, envs = store.joined_rows({"person", "stockmarket"}, path)
         assert sum(counts.values()) == len(envs)
+
+
+class TestJoinCache:
+    def test_writes_leave_no_stale_joined_rows(self, bloomberg):
+        catalog, store = bloomberg
+        needed = {"person", "stockmarket"}
+        path = tuple(join_path(catalog, needed, 3))
+        assert any("shareholder" in edge.relations() for edge in path)
+        names = [ColumnRef("person", "p_name")]
+        writes = [
+            UpdateRecord(1, "update", "stockmarket", {"s_value": Delta(5)}, {"s_companyid": 8}),
+            UpdateRecord(2, "update", "shareholder", {"s_companyid": 7}, {"s_personid": 1, "s_companyid": 8}),
+            UpdateRecord(3, "insert", "shareholder", {"s_personid": 2, "s_companyid": 4, "s_amount": 70}, {}),
+        ]
+        for u in writes:
+            store.instantiation_counts(names, path)  # cache the join before the write
+            store.apply_update(u)
+            fresh = reloaded(store)
+            assert store.joined_rows(needed, path) == fresh.joined_rows(needed, path), u.seq
+            assert store.instantiation_counts(names, path) == fresh.instantiation_counts(names, path), u.seq
 
 
 class TestUpdateStreamIO:
@@ -338,5 +384,13 @@ class TestUpdateStreamIO:
             + update_to_json(UpdateRecord(2, "update", "t", {"x": 2}, {"k": 1}))
             + "\n"
         )
-        with pytest.raises(StoreError, match="not increasing"):
+        with pytest.raises(StoreError, match="line 2: seq 2 not increasing"):
             list(read_update_stream(text))
+
+    def test_on_error_reports_and_skips_bad_lines(self):
+        good = update_to_json(UpdateRecord(1, "update", "t", {"x": 1}, {"k": 1}))
+        text = f"not json\n{good}\n{good}\n"  # line 3 repeats seq 1
+        seen = []
+        got = list(read_update_stream(text, lambda lineno, exc: seen.append(lineno)))
+        assert got == [update_from_json(good)]
+        assert seen == [1, 3]
