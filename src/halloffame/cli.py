@@ -257,9 +257,7 @@ def run(
 @click.option("--window-end", type=int, help="last seq of the window (default: last event)")
 @click.option("--window", default=1000, show_default=True)
 @click.option("--groups", default=4, show_default=True)
-@click.option("--b", default=5, show_default=True)
-@click.option("--k", default=20, show_default=True)
-def rank(events_path, window_end, window, groups, b, k):
+def rank(events_path, window_end, window, groups):
     """Print the window's events in final ranked order."""
     text = _read_file(events_path, "event log")
     parsed = []
@@ -267,7 +265,7 @@ def rank(events_path, window_end, window, groups, b, k):
         if line.strip():
             parsed.append(_parse_event_line(line))
     try:
-        cfg = ScorerConfig(b=b, k=k, window_updates=window, groups=groups)
+        cfg = ScorerConfig(window_updates=window, groups=groups)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     if window_end is None:

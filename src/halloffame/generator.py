@@ -1,11 +1,11 @@
 """Enumerate every valid Hall of Fame query and attach its static scores.
 
 Generation walks (entity attribute x constraint combination x materialized
-binding values x concrete criterion), growing constraint combinations
-incrementally so an unjoinable combination prunes all its supersets, and
-keeping only predicates whose ranking reaches at least K entities. All
-binding instantiations of one combination are evaluated in a single pass
-over the joined table, which is what keeps enumeration tractable.
+binding values x concrete criterion). Each relation set's join path is
+searched once and memoized, and a query is kept only if its relations join
+within the budget and its ranking reaches at least K entities. All binding
+instantiations of one combination are evaluated in a single pass over the
+joined table, which is what keeps enumeration tractable.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def compute_static_scores(query: HofQuery, store: Store, cache: Optional[dict] =
 def generate_queries(
     catalog: SchemaCatalog, cfg: GeneratorConfig, store: Store
 ) -> list[HofQuery]:
-    """Enumerate all valid queries with early pruning of join violations.
+    """Enumerate all valid queries, searching each relation set's join path once.
 
     The output is set-equal to brute-force enumeration of every
     (entity, combination, binding, criterion) choice filtered by the join
@@ -273,48 +273,31 @@ def generate_queries(
     entropy_cache: dict = {}
     queries: list[HofQuery] = []
 
-    # minimal recorded violators; any superset of one is skipped outright
-    comb_pruned: list[tuple[ColumnRef, frozenset]] = []
-    rank_pruned: list[tuple[ColumnRef, frozenset, RankingCriterion]] = []
+    # relation set -> join_path's answer, searched once; a set with no tree
+    # within j_num edges has no joinable superset, so nothing else is pruned
+    paths: dict[frozenset, Optional[list[JoinEdge]]] = {}
 
     for e_attr in entities:
         for comb in combos:
-            if any(pe == e_attr and pc <= comb.sources for pe, pc in comb_pruned):
-                continue
             needed1 = frozenset((e_attr.relation,)) | comb.relations()
-            path1 = join_path(catalog, needed1, cfg.j_num)
-            if path1 is None:
-                comb_pruned.append((e_attr, comb.sources))
-                continue
-
             binding_cols = comb.binding_columns()
             fixed = comb.fixed_atoms()
             fam_cache: dict = {}
             for crit in criteria:
-                if any(
-                    pe == e_attr and pr == crit and pc <= comb.sources
-                    for pe, pc, pr in rank_pruned
-                ):
-                    continue
                 needed2 = needed1 | {crit.column.relation}
-                if needed2 == needed1:
-                    path2 = tuple(path1)
-                else:
-                    found = join_path(catalog, needed2, cfg.j_num)
-                    if found is None:
-                        rank_pruned.append((e_attr, comb.sources, crit))
-                        continue
-                    path2 = tuple(found)
-                if not catalog.allows_relations(needed2):
+                if needed2 not in paths:
+                    paths[needed2] = join_path(catalog, needed2, cfg.j_num)
+                if paths[needed2] is None or not catalog.allows_relations(needed2):
                     continue
+                path2 = tuple(paths[needed2])
 
-                fam_key = (needed2, path2)
-                fam = fam_cache.get(fam_key)
+                # only row counts are read, so criteria over one relation set share a scan
+                fam = fam_cache.get(needed2)
                 if fam is None:
                     fam = store.evaluate_family(
                         e_attr, crit.column, needed2, path2, fixed, binding_cols
                     )
-                    fam_cache[fam_key] = fam
+                    fam_cache[needed2] = fam
 
                 for inst, slot in fam.per_inst.items():
                     if len(slot.counts) < cfg.k:
@@ -326,7 +309,7 @@ def generate_queries(
                     predicate = tuple(
                         sorted(bindings + fixed, key=ConstraintAtom.sort_key)
                     )
-                    sel = slot.row_count / fam.total_rows
+                    sel = sum(slot.counts.values()) / fam.total_rows
                     ent = _entropy_for(
                         store,
                         tuple(sorted({c for a in predicate for c in a.columns()})),

@@ -112,7 +112,7 @@ def build_ranking(
     counts: Mapping[Any, int],
     aggregation: str,
     direction: str,
-    k: Optional[int],
+    k: int,
 ) -> RankingState:
     """Order per-entity totals and row counts into a RankingState, truncated to k."""
     if aggregation == "sum":
@@ -121,9 +121,7 @@ def build_ranking(
         items = [(entity, total / counts[entity]) for entity, total in totals.items()]
     items.sort(key=lambda item: item[0])  # ascending-entity tie-break
     items.sort(key=lambda item: item[1], reverse=direction == "descending")
-    if k is not None:
-        items = items[:k]
-    return RankingState(tuple(items))
+    return RankingState(tuple(items[:k]))
 
 
 @dataclass
@@ -132,7 +130,7 @@ class FamilyEval:
 
     total_rows counts all joined rows (before any predicate), which is the
     selectivity denominator. per_inst maps each binding-value tuple to its
-    matching-row count and per-entity criterion totals and row counts.
+    per-entity criterion totals and row counts, which sum to its row count.
     """
 
     total_rows: int
@@ -141,7 +139,6 @@ class FamilyEval:
 
 @dataclass
 class InstEval:
-    row_count: int = 0
     totals: dict[Any, Any] = field(default_factory=dict)  # entity -> sum of criterion values
     counts: dict[Any, int] = field(default_factory=dict)  # entity -> matching rows
 
@@ -322,10 +319,11 @@ class Store:
             return []
         table = self.table(u.table)
         pos = table.col_pos
-        for col in u.where:
+        where = {}
+        for col, value in u.where.items():
             if col not in pos:
                 raise UpdateError(f"update {u.seq}: unknown column {u.table}.{col}")
-        where = dict(u.where)
+            where[col] = _check_value(value, table.meta.column_type(col), f"update {u.seq}, where column {col}")
         if table.meta.key_columns and set(where) >= set(table.meta.key_columns):
             key = tuple(where[c] for c in table.meta.key_columns)
             rid = table.key_index.get(key)
@@ -387,9 +385,11 @@ class Store:
                 else:
                     new = _check_value(value, types[col], where)
                 pending.append((rid, col, new))
-        key_cols = set(table.meta.key_columns)
-        if key_cols & set(u.set_values):
-            self._check_keys(table, u, pending)
+        if set(table.meta.key_columns) & set(u.set_values):
+            new_keys = self._check_keys(table, u, pending)
+            for rid in ids:
+                del table.key_index[table._key_of(table.rows[rid])]
+            table.key_index.update(new_keys)
 
         changed_cols: set[str] = set()
         for rid, col, new in pending:
@@ -405,26 +405,26 @@ class Store:
                 bucket.setdefault(new, set()).add(rid)
             row[pos[col]] = new
             changed_cols.add(col)
-        if changed_cols & key_cols:
-            table.key_index = {table._key_of(r): i for i, r in enumerate(table.rows)}
         if changed_cols:
             self._join_cache.clear()
         return sorted(ids)
 
     @staticmethod
-    def _check_keys(table: Table, u: UpdateRecord, pending: list[tuple[int, str, Any]]) -> None:
-        """Reject an update that would give two rows the same key, either by
-        moving a row onto an unmoved row's key or two rows onto one key."""
+    def _check_keys(table: Table, u: UpdateRecord, pending: list[tuple[int, str, Any]]) -> dict[tuple, int]:
+        """Each moved row's new key -> row id. Rejects an update that would
+        give two rows the same key, either by moving a row onto an unmoved
+        row's key or two rows onto one key."""
         moved = {rid: list(table.rows[rid]) for rid, _, _ in pending}
         for rid, col, new in pending:
             moved[rid][table.col_pos[col]] = new
-        seen = set()
-        for row in moved.values():
+        seen: dict[tuple, int] = {}
+        for rid, row in moved.items():
             key = table._key_of(row)
             holder = table.key_index.get(key)
             if key in seen or (holder is not None and holder not in moved):
                 raise UpdateError(f"update {u.seq}: duplicate key {key} in {u.table}")
-            seen.add(key)
+            seen[key] = rid
+        return seen
 
     def drop_join_cache(self) -> None:
         """Free every cached joined table; later scans rebuild what they need."""
@@ -437,8 +437,9 @@ class Store:
     ) -> tuple[tuple[str, ...], list[tuple]]:
         """Materialize the joined table for a path as row-id tuples.
 
-        Returns (relation order, envs). With an empty path the single needed
-        relation is returned row by row. Cached until the next write.
+        Returns (relation order, envs): every row of the path's first relation
+        (the single needed relation when the path is empty), extended edge by
+        edge through sorted index buckets. Cached until the next write.
         """
         path = tuple(path)
         needed_set = frozenset(needed)
@@ -447,30 +448,15 @@ class Store:
         if cached is not None:
             return cached
 
-        if not path:
-            if len(needed_set) != 1:
-                raise StoreError(f"empty join path cannot cover relations {sorted(needed_set)}")
-            rel = next(iter(needed_set))
-            table = self.table(rel)
-            result = ((rel,), [(rid,) for rid in range(len(table.rows))])
-            self._join_cache[key] = result
-            return result
-
-        rel_order: list[str] = []
-        envs: list[tuple] = []
+        if path:
+            start = path[0].src.relation
+        elif len(needed_set) == 1:
+            (start,) = needed_set
+        else:
+            raise StoreError(f"empty join path cannot cover relations {sorted(needed_set)}")
+        rel_order = [start]
+        envs = [(rid,) for rid in range(len(self.table(start).rows))]
         for edge in path:
-            if not rel_order:
-                a, b = edge.src, edge.dst
-                ta, tb = self.table(a.relation), self.table(b.relation)
-                idx = tb.indices.get(b.column)
-                if idx is None:
-                    raise StoreError(f"join column {b} is not indexed")
-                apos = ta.col_pos[a.column]
-                rel_order = [a.relation, b.relation]
-                for rid_a, row in enumerate(ta.rows):
-                    for rid_b in sorted(idx.get(row[apos], ())):
-                        envs.append((rid_a, rid_b))
-                continue
             known_rels = set(rel_order)
             rels = edge.relations()
             new_rels = rels - known_rels
@@ -603,7 +589,6 @@ class Store:
             slot = per_inst.get(inst)
             if slot is None:
                 slot = per_inst[inst] = InstEval()
-            slot.row_count += 1
             ent = erows[env[ei]][ep]
             value = crows[env[ci]][cp]
             counts = slot.counts

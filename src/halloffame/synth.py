@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from .catalog import SchemaCatalog
 from .store import Store, StoreError, UpdateRecord
 
+SUM_MU = 0.5
+SUM_SIGMA = 0.2
+AVG_SIGMA = 0.1
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     updates_per_tuple: int = 10
-    sum_mu: float = 0.5
-    sum_sigma: float = 0.2
-    avg_sigma: float = 0.1
     seed: int = 0
     # final * g instead of final * (1 + g) for avg criteria
     avg_literal: bool = False
@@ -29,8 +30,6 @@ class SynthConfig:
     def __post_init__(self):
         if self.updates_per_tuple < 1:
             raise ValueError("updates_per_tuple must be >= 1")
-        if self.sum_sigma <= 0 or self.avg_sigma <= 0:
-            raise ValueError("sigmas must be > 0")
 
 
 def _draw_in(rng: random.Random, mu: float, sigma: float, lo: float, hi: float, n: int) -> list[float]:
@@ -44,12 +43,12 @@ def _draw_in(rng: random.Random, mu: float, sigma: float, lo: float, hi: float, 
 
 
 def _sum_profile(rng: random.Random, final, cfg: SynthConfig) -> list:
-    fractions = sorted(_draw_in(rng, cfg.sum_mu, cfg.sum_sigma, 0.0, 1.0, cfg.updates_per_tuple - 1))
+    fractions = sorted(_draw_in(rng, SUM_MU, SUM_SIGMA, 0.0, 1.0, cfg.updates_per_tuple - 1))
     return [g * final for g in fractions] + [final]
 
 
 def _avg_profile(rng: random.Random, final, cfg: SynthConfig) -> list:
-    gs = _draw_in(rng, 0.0, cfg.avg_sigma, -1.0, 1.0, cfg.updates_per_tuple - 1)
+    gs = _draw_in(rng, 0.0, AVG_SIGMA, -1.0, 1.0, cfg.updates_per_tuple - 1)
     if cfg.avg_literal:
         values = [final * g for g in gs]
     else:

@@ -203,6 +203,22 @@ class TestRun:
             assert "skipping update line 1" in skipped.output, line
             assert len(events.read_text().splitlines()) >= 1, line
 
+    def test_wrong_typed_where_value_abort_vs_skip(self, runner, bloomberg_dir, tmp_path):
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        wrong = UpdateRecord(1, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": "8"})
+        fig5 = UpdateRecord(2, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": 8})
+        text = write_update_stream([wrong, fig5])
+        _, aborted = run_cmd(runner, bloomberg_dir, tmp_path, queries, text, events="ea.jsonl")
+        assert aborted.exit_code != 0
+        assert "update seq 1: update 1, where column s_companyid: expected integer" in aborted.output
+        events, skipped = run_cmd(
+            runner, bloomberg_dir, tmp_path, queries, text, extra=["--on-error", "skip"], events="es.jsonl"
+        )
+        assert skipped.exit_code == 0, skipped.output
+        assert "skipping update seq 1" in skipped.output
+        docs = [json.loads(line) for line in events.read_text().splitlines()]
+        assert any(d["seq"] == 2 and d["entity"] == "Amancio O. Gaona" for d in docs)
+
     def test_abort_keeps_the_lines_already_written(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
         stats_path = tmp_path / "stats.jsonl"
@@ -293,7 +309,7 @@ class TestRank:
 
     def test_single_event_ranks_first(self, runner, bloomberg_dir, tmp_path):
         events = self.make_events(runner, bloomberg_dir, tmp_path)
-        result = runner.invoke(main, ["rank", "--events", str(events), "--b", "2", "--k", "3"])
+        result = runner.invoke(main, ["rank", "--events", str(events)])
         assert result.exit_code == 0, result.output
         assert "   1. " in result.output
 
@@ -301,14 +317,14 @@ class TestRank:
         events = self.make_events(runner, bloomberg_dir, tmp_path)
         result = runner.invoke(
             main,
-            ["rank", "--events", str(events), "--b", "2", "--k", "3", "--window-end", "5000"],
+            ["rank", "--events", str(events), "--window-end", "5000"],
         )
         assert result.exit_code == 0
         assert "no events" in result.output
 
     def test_replay_determinism(self, runner, bloomberg_dir, tmp_path):
         events = self.make_events(runner, bloomberg_dir, tmp_path)
-        args = ["rank", "--events", str(events), "--b", "2", "--k", "3"]
+        args = ["rank", "--events", str(events)]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 

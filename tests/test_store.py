@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import io
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from halloffame import (
     Delta,
     Engine,
     GeneratorConfig,
+    JoinEdge,
     Store,
     StoreError,
     Table,
@@ -63,6 +66,20 @@ def plays():
 def engine_rankings(catalog, store, queries):
     """The rankings a newly built engine holds: delta, then from scratch."""
     return [Engine(catalog, store, queries, filters_enabled=f).rankings for f in (True, False)]
+
+
+def snapshot(store, engine):
+    """Copies of every table's rows, column indices and key index, and of the
+    engine's rankings."""
+    tables = {
+        name: (
+            [list(r) for r in t.rows],
+            {col: {v: set(ids) for v, ids in idx.items()} for col, idx in t.indices.items()},
+            dict(t.key_index),
+        )
+        for name, t in store.tables.items()
+    }
+    return tables, dict(engine.rankings)
 
 
 def reloaded(store):
@@ -195,13 +212,7 @@ class TestApplyUpdate:
         catalog, store = plays
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=0), store)
         engine = Engine(catalog, store, queries)
-        table = store.table("plays")
-
-        def state():
-            indices = {col: {v: set(ids) for v, ids in idx.items()} for col, idx in table.indices.items()}
-            return [list(r) for r in table.rows], indices, dict(table.key_index), dict(engine.rankings)
-
-        before = state()
+        before = snapshot(store, engine)
         assert engine.rankings
         collisions = [
             UpdateRecord(1, "update", "plays", {"pid": 3}, {"pid": 1}),  # onto an existing key
@@ -211,7 +222,7 @@ class TestApplyUpdate:
         for u in collisions:
             with pytest.raises(UpdateError, match=f"update {u.seq}: duplicate key"):
                 engine.detect(u)
-            assert state() == before
+            assert snapshot(store, engine) == before
 
     def test_key_moves_onto_free_keys(self, plays):
         _, store = plays
@@ -221,6 +232,61 @@ class TestApplyUpdate:
         store.apply_update(UpdateRecord(2, "update", "plays", {"pid": Delta(-2)}, {"team": "Phoenix"}))
         assert [row[0] for row in table.rows] == [9, 2, 11, 4, 13]
         assert table.key_index == {(9,): 0, (2,): 1, (11,): 2, (4,): 3, (13,): 4}
+
+    def test_key_index_follows_random_key_moves(self):
+        catalog = load_catalog(PLAYS_CONFIG)
+        store = Store(catalog)
+        rows = [f"{pid},T{pid % 4},2000,NBA,{pid}" for pid in range(60)]
+        store.load_table("plays", "pid,team,year,league,points\n" + "\n".join(rows) + "\n")
+        table = store.table("plays")
+        rng = random.Random(7)
+        taken = 0
+        for seq in range(1, 400):
+            keys = sorted(k for (k,) in table.key_index)
+            choice = rng.randrange(3)
+            if choice == 0:  # one row to any key, free or not
+                writes = [({"pid": rng.randrange(80)}, {"pid": rng.choice(keys)})]
+            elif choice == 1:  # a whole team by the same delta
+                shift = Delta(rng.choice([-8, -4, -1, 1, 3, 4, 8]))
+                writes = [({"pid": shift}, {"team": f"T{rng.randrange(4)}"})]
+            else:  # row p takes key p + d, which row p + d vacates for p + 2d
+                p, d = rng.choice(
+                    [(p, d) for p in keys for d in range(1, 6) if p + d in keys and p + 2 * d not in keys]
+                )
+                writes = [
+                    ({"year": 9999}, {"pid": p}),
+                    ({"year": 9999}, {"pid": p + d}),
+                    ({"pid": Delta(d)}, {"year": 9999}),
+                    ({"year": 2000}, {"year": 9999}),
+                ]
+            for set_values, where in writes:
+                try:
+                    moved = store.apply_update(UpdateRecord(seq, "update", "plays", set_values, where))
+                except UpdateError:
+                    moved = []
+                taken += choice == 2 and "pid" in set_values and len(moved) == 2
+                rebuilt = {table._key_of(row): rid for rid, row in enumerate(table.rows)}
+                assert table.key_index == rebuilt, (seq, set_values, where)
+                assert len(rebuilt) == len(table.rows)
+        assert taken > 50
+
+    def test_wrong_typed_where_value_rejected_before_any_change(self, bloomberg):
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=2), store)
+        engine = Engine(catalog, store, queries)
+        before = snapshot(store, engine)
+        assert engine.rankings
+        for value in ("8", None, True, 8.5):
+            u = UpdateRecord(1, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": value})
+            with pytest.raises(UpdateError, match="update 1, where column s_companyid: expected integer"):
+                engine.detect(u)
+            assert snapshot(store, engine) == before
+        u = UpdateRecord(1, "update", "company", {"c_countryid": 1}, {"c_name": 8})
+        with pytest.raises(UpdateError, match="where column c_name: expected text"):
+            engine.detect(u)
+        assert snapshot(store, engine) == before
+        as_float = UpdateRecord(2, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": 8.0})
+        assert store.match_rows(as_float) == [8]
 
 
 class TestEvaluateHof:
@@ -340,6 +406,56 @@ class TestSelectivityAndCounts:
         counts = store.instantiation_counts([ColumnRef("person", "p_name")], path)
         _, envs = store.joined_rows({"person", "stockmarket"}, path)
         assert sum(counts.values()) == len(envs)
+
+
+class TestJoinedRows:
+    PATH = (
+        JoinEdge(ColumnRef("shareholder", "s_personid"), ColumnRef("person", "p_id")),
+        JoinEdge(ColumnRef("shareholder", "s_companyid"), ColumnRef("company", "c_id")),
+        JoinEdge(ColumnRef("company", "c_countryid"), ColumnRef("country", "co_countryid")),
+    )
+
+    @staticmethod
+    def brute_force(store, path):
+        """Row-id tuples, in sorted relation order, of every combination of
+        one row per relation whose columns agree along every edge."""
+        rels = sorted({r for edge in path for r in edge.relations()})
+        pos = {rel: i for i, rel in enumerate(rels)}
+
+        def value(ref, combo):
+            table = store.table(ref.relation)
+            return table.rows[combo[pos[ref.relation]]][table.col_pos[ref.column]]
+
+        out = Counter()
+        for combo in itertools.product(*(range(len(store.table(r).rows)) for r in rels)):
+            if all(value(e.src, combo) == value(e.dst, combo) for e in path):
+                out[combo] += 1
+        return rels, out
+
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_three_edge_path_matches_nested_loops(self, bloomberg, reverse_first):
+        _, store = bloomberg
+        path = self.PATH
+        if reverse_first:
+            path = (JoinEdge(path[0].dst, path[0].src),) + path[1:]
+        rels, expected = self.brute_force(store, path)
+        rel_order, envs = store.joined_rows(rels, path)
+        assert rel_order[0] == path[0].src.relation
+        got = Counter(tuple(env[rel_order.index(r)] for r in rels) for env in envs)
+        assert sum(expected.values()) > 1
+        assert got == expected
+
+    def test_malformed_paths_are_located_errors(self, bloomberg):
+        _, store = bloomberg
+        repeated = self.PATH[:2] + self.PATH[1:2]  # its last edge adds no relation
+        cases = [
+            ({"person", "stockmarket"}, (), "empty join path cannot cover relations"),
+            ({"shareholder", "person", "company"}, repeated, "does not extend the joined relations"),
+            ({"person", "shareholder", "stockmarket"}, self.PATH[:1], r"does not reach relations \['stockmarket"),
+        ]
+        for needed, path, message in cases:
+            with pytest.raises(StoreError, match=message):
+                store.joined_rows(needed, path)
 
 
 class TestJoinCache:
