@@ -327,8 +327,6 @@ def load_catalog(config_text: str) -> SchemaCatalog:
         if comparator not in COMPARATORS:
             raise CatalogError(f"{context}: unknown comparator {raw['comparator']!r}")
         left = resolver.resolve(raw["left"], context)
-        if kind == ATOM_BINDING:
-            raise CatalogError(f"{context}: user constraints cannot be bindings")
         left_type = resolver.by_name[left.relation].column_type(left.column)
         if kind == ATOM_INTER:
             right: Any = resolver.resolve(str(raw["right"]), context)
@@ -340,15 +338,13 @@ def load_catalog(config_text: str) -> SchemaCatalog:
                 raise CatalogError(
                     f"{context}: cannot compare {left} ({left_type}) with {right} ({right_type})"
                 )
-        elif kind == ATOM_CONST:
+        else:  # ATOM_CONST, the schema's only other kind
             right = _parse_constant(raw["right"], context)
             const_is_text = isinstance(right, str)
             if const_is_text != (left_type == "text"):
                 raise CatalogError(
                     f"{context}: constant {right!r} does not match type of {left} ({left_type})"
                 )
-        else:
-            raise CatalogError(f"{context}: unknown constraint kind {kind!r}")
         constraints.append(ConstraintAtom(kind, left, comparator, right))
 
     edges: list[JoinEdge] = []

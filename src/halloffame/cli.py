@@ -8,6 +8,7 @@ import time
 from collections import deque
 from contextlib import ExitStack
 from pathlib import Path
+from typing import Any, Callable
 
 import click
 
@@ -68,18 +69,36 @@ def _event_line(event: ScoredEvent, sql: str) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _parse_event_line(line: str) -> tuple[ScoredEvent, str]:
-    doc = json.loads(line)
+def _number(doc: dict, key: str) -> Any:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _read_jsonl(path: Path, what: str, parse: Callable[[Any], Any]) -> list:
+    """parse(document) of every non-blank line; a bad line exits naming its number."""
+    out = []
+    for lineno, line in enumerate(_read_file(path, what).splitlines(), start=1):
+        if line.strip():
+            try:
+                out.append(parse(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise click.ClickException(f"{what} line {lineno}: {type(exc).__name__}: {exc}") from exc
+    return out
+
+
+def _parse_event(doc: dict) -> tuple[ScoredEvent, str]:
     event = ScoredEvent(
-        seq=doc["seq"],
+        seq=_number(doc, "seq"),
         query_id=doc["query_id"],
         entity=doc["entity"],
-        from_rank=doc["from_rank"],
-        to_rank=doc["to_rank"],
-        selectivity=doc["selectivity"],
-        dynamic_raw=doc["dynamic_raw"],
-        dynamic_norm=doc["dynamic_norm"],
-        entropy_bits=doc["entropy_bits"],
+        from_rank=_number(doc, "from_rank"),
+        to_rank=_number(doc, "to_rank"),
+        selectivity=_number(doc, "selectivity"),
+        dynamic_raw=_number(doc, "dynamic_raw"),
+        dynamic_norm=_number(doc, "dynamic_norm"),
+        entropy_bits=_number(doc, "entropy_bits"),
         chain=tuple(ImprovementPair(s, f, t) for s, f, t in doc["chain"]),
     )
     return event, doc.get("query", "")
@@ -259,11 +278,7 @@ def run(
 @click.option("--groups", default=4, show_default=True)
 def rank(events_path, window_end, window, groups):
     """Print the window's events in final ranked order."""
-    text = _read_file(events_path, "event log")
-    parsed = []
-    for line in text.splitlines():
-        if line.strip():
-            parsed.append(_parse_event_line(line))
+    parsed = _read_jsonl(events_path, "event log", _parse_event)
     try:
         cfg = ScorerConfig(window_updates=window, groups=groups)
     except ValueError as exc:
@@ -288,13 +303,13 @@ def rank(events_path, window_end, window, groups):
 @click.option("--stats", "stats_path", required=True, type=click.Path(path_type=Path))
 def stats(stats_path):
     """Summarize a per-update stats file."""
-    text = _read_file(stats_path, "stats")
-    rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    fields = ("column_candidates", "row_candidates", "changed", "latency_ms")
+    rows = _read_jsonl(stats_path, "stats", lambda doc: [_number(doc, f) for f in fields])
     if not rows:
         click.echo("no stats rows")
         return
-    for field_name in ("column_candidates", "row_candidates", "changed", "latency_ms"):
-        values = [r[field_name] for r in rows]
+    for i, field_name in enumerate(fields):
+        values = [r[i] for r in rows]
         click.echo(
             f"{field_name:18s} mean={statistics.fmean(values):.3f} "
             f"median={statistics.median(values):.3f} max={max(values):.3f}"

@@ -2,8 +2,10 @@
 
 Queries that share entity attribute, criterion column, join path, fixed
 atoms and binding columns form a family; they differ only in their binding
-values, the instance. For every instance that is a query, a family keeps
-per-entity criterion totals and row counts, built by one scan at start-up.
+values, the instance. A family owns its from-scratch scan: one pass over
+the joined table yields per-entity criterion totals and row counts for
+every instance that is a query. The engine builds its state from that scan
+at start-up and, for every update, keeps it current by delta.
 
 Per update the engine runs a column filter (does the update write any
 column a family depends on?), then a row filter: the updated rows are
@@ -17,19 +19,20 @@ events. Totals of integer columns are exact ints, those of real columns
 exact Fractions, so no order of updates can make them drift.
 
 With filters disabled the engine rescans every family from scratch on
-every update instead. That path shares no maintenance code with the delta
-path, so the two cross-check each other.
+every update instead. The scan shares no code with the delta path's row
+extension, so the two cross-check each other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .catalog import ColumnRef, SchemaCatalog
 from .generator import HofQuery
-from .store import InstEval, RankingState, Store, UpdateRecord, build_ranking, compile_predicate
+from .store import RankingState, Store, UpdateRecord, build_ranking, compile_predicate
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +97,7 @@ class Family:
     """Queries sharing entity attribute, criterion column, join path, fixed
     atoms and binding columns; one scan evaluates all their instances."""
 
-    def __init__(self, fid: int, q: HofQuery, exact: bool):
+    def __init__(self, fid: int, q: HofQuery, real: bool):
         self.id = fid
         self.entity = q.entity_attr
         self.crit_column = q.criterion.column
@@ -103,7 +106,7 @@ class Family:
         self.fixed = q.fixed_atoms()
         self.binding_cols = tuple(a.left for a in q.binding_atoms())
         self.referenced_columns = q.referenced_columns
-        self.exact = exact  # real criterion column: Fraction totals
+        self.real = real  # real criterion column: exact Fraction totals on the delta path
         self.members: dict[tuple, list[str]] = {}  # instance -> query ids
         self.n_queries = 0
         self.totals: dict[tuple, dict[Any, Any]] = {}  # instance -> entity -> criterion total
@@ -164,10 +167,49 @@ class Family:
 
         return contributions
 
+    def scan(self, store: Store, exact: bool) -> Iterator[tuple[tuple, dict[Any, Any], dict[Any, int]]]:
+        """(instance, entity -> criterion total, entity -> joined rows) of
+        every member instance, from one pass over the joined table; an
+        instance without rows gets empty dicts. Totals of a real criterion
+        column are the correctly rounded math.fsum of their values, whatever
+        the row order, or with exact=True the exact Fraction sum."""
+        rel_order, envs = store.joined_rows(self.needed, self.path)
+        rel_pos = {rel: i for i, rel in enumerate(rel_order)}
+        check = compile_predicate(self.fixed, rel_pos, store.tables)
+
+        def getter(ref: ColumnRef):
+            table = store.table(ref.relation)
+            return rel_pos[ref.relation], table.col_pos[ref.column], table.rows
+
+        ei, ep, erows = getter(self.entity)
+        ci, cp, crows = getter(self.crit_column)
+        bind = [getter(c) for c in self.binding_cols]
+        per_inst = {inst: ({}, {}) for inst in self.members}
+        for env in envs:
+            if not check(env):
+                continue
+            slot = per_inst.get(tuple(rows[env[i]][p] for i, p, rows in bind))
+            if slot is None:
+                continue
+            totals, counts = slot
+            ent = erows[env[ei]][ep]
+            value = crows[env[ci]][cp]
+            if ent in counts:
+                totals[ent] += [value] if self.real else value
+                counts[ent] += 1
+            else:
+                totals[ent] = [value] if self.real else value
+                counts[ent] = 1
+        for inst, (totals, counts) in per_inst.items():
+            if self.real:
+                for ent, values in totals.items():
+                    totals[ent] = sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
+            yield inst, totals, counts
+
     def add(self, inst: tuple, entity: Any, value: Any, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) one joined row's value; an
         entity whose count reaches 0 leaves the instance."""
-        if self.exact:
+        if self.real:
             value = Fraction(value)
         totals, counts = self.totals[inst], self.counts[inst]
         count = counts.get(entity, 0) + sign
@@ -181,7 +223,7 @@ class Family:
         """The instance's totals and counts as build_ranking reads them;
         exact totals become correctly rounded floats."""
         totals = self.totals[inst]
-        if self.exact:
+        if self.real:
             totals = {entity: float(total) for entity, total in totals.items()}
         return totals, self.counts[inst]
 
@@ -193,8 +235,8 @@ def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[
         key = (q.entity_attr, q.criterion.column, q.join_path, q.fixed_atoms(), tuple(a.left for a in bindings))
         fam = families.get(key)
         if fam is None:
-            exact = catalog.column_type(q.criterion.column) == "real"
-            fam = families[key] = Family(len(families), q, exact)
+            real = catalog.column_type(q.criterion.column) == "real"
+            fam = families[key] = Family(len(families), q, real)
         fam.members.setdefault(tuple(a.right for a in bindings), []).append(q.id)
         fam.n_queries += 1
     return list(families.values())
@@ -219,13 +261,8 @@ class Engine:
         self.rankings: dict[str, RankingState] = {}
         if filters_enabled:
             for fam in self.families:
-                scan = store.evaluate_family(
-                    fam.entity, fam.crit_column, fam.needed, fam.path, fam.fixed,
-                    fam.binding_cols, set(fam.members), exact=fam.exact,
-                )
-                for inst in fam.members:
-                    slot = scan.per_inst.get(inst) or InstEval()
-                    fam.totals[inst], fam.counts[inst] = slot.totals, slot.counts
+                for inst, totals, counts in fam.scan(store, exact=True):
+                    fam.totals[inst], fam.counts[inst] = totals, counts
                     self.rankings.update(self._rank(fam, inst, *fam.view(inst)))
                 fam.plans = {rel: fam.plan(store, rel) for rel in fam.needed}
             store.drop_join_cache()  # the delta path never scans again
@@ -244,13 +281,8 @@ class Engine:
         """Every ranking from one from-scratch scan per family."""
         out: dict[str, RankingState] = {}
         for fam in self.families:
-            scan = self.store.evaluate_family(
-                fam.entity, fam.crit_column, fam.needed, fam.path, fam.fixed,
-                fam.binding_cols, set(fam.members),
-            )
-            for inst in fam.members:
-                slot = scan.per_inst.get(inst) or InstEval()
-                out.update(self._rank(fam, inst, slot.totals, slot.counts))
+            for inst, totals, counts in fam.scan(self.store, exact=False):
+                out.update(self._rank(fam, inst, totals, counts))
         return out
 
     def _replace(self, qid: str, new: RankingState, seq: int, events: list[RankEvent]) -> bool:

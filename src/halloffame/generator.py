@@ -3,9 +3,11 @@
 Generation walks (entity attribute x constraint combination x materialized
 binding values x concrete criterion). Each relation set's join path is
 searched once and memoized, and a query is kept only if its relations join
-within the budget and its ranking reaches at least K entities. All binding
-instantiations of one combination are evaluated in a single pass over the
-joined table, which is what keeps enumeration tractable.
+within the budget and its ranking reaches at least K entities. Generation
+reads no criterion value: one count of the distinct (binding values,
+entity) pairs over the joined rows that satisfy the combination's fixed
+atoms gives every instance's entity count and row count at once, and the
+counts are shared by every criterion over the same relations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Union
 
 from .catalog import (
+    AGGREGATIONS,
     ATOM_BINDING,
+    ATOM_CONST,
+    ATOM_INTER,
+    COMPARATORS,
+    CatalogError,
     ColumnRef,
     ConstraintAtom,
     JoinEdge,
@@ -207,29 +214,6 @@ def query_identity(
     return digest[:16]
 
 
-def make_query(
-    entity_attr: ColumnRef,
-    predicate: Iterable[ConstraintAtom],
-    criterion: RankingCriterion,
-    path: Iterable[JoinEdge],
-    k: int,
-    selectivity: float,
-    entropy_bits: float,
-) -> HofQuery:
-    predicate = tuple(sorted(predicate, key=ConstraintAtom.sort_key))
-    path = tuple(path)
-    return HofQuery(
-        id=query_identity(entity_attr, predicate, criterion, path, k),
-        entity_attr=entity_attr,
-        predicate=predicate,
-        criterion=criterion,
-        join_path=path,
-        k=k,
-        selectivity=selectivity,
-        entropy_bits=entropy_bits,
-    )
-
-
 def _entropy_for(
     store: Store,
     columns: tuple[ColumnRef, ...],
@@ -282,7 +266,7 @@ def generate_queries(
             needed1 = frozenset((e_attr.relation,)) | comb.relations()
             binding_cols = comb.binding_columns()
             fixed = comb.fixed_atoms()
-            fam_cache: dict = {}
+            counted: dict = {}  # relation set -> (instance -> [entities, rows], joined rows)
             for crit in criteria:
                 needed2 = needed1 | {crit.column.relation}
                 if needed2 not in paths:
@@ -291,16 +275,19 @@ def generate_queries(
                     continue
                 path2 = tuple(paths[needed2])
 
-                # only row counts are read, so criteria over one relation set share a scan
-                fam = fam_cache.get(needed2)
-                if fam is None:
-                    fam = store.evaluate_family(
-                        e_attr, crit.column, needed2, path2, fixed, binding_cols
-                    )
-                    fam_cache[needed2] = fam
+                # criteria over one relation set share one count
+                if needed2 not in counted:
+                    sizes: dict[tuple, list[int]] = {}
+                    counts = store.instantiation_counts([*binding_cols, e_attr], path2, needed2, fixed)
+                    for key, rows in counts.items():
+                        size = sizes.setdefault(key[:-1], [0, 0])
+                        size[0] += 1
+                        size[1] += rows
+                    counted[needed2] = sizes, len(store.joined_rows(needed2, path2)[1])
+                sizes, n_joined = counted[needed2]
 
-                for inst, slot in fam.per_inst.items():
-                    if len(slot.counts) < cfg.k:
+                for inst, (n_entities, n_rows) in sizes.items():
+                    if n_entities < cfg.k:
                         continue
                     bindings = tuple(
                         ConstraintAtom(ATOM_BINDING, col, "=", value)
@@ -309,7 +296,7 @@ def generate_queries(
                     predicate = tuple(
                         sorted(bindings + fixed, key=ConstraintAtom.sort_key)
                     )
-                    sel = sum(slot.counts.values()) / fam.total_rows
+                    sel = n_rows / n_joined
                     ent = _entropy_for(
                         store,
                         tuple(sorted({c for a in predicate for c in a.columns()})),
@@ -317,9 +304,8 @@ def generate_queries(
                         needed2,
                         entropy_cache,
                     )
-                    queries.append(
-                        make_query(e_attr, predicate, crit, path2, cfg.k, sel, ent)
-                    )
+                    qid = query_identity(e_attr, predicate, crit, path2, cfg.k)
+                    queries.append(HofQuery(qid, e_attr, predicate, crit, path2, cfg.k, sel, ent))
 
     queries.sort(key=lambda q: (str(q.entity_attr), len(q.predicate), q.sql(), q.id))
     return queries
@@ -341,10 +327,8 @@ def count_unpruned(catalog: SchemaCatalog, cfg: GeneratorConfig, store: Store) -
             path1 = join_path(catalog, needed1, cfg.j_num)
             if path1 is None:
                 continue
-            fam = store.evaluate_family(
-                e_attr, e_attr, needed1, tuple(path1), comb.fixed_atoms(), comb.binding_columns()
-            )
-            n_insts = len(fam.per_inst)
+            binding_cols = list(comb.binding_columns())
+            n_insts = len(store.instantiation_counts(binding_cols, tuple(path1), needed1, comb.fixed_atoms()))
             for crit in criteria:
                 needed2 = needed1 | {crit.column.relation}
                 if needed2 != needed1 and join_path(catalog, needed2, cfg.j_num) is None:
@@ -379,7 +363,13 @@ def query_to_json(q: HofQuery) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _parse_ref(text: str, catalog: SchemaCatalog) -> ColumnRef:
+def _expect(ok: bool, what: str, value: Any) -> None:
+    if not ok:
+        raise GenerationError(f"{what}, got {value!r}")
+
+
+def _parse_ref(text: Any, catalog: SchemaCatalog) -> ColumnRef:
+    _expect(isinstance(text, str) and "." in text, "a column must be written relation.column", text)
     relation, column = text.split(".", 1)
     if not catalog.relation(relation).has_column(column):
         raise GenerationError(f"unknown column {text!r} in query catalog")
@@ -387,15 +377,33 @@ def _parse_ref(text: str, catalog: SchemaCatalog) -> ColumnRef:
 
 
 def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
+    """Parse one query catalog line; a field the engine cannot run is a GenerationError."""
     doc = json.loads(line)
+    _expect(isinstance(doc, dict), "a query must be a JSON object", doc)
     atoms = []
     for raw in doc["predicate"]:
-        right = raw["right"]
-        if isinstance(right, dict):
-            right = _parse_ref(right["column"], catalog)
-        atoms.append(ConstraintAtom(raw["kind"], _parse_ref(raw["left"], catalog), raw["comparator"], right))
-    crit = doc["criterion"]
-    query = HofQuery(
+        _expect(isinstance(raw, dict), "a predicate atom must be an object", raw)
+        _expect(raw["kind"] in (ATOM_BINDING, ATOM_CONST, ATOM_INTER), "unknown atom kind", raw["kind"])
+        _expect(raw["comparator"] in COMPARATORS, "unknown comparator", raw["comparator"])
+        left = _parse_ref(raw["left"], catalog)
+        is_text = catalog.column_type(left) == "text"
+        if raw["kind"] == ATOM_INTER:
+            right = _parse_ref(raw["right"]["column"], catalog)
+            ok = (catalog.column_type(right) == "text") == is_text
+        else:
+            right = raw["right"]
+            ok = isinstance(right, str) if is_text else isinstance(right, (int, float)) and not isinstance(right, bool)
+        _expect(ok, f"right side does not match the type of {left}", raw["right"])
+        atoms.append(ConstraintAtom(raw["kind"], left, raw["comparator"], right))
+    crit, k = doc["criterion"], doc["k"]
+    _expect(crit["aggregation"] in AGGREGATIONS, "unknown aggregation", crit["aggregation"])
+    _expect(crit["direction"] in ("ascending", "descending"), "direction must be concrete", crit["direction"])
+    _expect(isinstance(k, int) and not isinstance(k, bool) and k >= 1, "k must be an integer >= 1", k)
+    _expect(isinstance(doc["id"], str), "id must be a string", doc["id"])
+    for key in ("selectivity", "entropy_bits"):
+        number = isinstance(doc[key], (int, float)) and not isinstance(doc[key], bool)
+        _expect(number, f"{key} must be a number", doc[key])
+    return HofQuery(
         id=doc["id"],
         entity_attr=_parse_ref(doc["entity"], catalog),
         predicate=tuple(sorted(atoms, key=ConstraintAtom.sort_key)),
@@ -406,11 +414,10 @@ def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
             JoinEdge(_parse_ref(e["from"], catalog), _parse_ref(e["to"], catalog))
             for e in doc["join_path"]
         ),
-        k=doc["k"],
+        k=k,
         selectivity=doc["selectivity"],
         entropy_bits=doc["entropy_bits"],
     )
-    return query
 
 
 def dump_queries(queries: Iterable[HofQuery]) -> str:
@@ -418,12 +425,15 @@ def dump_queries(queries: Iterable[HofQuery]) -> str:
 
 
 def load_queries(text: str, catalog: SchemaCatalog) -> list[HofQuery]:
-    out = []
+    """Parse a query catalog; a bad line raises a GenerationError naming its line number."""
+    out: dict[str, HofQuery] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            out.append(query_from_json(line, catalog))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            q = query_from_json(line, catalog)
+            _expect(q.id not in out, "duplicate query id", q.id)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, CatalogError, GenerationError) as exc:
             raise GenerationError(f"query catalog line {lineno}: {exc}") from exc
-    return out
+        out[q.id] = q
+    return list(out.values())

@@ -1,8 +1,9 @@
 """In-memory relational store.
 
-Holds the base tables, applies updates and inserts, and evaluates the
-query shapes the rest of the engine needs: predicates, index-nested-loop
-joins along a fixed edge path, and grouped top-K aggregation.
+Holds the base tables and applies updates and inserts. For the rest of the
+engine it compiles predicates, materializes index-nested-loop joins along a
+fixed edge path, and counts the distinct projections of the joined rows
+that satisfy a conjunction; grouping rows into rankings is the detector's.
 
 Indexing: hash value->rowset indices are kept for every categorical
 attribute, every join-edge column, and the key columns (as a composite
@@ -14,10 +15,11 @@ must be serialized by the caller; between mutations the store behaves as
 an immutable snapshot that any number of readers may evaluate against.
 
 Joined-row caching: the row-id tuples produced by a join path are cached
-per (path, relations). Every insert and every update that changes a value
-clears the whole cache. Set-up never writes, so its scans share every
-entry; the delta path reads no joined rows, so only the from-scratch
-reference path rebuilds them after each write.
+per path, whatever relations a caller needs from them. Every insert and
+every update that changes a value clears the whole cache. Set-up never
+writes, so its scans share every entry; the delta path reads no joined
+rows, so only the from-scratch reference path rebuilds them after each
+write.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .catalog import (
@@ -122,25 +123,6 @@ def build_ranking(
     items.sort(key=lambda item: item[0])  # ascending-entity tie-break
     items.sort(key=lambda item: item[1], reverse=direction == "descending")
     return RankingState(tuple(items[:k]))
-
-
-@dataclass
-class FamilyEval:
-    """Result of evaluating one query family over a joined table.
-
-    total_rows counts all joined rows (before any predicate), which is the
-    selectivity denominator. per_inst maps each binding-value tuple to its
-    per-entity criterion totals and row counts, which sum to its row count.
-    """
-
-    total_rows: int
-    per_inst: dict[tuple, "InstEval"]
-
-
-@dataclass
-class InstEval:
-    totals: dict[Any, Any] = field(default_factory=dict)  # entity -> sum of criterion values
-    counts: dict[Any, int] = field(default_factory=dict)  # entity -> matching rows
 
 
 class Table:
@@ -292,7 +274,7 @@ class Store:
     def __init__(self, catalog: SchemaCatalog):
         self.catalog = catalog
         self.tables: dict[str, Table] = {}
-        # (path, relations) -> (rel_order, envs)
+        # (first relation, path) -> (rel_order, envs)
         self._join_cache: dict[tuple, tuple] = {}
 
     # -- loading ------------------------------------------------------------
@@ -443,17 +425,22 @@ class Store:
         """
         path = tuple(path)
         needed_set = frozenset(needed)
-        key = (path, needed_set)
-        cached = self._join_cache.get(key)
-        if cached is not None:
-            return cached
-
         if path:
             start = path[0].src.relation
         elif len(needed_set) == 1:
             (start,) = needed_set
         else:
             raise StoreError(f"empty join path cannot cover relations {sorted(needed_set)}")
+        key = (start, path)  # the envs depend on nothing else
+        cached = self._join_cache.get(key)
+        if cached is None:
+            cached = self._join_cache[key] = self._join(start, path)
+        uncovered = needed_set - set(cached[0])
+        if uncovered:
+            raise StoreError(f"join path does not reach relations {sorted(uncovered)}")
+        return cached
+
+    def _join(self, start: str, path: tuple[JoinEdge, ...]) -> tuple[tuple[str, ...], list[tuple]]:
         rel_order = [start]
         envs = [(rid,) for rid in range(len(self.table(start).rows))]
         for edge in path:
@@ -480,13 +467,7 @@ class Store:
                     extended.append(env + (rid_n,))
             envs = extended
             rel_order.append(new_rel)
-
-        uncovered = needed_set - set(rel_order)
-        if uncovered:
-            raise StoreError(f"join path does not reach relations {sorted(uncovered)}")
-        result = (tuple(rel_order), envs)
-        self._join_cache[key] = result
-        return result
+        return tuple(rel_order), envs
 
     def _relations_for(
         self,
@@ -510,11 +491,16 @@ class Store:
         columns: list[ColumnRef],
         path: tuple[JoinEdge, ...],
         needed: Optional[Iterable[str]] = None,
+        atoms: Iterable[ConstraintAtom] = (),
     ) -> dict[tuple, int]:
-        """Count each distinct projection of ``columns`` over the joined rows."""
-        rels = self._relations_for(tuple(path), columns, needed=needed)
+        """Count each distinct projection of ``columns`` over the joined rows
+        that satisfy the conjunction ``atoms``."""
+        atoms = tuple(atoms)
+        rels = self._relations_for(tuple(path), columns, atoms, needed)
         rel_order, envs = self.joined_rows(rels, tuple(path))
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
+        if atoms:
+            envs = filter(compile_predicate(atoms, rel_pos, self.tables), envs)
         getters = [
             (rel_pos[c.relation], self.table(c.relation).col_pos[c.column], self.table(c.relation).rows)
             for c in columns
@@ -543,67 +529,6 @@ class Store:
         check = compile_predicate(predicate, rel_pos, self.tables)
         hits = sum(1 for env in envs if check(env))
         return hits / len(envs)
-
-    def evaluate_family(
-        self,
-        entity: ColumnRef,
-        crit_column: ColumnRef,
-        needed: Iterable[str],
-        path: tuple[JoinEdge, ...],
-        fixed_atoms: tuple[ConstraintAtom, ...] = (),
-        binding_cols: tuple[ColumnRef, ...] = (),
-        insts: Optional[set] = None,
-        exact: bool = False,
-    ) -> FamilyEval:
-        """Grouped aggregation for every binding instantiation in one pass.
-
-        A "family" is every query sharing entity attribute, criterion column,
-        join path and constraint sources; its members differ only in binding
-        values, so all of them fall out of a single scan of the joined table.
-        insts restricts the scan to the given binding tuples. Totals of a
-        real criterion column are the correctly rounded math.fsum of their
-        values, whatever the row order, or with exact=True the exact
-        Fraction sum.
-        """
-        rel_order, envs = self.joined_rows(needed, tuple(path))
-        rel_pos = {rel: i for i, rel in enumerate(rel_order)}
-        check = compile_predicate(fixed_atoms, rel_pos, self.tables)
-
-        def getter(ref: ColumnRef):
-            table = self.table(ref.relation)
-            return rel_pos[ref.relation], table.col_pos[ref.column], table.rows
-
-        ei, ep, erows = getter(entity)
-        ci, cp, crows = getter(crit_column)
-        bind = [getter(c) for c in binding_cols]
-        real = self.catalog.column_type(crit_column) == "real"
-
-        result = FamilyEval(total_rows=len(envs), per_inst={})
-        per_inst = result.per_inst
-        for env in envs:
-            if not check(env):
-                continue
-            inst = tuple(rows[env[i]][p] for i, p, rows in bind)
-            if insts is not None and inst not in insts:
-                continue
-            slot = per_inst.get(inst)
-            if slot is None:
-                slot = per_inst[inst] = InstEval()
-            ent = erows[env[ei]][ep]
-            value = crows[env[ci]][cp]
-            counts = slot.counts
-            if ent in counts:
-                slot.totals[ent] += [value] if real else value
-                counts[ent] += 1
-            else:
-                slot.totals[ent] = [value] if real else value
-                counts[ent] = 1
-        if real:
-            for slot in per_inst.values():
-                totals = slot.totals
-                for ent, values in totals.items():
-                    totals[ent] = sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
-        return result
 
 
 # ---------------------------------------------------------------------------

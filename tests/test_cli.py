@@ -328,6 +328,34 @@ class TestRank:
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+GOOD_EVENT = {
+    "seq": 1, "query_id": "q", "query": "SELECT", "entity": "SAP", "from_rank": 4, "to_rank": 1,
+    "selectivity": 0.5, "dynamic_raw": 3.0, "dynamic_norm": 0.2, "entropy_bits": 1.0, "chain": [[1, 4, 1]],
+}
+GOOD_STATS = {"seq": 1, "column_candidates": 3, "row_candidates": 1, "changed": 1, "latency_ms": 0.5}
+
+
+class TestBadInputLines:
+    @pytest.mark.parametrize(
+        "command, option, what, good",
+        [("rank", "--events", "event log", GOOD_EVENT), ("stats", "--stats", "stats", GOOD_STATS)],
+    )
+    @pytest.mark.parametrize("bad", ["not json", "[1, 2]", "missing-field", "text-number"])
+    def test_bad_line_is_named(self, runner, tmp_path, command, option, what, good, bad):
+        doc = dict(good)
+        if bad == "missing-field":
+            del doc["seq" if command == "rank" else "changed"]
+        if bad == "text-number":
+            doc["to_rank" if command == "rank" else "latency_ms"] = "1"
+        line = bad if bad in ("not json", "[1, 2]") else json.dumps(doc)
+        path = tmp_path / "input.jsonl"
+        path.write_text(json.dumps(good) + "\n" + line + "\n")
+        result = runner.invoke(main, [command, option, str(path)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {what} line 2: " in result.output
+
+
 class TestEnvOverrides:
     def test_env_var_mirrors_flag(self, runner, bloomberg_dir, tmp_path):
         out = tmp_path / "q.jsonl"

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from halloffame import (
     load_catalog,
     load_queries,
 )
+from halloffame.generator import GenerationError
 from conftest import load_instance
 from oracles import make_instance, oracle_enumerate, oracle_eval_query, query_signature
 
@@ -201,8 +203,43 @@ class TestPersistence:
         loaded = load_queries(text, catalog)
         assert loaded == queries
 
+    def test_round_trip_with_user_atom(self):
+        catalog, store = load_instance(make_instance(random.Random(3), two_tables=True, with_user_atom=True))
+        queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store)
+        assert any(a.kind == "inter_attribute" for q in queries for a in q.predicate)
+        assert load_queries(dump_queries(queries), catalog) == queries
+
     def test_dump_contains_sql_rendering(self, bloomberg):
         catalog, store = bloomberg
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=0, j_num=3), store)
         text = dump_queries(queries)
         assert "SELECT" in text and "GROUP BY" in text and "LIMIT 3" in text
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: [doc], "a query must be a JSON object"),
+            (lambda doc: {**doc, "predicate": ["co_name = 'USA'"]}, "a predicate atom must be an object"),
+            (lambda doc: {**doc, "entity": "nosuch.c_name"}, "unknown relation 'nosuch'"),
+            (lambda doc: {**doc, "k": "3"}, "k must be an integer >= 1"),
+            (lambda doc: {**doc, "k": 0}, "k must be an integer >= 1"),
+            (lambda doc: {**doc, "predicate": [{**doc["predicate"][0], "comparator": "~"}]}, "unknown comparator"),
+            (lambda doc: {**doc, "criterion": {**doc["criterion"], "aggregation": "max"}}, "unknown aggregation"),
+            (lambda doc: {**doc, "predicate": [{**doc["predicate"][0], "right": 3}]}, "does not match the type"),
+            (lambda doc: {**doc, "selectivity": "0.5"}, "selectivity must be a number"),
+            (lambda doc: {**doc, "id": 7}, "id must be a string"),
+            (lambda doc: doc, "duplicate query id"),
+        ],
+        ids=[
+            "not-object", "atom-not-object", "unknown-relation", "k-text", "k-zero",
+            "comparator", "aggregation", "constant-type", "selectivity-text", "id-number", "dup-id",
+        ],
+    )
+    def test_bad_line_is_located(self, bloomberg, mutate, message):
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=3), store)
+        first = next(q for q in queries if q.predicate)
+        line = dump_queries([first])
+        text = line + json.dumps(mutate(json.loads(line))) + "\n"
+        with pytest.raises(GenerationError, match=f"query catalog line 2: .*{message}"):
+            load_queries(text, catalog)

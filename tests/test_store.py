@@ -445,6 +445,36 @@ class TestJoinedRows:
         assert sum(expected.values()) > 1
         assert got == expected
 
+    def test_counts_with_atoms_match_nested_loops(self, bloomberg):
+        _, store = bloomberg
+        amount = ColumnRef("shareholder", "s_amount")
+        p_country, c_country = ColumnRef("person", "p_countryid"), ColumnRef("company", "c_countryid")
+        atoms = (
+            ConstraintAtom("const_comparison", amount, "<", 100),
+            ConstraintAtom("inter_attribute", p_country, "!=", c_country),
+        )
+        columns = [ColumnRef("country", "co_name"), ColumnRef("person", "p_name")]
+        rels, combos = self.brute_force(store, self.PATH)
+        pos = {rel: i for i, rel in enumerate(rels)}
+
+        def value(ref, combo):
+            table = store.table(ref.relation)
+            return table.rows[combo[pos[ref.relation]]][table.col_pos[ref.column]]
+
+        expected = Counter()
+        for combo, n in combos.items():
+            if value(amount, combo) < 100 and value(p_country, combo) != value(c_country, combo):
+                expected[tuple(value(c, combo) for c in columns)] += n
+        got = store.instantiation_counts(columns, self.PATH, atoms=atoms)
+        assert got == dict(expected)
+        assert len(got) > 1
+        assert sum(got.values()) < sum(store.instantiation_counts(columns, self.PATH).values())
+
+    def test_one_join_per_path(self, bloomberg):
+        _, store = bloomberg
+        rels = {"shareholder", "person", "company", "country"}
+        assert store.joined_rows({"person", "country"}, self.PATH) is store.joined_rows(rels, self.PATH)
+
     def test_malformed_paths_are_located_errors(self, bloomberg):
         _, store = bloomberg
         repeated = self.PATH[:2] + self.PATH[1:2]  # its last edge adds no relation
