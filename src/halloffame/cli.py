@@ -191,7 +191,10 @@ def run(
     except (GenerationError, CatalogError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 
-    engine = Engine(catalog, store, queries, filters_enabled=not no_filters)
+    try:
+        engine = Engine(catalog, store, queries, filters_enabled=not no_filters)
+    except StoreError as exc:
+        raise click.ClickException(f"engine start-up: {exc}") from exc
     chains = ChainStore()
     by_id = engine.queries
     window_events: deque[ScoredEvent] = deque()
@@ -201,6 +204,7 @@ def run(
     col_cands: list[int] = []
     row_cands: list[int] = []
     changed: list[int] = []
+    rebuilt: list[int] = []
     latencies: list[float] = []
 
     def bad_line(lineno: int, exc: Exception) -> None:
@@ -241,6 +245,7 @@ def run(
             col_cands.append(st.column_candidates)
             row_cands.append(st.row_candidates)
             changed.append(st.changed)
+            rebuilt.append(st.rebuilt)
             latencies.append(latency_ms)
             if stats_out is not None:
                 doc = {
@@ -248,6 +253,7 @@ def run(
                     "column_candidates": st.column_candidates,
                     "row_candidates": st.row_candidates,
                     "changed": st.changed,
+                    "rebuilt": st.rebuilt,
                     "latency_ms": latency_ms,
                 }
                 stats_out.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -266,6 +272,7 @@ def run(
     click.echo(f"queries total          {len(by_id)}")
     click.echo(f"mean column candidates {mean(col_cands):.2f}")
     click.echo(f"mean row candidates    {mean(row_cands):.2f}")
+    click.echo(f"mean rebuilt rankings  {mean(rebuilt):.2f}")
     click.echo(f"mean changed rankings  {mean(changed):.2f}")
     click.echo(f"mean latency ms        {mean(latencies):.2f}")
     click.echo(f"median latency ms      {statistics.median(latencies) if latencies else 0.0:.2f}")
@@ -303,7 +310,7 @@ def rank(events_path, window_end, window, groups):
 @click.option("--stats", "stats_path", required=True, type=click.Path(path_type=Path))
 def stats(stats_path):
     """Summarize a per-update stats file."""
-    fields = ("column_candidates", "row_candidates", "changed", "latency_ms")
+    fields = ("column_candidates", "row_candidates", "rebuilt", "changed", "latency_ms")
     rows = _read_jsonl(stats_path, "stats", lambda doc: [_number(doc, f) for f in fields])
     if not rows:
         click.echo("no stats rows")

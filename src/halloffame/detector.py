@@ -13,22 +13,33 @@ extended along each touched family's join path before and after the update,
 and every extension that satisfies the family's fixed atoms and lands in a
 query's instance contributes (instance, entity, value). Subtracting the
 pre-image contributions and adding the post-image ones brings the
-totals and counts up to date; only the rankings of instances that received a
-contribution are rebuilt and diffed, and only rank improvements become
-events. Totals of integer columns are exact ints, those of real columns
-exact Fractions, so no order of updates can make them drift.
+totals and counts up to date. Totals of integer columns are exact ints,
+those of real columns exact Fractions, so no order of updates can make them
+drift.
+
+Each query keeps every entity of its instance in one list, best first,
+sorted by a key that reads the family's live totals and counts: the value
+build_ranking ranks on, then the entity, ascending. The entities an
+update's contributions name are taken out of the list by bisection before
+their totals change and bisected back in afterwards, unless their count
+fell to 0. The top-K can only move when one of those removal or insertion
+indices is below k; only then is the query's ranking rebuilt from the
+list's first k entities and diffed, and only rank improvements become
+events.
 
 With filters disabled the engine rescans every family from scratch on
-every update instead. The scan shares no code with the delta path's row
-extension, so the two cross-check each other.
+every update and ranks each instance with build_ranking's full sort
+instead. That path shares no code with the delta path's row extension or
+its sorted lists, so the two cross-check each other.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from .catalog import ColumnRef, SchemaCatalog
 from .generator import HofQuery
@@ -88,6 +99,7 @@ class DetectStats:
     column_candidates: int
     row_candidates: int
     changed: int
+    rebuilt: int  # rankings whose top-K was rebuilt and diffed
 
 
 Contribution = tuple[tuple, Any, Any]  # (instance, entity, criterion value)
@@ -219,13 +231,66 @@ class Family:
         else:
             del counts[entity], totals[entity]
 
-    def view(self, inst: tuple) -> tuple[Mapping[Any, Any], Mapping[Any, int]]:
-        """The instance's totals and counts as build_ranking reads them;
-        exact totals become correctly rounded floats."""
-        totals = self.totals[inst]
-        if self.real:
-            totals = {entity: float(total) for entity, total in totals.items()}
-        return totals, self.counts[inst]
+
+def order_key(t: dict, n: dict, real: bool, avg: bool, descending: bool) -> Callable[[Any], tuple]:
+    """entity -> (value, entity) over live totals t and counts n, where value
+    is what build_ranking ranks on (the correctly rounded float of an exact
+    real total, divided by the row count for avg), negated when descending;
+    ascending keys then put the best first, ties by ascending entity."""
+    if real:
+        if avg:
+            return (lambda e: (-(float(t[e]) / n[e]), e)) if descending else (lambda e: (float(t[e]) / n[e], e))
+        return (lambda e: (-float(t[e]), e)) if descending else (lambda e: (float(t[e]), e))
+    if avg:
+        return (lambda e: (-(t[e] / n[e]), e)) if descending else (lambda e: (t[e] / n[e], e))
+    return (lambda e: (-t[e], e)) if descending else (lambda e: (t[e], e))
+
+
+class EntityOrder:
+    """Every entity of one query's instance, best first, by order_key.
+
+    The key reads the family's live totals and counts for the instance, so
+    an entity must be removed before its total changes and inserted after.
+    """
+
+    __slots__ = ("entities", "key", "descending", "k")
+
+    def __init__(self, fam: Family, inst: tuple, q: HofQuery):
+        self.descending = q.criterion.direction == "descending"
+        avg = q.criterion.aggregation == "avg"
+        self.key = order_key(fam.totals[inst], fam.counts[inst], fam.real, avg, self.descending)
+        self.k = q.k
+        self.entities = sorted(fam.totals[inst], key=self.key)
+
+    def remove(self, changed: Iterable, present: dict) -> bool:
+        """Remove the changed entities that are present; tells whether one
+        of them sat in the top-K."""
+        entities, key, crossed = self.entities, self.key, False
+        for e in changed:
+            if e in present:
+                i = bisect_left(entities, key(e), key=key)
+                del entities[i]
+                crossed = crossed or i < self.k
+        return crossed
+
+    def insert(self, changed: Iterable, present: dict) -> bool:
+        """Insert the changed entities that are present; tells whether one
+        of them lands in the top-K."""
+        entities, key, crossed = self.entities, self.key, False
+        for e in changed:
+            if e in present:
+                i = bisect_left(entities, key(e), key=key)
+                entities.insert(i, e)
+                crossed = crossed or i < self.k
+        return crossed
+
+    def ranking(self) -> RankingState:
+        """The top-K with build_ranking's values; negation is exact, so
+        negating a descending key's value restores it."""
+        key, top = self.key, self.entities[: self.k]
+        if self.descending:
+            return RankingState(tuple([(e, -key(e)[0]) for e in top]))
+        return RankingState(tuple([(e, key(e)[0]) for e in top]))
 
 
 def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[Family]:
@@ -258,41 +323,45 @@ class Engine:
         self.filters_enabled = filters_enabled
         self.families = build_families(self.queries.values(), catalog)
         self.column_index = build_column_index(self.families)
+        self.orders: dict[str, EntityOrder] = {}
         self.rankings: dict[str, RankingState] = {}
         if filters_enabled:
             for fam in self.families:
                 for inst, totals, counts in fam.scan(store, exact=True):
                     fam.totals[inst], fam.counts[inst] = totals, counts
-                    self.rankings.update(self._rank(fam, inst, *fam.view(inst)))
+                    for qid in fam.members[inst]:
+                        order = self.orders[qid] = EntityOrder(fam, inst, self.queries[qid])
+                        self.rankings[qid] = order.ranking()
                 fam.plans = {rel: fam.plan(store, rel) for rel in fam.needed}
             store.drop_join_cache()  # the delta path never scans again
         else:
             self.rankings = self._rescan()
-        self.last_stats = DetectStats(0, 0, 0)
-
-    def _rank(
-        self, fam: Family, inst: tuple, totals: Mapping, counts: Mapping
-    ) -> Iterator[tuple[str, RankingState]]:
-        for qid in fam.members[inst]:
-            q = self.queries[qid]
-            yield qid, build_ranking(totals, counts, q.criterion.aggregation, q.criterion.direction, q.k)
+        self.last_stats = DetectStats(0, 0, 0, 0)
 
     def _rescan(self) -> dict[str, RankingState]:
-        """Every ranking from one from-scratch scan per family."""
+        """Every ranking from one from-scratch scan per family, each sorted
+        in full by build_ranking."""
         out: dict[str, RankingState] = {}
         for fam in self.families:
             for inst, totals, counts in fam.scan(self.store, exact=False):
-                out.update(self._rank(fam, inst, totals, counts))
+                for qid in fam.members[inst]:
+                    c = self.queries[qid].criterion
+                    out[qid] = build_ranking(totals, counts, c.aggregation, c.direction, self.queries[qid].k)
         return out
 
     def _replace(self, qid: str, new: RankingState, seq: int, events: list[RankEvent]) -> bool:
         """Cache qid's new ranking, append its improvements to events and
         tell whether its entity order changed."""
         old = self.rankings[qid]
+        if new == old:
+            return False
         self.rankings[qid] = new
-        for entity, from_rank, to_rank in diff_rankings(old, new, self.queries[qid].k):
-            events.append(RankEvent(qid, entity, from_rank, to_rank, seq))
-        return old.entities() != new.entities()
+        moves = diff_rankings(old, new, self.queries[qid].k)
+        events.extend(RankEvent(qid, entity, from_rank, to_rank, seq) for entity, from_rank, to_rank in moves)
+        # Where the entity orders first differ, the new entity improves; with
+        # no such position one order is a prefix of the other, so the order
+        # changed exactly when something improved or the length changed.
+        return bool(moves) or len(old) != len(new)
 
     # -- filtering --------------------------------------------------------
 
@@ -312,9 +381,16 @@ class Engine:
     def detect(self, u: UpdateRecord) -> list[RankEvent]:
         """Apply one update and return the rank improvements it caused.
 
-        Queries no contribution reaches keep their cached ranking untouched;
-        score-only changes that leave the entity order intact produce no
-        events. The store is only mutated if the update is valid.
+        The entities the update's pre- and post-image contributions name are
+        the changed ones of their instance. Each is removed from the sorted
+        orders of the instance's queries at its old key (bisect), before the
+        contributions are applied to the totals, and inserted at its new key
+        afterwards if its count is still above 0. A query's ranking is
+        rebuilt from its order's first k entities and diffed only when a
+        removal or insertion index is below k; otherwise its top-K cannot
+        have moved and the cached ranking stays. Score-only changes that
+        leave the entity order intact produce no events. The store is only
+        mutated if the update is valid.
         """
         events: list[RankEvent] = []
         changed = 0
@@ -323,23 +399,33 @@ class Engine:
             new_states = self._rescan()
             for qid in sorted(new_states):
                 changed += self._replace(qid, new_states[qid], u.seq, events)
-            self.last_stats = DetectStats(len(self.queries), len(self.queries), changed)
+            n = len(self.queries)
+            self.last_stats = DetectStats(n, n, changed, n)
             events.sort(key=lambda e: (e.query_id, str(e.entity)))
             return events
 
         families = [self.families[i] for i in sorted(column_filter(u, self.column_index))]
         pre = self.row_filter(u, self.store.match_rows(u), families)
         post = self.row_filter(u, self.store.apply_update(u), families)
-        touched: dict[tuple[int, tuple], Family] = {}
+        touched: dict[tuple[int, tuple], dict] = {}  # (family id, instance) -> changed entities
+        for contributions in (pre, post):
+            for fam, inst, entity, _ in contributions:
+                touched.setdefault((fam.id, inst), {})[entity] = None
+        work = []
+        for (fid, inst), entities in touched.items():
+            counts = self.families[fid].counts[inst]
+            for qid in self.families[fid].members[inst]:
+                order = self.orders[qid]
+                work.append((qid, order, entities, counts, order.remove(entities, counts)))
         for sign, contributions in ((-1, pre), (1, post)):
             for fam, inst, entity, value in contributions:
                 fam.add(inst, entity, value, sign)
-                touched[fam.id, inst] = fam
-        survivors = 0
-        for (_, inst), fam in touched.items():
-            for qid, new in self._rank(fam, inst, *fam.view(inst)):
-                survivors += 1
-                changed += self._replace(qid, new, u.seq, events)
+        rebuilt = 0
+        for qid, order, entities, counts, was_top in work:
+            is_top = order.insert(entities, counts)
+            if was_top or is_top:
+                rebuilt += 1
+                changed += self._replace(qid, order.ranking(), u.seq, events)
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
-        self.last_stats = DetectStats(sum(f.n_queries for f in families), survivors, changed)
+        self.last_stats = DetectStats(sum(f.n_queries for f in families), len(work), changed, rebuilt)
         return events

@@ -403,7 +403,7 @@ def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
     for key in ("selectivity", "entropy_bits"):
         number = isinstance(doc[key], (int, float)) and not isinstance(doc[key], bool)
         _expect(number, f"{key} must be a number", doc[key])
-    return HofQuery(
+    q = HofQuery(
         id=doc["id"],
         entity_attr=_parse_ref(doc["entity"], catalog),
         predicate=tuple(sorted(atoms, key=ConstraintAtom.sort_key)),
@@ -418,6 +418,27 @@ def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
         selectivity=doc["selectivity"],
         entropy_bits=doc["entropy_bits"],
     )
+    _check_join_path(q, catalog)
+    return q
+
+
+def _check_join_path(q: HofQuery, catalog: SchemaCatalog) -> None:
+    """The store joins a path edge by edge from its first edge's source
+    relation, so every edge must be a join edge of the catalog that adds
+    exactly one relation to those before it (a connected tree), and the
+    path must reach every relation the query names."""
+    named = {q.entity_attr.relation, q.criterion.column.relation}.union(*(a.relations() for a in q.predicate))
+    edges = set(catalog.join_edges)
+    joined = {q.join_path[0].src.relation if q.join_path else min(named)}
+    for edge in q.join_path:
+        if edge not in edges and JoinEdge(edge.dst, edge.src) not in edges:
+            raise GenerationError(f"join path edge {edge} is not a join edge of the catalog")
+        rels = edge.relations()
+        if len(rels) != 2 or len(rels - joined) != 1:
+            raise GenerationError(f"join path is not a connected tree: edge {edge} does not add one relation")
+        joined |= rels
+    if not named <= joined:
+        raise GenerationError(f"join path does not reach relations {sorted(named - joined)}")
 
 
 def dump_queries(queries: Iterable[HofQuery]) -> str:

@@ -101,9 +101,6 @@ class RankingState:
     def ranks(self) -> dict[Any, int]:
         return {entity: i + 1 for i, (entity, _) in enumerate(self.entries)}
 
-    def entities(self) -> tuple[Any, ...]:
-        return tuple(entity for entity, _ in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -115,7 +112,13 @@ def build_ranking(
     direction: str,
     k: int,
 ) -> RankingState:
-    """Order per-entity totals and row counts into a RankingState, truncated to k."""
+    """Order per-entity totals and row counts into a RankingState, truncated to k.
+
+    A full sort of every entity: it serves the reference path (filters
+    off), at start-up and on every update. The delta path keeps its own
+    sorted entity orders (detector.EntityOrder) on the same key and never
+    calls it, so the two check each other.
+    """
     if aggregation == "sum":
         items = list(totals.items())
     else:  # avg: arithmetic mean; groups exist only for present rows, so n >= 1

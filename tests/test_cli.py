@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from halloffame import Delta, UpdateRecord, update_to_json, write_update_stream
+from halloffame import Delta, StoreError, UpdateRecord, update_to_json, write_update_stream
+from halloffame import cli
 from halloffame.cli import main
 
 
@@ -168,10 +169,48 @@ class TestRun:
         assert result.exit_code == 0
         rows = [json.loads(line) for line in stats_path.read_text().splitlines()]
         assert len(rows) == 1
-        assert {"seq", "column_candidates", "row_candidates", "changed", "latency_ms"} <= set(rows[0])
+        assert {"seq", "column_candidates", "row_candidates", "rebuilt", "changed", "latency_ms"} <= set(rows[0])
+        assert rows[0]["changed"] <= rows[0]["rebuilt"] <= rows[0]["row_candidates"]
+        assert rows[0]["rebuilt"] >= 1  # Gaona's ranking moved
+        assert "mean rebuilt rankings" in result.output
         summary = runner.invoke(main, ["stats", "--stats", str(stats_path)])
         assert summary.exit_code == 0
         assert "column_candidates" in summary.output
+        assert "rebuilt" in summary.output
+
+    def test_stats_without_filters_rebuild_every_query(self, runner, bloomberg_dir, tmp_path):
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        stats_path = tmp_path / "stats.jsonl"
+        _, result = run_cmd(
+            runner, bloomberg_dir, tmp_path, queries, fig5_stream_text(),
+            extra=["--no-filters", "--stats", str(stats_path)],
+        )
+        assert result.exit_code == 0, result.output
+        (row,) = [json.loads(line) for line in stats_path.read_text().splitlines()]
+        n_queries = len(queries.read_text().splitlines())
+        assert row["rebuilt"] == row["row_candidates"] == n_queries
+
+    def test_join_path_short_of_a_relation_is_located(self, runner, bloomberg_dir, tmp_path):
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        docs = [json.loads(line) for line in queries.read_text().splitlines()]
+        lineno, doc = next((i, d) for i, d in enumerate(docs, start=1) if len(d["join_path"]) == 2)
+        doc["join_path"] = doc["join_path"][:1]
+        queries.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: query catalog line {lineno}: join path does not reach relations" in result.output
+
+    def test_store_error_at_start_up_is_a_click_error(self, runner, bloomberg_dir, tmp_path, monkeypatch):
+        def failing_engine(*args, **kwargs):
+            raise StoreError("join column company.c_id is not indexed")
+
+        monkeypatch.setattr(cli, "Engine", failing_engine)
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: engine start-up: join column company.c_id is not indexed" in result.output
 
     def test_malformed_line_abort_vs_skip(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -332,7 +371,9 @@ GOOD_EVENT = {
     "seq": 1, "query_id": "q", "query": "SELECT", "entity": "SAP", "from_rank": 4, "to_rank": 1,
     "selectivity": 0.5, "dynamic_raw": 3.0, "dynamic_norm": 0.2, "entropy_bits": 1.0, "chain": [[1, 4, 1]],
 }
-GOOD_STATS = {"seq": 1, "column_candidates": 3, "row_candidates": 1, "changed": 1, "latency_ms": 0.5}
+GOOD_STATS = {
+    "seq": 1, "column_candidates": 3, "row_candidates": 1, "rebuilt": 1, "changed": 1, "latency_ms": 0.5,
+}
 
 
 class TestBadInputLines:

@@ -1,4 +1,7 @@
+import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -13,14 +16,17 @@ from halloffame import (
     column_filter,
     diff_rankings,
     generate_queries,
+    load_catalog,
+    load_queries,
 )
-from halloffame.store import RankingState
+from halloffame.store import RankingState, Store, build_ranking
 from conftest import load_instance
 from oracles import (
     make_instance,
     make_updates,
     oracle_apply,
     oracle_eval_query,
+    oracle_rank,
     oracle_run,
 )
 
@@ -321,3 +327,156 @@ class TestDeltaSoundness:
         ]
         updates = [UpdateRecord(seq, *w) for seq, w in enumerate(writes, start=1)]
         self.check_stream(catalog, store, queries, tables, edges, updates)
+
+
+GAMES_CATALOG = """
+relations:
+  - name: games
+    columns:
+      - {name: gid, type: integer}
+      - {name: player, type: text}
+      - {name: team, type: text}
+      - {name: pts, type: integer}
+      - {name: rating, type: real}
+    key: [gid]
+entity_attrs: [player]
+categorical_attrs: [team]
+ranking_criteria:
+  - {column: pts, aggregation: sum, direction: both}
+  - {column: rating, aggregation: avg, direction: both}
+"""
+
+# (column, aggregation, direction, k): several queries per instance, so each
+# family holds queries of different k, aggregation and direction
+GAMES_QUERIES = [
+    ("pts", "sum", "descending", 2),
+    ("pts", "sum", "ascending", 3),
+    ("pts", "avg", "descending", 3),
+    ("pts", "avg", "ascending", 1),
+    ("rating", "sum", "descending", 2),
+    ("rating", "sum", "ascending", 1),
+    ("rating", "avg", "descending", 3),
+    ("rating", "avg", "ascending", 2),
+]
+
+NO_EDGES = SimpleNamespace(edges=[])  # one table: the oracle joins nothing
+
+# sums and averages of these are rarely exact floats, so the rounding order
+# of a real avg (float of the exact total, then divide) shows in the values
+RATINGS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.5)
+
+
+class TestMaintainedOrder:
+    """The sorted entity orders that the delta path maintains give, after
+    every update, exactly the top-K that build_ranking computes from the
+    family's current totals, and the brute-force oracle's ranking."""
+
+    def query_catalog(self) -> str:
+        lines = []
+        for team in ("red", "blue"):
+            for column, aggregation, direction, k in GAMES_QUERIES:
+                doc = {
+                    "id": f"{team}-{column}-{aggregation}-{direction}-{k}",
+                    "entity": "games.player",
+                    "predicate": [{"kind": "binding", "left": "games.team", "comparator": "=", "right": team}],
+                    "criterion": {"column": f"games.{column}", "aggregation": aggregation, "direction": direction},
+                    "join_path": [],
+                    "k": k,
+                    "selectivity": 0.5,
+                    "entropy_bits": 1.0,
+                }
+                lines.append(json.dumps(doc))
+        return "\n".join(lines) + "\n"
+
+    def oracle_top(self, tables: dict, q) -> list[tuple]:
+        """oracle_eval_query over exact ratings, rounded the way the engine
+        ranks a real column: the float of the exact total, then divided by
+        the row count for avg."""
+        if q.criterion.column.column != "rating":
+            return oracle_eval_query(tables, NO_EDGES, q)
+
+        def everyone(aggregation):
+            full = replace(q, criterion=replace(q.criterion, aggregation=aggregation), k=10**6)
+            return dict(oracle_eval_query(tables, NO_EDGES, full))
+
+        sums, avgs = everyone("sum"), everyone("avg")
+        if q.criterion.aggregation == "avg":  # ratings are positive, so count = sum / avg
+            values = {e: float(s) / int(s / avgs[e]) for e, s in sums.items()}
+        else:
+            values = {e: float(s) for e, s in sums.items()}
+        return oracle_rank(values, q.criterion.direction, q.k)
+
+    def updates(self, rng: random.Random, gids: list[int]) -> list[UpdateRecord]:
+        players = [f"p{i}" for i in range(8)]
+        writes = [
+            ("update", {"pts": 3}, {"gid": 0}),
+            ("update", {"pts": 3}, {"gid": 1}),  # equal totals: the tie-break decides
+            ("update", {"player": "p1"}, {"player": "p0"}),  # p0 drops to count 0
+            ("insert", {"gid": 100, "player": "p9", "team": "red", "pts": 9, "rating": 0.7}, {}),  # new, top
+            ("update", {"pts": Delta(-9)}, {"gid": 100}),  # and out of the top again
+            ("update", {"team": "blue"}, {"player": "p9"}),  # leaves one instance for the other
+        ]
+        gids.append(100)
+        for _ in range(400):
+            gid = rng.choice(gids)
+            kind = rng.randrange(7)
+            if kind == 0:
+                writes.append(("update", {"pts": Delta(rng.randint(-3, 3))}, {"gid": gid}))
+            elif kind == 1:
+                writes.append(("update", {"pts": rng.randint(0, 4)}, {"gid": gid}))
+            elif kind == 2:
+                writes.append(("update", {"rating": Delta(rng.choice(RATINGS))}, {"gid": gid}))
+            elif kind == 3:
+                writes.append(("update", {"rating": rng.choice(RATINGS)}, {"gid": gid}))
+            elif kind == 4:
+                writes.append(("update", {"player": rng.choice(players + ["p8", "p9"])}, {"gid": gid}))
+            elif kind == 5:
+                writes.append(("update", {"team": rng.choice(("red", "blue"))}, {"gid": gid}))
+            else:
+                gid = gids[-1] + 1
+                row = {"gid": gid, "player": rng.choice(players + [f"n{gid}"]), "team": rng.choice(("red", "blue")),
+                       "pts": rng.randint(0, 4), "rating": rng.choice(RATINGS)}
+                writes.append(("insert", row, {}))
+                gids.append(gid)
+        return [UpdateRecord(seq, kind, "games", sv, where) for seq, (kind, sv, where) in enumerate(writes, start=1)]
+
+    def test_top_k_equals_full_sort_and_oracle_after_every_update(self):
+        rng = random.Random(62)
+        catalog = load_catalog(GAMES_CATALOG)
+        rows = [
+            [gid, f"p{rng.randrange(8)}", rng.choice(("red", "blue")), rng.randint(0, 4), rng.choice(RATINGS)]
+            for gid in range(30)
+        ]
+        store = Store(catalog)
+        store.load_table("games", "gid,player,team,pts,rating\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        queries = load_queries(self.query_catalog(), catalog)
+        engine = Engine(catalog, store, queries)
+        assert len(engine.families) == 2
+        assert all(len(qids) == len(GAMES_QUERIES) // 2 for fam in engine.families for qids in fam.members.values())
+        columns = ["gid", "player", "team", "pts", "rating"]
+        tables = {"games": [dict(zip(columns, r)) for r in rows]}
+        seen = {"tie": 0, "rebuilt": 0, "skipped": 0, "entities": set()}
+        for u in self.updates(rng, [r[0] for r in rows]):
+            engine.detect(u)
+            oracle_apply(tables, u)
+            # the store keeps rounded floats; the engine sums them exactly
+            exact = {"games": [{**r, "rating": Fraction(r["rating"])} for r in tables["games"]]}
+            stats = engine.last_stats
+            assert stats.rebuilt <= stats.row_candidates
+            seen["rebuilt"] += stats.rebuilt
+            seen["skipped"] += stats.row_candidates - stats.rebuilt
+            for fam in engine.families:
+                for inst, qids in fam.members.items():
+                    totals = {e: float(t) for e, t in fam.totals[inst].items()} if fam.real else fam.totals[inst]
+                    seen["entities"] |= set(totals)
+                    for qid in qids:
+                        q = engine.queries[qid]
+                        got = engine.rankings[qid]
+                        c = q.criterion
+                        full_sort = build_ranking(totals, fam.counts[inst], c.aggregation, c.direction, q.k)
+                        assert got == full_sort, (u.seq, qid)
+                        assert list(got.entries) == self.oracle_top(exact, q), (u.seq, qid)
+                        values = [v for _, v in got.entries]
+                        seen["tie"] += len(set(values)) < len(values)
+        assert seen["tie"] and seen["rebuilt"] and seen["skipped"]
+        assert "p9" in seen["entities"] and any(e.startswith("n") for e in seen["entities"])  # new entities

@@ -243,3 +243,29 @@ class TestPersistence:
         text = line + json.dumps(mutate(json.loads(line))) + "\n"
         with pytest.raises(GenerationError, match=f"query catalog line 2: .*{message}"):
             load_queries(text, catalog)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (lambda path: path[:1], r"join path does not reach relations \['stockmarket'\]"),
+            (lambda path: path[:1] + path[:1], "join path is not a connected tree"),
+            (
+                lambda path: [{"from": "company.c_name", "to": "person.p_name"}] + path,
+                "join path edge company.c_name=person.p_name is not a join edge of the catalog",
+            ),
+        ],
+        ids=["cut-to-first-edge", "repeated-edge", "edge-outside-catalog"],
+    )
+    def test_bad_join_path_is_located(self, bloomberg, cut, message):
+        # a 2-edge path cut to its first edge used to load and then fail at
+        # engine start-up with an unlocated store error
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=3), store)
+        two_edges = next(
+            q for q in queries
+            if len(q.join_path) == 2 and "stockmarket" in q.relations() - q.join_path[0].relations()
+        )
+        doc = json.loads(dump_queries([two_edges]))
+        doc["join_path"] = cut(doc["join_path"])
+        with pytest.raises(GenerationError, match=f"query catalog line 1: {message}"):
+            load_queries(json.dumps(doc) + "\n", catalog)
