@@ -9,23 +9,22 @@ at start-up and, for every update, keeps it current by delta.
 
 Per update the engine runs a column filter (does the update write any
 column a family depends on?), then a row filter: the updated rows are
-extended along each touched family's join path before and after the update,
-and every extension that satisfies the family's fixed atoms and lands in a
-query's instance contributes (instance, entity, value). Subtracting the
-pre-image contributions and adding the post-image ones brings the
-totals and counts up to date. Totals of integer columns are exact ints,
-those of real columns exact Fractions, so no order of updates can make them
-drift.
+extended along each touched family's join path, and every extension that
+satisfies the fixed atoms and lands in a query's instance contributes
+(instance, entity, criterion value). A family's shape columns (entity,
+predicate and join-path columns) decide which extensions exist and where
+they land; an update that writes none of them is extended once, with each
+value read before and after the update, any other before and after. The
+contributions are netted into one (total, count) change per instance and
+entity. Totals of integer columns are exact ints, those of real columns
+exact Fractions, so no order of updates can make them drift.
 
-Each query keeps every entity of its instance in one list, best first,
-sorted by a key that reads the family's live totals and counts: the value
-build_ranking ranks on, then the entity, ascending. The entities an
-update's contributions name are taken out of the list by bisection before
-their totals change and bisected back in afterwards, unless their count
-fell to 0. The top-K can only move when one of those removal or insertion
-indices is below k; only then is the query's ranking rebuilt from the
-list's first k entities and diffed, and only rank improvements become
-events.
+Each query keeps the sort keys (value, entity) of its instance's entities
+in one list, best first: the value build_ranking ranks on, then the
+entity. An entity with a non-zero net change is bisected out at its old
+key and back in at its new one, unless its count fell to 0. Only when one
+of those indices is below k is the query's ranking rebuilt from the first
+k keys and diffed, and only rank improvements become events.
 
 With filters disabled the engine rescans every family from scratch on
 every update and ranks each instance with build_ranking's full sort
@@ -60,12 +59,12 @@ class RankEvent:
 ColumnIndex = dict[ColumnRef, set]
 
 
-def build_column_index(items: Iterable) -> ColumnIndex:
-    """column -> ids of all items (queries or families) whose referenced
-    columns include it."""
+def build_column_index(items: Iterable, columns: str = "referenced_columns") -> ColumnIndex:
+    """column -> ids of all items (queries or families) whose columns (the
+    attribute named by `columns`) include it."""
     index: ColumnIndex = {}
     for item in items:
-        for col in item.referenced_columns:
+        for col in getattr(item, columns):
             index.setdefault(col, set()).add(item.id)
     return index
 
@@ -102,7 +101,7 @@ class DetectStats:
     rebuilt: int  # rankings whose top-K was rebuilt and diffed
 
 
-Contribution = tuple[tuple, Any, Any]  # (instance, entity, criterion value)
+Contribution = tuple[tuple, Any, list]  # (instance, entity, row holding the criterion value)
 
 
 class Family:
@@ -118,7 +117,12 @@ class Family:
         self.fixed = q.fixed_atoms()
         self.binding_cols = tuple(a.left for a in q.binding_atoms())
         self.referenced_columns = q.referenced_columns
-        self.real = real  # real criterion column: exact Fraction totals on the delta path
+        # the columns that decide which joined rows exist, pass the fixed
+        # atoms and land in which instance and entity
+        self.shape = frozenset((self.entity, *q.predicate_columns(), *(c for e in self.path for c in e.columns())))
+        self.real = real
+        self.exact = Fraction if real else int  # criterion value -> its exact term in a total
+        self.crit_pos = -1  # the criterion column's position in its rows, set with the plans
         self.members: dict[tuple, list[str]] = {}  # instance -> query ids
         self.n_queries = 0
         self.totals: dict[tuple, dict[Any, Any]] = {}  # instance -> entity -> criterion total
@@ -127,7 +131,9 @@ class Family:
 
     def plan(self, store: Store, base: str) -> Callable[[Iterable[int]], list[Contribution]]:
         """Row ids of `base` -> contributions of their extensions along the
-        join path that satisfy the fixed atoms and land in a member instance."""
+        join path that satisfy the fixed atoms and land in a member instance.
+        A contribution holds the criterion's row itself, not its value, so
+        the value can be read before and after an update that writes it."""
         rel_order = [base]
         steps = []
         remaining = list(self.path)
@@ -160,7 +166,7 @@ class Family:
             return rel_pos[ref.relation], table.col_pos[ref.column], table.rows
 
         ei, ep, erows = getter(self.entity)
-        ci, cp, crows = getter(self.crit_column)
+        ci, _, crows = getter(self.crit_column)
         bind = [getter(c) for c in self.binding_cols]
         members = self.members
 
@@ -174,7 +180,7 @@ class Family:
                 if check(env):
                     inst = tuple(rows[env[i]][p] for i, p, rows in bind)
                     if inst in members:
-                        out.append((inst, erows[env[ei]][ep], crows[env[ci]][cp]))
+                        out.append((inst, erows[env[ei]][ep], crows[env[ci]]))
             return out
 
         return contributions
@@ -218,18 +224,17 @@ class Family:
                     totals[ent] = sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
             yield inst, totals, counts
 
-    def add(self, inst: tuple, entity: Any, value: Any, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) one joined row's value; an
-        entity whose count reaches 0 leaves the instance."""
-        if self.real:
-            value = Fraction(value)
+    def apply(self, inst: tuple, net: dict[Any, list]) -> None:
+        """Add each entity's net [total, count] change to the instance; an
+        entity whose count reaches 0 leaves it."""
         totals, counts = self.totals[inst], self.counts[inst]
-        count = counts.get(entity, 0) + sign
-        if count:
-            counts[entity] = count
-            totals[entity] = totals.get(entity, 0) + sign * value
-        else:
-            del counts[entity], totals[entity]
+        for entity, (total, count) in net.items():
+            count += counts.get(entity, 0)
+            if count:
+                counts[entity] = count
+                totals[entity] = totals.get(entity, 0) + total
+            else:
+                del counts[entity], totals[entity]
 
 
 def order_key(t: dict, n: dict, real: bool, avg: bool, descending: bool) -> Callable[[Any], tuple]:
@@ -247,50 +252,53 @@ def order_key(t: dict, n: dict, real: bool, avg: bool, descending: bool) -> Call
 
 
 class EntityOrder:
-    """Every entity of one query's instance, best first, by order_key.
+    """The order_key of every entity of one query's instance, best first.
 
-    The key reads the family's live totals and counts for the instance, so
-    an entity must be removed before its total changes and inserted after.
+    The list holds the key tuples themselves, so bisection compares them
+    without calling back into Python. The key reads the family's live
+    totals and counts for the instance, so an entity must be removed
+    before its total changes and inserted after.
     """
 
-    __slots__ = ("entities", "key", "descending", "k")
+    __slots__ = ("keys", "key", "descending", "k")
 
     def __init__(self, fam: Family, inst: tuple, q: HofQuery):
         self.descending = q.criterion.direction == "descending"
         avg = q.criterion.aggregation == "avg"
         self.key = order_key(fam.totals[inst], fam.counts[inst], fam.real, avg, self.descending)
         self.k = q.k
-        self.entities = sorted(fam.totals[inst], key=self.key)
+        self.keys = sorted(map(self.key, fam.totals[inst]))
 
     def remove(self, changed: Iterable, present: dict) -> bool:
         """Remove the changed entities that are present; tells whether one
         of them sat in the top-K."""
-        entities, key, crossed = self.entities, self.key, False
+        keys, key, crossed = self.keys, self.key, False
         for e in changed:
             if e in present:
-                i = bisect_left(entities, key(e), key=key)
-                del entities[i]
+                i = bisect_left(keys, key(e))
+                del keys[i]
                 crossed = crossed or i < self.k
         return crossed
 
     def insert(self, changed: Iterable, present: dict) -> bool:
         """Insert the changed entities that are present; tells whether one
         of them lands in the top-K."""
-        entities, key, crossed = self.entities, self.key, False
+        keys, key, crossed = self.keys, self.key, False
         for e in changed:
             if e in present:
-                i = bisect_left(entities, key(e), key=key)
-                entities.insert(i, e)
+                k = key(e)
+                i = bisect_left(keys, k)
+                keys.insert(i, k)
                 crossed = crossed or i < self.k
         return crossed
 
     def ranking(self) -> RankingState:
         """The top-K with build_ranking's values; negation is exact, so
         negating a descending key's value restores it."""
-        key, top = self.key, self.entities[: self.k]
+        top = self.keys[: self.k]
         if self.descending:
-            return RankingState(tuple([(e, -key(e)[0]) for e in top]))
-        return RankingState(tuple([(e, key(e)[0]) for e in top]))
+            return RankingState(tuple([(e, -v) for v, e in top]))
+        return RankingState(tuple([(e, v) for v, e in top]))
 
 
 def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[Family]:
@@ -323,6 +331,7 @@ class Engine:
         self.filters_enabled = filters_enabled
         self.families = build_families(self.queries.values(), catalog)
         self.column_index = build_column_index(self.families)
+        self.shape_index = build_column_index(self.families, "shape")
         self.orders: dict[str, EntityOrder] = {}
         self.rankings: dict[str, RankingState] = {}
         if filters_enabled:
@@ -333,6 +342,7 @@ class Engine:
                         order = self.orders[qid] = EntityOrder(fam, inst, self.queries[qid])
                         self.rankings[qid] = order.ranking()
                 fam.plans = {rel: fam.plan(store, rel) for rel in fam.needed}
+                fam.crit_pos = store.table(fam.crit_column.relation).col_pos[fam.crit_column.column]
             store.drop_join_cache()  # the delta path never scans again
         else:
             self.rankings = self._rescan()
@@ -367,10 +377,10 @@ class Engine:
 
     def row_filter(
         self, u: UpdateRecord, rows: Iterable[int], families: Iterable[Family]
-    ) -> list[tuple[Family, tuple, Any, Any]]:
-        """(family, instance, entity, value) for every extension of the given
-        rows of u.table along a family's join path that satisfies the fixed
-        atoms and the bindings of one of the family's queries."""
+    ) -> list[tuple[Family, tuple, Any, list]]:
+        """(family, instance, entity, criterion row) for every extension of
+        the given rows of u.table along a family's join path that satisfies
+        the fixed atoms and the bindings of one of the family's queries."""
         rows = list(rows)
         if not rows:
             return []
@@ -381,16 +391,16 @@ class Engine:
     def detect(self, u: UpdateRecord) -> list[RankEvent]:
         """Apply one update and return the rank improvements it caused.
 
-        The entities the update's pre- and post-image contributions name are
-        the changed ones of their instance. Each is removed from the sorted
-        orders of the instance's queries at its old key (bisect), before the
-        contributions are applied to the totals, and inserted at its new key
-        afterwards if its count is still above 0. A query's ranking is
-        rebuilt from its order's first k entities and diffed only when a
-        removal or insertion index is below k; otherwise its top-K cannot
-        have moved and the cached ranking stays. Score-only changes that
-        leave the entity order intact produce no events. The store is only
-        mutated if the update is valid.
+        Families whose shape columns the update does not write extend its
+        rows once and read each criterion value before and after the
+        update; the others extend the rows before and after it. The
+        contributions are netted per (family, instance, entity). Each
+        entity with a non-zero net change is removed from its instance's
+        query orders at its old key, gets the change, and is inserted at
+        its new key if its count is still above 0. A query's ranking is
+        rebuilt and diffed only when a removal or insertion index is below
+        k. The store is only mutated if the update is valid, and the engine
+        only after that.
         """
         events: list[RankEvent] = []
         changed = 0
@@ -404,28 +414,44 @@ class Engine:
             events.sort(key=lambda e: (e.query_id, str(e.entity)))
             return events
 
-        families = [self.families[i] for i in sorted(column_filter(u, self.column_index))]
-        pre = self.row_filter(u, self.store.match_rows(u), families)
-        post = self.row_filter(u, self.store.apply_update(u), families)
-        touched: dict[tuple[int, tuple], dict] = {}  # (family id, instance) -> changed entities
-        for contributions in (pre, post):
-            for fam, inst, entity, _ in contributions:
-                touched.setdefault((fam.id, inst), {})[entity] = None
-        work = []
-        for (fid, inst), entities in touched.items():
-            counts = self.families[fid].counts[inst]
-            for qid in self.families[fid].members[inst]:
-                order = self.orders[qid]
-                work.append((qid, order, entities, counts, order.remove(entities, counts)))
-        for sign, contributions in ((-1, pre), (1, post)):
-            for fam, inst, entity, value in contributions:
-                fam.add(inst, entity, value, sign)
-        rebuilt = 0
-        for qid, order, entities, counts, was_top in work:
-            is_top = order.insert(entities, counts)
-            if was_top or is_top:
-                rebuilt += 1
-                changed += self._replace(qid, order.ranking(), u.seq, events)
+        hit = column_filter(u, self.column_index)
+        # families whose shape the update may change are extended twice,
+        # those it can only revalue once
+        reshaped = column_filter(u, self.shape_index) if u.kind == "update" else hit
+        once = [self.families[i] for i in sorted(hit - reshaped)]
+        twice = [self.families[i] for i in sorted(hit & reshaped)]
+        rows = self.store.match_rows(u)
+        kept = [(fam, inst, e, row, row[fam.crit_pos]) for fam, inst, e, row in self.row_filter(u, rows, once)]
+        pre = [(fam, inst, e, row[fam.crit_pos]) for fam, inst, e, row in self.row_filter(u, rows, twice)]
+        post = self.row_filter(u, self.store.apply_update(u), twice)
+        net: dict[tuple[Family, tuple], dict[Any, list]] = {}  # -> entity -> [total change, count change]
+        for fam, inst, e, row, old in kept:
+            d = net.setdefault((fam, inst), {}).setdefault(e, [0, 0])
+            if row[fam.crit_pos] != old:
+                d[0] += fam.exact(row[fam.crit_pos]) - fam.exact(old)
+        for fam, inst, e, old in pre:
+            d = net.setdefault((fam, inst), {}).setdefault(e, [0, 0])
+            d[0] -= fam.exact(old)
+            d[1] -= 1
+        for fam, inst, e, row in post:
+            d = net.setdefault((fam, inst), {}).setdefault(e, [0, 0])
+            d[0] += fam.exact(row[fam.crit_pos])
+            d[1] += 1
+        candidates = rebuilt = 0
+        for (fam, inst), entities in net.items():
+            qids = fam.members[inst]
+            candidates += len(qids)  # counted before netting, so net-zero instances count too
+            moved = {e: d for e, d in entities.items() if d[0] or d[1]}
+            if not moved:
+                continue
+            counts = fam.counts[inst]
+            orders = [self.orders[qid] for qid in qids]
+            was_top = [order.remove(moved, counts) for order in orders]
+            fam.apply(inst, moved)
+            for qid, order, top in zip(qids, orders, was_top):
+                if order.insert(moved, counts) or top:
+                    rebuilt += 1
+                    changed += self._replace(qid, order.ranking(), u.seq, events)
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
-        self.last_stats = DetectStats(sum(f.n_queries for f in families), len(work), changed, rebuilt)
+        self.last_stats = DetectStats(sum(self.families[i].n_queries for i in hit), candidates, changed, rebuilt)
         return events

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Union
 
 from .catalog import (
@@ -128,6 +128,7 @@ class HofQuery:
     k: int
     selectivity: float
     entropy_bits: float
+    _sql: Optional[str] = field(default=None, init=False, repr=False, compare=False)  # sql(), once rendered
 
     def relations(self) -> frozenset[str]:
         rels = {self.entity_attr.relation, self.criterion.column.relation}
@@ -158,7 +159,12 @@ class HofQuery:
         return tuple(a for a in self.predicate if a.kind != ATOM_BINDING)
 
     def sql(self) -> str:
-        """Human-readable SQL-style rendering, for logs."""
+        """Human-readable SQL-style rendering, for logs; rendered on first use."""
+        if self._sql is None:
+            object.__setattr__(self, "_sql", self._render_sql())
+        return self._sql
+
+    def _render_sql(self) -> str:
         agg = f"{self.criterion.aggregation.upper()}({self.criterion.column})"
         from_clause = _from_clause(self.join_path, self.relations())
         where = ""

@@ -115,9 +115,10 @@ def build_ranking(
     """Order per-entity totals and row counts into a RankingState, truncated to k.
 
     A full sort of every entity: it serves the reference path (filters
-    off), at start-up and on every update. The delta path keeps its own
-    sorted entity orders (detector.EntityOrder) on the same key and never
-    calls it, so the two check each other.
+    off), at start-up and on every update. The delta path never calls it:
+    each query keeps its own sorted list of (value, entity) keys
+    (detector.EntityOrder) and moves only the entities whose net total or
+    count an update changed, so the two check each other.
     """
     if aggregation == "sum":
         items = list(totals.items())

@@ -480,3 +480,183 @@ class TestMaintainedOrder:
                         seen["tie"] += len(set(values)) < len(values)
         assert seen["tie"] and seen["rebuilt"] and seen["skipped"]
         assert "p9" in seen["entities"] and any(e.startswith("n") for e in seen["entities"])  # new entities
+
+
+PLAYS_CATALOG = """
+relations:
+  - name: plays
+    columns:
+      - {name: pid, type: integer}
+      - {name: player, type: text}
+      - {name: team, type: text}
+      - {name: pts, type: integer}
+      - {name: lvl, type: integer}
+      - {name: ast, type: integer}
+    key: [pid]
+  - name: levels
+    columns:
+      - {name: lvl_id, type: integer}
+      - {name: tier, type: text}
+    key: [lvl_id]
+entity_attrs: [plays.player]
+categorical_attrs: [plays.team, levels.tier]
+ranking_criteria:
+  - {column: plays.pts, aggregation: sum, direction: both}
+  - {column: plays.lvl, aggregation: sum, direction: both}
+  - {column: plays.ast, aggregation: sum, direction: both}
+join_edges:
+  - {from: plays.lvl, to: levels.lvl_id}
+"""
+
+PLAYS_EDGES = SimpleNamespace(edges=[("plays", "lvl", "levels", "lvl_id")])
+LEVELS = [[0, "gold"], [1, "gold"], [2, "silver"], [3, "silver"], [4, "bronze"]]
+
+
+def plays_query(qid, column, aggregation, direction, k, bindings, atoms=(), joined=False) -> dict:
+    predicate = [{"kind": "binding", "left": left, "comparator": "=", "right": right} for left, right in bindings]
+    predicate += [{"kind": "const_comparison", "left": left, "comparator": op, "right": right} for left, op, right in atoms]
+    return {
+        "id": qid,
+        "entity": "plays.player",
+        "predicate": predicate,
+        "criterion": {"column": f"plays.{column}", "aggregation": aggregation, "direction": direction},
+        "join_path": [{"from": "plays.lvl", "to": "levels.lvl_id"}] if joined else [],
+        "k": k,
+        "selectivity": 0.5,
+        "entropy_bits": 1.0,
+    }
+
+
+class TestSingleExtension:
+    """An update that writes none of a family's shape columns is extended
+    once and its criterion values are read before and after it; any other
+    update is extended before and after. Here the criterion column pts is
+    also a fixed-atom column of one family, and lvl is the criterion of
+    another family and the join column of both joined families, so writes
+    to them must re-extend there while value-only writes must not."""
+
+    def queries(self, catalog):
+        docs = []
+        for team in ("red", "blue"):
+            on_team = [("plays.team", team)]
+            # pts is the criterion and a fixed-atom column: a write can move a row across pts >= 3
+            docs.append(plays_query(f"pts-atom-sum-{team}", "pts", "sum", "descending", 2, on_team, [("plays.pts", ">=", 3)]))
+            docs.append(plays_query(f"pts-atom-avg-{team}", "pts", "avg", "ascending", 3, on_team, [("plays.pts", ">=", 3)]))
+            # pts as a plain criterion: its writes are value-only here
+            docs.append(plays_query(f"pts-{team}", "pts", "sum", "descending", 2, on_team))
+            docs.append(plays_query(f"ast-{team}", "ast", "sum", "ascending", 2, on_team))
+        for tier in ("gold", "silver", "bronze"):
+            on_tier = [("levels.tier", tier)]
+            # lvl is the criterion and the join column: a write can move a row to another tier
+            docs.append(plays_query(f"lvl-join-{tier}", "lvl", "sum", "descending", 2, on_tier, joined=True))
+            docs.append(plays_query(f"pts-join-{tier}", "pts", "avg", "descending", 2, on_tier, joined=True))
+        return load_queries("".join(json.dumps(d) + "\n" for d in docs), catalog)
+
+    def updates(self, rng, n_rows):
+        players = [f"p{i}" for i in range(7)]
+        pids = list(range(n_rows))
+        writes = [
+            ("update", "plays", {"pts": 5}, {"pid": 0}),  # into pts >= 3 (or up within it)
+            ("update", "plays", {"pts": 1}, {"pid": 0}),  # out of it again
+            ("update", "plays", {"lvl": 4}, {"pid": 1}),  # to the bronze tier
+            ("update", "plays", {"lvl": 0}, {"pid": 1}),  # to gold
+        ]
+        for _ in range(300):
+            pid = rng.choice(pids)
+            kind = rng.randrange(8)
+            if kind == 0:
+                writes.append(("update", "plays", {"pts": rng.randint(0, 6)}, {"pid": pid}))
+            elif kind == 1:
+                writes.append(("update", "plays", {"pts": Delta(rng.randint(-3, 3))}, {"pid": pid}))
+            elif kind == 2:
+                writes.append(("update", "plays", {"lvl": rng.randrange(len(LEVELS))}, {"pid": pid}))
+            elif kind == 3:
+                writes.append(("update", "plays", {"ast": Delta(rng.randint(-2, 4))}, {"pid": pid}))
+            elif kind == 4:
+                writes.append(("update", "plays", {"player": rng.choice(players)}, {"pid": pid}))
+            elif kind == 5:
+                writes.append(("update", "plays", {"pts": rng.randint(0, 6), "lvl": rng.randrange(len(LEVELS))}, {"pid": pid}))
+            elif kind == 6:
+                writes.append(("update", "levels", {"tier": rng.choice(("gold", "silver", "bronze"))}, {"lvl_id": rng.randrange(len(LEVELS))}))
+            else:
+                pids.append(pids[-1] + 1)
+                row = {"pid": pids[-1], "player": rng.choice(players), "team": rng.choice(("red", "blue")),
+                       "pts": rng.randint(0, 6), "lvl": rng.randrange(len(LEVELS)), "ast": rng.randint(0, 3)}
+                writes.append(("insert", "plays", row, {}))
+        return [UpdateRecord(seq, *w) for seq, w in enumerate(writes, start=1)]
+
+    def test_rankings_equal_oracle_after_every_update(self):
+        rng = random.Random(77)
+        catalog = load_catalog(PLAYS_CATALOG)
+        columns = ["pid", "player", "team", "pts", "lvl", "ast"]
+        rows = [
+            [pid, f"p{rng.randrange(7)}", rng.choice(("red", "blue")), rng.randint(0, 6), rng.randrange(len(LEVELS)), rng.randint(0, 3)]
+            for pid in range(24)
+        ]
+        store = Store(catalog)
+        store.load_table("plays", ",".join(columns) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        store.load_table("levels", "lvl_id,tier\n" + "".join(f"{i},{t}\n" for i, t in LEVELS))
+        engine = Engine(catalog, store, self.queries(catalog))
+        tables = {"plays": [dict(zip(columns, r)) for r in rows],
+                  "levels": [{"lvl_id": i, "tier": t} for i, t in LEVELS]}
+        written_once = rebuilt = 0
+        for u in self.updates(rng, len(rows)):
+            hit = column_filter(u, engine.column_index)
+            written_once += bool(hit - column_filter(u, engine.shape_index)) and u.kind == "update"
+            engine.detect(u)
+            rebuilt += engine.last_stats.rebuilt
+            oracle_apply(tables, u)
+            for qid, q in engine.queries.items():
+                assert list(engine.rankings[qid].entries) == oracle_eval_query(tables, PLAYS_EDGES, q), (u.seq, qid)
+        assert written_once and rebuilt  # both kinds of extension ran and rankings moved
+
+
+class TestNetZero:
+    """Updates whose contributions cancel per (instance, entity) move no
+    entity in any order and leave the engine as a fresh one would be."""
+
+    def setup(self):
+        catalog = load_catalog(GAMES_CATALOG)
+        # p1 has two red rows; the rest give every ranking a few entities
+        rows = [
+            [0, "p1", "red", 2, 0.25],
+            [1, "p1", "red", 4, 0.75],
+            [2, "p2", "red", 3, 0.5],
+            [3, "p3", "red", 1, 1.5],
+            [4, "p2", "blue", 5, 0.125],
+            [5, "p4", "blue", 0, 2.0],
+        ]
+        queries = load_queries(TestMaintainedOrder().query_catalog(), catalog)
+        return catalog, self.store_of(catalog, rows), queries
+
+    @staticmethod
+    def store_of(catalog, rows):
+        store = Store(catalog)
+        store.load_table("games", "gid,player,team,pts,rating\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        return store
+
+    def assert_fresh(self, catalog, store, queries, engine):
+        fresh = Engine(catalog, self.store_of(catalog, store.table("games").rows), queries)
+        assert engine.rankings == fresh.rankings
+        assert {qid: o.keys for qid, o in engine.orders.items()} == {qid: o.keys for qid, o in fresh.orders.items()}
+
+    @pytest.mark.parametrize(
+        "set_values, where",
+        [
+            ({"pts": 4}, {"gid": 1}),  # the same value, read before and after
+            ({"team": "red"}, {"gid": 1}),  # the same shape value, extended before and after
+            ({"pts": 3}, {"player": "p1"}),  # p1's two red rows 2 and 4 become 3 and 3
+            ({"rating": 0.5}, {"player": "p1"}),  # exactly 1/4 + 3/4 - 1/2 - 1/2 == 0
+        ],
+    )
+    def test_cancelling_update_moves_nothing(self, set_values, where):
+        catalog, store, queries = self.setup()
+        engine = Engine(catalog, store, queries)
+        u = UpdateRecord(1, "update", "games", set_values, where)
+        families = column_filter(u, engine.column_index)
+        assert engine.detect(u) == []
+        # row candidates still count the queries of every instance that a
+        # contribution named before netting: here the red one of each family
+        assert engine.last_stats.row_candidates == len(GAMES_QUERIES) // 2 * len(families)
+        assert engine.last_stats.rebuilt == 0
+        self.assert_fresh(catalog, store, queries, engine)
