@@ -17,7 +17,6 @@ from .catalog import (
     SchemaCatalog,
     join_path,
     load_catalog,
-    serialize_catalog,
 )
 from .detector import (
     Engine,
@@ -32,8 +31,6 @@ from .generator import (
     ConstraintCombination,
     GeneratorConfig,
     HofQuery,
-    compute_static_scores,
-    count_unpruned,
     dump_queries,
     generate_queries,
     get_combinations,

@@ -381,43 +381,6 @@ def load_catalog(config_text: str) -> SchemaCatalog:
     )
 
 
-def serialize_catalog(catalog: SchemaCatalog) -> str:
-    """Render a catalog back to config text; load_catalog(serialize(c)) == c.
-
-    "both" criteria were expanded at load time, so the serialized form lists
-    the concrete criteria.
-    """
-    doc: dict[str, Any] = {
-        "relations": [
-            {
-                "name": rel.name,
-                "columns": [{"name": c, "type": t} for c, t in rel.columns],
-                **({"key": list(rel.key_columns)} if rel.key_columns else {}),
-            }
-            for rel in catalog.relations
-        ],
-        "entity_attrs": [str(c) for c in catalog.entity_columns()],
-        "categorical_attrs": [str(c) for c in catalog.categorical_columns()],
-        "ranking_criteria": [
-            {"column": str(r.column), "aggregation": r.aggregation, "direction": r.direction}
-            for r in catalog.ranking_criteria
-        ],
-        "user_constraints": [
-            {
-                "kind": a.kind,
-                "left": str(a.left),
-                "comparator": a.comparator,
-                "right": str(a.right) if isinstance(a.right, ColumnRef) else a.right,
-            }
-            for a in catalog.user_constraints
-        ],
-        "join_edges": [{"from": str(e.src), "to": str(e.dst)} for e in catalog.join_edges],
-    }
-    if catalog.join_allowlist is not None:
-        doc["join_allowlist"] = [sorted(group) for group in catalog.join_allowlist]
-    return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
-
-
 # ---------------------------------------------------------------------------
 # Join paths
 # ---------------------------------------------------------------------------

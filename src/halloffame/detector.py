@@ -237,18 +237,17 @@ class Family:
                 del counts[entity], totals[entity]
 
 
-def order_key(t: dict, n: dict, real: bool, avg: bool, descending: bool) -> Callable[[Any], tuple]:
+def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[Any], tuple]:
     """entity -> (value, entity) over live totals t and counts n, where value
-    is what build_ranking ranks on (the correctly rounded float of an exact
-    real total, divided by the row count for avg), negated when descending;
-    ascending keys then put the best first, ties by ascending entity."""
-    if real:
-        if avg:
-            return (lambda e: (-(float(t[e]) / n[e]), e)) if descending else (lambda e: (float(t[e]) / n[e], e))
-        return (lambda e: (-float(t[e]), e)) if descending else (lambda e: (float(t[e]), e))
+    is sign (-1 when descending, else 1) times what build_ranking ranks on:
+    the correctly rounded float of an exact real total, divided by the row
+    count for avg. Ascending keys then put the best first, ties by
+    ascending entity. Negation commutes with correctly rounded division, so
+    negating before dividing gives build_ranking's value exactly negated."""
+    value = float if real else int
     if avg:
-        return (lambda e: (-(t[e] / n[e]), e)) if descending else (lambda e: (t[e] / n[e], e))
-    return (lambda e: (-t[e], e)) if descending else (lambda e: (t[e], e))
+        return lambda e: (sign * value(t[e]) / n[e], e)
+    return lambda e: (sign * value(t[e]), e)
 
 
 class EntityOrder:
@@ -260,12 +259,12 @@ class EntityOrder:
     before its total changes and inserted after.
     """
 
-    __slots__ = ("keys", "key", "descending", "k")
+    __slots__ = ("keys", "key", "sign", "k")
 
     def __init__(self, fam: Family, inst: tuple, q: HofQuery):
-        self.descending = q.criterion.direction == "descending"
+        self.sign = -1 if q.criterion.direction == "descending" else 1
         avg = q.criterion.aggregation == "avg"
-        self.key = order_key(fam.totals[inst], fam.counts[inst], fam.real, avg, self.descending)
+        self.key = order_key(fam.totals[inst], fam.counts[inst], fam.real, avg, self.sign)
         self.k = q.k
         self.keys = sorted(map(self.key, fam.totals[inst]))
 
@@ -293,12 +292,10 @@ class EntityOrder:
         return crossed
 
     def ranking(self) -> RankingState:
-        """The top-K with build_ranking's values; negation is exact, so
-        negating a descending key's value restores it."""
-        top = self.keys[: self.k]
-        if self.descending:
-            return RankingState(tuple([(e, -v) for v, e in top]))
-        return RankingState(tuple([(e, v) for v, e in top]))
+        """The top-K with build_ranking's values; multiplying by the sign is
+        exact, so it restores each key's value."""
+        sign = self.sign
+        return RankingState(tuple([(e, sign * v) for v, e in self.keys[: self.k]]))
 
 
 def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[Family]:
@@ -423,7 +420,7 @@ class Engine:
         rows = self.store.match_rows(u)
         kept = [(fam, inst, e, row, row[fam.crit_pos]) for fam, inst, e, row in self.row_filter(u, rows, once)]
         pre = [(fam, inst, e, row[fam.crit_pos]) for fam, inst, e, row in self.row_filter(u, rows, twice)]
-        post = self.row_filter(u, self.store.apply_update(u), twice)
+        post = self.row_filter(u, self.store.apply_update(u, rows), twice)
         net: dict[tuple[Family, tuple], dict[Any, list]] = {}  # -> entity -> [total change, count change]
         for fam, inst, e, row, old in kept:
             d = net.setdefault((fam, inst), {}).setdefault(e, [0, 0])

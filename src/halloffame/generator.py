@@ -1,4 +1,4 @@
-"""Enumerate every valid Hall of Fame query and attach its static scores.
+"""Enumerate every valid Hall of Fame query from an annotated schema.
 
 Generation walks (entity attribute x constraint combination x materialized
 binding values x concrete criterion). Each relation set's join path is
@@ -8,6 +8,12 @@ reads no criterion value: one count of the distinct (binding values,
 entity) pairs over the joined rows that satisfy the combination's fixed
 atoms gives every instance's entity count and row count at once, and the
 counts are shared by every criterion over the same relations.
+
+Each query carries the two static scores the scorer ranks its events by:
+its selectivity (the share of the joined rows its predicate keeps, taken
+from the same count) and the entropy of its predicate columns' joint value
+distribution over the joined rows, counted once per (predicate columns,
+join path) when the first query using them survives.
 """
 
 from __future__ import annotations
@@ -103,7 +109,9 @@ def get_combinations(catalog: SchemaCatalog, cfg: GeneratorConfig) -> list[Const
 
     combos: set[frozenset] = {frozenset()}
     for source in sources:
-        for existing in sorted(combos, key=lambda c: tuple(sorted(_source_key(s) for s in c))):
+        # a grown set is kept or not on its own merits, so the order of this
+        # pass does not matter; sets added in it already hold the source
+        for existing in list(combos):
             grown = existing | {source}
             if len(grown) > cfg.c_num or grown in combos:
                 continue
@@ -220,34 +228,6 @@ def query_identity(
     return digest[:16]
 
 
-def _entropy_for(
-    store: Store,
-    columns: tuple[ColumnRef, ...],
-    path: tuple[JoinEdge, ...],
-    needed: frozenset[str],
-    cache: dict,
-) -> float:
-    # one value per (column combination, join path): shared by every query
-    # using the same constraint sources
-    if not columns:
-        return 0.0
-    key = (columns, path, needed)
-    value = cache.get(key)
-    if value is None:
-        value = entropy(store.instantiation_counts(list(columns), path, needed))
-        cache[key] = value
-    return value
-
-
-def compute_static_scores(query: HofQuery, store: Store, cache: Optional[dict] = None) -> tuple[float, float]:
-    """(selectivity, entropy_bits) of a query against the loaded data."""
-    sel = store.selectivity(query.predicate, query.join_path, needed=query.relations())
-    ent = _entropy_for(
-        store, query.predicate_columns(), query.join_path, query.relations(), cache if cache is not None else {}
-    )
-    return sel, ent
-
-
 def generate_queries(
     catalog: SchemaCatalog, cfg: GeneratorConfig, store: Store
 ) -> list[HofQuery]:
@@ -260,7 +240,9 @@ def generate_queries(
     combos = get_combinations(catalog, cfg)
     entities = catalog.entity_columns()
     criteria = sorted(catalog.ranking_criteria, key=RankingCriterion.sort_key)
-    entropy_cache: dict = {}
+    # (predicate columns, join path) -> entropy of their joint value
+    # distribution over the joined rows, shared by every query using them
+    entropies: dict[tuple, float] = {}
     queries: list[HofQuery] = []
 
     # relation set -> join_path's answer, searched once; a set with no tree
@@ -272,6 +254,7 @@ def generate_queries(
             needed1 = frozenset((e_attr.relation,)) | comb.relations()
             binding_cols = comb.binding_columns()
             fixed = comb.fixed_atoms()
+            pred_cols = tuple(sorted({*binding_cols, *(c for a in fixed for c in a.columns())}))
             counted: dict = {}  # relation set -> (instance -> [entities, rows], joined rows)
             for crit in criteria:
                 needed2 = needed1 | {crit.column.relation}
@@ -292,9 +275,14 @@ def generate_queries(
                     counted[needed2] = sizes, len(store.joined_rows(needed2, path2)[1])
                 sizes, n_joined = counted[needed2]
 
+                ent_key = (pred_cols, path2)
                 for inst, (n_entities, n_rows) in sizes.items():
                     if n_entities < cfg.k:
                         continue
+                    if ent_key not in entropies:  # the first surviving instance pays the one scan
+                        entropies[ent_key] = (
+                            entropy(store.instantiation_counts(list(pred_cols), path2, needed2)) if pred_cols else 0.0
+                        )
                     bindings = tuple(
                         ConstraintAtom(ATOM_BINDING, col, "=", value)
                         for col, value in zip(binding_cols, inst)
@@ -303,46 +291,11 @@ def generate_queries(
                         sorted(bindings + fixed, key=ConstraintAtom.sort_key)
                     )
                     sel = n_rows / n_joined
-                    ent = _entropy_for(
-                        store,
-                        tuple(sorted({c for a in predicate for c in a.columns()})),
-                        path2,
-                        needed2,
-                        entropy_cache,
-                    )
                     qid = query_identity(e_attr, predicate, crit, path2, cfg.k)
-                    queries.append(HofQuery(qid, e_attr, predicate, crit, path2, cfg.k, sel, ent))
+                    queries.append(HofQuery(qid, e_attr, predicate, crit, path2, cfg.k, sel, entropies[ent_key]))
 
     queries.sort(key=lambda q: (str(q.entity_attr), len(q.predicate), q.sql(), q.id))
     return queries
-
-
-def count_unpruned(catalog: SchemaCatalog, cfg: GeneratorConfig, store: Store) -> int:
-    """Number of queries that would be generated without the at-least-K rule.
-
-    Bindings still come from materialized value combinations; only the
-    result-size pruning is dropped, mirroring the generation baseline used
-    for trend comparisons.
-    """
-    combos = get_combinations(catalog, cfg)
-    criteria = sorted(catalog.ranking_criteria, key=RankingCriterion.sort_key)
-    total = 0
-    for e_attr in catalog.entity_columns():
-        for comb in combos:
-            needed1 = frozenset((e_attr.relation,)) | comb.relations()
-            path1 = join_path(catalog, needed1, cfg.j_num)
-            if path1 is None:
-                continue
-            binding_cols = list(comb.binding_columns())
-            n_insts = len(store.instantiation_counts(binding_cols, tuple(path1), needed1, comb.fixed_atoms()))
-            for crit in criteria:
-                needed2 = needed1 | {crit.column.relation}
-                if needed2 != needed1 and join_path(catalog, needed2, cfg.j_num) is None:
-                    continue
-                if not catalog.allows_relations(needed2):
-                    continue
-                total += n_insts
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,6 @@ class ChainStore:
         chain.pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
         return chain
 
-    def get(self, query_id: str, entity: Any) -> ImprovementChain | None:
-        return self._chains.get((query_id, entity))
-
 
 def aggregate_chain(chain: ImprovementChain) -> list[ImprovementPair]:
     """The suffix of the chain that counts as one combined improvement.

@@ -324,8 +324,13 @@ class Store:
         rows = table.rows
         return [rid for rid in candidates if all(rows[rid][pos[c]] == v for c, v in where.items())]
 
-    def apply_update(self, u: UpdateRecord) -> list[int]:
-        """Apply one update or insert; returns the touched row ids (sorted)."""
+    def apply_update(self, u: UpdateRecord, ids: Optional[list[int]] = None) -> list[int]:
+        """Apply one update or insert; returns the touched row ids (sorted).
+
+        ids, when given, must be what match_rows(u) returns in the current
+        state; a caller that already matched the update passes them so the
+        rows are not matched twice.
+        """
         table = self.table(u.table)
         pos = table.col_pos
         for col in u.set_values:
@@ -357,7 +362,8 @@ class Store:
         if u.kind != "update":
             raise UpdateError(f"update {u.seq}: unknown kind {u.kind!r}")
 
-        ids = self.match_rows(u)
+        if ids is None:
+            ids = self.match_rows(u)
         # validate every new value first so a bad update mutates nothing
         pending: list[tuple[int, str, Any]] = []
         for rid in ids:
@@ -473,21 +479,6 @@ class Store:
             rel_order.append(new_rel)
         return tuple(rel_order), envs
 
-    def _relations_for(
-        self,
-        path: tuple[JoinEdge, ...],
-        columns: Iterable[ColumnRef] = (),
-        atoms: Iterable[ConstraintAtom] = (),
-        needed: Optional[Iterable[str]] = None,
-    ) -> frozenset[str]:
-        rels = set(needed or ())
-        rels.update(c.relation for c in columns)
-        for atom in atoms:
-            rels.update(atom.relations())
-        for edge in path:
-            rels.update(edge.relations())
-        return frozenset(rels)
-
     # -- spec operations ----------------------------------------------------
 
     def instantiation_counts(
@@ -500,7 +491,9 @@ class Store:
         """Count each distinct projection of ``columns`` over the joined rows
         that satisfy the conjunction ``atoms``."""
         atoms = tuple(atoms)
-        rels = self._relations_for(tuple(path), columns, atoms, needed)
+        rels = frozenset(needed or ()).union(
+            (c.relation for c in columns), *(a.relations() for a in atoms), *(e.relations() for e in path)
+        )
         rel_order, envs = self.joined_rows(rels, tuple(path))
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         if atoms:
@@ -514,25 +507,6 @@ class Store:
             key = tuple(rows[env[i]][p] for i, p, rows in getters)
             counts[key] = counts.get(key, 0) + 1
         return counts
-
-    def selectivity(
-        self,
-        predicate: Iterable[ConstraintAtom],
-        path: tuple[JoinEdge, ...],
-        needed: Optional[Iterable[str]] = None,
-    ) -> float:
-        """Fraction of the joined rows satisfying the predicate."""
-        predicate = tuple(predicate)
-        rels = self._relations_for(tuple(path), atoms=predicate, needed=needed)
-        if not rels:
-            raise StoreError("selectivity needs at least one relation; pass needed=")
-        rel_order, envs = self.joined_rows(rels, tuple(path))
-        if not envs:
-            raise StoreError("empty data table")
-        rel_pos = {rel: i for i, rel in enumerate(rel_order)}
-        check = compile_predicate(predicate, rel_pos, self.tables)
-        hits = sum(1 for env in envs if check(env))
-        return hits / len(envs)
 
 
 # ---------------------------------------------------------------------------

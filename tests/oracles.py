@@ -8,7 +8,9 @@ purpose.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from halloffame import ColumnRef, Delta, HofQuery, UpdateRecord
@@ -129,6 +131,40 @@ def query_signature(q: HofQuery) -> tuple:
         q.criterion.aggregation,
         q.criterion.direction,
     )
+
+
+def _query_relations(q: HofQuery) -> set[str]:
+    """Every relation a query's fields name."""
+    rels = {q.entity_attr.relation, q.criterion.column.relation}
+    rels.update(r for edge in q.join_path for r in (edge.src.relation, edge.dst.relation))
+    for _, (rel, _), _, rhs in map(_atom_of, q.predicate):
+        rels.add(rel)
+        if isinstance(rhs, tuple):
+            rels.add(rhs[0])
+    return rels
+
+
+def oracle_selectivity(tables: dict[str, list[dict]], inst: Instance, q: HofQuery) -> float:
+    """Share of the rows joined over the query's relations that satisfy its
+    whole predicate."""
+    jrows = oracle_join(tables, inst.edges, _query_relations(q))
+    atoms = [_atom_of(a) for a in q.predicate]
+    return sum(all(oracle_check_atom(jr, a) for a in atoms) for jr in jrows) / len(jrows)
+
+
+def oracle_entropy_bits(tables: dict[str, list[dict]], inst: Instance, q: HofQuery) -> float:
+    """Shannon entropy (bits) of the joint values of the predicate's columns
+    over every row joined over the query's relations, the predicate unapplied;
+    0 for an empty predicate."""
+    columns = set()
+    for _, left, _, rhs in map(_atom_of, q.predicate):
+        columns.add(left)
+        if isinstance(rhs, tuple):
+            columns.add(rhs)
+    jrows = oracle_join(tables, inst.edges, _query_relations(q))
+    counts = Counter(tuple(jr[rel][col] for rel, col in sorted(columns)) for jr in jrows)
+    n = len(jrows)
+    return sum(c / n * math.log2(n / c) for c in counts.values())
 
 
 def _join_cost(inst: Instance, rels: set[str]) -> int | None:

@@ -193,6 +193,20 @@ class TestDetect:
 
         assert one_run() == one_run()
 
+    def test_each_update_matched_once(self, bloomberg_engine, monkeypatch):
+        _, store, engine = bloomberg_engine
+        matched = []
+        match_rows = store.match_rows
+        monkeypatch.setattr(store, "match_rows", lambda u: matched.append(u.seq) or match_rows(u))
+        updates = [
+            fig5_update(1),  # a criterion value: families extended once
+            UpdateRecord(2, "update", "company", {"c_countryid": 1}, {"c_id": 0}),  # a join column: twice
+            UpdateRecord(3, "update", "stockmarket", {"s_value": 5}, {"s_companyid": 999}),  # no row
+        ]
+        for u in updates:
+            engine.detect(u)
+        assert matched == [1, 2, 3]
+
     def test_invalid_update_leaves_store_untouched(self, bloomberg_engine):
         _, store, engine = bloomberg_engine
         before = [list(r) for r in store.table("stockmarket").rows]

@@ -7,8 +7,6 @@ from halloffame import (
     ColumnRef,
     GeneratorConfig,
     Store,
-    compute_static_scores,
-    count_unpruned,
     dump_queries,
     generate_queries,
     get_combinations,
@@ -17,7 +15,14 @@ from halloffame import (
 )
 from halloffame.generator import GenerationError
 from conftest import load_instance
-from oracles import make_instance, oracle_enumerate, oracle_eval_query, query_signature
+from oracles import (
+    make_instance,
+    oracle_entropy_bits,
+    oracle_enumerate,
+    oracle_eval_query,
+    oracle_selectivity,
+    query_signature,
+)
 
 THREE_CATS_CONFIG = """
 relations:
@@ -132,7 +137,8 @@ class TestGenerateQueries:
         catalog, store = load_instance(inst)
         for c_num in range(0, 4):
             cfg = GeneratorConfig(k=3, c_num=c_num, j_num=2)
-            assert len(generate_queries(catalog, cfg, store)) <= count_unpruned(catalog, cfg, store)
+            # every instance with at least one entity, queried or not
+            assert len(generate_queries(catalog, cfg, store)) <= len(oracle_enumerate(inst, 1, c_num, 2))
 
     def test_ids_stable_across_runs(self):
         rng = random.Random(21)
@@ -161,17 +167,17 @@ class TestGenerateQueries:
 class TestStaticScores:
     def test_fields_match_recomputation(self):
         rng = random.Random(41)
-        inst = make_instance(rng, n_rows=90)
-        catalog, store = load_instance(inst)
-        queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=2, j_num=0), store)
-        assert queries
-        cache = {}
-        for q in queries:
-            sel, bits = compute_static_scores(q, store, cache)
-            assert q.selectivity == pytest.approx(sel)
-            assert q.entropy_bits == pytest.approx(bits)
-            assert 0.0 <= q.selectivity <= 1.0
-            assert q.entropy_bits >= 0.0
+        one_table = make_instance(rng, n_rows=90)
+        joined = make_instance(rng, n_rows=90, two_tables=True, with_user_atom=True)
+        for inst, j_num in ((one_table, 0), (joined, 1)):
+            catalog, store = load_instance(inst)
+            queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=2, j_num=j_num), store)
+            assert queries
+            for q in queries:
+                assert q.selectivity == pytest.approx(oracle_selectivity(inst.tables, inst, q))
+                assert q.entropy_bits == pytest.approx(oracle_entropy_bits(inst.tables, inst, q))
+                assert 0.0 <= q.selectivity <= 1.0
+                assert q.entropy_bits >= 0.0
 
     def test_true_predicate_scores(self):
         rng = random.Random(42)

@@ -36,15 +36,14 @@ def event(qid="q", ent="e", frm=10, to=5, seq=1):
 class TestChains:
     def test_first_event_creates_chain(self):
         chains = ChainStore()
-        chains.record(event(seq=1), 1000)
-        chain = chains.get("q", "e")
+        chain = chains.record(event(seq=1), 1000)
         assert chain.pairs == [ImprovementPair(1, 10, 5)]
 
     def test_old_pairs_evicted_on_next_record(self):
         chains = ChainStore()
         chains.record(event(seq=1), 10)
-        chains.record(event(seq=12, frm=5, to=4), 10)
-        assert [p.seq for p in chains.get("q", "e").pairs] == [12]
+        chain = chains.record(event(seq=12, frm=5, to=4), 10)
+        assert [p.seq for p in chain.pairs] == [12]
 
     def test_two_jumps_kept_while_in_window(self):
         chains = ChainStore()

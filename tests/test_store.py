@@ -1,11 +1,14 @@
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from halloffame import (
     ColumnRef,
@@ -28,7 +31,7 @@ from halloffame import (
 )
 from halloffame.store import UpdateError
 from conftest import load_instance
-from oracles import make_instance, make_updates, oracle_eval_query
+from oracles import make_instance, make_updates, oracle_apply, oracle_eval_query
 
 PLAYS_CONFIG = """
 relations:
@@ -344,40 +347,42 @@ class TestEvaluateHof:
 
 
 class TestSelectivityAndCounts:
+    @staticmethod
+    def selectivities(catalog, store, c_num=1):
+        """predicate -> selectivity of every query generated at k=1; the
+        catalogs used have one entity attribute and one criterion relation,
+        so a predicate's queries share one selectivity."""
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=c_num, j_num=0), store)
+        return {q.predicate: q.selectivity for q in queries}
+
     def test_true_predicate_is_one(self, plays):
-        _, store = plays
-        assert store.selectivity((), (), needed={"plays"}) == 1.0
+        assert self.selectivities(*plays)[()] == 1.0
 
     def test_league_binding_fraction(self, plays):
-        _, store = plays
         atom = ConstraintAtom("binding", ColumnRef("plays", "league"), "=", "NBA")
-        assert store.selectivity((atom,), ()) == pytest.approx(0.8)
+        assert self.selectivities(*plays)[(atom,)] == pytest.approx(0.8)
 
-    def test_unsatisfiable_binding_is_zero(self, plays):
-        _, store = plays
-        atom = ConstraintAtom("binding", ColumnRef("plays", "league"), "=", "XFL")
-        assert store.selectivity((atom,), ()) == 0.0
+    def test_absent_value_generates_no_query(self, plays):
+        league = ColumnRef("plays", "league")
+        selectivity = self.selectivities(*plays)
+        assert (ConstraintAtom("binding", league, "=", "XFL"),) not in selectivity
+        assert {p[0].right for p in selectivity if p and p[0].left == league} == {"NBA", "ABA"}
 
-    def test_empty_table_is_an_error(self):
+    def test_empty_table_generates_nothing(self):
         catalog = load_catalog(PLAYS_CONFIG)
         store = Store(catalog)
         store.load_table("plays", "pid,team,year,league,points\n")
-        atom = ConstraintAtom("binding", ColumnRef("plays", "league"), "=", "NBA")
-        with pytest.raises(StoreError, match="empty data table"):
-            store.selectivity((atom,), ())
+        assert generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=0), store) == []
 
-    def test_monotone_under_added_conjuncts(self):
-        rng = random.Random(5)
-        inst = make_instance(rng, n_rows=150)
-        _, store = load_instance(inst)
-        c1 = ColumnRef("stats", "c1")
-        c2 = ColumnRef("stats", "c2")
-        for value1 in ("a0", "a1", "a2"):
-            a1 = ConstraintAtom("binding", c1, "=", value1)
-            base = store.selectivity((a1,), ())
-            for value2 in ("b0", "b1"):
-                a2 = ConstraintAtom("binding", c2, "=", value2)
-                assert store.selectivity((a1, a2), ()) <= base
+    def test_monotone_under_added_conjuncts(self, plays):
+        checked = 0
+        for catalog, store in (plays, load_instance(make_instance(random.Random(5), n_rows=150))):
+            selectivity = self.selectivities(catalog, store, c_num=2)
+            for predicate, value in selectivity.items():
+                for fewer in itertools.combinations(predicate, len(predicate) - 1) if predicate else ():
+                    assert value <= selectivity[fewer]
+                    checked += 1
+        assert checked > 50
 
     def test_projection_counts(self, plays):
         _, store = plays
@@ -540,3 +545,123 @@ class TestUpdateStreamIO:
         got = list(read_update_stream(text, lambda lineno, exc: seen.append(lineno)))
         assert got == [update_from_json(good)]
         assert seen == [1, 3]
+
+
+@functools.cache
+def model_inputs():
+    """A two-table instance small enough to check every ranking after every
+    step, and the queries generated from it."""
+    inst = make_instance(
+        random.Random(11), n_rows=30, n_entities=8, n_c1=3, n_c2=3,
+        two_tables=True, n_teams=4, with_user_atom=True, value_range=60,
+    )
+    catalog, store = load_instance(inst)
+    return inst, tuple(generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store))
+
+
+ROW = st.integers(0, 10**6)  # any stats row, by position modulo the row count
+
+
+class EngineModel(RuleBasedStateMachine):
+    """A store and its filtered engine against the oracle: after every step
+    each table's indices and key index equal ones rebuilt from its rows, the
+    rows equal the oracle's, and every ranking equals oracle_eval_query over
+    the oracle's tables. A rejected step changes nothing."""
+
+    def __init__(self):
+        super().__init__()
+        self.inst, queries = model_inputs()
+        catalog, self.store = load_instance(self.inst)
+        self.engine = Engine(catalog, self.store, queries)
+        self.tables = {name: [dict(r) for r in rows] for name, rows in self.inst.tables.items()}
+        self.seq = 0
+        self.next_sid = len(self.tables["stats"])
+
+    def sid(self, i: int) -> int:
+        rows = self.tables["stats"]
+        return rows[i % len(rows)]["sid"]
+
+    def update(self, kind: str, table: str, set_values: dict, where: dict) -> UpdateRecord:
+        self.seq += 1
+        return UpdateRecord(self.seq, kind, table, set_values, where)
+
+    def apply(self, *args) -> None:
+        u = self.update(*args)
+        self.engine.detect(u)
+        oracle_apply(self.tables, u)
+
+    def reject(self, *args) -> None:
+        u = self.update(*args)
+        before = snapshot(self.store, self.engine)
+        with pytest.raises(UpdateError, match=f"update {u.seq}|insert {u.seq}"):
+            self.engine.detect(u)
+        assert snapshot(self.store, self.engine) == before
+
+    @rule(i=ROW, col=st.sampled_from(["m1", "m2"]), value=st.integers(0, 60))
+    def literal_write(self, i, col, value):
+        self.apply("update", "stats", {col: value}, {"sid": self.sid(i)})
+
+    @rule(c1=st.sampled_from(["a0", "a1", "a2"]), col=st.sampled_from(["m1", "m2"]), amount=st.integers(-20, 20))
+    def delta_write_to_group(self, c1, col, amount):
+        self.apply("update", "stats", {col: Delta(amount)}, {"c1": c1})
+
+    @rule(i=ROW, col=st.sampled_from(["c1", "c2"]), value=st.integers(0, 3))
+    def categorical_move(self, i, col, value):
+        self.apply("update", "stats", {col: f"{'a' if col == 'c1' else 'b'}{value}"}, {"sid": self.sid(i)})
+
+    @rule(t=st.integers(0, 3), league=st.sampled_from(["L0", "L1", "L2"]))
+    def league_move(self, t, league):
+        self.apply("update", "teams", {"league": league}, {"t_id": t})
+
+    @rule(i=ROW, player=st.integers(0, 8))
+    def entity_move(self, i, player):
+        self.apply("update", "stats", {"player": f"p{player:03d}"}, {"sid": self.sid(i)})
+
+    @rule(i=ROW, team=st.integers(0, 4))  # team 4 joins no team row
+    def team_move(self, i, team):
+        self.apply("update", "stats", {"team_id": team}, {"sid": self.sid(i)})
+
+    @rule(player=st.integers(0, 8), c=st.integers(0, 3), m=st.integers(0, 60), team=st.integers(0, 3))
+    def insert(self, player, c, m, team):
+        row = {"sid": self.next_sid, "player": f"p{player:03d}", "c1": f"a{c}", "c2": f"b{c}", "m1": m, "m2": 60 - m,
+               "team_id": team}
+        self.next_sid += 1
+        self.apply("insert", "stats", row, {})
+
+    @rule(i=ROW)
+    def key_move(self, i):
+        self.apply("update", "stats", {"sid": self.next_sid}, {"sid": self.sid(i)})
+        self.next_sid += 1
+
+    @rule(i=ROW, j=ROW)
+    def duplicate_key_rejected(self, i, j):
+        if self.sid(i) != self.sid(j):
+            self.reject("update", "stats", {"sid": self.sid(j)}, {"sid": self.sid(i)})
+        row = dict(self.tables["stats"][i % len(self.tables["stats"])])
+        self.reject("insert", "stats", row, {})
+
+    @rule(i=ROW)
+    def wrong_typed_where_rejected(self, i):
+        self.reject("update", "stats", {"m1": Delta(1)}, {"sid": str(self.sid(i))})
+
+    @invariant()
+    def indices_match_rows(self):
+        for name, table in self.store.tables.items():
+            columns = table.meta.column_names()
+            assert [dict(zip(columns, row)) for row in table.rows] == self.tables[name]
+            rebuilt = {col: {} for col in table.indices}
+            for rid, row in enumerate(table.rows):
+                for col, index in rebuilt.items():
+                    index.setdefault(row[table.col_pos[col]], set()).add(rid)
+            assert table.indices == rebuilt
+            keys = {tuple(row[table.col_pos[c]] for c in table.meta.key_columns): rid for rid, row in enumerate(table.rows)}
+            assert table.key_index == keys and len(keys) == len(table.rows)
+
+    @invariant()
+    def rankings_match_oracle(self):
+        for q in self.engine.queries.values():
+            assert list(self.engine.rankings[q.id].entries) == oracle_eval_query(self.tables, self.inst, q), q.sql()
+
+
+EngineModel.TestCase.settings = settings(max_examples=30, stateful_step_count=20, derandomize=True, deadline=None)
+TestEngineModel = EngineModel.TestCase
