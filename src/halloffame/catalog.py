@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 import yaml
 
 
@@ -271,11 +272,12 @@ def load_catalog(config_text: str) -> SchemaCatalog:
     criterion on a text column, ...).
     """
     doc = _parse_yaml(config_text)
-    try:
-        jsonschema.validate(doc, _config_schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<top>"
-        raise CatalogError(f"config schema violation at {path}: {exc.message}") from exc
+    # the packaged schema is checked against its metaschema by the tests, not at every load
+    schema = _config_schema()
+    error = best_match(validator_for(schema)(schema).iter_errors(doc))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<top>"
+        raise CatalogError(f"config schema violation at {path}: {error.message}") from error
 
     raw_relations = doc.get("relations") or []
     if not raw_relations:

@@ -12,8 +12,12 @@ counts are shared by every criterion over the same relations.
 Each query carries the two static scores the scorer ranks its events by:
 its selectivity (the share of the joined rows its predicate keeps, taken
 from the same count) and the entropy of its predicate columns' joint value
-distribution over the joined rows, counted once per (predicate columns,
-join path) when the first query using them survives.
+distribution over the joined rows, computed once per (predicate columns,
+join path) when the first query using them survives. Without fixed atoms
+the predicate columns are the binding columns, so that distribution is the
+count's rows per instance and needs no scan of its own. With fixed atoms
+the count kept only the rows that pass them, so the distribution over all
+joined rows takes one more count.
 """
 
 from __future__ import annotations
@@ -279,10 +283,13 @@ def generate_queries(
                 for inst, (n_entities, n_rows) in sizes.items():
                     if n_entities < cfg.k:
                         continue
-                    if ent_key not in entropies:  # the first surviving instance pays the one scan
-                        entropies[ent_key] = (
-                            entropy(store.instantiation_counts(list(pred_cols), path2, needed2)) if pred_cols else 0.0
-                        )
+                    if ent_key not in entropies:  # the first surviving instance pays for it
+                        if not pred_cols:
+                            entropies[ent_key] = 0.0
+                        elif fixed:  # the count kept only the rows that pass the fixed atoms
+                            entropies[ent_key] = entropy(store.instantiation_counts(list(pred_cols), path2, needed2))
+                        else:  # the predicate columns are the binding columns: the count's row counts
+                            entropies[ent_key] = entropy({key: rows for key, (_, rows) in sizes.items()})
                     bindings = tuple(
                         ConstraintAtom(ATOM_BINDING, col, "=", value)
                         for col, value in zip(binding_cols, inst)

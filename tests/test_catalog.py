@@ -1,3 +1,7 @@
+import importlib.resources
+import json
+
+import jsonschema
 import pytest
 import yaml
 
@@ -163,6 +167,30 @@ entity_attrs: [x]
         )
         catalog = load_catalog(config)
         assert any(a.comparator == ">=" for a in catalog.user_constraints)
+
+    def test_packaged_schema_passes_its_metaschema(self):
+        # load_catalog trusts the packaged schema and does not re-check it
+        schema = json.loads(importlib.resources.files("halloffame").joinpath("catalog_schema.json").read_text("utf-8"))
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "relations: 3\n",
+            "relations:\n  - name: a\n",
+            "relations:\n  - {name: a, columns: [{name: x, type: blob}]}\n",
+            "relations:\n  - {name: a, columns: [{name: x, type: integer}]}\nranking_criteria: [{column: x}]\n",
+            "relations:\n  - {name: a, columns: [{name: x, type: integer}]}\nsurprise: 1\n",
+        ],
+    )
+    def test_schema_violation_names_best_match(self, config):
+        schema = json.loads(importlib.resources.files("halloffame").joinpath("catalog_schema.json").read_text("utf-8"))
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(yaml.safe_load(config), schema)
+        path = "/".join(str(p) for p in expected.value.absolute_path) or "<top>"
+        with pytest.raises(CatalogError) as got:
+            load_catalog(config)
+        assert str(got.value) == f"config schema violation at {path}: {expected.value.message}"
 
     def test_round_trip(self, bloomberg):
         catalog, _ = bloomberg

@@ -19,6 +19,7 @@ from halloffame import (
     load_catalog,
     load_queries,
 )
+from halloffame.detector import EntityOrder
 from halloffame.store import RankingState, Store, build_ranking
 from conftest import load_instance
 from oracles import (
@@ -44,7 +45,7 @@ def bloomberg_engine(bloomberg):
 
 def queries_of(engine, fids):
     """Ids of the queries in the given families."""
-    return {qid for fid in fids for qids in engine.families[fid].members.values() for qid in qids}
+    return {qid for fid in fids for per_column in engine.families[fid].members.values() for qids in per_column for qid in qids}
 
 
 def column_candidates(engine, u):
@@ -56,7 +57,7 @@ def lookup(engine, u, rows):
     """Ids of the queries whose instances the family lookup reaches from the
     given rows of u.table."""
     families = [engine.families[fid] for fid in column_filter(u, engine.column_index)]
-    return {qid for fam, inst, _, _ in engine.row_filter(u, rows, families) for qid in fam.members[inst]}
+    return {qid for fam, inst, _, _ in engine.row_filter(u, rows, families) for qids in fam.members[inst] for qid in qids}
 
 
 class TestColumnIndex:
@@ -465,8 +466,10 @@ class TestMaintainedOrder:
         store.load_table("games", "gid,player,team,pts,rating\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
         queries = load_queries(self.query_catalog(), catalog)
         engine = Engine(catalog, store, queries)
-        assert len(engine.families) == 2
-        assert all(len(qids) == len(GAMES_QUERIES) // 2 for fam in engine.families for qids in fam.members.values())
+        # one family holds both criterion columns, integer pts and real rating
+        (fam,) = engine.families
+        assert fam.columns == (ColumnRef("games", "pts"), ColumnRef("games", "rating")) and fam.real == (False, True)
+        assert all(len(qids) == len(GAMES_QUERIES) // 2 for per_column in fam.members.values() for qids in per_column)
         columns = ["gid", "player", "team", "pts", "rating"]
         tables = {"games": [dict(zip(columns, r)) for r in rows]}
         seen = {"tie": 0, "rebuilt": 0, "skipped": 0, "entities": set()}
@@ -479,9 +482,9 @@ class TestMaintainedOrder:
             assert stats.rebuilt <= stats.row_candidates
             seen["rebuilt"] += stats.rebuilt
             seen["skipped"] += stats.row_candidates - stats.rebuilt
-            for fam in engine.families:
-                for inst, qids in fam.members.items():
-                    totals = {e: float(t) for e, t in fam.totals[inst].items()} if fam.real else fam.totals[inst]
+            for inst, per_column in fam.members.items():
+                for qids, column_totals, real in zip(per_column, fam.totals[inst], fam.real):
+                    totals = {e: float(t) for e, t in column_totals.items()} if real else column_totals
                     seen["entities"] |= set(totals)
                     for qid in qids:
                         q = engine.queries[qid]
@@ -667,10 +670,101 @@ class TestNetZero:
         catalog, store, queries = self.setup()
         engine = Engine(catalog, store, queries)
         u = UpdateRecord(1, "update", "games", set_values, where)
-        families = column_filter(u, engine.column_index)
         assert engine.detect(u) == []
         # row candidates still count the queries of every instance that a
-        # contribution named before netting: here the red one of each family
-        assert engine.last_stats.row_candidates == len(GAMES_QUERIES) // 2 * len(families)
+        # contribution named before netting: here the red queries that read
+        # a written column
+        written = {ColumnRef("games", column) for column in set_values}
+        red = [q for q in queries if q.id.startswith("red-")]
+        assert engine.last_stats.row_candidates == sum(bool(q.referenced_columns & written) for q in red)
         assert engine.last_stats.rebuilt == 0
         self.assert_fresh(catalog, store, queries, engine)
+
+
+class TestMergedFamily:
+    """One family holds every criterion column of a group, here integer pts
+    and real rating. A write to one column moves only the orders of that
+    column's queries; an update that may change the joined rows extends
+    them once per family, not once per column."""
+
+    ROWS = [
+        [0, "p1", "red", 2, 0.25],
+        [1, "p1", "red", 4, 0.75],
+        [2, "p2", "red", 3, 0.5],
+        [3, "p3", "red", 1, 1.5],
+        [4, "p4", "red", 0, 2.5],
+        [5, "p2", "blue", 5, 0.125],
+        [6, "p4", "blue", 0, 2.0],
+        [7, "p5", "blue", 2, 0.1],
+    ]
+
+    def setup(self):
+        catalog = load_catalog(GAMES_CATALOG)
+        store = TestNetZero.store_of(catalog, self.ROWS)
+        queries = load_queries(TestMaintainedOrder().query_catalog(), catalog)
+        engine = Engine(catalog, store, queries)
+        assert len(engine.families) == 1
+        return catalog, store, queries, engine
+
+    @pytest.mark.parametrize(
+        "column, set_values, where",
+        [
+            ("pts", {"pts": 9}, {"gid": 3}),  # p3 to the top of every pts ranking
+            ("pts", {"pts": Delta(-4)}, {"player": "p1"}),
+            ("rating", {"rating": 3.5}, {"gid": 0}),  # p1 to the top of every rating ranking
+            ("rating", {"rating": Delta(0.3)}, {"team": "blue"}),
+        ],
+    )
+    def test_column_write_moves_only_its_queries(self, monkeypatch, column, set_values, where):
+        catalog, store, queries, engine = self.setup()
+        others = {q.id for q in queries if q.criterion.column.column != column}
+        keys = {qid: list(engine.orders[qid].keys) for qid in others}
+        rankings = {qid: engine.rankings[qid] for qid in others}
+        moved = set()
+
+        def recording(method):
+            def wrapped(order, changed, present):
+                if any(e in present for e in changed):
+                    moved.add(next(qid for qid, o in engine.orders.items() if o is order))
+                return method(order, changed, present)
+
+            return wrapped
+
+        for name in ("remove", "insert"):
+            monkeypatch.setattr(EntityOrder, name, recording(getattr(EntityOrder, name)))
+        engine.detect(UpdateRecord(1, "update", "games", set_values, where))
+        assert moved and not moved & others
+        assert {qid: engine.orders[qid].keys for qid in others} == keys
+        assert all(engine.rankings[qid] is rankings[qid] for qid in others)  # none rebuilt
+        stats = engine.last_stats
+        assert stats.column_candidates == len(queries) - len(others)
+        assert 0 < stats.rebuilt <= stats.row_candidates <= len(queries) - len(others)
+        fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
+        assert engine.rankings == fresh.rankings
+
+    @pytest.mark.parametrize(
+        "kind, set_values, where, calls",
+        [
+            ("update", {"team": "blue"}, {"gid": 2}, 2),  # a shape write: before and after
+            ("update", {"player": "p5", "pts": 7}, {"gid": 4}, 2),
+            ("insert", {"gid": 8, "player": "p6", "team": "red", "pts": 6, "rating": 0.5}, {}, 1),  # after only
+            ("update", {"pts": 7, "rating": 0.5}, {"gid": 4}, 1),  # both criteria, no shape column: once
+        ],
+    )
+    def test_rows_extended_once_per_family(self, kind, set_values, where, calls):
+        catalog, store, queries, engine = self.setup()
+        (fam,) = engine.families
+        extended = []
+        plan = fam.plans["games"]
+
+        def counting(rows):
+            extended.append(list(rows))
+            return plan(extended[-1])
+
+        fam.plans["games"] = counting
+        engine.detect(UpdateRecord(1, kind, "games", set_values, where))
+        assert len(extended) == calls and all(len(rows) == 1 for rows in extended)
+        assert engine.last_stats.column_candidates == len(queries)
+        fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
+        assert engine.rankings == fresh.rankings
+        assert {qid: o.keys for qid, o in engine.orders.items()} == {qid: o.keys for qid, o in fresh.orders.items()}

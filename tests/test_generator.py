@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -198,6 +199,36 @@ class TestStaticScores:
         c1_queries = [q for q in queries if q.predicate_columns() == (c1,)]
         assert len({q.entropy_bits for q in c1_queries}) == 1
         assert len({q.selectivity for q in c1_queries}) > 1
+
+
+class TestPinnedCatalogs:
+    """Query catalogs pinned bit for bit: the score tests compare with
+    pytest.approx, so they cannot see a change in a float's last bit, say
+    from summing an entropy in another order."""
+
+    @staticmethod
+    def digest(queries) -> str:
+        return hashlib.sha256(dump_queries(queries).encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize(
+        "k, c_num, j_num, digest",
+        [
+            (1, 1, 1, "5cbe62479ebf1a5ab4b6ffc68a358c95dbf60adc6c2fe8f98120740cf7be5ef2"),
+            (2, 2, 2, "324e5c2393a82a305e69e436dfe7df5b5919d35ed0634c33f3f19a513ba83d52"),
+            (2, 3, 1, "51e466e7469118c9165e6710ce5538b2e55dd8e7ac9d1211600440a532a0691a"),
+            (3, 3, 3, "06fce4bf04dee0e86c74b95d988f88fec2c690cf1d5545b1486ae7ac56b2f94c"),
+        ],
+    )
+    def test_bloomberg(self, bloomberg, k, c_num, j_num, digest):
+        catalog, store = bloomberg
+        assert self.digest(generate_queries(catalog, GeneratorConfig(k=k, c_num=c_num, j_num=j_num), store)) == digest
+
+    def test_user_atom(self):
+        # queries with the fixed user atom take their entropy from a separate scan
+        catalog, store = load_instance(make_instance(random.Random(3), two_tables=True, with_user_atom=True))
+        queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store)
+        assert (len(queries), sum(bool(q.fixed_atoms()) for q in queries)) == (140, 26)
+        assert self.digest(queries) == "d7c3f48d0d43e9256b9a664989263af3e6c158cbb5dadafa9a8e8b14bf001c72"
 
 
 class TestPersistence:
