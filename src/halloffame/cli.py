@@ -52,6 +52,11 @@ def _load_store(catalog: SchemaCatalog, data_dir: Path) -> Store:
     return store
 
 
+def _echo_seconds(label: str, seconds: float) -> None:
+    """Print one set-up line: how long a part of start-up took."""
+    click.echo(f"{label:22s} {seconds:.3f}")
+
+
 def _event_line(event: ScoredEvent, sql: str) -> str:
     doc = {
         "seq": event.seq,
@@ -121,7 +126,9 @@ def main():
 def generate(config_path, data_dir, out_path, k, cnum, jnum):
     """Enumerate all valid queries and persist the query catalog."""
     catalog = _load_catalog(config_path)
+    started = time.perf_counter()
     store = _load_store(catalog, data_dir)
+    _echo_seconds("csv load s", time.perf_counter() - started)
     try:
         cfg = GeneratorConfig(k=k, c_num=cnum, j_num=jnum)
     except ValueError as exc:
@@ -129,6 +136,7 @@ def generate(config_path, data_dir, out_path, k, cnum, jnum):
     started = time.perf_counter()
     queries = generate_queries(catalog, cfg, store)
     elapsed = time.perf_counter() - started
+    _echo_seconds("generate s", elapsed)
     out_path.write_text(dump_queries(queries), encoding="utf-8")
     click.echo(f"generated {len(queries)} queries in {elapsed:.2f}s -> {out_path}")
 
@@ -184,17 +192,21 @@ def run(
 ):
     """Stream updates through detection and scoring; write the event log."""
     catalog = _load_catalog(config_path)
+    started = time.perf_counter()
     store = _load_store(catalog, data_dir)
+    _echo_seconds("csv load s", time.perf_counter() - started)
     try:
         queries = load_queries(_read_file(queries_path, "query catalog"), catalog)
         scorer_cfg = ScorerConfig(b=b, k=k, window_updates=window, groups=groups)
     except (GenerationError, CatalogError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 
+    started = time.perf_counter()
     try:
         engine = Engine(catalog, store, queries, filters_enabled=not no_filters)
     except StoreError as exc:
         raise click.ClickException(f"engine start-up: {exc}") from exc
+    _echo_seconds("engine start-up s", time.perf_counter() - started)
     chains = ChainStore()
     by_id = engine.queries
     window_events: deque[ScoredEvent] = deque()

@@ -20,6 +20,12 @@ every update that changes a value clears the whole cache. Set-up never
 writes, so its scans share every entry; the delta path reads no joined
 rows, so only the from-scratch reference path rebuilds them after each
 write.
+
+Set-up in bulk: loading, joining and counting do start-up's per-row work,
+so each works a row or a column at a time: one comprehension of
+per-column converters per CSV row, one sort per join bucket and edge,
+and one Counter over the zipped values of each column, whose loop runs in
+C and builds no key in Python.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import json
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
@@ -140,6 +147,7 @@ class Table:
             col: {} for col in indexed_columns if col in self.col_pos
         }
         self.key_index: dict[tuple, int] = {}
+        self._key_pos = [self.col_pos[c] for c in meta.key_columns]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -151,7 +159,7 @@ class Table:
             self.key_index[self._key_of(row)] = rid
 
     def _key_of(self, row: list) -> tuple:
-        return tuple(row[self.col_pos[c]] for c in self.meta.key_columns)
+        return tuple(map(row.__getitem__, self._key_pos))
 
     def append_row(self, row: list) -> int:
         rid = len(self.rows)
@@ -175,6 +183,17 @@ def _coerce_cell(text: str, col_type: str, where: str) -> Any:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# per column type: text -> value, raising ValueError where _coerce_cell raises
+_CONVERTERS: dict[str, Callable[[str], Any]] = {"text": sys.intern, "integer": int, "real": _finite_float}
+
+
 def _check_value(value: Any, col_type: str, where: str) -> Any:
     if col_type == "text":
         if not isinstance(value, str):
@@ -195,7 +214,13 @@ def _check_value(value: Any, col_type: str, where: str) -> Any:
 
 
 def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str] = ()) -> Table:
-    """Build a table from CSV text (UTF-8, header row, RFC-4180 quoting)."""
+    """Build a table from CSV text (UTF-8, header row, RFC-4180 quoting).
+
+    Each row is converted in one comprehension of per-column converters
+    (sys.intern, int, a float that rejects non-finite values); a row that
+    raises is converted again cell by cell with _coerce_cell, which names
+    the bad cell.
+    """
     reader = csv.reader(io.StringIO(csv_text))
     try:
         header = next(reader)
@@ -217,17 +242,21 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
     table = Table(meta, indexed_columns)
     src_pos = [header.index(c) for c in declared]
     types = [t for _, t in meta.columns]
+    converters = [(_CONVERTERS[t], src) for t, src in zip(types, src_pos)]
     for rownum, record in enumerate(reader, start=1):
         if not record:
             continue
         if len(record) != len(header):
             raise CsvLoadError(f"table {meta.name!r}, row {rownum}: expected {len(header)} cells")
-        row = [
-            _coerce_cell(record[src], types[i], f"table {meta.name!r}, row {rownum}, column {declared[i]!r}")
-            for i, src in enumerate(src_pos)
-        ]
+        try:
+            row = [convert(record[src]) for convert, src in converters]
+        except ValueError:  # the cell-by-cell path names the bad cell
+            row = [
+                _coerce_cell(record[src], types[i], f"table {meta.name!r}, row {rownum}, column {declared[i]!r}")
+                for i, src in enumerate(src_pos)
+            ]
         if meta.key_columns:
-            key = tuple(row[table.col_pos[c]] for c in meta.key_columns)
+            key = table._key_of(row)
             if key in table.key_index:
                 raise CsvLoadError(f"table {meta.name!r}, row {rownum}: duplicate key {key}")
         table.append_row(row)
@@ -451,6 +480,10 @@ class Store:
         return cached
 
     def _join(self, start: str, path: tuple[JoinEdge, ...]) -> tuple[tuple[str, ...], list[tuple]]:
+        """The joined envs of a path, uncached: the start relation's row ids
+        in order, each extended per edge by the matching rows of the new
+        relation in ascending row id. Each distinct join value's index
+        bucket is sorted once per edge, not once per env that reaches it."""
         rel_order = [start]
         envs = [(rid,) for rid in range(len(self.table(start).rows))]
         for edge in path:
@@ -470,12 +503,10 @@ class Store:
             oi = rel_order.index(old_ref.relation)
             opos = to_table.col_pos[old_ref.column]
             orows = to_table.rows
-            extended = []
-            for env in envs:
-                value = orows[env[oi]][opos]
-                for rid_n in sorted(idx.get(value, ())):
-                    extended.append(env + (rid_n,))
-            envs = extended
+            values = [orows[env[oi]][opos] for env in envs]
+            # each bucket sorted once, as one-element tuples ready to append
+            buckets = {v: [(rid,) for rid in sorted(idx.get(v, ()))] for v in set(values)}
+            envs = [env + tail for env, v in zip(envs, values) for tail in buckets[v]]
             rel_order.append(new_rel)
         return tuple(rel_order), envs
 
@@ -489,7 +520,13 @@ class Store:
         atoms: Iterable[ConstraintAtom] = (),
     ) -> dict[tuple, int]:
         """Count each distinct projection of ``columns`` over the joined rows
-        that satisfy the conjunction ``atoms``."""
+        that satisfy the conjunction ``atoms``.
+
+        Keys come in the order they are first met over the joined rows. The
+        count is one Counter over the zip of one lazy map chain per column
+        (env -> row -> value), so no per-row key is built in Python. With no
+        columns every row projects to (): {(): rows}, or {} when none pass.
+        """
         atoms = tuple(atoms)
         rels = frozenset(needed or ()).union(
             (c.relation for c in columns), *(a.relations() for a in atoms), *(e.relations() for e in path)
@@ -497,16 +534,16 @@ class Store:
         rel_order, envs = self.joined_rows(rels, tuple(path))
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         if atoms:
-            envs = filter(compile_predicate(atoms, rel_pos, self.tables), envs)
-        getters = [
-            (rel_pos[c.relation], self.table(c.relation).col_pos[c.column], self.table(c.relation).rows)
-            for c in columns
-        ]
-        counts: dict[tuple, int] = {}
-        for env in envs:
-            key = tuple(rows[env[i]][p] for i, p, rows in getters)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+            envs = list(filter(compile_predicate(atoms, rel_pos, self.tables), envs))
+        if not columns:
+            return {(): len(envs)} if envs else {}
+
+        def values(c: ColumnRef) -> Iterator:
+            table = self.table(c.relation)
+            rows = map(table.rows.__getitem__, map(operator.itemgetter(rel_pos[c.relation]), envs))
+            return map(operator.itemgetter(table.col_pos[c.column]), rows)
+
+        return Counter(zip(*map(values, columns)))
 
 
 # ---------------------------------------------------------------------------

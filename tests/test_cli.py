@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,21 @@ def run_cmd(runner, bloomberg_dir, tmp_path, queries, updates_text, extra=(), ev
 
 
 class TestRun:
+    def test_set_up_times_come_first(self, runner, bloomberg_dir, tmp_path):
+        # generate: CSV loading, then generation; run: CSV loading, then
+        # engine start-up; each line is a label and seconds to 3 places
+        queries, generated = gen(runner, bloomberg_dir, tmp_path)
+        _, ran = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
+        assert ran.exit_code == 0, ran.output
+        for result, labels, rest in (
+            (generated, ["csv load s", "generate s"], r"generated \d+ queries in \d+\.\d\ds -> "),
+            (ran, ["csv load s", "engine start-up s"], r"updates processed      1$"),
+        ):
+            lines = result.output.splitlines()
+            assert [re.sub(r" +\d+\.\d{3}$", "", line) for line in lines[:2]] == labels
+            assert all(re.fullmatch(r"[a-z -]+s +\d+\.\d{3}", line) for line in lines[:2])
+            assert re.match(rest, lines[2])
+
     def test_zero_update_stream(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
         events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, "")

@@ -3,7 +3,9 @@ import dataclasses
 import functools
 import io
 import itertools
+import operator
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -29,7 +31,7 @@ from halloffame import (
     update_to_json,
     write_update_stream,
 )
-from halloffame.store import UpdateError
+from halloffame.store import CsvLoadError, UpdateError, _coerce_cell
 from conftest import load_instance
 from oracles import make_instance, make_updates, oracle_apply, oracle_eval_query
 
@@ -127,6 +129,46 @@ class TestLoadTable:
         dup = "pid,team,year,league,points\n1,A,2010,NBA,1\n1,B,2010,NBA,2\n"
         with pytest.raises(StoreError, match="duplicate key"):
             store.load_table("plays", dup)
+
+    def test_located_error_texts(self):
+        real = load_catalog(PLAYS_CONFIG.replace("points, type: integer", "points, type: real"))
+        header = "pid,team,year,league,points\n"
+        cases = [
+            (PLAYS_CONFIG, "abc,A,2010,NBA,1\n", "table 'plays', row 1, column 'pid': cannot parse 'abc' as integer"),
+            (PLAYS_CONFIG, "1,A,2010,NBA,2.5\n", "table 'plays', row 1, column 'points': cannot parse '2.5' as integer"),
+            (real, "1,A,2010,NBA,1\n2,B,2010,NBA,x\n", "table 'plays', row 2, column 'points': cannot parse 'x' as real"),
+            (real, "1,A,2010,NBA, inf\n", "table 'plays', row 1, column 'points': non-finite value ' inf'"),
+            (real, "1,A,2010,NBA,1e309\n", "table 'plays', row 1, column 'points': non-finite value '1e309'"),
+            (PLAYS_CONFIG, "1,A,2010,NBA,1\n\n2,B,2010\n", "table 'plays', row 3: expected 5 cells"),
+            (PLAYS_CONFIG, "1,A,2010,NBA,1\n1,B,2010,NBA,2\n", "table 'plays', row 2: duplicate key (1,)"),
+            # the first bad row is the one named, whatever is wrong further on
+            (PLAYS_CONFIG, "1,A,2010,NBA,1\n1,B,2010,NBA,2\nx,C,2010,NBA,3\n", "table 'plays', row 2: duplicate key (1,)"),
+        ]
+        for config, rows, text in cases:
+            catalog = load_catalog(config) if isinstance(config, str) else config
+            with pytest.raises(CsvLoadError) as info:
+                Store(catalog).load_table("plays", header + rows)
+            assert str(info.value) == text
+
+    def test_cells_equal_the_cell_by_cell_conversion(self):
+        real = load_catalog(PLAYS_CONFIG.replace("points, type: integer", "points, type: real"))
+        cells = [
+            # pid, team, year, league, points
+            [" 7 ", " Phoenix ", "-3", "NBA", "1e308"],
+            ["-3", "Phoenix", "+4", " NBA", "-3"],
+            ["8", "", "1_000", "NBA ", " -0.0 "],
+            ["9", "Spurs", "0", "ABA", "2.5e-3"],
+        ]
+        text = "pid,team,year,league,points\n" + "".join(",".join(row) + "\n" for row in cells)
+        table = Store(real).load_table("plays", text)
+        types = [t for _, t in real.relation("plays").columns]
+        assert len(table.rows) == len(cells)
+        for row, record in zip(table.rows, cells):
+            for value, cell, col_type in zip(row, record, types):
+                expected = _coerce_cell(cell, col_type, "where")
+                assert type(value) is type(expected) and repr(value) == repr(expected), (cell, col_type)
+                if col_type == "text":
+                    assert value is sys.intern(cell)
 
 
 class TestApplyUpdate:
@@ -491,6 +533,116 @@ class TestJoinedRows:
         for needed, path, message in cases:
             with pytest.raises(StoreError, match=message):
                 store.joined_rows(needed, path)
+
+
+COMPARATORS = {">": operator.gt, "<": operator.lt, "=": operator.eq, "!=": operator.ne, "<=": operator.le, ">=": operator.ge}
+
+
+def nested_loop_envs(store, start, path):
+    """Reference join: the start relation's row ids in order, each env
+    extended edge by edge through every row of the new relation whose join
+    column equals the env's, scanned in ascending row id."""
+    order = [start]
+    envs = [(rid,) for rid in range(len(store.tables[start].rows))]
+    for edge in path:
+        old, new = (edge.src, edge.dst) if edge.src.relation in order else (edge.dst, edge.src)
+        otable, ntable = store.tables[old.relation], store.tables[new.relation]
+        oi, op, np_ = order.index(old.relation), otable.col_pos[old.column], ntable.col_pos[new.column]
+        envs = [
+            env + (rid,)
+            for env in envs
+            for rid, row in enumerate(ntable.rows)
+            if row[np_] == otable.rows[env[oi]][op]
+        ]
+        order.append(new.relation)
+    return tuple(order), envs
+
+
+def nested_loop_counts(store, order, envs, columns, atoms=()):
+    """Reference count: each projection of columns over the envs that pass
+    every atom, read cell by cell, keyed in first-seen order."""
+
+    def value(ref, env):
+        table = store.tables[ref.relation]
+        return table.rows[env[order.index(ref.relation)]][table.col_pos[ref.column]]
+
+    def passes(atom, env):
+        right = value(atom.right, env) if isinstance(atom.right, ColumnRef) else atom.right
+        return COMPARATORS[atom.comparator](value(atom.left, env), right)
+
+    counts = {}
+    for env in envs:
+        if all(passes(atom, env) for atom in atoms):
+            key = tuple(value(c, env) for c in columns)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestStoreKernels:
+    """joined_rows and instantiation_counts against nested loops: the same
+    envs in the same order, the same counts in the same key order (entropy
+    sums in that order)."""
+
+    def check_path(self, store, path, columns, atoms):
+        start = path[0].src.relation
+        expected_order, expected_envs = nested_loop_envs(store, start, path)
+        rel_order, envs = store.joined_rows(expected_order, path)
+        assert rel_order == expected_order
+        assert envs == expected_envs
+        for fixed in ((), atoms):
+            got = store.instantiation_counts(columns, path, atoms=fixed)
+            expected = nested_loop_counts(store, rel_order, envs, columns, fixed)
+            assert list(got.items()) == list(expected.items()), (path, fixed)
+        return envs
+
+    def test_two_tables_with_a_dangling_key(self):
+        inst = make_instance(random.Random(11), n_rows=60, n_teams=4, two_tables=True)
+        _, store = load_instance(inst)
+        store.apply_update(UpdateRecord(1, "update", "stats", {"team_id": 99}, {"sid": 0}))
+        buckets = store.tables["stats"].indices["team_id"]
+        # the sort is what orders a bucket: some set iterates out of row-id order
+        assert any(list(ids) != sorted(ids) for ids in buckets.values())
+        assert max(len(ids) for ids in buckets.values()) > 1
+        team_id, t_id = ColumnRef("stats", "team_id"), ColumnRef("teams", "t_id")
+        columns = [ColumnRef("teams", "league"), ColumnRef("stats", "c1"), ColumnRef("stats", "player")]
+        atoms = (
+            ConstraintAtom("inter_attribute", ColumnRef("stats", "m1"), ">", ColumnRef("stats", "m2")),
+            ConstraintAtom("const_comparison", ColumnRef("teams", "league"), "=", "L0"),
+        )
+        from_stats = self.check_path(store, (JoinEdge(team_id, t_id),), columns, atoms)
+        from_teams = self.check_path(store, (JoinEdge(t_id, team_id),), columns, atoms)
+        assert len(from_stats) == len(from_teams) == 59  # row 0's team is gone
+
+    def test_every_bloomberg_path_at_three_joins(self, bloomberg):
+        catalog, store = bloomberg
+        names = [rel.name for rel in catalog.relations]
+        paths = {
+            tuple(path)
+            for n in range(2, len(names) + 1)
+            for rels in itertools.combinations(names, n)
+            if (path := join_path(catalog, rels, 3))
+        }
+        assert len(paths) == 18
+        text_columns = [ColumnRef(rel.name, col) for rel in catalog.relations for col, t in rel.columns if t == "text"]
+        for path in paths:
+            rels = {r for edge in path for r in edge.relations()}
+            columns = [c for c in text_columns if c.relation in rels]
+            start = store.tables[path[0].src.relation]
+            first = ColumnRef(path[0].src.relation, start.meta.columns[0][0])
+            atoms = (ConstraintAtom("const_comparison", first, ">", 1),)
+            assert self.check_path(store, path, columns, atoms)
+
+    def test_no_columns_and_empty_tables(self, plays):
+        catalog, store = plays
+        high = (ConstraintAtom("const_comparison", ColumnRef("plays", "points"), ">", 30),)
+        none = (ConstraintAtom("const_comparison", ColumnRef("plays", "points"), ">", 50),)
+        assert store.instantiation_counts([], (), ["plays"]) == {(): 5}
+        assert store.instantiation_counts([], (), ["plays"], high) == {(): 2}
+        assert store.instantiation_counts([], (), ["plays"], none) == {}
+        empty = Store(catalog)
+        empty.load_table("plays", "pid,team,year,league,points\n")
+        assert empty.instantiation_counts([], (), ["plays"]) == {}
+        assert empty.instantiation_counts([ColumnRef("plays", "team")], ()) == {}
 
 
 class TestJoinCache:
