@@ -1,18 +1,23 @@
 """Annotated schema catalog: attribute roles, ranking criteria, constraints, join graph.
 
-The catalog is loaded once from a YAML config (see ``catalog_schema.json`` for
-the machine-readable grammar) and is immutable afterwards.
+The catalog is loaded once from a YAML config and is immutable afterwards.
+The config's grammar is ``catalog_schema.json``, a JSON Schema (draft 2020-12)
+shipped with the package. ``_schema_violations`` checks a config against it by
+interpreting only the keywords that file uses (``type``, ``enum``,
+``required``, ``additionalProperties: false``, ``properties``, ``items``,
+``minItems`` and ``minLength``), with the messages of the ``jsonschema``
+package; it raises on any other keyword, so the file and the checker cannot
+drift apart.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 import yaml
 
 
@@ -208,6 +213,7 @@ class SchemaCatalog:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _config_schema() -> dict:
     text = (
         importlib.resources.files("halloffame")
@@ -215,6 +221,63 @@ def _config_schema() -> dict:
         .read_text(encoding="utf-8")
     )
     return json.loads(text)
+
+
+# JSON Schema's instance types over parsed YAML values; a bool is no number
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
+    """Yield ``(path, message)`` for each rule of ``schema`` that ``value`` breaks.
+
+    The walk takes a node's keywords in schema order, descending where it
+    meets ``properties`` (in schema order) or ``items`` (in index order).
+    Keywords other than the ones interpreted here raise NotImplementedError.
+    """
+    for keyword, rule in schema.items():
+        if keyword in ("$schema", "title"):
+            continue
+        if keyword == "type":
+            names = [rule] if isinstance(rule, str) else rule
+            if not any(_JSON_TYPES[name](value) for name in names):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+        elif keyword == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif keyword in ("minItems", "minLength"):
+            sized = isinstance(value, list if keyword == "minItems" else str)
+            if sized and len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif keyword == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _schema_violations(item, rule, path + (i,))
+        elif keyword == "required":
+            if isinstance(value, dict):
+                for key in rule:
+                    if key not in value:
+                        yield path, f"{key!r} is a required property"
+        elif keyword == "additionalProperties" and rule is False:
+            if isinstance(value, dict):
+                extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    listed = ", ".join(map(repr, extras))
+                    yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for key, sub in rule.items():
+                    if key in value:
+                        yield from _schema_violations(value[key], sub, path + (key,))
+        else:
+            raise NotImplementedError(f"catalog schema keyword {keyword!r} is not interpreted")
 
 
 def _parse_yaml(config_text: str) -> dict:
@@ -270,14 +333,19 @@ def load_catalog(config_text: str) -> SchemaCatalog:
     Raises ConfigParseError for syntax problems (with a line number) and
     CatalogError for semantic ones (unknown names, bad comparators, a
     criterion on a text column, ...).
+
+    A config that breaks the packaged schema raises ``config schema
+    violation at <path>: <message>``, with the path's parts joined by ``/``
+    (``<top>`` at the root). When it breaks several rules, the one named is
+    the least deep (fewest path parts); among equally deep ones, the first
+    that ``_schema_violations`` yields.
     """
     doc = _parse_yaml(config_text)
     # the packaged schema is checked against its metaschema by the tests, not at every load
-    schema = _config_schema()
-    error = best_match(validator_for(schema)(schema).iter_errors(doc))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<top>"
-        raise CatalogError(f"config schema violation at {path}: {error.message}") from error
+    violation = min(_schema_violations(doc, _config_schema()), key=lambda v: len(v[0]), default=None)
+    if violation is not None:
+        path, message = violation
+        raise CatalogError(f"config schema violation at {'/'.join(map(str, path)) or '<top>'}: {message}")
 
     raw_relations = doc.get("relations") or []
     if not raw_relations:
@@ -302,24 +370,29 @@ def load_catalog(config_text: str) -> SchemaCatalog:
 
     resolver = _Resolver(relations)
 
-    for role, attr in (("entity_attrs", "entity_attrs"), ("categorical_attrs", "categorical_attrs")):
-        for text in doc.get(role, []):
+    # a repeated role entry or criterion would generate every query it is in twice
+    for role in ("entity_attrs", "categorical_attrs"):
+        for i, text in enumerate(doc.get(role, [])):
             ref = resolver.resolve(text, role)
-            getattr(resolver.by_name[ref.relation], attr).append(ref.column)
+            listed = getattr(resolver.by_name[ref.relation], role)
+            if ref.column in listed:
+                raise CatalogError(f"{role}[{i}]: column {ref} listed twice")
+            listed.append(ref.column)
 
     criteria: list[RankingCriterion] = []
-    for raw in doc.get("ranking_criteria", []):
+    for i, raw in enumerate(doc.get("ranking_criteria", [])):
         ref = resolver.resolve(raw["column"], "ranking_criteria")
         col_type = resolver.by_name[ref.relation].column_type(ref.column)
         if col_type not in NUMERIC_TYPES:
             raise CatalogError(f"ranking criterion on non-numeric column {ref} ({col_type})")
         direction = raw["direction"]
-        if direction == "both":
-            # eager expansion keeps generation a pure enumeration
-            criteria.append(RankingCriterion(ref, raw["aggregation"], "ascending"))
-            criteria.append(RankingCriterion(ref, raw["aggregation"], "descending"))
-        else:
-            criteria.append(RankingCriterion(ref, raw["aggregation"], direction))
+        # eager expansion keeps generation a pure enumeration
+        directions = ("ascending", "descending") if direction == "both" else (direction,)
+        for one in directions:
+            criterion = RankingCriterion(ref, raw["aggregation"], one)
+            if criterion in criteria:
+                raise CatalogError(f"ranking_criteria[{i}]: criterion {criterion} listed twice")
+            criteria.append(criterion)
 
     constraints: list[ConstraintAtom] = []
     for i, raw in enumerate(doc.get("user_constraints", [])):

@@ -1,6 +1,8 @@
+import copy
 import importlib.resources
 import json
 
+from hypothesis import given, settings, strategies as st
 import jsonschema
 import pytest
 import yaml
@@ -14,6 +16,7 @@ from halloffame import (
     load_catalog,
     join_path,
 )
+from halloffame.catalog import _schema_violations
 
 BASKETBALL_CONFIG = """
 relations:
@@ -97,6 +100,65 @@ def serialize_catalog(catalog: SchemaCatalog) -> str:
     return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
 
 
+ONE_RELATION = "relations:\n  - {name: a, columns: [{name: x, type: integer}]}\n"
+
+# configs that break one rule, with the located message load_catalog names
+PINNED_VIOLATIONS = [
+    (
+        ONE_RELATION + "user_constraints:\n  - {kind: const_comparison, left: x, comparator: '>', right: true}\n",
+        "user_constraints/0/right: True is not of type 'string', 'number'",
+    ),
+    ("relations:\n  - {name: '', columns: [{name: x, type: integer}]}\n", "relations/0/name: '' should be non-empty"),
+    ("relations:\n  - {name: a, columns: []}\n", "relations/0/columns: [] should be non-empty"),
+    (ONE_RELATION + "join_allowlist: [[]]\n", "join_allowlist/0: [] should be non-empty"),
+    (
+        ONE_RELATION + "extra1: 1\nextra0: 2\n",
+        "<top>: Additional properties are not allowed ('extra0', 'extra1' were unexpected)",
+    ),
+]
+
+# a valid config that sets every property the packaged schema declares, so a
+# walk over it meets every subschema
+FULL_CONFIG_DOC = {
+    "relations": [
+        {"name": "a", "columns": [{"name": "x", "type": "integer"}, {"name": "y", "type": "real"}], "key": ["x"]},
+        {"name": "b", "columns": [{"name": "z", "type": "text"}, {"name": "w", "type": "integer"}]},
+    ],
+    "entity_attrs": ["b.z"],
+    "categorical_attrs": ["a.x"],
+    "ranking_criteria": [{"column": "y", "aggregation": "sum", "direction": "both"}],
+    "user_constraints": [{"kind": "const_comparison", "left": "y", "comparator": ">", "right": 1.5}],
+    "join_edges": [{"from": "a.x", "to": "b.w"}],
+    "join_allowlist": [["a", "b"]],
+}
+
+JUNK = [None, True, 0, 1.5, "", [], {}, "nosuch", "sum"]
+
+
+def packaged_schema() -> dict:
+    return json.loads(importlib.resources.files("halloffame").joinpath("catalog_schema.json").read_text("utf-8"))
+
+
+def located(error: jsonschema.ValidationError) -> str:
+    path = "/".join(str(p) for p in error.absolute_path) or "<top>"
+    return f"config schema violation at {path}: {error.message}"
+
+
+def nodes(value, path=()):
+    """Every (path, value) of a parsed config, the root first."""
+    yield path, value
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from nodes(child, path + (key,))
+
+
+def property_names(schema: dict) -> set:
+    names = set(schema.get("properties", {}))
+    for sub in [*schema.get("properties", {}).values(), *([schema["items"]] if "items" in schema else [])]:
+        names |= property_names(sub)
+    return names
+
+
 class TestLoadCatalog:
     def test_bloomberg_annotation(self, bloomberg):
         catalog, _ = bloomberg
@@ -170,7 +232,7 @@ entity_attrs: [x]
 
     def test_packaged_schema_passes_its_metaschema(self):
         # load_catalog trusts the packaged schema and does not re-check it
-        schema = json.loads(importlib.resources.files("halloffame").joinpath("catalog_schema.json").read_text("utf-8"))
+        schema = packaged_schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
     @pytest.mark.parametrize(
@@ -181,16 +243,88 @@ entity_attrs: [x]
             "relations:\n  - {name: a, columns: [{name: x, type: blob}]}\n",
             "relations:\n  - {name: a, columns: [{name: x, type: integer}]}\nranking_criteria: [{column: x}]\n",
             "relations:\n  - {name: a, columns: [{name: x, type: integer}]}\nsurprise: 1\n",
+            *(config for config, _ in PINNED_VIOLATIONS),
         ],
     )
     def test_schema_violation_names_best_match(self, config):
-        schema = json.loads(importlib.resources.files("halloffame").joinpath("catalog_schema.json").read_text("utf-8"))
         with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(yaml.safe_load(config), schema)
-        path = "/".join(str(p) for p in expected.value.absolute_path) or "<top>"
+            jsonschema.validate(yaml.safe_load(config), packaged_schema())
         with pytest.raises(CatalogError) as got:
             load_catalog(config)
-        assert str(got.value) == f"config schema violation at {path}: {expected.value.message}"
+        assert str(got.value) == located(expected.value)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            *PINNED_VIOLATIONS,
+            # several violations: the least deep is named, here over
+            # relations/0/columns/0/type two levels down
+            (
+                "relations:\n  - {name: a, columns: [{name: x, type: blob}]}\nsurprise: 1\n",
+                "<top>: Additional properties are not allowed ('surprise' was unexpected)",
+            ),
+            # and among equally deep ones the first walked: the schema lists
+            # relations before join_allowlist
+            ("join_allowlist: [[]]\nrelations:\n  - {name: a}\n", "relations/0: 'columns' is a required property"),
+        ],
+    )
+    def test_schema_violation_texts(self, config, message):
+        with pytest.raises(CatalogError) as got:
+            load_catalog(config)
+        assert str(got.value) == f"config schema violation at {message}"
+
+    @pytest.mark.parametrize(
+        "value, schema",
+        [
+            (5, {"type": "integer", "maximum": 3}),
+            ({"a": "s"}, {"type": "object", "properties": {"a": {"pattern": "^t"}}}),
+            ({}, {"additionalProperties": True}),
+        ],
+    )
+    def test_unknown_schema_keyword_raises(self, value, schema):
+        with pytest.raises(NotImplementedError, match="is not interpreted"):
+            list(_schema_violations(value, schema))
+
+    def test_full_config_meets_every_subschema(self):
+        load_catalog(yaml.safe_dump(FULL_CONFIG_DOC))
+        keys = {key for _, node in nodes(FULL_CONFIG_DOC) if isinstance(node, dict) for key in node}
+        assert keys == property_names(packaged_schema())
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_schema_check_agrees_with_jsonschema(self, data):
+        # mutate a valid config: replace a value with junk, delete a key or an
+        # item, or add a key or an item
+        doc = copy.deepcopy(FULL_CONFIG_DOC)
+        for _ in range(data.draw(st.integers(1, 4))):
+            path, node = data.draw(st.sampled_from(list(nodes(doc))))
+            op = data.draw(st.sampled_from(["replace", "delete", "add"] if path else ["add"]))
+            junk = copy.deepcopy(data.draw(st.sampled_from(JUNK)))
+            if op == "add" and isinstance(node, dict):
+                node[data.draw(st.sampled_from(["extra0", "extra1", "name"]))] = junk
+            elif op == "add" and isinstance(node, list):
+                node.append(junk)
+            elif op != "add":
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                if op == "replace":
+                    parent[path[-1]] = junk
+                else:
+                    del parent[path[-1]]
+        schema = packaged_schema()
+        errors = list(jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
+        try:
+            load_catalog(yaml.safe_dump(doc))
+            got = None
+        except CatalogError as exc:
+            got = str(exc)
+        if not errors:
+            assert got is None or not got.startswith("config schema violation")
+        elif len(errors) == 1:
+            assert got == located(jsonschema.exceptions.best_match(errors))
+        else:
+            assert got in {located(error) for error in errors}
 
     def test_round_trip(self, bloomberg):
         catalog, _ = bloomberg

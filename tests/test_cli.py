@@ -1,10 +1,13 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import halloffame
 from halloffame import Delta, StoreError, UpdateRecord, update_to_json, write_update_stream
 from halloffame import cli
 from halloffame.cli import main
@@ -67,6 +70,69 @@ class TestGenerate:
         assert lines
         for line in lines:
             assert json.loads(line)["predicate"] == []
+
+
+PLAYS_CONFIG = """
+relations:
+  - name: plays
+    columns:
+      - {name: pid, type: integer}
+      - {name: player, type: text}
+      - {name: team, type: text}
+      - {name: pts, type: integer}
+    key: [pid]
+"""
+
+
+class TestDuplicateCatalogEntries:
+    @pytest.mark.parametrize(
+        "roles, located",
+        [
+            (
+                "entity_attrs: [player]\ncategorical_attrs: [team]\nranking_criteria:\n"
+                "  - {column: pts, aggregation: sum, direction: both}\n"
+                "  - {column: pts, aggregation: sum, direction: descending}\n",
+                "ranking_criteria[1]: criterion sum(plays.pts) descending listed twice",
+            ),
+            (
+                "entity_attrs: [player, plays.player]\ncategorical_attrs: [team]\n"
+                "ranking_criteria: [{column: pts, aggregation: sum, direction: descending}]\n",
+                "entity_attrs[1]: column plays.player listed twice",
+            ),
+            (
+                "entity_attrs: [player]\ncategorical_attrs: [team, team]\n"
+                "ranking_criteria: [{column: pts, aggregation: sum, direction: descending}]\n",
+                "categorical_attrs[1]: column plays.team listed twice",
+            ),
+        ],
+    )
+    def test_generate_rejects_a_repeated_entry(self, runner, tmp_path, roles, located):
+        # each repeat would generate its queries twice, and hof run refuses
+        # a query catalog with a duplicate query id
+        (tmp_path / "catalog.yaml").write_text(PLAYS_CONFIG + roles)
+        (tmp_path / "plays.csv").write_text("pid,player,team,pts\n0,ann,red,1\n1,bob,red,2\n2,cat,blue,3\n")
+        out = tmp_path / "q.jsonl"
+        result = runner.invoke(
+            main,
+            ["generate", "--config", str(tmp_path / "catalog.yaml"), "--data-dir", str(tmp_path), "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: catalog: {located}\n"
+        assert not out.exists()
+
+
+class TestImports:
+    def test_import_loads_no_jsonschema(self):
+        # the catalog is checked by halloffame.catalog itself; jsonschema is
+        # only the tests' oracle
+        code = (
+            "import sys, halloffame, halloffame.cli\n"
+            "family = {'jsonschema', 'referencing', 'rpds', 'jsonschema_specifications'}\n"
+            "print(sorted(family & {name.split('.')[0] for name in sys.modules}))\n"
+        )
+        src = str(Path(halloffame.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestSynth:
