@@ -281,14 +281,25 @@ def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[t
 
 
 def _parse_yaml(config_text: str) -> dict:
-    try:
-        doc = yaml.safe_load(config_text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else "?"
-        raise ConfigParseError(f"config parse error at line {line}: {exc}") from exc
+    """The config document. libyaml parses it when PyYAML has it; when that
+    fails or gives no mapping, or without libyaml, the pure-Python parser
+    parses it (again), so every error text and line number is that
+    parser's."""
+    doc = None
+    if yaml.__with_libyaml__:
+        try:
+            doc = yaml.load(config_text, Loader=yaml.CSafeLoader)
+        except yaml.YAMLError:
+            pass
     if not isinstance(doc, dict):
-        raise ConfigParseError("config parse error at line 1: top level must be a mapping")
+        try:
+            doc = yaml.safe_load(config_text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            line = mark.line + 1 if mark is not None else "?"
+            raise ConfigParseError(f"config parse error at line {line}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigParseError("config parse error at line 1: top level must be a mapping")
     return doc
 
 

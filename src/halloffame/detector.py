@@ -16,29 +16,28 @@ satisfies the fixed atoms and lands in a query's instance contributes
 predicate and join-path columns) decide which extensions exist and where
 they land; an update that writes none of them is extended once, with the
 written criterion columns read before and after the update, any other
-before and after. The contributions are netted into one change of count
-and of each column's total per instance and entity. Totals of integer
-columns are exact ints, those of real columns exact Fractions, so no order
-of updates can make them drift.
+before and after. Each contribution is added to, or for a pre-image
+subtracted from, its entity's count and totals in the instance. Totals of
+integer columns are exact ints, those of real columns exact Fractions, so
+no order of updates can make them drift.
 
-Each query keeps the sort keys (value, entity) of its instance's entities
-in one list, best first: the value build_ranking ranks on, then the
-entity. An entity whose count or whose total in the query's column
-changed is bisected out at its old key and back in at its new one, unless
-its count fell to 0; a write to one criterion column moves no other
-column's queries. Only when one of those indices is below k is the query's
-ranking rebuilt from the first k keys and diffed, and only rank
-improvements become events.
+Each query keeps the sort keys (value, entity) of its instance's best 2k
+entities, best first (the value build_ranking ranks on, saturated to -inf
+or +inf when its float is out of range), and a bound above which lie the
+keys of all other entities. Per update it re-keys the entities whose count
+or total in its column may have changed, keeps the keys within the bound
+and cuts the list back to 2k; only when fewer than k keys remain does it
+sort the whole instance again. Only when the first k keys changed is its
+ranking rebuilt and diffed, and only rank improvements become events.
 
 With filters disabled the engine rescans every family from scratch on
-every update and ranks each instance with build_ranking's full sort
-instead. That path shares no code with the delta path's row extension or
-its sorted lists, so the two cross-check each other.
+every update and ranks each instance with build_ranking instead. That path
+shares no code with the delta path's row extension or its entity orders,
+so the two cross-check each other.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
@@ -101,7 +100,8 @@ class DetectStats:
     column_candidates: int
     row_candidates: int
     changed: int
-    rebuilt: int  # rankings whose top-K was rebuilt and diffed
+    rebuilt: int  # rankings whose top-K keys changed, so they were rebuilt and diffed
+    refilled: int  # entity orders that ran short of k keys and sorted their instance again
 
 
 Contribution = tuple[tuple, Any, tuple]  # (instance, entity, row ids of the joined row)
@@ -198,8 +198,8 @@ class Family:
         total) of every member instance, from one pass over the joined
         table; an instance without rows gets empty dicts. Totals of a real
         criterion column are the correctly rounded math.fsum of their
-        values, whatever the row order, or with exact=True the exact
-        Fraction sum."""
+        values, whatever the row order, or -inf or +inf when that is out of
+        range, or with exact=True the exact Fraction sum."""
         rel_order, envs = store.joined_rows(self.needed, self.path)
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         if self.fixed:
@@ -232,80 +232,79 @@ class Family:
             for *_, real, t in sums:
                 if real:
                     for ent, values in t.items():
-                        t[ent] = sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
+                        try:
+                            t[ent] = sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
+                        except OverflowError:  # fsum's sum, or only a partial sum, is out of range
+                            total = sum(map(Fraction, values), Fraction())
+                            try:
+                                t[ent] = float(total)
+                            except OverflowError:
+                                t[ent] = math.inf if total > 0 else -math.inf
             yield inst, counts, [t for *_, t in sums]
-
-    def apply(self, inst: tuple, net: dict[Any, list], columns: Iterable[int]) -> None:
-        """Add each entity's net [total per column..., count] change to the
-        instance, where only the given columns' totals may have changed; an
-        entity whose count reaches 0 leaves it."""
-        counts, totals = self.counts[inst], self.totals[inst]
-        for j in columns:
-            t = totals[j]
-            for entity, d in net.items():
-                t[entity] = t.get(entity, 0) + d[j]
-        for entity, d in net.items():
-            count = counts.get(entity, 0) + d[-1]
-            if count:
-                counts[entity] = count
-            else:
-                del counts[entity]
-                for t in totals:
-                    del t[entity]
 
 
 def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[Any], tuple]:
     """entity -> (value, entity) over live totals t and counts n, where value
     is sign (-1 when descending, else 1) times what build_ranking ranks on:
     the correctly rounded float of an exact real total, divided by the row
-    count for avg. Ascending keys then put the best first, ties by
-    ascending entity. Negation commutes with correctly rounded division, so
-    negating before dividing gives build_ranking's value exactly negated."""
-    value = float if real else int
-    if avg:
-        return lambda e: (sign * value(t[e]) / n[e], e)
-    return lambda e: (sign * value(t[e]), e)
+    count for avg, or -inf or +inf when that float is out of range. Ascending
+    keys then put the best first, ties by ascending entity. Negation commutes
+    with correctly rounded division, so negating before dividing gives
+    build_ranking's value exactly negated."""
+    if not (real or avg):
+        return lambda e: (sign * t[e], e)
+
+    def key(e):
+        try:
+            value = sign * float(t[e]) if real else sign * t[e]
+            return (value / n[e] if avg else value), e
+        except OverflowError:
+            return (math.inf if sign * t[e] > 0 else -math.inf), e
+
+    return key
 
 
 class EntityOrder:
-    """The order_key of every entity of one query's instance, best first.
+    """The order_key of one query's instance's best 2k entities, best first,
+    and a bound: every entity not held has a key above it; None means every
+    entity is held. The key reads the live totals of the query's column and
+    the family's live counts for the instance."""
 
-    The list holds the key tuples themselves, so bisection compares them
-    without calling back into Python. The key reads the live totals of the
-    query's column and the family's live counts for the instance, so an
-    entity must be removed before its total changes and inserted after.
-    """
-
-    __slots__ = ("keys", "key", "sign", "k")
+    __slots__ = ("keys", "bound", "key", "sign", "k")
 
     def __init__(self, totals: dict, counts: dict, real: bool, q: HofQuery):
         self.sign = -1 if q.criterion.direction == "descending" else 1
         self.key = order_key(totals, counts, real, q.criterion.aggregation == "avg", self.sign)
         self.k = q.k
-        self.keys = sorted(map(self.key, totals))
+        self.fill(counts)
 
-    def remove(self, changed: Iterable, present: dict) -> bool:
-        """Remove the changed entities that are present; tells whether one
-        of them sat in the top-K."""
-        keys, key, crossed = self.keys, self.key, False
-        for e in changed:
-            if e in present:
-                i = bisect_left(keys, key(e))
-                del keys[i]
-                crossed = crossed or i < self.k
-        return crossed
+    def fill(self, counts: dict) -> None:
+        """Hold the best 2k keys of all entities in counts."""
+        keys = sorted(map(self.key, counts))
+        cap = 2 * self.k
+        self.bound = keys[cap - 1] if len(keys) > cap else None
+        self.keys = keys[:cap]
 
-    def insert(self, changed: Iterable, present: dict) -> bool:
-        """Insert the changed entities that are present; tells whether one
-        of them lands in the top-K."""
-        keys, key, crossed = self.keys, self.key, False
-        for e in changed:
-            if e in present:
-                k = key(e)
-                i = bisect_left(keys, k)
-                keys.insert(i, k)
-                crossed = crossed or i < self.k
-        return crossed
+    def update(self, moved: set, counts: dict) -> tuple[bool, bool]:
+        """Re-key the moved entities after their count or total changed; one
+        no longer in counts leaves. Tells whether the first k keys changed
+        and whether the order filled itself again from every entity."""
+        keys, bound, k = self.keys, self.bound, self.k
+        top = keys[:k]
+        kept = [x for x in keys if x[1] not in moved]
+        key = self.key
+        fresh = [key(e) for e in moved if e in counts]
+        kept += fresh if bound is None else [x for x in fresh if x <= bound]
+        kept.sort()
+        cap = 2 * k
+        if len(kept) > cap:
+            bound = kept[cap - 1]
+            del kept[cap:]
+        self.keys, self.bound = kept, bound
+        refilled = len(kept) < k and len(counts) > len(kept)
+        if refilled:
+            self.fill(counts)
+        return self.keys[:k] != top, refilled
 
     def ranking(self) -> RankingState:
         """The top-K with build_ranking's values; multiplying by the sign is
@@ -355,7 +354,7 @@ class Engine:
         else:
             self.rankings = self._rescan()
         self._routes: dict[tuple, tuple] = {}  # see _route
-        self.last_stats = DetectStats(0, 0, 0, 0)
+        self.last_stats = DetectStats(0, 0, 0, 0, 0)
 
     def _rescan(self) -> dict[str, RankingState]:
         """Every ranking from one from-scratch scan per family, each sorted
@@ -385,12 +384,12 @@ class Engine:
 
     # -- filtering --------------------------------------------------------
 
-    def _route(self, u: UpdateRecord) -> tuple[dict[Family, list], list[Family], dict[Family, Iterable[int]], int]:
+    def _route(self, u: UpdateRecord) -> tuple[dict[Family, list], list[Family], int]:
         """(families extended once -> (index, position, exact) of their
-        written criterion columns, families extended twice, every hit family
-        -> the indices of the columns whose queries the update concerns,
-        column candidates) for u. They depend only on u's kind, table and
-        written columns, so they are memoized on those."""
+        written criterion columns, families extended twice, column
+        candidates: the queries of those written columns and of every column
+        of a family extended twice) for u. They depend only on u's kind,
+        table and written columns, so they are memoized on those."""
         key = (u.kind, u.table, tuple(u.set_values))
         route = self._routes.get(key)
         if route is None:
@@ -405,12 +404,10 @@ class Engine:
                 for fam in (self.families[i] for i in sorted(hit - reshaped))
             }
             twice = [self.families[i] for i in sorted(hit & reshaped)]
-            # the columns whose queries the update concerns
-            concerned = {fam: [j for j, *_ in written] for fam, written in once.items()}
-            concerned.update((fam, range(len(fam.columns))) for fam in twice)
-            n = sum(len(per_column[j]) for fam, columns in concerned.items()
-                    for per_column in fam.members.values() for j in columns)
-            route = self._routes[key] = (once, twice, concerned, n)
+            n = sum(len(per_column[j]) for fam, written in once.items() for per_column in fam.members.values()
+                    for j, *_ in written)
+            n += sum(len(qids) for fam in twice for per_column in fam.members.values() for qids in per_column)
+            route = self._routes[key] = (once, twice, n)
         return route
 
     def row_filter(
@@ -432,15 +429,11 @@ class Engine:
 
         Families whose shape columns the update does not write extend its
         rows once and read the written criterion columns before and after
-        the update; the others extend the rows before and after it. The
-        contributions are netted into one change of count and of each
-        column's total per (family, instance, entity). A query moves the
-        entities whose count or whose column's total changed: each is
-        removed from its order at its old key, gets the change, and is
-        inserted at its new key if its count is still above 0. A query's
-        ranking is rebuilt and diffed only when a removal or insertion
-        index is below k. The store is only mutated if the update is valid,
-        and the engine only after that.
+        the update; the others extend the rows before and after it. Each
+        contribution goes straight into its family's counts and totals,
+        then every concerned query of a touched instance updates its order
+        once. The store is only mutated if the update is valid, and the
+        engine only after that.
         """
         events: list[RankEvent] = []
         changed = 0
@@ -450,61 +443,61 @@ class Engine:
             for qid in sorted(new_states):
                 changed += self._replace(qid, new_states[qid], u.seq, events)
             n = len(self.queries)
-            self.last_stats = DetectStats(n, n, changed, n)
+            self.last_stats = DetectStats(n, n, changed, n, 0)
             events.sort(key=lambda e: (e.query_id, str(e.entity)))
             return events
 
-        once, twice, concerned, column_candidates = self._route(u)
+        once, twice, column_candidates = self._route(u)
         rows = self.store.match_rows(u)
-        net: dict[tuple[Family, tuple], dict[Any, list]] = {}  # -> entity -> [total change per column..., count change]
         # written columns are base columns, so an extension reads them from its first row
         table = self.store.table(u.table).rows
         before = {rid: table[rid][:] for rid in rows} if once else {}
         kept = self.row_filter(u, rows, once)
-        for fam, inst, e, env in self.row_filter(u, rows, twice):
-            entities = net.get((fam, inst)) or net.setdefault((fam, inst), {})
-            d = entities.get(e) or entities.setdefault(e, [0] * (len(fam.columns) + 1))
-            d[-1] -= 1
-            for j, (i, p, rs, exact) in enumerate(fam.readers[u.table]):
-                d[j] -= exact(rs[env[i]][p])
+        pre = [(fam, inst, e, [exact(rs[env[i]][p]) for i, p, rs, exact in fam.readers[u.table]])
+               for fam, inst, e, env in self.row_filter(u, rows, twice)]
         post = self.row_filter(u, self.store.apply_update(u, rows), twice)
+        # (family, instance, column index or None for every column) -> the
+        # entities whose count or total in that column may have changed
+        moved: dict[tuple, set] = {}
+        for fam, inst, e, values in pre:
+            counts, totals = fam.counts[inst], fam.totals[inst]
+            if counts[e] > 1:
+                counts[e] -= 1
+                for t, v in zip(totals, values):
+                    t[e] -= v
+            else:  # its last row: the exact totals are 0 now
+                del counts[e]
+                for t in totals:
+                    del t[e]
+            (moved.get((fam, inst, None)) or moved.setdefault((fam, inst, None), set())).add(e)
+        for fam, inst, e, env in post:
+            counts = fam.counts[inst]
+            counts[e] = counts.get(e, 0) + 1
+            for t, (i, p, rs, exact) in zip(fam.totals[inst], fam.readers[u.table]):
+                t[e] = t.get(e, 0) + exact(rs[env[i]][p])
+            (moved.get((fam, inst, None)) or moved.setdefault((fam, inst, None), set())).add(e)
         for fam, inst, e, env in kept:
-            entities = net.get((fam, inst)) or net.setdefault((fam, inst), {})
-            d = entities.get(e) or entities.setdefault(e, [0] * (len(fam.columns) + 1))
             old, new = before[env[0]], table[env[0]]
             for j, p, exact in once[fam]:
+                entities = moved.get((fam, inst, j)) or moved.setdefault((fam, inst, j), set())
                 if new[p] != old[p]:
-                    d[j] += exact(new[p]) - exact(old[p])
-        for fam, inst, e, env in post:
-            entities = net.get((fam, inst)) or net.setdefault((fam, inst), {})
-            d = entities.get(e) or entities.setdefault(e, [0] * (len(fam.columns) + 1))
-            d[-1] += 1
-            for j, (i, p, rs, exact) in enumerate(fam.readers[u.table]):
-                d[j] += exact(rs[env[i]][p])
+                    fam.totals[inst][j][e] += exact(new[p]) - exact(old[p])
+                    entities.add(e)
 
-        rebuilt = 0
+        # row candidates count the queries of every named instance, unchanged ones too
+        candidates = rebuilt = refilled = 0
         orders = self.orders
-        for (fam, inst), entities in net.items():
-            moved = {e: d for e, d in entities.items() if any(d)}
-            if not moved:
-                continue
-            counts = fam.counts[inst]
-            per_column = fam.members[inst]
-            # each concerned column's queries move the entities whose count or
-            # total in that column changed; the other columns did not change
-            columns = concerned[fam]
-            mines = [(j, moved) for j in columns] if len(columns) == 1 else [
-                (j, {e: d for e, d in moved.items() if d[j] or d[-1]}) for j in columns
-            ]
-            touched = [(qid, orders[qid], mine) for j, mine in mines if mine for qid in per_column[j]]
-            was_top = [order.remove(mine, counts) for _, order, mine in touched]
-            fam.apply(inst, moved, columns)
-            for (qid, order, mine), top in zip(touched, was_top):
-                if order.insert(mine, counts) or top:
-                    rebuilt += 1
-                    changed += self._replace(qid, order.ranking(), u.seq, events)
+        for (fam, inst, j), entities in moved.items():
+            counts, per_column = fam.counts[inst], fam.members[inst]
+            for qids in per_column if j is None else (per_column[j],):
+                candidates += len(qids)
+                for qid in qids if entities else ():
+                    order = orders[qid]
+                    top, refill = order.update(entities, counts)
+                    refilled += refill
+                    if top:
+                        rebuilt += 1
+                        changed += self._replace(qid, order.ranking(), u.seq, events)
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
-        # row candidates count the queries of every named instance, net-zero ones too
-        candidates = sum(len(fam.members[inst][j]) for fam, inst in net for j in concerned[fam])
-        self.last_stats = DetectStats(column_candidates, candidates, changed, rebuilt)
+        self.last_stats = DetectStats(column_candidates, candidates, changed, rebuilt, refilled)
         return events

@@ -112,6 +112,9 @@ class RankingState:
         return len(self.entries)
 
 
+_ENTITY, _VALUE = operator.itemgetter(0), operator.itemgetter(1)  # of a (entity, value) item
+
+
 def build_ranking(
     totals: Mapping[Any, Any],
     counts: Mapping[Any, int],
@@ -123,16 +126,22 @@ def build_ranking(
 
     A full sort of every entity: it serves the reference path (filters
     off), at start-up and on every update. The delta path never calls it:
-    each query keeps its own sorted list of (value, entity) keys
-    (detector.EntityOrder) and moves only the entities whose net total or
-    count an update changed, so the two check each other.
+    each query keeps its own best keys (detector.EntityOrder) and moves
+    only the entities an update touched, so the two check each other. An
+    avg out of the float range saturates to -inf or +inf; ties rank by
+    ascending entity.
     """
     if aggregation == "sum":
         items = list(totals.items())
     else:  # avg: arithmetic mean; groups exist only for present rows, so n >= 1
-        items = [(entity, total / counts[entity]) for entity, total in totals.items()]
-    items.sort(key=lambda item: item[0])  # ascending-entity tie-break
-    items.sort(key=lambda item: item[1], reverse=direction == "descending")
+        items = []
+        for entity, total in totals.items():
+            try:
+                items.append((entity, total / counts[entity]))
+            except OverflowError:
+                items.append((entity, math.inf if total > 0 else -math.inf))
+    items.sort(key=_ENTITY)  # ascending-entity tie-break
+    items.sort(key=_VALUE, reverse=direction == "descending")
     return RankingState(tuple(items[:k]))
 
 

@@ -35,3 +35,25 @@ def bloomberg() -> tuple[SchemaCatalog, Store]:
 @pytest.fixture
 def bloomberg_dir() -> Path:
     return DATA_DIR / "bloomberg"
+
+
+def assert_best_keys(engine) -> None:
+    """Every entity order of a filtered engine holds exactly the first keys
+    of a from-scratch sort of its instance: at least min(k, entities) and at
+    most 2k of them, every key it does not hold above its bound, and no
+    bound only when it holds every entity."""
+    for fam in engine.families:
+        for inst, per_column in fam.members.items():
+            counts = fam.counts[inst]
+            for qids in per_column:
+                for qid in qids:
+                    order = engine.orders[qid]
+                    full = sorted(map(order.key, counts))
+                    held = len(order.keys)
+                    assert min(order.k, len(full)) <= held <= 2 * order.k, qid
+                    assert order.keys == full[:held], qid
+                    if order.bound is None:
+                        assert held == len(full), qid
+                    else:
+                        assert all(key <= order.bound for key in order.keys), qid
+                        assert all(key > order.bound for key in full[held:]), qid

@@ -1,12 +1,15 @@
 import copy
 import importlib.resources
 import json
+import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 import jsonschema
 import pytest
 import yaml
 
+from oracles import make_instance
 from halloffame import (
     CatalogError,
     ColumnRef,
@@ -16,7 +19,7 @@ from halloffame import (
     load_catalog,
     join_path,
 )
-from halloffame.catalog import _schema_violations
+from halloffame.catalog import _parse_yaml, _schema_violations
 
 BASKETBALL_CONFIG = """
 relations:
@@ -333,6 +336,48 @@ entity_attrs: [x]
     def test_round_trip_basketball(self):
         catalog = load_catalog(BASKETBALL_CONFIG)
         assert load_catalog(serialize_catalog(catalog)) == catalog
+
+
+def catalog_texts() -> dict[str, str]:
+    """The Bloomberg fixture's catalog, this module's configs and some
+    generated instances' catalogs, by name."""
+    texts = {path.parent.name: path.read_text(encoding="utf-8")
+             for path in (Path(__file__).parent / "data").glob("*/catalog.yaml")}
+    texts["basketball"] = BASKETBALL_CONFIG
+    texts["full"] = yaml.safe_dump(FULL_CONFIG_DOC)
+    for seed, two_tables in ((1, False), (2, True)):
+        texts[f"instance{seed}"] = make_instance(random.Random(seed), two_tables=two_tables, with_user_atom=True).config_text
+    return texts
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+class TestParseYaml:
+    """libyaml parses the config when PyYAML has it; the pure-Python parser
+    gives the same documents and still words every error."""
+
+    @pytest.mark.parametrize("name", sorted(catalog_texts()))
+    def test_libyaml_gives_the_same_document(self, monkeypatch, name):
+        text = catalog_texts()[name]
+        doc, catalog = _parse_yaml(text), load_catalog(text)
+        monkeypatch.setattr(yaml, "__with_libyaml__", False)
+        assert _parse_yaml(text) == doc == yaml.safe_load(text)
+        assert load_catalog(text) == catalog
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_error_text_is_the_pure_python_parsers(self, monkeypatch, libyaml):
+        monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+        with pytest.raises(ConfigParseError) as exc:
+            load_catalog('relations: [a\n')
+        assert str(exc.value) == (
+            "config parse error at line 2: while parsing a flow sequence\n"
+            '  in "<unicode string>", line 1, column 12:\n'
+            "    relations: [a\n"
+            "               ^\n"
+            "expected ',' or ']', but got '<stream end>'\n"
+            '  in "<unicode string>", line 2, column 1:\n'
+            "    \n"
+            "    ^"
+        )
 
 
 class TestJoinPath:

@@ -251,14 +251,14 @@ class TestRun:
         assert result.exit_code == 0
         rows = [json.loads(line) for line in stats_path.read_text().splitlines()]
         assert len(rows) == 1
-        assert {"seq", "column_candidates", "row_candidates", "rebuilt", "changed", "latency_ms"} <= set(rows[0])
+        assert {"seq", "column_candidates", "row_candidates", "rebuilt", "refilled", "changed", "latency_ms"} <= set(rows[0])
         assert rows[0]["changed"] <= rows[0]["rebuilt"] <= rows[0]["row_candidates"]
         assert rows[0]["rebuilt"] >= 1  # Gaona's ranking moved
         assert "mean rebuilt rankings" in result.output
         summary = runner.invoke(main, ["stats", "--stats", str(stats_path)])
         assert summary.exit_code == 0
         assert "column_candidates" in summary.output
-        assert "rebuilt" in summary.output
+        assert "rebuilt" in summary.output and "refilled" in summary.output
 
     def test_stats_without_filters_rebuild_every_query(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -271,6 +271,7 @@ class TestRun:
         (row,) = [json.loads(line) for line in stats_path.read_text().splitlines()]
         n_queries = len(queries.read_text().splitlines())
         assert row["rebuilt"] == row["row_candidates"] == n_queries
+        assert row["refilled"] == 0  # the rescan keeps no orders
 
     def test_join_path_short_of_a_relation_is_located(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -449,12 +450,96 @@ class TestRank:
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+GAMES_CONFIG = """
+relations:
+  - name: games
+    columns:
+      - {name: gid, type: integer}
+      - {name: player, type: text}
+      - {name: team, type: text}
+      - {name: rating, type: real}
+      - {name: pts, type: integer}
+    key: [gid]
+entity_attrs: [player]
+categorical_attrs: [team]
+ranking_criteria:
+  - {column: rating, aggregation: sum, direction: both}
+  - {column: rating, aggregation: avg, direction: both}
+  - {column: pts, aggregation: avg, direction: both}
+"""
+HUGE = 10**400  # far beyond the float range
+
+
+class TestOutOfRangeValues:
+    """A ranking value whose float is out of range saturates to -inf or +inf
+    on both paths, and entities tied there rank by entity."""
+
+    @pytest.mark.parametrize(
+        "rows, writes, ties",
+        [
+            (
+                # a 400-digit integer cell: an avg over it is out of range at start-up
+                [f"0,a,red,1.0,{HUGE}", "1,a,red,2.0,1", f"2,b,red,3.0,-{HUGE}", "3,c,blue,4.0,7", "4,m,blue,1.0,50"],
+                [
+                    ("update", {"pts": HUGE}, {"gid": 3}),  # c ties a at +inf and ranks after it
+                    ("update", {"pts": 5}, {"gid": 0}),  # a back in range
+                    ("update", {"team": "red"}, {"gid": 3}),  # a shape write
+                    ("insert", {"gid": 5, "player": "d", "team": "red", "rating": 1.0, "pts": -HUGE}, {}),  # ties b at -inf
+                ],
+                [(1, "AVG(games.pts) DESC", "c", 3, 2), (4, "AVG(games.pts) ASC", "d", 3, 2)],
+            ),
+            (
+                # real totals: 9e307 + 1e308 is out of range, and fsum's partial
+                # sums of e's 1e308, 1e308, -1e308 overflow though the sum does not
+                ["0,a,red,9e307,1", "1,a,red,1.0,2", "2,b,red,1e308,3", "3,e,red,1e308,4", "4,e,blue,1e308,5",
+                 "5,e,blue,-1e308,6", "6,c,blue,1e308,7", "7,c,blue,-1e308,8", "8,f,blue,2.0,9"],
+                [
+                    ("update", {"rating": 1e308}, {"gid": 1}),  # a to +inf
+                    ("update", {"rating": 1e308}, {"gid": 7}),  # c ties a at +inf and ranks after it
+                    ("insert", {"gid": 9, "player": "d", "team": "red", "rating": 1.7e308, "pts": 1}, {}),
+                    ("update", {"rating": -1.7e308}, {"gid": 2}),
+                    ("update", {"rating": 1.0}, {"gid": 1}),  # a back in range
+                    ("update", {"team": "red"}, {"gid": 5}),  # a shape write
+                    ("update", {"rating": Delta(-1e308)}, {"gid": 3}),
+                ],
+                [(2, "SUM(games.rating) DESC", "c", 3, 2)],
+            ),
+        ],
+    )
+    def test_both_paths_write_the_same_events(self, runner, tmp_path, rows, writes, ties):
+        (tmp_path / "catalog.yaml").write_text(GAMES_CONFIG)
+        (tmp_path / "games.csv").write_text("gid,player,team,rating,pts\n" + "\n".join(rows) + "\n")
+        updates = tmp_path / "updates.jsonl"
+        updates.write_text(write_update_stream(
+            [UpdateRecord(seq, kind, "games", sv, where) for seq, (kind, sv, where) in enumerate(writes, start=1)]
+        ))
+        common = ["--config", str(tmp_path / "catalog.yaml"), "--data-dir", str(tmp_path)]
+        queries = tmp_path / "q.jsonl"
+        result = runner.invoke(main, ["generate", *common, "--out", str(queries), "--k", "2", "--cnum", "1"])
+        assert result.exit_code == 0, result.output
+        logs = []
+        for extra in ([], ["--no-filters"]):
+            events = tmp_path / f"events{len(logs)}.jsonl"
+            result = runner.invoke(main, ["run", *common, "--queries", str(queries), "--updates", str(updates),
+                                          "--events", str(events), "--k", "2", "--b", "2", *extra])
+            assert result.exit_code == 0, result.output
+            logs.append(events.read_bytes())
+        assert logs[0] == logs[1]
+        # each tie, in the query over every team
+        moves = {(d["seq"], d["query"], d["entity"], d["from_rank"], d["to_rank"])
+                 for d in map(json.loads, logs[0].decode().splitlines())}
+        for seq, order, entity, from_rank, to_rank in ties:
+            column = order.split()[0]
+            query = f"SELECT games.player, {column} FROM games GROUP BY games.player ORDER BY {order} LIMIT 2"
+            assert (seq, query, entity, from_rank, to_rank) in moves
+
+
 GOOD_EVENT = {
     "seq": 1, "query_id": "q", "query": "SELECT", "entity": "SAP", "from_rank": 4, "to_rank": 1,
     "selectivity": 0.5, "dynamic_raw": 3.0, "dynamic_norm": 0.2, "entropy_bits": 1.0, "chain": [[1, 4, 1]],
 }
 GOOD_STATS = {
-    "seq": 1, "column_candidates": 3, "row_candidates": 1, "rebuilt": 1, "changed": 1, "latency_ms": 0.5,
+    "seq": 1, "column_candidates": 3, "row_candidates": 1, "rebuilt": 1, "refilled": 0, "changed": 1, "latency_ms": 0.5,
 }
 
 

@@ -21,7 +21,7 @@ from halloffame import (
 )
 from halloffame.detector import EntityOrder
 from halloffame.store import RankingState, Store, build_ranking
-from conftest import load_instance
+from conftest import assert_best_keys, load_instance
 from oracles import (
     make_instance,
     make_updates,
@@ -478,6 +478,7 @@ class TestMaintainedOrder:
             oracle_apply(tables, u)
             # the store keeps rounded floats; the engine sums them exactly
             exact = {"games": [{**r, "rating": Fraction(r["rating"])} for r in tables["games"]]}
+            assert_best_keys(engine)
             stats = engine.last_stats
             assert stats.rebuilt <= stats.row_candidates
             seen["rebuilt"] += stats.rebuilt
@@ -497,6 +498,39 @@ class TestMaintainedOrder:
                         seen["tie"] += len(set(values)) < len(values)
         assert seen["tie"] and seen["rebuilt"] and seen["skipped"]
         assert "p9" in seen["entities"] and any(e.startswith("n") for e in seen["entities"])  # new entities
+
+
+class TestRefill:
+    """An order holds at most 2k keys. When the best entities of a large
+    instance keep getting worse, it runs short of k keys and fills itself
+    again from every entity of the instance."""
+
+    def test_worsening_leaders_refill_the_order(self):
+        catalog = load_catalog(GAMES_CATALOG)
+        rng = random.Random(5)
+        rows = [[gid, f"p{gid % 40:02d}", "red" if gid < 70 else "blue", rng.randint(1, 50), rng.choice(RATINGS)]
+                for gid in range(90)]
+        store = TestNetZero.store_of(catalog, rows)
+        queries = load_queries(TestMaintainedOrder().query_catalog(), catalog)
+        engine = Engine(catalog, store, queries)
+        columns = ["gid", "player", "team", "pts", "rating"]
+        tables = {"games": [dict(zip(columns, r)) for r in rows]}
+        leader = "red-pts-sum-descending-2"
+        assert engine.orders[leader].bound is not None  # 40 entities, 4 held
+        refilled = []
+        for seq in range(1, 61):
+            # the leader's rows drop to the bottom, and with them its rating
+            top = engine.rankings[leader].entries[0][0]
+            u = UpdateRecord(seq, "update", "games", {"pts": 0, "rating": 0.1}, {"player": top})
+            engine.detect(u)
+            oracle_apply(tables, u)
+            refilled.append(engine.last_stats.refilled)
+            assert_best_keys(engine)
+            exact = {"games": [{**r, "rating": Fraction(r["rating"])} for r in tables["games"]]}
+            for qid, q in engine.queries.items():
+                assert list(engine.rankings[qid].entries) == TestMaintainedOrder().oracle_top(exact, q), (seq, qid)
+        # with k = 2 the leader's order holds 4 keys and loses one per update
+        assert sum(refilled) >= 60 // 3 and refilled.count(0) > 0
 
 
 PLAYS_CATALOG = """
@@ -655,7 +689,10 @@ class TestNetZero:
     def assert_fresh(self, catalog, store, queries, engine):
         fresh = Engine(catalog, self.store_of(catalog, store.table("games").rows), queries)
         assert engine.rankings == fresh.rankings
-        assert {qid: o.keys for qid, o in engine.orders.items()} == {qid: o.keys for qid, o in fresh.orders.items()}
+        # nothing changed, so every order is still the one start-up filled
+        assert {qid: (o.keys, o.bound) for qid, o in engine.orders.items()} == {
+            qid: (o.keys, o.bound) for qid, o in fresh.orders.items()
+        }
 
     @pytest.mark.parametrize(
         "set_values, where",
@@ -718,27 +755,25 @@ class TestMergedFamily:
     def test_column_write_moves_only_its_queries(self, monkeypatch, column, set_values, where):
         catalog, store, queries, engine = self.setup()
         others = {q.id for q in queries if q.criterion.column.column != column}
-        keys = {qid: list(engine.orders[qid].keys) for qid in others}
+        held = {qid: (list(engine.orders[qid].keys), engine.orders[qid].bound) for qid in others}
         rankings = {qid: engine.rankings[qid] for qid in others}
-        moved = set()
+        moved = []
+        update = EntityOrder.update
 
-        def recording(method):
-            def wrapped(order, changed, present):
-                if any(e in present for e in changed):
-                    moved.add(next(qid for qid, o in engine.orders.items() if o is order))
-                return method(order, changed, present)
+        def recording(order, entities, counts):
+            moved.append(next(qid for qid, o in engine.orders.items() if o is order))
+            return update(order, entities, counts)
 
-            return wrapped
-
-        for name in ("remove", "insert"):
-            monkeypatch.setattr(EntityOrder, name, recording(getattr(EntityOrder, name)))
+        monkeypatch.setattr(EntityOrder, "update", recording)
         engine.detect(UpdateRecord(1, "update", "games", set_values, where))
-        assert moved and not moved & others
-        assert {qid: engine.orders[qid].keys for qid in others} == keys
+        assert moved and not set(moved) & others
+        assert len(moved) == len(set(moved))  # each order is updated once
+        assert {qid: (engine.orders[qid].keys, engine.orders[qid].bound) for qid in others} == held
         assert all(engine.rankings[qid] is rankings[qid] for qid in others)  # none rebuilt
         stats = engine.last_stats
         assert stats.column_candidates == len(queries) - len(others)
         assert 0 < stats.rebuilt <= stats.row_candidates <= len(queries) - len(others)
+        assert_best_keys(engine)
         fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
         assert engine.rankings == fresh.rankings
 
@@ -767,4 +802,4 @@ class TestMergedFamily:
         assert engine.last_stats.column_candidates == len(queries)
         fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
         assert engine.rankings == fresh.rankings
-        assert {qid: o.keys for qid, o in engine.orders.items()} == {qid: o.keys for qid, o in fresh.orders.items()}
+        assert_best_keys(engine)

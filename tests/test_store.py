@@ -32,7 +32,7 @@ from halloffame import (
     write_update_stream,
 )
 from halloffame.store import CsvLoadError, UpdateError, _coerce_cell
-from conftest import load_instance
+from conftest import assert_best_keys, load_instance
 from oracles import make_instance, make_updates, oracle_apply, oracle_eval_query
 
 PLAYS_CONFIG = """
@@ -75,7 +75,7 @@ def engine_rankings(catalog, store, queries):
 
 def snapshot(store, engine):
     """Copies of every table's rows, column indices and key index, and of the
-    engine's rankings."""
+    engine's rankings, family counts and totals, and entity orders."""
     tables = {
         name: (
             [list(r) for r in t.rows],
@@ -84,7 +84,12 @@ def snapshot(store, engine):
         )
         for name, t in store.tables.items()
     }
-    return tables, dict(engine.rankings)
+    families = [
+        ({i: dict(c) for i, c in fam.counts.items()}, {i: [dict(t) for t in ts] for i, ts in fam.totals.items()})
+        for fam in engine.families
+    ]
+    orders = {qid: (list(o.keys), o.bound) for qid, o in engine.orders.items()}
+    return tables, dict(engine.rankings), families, orders
 
 
 def reloaded(store):
@@ -808,6 +813,10 @@ class EngineModel(RuleBasedStateMachine):
             assert table.indices == rebuilt
             keys = {tuple(row[table.col_pos[c]] for c in table.meta.key_columns): rid for rid, row in enumerate(table.rows)}
             assert table.key_index == keys and len(keys) == len(table.rows)
+
+    @invariant()
+    def orders_hold_best_keys(self):
+        assert_best_keys(self.engine)
 
     @invariant()
     def rankings_match_oracle(self):
