@@ -283,6 +283,7 @@ def run(
     click.echo(f"updates processed      {n_updates}")
     click.echo(f"events detected        {n_events}")
     click.echo(f"queries total          {len(by_id)}")
+    click.echo(f"start-up rows          {engine.startup_rows}")
     click.echo(f"mean column candidates {mean(col_cands):.2f}")
     click.echo(f"mean row candidates    {mean(row_cands):.2f}")
     click.echo(f"mean rebuilt rankings  {mean(rebuilt):.2f}")

@@ -3,10 +3,15 @@
 Queries that share entity attribute, join path, fixed atoms and binding
 columns form a family, whatever their criterion columns; they differ in
 their binding values, the instance, and in their criterion. A family owns
-its from-scratch scan: one pass over the joined table yields, for every
-instance that is a query, per-entity row counts and one per-entity total
-for each criterion column. The engine builds its state from that scan at
-start-up and, for every update, keeps it current by delta.
+its from-scratch scan, which yields, for every instance that is a query,
+per-entity row counts and one per-entity total for each criterion column.
+When one relation holds every criterion column and no entity, binding or
+fixed-atom column, and one edge of the join path touches it, that leaf is
+summed per join value first (eager aggregation) and the rest of the path
+is joined without it: a joined row whose join value has no leaf row is
+dropped, as the join would drop it, and any other adds its value's row
+count and totals. The engine builds its state from that scan at start-up
+and, for every update, keeps it current by delta.
 
 Per update the engine runs a column filter (does the update write any
 column a family depends on?), then a row filter: the updated rows are
@@ -40,9 +45,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
-from .catalog import ColumnRef, SchemaCatalog
+from .catalog import ColumnRef, JoinEdge, SchemaCatalog
 from .generator import HofQuery
 from .store import RankingState, Store, UpdateRecord, build_ranking, compile_predicate
 
@@ -128,6 +135,16 @@ class Family:
         self.referenced_columns = self.shape | set(self.columns)
         self.real = tuple(catalog.column_type(c) == "real" for c in self.columns)
         self.exact = tuple(Fraction if r else int for r in self.real)  # criterion value -> its exact term in a total
+        # The path's one edge to a relation that holds every criterion column
+        # and no entity, binding or fixed-atom column, or None: scan sums
+        # that leaf relation's rows per join value before the join.
+        self.leaf: JoinEdge | None = None
+        (rel, *more) = {c.relation for c in self.columns}
+        edges = [e for e in self.path if rel in e.relations()]
+        held = {self.entity, *self.binding_cols, *(c for a in self.fixed for c in a.columns())}
+        if not more and len(edges) == 1 and all(c.relation != rel for c in held):
+            self.leaf = edges[0]
+        self.rows_read = 0  # joined rows the last scan read
         self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
         for q in queries:
             per_column = self.members.setdefault(tuple(a.right for a in q.binding_atoms()), [[] for _ in self.columns])
@@ -199,48 +216,107 @@ class Family:
         table; an instance without rows gets empty dicts. Totals of a real
         criterion column are the correctly rounded math.fsum of their
         values, whatever the row order, or -inf or +inf when that is out of
-        range, or with exact=True the exact Fraction sum."""
-        rel_order, envs = store.joined_rows(self.needed, self.path)
+        range, or with exact=True the exact Fraction sum.
+
+        A family with a leaf relation joins its path without the leaf's edge
+        and sums the leaf's rows per join value first (a row count, an int
+        total or the list of real values per column). The joined rows whose
+        join value has no leaf row are dropped, as the full join drops them;
+        every other row adds its value's count and totals to its entity.
+        Each column of the joined rows is read through one lazy map chain
+        and all of them are consumed in one zip loop; rows_read tells how
+        many joined rows the scan read."""
+        needed, path, leaf = self.needed, self.path, self.leaf
+        if leaf:
+            leaf_rel = self.columns[0].relation
+            needed, path = needed - {leaf_rel}, tuple(e for e in path if e != leaf)
+        rel_order, envs = store.joined_rows(needed, path)
+        self.rows_read = len(envs)
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         if self.fixed:
-            envs = filter(compile_predicate(self.fixed, rel_pos, store.tables), envs)
+            envs = list(filter(compile_predicate(self.fixed, rel_pos, store.tables), envs))
 
-        def getter(ref: ColumnRef) -> Getter:
+        def values(ref: ColumnRef) -> Iterator:
             table = store.table(ref.relation)
-            return rel_pos[ref.relation], table.col_pos[ref.column], table.rows
+            rows = map(table.rows.__getitem__, map(itemgetter(rel_pos[ref.relation]), envs))
+            return map(itemgetter(table.col_pos[ref.column]), rows)
 
-        ei, ep, erows = getter(self.entity)
-        bind = [getter(c) for c in self.binding_cols]
-        columns = [(*getter(c), real) for c, real in zip(self.columns, self.real)]
-        # instance -> (entity -> rows, per column: (where to read it, real, entity -> total or real values))
-        per_inst = {inst: ({}, [(*column, {}) for column in columns]) for inst in self.members}
-        for env in envs:
-            slot = per_inst.get(tuple([rows[env[i]][p] for i, p, rows in bind]))
-            if slot is None:
-                continue
-            counts, sums = slot
-            ent = erows[env[ei]][ep]
-            if ent in counts:
-                counts[ent] += 1
-                for i, p, rows, real, t in sums:
-                    t[ent] += [rows[env[i]][p]] if real else rows[env[i]][p]
-            else:
-                counts[ent] = 1
-                for i, p, rows, real, t in sums:
-                    t[ent] = [rows[env[i]][p]] if real else rows[env[i]][p]
+        # A term is an int, or for a real column a new list of values, kept
+        # for the final sum; an entity's first term becomes its total.
+        if leaf:
+            table = store.table(leaf_rel)
+            buckets = table.indices[leaf.endpoint(leaf_rel).column]  # join value -> row ids of the leaf
+            joined = leaf.other(leaf_rel)
+            envs = list(compress(envs, map(buckets.__contains__, values(joined))))  # the inner join
+            keys = list(values(joined))
+            weights = map(len, map(buckets.__getitem__, keys))
+            streams = []
+            for c, real in zip(self.columns, self.real):
+                cell = itemgetter(table.col_pos[c.column])
+                add = list if real else sum
+                group = {v: add(map(cell, map(table.rows.__getitem__, ids))) for v, ids in buckets.items()}
+                terms = map(group.__getitem__, keys)
+                streams.append(map(list, terms) if real else terms)
+        else:
+            weights = repeat(1)
+            streams = [map(list, zip(values(c))) if real else values(c) for c, real in zip(self.columns, self.real)]
+        insts = zip(*map(values, self.binding_cols)) if self.binding_cols else repeat(())
+        ents = values(self.entity)
+        per_inst = {inst: ({}, [{} for _ in self.columns]) for inst in self.members}
+        get = per_inst.get
+        if len(streams) == 1:
+            for inst, ent, n, v in zip(insts, ents, weights, *streams):
+                slot = get(inst)
+                if slot is None:
+                    continue
+                counts, (t,) = slot
+                if ent in counts:
+                    counts[ent] += n
+                    t[ent] += v
+                else:
+                    counts[ent] = n
+                    t[ent] = v
+        elif len(streams) == 2:
+            for inst, ent, n, v1, v2 in zip(insts, ents, weights, *streams):
+                slot = get(inst)
+                if slot is None:
+                    continue
+                counts, (t1, t2) = slot
+                if ent in counts:
+                    counts[ent] += n
+                    t1[ent] += v1
+                    t2[ent] += v2
+                else:
+                    counts[ent] = n
+                    t1[ent] = v1
+                    t2[ent] = v2
+        else:
+            for inst, ent, n, vs in zip(insts, ents, weights, zip(*streams)):
+                slot = get(inst)
+                if slot is None:
+                    continue
+                counts, sums = slot
+                if ent in counts:
+                    counts[ent] += n
+                    for t, v in zip(sums, vs):
+                        t[ent] += v
+                else:
+                    counts[ent] = n
+                    for t, v in zip(sums, vs):
+                        t[ent] = v
         for inst, (counts, sums) in per_inst.items():
-            for *_, real, t in sums:
+            for real, t in zip(self.real, sums):
                 if real:
-                    for ent, values in t.items():
+                    for ent, terms in t.items():
                         try:
-                            t[ent] = sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
+                            t[ent] = sum(map(Fraction, terms), Fraction()) if exact else math.fsum(terms)
                         except OverflowError:  # fsum's sum, or only a partial sum, is out of range
-                            total = sum(map(Fraction, values), Fraction())
+                            total = sum(map(Fraction, terms), Fraction())
                             try:
                                 t[ent] = float(total)
                             except OverflowError:
                                 t[ent] = math.inf if total > 0 else -math.inf
-            yield inst, counts, [t for *_, t in sums]
+            yield inst, counts, sums
 
 
 def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[Any], tuple]:
@@ -353,6 +429,7 @@ class Engine:
             store.drop_join_cache()  # the delta path never scans again
         else:
             self.rankings = self._rescan()
+        self.startup_rows = sum(fam.rows_read for fam in self.families)  # joined rows the start-up scans read
         self._routes: dict[tuple, tuple] = {}  # see _route
         self.last_stats = DetectStats(0, 0, 0, 0, 0)
 

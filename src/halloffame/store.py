@@ -17,9 +17,10 @@ an immutable snapshot that any number of readers may evaluate against.
 Joined-row caching: the row-id tuples produced by a join path are cached
 per path, whatever relations a caller needs from them. Every insert and
 every update that changes a value clears the whole cache. Set-up never
-writes, so its scans share every entry; the delta path reads no joined
-rows, so only the from-scratch reference path rebuilds them after each
-write.
+writes, so scans of one path share its entry; the engine's start-up scans
+also join paths that generation did not, those of the families whose leaf
+relation they sum before the join. The delta path reads no joined rows,
+so only the from-scratch reference path rebuilds them after each write.
 
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of

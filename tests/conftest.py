@@ -9,12 +9,15 @@ from halloffame import SchemaCatalog, Store, load_catalog
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def load_dataset(name: str) -> tuple[SchemaCatalog, Store]:
+def load_dataset(name: str, catalog_text: str | None = None, csvs: dict[str, str] | None = None) -> tuple[SchemaCatalog, Store]:
+    """A dataset under tests/data, optionally with another catalog text or
+    other CSV texts for some relations."""
     base = DATA_DIR / name
-    catalog = load_catalog((base / "catalog.yaml").read_text(encoding="utf-8"))
+    catalog = load_catalog(catalog_text or (base / "catalog.yaml").read_text(encoding="utf-8"))
     store = Store(catalog)
     for rel in catalog.relations:
-        store.load_table(rel.name, (base / f"{rel.name}.csv").read_text(encoding="utf-8"))
+        text = (csvs or {}).get(rel.name) or (base / f"{rel.name}.csv").read_text(encoding="utf-8")
+        store.load_table(rel.name, text)
     return catalog, store
 
 

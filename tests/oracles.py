@@ -83,6 +83,30 @@ def oracle_join(tables: dict[str, list[dict]], edges: list[tuple], rels: set[str
     return joined
 
 
+def oracle_path_join(tables: dict[str, list[dict]], path, rels: set[str]) -> list[dict]:
+    """Nested-loop join along a query's own join path (package JoinEdges),
+    from the first edge's source relation, or the one relation of an empty
+    path. Returns rows of shape {relation: rowdict}. Where the join graph
+    has cycles, two paths over one relation set can join different rows, so
+    the path must be followed, not rediscovered."""
+    if not path:
+        (rel,) = rels
+        return [{rel: row} for row in tables[rel]]
+    start = path[0].src.relation
+    have = {start}
+    joined = [{start: row} for row in tables[start]]
+    for edge in path:
+        old, new = (edge.src, edge.dst) if edge.src.relation in have else (edge.dst, edge.src)
+        have.add(new.relation)
+        joined = [
+            {**jr, new.relation: row}
+            for jr in joined
+            for row in tables[new.relation]
+            if row[new.column] == jr[old.relation][old.column]
+        ]
+    return joined
+
+
 def oracle_check_atom(jrow: dict, atom) -> bool:
     """atom: (kind, (rel, col), op, rhs) with rhs a constant or (rel, col)."""
     _, (rel, col), op, rhs = atom
@@ -250,14 +274,29 @@ def oracle_apply(tables: dict[str, list[dict]], u: UpdateRecord) -> None:
                 row[col] = row[col] + value.amount if isinstance(value, Delta) else value
 
 
-def oracle_eval_query(tables: dict[str, list[dict]], inst: Instance, q: HofQuery) -> list[tuple]:
-    rels = set(q.relations())
-    jrows = oracle_join(tables, inst.edges, rels)
+def _oracle_ranking(jrows: list[dict], q: HofQuery) -> list[tuple]:
     atoms = [_atom_of(a) for a in q.predicate]
     entity = (q.entity_attr.relation, q.entity_attr.column)
     crit = (q.criterion.column.relation, q.criterion.column.column)
     groups = oracle_groups(jrows, entity, crit, q.criterion.aggregation, atoms)
     return oracle_rank(groups, q.criterion.direction, q.k)
+
+
+def oracle_eval_query(tables: dict[str, list[dict]], inst: Instance, q: HofQuery) -> list[tuple]:
+    return _oracle_ranking(oracle_join(tables, inst.edges, set(q.relations())), q)
+
+
+def oracle_path_rankings(tables: dict[str, list[dict]], queries) -> dict[str, list[tuple]]:
+    """query id -> its ranking over its own join path (oracle_path_join);
+    each distinct (path, relations) is joined once."""
+    joins: dict[tuple, list[dict]] = {}
+    out = {}
+    for q in queries:
+        key = (q.join_path, q.relations())
+        if key not in joins:
+            joins[key] = oracle_path_join(tables, q.join_path, set(q.relations()))
+        out[q.id] = _oracle_ranking(joins[key], q)
+    return out
 
 
 def oracle_diff(old: list[tuple], new: list[tuple], k: int) -> list[tuple]:

@@ -205,6 +205,18 @@ class TestRun:
             assert all(re.fullmatch(r"[a-z -]+s +\d+\.\d{3}", line) for line in lines[:2])
             assert re.match(rest, lines[2])
 
+    def test_start_up_rows_follow_queries_total(self, runner, bloomberg_dir, tmp_path):
+        # the joined rows the start-up scans read, with and without filters:
+        # the four families read 9, 9, 9 and 6
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        for extra in ([], ["--no-filters"]):
+            _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text(), extra=extra)
+            assert result.exit_code == 0, result.output
+            lines = result.output.splitlines()
+            at = lines.index("queries total          5")
+            assert lines[at + 1] == "start-up rows          33"
+            assert lines[at + 2].startswith("mean column candidates ")
+
     def test_zero_update_stream(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
         events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, "")

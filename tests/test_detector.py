@@ -1,5 +1,8 @@
 import json
+import math
+import operator
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,6 +16,7 @@ from halloffame import (
     GeneratorConfig,
     UpdateRecord,
     build_column_index,
+    build_families,
     column_filter,
     diff_rankings,
     generate_queries,
@@ -21,12 +25,13 @@ from halloffame import (
 )
 from halloffame.detector import EntityOrder
 from halloffame.store import RankingState, Store, build_ranking
-from conftest import assert_best_keys, load_instance
+from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance
 from oracles import (
     make_instance,
     make_updates,
     oracle_apply,
     oracle_eval_query,
+    oracle_path_join,
     oracle_rank,
     oracle_run,
 )
@@ -803,3 +808,192 @@ class TestMergedFamily:
         fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
         assert engine.rankings == fresh.rankings
         assert_best_keys(engine)
+
+
+COMPARATORS = {">": operator.gt, "<": operator.lt, "=": operator.eq, "!=": operator.ne, "<=": operator.le, ">=": operator.ge}
+
+
+def reference_scan(store, fam, exact):
+    """instance -> (entity -> joined rows, per column: entity -> total) for
+    every member instance of fam, from oracle_path_join along the family's
+    own join path over the stored rows: real totals are math.fsum of their
+    values, or with exact the Fraction sum."""
+    tables = {name: [dict(zip(t.meta.column_names(), row)) for row in t.rows] for name, t in store.tables.items()}
+
+    def cell(jrow, ref):
+        return jrow[ref.relation][ref.column]
+
+    def passes(jrow, atom):
+        right = cell(jrow, atom.right) if isinstance(atom.right, ColumnRef) else atom.right
+        return COMPARATORS[atom.comparator](cell(jrow, atom.left), right)
+
+    out = {inst: ({}, [{} for _ in fam.columns]) for inst in fam.members}
+    for jrow in oracle_path_join(tables, fam.path, fam.needed):
+        if not all(passes(jrow, atom) for atom in fam.fixed):
+            continue
+        inst = tuple(cell(jrow, c) for c in fam.binding_cols)
+        if inst not in out:
+            continue
+        counts, values = out[inst]
+        ent = cell(jrow, fam.entity)
+        counts[ent] = counts.get(ent, 0) + 1
+        for per_entity, c in zip(values, fam.columns):
+            per_entity.setdefault(ent, []).append(cell(jrow, c))
+
+    def total(values, real):
+        if not real:
+            return sum(values)
+        return sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
+
+    return {
+        inst: (counts, [{e: total(v, real) for e, v in per.items()} for per, real in zip(values, fam.real)])
+        for inst, (counts, values) in out.items()
+    }
+
+
+def typed(totals):
+    """Totals with each value's type, so 2.0 and Fraction(2) differ."""
+    return [{e: (type(v), v) for e, v in t.items()} for t in totals]
+
+
+SH_CO = ("shareholder.s_companyid", "company.c_id")
+CO_CTRY = ("company.c_countryid", "country.co_countryid")
+SH_PERSON = ("shareholder.s_personid", "person.p_id")
+CO_SM = ("company.c_id", "stockmarket.s_companyid")
+
+
+def bloomberg_query(qid, entity, column, aggregation, path, bindings=()) -> dict:
+    return {
+        "id": qid,
+        "entity": entity,
+        "predicate": [{"kind": "binding", "left": left, "comparator": "=", "right": right} for left, right in bindings],
+        "criterion": {"column": column, "aggregation": aggregation, "direction": "descending"},
+        "join_path": [{"from": a, "to": b} for a, b in path],
+        "k": 1,
+        "selectivity": 0.5,
+        "entropy_bits": 1.0,
+    }
+
+
+class TestFamilyScan:
+    """Family.scan against nested loops along each family's own join path,
+    with exact and with fsum totals. A family with a leaf relation (it holds
+    every criterion column and no entity, binding or fixed-atom column, and
+    one path edge touches it) sums the leaf's rows per join value before the
+    join; that must change no count and no correctly rounded total."""
+
+    # s_amount is real; Germany's companies SAP (0) and BMW (1) hold 1e16 and
+    # 1.0, and 1.0; company 99 does not exist; Mercedes, Google, Fiat and
+    # Aegean Airlines have no shareholder
+    SHAREHOLDERS = (
+        "s_personid,s_companyid,s_amount\n"
+        "0,3,400\n0,5,50.5\n1,8,40\n2,0,1e16\n3,0,1.0\n1,1,1.0\n3,3,100\n3,5,60\n0,99,5.5\n"
+    )
+    AMOUNT_CRITERIA = """\
+  - {column: shareholder.s_amount, aggregation: sum, direction: descending}
+  - {column: shareholder.s_amount, aggregation: avg, direction: ascending}
+"""
+    USER_ATOM = """\
+user_constraints:
+  - {kind: const_comparison, left: company.c_countryid, comparator: '<', right: 3}
+"""
+
+    @staticmethod
+    def check(store, families):
+        for fam in families:
+            for exact in (True, False):
+                got = list(fam.scan(store, exact))
+                assert len(got) == len(fam.members), fam.id
+                expected = reference_scan(store, fam, exact)
+                assert {inst: (counts, typed(totals)) for inst, counts, totals in got} == {
+                    inst: (counts, typed(totals)) for inst, (counts, totals) in expected.items()
+                }, (fam.id, exact)
+
+    @staticmethod
+    def leaves(families):
+        """(criterion relation, leaf edge or None) -> families."""
+        return Counter((fam.columns[0].relation, fam.leaf and str(fam.leaf)) for fam in families)
+
+    def real_store(self):
+        text = (DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8")
+        text = text.replace("{name: s_amount, type: integer}", "{name: s_amount, type: real}")
+        text = text.replace("ranking_criteria:\n", "ranking_criteria:\n" + self.AMOUNT_CRITERIA) + self.USER_ATOM
+        return load_dataset("bloomberg", text, {"shareholder": self.SHAREHOLDERS})
+
+    @pytest.mark.parametrize(
+        "k, c_num, j_num, leaves",
+        [
+            (1, 2, 3, {("stockmarket", "company.c_id=stockmarket.s_companyid"): 11,
+                       ("stockmarket", "shareholder.s_companyid=stockmarket.s_companyid"): 1}),
+            (2, 3, 1, {("stockmarket", "company.c_id=stockmarket.s_companyid"): 1}),
+        ],
+    )
+    def test_bloomberg_families(self, bloomberg, k, c_num, j_num, leaves):
+        catalog, store = bloomberg
+        families = build_families(generate_queries(catalog, GeneratorConfig(k=k, c_num=c_num, j_num=j_num), store), catalog)
+        assert self.leaves(families) == leaves
+        self.check(store, families)
+
+    def test_real_amounts_sum_and_avg_with_a_fixed_atom(self):
+        catalog, store = self.real_store()
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
+        families = build_families(queries, catalog)
+        assert self.leaves(families) == {
+            ("stockmarket", "company.c_id=stockmarket.s_companyid"): 20,
+            ("stockmarket", "shareholder.s_companyid=stockmarket.s_companyid"): 1,
+            ("shareholder", "shareholder.s_companyid=company.c_id"): 16,
+            ("shareholder", "shareholder.s_personid=person.p_id"): 2,
+            ("shareholder", None): 3,
+        }
+        # the fixed atom is on company, so families that carry it keep their leaf
+        assert sum(bool(fam.fixed) for fam in families) == 18
+        assert sum(bool(fam.fixed and fam.leaf) for fam in families) == 16
+        self.check(store, families)
+
+    def test_leaf_conditions_and_correct_rounding(self):
+        catalog, store = self.real_store()
+        amount = "shareholder.s_amount"
+        docs = [
+            # a leaf and three columns (one real): Germany's amounts arrive through two join values
+            *(bloomberg_query(f"country-{c}", "country.co_name", c, "sum", [SH_CO, CO_CTRY])
+              for c in (amount, "shareholder.s_personid", "shareholder.s_companyid")),
+            # a leaf, one column: companies without shareholders add no row
+            bloomberg_query("company", "company.c_name", amount, "avg", [SH_CO]),
+            # a leaf, two columns, reached through the person edge
+            *(bloomberg_query(f"person-{c}", "person.p_name", c, "sum", [SH_PERSON])
+              for c in (amount, "shareholder.s_companyid")),
+            # a binding column on the criterion relation: no leaf (three columns)
+            *(bloomberg_query(f"bound-{c}", "country.co_name", c, "sum", [SH_CO, CO_CTRY], [("shareholder.s_personid", 3)])
+              for c in (amount, "shareholder.s_personid", "shareholder.s_companyid")),
+            # the entity on the criterion relation: no leaf
+            bloomberg_query("held", "shareholder.s_personid", amount, "sum", [SH_CO]),
+            # criteria in two relations: no leaf (two columns)
+            *(bloomberg_query(f"two-{c}", "company.c_name", c, "sum", [SH_CO, CO_SM]) for c in (amount, "stockmarket.s_value")),
+            # two path edges touch the criterion relation: no leaf
+            bloomberg_query("middle", "person.p_name", amount, "avg", [SH_PERSON, SH_CO]),
+        ]
+        families = build_families(load_queries("".join(json.dumps(d) + "\n" for d in docs), catalog), catalog)
+        by_query = {fam.members[next(iter(fam.members))][0][0]: fam for fam in families}
+        assert {qid: fam.leaf and str(fam.leaf) for qid, fam in by_query.items()} == {
+            f"country-{amount}": "shareholder.s_companyid=company.c_id",
+            "company": "shareholder.s_companyid=company.c_id",
+            f"person-{amount}": "shareholder.s_personid=person.p_id",
+            f"bound-{amount}": None,
+            "held": None,
+            f"two-{amount}": None,
+            "middle": None,
+        }
+        assert [len(fam.columns) for fam in families] == [3, 1, 2, 3, 1, 2, 1]
+        self.check(store, families)
+
+        country = by_query[f"country-{amount}"]
+        [(_, counts, totals)] = country.scan(store, exact=False)
+        # pre-summed per join value, 1e16 + 1.0 rounds to 1e16 and the total stays 1e16
+        assert (counts["Germany"], totals[0]["Germany"]) == (3, 1.0000000000000002e16)
+        [(_, _, totals)] = country.scan(store, exact=True)
+        assert totals[0]["Germany"] == Fraction(10**16 + 2)
+        # the leaf's dangling row (company 99) and the companies without shareholders add nothing
+        [(_, counts, _)] = by_query["company"].scan(store, exact=False)
+        assert sorted(counts) == ["BMW", "Facebook", "Microsoft", "SAP", "Superfast Ferries"]
+        assert (counts["SAP"], counts["Microsoft"]) == (2, 2)
+        assert 99 not in {row[0] for row in store.table("company").rows}

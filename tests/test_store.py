@@ -32,8 +32,8 @@ from halloffame import (
     write_update_stream,
 )
 from halloffame.store import CsvLoadError, UpdateError, _coerce_cell
-from conftest import assert_best_keys, load_instance
-from oracles import make_instance, make_updates, oracle_apply, oracle_eval_query
+from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance
+from oracles import make_instance, make_updates, oracle_apply, oracle_eval_query, oracle_path_rankings
 
 PLAYS_CONFIG = """
 relations:
@@ -719,24 +719,20 @@ def model_inputs():
 ROW = st.integers(0, 10**6)  # any stats row, by position modulo the row count
 
 
-class EngineModel(RuleBasedStateMachine):
-    """A store and its filtered engine against the oracle: after every step
+class StoreEngineModel(RuleBasedStateMachine):
+    """A store and its filtered engine against an oracle: after every step
     each table's indices and key index equal ones rebuilt from its rows, the
-    rows equal the oracle's, and every ranking equals oracle_eval_query over
-    the oracle's tables. A rejected step changes nothing."""
+    rows equal the oracle's (self.tables), every entity order holds its best
+    keys and every ranking equals the oracle's (oracle_rankings). A rejected
+    step changes nothing."""
 
-    def __init__(self):
-        super().__init__()
-        self.inst, queries = model_inputs()
-        catalog, self.store = load_instance(self.inst)
-        self.engine = Engine(catalog, self.store, queries)
-        self.tables = {name: [dict(r) for r in rows] for name, rows in self.inst.tables.items()}
-        self.seq = 0
-        self.next_sid = len(self.tables["stats"])
+    store: Store
+    engine: Engine
+    tables: dict[str, list[dict]]
+    seq = 0
 
-    def sid(self, i: int) -> int:
-        rows = self.tables["stats"]
-        return rows[i % len(rows)]["sid"]
+    def oracle_rankings(self) -> dict[str, list[tuple]]:
+        raise NotImplementedError
 
     def update(self, kind: str, table: str, set_values: dict, where: dict) -> UpdateRecord:
         self.seq += 1
@@ -753,6 +749,48 @@ class EngineModel(RuleBasedStateMachine):
         with pytest.raises(UpdateError, match=f"update {u.seq}|insert {u.seq}"):
             self.engine.detect(u)
         assert snapshot(self.store, self.engine) == before
+
+    @invariant()
+    def indices_match_rows(self):
+        for name, table in self.store.tables.items():
+            columns = table.meta.column_names()
+            assert [dict(zip(columns, row)) for row in table.rows] == self.tables[name]
+            rebuilt = {col: {} for col in table.indices}
+            for rid, row in enumerate(table.rows):
+                for col, index in rebuilt.items():
+                    index.setdefault(row[table.col_pos[col]], set()).add(rid)
+            assert table.indices == rebuilt
+            keys = {tuple(row[table.col_pos[c]] for c in table.meta.key_columns): rid for rid, row in enumerate(table.rows)}
+            assert table.key_index == keys and len(keys) == len(table.rows)
+
+    @invariant()
+    def orders_hold_best_keys(self):
+        assert_best_keys(self.engine)
+
+    @invariant()
+    def rankings_match_oracle(self):
+        expected = self.oracle_rankings()
+        for q in self.engine.queries.values():
+            assert list(self.engine.rankings[q.id].entries) == expected[q.id], q.sql()
+
+
+class EngineModel(StoreEngineModel):
+    """The two-table instance of model_inputs against oracle_eval_query."""
+
+    def __init__(self):
+        super().__init__()
+        self.inst, queries = model_inputs()
+        catalog, self.store = load_instance(self.inst)
+        self.engine = Engine(catalog, self.store, queries)
+        self.tables = {name: [dict(r) for r in rows] for name, rows in self.inst.tables.items()}
+        self.next_sid = len(self.tables["stats"])
+
+    def oracle_rankings(self):
+        return {q.id: oracle_eval_query(self.tables, self.inst, q) for q in self.engine.queries.values()}
+
+    def sid(self, i: int) -> int:
+        rows = self.tables["stats"]
+        return rows[i % len(rows)]["sid"]
 
     @rule(i=ROW, col=st.sampled_from(["m1", "m2"]), value=st.integers(0, 60))
     def literal_write(self, i, col, value):
@@ -801,28 +839,113 @@ class EngineModel(RuleBasedStateMachine):
     def wrong_typed_where_rejected(self, i):
         self.reject("update", "stats", {"m1": Delta(1)}, {"sid": str(self.sid(i))})
 
-    @invariant()
-    def indices_match_rows(self):
-        for name, table in self.store.tables.items():
-            columns = table.meta.column_names()
-            assert [dict(zip(columns, row)) for row in table.rows] == self.tables[name]
-            rebuilt = {col: {} for col in table.indices}
-            for rid, row in enumerate(table.rows):
-                for col, index in rebuilt.items():
-                    index.setdefault(row[table.col_pos[col]], set()).add(rid)
-            assert table.indices == rebuilt
-            keys = {tuple(row[table.col_pos[c]] for c in table.meta.key_columns): rid for rid, row in enumerate(table.rows)}
-            assert table.key_index == keys and len(keys) == len(table.rows)
-
-    @invariant()
-    def orders_hold_best_keys(self):
-        assert_best_keys(self.engine)
-
-    @invariant()
-    def rankings_match_oracle(self):
-        for q in self.engine.queries.values():
-            assert list(self.engine.rankings[q.id].entries) == oracle_eval_query(self.tables, self.inst, q), q.sql()
-
 
 EngineModel.TestCase.settings = settings(max_examples=30, stateful_step_count=20, derandomize=True, deadline=None)
 TestEngineModel = EngineModel.TestCase
+
+
+@functools.cache
+def bloomberg_model_inputs():
+    """The Bloomberg fixture's catalog with s_amount as a second criterion,
+    and the queries generated from it at cNum 2, jNum 3."""
+    text = (DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8")
+    text = text.replace(
+        "ranking_criteria:\n", "ranking_criteria:\n  - {column: shareholder.s_amount, aggregation: avg, direction: ascending}\n"
+    )
+    catalog, store = load_dataset("bloomberg", text)
+    return text, tuple(generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store))
+
+
+HOLDING = st.integers(0, 10**6)  # any row of a table, by position modulo its row count
+COUNTRY = st.integers(0, 8)  # countries 6-8, companies 9-11 and persons 4-6 exist only once inserted
+COMPANY = st.integers(0, 11)
+PERSON = st.integers(0, 6)
+
+
+class BloombergModel(StoreEngineModel):
+    """The Bloomberg fixture, whose join graph has cycles, against
+    oracle_path_rankings: every join column and both criteria are written
+    and every table gets inserts. A step that would give two rows one key
+    must be rejected; any other is applied."""
+
+    def __init__(self):
+        super().__init__()
+        text, queries = bloomberg_model_inputs()
+        catalog, self.store = load_dataset("bloomberg", text)
+        self.engine = Engine(catalog, self.store, queries)
+        self.keys = {rel.name: rel.key_columns for rel in catalog.relations}
+        self.tables = {
+            name: [dict(zip(table.meta.column_names(), row)) for row in table.rows] for name, table in self.store.tables.items()
+        }
+
+    def oracle_rankings(self):
+        return oracle_path_rankings(self.tables, self.engine.queries.values())
+
+    def row(self, table: str, i: int) -> dict:
+        rows = self.tables[table]
+        return rows[i % len(rows)]
+
+    def key_of(self, table: str, i: int) -> dict:
+        row = self.row(table, i)
+        return {c: row[c] for c in self.keys[table]}
+
+    def step(self, kind: str, table: str, set_values: dict, where: dict) -> None:
+        trial = {table: [dict(r) for r in self.tables[table]]}
+        oracle_apply(trial, UpdateRecord(0, kind, table, set_values, where))
+        keys = [tuple(r[c] for c in self.keys[table]) for r in trial[table]]
+        if len(set(keys)) == len(keys):
+            self.apply(kind, table, set_values, where)
+        else:
+            self.reject(kind, table, set_values, where)
+
+    @rule(i=HOLDING, country=COUNTRY)
+    def company_country_move(self, i, country):
+        self.step("update", "company", {"c_countryid": country}, self.key_of("company", i))
+
+    @rule(i=HOLDING, country=COUNTRY)
+    def person_country_move(self, i, country):
+        self.step("update", "person", {"p_countryid": country}, self.key_of("person", i))
+
+    @rule(i=HOLDING, person=PERSON)
+    def holding_person_move(self, i, person):
+        self.step("update", "shareholder", {"s_personid": person}, self.key_of("shareholder", i))
+
+    @rule(i=HOLDING, company=COMPANY)
+    def holding_company_move(self, i, company):
+        self.step("update", "shareholder", {"s_companyid": company}, self.key_of("shareholder", i))
+
+    @rule(i=HOLDING, company=COMPANY)
+    def market_company_move(self, i, company):
+        self.step("update", "stockmarket", {"s_companyid": company}, self.key_of("stockmarket", i))
+
+    @rule(i=HOLDING, value=st.integers(0, 300), delta=st.booleans())
+    def value_write(self, i, value, delta):
+        self.step("update", "stockmarket", {"s_value": Delta(value - 150) if delta else value}, self.key_of("stockmarket", i))
+
+    @rule(i=HOLDING, value=st.integers(0, 300), delta=st.booleans())
+    def amount_write(self, i, value, delta):
+        self.step("update", "shareholder", {"s_amount": Delta(value - 150) if delta else value}, self.key_of("shareholder", i))
+
+    @rule(company=COMPANY, name=st.sampled_from(["SAP", "Fiat", "Volvo"]), country=COUNTRY)
+    def insert_company(self, company, name, country):
+        self.step("insert", "company", {"c_id": company, "c_name": name, "c_countryid": country}, {})
+
+    @rule(person=PERSON, name=st.sampled_from(["Bill Gates", "Ada Lovelace"]), country=COUNTRY)
+    def insert_person(self, person, name, country):
+        self.step("insert", "person", {"p_id": person, "p_name": name, "p_countryid": country}, {})
+
+    @rule(country=COUNTRY, name=st.sampled_from(["Greece", "Norway"]))
+    def insert_country(self, country, name):
+        self.step("insert", "country", {"co_countryid": country, "co_name": name}, {})
+
+    @rule(company=COMPANY, value=st.integers(0, 300))
+    def insert_market(self, company, value):
+        self.step("insert", "stockmarket", {"s_companyid": company, "s_value": value}, {})
+
+    @rule(person=PERSON, company=COMPANY, amount=st.integers(0, 300))
+    def insert_holding(self, person, company, amount):
+        self.step("insert", "shareholder", {"s_personid": person, "s_companyid": company, "s_amount": amount}, {})
+
+
+BloombergModel.TestCase.settings = settings(max_examples=40, stateful_step_count=20, derandomize=True, deadline=None)
+TestBloombergModel = BloombergModel.TestCase
