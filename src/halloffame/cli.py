@@ -139,6 +139,7 @@ def generate(config_path, data_dir, out_path, k, cnum, jnum):
     _echo_seconds("generate s", elapsed)
     out_path.write_text(dump_queries(queries), encoding="utf-8")
     click.echo(f"generated {len(queries)} queries in {elapsed:.2f}s -> {out_path}")
+    click.echo(f"generate rows          {store.rows_read}")  # joined rows its counts read
 
 
 @main.command()
@@ -207,6 +208,7 @@ def run(
     except StoreError as exc:
         raise click.ClickException(f"engine start-up: {exc}") from exc
     _echo_seconds("engine start-up s", time.perf_counter() - started)
+    startup_rows = store.rows_read  # joined rows the start-up scans read
     chains = ChainStore()
     by_id = engine.queries
     window_events: deque[ScoredEvent] = deque()
@@ -283,7 +285,7 @@ def run(
     click.echo(f"updates processed      {n_updates}")
     click.echo(f"events detected        {n_events}")
     click.echo(f"queries total          {len(by_id)}")
-    click.echo(f"start-up rows          {engine.startup_rows}")
+    click.echo(f"start-up rows          {startup_rows}")
     click.echo(f"mean column candidates {mean(col_cands):.2f}")
     click.echo(f"mean row candidates    {mean(row_cands):.2f}")
     click.echo(f"mean rebuilt rankings  {mean(rebuilt):.2f}")

@@ -5,13 +5,12 @@ columns form a family, whatever their criterion columns; they differ in
 their binding values, the instance, and in their criterion. A family owns
 its from-scratch scan, which yields, for every instance that is a query,
 per-entity row counts and one per-entity total for each criterion column.
-When one relation holds every criterion column and no entity, binding or
-fixed-atom column, and one edge of the join path touches it, that leaf is
-summed per join value first (eager aggregation) and the rest of the path
-is joined without it: a joined row whose join value has no leaf row is
-dropped, as the join would drop it, and any other adds its value's row
-count and totals. The engine builds its state from that scan at start-up
-and, for every update, keeps it current by delta.
+It reads the joined rows through store.JoinScan, as generation counts
+them: when the criterion columns' relation is a leaf (store.leaf_edge),
+that relation is summed per join value first (eager aggregation) and the
+rest of the path is joined without it, so each joined row adds its join
+value's row count and totals. The engine builds its state from that scan
+at start-up and, for every update, keeps it current by delta.
 
 Per update the engine runs a column filter (does the update write any
 column a family depends on?), then a row filter: the updated rows are
@@ -46,12 +45,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
-from .catalog import ColumnRef, JoinEdge, SchemaCatalog
+from .catalog import ColumnRef, SchemaCatalog
 from .generator import HofQuery
-from .store import RankingState, Store, UpdateRecord, build_ranking, compile_predicate
+from .store import JoinScan, RankingState, Store, UpdateRecord, build_ranking, compile_predicate, leaf_edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,16 +133,9 @@ class Family:
         self.referenced_columns = self.shape | set(self.columns)
         self.real = tuple(catalog.column_type(c) == "real" for c in self.columns)
         self.exact = tuple(Fraction if r else int for r in self.real)  # criterion value -> its exact term in a total
-        # The path's one edge to a relation that holds every criterion column
-        # and no entity, binding or fixed-atom column, or None: scan sums
-        # that leaf relation's rows per join value before the join.
-        self.leaf: JoinEdge | None = None
-        (rel, *more) = {c.relation for c in self.columns}
-        edges = [e for e in self.path if rel in e.relations()]
-        held = {self.entity, *self.binding_cols, *(c for a in self.fixed for c in a.columns())}
-        if not more and len(edges) == 1 and all(c.relation != rel for c in held):
-            self.leaf = edges[0]
-        self.rows_read = 0  # joined rows the last scan read
+        # the edge to the relation of the criterion columns that scan sums
+        # per join value before the join, or None
+        self.leaf = leaf_edge(self.path, self.columns, (self.entity, *q.predicate_columns()))
         self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
         for q in queries:
             per_column = self.members.setdefault(tuple(a.right for a in q.binding_atoms()), [[] for _ in self.columns])
@@ -212,56 +203,17 @@ class Family:
 
     def scan(self, store: Store, exact: bool) -> Iterator[tuple[tuple, dict[Any, int], list[dict[Any, Any]]]]:
         """(instance, entity -> joined rows, per column: entity -> criterion
-        total) of every member instance, from one pass over the joined
-        table; an instance without rows gets empty dicts. Totals of a real
-        criterion column are the correctly rounded math.fsum of their
-        values, whatever the row order, or -inf or +inf when that is out of
-        range, or with exact=True the exact Fraction sum.
-
-        A family with a leaf relation joins its path without the leaf's edge
-        and sums the leaf's rows per join value first (a row count, an int
-        total or the list of real values per column). The joined rows whose
-        join value has no leaf row are dropped, as the full join drops them;
-        every other row adds its value's count and totals to its entity.
-        Each column of the joined rows is read through one lazy map chain
-        and all of them are consumed in one zip loop; rows_read tells how
-        many joined rows the scan read."""
-        needed, path, leaf = self.needed, self.path, self.leaf
-        if leaf:
-            leaf_rel = self.columns[0].relation
-            needed, path = needed - {leaf_rel}, tuple(e for e in path if e != leaf)
-        rel_order, envs = store.joined_rows(needed, path)
-        self.rows_read = len(envs)
-        rel_pos = {rel: i for i, rel in enumerate(rel_order)}
-        if self.fixed:
-            envs = list(filter(compile_predicate(self.fixed, rel_pos, store.tables), envs))
-
-        def values(ref: ColumnRef) -> Iterator:
-            table = store.table(ref.relation)
-            rows = map(table.rows.__getitem__, map(itemgetter(rel_pos[ref.relation]), envs))
-            return map(itemgetter(table.col_pos[ref.column]), rows)
-
-        # A term is an int, or for a real column a new list of values, kept
-        # for the final sum; an entity's first term becomes its total.
-        if leaf:
-            table = store.table(leaf_rel)
-            buckets = table.indices[leaf.endpoint(leaf_rel).column]  # join value -> row ids of the leaf
-            joined = leaf.other(leaf_rel)
-            envs = list(compress(envs, map(buckets.__contains__, values(joined))))  # the inner join
-            keys = list(values(joined))
-            weights = map(len, map(buckets.__getitem__, keys))
-            streams = []
-            for c, real in zip(self.columns, self.real):
-                cell = itemgetter(table.col_pos[c.column])
-                add = list if real else sum
-                group = {v: add(map(cell, map(table.rows.__getitem__, ids))) for v, ids in buckets.items()}
-                terms = map(group.__getitem__, keys)
-                streams.append(map(list, terms) if real else terms)
-        else:
-            weights = repeat(1)
-            streams = [map(list, zip(values(c))) if real else values(c) for c, real in zip(self.columns, self.real)]
-        insts = zip(*map(values, self.binding_cols)) if self.binding_cols else repeat(())
-        ents = values(self.entity)
+        total) of every member instance, from one zip loop over a JoinScan
+        (the leaf summed per join value); an instance without rows gets empty
+        dicts. A real column's totals are the correctly rounded math.fsum of
+        its values, -inf or +inf out of range, or with exact the Fraction sum."""
+        scan = JoinScan(store, self.needed, self.path, self.fixed, self.columns[0].relation if self.leaf else None)
+        # an entity's first term (an int, or a new list of a real column's
+        # values, kept for the final sum) becomes its total
+        streams = [scan.terms(c, real) for c, real in zip(self.columns, self.real)]
+        weights = scan.weights()
+        insts = zip(*map(scan.values, self.binding_cols)) if self.binding_cols else repeat(())
+        ents = scan.values(self.entity)
         per_inst = {inst: ({}, [{} for _ in self.columns]) for inst in self.members}
         get = per_inst.get
         if len(streams) == 1:
@@ -305,17 +257,16 @@ class Family:
                     for t, v in zip(sums, vs):
                         t[ent] = v
         for inst, (counts, sums) in per_inst.items():
-            for real, t in zip(self.real, sums):
-                if real:
-                    for ent, terms in t.items():
+            for t in compress(sums, self.real):
+                for ent, terms in t.items():
+                    try:
+                        t[ent] = sum(map(Fraction, terms), Fraction()) if exact else math.fsum(terms)
+                    except OverflowError:  # fsum's sum, or only a partial sum, is out of range
+                        total = sum(map(Fraction, terms), Fraction())
                         try:
-                            t[ent] = sum(map(Fraction, terms), Fraction()) if exact else math.fsum(terms)
-                        except OverflowError:  # fsum's sum, or only a partial sum, is out of range
-                            total = sum(map(Fraction, terms), Fraction())
-                            try:
-                                t[ent] = float(total)
-                            except OverflowError:
-                                t[ent] = math.inf if total > 0 else -math.inf
+                            t[ent] = float(total)
+                        except OverflowError:
+                            t[ent] = math.inf if total > 0 else -math.inf
             yield inst, counts, sums
 
 
@@ -429,7 +380,6 @@ class Engine:
             store.drop_join_cache()  # the delta path never scans again
         else:
             self.rankings = self._rescan()
-        self.startup_rows = sum(fam.rows_read for fam in self.families)  # joined rows the start-up scans read
         self._routes: dict[tuple, tuple] = {}  # see _route
         self.last_stats = DetectStats(0, 0, 0, 0, 0)
 

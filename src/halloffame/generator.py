@@ -4,10 +4,10 @@ Generation walks (entity attribute x constraint combination x materialized
 binding values x concrete criterion). Each relation set's join path is
 searched once and memoized, and a query is kept only if its relations join
 within the budget and its ranking reaches at least K entities. Generation
-reads no criterion value: one count of the distinct (binding values,
-entity) pairs over the joined rows that satisfy the combination's fixed
-atoms gives every instance's entity count and row count at once, and the
-counts are shared by every criterion over the same relations.
+reads no criterion value: per (entity, combination, join path) one
+store.JoinScan, as the detector's families scan, with the criterion's
+relation summed per join value when it is a leaf, gives every instance's
+entity count and row count and the path's joined rows at once.
 
 Each query carries the two static scores the scorer ranks its events by:
 its selectivity (the share of the joined rows its predicate keeps, taken
@@ -17,7 +17,7 @@ join path) when the first query using them survives. Without fixed atoms
 the predicate columns are the binding columns, so that distribution is the
 count's rows per instance and needs no scan of its own. With fixed atoms
 the count kept only the rows that pass them, so the distribution over all
-joined rows takes one more count.
+joined rows takes one more JoinScan, without the atoms.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .catalog import (
     join_path,
 )
 from .scorer import entropy
-from .store import Store
+from .store import JoinScan, Store, leaf_edge
 
 Source = Union[ColumnRef, ConstraintAtom]
 
@@ -259,7 +259,7 @@ def generate_queries(
             binding_cols = comb.binding_columns()
             fixed = comb.fixed_atoms()
             pred_cols = tuple(sorted({*binding_cols, *(c for a in fixed for c in a.columns())}))
-            counted: dict = {}  # relation set -> (instance -> [entities, rows], joined rows)
+            counted: dict = {}  # join path -> (instance -> [entities, rows], joined rows, leaf relation)
             for crit in criteria:
                 needed2 = needed1 | {crit.column.relation}
                 if needed2 not in paths:
@@ -268,27 +268,21 @@ def generate_queries(
                     continue
                 path2 = tuple(paths[needed2])
 
-                # criteria over one relation set share one count
-                if needed2 not in counted:
-                    sizes: dict[tuple, list[int]] = {}
-                    counts = store.instantiation_counts([*binding_cols, e_attr], path2, needed2, fixed)
-                    for key, rows in counts.items():
-                        size = sizes.setdefault(key[:-1], [0, 0])
-                        size[0] += 1
-                        size[1] += rows
-                    counted[needed2] = sizes, len(store.joined_rows(needed2, path2)[1])
-                sizes, n_joined = counted[needed2]
+                # criteria over one join path share one count
+                if path2 not in counted:
+                    leaf = crit.column.relation if leaf_edge(path2, (crit.column,), (e_attr, *pred_cols)) else None
+                    scan = JoinScan(store, needed2, path2, fixed, leaf)
+                    counted[path2] = scan.instances(binding_cols, e_attr), scan.total, leaf
+                sizes, n_joined, leaf = counted[path2]
 
                 ent_key = (pred_cols, path2)
                 for inst, (n_entities, n_rows) in sizes.items():
                     if n_entities < cfg.k:
                         continue
                     if ent_key not in entropies:  # the first surviving instance pays for it
-                        if not pred_cols:
-                            entropies[ent_key] = 0.0
-                        elif fixed:  # the count kept only the rows that pass the fixed atoms
-                            entropies[ent_key] = entropy(store.instantiation_counts(list(pred_cols), path2, needed2))
-                        else:  # the predicate columns are the binding columns: the count's row counts
+                        if fixed:  # the count kept only the rows that pass the fixed atoms
+                            entropies[ent_key] = entropy(JoinScan(store, needed2, path2, (), leaf).counts(pred_cols))
+                        else:  # the predicate columns are the binding columns (or none): the count's row counts
                             entropies[ent_key] = entropy({key: rows for key, (_, rows) in sizes.items()})
                     bindings = tuple(
                         ConstraintAtom(ATOM_BINDING, col, "=", value)

@@ -2,8 +2,9 @@
 
 Holds the base tables and applies updates and inserts. For the rest of the
 engine it compiles predicates, materializes index-nested-loop joins along a
-fixed edge path, and counts the distinct projections of the joined rows
-that satisfy a conjunction; grouping rows into rankings is the detector's.
+fixed edge path, and scans their rows that satisfy a conjunction, a leaf
+relation summed per join value (JoinScan), for generation's counts and the
+detector's family scans; grouping rows into rankings is the detector's.
 
 Indexing: hash value->rowset indices are kept for every categorical
 attribute, every join-edge column, and the key columns (as a composite
@@ -17,16 +18,16 @@ an immutable snapshot that any number of readers may evaluate against.
 Joined-row caching: the row-id tuples produced by a join path are cached
 per path, whatever relations a caller needs from them. Every insert and
 every update that changes a value clears the whole cache. Set-up never
-writes, so scans of one path share its entry; the engine's start-up scans
-also join paths that generation did not, those of the families whose leaf
-relation they sum before the join. The delta path reads no joined rows,
-so only the from-scratch reference path rebuilds them after each write.
+writes, and generation and the engine's start-up pick a leaf by one rule
+(leaf_edge) and join the same path without it, so start-up reuses
+generation's reduced joins. The delta path reads no joined rows, so only
+the from-scratch reference path rebuilds them after each write.
 
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of
 per-column converters per CSV row, one sort per join bucket and edge,
 and one Counter over the zipped values of each column, whose loop runs in
-C and builds no key in Python.
+C and builds no key in Python (a summed leaf adds each row's weight).
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from itertools import compress, repeat
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .catalog import (
     ColumnRef,
@@ -319,6 +321,7 @@ class Store:
         self.tables: dict[str, Table] = {}
         # (first relation, path) -> (rel_order, envs)
         self._join_cache: dict[tuple, tuple] = {}
+        self.rows_read = 0  # joined rows every JoinScan so far has read
 
     # -- loading ------------------------------------------------------------
 
@@ -463,9 +466,7 @@ class Store:
 
     # -- join evaluation ----------------------------------------------------
 
-    def joined_rows(
-        self, needed: Iterable[str], path: tuple[JoinEdge, ...]
-    ) -> tuple[tuple[str, ...], list[tuple]]:
+    def joined_rows(self, needed: Iterable[str], path: tuple[JoinEdge, ...]) -> tuple[tuple[str, ...], list[tuple]]:
         """Materialize the joined table for a path as row-id tuples.
 
         Returns (relation order, envs): every row of the path's first relation
@@ -520,40 +521,92 @@ class Store:
             rel_order.append(new_rel)
         return tuple(rel_order), envs
 
-    # -- spec operations ----------------------------------------------------
 
-    def instantiation_counts(
-        self,
-        columns: list[ColumnRef],
-        path: tuple[JoinEdge, ...],
-        needed: Optional[Iterable[str]] = None,
-        atoms: Iterable[ConstraintAtom] = (),
-    ) -> dict[tuple, int]:
-        """Count each distinct projection of ``columns`` over the joined rows
-        that satisfy the conjunction ``atoms``.
+def leaf_edge(path: tuple[JoinEdge, ...], columns: Iterable[ColumnRef], held: Iterable[ColumnRef]) -> JoinEdge | None:
+    """The path's edge to the one relation of columns, when that relation holds
+    no column of held and no other edge touches it: a leaf to sum first."""
+    (rel, *more) = {c.relation for c in columns}
+    edges = [e for e in path if rel in e.relations()]
+    return edges[0] if not more and len(edges) == 1 and all(c.relation != rel for c in held) else None
 
-        Keys come in the order they are first met over the joined rows. The
-        count is one Counter over the zip of one lazy map chain per column
-        (env -> row -> value), so no per-row key is built in Python. With no
-        columns every row projects to (): {(): rows}, or {} when none pass.
-        """
-        atoms = tuple(atoms)
-        rels = frozenset(needed or ()).union(
-            (c.relation for c in columns), *(a.relations() for a in atoms), *(e.relations() for e in path)
-        )
-        rel_order, envs = self.joined_rows(rels, tuple(path))
-        rel_pos = {rel: i for i, rel in enumerate(rel_order)}
+
+class JoinScan:
+    """The joined rows of a path that pass a conjunction, read a column at a
+    time, each weighted by the rows of the whole path's join it stands for.
+
+    A leaf relation (leaf_edge) is summed per join value (eager aggregation)
+    and the rest of the path joined from where the whole join goes on from
+    the leaf. Rows without leaf rows are dropped; when the whole join starts
+    at the leaf, rows take the order of their join value's first leaf row,
+    so projections are met in the order the whole join first meets them."""
+
+    def __init__(self, store: Store, needed: Iterable[str], path: tuple[JoinEdge, ...], atoms=(), leaf=None):
+        self.store, self.leaf, self.buckets = store, leaf, None  # buckets: join value -> leaf row ids
+        if leaf:
+            (edge,) = [e for e in path if leaf in e.relations()]
+            self.joined, self.buckets = edge.other(leaf), store.table(leaf).indices[edge.endpoint(leaf).column]
+            at_start = path[0].src.relation == leaf
+            rest = [e for e in path if e != edge]
+            if edge == path[0] and rest and rest[0].src.relation != self.joined.relation:
+                rest[0] = JoinEdge(rest[0].dst, rest[0].src)  # the whole join goes on from the leaf's partner
+            needed, path = set(needed) - {leaf}, tuple(rest)
+        rel_order, self.envs = store.joined_rows(needed, path)
+        store.rows_read += len(self.envs)
+        self.rel_pos = {rel: i for i, rel in enumerate(rel_order)}
+        self.total = len(self.envs)  # rows of the whole join, before the atoms
+        if leaf:
+            self.envs = list(compress(self.envs, map(self.buckets.__contains__, self.values(self.joined))))
+            if at_start:
+                first = {v: min(ids) for v, ids in self.buckets.items()}
+                ranks = list(map(first.__getitem__, self.values(self.joined)))
+                self.envs = [env for _, env in sorted(zip(ranks, self.envs), key=operator.itemgetter(0))]
+            self.total = sum(self.weights())
         if atoms:
-            envs = list(filter(compile_predicate(atoms, rel_pos, self.tables), envs))
-        if not columns:
-            return {(): len(envs)} if envs else {}
+            self.envs = list(filter(compile_predicate(atoms, self.rel_pos, store.tables), self.envs))
 
-        def values(c: ColumnRef) -> Iterator:
-            table = self.table(c.relation)
-            rows = map(table.rows.__getitem__, map(operator.itemgetter(rel_pos[c.relation]), envs))
-            return map(operator.itemgetter(table.col_pos[c.column]), rows)
+    def values(self, ref: ColumnRef) -> Iterator:
+        """Per row, the value of ref, a column of the joined relations."""
+        table = self.store.table(ref.relation)
+        rows = map(table.rows.__getitem__, map(operator.itemgetter(self.rel_pos[ref.relation]), self.envs))
+        return map(operator.itemgetter(table.col_pos[ref.column]), rows)
 
-        return Counter(zip(*map(values, columns)))
+    def weights(self) -> Iterator[int]:
+        """Per row, the rows of the whole join it stands for."""
+        return repeat(1) if self.buckets is None else map(len, map(self.buckets.__getitem__, self.values(self.joined)))
+
+    def terms(self, ref: ColumnRef, real: bool) -> Iterator:
+        """Per row, ref's value, or for a column of the leaf the sum of its
+        values over the rows the row stands for; for a real column a new list
+        of the values instead, so that their final sum rounds once."""
+        if ref.relation != self.leaf:
+            return map(list, zip(self.values(ref))) if real else self.values(ref)
+        table = self.store.table(ref.relation)
+        cell = operator.itemgetter(table.col_pos[ref.column])
+        add = list if real else sum
+        group = {v: add(map(cell, map(table.rows.__getitem__, ids))) for v, ids in self.buckets.items()}
+        terms = map(group.__getitem__, self.values(self.joined))
+        return map(list, terms) if real else terms
+
+    def counts(self, columns: Sequence[ColumnRef]) -> dict[tuple, int]:
+        """Rows of the whole join per distinct projection of columns, keyed
+        in the order the whole join first meets them. With no columns every
+        row projects to (): {(): rows}, or {} when none pass."""
+        keys = zip(*map(self.values, columns)) if columns else repeat((), len(self.envs))
+        if self.buckets is None:
+            return Counter(keys)
+        counts: Counter = Counter()
+        for key, n in zip(keys, self.weights()):
+            counts[key] += n
+        return counts
+
+    def instances(self, columns: Sequence[ColumnRef], entity: ColumnRef) -> dict[tuple, tuple[int, int]]:
+        """Per distinct projection of columns (an instance), keyed as counts
+        keys it: its distinct entity values and its rows of the whole join."""
+        out: dict[tuple, tuple[int, int]] = {}
+        for key, rows in self.counts([*columns, entity]).items():
+            n, total = out.get(key[:-1], (0, 0))
+            out[key[:-1]] = n + 1, total + rows
+        return out
 
 
 # ---------------------------------------------------------------------------

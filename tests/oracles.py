@@ -168,27 +168,41 @@ def _query_relations(q: HofQuery) -> set[str]:
     return rels
 
 
+def _selectivity(jrows: list[dict], q: HofQuery) -> float:
+    atoms = [_atom_of(a) for a in q.predicate]
+    return sum(all(oracle_check_atom(jr, a) for a in atoms) for jr in jrows) / len(jrows)
+
+
+def _entropy_bits(jrows: list[dict], q: HofQuery) -> float:
+    columns = set()
+    for _, left, _, rhs in map(_atom_of, q.predicate):
+        columns.add(left)
+        if isinstance(rhs, tuple):
+            columns.add(rhs)
+    counts = Counter(tuple(jr[rel][col] for rel, col in sorted(columns)) for jr in jrows)
+    n = len(jrows)
+    return sum(c / n * math.log2(n / c) for c in counts.values())
+
+
 def oracle_selectivity(tables: dict[str, list[dict]], inst: Instance, q: HofQuery) -> float:
     """Share of the rows joined over the query's relations that satisfy its
     whole predicate."""
-    jrows = oracle_join(tables, inst.edges, _query_relations(q))
-    atoms = [_atom_of(a) for a in q.predicate]
-    return sum(all(oracle_check_atom(jr, a) for a in atoms) for jr in jrows) / len(jrows)
+    return _selectivity(oracle_join(tables, inst.edges, _query_relations(q)), q)
 
 
 def oracle_entropy_bits(tables: dict[str, list[dict]], inst: Instance, q: HofQuery) -> float:
     """Shannon entropy (bits) of the joint values of the predicate's columns
     over every row joined over the query's relations, the predicate unapplied;
     0 for an empty predicate."""
-    columns = set()
-    for _, left, _, rhs in map(_atom_of, q.predicate):
-        columns.add(left)
-        if isinstance(rhs, tuple):
-            columns.add(rhs)
-    jrows = oracle_join(tables, inst.edges, _query_relations(q))
-    counts = Counter(tuple(jr[rel][col] for rel, col in sorted(columns)) for jr in jrows)
-    n = len(jrows)
-    return sum(c / n * math.log2(n / c) for c in counts.values())
+    return _entropy_bits(oracle_join(tables, inst.edges, _query_relations(q)), q)
+
+
+def oracle_path_scores(tables: dict[str, list[dict]], q: HofQuery) -> tuple[float, float]:
+    """(selectivity, entropy bits) as oracle_selectivity and
+    oracle_entropy_bits give them, over the rows joined along the query's
+    own join path (oracle_path_join)."""
+    jrows = oracle_path_join(tables, q.join_path, _query_relations(q))
+    return _selectivity(jrows, q), _entropy_bits(jrows, q)
 
 
 def _join_cost(inst: Instance, rels: set[str]) -> int | None:

@@ -36,6 +36,7 @@ from halloffame import (
 )
 from halloffame.cli import _event_line
 from halloffame.scorer import GREATER, LESS
+from halloffame.store import JoinScan
 from conftest import load_dataset, load_instance
 from oracles import make_instance, oracle_enumerate, query_signature
 
@@ -93,7 +94,7 @@ relations:
         "5,Phoenix,2010,NBA\n",
     )
     cols = [ColumnRef("plays", "team"), ColumnRef("plays", "year"), ColumnRef("plays", "league")]
-    counts = store.instantiation_counts(cols, ())
+    counts = JoinScan(store, {"plays"}, ()).counts(cols)
     assert sorted(counts.values()) == [1, 1, 3]
     total = sum(counts.values())
     oracle = -sum((c / total) * math.log2(c / total) for c in counts.values())

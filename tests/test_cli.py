@@ -47,6 +47,15 @@ class TestGenerate:
         assert out1.read_bytes() == out2.read_bytes()
         assert "generated" in res1.output
 
+    def test_generate_rows_follow_generated(self, runner, bloomberg_dir, tmp_path):
+        # the joined rows generation's counts read; each company has one
+        # stockmarket row, so summing that leaf per join value reads as many
+        # rows as the whole paths hold
+        _, result = gen(runner, bloomberg_dir, tmp_path)
+        lines = result.output.splitlines()
+        assert lines[2].startswith("generated 5 queries in ")
+        assert lines[3:] == ["generate rows          72"]
+
     def test_missing_csv_exits_2_naming_file(self, runner, bloomberg_dir, tmp_path):
         partial = tmp_path / "partial"
         partial.mkdir()

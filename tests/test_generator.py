@@ -15,12 +15,13 @@ from halloffame import (
     load_queries,
 )
 from halloffame.generator import GenerationError
-from conftest import load_instance
+from conftest import DATA_DIR, load_dataset, load_instance
 from oracles import (
     make_instance,
     oracle_entropy_bits,
     oracle_enumerate,
     oracle_eval_query,
+    oracle_path_scores,
     oracle_selectivity,
     query_signature,
 )
@@ -41,6 +42,37 @@ categorical_attrs: [league, team, age]
 ranking_criteria:
   - {column: points, aggregation: sum, direction: descending}
 """
+
+
+# Eleven holdings where the fixture has six, in an order of their own:
+# Microsoft, SAP and BMW have 4, 2 and 1 of them, and the full join of
+# shareholder->company first meets the companies in another order than the
+# company table lists them.
+HOLDINGS = """\
+s_personid,s_companyid,s_amount
+1,8,40
+0,3,400
+2,0,10
+3,3,100
+0,5,50
+3,5,60
+1,3,70
+2,1,20
+1,0,30
+3,8,90
+2,3,80
+"""
+
+
+def load_amounts(holdings=None):
+    """The Bloomberg fixture with s_amount as a second criterion, its
+    families over shareholder->company starting their join at the leaf
+    relation shareholder; with holdings as the shareholder table if given."""
+    text = (DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8")
+    text = text.replace(
+        "ranking_criteria:\n", "ranking_criteria:\n  - {column: shareholder.s_amount, aggregation: avg, direction: ascending}\n"
+    )
+    return load_dataset("bloomberg", text, {"shareholder": holdings} if holdings else None)
 
 
 class TestGetCombinations:
@@ -180,6 +212,19 @@ class TestStaticScores:
                 assert 0.0 <= q.selectivity <= 1.0
                 assert q.entropy_bits >= 0.0
 
+    @pytest.mark.parametrize("holdings", [None, HOLDINGS], ids=["fixture", "holdings"])
+    def test_bloomberg_fields_follow_each_path(self, holdings):
+        # the queries whose criterion relation is a leaf are counted through
+        # a join without it; the oracle joins each query's whole path
+        catalog, store = load_amounts(holdings)
+        tables = {name: [dict(zip(t.meta.column_names(), row)) for row in t.rows] for name, t in store.tables.items()}
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
+        assert len(queries) == (88 if holdings is None else 93)
+        for q in queries:
+            selectivity, entropy_bits = oracle_path_scores(tables, q)
+            assert q.selectivity == pytest.approx(selectivity), q.id
+            assert q.entropy_bits == pytest.approx(entropy_bits), q.id
+
     def test_true_predicate_scores(self):
         rng = random.Random(42)
         inst = make_instance(rng, n_rows=40)
@@ -229,6 +274,16 @@ class TestPinnedCatalogs:
         queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store)
         assert (len(queries), sum(bool(q.fixed_atoms()) for q in queries)) == (140, 26)
         assert self.digest(queries) == "d7c3f48d0d43e9256b9a664989263af3e6c158cbb5dadafa9a8e8b14bf001c72"
+
+    def test_leaf_at_start(self):
+        # the full join of shareholder->company starts at the leaf relation a
+        # scan sums per join value; the entropies sum the companies in the
+        # order that full join first meets them
+        catalog, store = load_amounts(HOLDINGS)
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
+        at_start = [q for q in queries if q.join_path and q.criterion.column.relation == q.join_path[0].src.relation == "shareholder"]
+        assert (len(queries), len(at_start)) == (93, 12)
+        assert self.digest(queries) == "6d6a6e889d07bdbd7131476c8f5bb58671f92a0653cbc8c437ba7c274ed26e25"
 
 
 class TestPersistence:

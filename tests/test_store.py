@@ -31,7 +31,7 @@ from halloffame import (
     update_to_json,
     write_update_stream,
 )
-from halloffame.store import CsvLoadError, UpdateError, _coerce_cell
+from halloffame.store import CsvLoadError, JoinScan, UpdateError, _coerce_cell, leaf_edge
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance
 from oracles import make_instance, make_updates, oracle_apply, oracle_eval_query, oracle_path_rankings
 
@@ -434,7 +434,7 @@ class TestSelectivityAndCounts:
     def test_projection_counts(self, plays):
         _, store = plays
         cols = [ColumnRef("plays", "team"), ColumnRef("plays", "year"), ColumnRef("plays", "league")]
-        counts = store.instantiation_counts(cols, ())
+        counts = check_counts(store, {"plays"}, (), cols)
         assert counts == {
             ("Phoenix", 2010, "NBA"): 3,
             ("Boston", 2011, "NBA"): 1,
@@ -445,19 +445,23 @@ class TestSelectivityAndCounts:
         catalog = load_catalog(PLAYS_CONFIG)
         store = Store(catalog)
         store.load_table("plays", "pid,team,year,league,points\n1,A,2000,NBA,5\n")
-        assert store.instantiation_counts([ColumnRef("plays", "team")], ()) == {("A",): 1}
+        assert check_counts(store, {"plays"}, (), [ColumnRef("plays", "team")]) == {("A",): 1}
         store2 = Store(catalog)
         store2.load_table(
             "plays", "pid,team,year,league,points\n1,A,2000,NBA,5\n2,A,2000,NBA,5\n"
         )
-        assert store2.instantiation_counts([ColumnRef("plays", "team")], ()) == {("A",): 2}
+        assert check_counts(store2, {"plays"}, (), [ColumnRef("plays", "team")]) == {("A",): 2}
 
     def test_counts_sum_to_joined_rows(self, bloomberg):
         _, store = bloomberg
-        path = tuple(join_path(store.catalog, {"person", "stockmarket"}, 3))
-        counts = store.instantiation_counts([ColumnRef("person", "p_name")], path)
-        _, envs = store.joined_rows({"person", "stockmarket"}, path)
-        assert sum(counts.values()) == len(envs)
+        needed = {"person", "stockmarket"}
+        path = tuple(join_path(store.catalog, needed, 3))
+        names = [ColumnRef("person", "p_name")]
+        assert leaf_edge(path, [ColumnRef("stockmarket", "s_value")], names)
+        _, envs = store.joined_rows(needed, path)
+        for leaf in (None, "stockmarket"):
+            counts = check_counts(store, needed, path, names, leaf=leaf)
+            assert sum(counts.values()) == len(envs)
 
 
 class TestJoinedRows:
@@ -517,10 +521,10 @@ class TestJoinedRows:
         for combo, n in combos.items():
             if value(amount, combo) < 100 and value(p_country, combo) != value(c_country, combo):
                 expected[tuple(value(c, combo) for c in columns)] += n
-        got = store.instantiation_counts(columns, self.PATH, atoms=atoms)
+        got = JoinScan(store, rels, self.PATH, atoms).counts(columns)
         assert got == dict(expected)
         assert len(got) > 1
-        assert sum(got.values()) < sum(store.instantiation_counts(columns, self.PATH).values())
+        assert sum(got.values()) < sum(JoinScan(store, rels, self.PATH).counts(columns).values())
 
     def test_one_join_per_path(self, bloomberg):
         _, store = bloomberg
@@ -583,10 +587,24 @@ def nested_loop_counts(store, order, envs, columns, atoms=()):
     return counts
 
 
+def check_counts(store, needed, path, columns, atoms=(), leaf=None):
+    """JoinScan's counts against nested_loop_counts over the whole path, key
+    order included (entropy sums in that order), and its total against the
+    whole path's joined rows."""
+    start = path[0].src.relation if path else next(iter(needed))
+    order, envs = nested_loop_envs(store, start, path)
+    scan = JoinScan(store, needed, path, atoms, leaf)
+    got = scan.counts(columns)
+    assert list(got.items()) == list(nested_loop_counts(store, order, envs, columns, atoms).items()), (path, atoms, leaf)
+    assert scan.total == len(envs)
+    return got
+
+
 class TestStoreKernels:
-    """joined_rows and instantiation_counts against nested loops: the same
+    """joined_rows and JoinScan's counts against nested loops: the same
     envs in the same order, the same counts in the same key order (entropy
-    sums in that order)."""
+    sums in that order), with and without a leaf relation summed per join
+    value."""
 
     def check_path(self, store, path, columns, atoms):
         start = path[0].src.relation
@@ -595,9 +613,7 @@ class TestStoreKernels:
         assert rel_order == expected_order
         assert envs == expected_envs
         for fixed in ((), atoms):
-            got = store.instantiation_counts(columns, path, atoms=fixed)
-            expected = nested_loop_counts(store, rel_order, envs, columns, fixed)
-            assert list(got.items()) == list(expected.items()), (path, fixed)
+            check_counts(store, expected_order, path, columns, fixed)
         return envs
 
     def test_two_tables_with_a_dangling_key(self):
@@ -637,17 +653,45 @@ class TestStoreKernels:
             atoms = (ConstraintAtom("const_comparison", first, ">", 1),)
             assert self.check_path(store, path, columns, atoms)
 
+    def test_leaf_paths_count_as_the_full_join(self, bloomberg):
+        # every relation one edge of a path touches, summed per join value as
+        # a leaf: at the path's start, at the far end of its first edge and
+        # further in; the other relations' text columns are projected
+        catalog, store = bloomberg
+        names = [rel.name for rel in catalog.relations]
+        paths = {
+            tuple(path)
+            for n in range(2, len(names) + 1)
+            for rels in itertools.combinations(names, n)
+            if (path := join_path(catalog, rels, 3))
+        }
+        text_columns = [ColumnRef(rel.name, col) for rel in catalog.relations for col, t in rel.columns if t == "text"]
+        where = Counter()
+        for path in paths:
+            rels = {r for edge in path for r in edge.relations()}
+            for leaf in sorted(rels):
+                leaf_columns = [ColumnRef(leaf, col) for col, _ in store.tables[leaf].meta.columns]
+                columns = [c for c in text_columns if c.relation in rels - {leaf}]
+                if not leaf_edge(path, leaf_columns, columns):
+                    continue
+                where[leaf == path[0].src.relation, leaf in path[0].relations()] += 1
+                other = next(r for r in sorted(rels) if r != leaf)
+                first = ColumnRef(other, store.tables[other].meta.columns[0][0])
+                for atoms in ((), (ConstraintAtom("const_comparison", first, ">", 1),)):
+                    assert check_counts(store, rels, path, columns, atoms, leaf) or atoms
+        assert where == {(True, True): 7, (False, True): 15, (False, False): 15}
+
     def test_no_columns_and_empty_tables(self, plays):
         catalog, store = plays
         high = (ConstraintAtom("const_comparison", ColumnRef("plays", "points"), ">", 30),)
         none = (ConstraintAtom("const_comparison", ColumnRef("plays", "points"), ">", 50),)
-        assert store.instantiation_counts([], (), ["plays"]) == {(): 5}
-        assert store.instantiation_counts([], (), ["plays"], high) == {(): 2}
-        assert store.instantiation_counts([], (), ["plays"], none) == {}
+        assert check_counts(store, ["plays"], (), []) == {(): 5}
+        assert check_counts(store, ["plays"], (), [], high) == {(): 2}
+        assert check_counts(store, ["plays"], (), [], none) == {}
         empty = Store(catalog)
         empty.load_table("plays", "pid,team,year,league,points\n")
-        assert empty.instantiation_counts([], (), ["plays"]) == {}
-        assert empty.instantiation_counts([ColumnRef("plays", "team")], ()) == {}
+        assert check_counts(empty, ["plays"], (), []) == {}
+        assert check_counts(empty, ["plays"], (), [ColumnRef("plays", "team")]) == {}
 
 
 class TestJoinCache:
@@ -663,11 +707,14 @@ class TestJoinCache:
             UpdateRecord(3, "insert", "shareholder", {"s_personid": 2, "s_companyid": 4, "s_amount": 70}, {}),
         ]
         for u in writes:
-            store.instantiation_counts(names, path)  # cache the join before the write
+            for leaf in (None, "stockmarket"):  # cache both joins before the write
+                JoinScan(store, needed, path, leaf=leaf).counts(names)
             store.apply_update(u)
             fresh = reloaded(store)
             assert store.joined_rows(needed, path) == fresh.joined_rows(needed, path), u.seq
-            assert store.instantiation_counts(names, path) == fresh.instantiation_counts(names, path), u.seq
+            for leaf in (None, "stockmarket"):
+                got = JoinScan(store, needed, path, leaf=leaf).counts(names)
+                assert list(got.items()) == list(JoinScan(fresh, needed, path, leaf=leaf).counts(names).items()), u.seq
 
 
 class TestUpdateStreamIO:
