@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Iterator
 
-from .catalog import ColumnRef, SchemaCatalog
+from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
 from .generator import HofQuery
 from .store import JoinScan, RankingState, Store, UpdateRecord, build_ranking, compile_predicate, leaf_edge
 
@@ -118,18 +118,16 @@ class Family:
     columns, whatever their criterion columns; one scan evaluates every
     column of all their instances."""
 
-    def __init__(self, fid: int, queries: list[HofQuery], catalog: SchemaCatalog):
-        q = queries[0]
+    def __init__(self, fid: int, key: tuple, members: list[tuple[tuple, HofQuery]], catalog: SchemaCatalog):
+        q = members[0][1]
         self.id = fid
-        self.entity = q.entity_attr
-        self.needed = frozenset().union(*(m.relations() for m in queries))
-        self.path = q.join_path
-        self.fixed = q.fixed_atoms()
-        self.binding_cols = tuple(a.left for a in q.binding_atoms())
+        self.entity, self.path, self.fixed, self.binding_cols = key
+        self.columns = tuple(dict.fromkeys(m.criterion.column for _, m in members))  # criterion columns
+        # members differ only in binding values and criterion
+        self.needed = q.relations() | {c.relation for c in self.columns}
         # the columns that decide which joined rows exist, pass the fixed
         # atoms and land in which instance and entity
         self.shape = frozenset((self.entity, *q.predicate_columns(), *(c for e in self.path for c in e.columns())))
-        self.columns = tuple(dict.fromkeys(m.criterion.column for m in queries))  # criterion columns
         self.referenced_columns = self.shape | set(self.columns)
         self.real = tuple(catalog.column_type(c) == "real" for c in self.columns)
         self.exact = tuple(Fraction if r else int for r in self.real)  # criterion value -> its exact term in a total
@@ -137,9 +135,10 @@ class Family:
         # per join value before the join, or None
         self.leaf = leaf_edge(self.path, self.columns, (self.entity, *q.predicate_columns()))
         self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
-        for q in queries:
-            per_column = self.members.setdefault(tuple(a.right for a in q.binding_atoms()), [[] for _ in self.columns])
-            per_column[self.columns.index(q.criterion.column)].append(q.id)
+        slot = {c: j for j, c in enumerate(self.columns)}
+        for inst, m in members:
+            per_column = self.members.get(inst) or self.members.setdefault(inst, [[] for _ in self.columns])
+            per_column[slot[m.criterion.column]].append(m.id)
         self.counts: dict[tuple, dict[Any, int]] = {}  # instance -> entity -> joined rows
         self.totals: dict[tuple, list[dict[Any, Any]]] = {}  # instance -> per column: entity -> criterion total
         self.plans: dict[str, Callable[[Iterable[int]], list[Contribution]]] = {}
@@ -341,11 +340,20 @@ class EntityOrder:
 
 
 def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[Family]:
-    groups: dict[tuple, list[HofQuery]] = {}
+    """Group queries by (entity attribute, join path, fixed atoms, binding
+    columns), the key of their Family, reading each predicate once."""
+    groups: dict[tuple, list[tuple[tuple, HofQuery]]] = {}  # key -> (instance, query) per member
     for q in queries:
-        key = (q.entity_attr, q.join_path, q.fixed_atoms(), tuple(a.left for a in q.binding_atoms()))
-        groups.setdefault(key, []).append(q)
-    return [Family(fid, group, catalog) for fid, group in enumerate(groups.values())]
+        cols, inst, fixed = [], [], []
+        for a in q.predicate:
+            if a.kind == ATOM_BINDING:
+                cols.append(a.left)
+                inst.append(a.right)
+            else:
+                fixed.append(a)
+        key = (q.entity_attr, q.join_path, tuple(fixed), tuple(cols))
+        groups.setdefault(key, []).append((tuple(inst), q))
+    return [Family(fid, key, members, catalog) for fid, (key, members) in enumerate(groups.items())]
 
 
 class Engine:

@@ -18,6 +18,12 @@ the predicate columns are the binding columns, so that distribution is the
 count's rows per instance and needs no scan of its own. With fixed atoms
 the count kept only the rows that pass them, so the distribution over all
 joined rows takes one more JoinScan, without the atoms.
+
+A query's id (query_identity) and its SQL are joined from parts: text per
+(entity, criterion, join path, k) and text per predicate, the predicate and
+its text built once per (combination, instance) and shared by every entity
+and criterion. Generation sets each query's SQL; a query loaded from a
+catalog renders it from the same parts on first use.
 """
 
 from __future__ import annotations
@@ -140,7 +146,7 @@ class HofQuery:
     k: int
     selectivity: float
     entropy_bits: float
-    _sql: Optional[str] = field(default=None, init=False, repr=False, compare=False)  # sql(), once rendered
+    _sql: Optional[str] = field(default=None, repr=False, compare=False)  # sql(), once rendered
 
     def relations(self) -> frozenset[str]:
         rels = {self.entity_attr.relation, self.criterion.column.relation}
@@ -164,34 +170,38 @@ class HofQuery:
             cols.update(edge.columns())
         return frozenset(cols)
 
-    def binding_atoms(self) -> tuple[ConstraintAtom, ...]:
-        return tuple(a for a in self.predicate if a.kind == ATOM_BINDING)
-
     def fixed_atoms(self) -> tuple[ConstraintAtom, ...]:
         return tuple(a for a in self.predicate if a.kind != ATOM_BINDING)
 
     def sql(self) -> str:
-        """Human-readable SQL-style rendering, for logs; rendered on first use."""
+        """Human-readable SQL-style rendering, for logs. generate_queries sets
+        it; a query loaded from a catalog renders it on first use."""
         if self._sql is None:
             object.__setattr__(self, "_sql", self._render_sql())
         return self._sql
 
     def _render_sql(self) -> str:
-        agg = f"{self.criterion.aggregation.upper()}({self.criterion.column})"
-        from_clause = _from_clause(self.join_path, self.relations())
-        where = ""
-        if self.predicate:
-            where = " WHERE " + " AND ".join(a.render() for a in self.predicate)
-        order = "ASC" if self.criterion.direction == "ascending" else "DESC"
-        return (
-            f"SELECT {self.entity_attr}, {agg} FROM {from_clause}{where} "
-            f"GROUP BY {self.entity_attr} ORDER BY {agg} {order} LIMIT {self.k}"
-        )
+        head, tail = _sql_parts(self.entity_attr, self.criterion, self.join_path, self.k)
+        return head + _where([a.render() for a in self.predicate]) + tail
 
 
-def _from_clause(path: tuple[JoinEdge, ...], relations: frozenset[str]) -> str:
-    if not path:
-        return next(iter(relations))
+def _sql_parts(entity_attr: ColumnRef, criterion: RankingCriterion, path: tuple[JoinEdge, ...], k: int) -> tuple[str, str]:
+    """A query's SQL before and after its WHERE clause. Without a join path
+    every relation the query names is the entity's."""
+    agg = f"{criterion.aggregation.upper()}({criterion.column})"
+    order = "ASC" if criterion.direction == "ascending" else "DESC"
+    return (
+        f"SELECT {entity_attr}, {agg} FROM {_from_clause(path) if path else entity_attr.relation}",
+        f" GROUP BY {entity_attr} ORDER BY {agg} {order} LIMIT {k}",
+    )
+
+
+def _where(rendered: list[str]) -> str:
+    """The WHERE clause of a predicate's rendered atoms, empty for none."""
+    return " WHERE " + " AND ".join(rendered) if rendered else ""
+
+
+def _from_clause(path: tuple[JoinEdge, ...]) -> str:
     parts = []
     seen: set[str] = set()
     for edge in path:
@@ -213,23 +223,29 @@ def _atom_json(atom: ConstraintAtom) -> dict:
     return {"kind": atom.kind, "left": str(atom.left), "comparator": atom.comparator, "right": right}
 
 
-def query_identity(
-    entity_attr: ColumnRef,
-    predicate: tuple[ConstraintAtom, ...],
-    criterion: RankingCriterion,
-    path: tuple[JoinEdge, ...],
-    k: int,
-) -> str:
-    """Stable content-derived query id."""
+def _atom_text(atom: ConstraintAtom) -> str:
+    """An atom's canonical JSON text in a query id's document."""
+    return json.dumps(_atom_json(atom), sort_keys=True)
+
+
+def _id_head(entity_attr: ColumnRef, criterion: RankingCriterion, path: tuple[JoinEdge, ...], k: int) -> str:
+    """A query id's document as canonical JSON text up to its predicate's
+    atoms: "predicate" sorts last among its keys."""
     doc = {
         "entity": str(entity_attr),
-        "predicate": [_atom_json(a) for a in predicate],
+        "predicate": [],
         "criterion": [str(criterion.column), criterion.aggregation, criterion.direction],
         "path": [[str(e.src), str(e.dst)] for e in path],
         "k": k,
     }
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
-    return digest[:16]
+    return json.dumps(doc, sort_keys=True)[: -len("]}")]
+
+
+def query_identity(head: str, atoms: str) -> str:
+    """Stable content-derived query id: the sha256 of the query's document
+    as canonical JSON (json.dumps with sorted keys), from its _id_head and
+    the _atom_text of each predicate atom, joined by ", "."""
+    return hashlib.sha256(f"{head}{atoms}]}}".encode("utf-8")).hexdigest()[:16]
 
 
 def generate_queries(
@@ -247,6 +263,8 @@ def generate_queries(
     # (predicate columns, join path) -> entropy of their joint value
     # distribution over the joined rows, shared by every query using them
     entropies: dict[tuple, float] = {}
+    # per combination: instance -> (predicate, its atoms' id texts, its WHERE clause)
+    predicates: list[dict[tuple, tuple]] = [{} for _ in combos]
     queries: list[HofQuery] = []
 
     # relation set -> join_path's answer, searched once; a set with no tree
@@ -254,11 +272,13 @@ def generate_queries(
     paths: dict[frozenset, Optional[list[JoinEdge]]] = {}
 
     for e_attr in entities:
-        for comb in combos:
+        for comb, shared in zip(combos, predicates):
             needed1 = frozenset((e_attr.relation,)) | comb.relations()
             binding_cols = comb.binding_columns()
             fixed = comb.fixed_atoms()
             pred_cols = tuple(sorted({*binding_cols, *(c for a in fixed for c in a.columns())}))
+            # 0.0 == -0.0, but they render apart, so real values are shared by their text
+            by_text = any(catalog.column_type(c) == "real" for c in binding_cols)
             counted: dict = {}  # join path -> (instance -> [entities, rows], joined rows, leaf relation)
             for crit in criteria:
                 needed2 = needed1 | {crit.column.relation}
@@ -274,6 +294,8 @@ def generate_queries(
                     scan = JoinScan(store, needed2, path2, fixed, leaf)
                     counted[path2] = scan.instances(binding_cols, e_attr), scan.total, leaf
                 sizes, n_joined, leaf = counted[path2]
+                id_head = _id_head(e_attr, crit, path2, cfg.k)
+                sql_head, sql_tail = _sql_parts(e_attr, crit, path2, cfg.k)
 
                 ent_key = (pred_cols, path2)
                 for inst, (n_entities, n_rows) in sizes.items():
@@ -284,16 +306,20 @@ def generate_queries(
                             entropies[ent_key] = entropy(JoinScan(store, needed2, path2, (), leaf).counts(pred_cols))
                         else:  # the predicate columns are the binding columns (or none): the count's row counts
                             entropies[ent_key] = entropy({key: rows for key, (_, rows) in sizes.items()})
-                    bindings = tuple(
-                        ConstraintAtom(ATOM_BINDING, col, "=", value)
-                        for col, value in zip(binding_cols, inst)
-                    )
-                    predicate = tuple(
-                        sorted(bindings + fixed, key=ConstraintAtom.sort_key)
-                    )
-                    sel = n_rows / n_joined
-                    qid = query_identity(e_attr, predicate, crit, path2, cfg.k)
-                    queries.append(HofQuery(qid, e_attr, predicate, crit, path2, cfg.k, sel, entropies[ent_key]))
+                    key = tuple(map(repr, inst)) if by_text else inst
+                    parts = shared.get(key)
+                    if parts is None:
+                        # binding atoms sort before fixed ones, by column (ConstraintAtom.sort_key)
+                        predicate = tuple(
+                            ConstraintAtom(ATOM_BINDING, col, "=", value) for col, value in zip(binding_cols, inst)
+                        ) + fixed
+                        atoms = ", ".join(map(_atom_text, predicate))
+                        parts = shared[key] = predicate, atoms, _where([a.render() for a in predicate])
+                    predicate, atoms, where = parts
+                    queries.append(HofQuery(
+                        query_identity(id_head, atoms), e_attr, predicate, crit, path2, cfg.k,
+                        n_rows / n_joined, entropies[ent_key], _sql=sql_head + where + sql_tail,
+                    ))
 
     queries.sort(key=lambda q: (str(q.entity_attr), len(q.predicate), q.sql(), q.id))
     return queries

@@ -25,9 +25,10 @@ the from-scratch reference path rebuilds them after each write.
 
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of
-per-column converters per CSV row, one sort per join bucket and edge,
-and one Counter over the zipped values of each column, whose loop runs in
-C and builds no key in Python (a summed leaf adds each row's weight).
+per-column converters per CSV row, one pass per indexed column after the
+last row, one sort per join bucket and edge, and one Counter over the
+zipped values of each column, whose loop runs in C and builds no key in
+Python (a summed leaf adds each row's weight).
 """
 
 from __future__ import annotations
@@ -164,19 +165,16 @@ class Table:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _index_add(self, rid: int, row: list) -> None:
-        for col, index in self.indices.items():
-            index.setdefault(row[self.col_pos[col]], set()).add(rid)
-        if self.meta.key_columns:
-            self.key_index[self._key_of(row)] = rid
-
     def _key_of(self, row: list) -> tuple:
         return tuple(map(row.__getitem__, self._key_pos))
 
     def append_row(self, row: list) -> int:
         rid = len(self.rows)
         self.rows.append(row)
-        self._index_add(rid, row)
+        for col, index in self.indices.items():
+            index.setdefault(row[self.col_pos[col]], set()).add(rid)
+        if self.meta.key_columns:
+            self.key_index[self._key_of(row)] = rid
         return rid
 
 
@@ -231,7 +229,11 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
     Each row is converted in one comprehension of per-column converters
     (sys.intern, int, a float that rejects non-finite values); a row that
     raises is converted again cell by cell with _coerce_cell, which names
-    the bad cell.
+    the bad cell. The key index and every value index are built after the
+    last row, one pass per column, holding what append_row would hold.
+    The first bad row in file order is the one named, whether its cell,
+    its cell count or its key is wrong: before a bad cell or cell count is
+    named, the rows before it are checked for a duplicate key.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -252,27 +254,53 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
         raise CsvLoadError(f"table {meta.name!r}: duplicate header columns")
 
     table = Table(meta, indexed_columns)
+    rows = table.rows
+    blank: list[int] = []  # numbers of the empty records, which hold no row
     src_pos = [header.index(c) for c in declared]
     types = [t for _, t in meta.columns]
     converters = [(_CONVERTERS[t], src) for t, src in zip(types, src_pos)]
-    for rownum, record in enumerate(reader, start=1):
-        if not record:
-            continue
-        if len(record) != len(header):
-            raise CsvLoadError(f"table {meta.name!r}, row {rownum}: expected {len(header)} cells")
-        try:
-            row = [convert(record[src]) for convert, src in converters]
-        except ValueError:  # the cell-by-cell path names the bad cell
-            row = [
-                _coerce_cell(record[src], types[i], f"table {meta.name!r}, row {rownum}, column {declared[i]!r}")
-                for i, src in enumerate(src_pos)
-            ]
-        if meta.key_columns:
-            key = table._key_of(row)
-            if key in table.key_index:
-                raise CsvLoadError(f"table {meta.name!r}, row {rownum}: duplicate key {key}")
-        table.append_row(row)
+    try:
+        for rownum, record in enumerate(reader, start=1):
+            if not record:
+                blank.append(rownum)
+                continue
+            if len(record) != len(header):
+                raise CsvLoadError(f"table {meta.name!r}, row {rownum}: expected {len(header)} cells")
+            try:
+                row = [convert(record[src]) for convert, src in converters]
+            except ValueError:  # the cell-by-cell path names the bad cell
+                row = [
+                    _coerce_cell(record[src], types[i], f"table {meta.name!r}, row {rownum}, column {declared[i]!r}")
+                    for i, src in enumerate(src_pos)
+                ]
+            rows.append(row)
+    except CsvLoadError:
+        _index_keys(table, blank, range(len(rows)))  # a duplicate key in an earlier row comes first
+        raise
+    ids = list(range(len(rows)))  # one int per row id, shared by every index as append_row shares it
+    _index_keys(table, blank, ids)
+    for col, index in table.indices.items():
+        for rid, value in zip(ids, map(operator.itemgetter(table.col_pos[col]), rows)):
+            index.setdefault(value, set()).add(rid)
     return table
+
+
+def _index_keys(table: Table, blank: list[int], ids: Sequence[int]) -> None:
+    """Fill the key index of a table's rows, whose ids are given; a
+    duplicate key raises, naming its first repeating row by its number
+    among the records, blank ones included."""
+    if not table.meta.key_columns:
+        return
+    keys = list(zip(*(map(operator.itemgetter(p), table.rows) for p in table._key_pos)))
+    table.key_index = dict(zip(keys, ids))
+    if len(table.key_index) == len(keys):
+        return
+    first: dict[tuple, int] = {}
+    rid = next(rid for rid, key in enumerate(keys) if first.setdefault(key, rid) != rid)
+    rownum = rid + 1
+    for number in blank:
+        rownum += number <= rownum
+    raise CsvLoadError(f"table {table.meta.name!r}, row {rownum}: duplicate key {keys[rid]}") from None
 
 
 def compile_predicate(

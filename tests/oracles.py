@@ -8,6 +8,8 @@ purpose.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -203,6 +205,65 @@ def oracle_path_scores(tables: dict[str, list[dict]], q: HofQuery) -> tuple[floa
     own join path (oracle_path_join)."""
     jrows = oracle_path_join(tables, q.join_path, _query_relations(q))
     return _selectivity(jrows, q), _entropy_bits(jrows, q)
+
+
+def _ref(c: ColumnRef) -> str:
+    return f"{c.relation}.{c.column}"
+
+
+def _oracle_atom_json(atom) -> dict:
+    right = atom.right
+    if isinstance(right, ColumnRef):
+        right = {"column": _ref(right)}
+    return {"kind": atom.kind, "left": _ref(atom.left), "comparator": atom.comparator, "right": right}
+
+
+def oracle_query_id(q: HofQuery) -> str:
+    """The query's id: the first 16 hex digits of the sha256 of its whole
+    document dumped as JSON with sorted keys."""
+    doc = {
+        "entity": _ref(q.entity_attr),
+        "predicate": [_oracle_atom_json(a) for a in q.predicate],
+        "criterion": [_ref(q.criterion.column), q.criterion.aggregation, q.criterion.direction],
+        "path": [[_ref(e.src), _ref(e.dst)] for e in q.join_path],
+        "k": q.k,
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+
+
+def oracle_sql(q: HofQuery) -> str:
+    """The query's SQL rendering, written out in one f-string."""
+    column = q.criterion.column
+    agg = f"{q.criterion.aggregation.upper()}({_ref(column)})"
+    if not q.join_path:
+        from_clause = next(iter(_query_relations(q)))
+    else:
+        parts = []
+        seen: set[str] = set()
+        for edge in q.join_path:
+            on = f"{_ref(edge.src)}={_ref(edge.dst)}"
+            if not seen:
+                parts.append(f"{edge.src.relation} JOIN {edge.dst.relation} ON {on}")
+                seen.update((edge.src.relation, edge.dst.relation))
+            else:
+                new = next(iter({edge.src.relation, edge.dst.relation} - seen), None)
+                parts.append(f"JOIN {new} ON {on}")
+                if new:
+                    seen.add(new)
+        from_clause = " ".join(parts)
+    where = ""
+    if q.predicate:
+        rendered = [
+            f"{_ref(a.left)} {a.comparator} {_ref(a.right) if isinstance(a.right, ColumnRef) else repr(a.right)}"
+            for a in q.predicate
+        ]
+        where = " WHERE " + " AND ".join(rendered)
+    order = "ASC" if q.criterion.direction == "ascending" else "DESC"
+    entity = _ref(q.entity_attr)
+    return (
+        f"SELECT {entity}, {agg} FROM {from_clause}{where} "
+        f"GROUP BY {entity} ORDER BY {agg} {order} LIMIT {q.k}"
+    )
 
 
 def _join_cost(inst: Instance, rels: set[str]) -> int | None:

@@ -19,6 +19,7 @@ from halloffame import (
     build_families,
     column_filter,
     diff_rankings,
+    dump_queries,
     generate_queries,
     load_catalog,
     load_queries,
@@ -933,6 +934,19 @@ user_constraints:
         families = build_families(generate_queries(catalog, GeneratorConfig(k=k, c_num=c_num, j_num=j_num), store), catalog)
         assert self.leaves(families) == leaves
         self.check(store, families)
+
+    @pytest.mark.parametrize("amounts", [False, True], ids=["fixture", "amounts-and-atom"])
+    def test_loaded_queries_give_equal_families(self, bloomberg, amounts):
+        # loaded queries share no objects with each other; with amounts, some
+        # families carry a fixed atom and two queries per column
+        catalog, store = self.real_store() if amounts else bloomberg
+        generated = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
+        loaded = load_queries(dump_queries(generated), catalog)
+        fields = operator.attrgetter("members", "needed", "columns", "shape", "fixed", "binding_cols", "leaf")
+        families = list(map(fields, build_families(generated, catalog)))
+        assert families == list(map(fields, build_families(loaded, catalog)))
+        assert len(families) == (42 if amounts else 12)
+        assert any(fixed for *_, fixed, _, _ in families) == amounts
 
     def test_real_amounts_sum_and_avg_with_a_fixed_atom(self):
         catalog, store = self.real_store()

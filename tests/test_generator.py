@@ -3,10 +3,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halloffame import (
     ColumnRef,
+    ConstraintAtom,
     GeneratorConfig,
+    HofQuery,
+    JoinEdge,
+    RankingCriterion,
     Store,
     dump_queries,
     generate_queries,
@@ -14,7 +19,7 @@ from halloffame import (
     load_catalog,
     load_queries,
 )
-from halloffame.generator import GenerationError
+from halloffame.generator import GenerationError, _atom_text, _id_head, query_identity
 from conftest import DATA_DIR, load_dataset, load_instance
 from oracles import (
     make_instance,
@@ -22,7 +27,9 @@ from oracles import (
     oracle_enumerate,
     oracle_eval_query,
     oracle_path_scores,
+    oracle_query_id,
     oracle_selectivity,
+    oracle_sql,
     query_signature,
 )
 
@@ -41,6 +48,30 @@ entity_attrs: [name]
 categorical_attrs: [league, team, age]
 ranking_criteria:
   - {column: points, aggregation: sum, direction: descending}
+"""
+
+
+SIGNED_ZERO_CONFIG = """
+relations:
+  - name: a
+    columns:
+      - {name: a_id, type: integer}
+      - {name: a_name, type: text}
+      - {name: x, type: real}
+      - {name: m, type: integer}
+    key: [a_id]
+  - name: b
+    columns:
+      - {name: b_id, type: integer}
+      - {name: b_name, type: text}
+      - {name: a_fk, type: integer}
+    key: [b_id]
+entity_attrs: [a.a_name, b.b_name]
+categorical_attrs: [a.x]
+ranking_criteria:
+  - {column: a.m, aggregation: sum, direction: descending}
+join_edges:
+  - {from: b.a_fk, to: a.a_id}
 """
 
 
@@ -73,6 +104,66 @@ def load_amounts(holdings=None):
         "ranking_criteria:\n", "ranking_criteria:\n  - {column: shareholder.s_amount, aggregation: avg, direction: ascending}\n"
     )
     return load_dataset("bloomberg", text, {"shareholder": holdings} if holdings else None)
+
+
+RELATIONS = ["stats", "teams", "länder"]
+COLUMN_NAMES = ["c1", "m1", "größe"]
+TEXTS = st.one_of(st.text(), st.sampled_from(["Zürich", "O'Brien", 'say "hi"', "back\\slash", "'\"\\", "日本", "\x00\n\t"]))
+NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def hof_queries(draw) -> HofQuery:
+    """Any query the renderers may meet; without a join path every column is
+    in one relation."""
+    path = tuple(
+        JoinEdge(ColumnRef(draw(st.sampled_from(RELATIONS)), "id"), ColumnRef(draw(st.sampled_from(RELATIONS)), "fk"))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    relations = sorted({r for e in path for r in (e.src.relation, e.dst.relation)}) or [draw(st.sampled_from(RELATIONS))]
+
+    def column():
+        return ColumnRef(draw(st.sampled_from(relations)), draw(st.sampled_from(COLUMN_NAMES)))
+
+    atoms = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["binding", "const_comparison", "inter_attribute"]))
+        comparator = "=" if kind == "binding" else draw(st.sampled_from(["<", ">", "=", "!=", "<=", ">="]))
+        right = column() if kind == "inter_attribute" else draw(st.one_of(TEXTS, NUMBERS))
+        atoms.append(ConstraintAtom(kind, column(), comparator, right))
+    criterion = RankingCriterion(column(), draw(st.sampled_from(["sum", "avg"])), draw(st.sampled_from(["ascending", "descending"])))
+    predicate = tuple(sorted(atoms, key=ConstraintAtom.sort_key))
+    return HofQuery("", column(), predicate, criterion, path, draw(st.integers(1, 10**6)), 0.5, 0.0)
+
+
+class TestRendering:
+    """Query ids and SQL, joined from parts, against the oracles' whole
+    documents and f-string."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(hof_queries())
+    def test_parts_equal_the_oracles(self, q):
+        head = _id_head(q.entity_attr, q.criterion, q.join_path, q.k)
+        assert query_identity(head, ", ".join(map(_atom_text, q.predicate))) == oracle_query_id(q)
+        assert q.sql() == oracle_sql(q)
+
+    def test_generated_queries_equal_the_oracles(self):
+        catalog, store = load_instance(make_instance(random.Random(5), two_tables=True, with_user_atom=True))
+        generated = generate_queries(catalog, GeneratorConfig(k=2, c_num=3, j_num=1), store)
+        amounts_catalog, amounts_store = load_amounts(HOLDINGS)
+        amounts = generate_queries(amounts_catalog, GeneratorConfig(k=1, c_num=2, j_num=3), amounts_store)
+        assert any(a.kind == "inter_attribute" for q in generated for a in q.predicate)
+        assert len({q.criterion.column for q in amounts}) == 2
+        for cat, queries in ((catalog, generated), (amounts_catalog, amounts)):
+            # generation sets each SQL text; a loaded query renders its own on first use
+            loaded = load_queries(dump_queries(queries), cat)
+            for q, again in zip(queries, loaded):
+                assert q.id == oracle_query_id(q)
+                assert q.sql() == again.sql() == oracle_sql(q), q.id
 
 
 class TestGetCombinations:
@@ -183,6 +274,18 @@ class TestGenerateQueries:
         second = generate_queries(catalog2, cfg, store2)
         assert [q.id for q in first] == [q.id for q in second]
         assert len({q.id for q in first}) == len(first)
+
+    def test_signed_zero_binds_as_each_join_meets_it(self):
+        # 0.0 == -0.0, so one instance holds both rows; each entity's scan
+        # binds the zero its own join meets first: a's rows give -0.0, b's
+        # join reaches a's second row first
+        catalog = load_catalog(SIGNED_ZERO_CONFIG)
+        store = Store(catalog)
+        store.load_table("a", "a_id,a_name,x,m\n0,n0,-0.0,1\n1,n1,0.0,2\n")
+        store.load_table("b", "b_id,b_name,a_fk\n0,q0,1\n1,q1,0\n")
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=1), store)
+        bound = {str(q.entity_attr): repr(q.predicate[0].right) for q in queries if q.predicate}
+        assert bound == {"a.a_name": "-0.0", "b.b_name": "0.0"}
 
     def test_allowlist_restricts_relation_sets(self):
         rng = random.Random(34)

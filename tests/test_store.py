@@ -155,6 +155,36 @@ class TestLoadTable:
                 Store(catalog).load_table("plays", header + rows)
             assert str(info.value) == text
 
+    def test_first_bad_row_named_across_fault_kinds(self):
+        header = "pid,team,year,league,points\n"
+        cases = [
+            # a wrong cell count before a duplicate key
+            ("1,A,2010,NBA,1\n2,B,2010\n1,C,2010,NBA,3\n", "table 'plays', row 2: expected 5 cells"),
+            # a duplicate key after a blank line, named by its record number
+            ("1,A,2010,NBA,1\n\n1,B,2010,NBA,2\n", "table 'plays', row 3: duplicate key (1,)"),
+            # ... also when a bad cell and a wrong cell count follow it
+            ("\n1,A,2010,NBA,1\n\n1,B,2010,NBA,2\nx,C,2010,NBA,3\n", "table 'plays', row 4: duplicate key (1,)"),
+            ("1,A,2010,NBA,1\n\n1,B,2010,NBA,2\n3,C\n", "table 'plays', row 3: duplicate key (1,)"),
+        ]
+        for rows, text in cases:
+            with pytest.raises(CsvLoadError) as info:
+                Store(load_catalog(PLAYS_CONFIG)).load_table("plays", header + rows)
+            assert str(info.value) == text
+
+    def test_bulk_indices_equal_appended_rows(self, bloomberg_dir):
+        # blank lines, and a country id (99) that no country row holds
+        catalog = load_catalog((bloomberg_dir / "catalog.yaml").read_text(encoding="utf-8"))
+        text = "c_id,c_name,c_countryid\n\n4,SAP,1\n7,BMW,1\n\n2,Microsoft,0\n5,Acme,99\n\n3,SAP,0\n"
+        table = Store(catalog).load_table("company", text)
+        assert set(table.indices) == {"c_id", "c_name", "c_countryid"}
+        fresh = Table(table.meta, table.indices)
+        for row in table.rows:
+            fresh.append_row(row)
+        assert fresh.indices == table.indices and fresh.key_index == table.key_index
+        assert [list(index) for index in fresh.indices.values()] == [list(index) for index in table.indices.values()]
+        assert list(fresh.key_index) == list(table.key_index) == [(4,), (7,), (2,), (5,), (3,)]
+        assert table.indices["c_countryid"] == {1: {0, 1}, 0: {2, 4}, 99: {3}}
+
     def test_cells_equal_the_cell_by_cell_conversion(self):
         real = load_catalog(PLAYS_CONFIG.replace("points, type: integer", "points, type: real"))
         cells = [
