@@ -162,17 +162,6 @@ class HofQuery:
             cols.update(atom.columns())
         return tuple(sorted(cols))
 
-    @property
-    def referenced_columns(self) -> frozenset[ColumnRef]:
-        cols = {self.entity_attr, self.criterion.column}
-        cols.update(self.predicate_columns())
-        for edge in self.join_path:
-            cols.update(edge.columns())
-        return frozenset(cols)
-
-    def fixed_atoms(self) -> tuple[ConstraintAtom, ...]:
-        return tuple(a for a in self.predicate if a.kind != ATOM_BINDING)
-
     def sql(self) -> str:
         """Human-readable SQL-style rendering, for logs. generate_queries sets
         it; a query loaded from a catalog renders it on first use."""
@@ -277,8 +266,6 @@ def generate_queries(
             binding_cols = comb.binding_columns()
             fixed = comb.fixed_atoms()
             pred_cols = tuple(sorted({*binding_cols, *(c for a in fixed for c in a.columns())}))
-            # 0.0 == -0.0, but they render apart, so real values are shared by their text
-            by_text = any(catalog.column_type(c) == "real" for c in binding_cols)
             counted: dict = {}  # join path -> (instance -> [entities, rows], joined rows, leaf relation)
             for crit in criteria:
                 needed2 = needed1 | {crit.column.relation}
@@ -306,15 +293,14 @@ def generate_queries(
                             entropies[ent_key] = entropy(JoinScan(store, needed2, path2, (), leaf).counts(pred_cols))
                         else:  # the predicate columns are the binding columns (or none): the count's row counts
                             entropies[ent_key] = entropy({key: rows for key, (_, rows) in sizes.items()})
-                    key = tuple(map(repr, inst)) if by_text else inst
-                    parts = shared.get(key)
+                    parts = shared.get(inst)
                     if parts is None:
                         # binding atoms sort before fixed ones, by column (ConstraintAtom.sort_key)
                         predicate = tuple(
                             ConstraintAtom(ATOM_BINDING, col, "=", value) for col, value in zip(binding_cols, inst)
                         ) + fixed
                         atoms = ", ".join(map(_atom_text, predicate))
-                        parts = shared[key] = predicate, atoms, _where([a.render() for a in predicate])
+                        parts = shared[inst] = predicate, atoms, _where([a.render() for a in predicate])
                     predicate, atoms, where = parts
                     queries.append(HofQuery(
                         query_identity(id_head, atoms), e_attr, predicate, crit, path2, cfg.k,

@@ -129,19 +129,15 @@ def dynamic_score(pairs: Sequence[ImprovementPair], cfg: ScorerConfig) -> tuple[
 
 
 def entropy(counts: Mapping[Any, int]) -> float:
-    """Shannon entropy (bits) of a count distribution."""
+    """Shannon entropy (bits) of a count distribution, +0.0 for one count.
+    The terms are summed exactly (math.fsum) and rounded once, so the result
+    does not depend on the order of the counts."""
     if not counts:
         raise ScoringError("entropy of empty distribution")
-    total = 0
-    for value in counts.values():
-        if value <= 0:
-            raise ScoringError(f"non-positive count {value!r}")
-        total += value
-    result = 0.0
-    for value in counts.values():
-        p = value / total
-        result -= p * math.log2(p)
-    return result
+    if min(counts.values()) <= 0:
+        raise ScoringError(f"non-positive count {min(counts.values())!r}")
+    total = sum(counts.values())
+    return 0.0 - math.fsum(value / total * math.log2(value / total) for value in counts.values())
 
 
 def compare_tradeoff(u: float, v: float, considerably: Callable[[float, float], bool]) -> int:

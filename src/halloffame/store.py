@@ -178,30 +178,29 @@ class Table:
         return rid
 
 
-def _coerce_cell(text: str, col_type: str, where: str) -> Any:
-    if col_type == "text":
-        return sys.intern(text)  # equal cells share one object
-    stripped = text.strip()
-    try:
-        if col_type == "integer":
-            return int(stripped)
-        value = float(stripped)
-    except ValueError:
-        raise CsvLoadError(f"{where}: cannot parse {text!r} as {col_type}") from None
-    if not math.isfinite(value):
-        raise CsvLoadError(f"{where}: non-finite value {text!r}")
-    return value
+class _NonFinite(ValueError):
+    """A real cell that parses to inf or nan."""
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = float(text) + 0.0  # a real -0.0 is stored as 0.0: a column holds one zero
     if not math.isfinite(value):
-        raise ValueError(text)
+        raise _NonFinite(text)
     return value
 
 
-# per column type: text -> value, raising ValueError where _coerce_cell raises
+# per column type: text -> value, raising ValueError on a cell it rejects
 _CONVERTERS: dict[str, Callable[[str], Any]] = {"text": sys.intern, "integer": int, "real": _finite_float}
+
+
+def _coerce_cell(text: str, col_type: str, where: str) -> Any:
+    """A cell's value by _CONVERTERS; a cell they reject is a located CsvLoadError."""
+    try:
+        return _CONVERTERS[col_type](text)
+    except _NonFinite:
+        raise CsvLoadError(f"{where}: non-finite value {text!r}") from None
+    except ValueError:
+        raise CsvLoadError(f"{where}: cannot parse {text!r} as {col_type}") from None
 
 
 def _check_value(value: Any, col_type: str, where: str) -> Any:
@@ -217,7 +216,7 @@ def _check_value(value: Any, col_type: str, where: str) -> Any:
                 raise UpdateError(f"{where}: expected integer, got {value!r}")
             return int(value)
         return value
-    value = float(value)
+    value = float(value) + 0.0  # -0.0 is stored as 0.0, as load_table stores it
     if not math.isfinite(value):
         raise UpdateError(f"{where}: non-finite value {value!r}")
     return value
@@ -227,13 +226,13 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
     """Build a table from CSV text (UTF-8, header row, RFC-4180 quoting).
 
     Each row is converted in one comprehension of per-column converters
-    (sys.intern, int, a float that rejects non-finite values); a row that
-    raises is converted again cell by cell with _coerce_cell, which names
-    the bad cell. The key index and every value index are built after the
-    last row, one pass per column, holding what append_row would hold.
-    The first bad row in file order is the one named, whether its cell,
-    its cell count or its key is wrong: before a bad cell or cell count is
-    named, the rows before it are checked for a duplicate key.
+    (sys.intern, int, a float that rejects non-finite values and stores
+    -0.0 as 0.0); a row that raises is converted again cell by cell with
+    _coerce_cell, which names the bad cell. The key index and every value
+    index are built after the last row, one pass per column, holding what
+    append_row would hold. The first bad row in file order is named, whether
+    its cell, cell count or key is wrong: before a bad cell or cell count
+    is named, the rows before it are checked for a duplicate key.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -563,39 +562,38 @@ class JoinScan:
     time, each weighted by the rows of the whole path's join it stands for.
 
     A leaf relation (leaf_edge) is summed per join value (eager aggregation)
-    and the rest of the path joined from where the whole join goes on from
-    the leaf. Rows without leaf rows are dropped; when the whole join starts
-    at the leaf, rows take the order of their join value's first leaf row,
-    so projections are met in the order the whole join first meets them."""
+    and the rest of the path joined without it; rows without leaf rows are
+    dropped. Rows, and so the keys of counts, come in no promised order."""
 
     def __init__(self, store: Store, needed: Iterable[str], path: tuple[JoinEdge, ...], atoms=(), leaf=None):
         self.store, self.leaf, self.buckets = store, leaf, None  # buckets: join value -> leaf row ids
         if leaf:
             (edge,) = [e for e in path if leaf in e.relations()]
             self.joined, self.buckets = edge.other(leaf), store.table(leaf).indices[edge.endpoint(leaf).column]
-            at_start = path[0].src.relation == leaf
-            rest = [e for e in path if e != edge]
-            if edge == path[0] and rest and rest[0].src.relation != self.joined.relation:
-                rest[0] = JoinEdge(rest[0].dst, rest[0].src)  # the whole join goes on from the leaf's partner
-            needed, path = set(needed) - {leaf}, tuple(rest)
+            needed, path = set(needed) - {leaf}, tuple(e for e in path if e != edge)
         rel_order, self.envs = store.joined_rows(needed, path)
         store.rows_read += len(self.envs)
         self.rel_pos = {rel: i for i, rel in enumerate(rel_order)}
-        self.total = len(self.envs)  # rows of the whole join, before the atoms
         if leaf:
             self.envs = list(compress(self.envs, map(self.buckets.__contains__, self.values(self.joined))))
-            if at_start:
-                first = {v: min(ids) for v, ids in self.buckets.items()}
-                ranks = list(map(first.__getitem__, self.values(self.joined)))
-                self.envs = [env for _, env in sorted(zip(ranks, self.envs), key=operator.itemgetter(0))]
-            self.total = sum(self.weights())
+        self.unfiltered = self.envs  # before the atoms
         if atoms:
             self.envs = list(filter(compile_predicate(atoms, self.rel_pos, store.tables), self.envs))
 
+    @property
+    def total(self) -> int:
+        """Rows of the whole join, before the atoms, summed on each read."""
+        if self.buckets is None:
+            return len(self.unfiltered)
+        return sum(map(len, map(self.buckets.__getitem__, self._column(self.joined, self.unfiltered))))
+
     def values(self, ref: ColumnRef) -> Iterator:
         """Per row, the value of ref, a column of the joined relations."""
+        return self._column(ref, self.envs)
+
+    def _column(self, ref: ColumnRef, envs: list[tuple]) -> Iterator:
         table = self.store.table(ref.relation)
-        rows = map(table.rows.__getitem__, map(operator.itemgetter(self.rel_pos[ref.relation]), self.envs))
+        rows = map(table.rows.__getitem__, map(operator.itemgetter(self.rel_pos[ref.relation]), envs))
         return map(operator.itemgetter(table.col_pos[ref.column]), rows)
 
     def weights(self) -> Iterator[int]:
@@ -616,9 +614,9 @@ class JoinScan:
         return map(list, terms) if real else terms
 
     def counts(self, columns: Sequence[ColumnRef]) -> dict[tuple, int]:
-        """Rows of the whole join per distinct projection of columns, keyed
-        in the order the whole join first meets them. With no columns every
-        row projects to (): {(): rows}, or {} when none pass."""
+        """Rows of the whole join per distinct projection of columns, in no
+        promised key order. With no columns every row projects to ():
+        {(): rows}, or {} when none pass."""
         keys = zip(*map(self.values, columns)) if columns else repeat((), len(self.envs))
         if self.buckets is None:
             return Counter(keys)
@@ -628,8 +626,8 @@ class JoinScan:
         return counts
 
     def instances(self, columns: Sequence[ColumnRef], entity: ColumnRef) -> dict[tuple, tuple[int, int]]:
-        """Per distinct projection of columns (an instance), keyed as counts
-        keys it: its distinct entity values and its rows of the whole join."""
+        """Per distinct projection of columns (an instance), in no promised
+        key order: its distinct entity values and its rows of the whole join."""
         out: dict[tuple, tuple[int, int]] = {}
         for key, rows in self.counts([*columns, entity]).items():
             n, total = out.get(key[:-1], (0, 0))

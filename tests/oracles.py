@@ -170,6 +170,25 @@ def _query_relations(q: HofQuery) -> set[str]:
     return rels
 
 
+def fixed_atoms(q: HofQuery) -> tuple:
+    """The atoms of a query's predicate that no data value binds: the user
+    constraint atoms."""
+    return tuple(a for a in q.predicate if a.kind != "binding")
+
+
+def referenced_columns(q: HofQuery) -> frozenset[ColumnRef]:
+    """Every column a query's fields name: its entity, criterion, predicate
+    and join path columns."""
+    cols = {q.entity_attr, q.criterion.column}
+    for a in q.predicate:
+        cols.add(a.left)
+        if isinstance(a.right, ColumnRef):
+            cols.add(a.right)
+    for edge in q.join_path:
+        cols.update((edge.src, edge.dst))
+    return frozenset(cols)
+
+
 def _selectivity(jrows: list[dict], q: HofQuery) -> float:
     atoms = [_atom_of(a) for a in q.predicate]
     return sum(all(oracle_check_atom(jr, a) for a in atoms) for jr in jrows) / len(jrows)
@@ -431,16 +450,20 @@ def make_instance(
     with_user_atom: bool = False,
     criteria: tuple = (("m1", "sum", "descending"), ("m2", "avg", "ascending")),
     value_range: int = 500,
+    real_c2: bool = False,
 ) -> Instance:
     """One random benchmark instance: a stats table, optionally joined to a
-    team table, with categorical attributes and numeric criteria."""
+    team table, with categorical attributes and numeric criteria. With
+    real_c2 the categorical c2 is a real column whose first two values are
+    0.0 and -0.0."""
+    c2_values = [0.0, -0.0, *(i / 2 for i in range(2, n_c2))] if real_c2 else [f"b{i}" for i in range(n_c2)]
     stats_rows = []
     for sid in range(n_rows):
         row = {
             "sid": sid,
             "player": f"p{rng.randrange(n_entities):03d}",
             "c1": f"a{rng.randrange(n_c1)}",
-            "c2": f"b{rng.randrange(n_c2)}",
+            "c2": c2_values[rng.randrange(n_c2)],
             "m1": rng.randrange(value_range),
             "m2": rng.randrange(value_range),
         }
@@ -455,7 +478,7 @@ def make_instance(
         "sid": "integer",
         "player": "text",
         "c1": "text",
-        "c2": "text",
+        "c2": "real" if real_c2 else "text",
         "m1": "integer",
         "m2": "integer",
         "team_id": "integer",

@@ -35,6 +35,7 @@ from oracles import (
     oracle_path_join,
     oracle_rank,
     oracle_run,
+    referenced_columns,
 )
 
 
@@ -72,15 +73,16 @@ class TestColumnIndex:
         inst = make_instance(rng, n_rows=60)
         catalog, store = load_instance(inst)
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=0), store)
-        index = build_column_index(queries)
+        items = [SimpleNamespace(id=q.id, referenced_columns=referenced_columns(q)) for q in queries]
+        index = build_column_index(items)
         for q in queries:
-            for col in q.referenced_columns:
+            for col in referenced_columns(q):
                 assert q.id in index[col]
         # inverse direction: the index holds nothing beyond referenced_columns
         for col, ids in index.items():
             for qid in ids:
                 q = next(x for x in queries if x.id == qid)
-                assert col in q.referenced_columns
+                assert col in referenced_columns(q)
 
     def test_empty_query_set(self):
         assert build_column_index([]) == {}
@@ -719,7 +721,7 @@ class TestNetZero:
         # a written column
         written = {ColumnRef("games", column) for column in set_values}
         red = [q for q in queries if q.id.startswith("red-")]
-        assert engine.last_stats.row_candidates == sum(bool(q.referenced_columns & written) for q in red)
+        assert engine.last_stats.row_candidates == sum(bool(referenced_columns(q) & written) for q in red)
         assert engine.last_stats.rebuilt == 0
         self.assert_fresh(catalog, store, queries, engine)
 

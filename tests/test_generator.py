@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import itertools
 import json
 import random
 
@@ -13,6 +15,7 @@ from halloffame import (
     JoinEdge,
     RankingCriterion,
     Store,
+    UpdateRecord,
     dump_queries,
     generate_queries,
     get_combinations,
@@ -22,6 +25,7 @@ from halloffame import (
 from halloffame.generator import GenerationError, _atom_text, _id_head, query_identity
 from conftest import DATA_DIR, load_dataset, load_instance
 from oracles import (
+    fixed_atoms,
     make_instance,
     oracle_entropy_bits,
     oracle_enumerate,
@@ -275,17 +279,17 @@ class TestGenerateQueries:
         assert [q.id for q in first] == [q.id for q in second]
         assert len({q.id for q in first}) == len(first)
 
-    def test_signed_zero_binds_as_each_join_meets_it(self):
-        # 0.0 == -0.0, so one instance holds both rows; each entity's scan
-        # binds the zero its own join meets first: a's rows give -0.0, b's
-        # join reaches a's second row first
+    def test_signed_zero_binds_one_zero(self):
+        # the store holds -0.0 as 0.0, so the one instance of both rows binds
+        # 0.0 for each entity, although a's rows meet -0.0 first and b's join
+        # reaches a's 0.0 row first
         catalog = load_catalog(SIGNED_ZERO_CONFIG)
         store = Store(catalog)
         store.load_table("a", "a_id,a_name,x,m\n0,n0,-0.0,1\n1,n1,0.0,2\n")
         store.load_table("b", "b_id,b_name,a_fk\n0,q0,1\n1,q1,0\n")
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=1), store)
-        bound = {str(q.entity_attr): repr(q.predicate[0].right) for q in queries if q.predicate}
-        assert bound == {"a.a_name": "-0.0", "b.b_name": "0.0"}
+        bound = [(str(q.entity_attr), repr(q.predicate[0].right)) for q in queries if q.predicate]
+        assert bound == [("a.a_name", "0.0"), ("b.b_name", "0.0")]
 
     def test_allowlist_restricts_relation_sets(self):
         rng = random.Random(34)
@@ -352,7 +356,7 @@ class TestStaticScores:
 class TestPinnedCatalogs:
     """Query catalogs pinned bit for bit: the score tests compare with
     pytest.approx, so they cannot see a change in a float's last bit, say
-    from summing an entropy in another order."""
+    from summing an entropy another way."""
 
     @staticmethod
     def digest(queries) -> str:
@@ -375,18 +379,66 @@ class TestPinnedCatalogs:
         # queries with the fixed user atom take their entropy from a separate scan
         catalog, store = load_instance(make_instance(random.Random(3), two_tables=True, with_user_atom=True))
         queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store)
-        assert (len(queries), sum(bool(q.fixed_atoms()) for q in queries)) == (140, 26)
-        assert self.digest(queries) == "d7c3f48d0d43e9256b9a664989263af3e6c158cbb5dadafa9a8e8b14bf001c72"
+        assert (len(queries), sum(bool(fixed_atoms(q)) for q in queries)) == (140, 26)
+        assert self.digest(queries) == "1863d833f9084d51064b79b13fc7e9647e3f934c1c3b48fdda0684246c0e941c"
 
     def test_leaf_at_start(self):
         # the full join of shareholder->company starts at the leaf relation a
-        # scan sums per join value; the entropies sum the companies in the
-        # order that full join first meets them
+        # scan sums per join value
         catalog, store = load_amounts(HOLDINGS)
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
         at_start = [q for q in queries if q.join_path and q.criterion.column.relation == q.join_path[0].src.relation == "shareholder"]
         assert (len(queries), len(at_start)) == (93, 12)
-        assert self.digest(queries) == "6d6a6e889d07bdbd7131476c8f5bb58671f92a0653cbc8c437ba7c274ed26e25"
+        assert self.digest(queries) == "45fb614c16106b057198a2cfe13329740cf82708302b8d75a3d672a25fddabd8"
+
+
+def two_zeros_and_a_user_atom():
+    """A two-table instance with a user atom, whose real categorical column
+    stats.c2 holds both 0.0 and -0.0."""
+    inst = make_instance(random.Random(3), two_tables=True, with_user_atom=True, real_c2=True)
+    assert ",0.0," in inst.csvs["stats"] and ",-0.0," in inst.csvs["stats"]
+    return load_catalog(inst.config_text), inst.csvs, GeneratorConfig(k=2, c_num=2, j_num=1)
+
+
+def leaf_at_start():
+    """The Bloomberg fixture with s_amount and HOLDINGS, whose families over
+    shareholder->company sum the relation their join starts at."""
+    csvs = {path.stem: path.read_text(encoding="utf-8") for path in (DATA_DIR / "bloomberg").glob("*.csv")}
+    catalog, _ = load_amounts(HOLDINGS)
+    return catalog, {**csvs, "shareholder": HOLDINGS}, GeneratorConfig(k=1, c_num=2, j_num=3)
+
+
+class TestRowOrder:
+    """A query catalog is a function of the relations: shuffling the data
+    rows of every CSV, or inserting the shuffled rows one at a time into
+    empty tables, gives the same bytes."""
+
+    @staticmethod
+    def stores(catalog, csvs):
+        """Per seeded shuffle of every CSV's data rows, a store that loads
+        them and one that inserts them."""
+        parse = {"text": str, "integer": int, "real": float}
+        for seed in range(5):
+            rng = random.Random(seed)
+            loaded, inserted = Store(catalog), Store(catalog)
+            seq = itertools.count(1)
+            for name, text in csvs.items():
+                header, *rows = text.splitlines()
+                rng.shuffle(rows)
+                loaded.load_table(name, "\n".join([header, *rows]) + "\n")
+                inserted.load_table(name, header + "\n")
+                types = dict(catalog.relation(name).columns)
+                for row in csv.DictReader([header, *rows]):
+                    values = {col: parse[types[col]](cell) for col, cell in row.items()}
+                    inserted.apply_update(UpdateRecord(next(seq), "insert", name, values, {}))
+            yield loaded
+            yield inserted
+
+    @pytest.mark.parametrize("inputs", [two_zeros_and_a_user_atom, leaf_at_start])
+    def test_catalog_ignores_row_order(self, inputs):
+        catalog, csvs, cfg = inputs()
+        catalogs = {dump_queries(generate_queries(catalog, cfg, store)) for store in self.stores(catalog, csvs)}
+        assert len(catalogs) == 1
 
 
 class TestPersistence:

@@ -4,7 +4,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from halloffame import (
     ChainStore,
@@ -173,6 +173,13 @@ class TestDynamicScore:
             assert 0.0 <= norm <= 1.0
 
 
+@st.composite
+def counts_in_two_orders(draw):
+    """A count mapping and the same mapping in a drawn key order."""
+    counts = draw(st.dictionaries(st.integers(), st.integers(min_value=1, max_value=10**6), min_size=1, max_size=30))
+    return counts, dict(draw(st.permutations(list(counts.items()))))
+
+
 class TestEntropy:
     def test_paper_projection(self):
         bits = entropy({"a": 3, "b": 1, "c": 1})
@@ -201,6 +208,31 @@ class TestEntropy:
             assert bits == pytest.approx(math.log2(m))
         if m == 1:
             assert bits == 0.0
+
+    @example(({"a": 1, "b": 3, "c": 2}, {"b": 3, "c": 2, "a": 1}))
+    @given(counts_in_two_orders())
+    def test_same_float_in_every_order(self, drawn):
+        # the same bits, so a catalog's entropy_bits do not depend on the
+        # order a join meets the values in
+        counts, permuted = drawn
+        bits = entropy(counts)
+        assert math.copysign(1.0, bits) == 1.0
+        assert entropy(permuted).hex() == bits.hex()
+
+    def test_order_decides_the_left_to_right_sum(self):
+        # the example above: summed left to right, its terms give another
+        # float in its first order than in its second, and the exact sum only
+        # in the second
+
+        def left_to_right(counts):
+            result = 0.0
+            for value in counts.values():
+                p = value / sum(counts.values())
+                result -= p * math.log2(p)
+            return result
+
+        counts, permuted = {"a": 1, "b": 3, "c": 2}, {"b": 3, "c": 2, "a": 1}
+        assert left_to_right(counts) != left_to_right(permuted) == entropy(counts)
 
 
 class TestCompareTradeoff:
