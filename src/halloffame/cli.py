@@ -269,6 +269,8 @@ def run(
                     "changed": st.changed,
                     "rebuilt": st.rebuilt,
                     "refilled": st.refilled,
+                    "extended": st.extended,
+                    "reused": st.reused,
                     "latency_ms": latency_ms,
                 }
                 stats_out.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -326,7 +328,7 @@ def rank(events_path, window_end, window, groups):
 @click.option("--stats", "stats_path", required=True, type=click.Path(path_type=Path))
 def stats(stats_path):
     """Summarize a per-update stats file."""
-    fields = ("column_candidates", "row_candidates", "rebuilt", "refilled", "changed", "latency_ms")
+    fields = ("column_candidates", "row_candidates", "rebuilt", "refilled", "changed", "extended", "reused", "latency_ms")
     rows = _read_jsonl(stats_path, "stats", lambda doc: [_number(doc, f) for f in fields])
     if not rows:
         click.echo("no stats rows")

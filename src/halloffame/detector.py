@@ -25,6 +25,17 @@ subtracted from, its entity's count and totals in the instance. Totals of
 integer columns are exact ints, those of real columns exact Fractions, so
 no order of updates can make them drift.
 
+A family with a leaf caches its fan-out: per join value of the leaf, the
+(instance, entity) of every extension of a leaf row holding it, filled on
+first use from the family's extension of one such row. The leaf holds no
+entity, binding or fixed-atom column and one path edge touches it, so what
+a leaf row reaches depends only on its join value and the shape columns of
+the other relations. A criterion-only write to the leaf therefore looks
+its rows' join values up instead of extending the rows, and adds each
+written column's change, taken once per row, to every cached pair. The
+cache is cleared whenever an update extends the family twice: it writes
+one of the family's shape columns, or inserts into one of its relations.
+
 Each query keeps the sort keys (value, entity) of its instance's best 2k
 entities, best first (the value build_ranking ranks on, saturated to -inf
 or +inf when its float is out of range), and a bound above which lie the
@@ -107,6 +118,8 @@ class DetectStats:
     changed: int
     rebuilt: int  # rankings whose top-K keys changed, so they were rebuilt and diffed
     refilled: int  # entity orders that ran short of k keys and sorted their instance again
+    extended: int  # base rows extended along a family's join path, once per family and pass
+    reused: int  # leaf fan-outs read from a family's cache instead
 
 
 Contribution = tuple[tuple, Any, tuple]  # (instance, entity, row ids of the joined row)
@@ -134,11 +147,17 @@ class Family:
         # the edge to the relation of the criterion columns that scan sums
         # per join value before the join, or None
         self.leaf = leaf_edge(self.path, self.columns, (self.entity, *q.predicate_columns()))
+        # the leaf's join column, and per join value of it the (instance,
+        # entity) pairs, flat, of every extension of a leaf row holding it
+        self.leaf_column = self.leaf and self.leaf.endpoint(self.columns[0].relation).column
+        self.fanout: dict[Any, tuple] | None = {} if self.leaf else None
         self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
         slot = {c: j for j, c in enumerate(self.columns)}
         for inst, m in members:
             per_column = self.members.get(inst) or self.members.setdefault(inst, [[] for _ in self.columns])
             per_column[slot[m.criterion.column]].append(m.id)
+        # instance -> its key in members, which the cached pairs hold instead of a new tuple each
+        self.instances = {inst: inst for inst in self.members} if self.leaf else None
         self.counts: dict[tuple, dict[Any, int]] = {}  # instance -> entity -> joined rows
         self.totals: dict[tuple, list[dict[Any, Any]]] = {}  # instance -> per column: entity -> criterion total
         self.plans: dict[str, Callable[[Iterable[int]], list[Contribution]]] = {}
@@ -389,7 +408,7 @@ class Engine:
         else:
             self.rankings = self._rescan()
         self._routes: dict[tuple, tuple] = {}  # see _route
-        self.last_stats = DetectStats(0, 0, 0, 0, 0)
+        self.last_stats = DetectStats(0, 0, 0, 0, 0, 0, 0)
 
     def _rescan(self) -> dict[str, RankingState]:
         """Every ranking from one from-scratch scan per family, each sorted
@@ -419,12 +438,15 @@ class Engine:
 
     # -- filtering --------------------------------------------------------
 
-    def _route(self, u: UpdateRecord) -> tuple[dict[Family, list], list[Family], int]:
-        """(families extended once -> (index, position, exact) of their
-        written criterion columns, families extended twice, column
-        candidates: the queries of those written columns and of every column
-        of a family extended twice) for u. They depend only on u's kind,
-        table and written columns, so they are memoized on those."""
+    def _route(self, u: UpdateRecord) -> tuple[dict[Family, list], list[tuple], list[Family], list[dict], int]:
+        """(families without a leaf extended once -> (index, position, exact)
+        of their written criterion columns, (family, those columns, position
+        of the leaf's join column) of families with a leaf that read their
+        fan-out cache instead, families extended twice, the fan-out caches
+        of those with a leaf, column candidates: the queries of the written
+        columns of the first two and of every column of the third) for u.
+        They depend only on u's kind, table and written columns, so they are
+        memoized on those."""
         key = (u.kind, u.table, tuple(u.set_values))
         route = self._routes.get(key)
         if route is None:
@@ -442,7 +464,9 @@ class Engine:
             n = sum(len(per_column[j]) for fam, written in once.items() for per_column in fam.members.values()
                     for j, *_ in written)
             n += sum(len(qids) for fam in twice for per_column in fam.members.values() for qids in per_column)
-            route = self._routes[key] = (once, twice, n)
+            # a family's criterion columns are all in its leaf, so u.table is the leaf
+            cached = [(fam, once.pop(fam), positions[fam.leaf_column]) for fam in list(once) if fam.leaf]
+            route = self._routes[key] = (once, cached, twice, [fam.fanout for fam in twice if fam.leaf], n)
         return route
 
     def row_filter(
@@ -463,8 +487,9 @@ class Engine:
         """Apply one update and return the rank improvements it caused.
 
         Families whose shape columns the update does not write extend its
-        rows once and read the written criterion columns before and after
-        the update; the others extend the rows before and after it. Each
+        rows once, or with a leaf look up each row's cached fan-out, and
+        read the written criterion columns before and after the update; the
+        others extend the rows before and after it. Each
         contribution goes straight into its family's counts and totals,
         then every concerned query of a touched instance updates its order
         once. The store is only mutated if the update is valid, and the
@@ -478,19 +503,24 @@ class Engine:
             for qid in sorted(new_states):
                 changed += self._replace(qid, new_states[qid], u.seq, events)
             n = len(self.queries)
-            self.last_stats = DetectStats(n, n, changed, n, 0)
+            self.last_stats = DetectStats(n, n, changed, n, 0, 0, 0)
             events.sort(key=lambda e: (e.query_id, str(e.entity)))
             return events
 
-        once, twice, column_candidates = self._route(u)
+        once, cached, twice, cleared, column_candidates = self._route(u)
+        for fanout in cleared:  # u may change which joined rows a leaf row reaches
+            fanout.clear()
         rows = self.store.match_rows(u)
         # written columns are base columns, so an extension reads them from its first row
         table = self.store.table(u.table).rows
-        before = {rid: table[rid][:] for rid in rows} if once else {}
+        before = {rid: table[rid][:] for rid in rows} if once or cached else {}
         kept = self.row_filter(u, rows, once)
         pre = [(fam, inst, e, [exact(rs[env[i]][p]) for i, p, rs, exact in fam.readers[u.table]])
                for fam, inst, e, env in self.row_filter(u, rows, twice)]
-        post = self.row_filter(u, self.store.apply_update(u, rows), twice)
+        touched = self.store.apply_update(u, rows)
+        post = self.row_filter(u, touched, twice)
+        extended = (len(rows) + len(touched)) * len(twice) + len(rows) * len(once)
+        reused = 0
         # (family, instance, column index or None for every column) -> the
         # entities whose count or total in that column may have changed
         moved: dict[tuple, set] = {}
@@ -518,6 +548,27 @@ class Engine:
                 if new[p] != old[p]:
                     fam.totals[inst][j][e] += exact(new[p]) - exact(old[p])
                     entities.add(e)
+        # a leaf row reaches what its join value reaches: look that up, extend
+        # the row only on a miss, and add each written column's change once
+        for fam, columns, leaf in cached:
+            fanout, totals = fam.fanout, fam.totals
+            for rid in rows:
+                old, new = before[rid], table[rid]
+                pairs = fanout.get(new[leaf])
+                if pairs is None:
+                    keys, contributions = fam.instances, fam.plans[u.table]((rid,))
+                    pairs = fanout[new[leaf]] = tuple([x for inst, e, _ in contributions for x in (keys[inst], e)])
+                    extended += 1
+                else:
+                    reused += 1
+                for j, p, exact in columns:
+                    change = exact(new[p]) - exact(old[p]) if new[p] != old[p] else None
+                    it = iter(pairs)
+                    for inst, e in zip(it, it):
+                        entities = moved.get((fam, inst, j)) or moved.setdefault((fam, inst, j), set())
+                        if change is not None:
+                            totals[inst][j][e] += change
+                            entities.add(e)
 
         # row candidates count the queries of every named instance, unchanged ones too
         candidates = rebuilt = refilled = 0
@@ -534,5 +585,5 @@ class Engine:
                         rebuilt += 1
                         changed += self._replace(qid, order.ranking(), u.seq, events)
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
-        self.last_stats = DetectStats(column_candidates, candidates, changed, rebuilt, refilled)
+        self.last_stats = DetectStats(column_candidates, candidates, changed, rebuilt, refilled, extended, reused)
         return events

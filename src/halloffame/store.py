@@ -26,7 +26,7 @@ the from-scratch reference path rebuilds them after each write.
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of
 per-column converters per CSV row, one pass per indexed column after the
-last row, one sort per join bucket and edge, and one Counter over the
+last row, one tuple list per join bucket and edge, and one Counter over the
 zipped values of each column, whose loop runs in C and builds no key in
 Python (a summed leaf adds each row's weight).
 """
@@ -216,7 +216,10 @@ def _check_value(value: Any, col_type: str, where: str) -> Any:
                 raise UpdateError(f"{where}: expected integer, got {value!r}")
             return int(value)
         return value
-    value = float(value) + 0.0  # -0.0 is stored as 0.0, as load_table stores it
+    try:
+        value = float(value) + 0.0  # -0.0 is stored as 0.0, as load_table stores it
+    except OverflowError:  # an int beyond the float range
+        raise UpdateError(f"{where}: integer out of the real range") from None
     if not math.isfinite(value):
         raise UpdateError(f"{where}: non-finite value {value!r}")
     return value
@@ -442,7 +445,11 @@ class Store:
                 if isinstance(value, Delta):
                     if types[col] == "text":
                         raise UpdateError(f"{where}: delta on text column")
-                    new = _check_value(row[pos[col]] + value.amount, types[col], where)
+                    try:
+                        new = row[pos[col]] + value.amount
+                    except OverflowError:  # a float plus an int beyond the float range
+                        raise UpdateError(f"{where}: delta out of the real range") from None
+                    new = _check_value(new, types[col], where)
                 else:
                     new = _check_value(value, types[col], where)
                 pending.append((rid, col, new))
@@ -498,7 +505,8 @@ class Store:
 
         Returns (relation order, envs): every row of the path's first relation
         (the single needed relation when the path is empty), extended edge by
-        edge through sorted index buckets. Cached until the next write.
+        edge through index buckets, in no promised order. Cached until the
+        next write.
         """
         path = tuple(path)
         needed_set = frozenset(needed)
@@ -518,10 +526,10 @@ class Store:
         return cached
 
     def _join(self, start: str, path: tuple[JoinEdge, ...]) -> tuple[tuple[str, ...], list[tuple]]:
-        """The joined envs of a path, uncached: the start relation's row ids
-        in order, each extended per edge by the matching rows of the new
-        relation in ascending row id. Each distinct join value's index
-        bucket is sorted once per edge, not once per env that reaches it."""
+        """The joined envs of a path, uncached: the start relation's row ids,
+        each extended per edge by the matching rows of the new relation, in
+        no promised order. Each distinct join value's index bucket becomes
+        one-element tuples once per edge, not once per env that reaches it."""
         rel_order = [start]
         envs = [(rid,) for rid in range(len(self.table(start).rows))]
         for edge in path:
@@ -542,8 +550,8 @@ class Store:
             opos = to_table.col_pos[old_ref.column]
             orows = to_table.rows
             values = [orows[env[oi]][opos] for env in envs]
-            # each bucket sorted once, as one-element tuples ready to append
-            buckets = {v: [(rid,) for rid in sorted(idx.get(v, ()))] for v in set(values)}
+            # each bucket once, as one-element tuples ready to append
+            buckets = {v: [(rid,) for rid in idx.get(v, ())] for v in set(values)}
             envs = [env + tail for env, v in zip(envs, values) for tail in buckets[v]]
             rel_order.append(new_rel)
         return tuple(rel_order), envs

@@ -6,9 +6,12 @@ datasets once per module via fixtures.
 """
 
 import math
+import multiprocessing
+import os
 import random
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -195,30 +198,41 @@ def _pipeline_log(catalog_store, queries, stream, scorer_cfg, filters_enabled):
     return "\n".join(lines), survivors, latencies
 
 
+def _replay_log(inst, queries, stream, scorer_cfg, filters_enabled):
+    """The event log of one replay of an instance; a worker process's task."""
+    log, _, _ = _pipeline_log(load_instance(inst), queries, stream, scorer_cfg, filters_enabled)
+    return log
+
+
 def test_c07_filter_soundness_end_to_end():
     """>= 20 random instances, >= 500 queries, 1000 synthesized updates:
-    filtered event log byte-identical to the --no-filters log."""
+    filtered event log byte-identical to the --no-filters log. The instances
+    are built in order from one seeded generator; their two replays each run
+    in a worker process, at most one per CPU and a few in all."""
     rng = random.Random(707)
     scorer_cfg = ScorerConfig(b=2, k=2, window_updates=1000, groups=4)
     total_queries = 0
-    for trial in range(20):
-        inst = make_instance(
-            rng,
-            n_rows=rng.randrange(550, 650),
-            n_entities=rng.randrange(70, 90),
-            n_c1=160,
-            n_c2=130,
-            criteria=(("m1", "sum", "descending"), ("m2", "avg", "ascending")),
-        )
-        catalog, store = load_instance(inst)
-        queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=0), store)
-        assert len(queries) >= 500, f"instance {trial} produced only {len(queries)} queries"
-        total_queries += len(queries)
-        stream = synth_stream(store, catalog, SynthConfig(seed=trial))[:1000]
-        assert len(stream) == 1000
-        filtered_log, _, _ = _pipeline_log(load_instance(inst), queries, stream, scorer_cfg, True)
-        plain_log, _, _ = _pipeline_log(load_instance(inst), queries, stream, scorer_cfg, False)
-        assert filtered_log.encode() == plain_log.encode(), f"instance {trial} logs differ"
+    logs = []
+    spawn = multiprocessing.get_context("spawn")  # a worker imports this module afresh
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, 8), mp_context=spawn) as pool:
+        for trial in range(20):
+            inst = make_instance(
+                rng,
+                n_rows=rng.randrange(550, 650),
+                n_entities=rng.randrange(70, 90),
+                n_c1=160,
+                n_c2=130,
+                criteria=(("m1", "sum", "descending"), ("m2", "avg", "ascending")),
+            )
+            catalog, store = load_instance(inst)
+            queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=0), store)
+            assert len(queries) >= 500, f"instance {trial} produced only {len(queries)} queries"
+            total_queries += len(queries)
+            stream = synth_stream(store, catalog, SynthConfig(seed=trial))[:1000]
+            assert len(stream) == 1000
+            logs.append([pool.submit(_replay_log, inst, queries, stream, scorer_cfg, f) for f in (True, False)])
+        for trial, (filtered, plain) in enumerate(logs):
+            assert filtered.result().encode() == plain.result().encode(), f"instance {trial} logs differ"
     ok(7, f"20 instances, mean {total_queries / 20:.0f} queries, logs byte-identical")
 
 

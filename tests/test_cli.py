@@ -272,14 +272,14 @@ class TestRun:
         assert result.exit_code == 0
         rows = [json.loads(line) for line in stats_path.read_text().splitlines()]
         assert len(rows) == 1
-        assert {"seq", "column_candidates", "row_candidates", "rebuilt", "refilled", "changed", "latency_ms"} <= set(rows[0])
+        fields = {"column_candidates", "row_candidates", "rebuilt", "refilled", "changed", "extended", "reused", "latency_ms"}
+        assert {"seq", *fields} <= set(rows[0])
         assert rows[0]["changed"] <= rows[0]["rebuilt"] <= rows[0]["row_candidates"]
         assert rows[0]["rebuilt"] >= 1  # Gaona's ranking moved
         assert "mean rebuilt rankings" in result.output
         summary = runner.invoke(main, ["stats", "--stats", str(stats_path)])
         assert summary.exit_code == 0
-        assert "column_candidates" in summary.output
-        assert "rebuilt" in summary.output and "refilled" in summary.output
+        assert {line.split()[0] for line in summary.output.splitlines()} == fields
 
     def test_stats_without_filters_rebuild_every_query(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -293,6 +293,21 @@ class TestRun:
         n_queries = len(queries.read_text().splitlines())
         assert row["rebuilt"] == row["row_candidates"] == n_queries
         assert row["refilled"] == 0  # the rescan keeps no orders
+        assert row["extended"] == row["reused"] == 0  # nor extends a row or reads a fan-out
+
+    def test_repeated_writes_reuse_the_fan_outs(self, runner, bloomberg_dir, tmp_path):
+        # the second write to company 8's market value finds every fan-out
+        # of its join value cached, in every family with that leaf
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        text = write_update_stream(
+            UpdateRecord(seq, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": 8}) for seq in (1, 2)
+        )
+        stats_path = tmp_path / "stats.jsonl"
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, text, extra=["--stats", str(stats_path)])
+        assert result.exit_code == 0, result.output
+        first, second = [json.loads(line) for line in stats_path.read_text().splitlines()]
+        assert first["extended"] > 0 and first["reused"] == 0
+        assert second["extended"] == 0 and second["reused"] == first["extended"]
 
     def test_join_path_short_of_a_relation_is_located(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -361,6 +376,40 @@ class TestRun:
         assert "skipping update seq 1" in skipped.output
         docs = [json.loads(line) for line in events.read_text().splitlines()]
         assert any(d["seq"] == 2 and d["entity"] == "Amancio O. Gaona" for d in docs)
+
+    def test_huge_integer_in_a_real_column_abort_vs_skip(self, runner, tmp_path):
+        # a JSON integer of 401 digits has no float, so a real column rejects it
+        config = tmp_path / "catalog.yaml"
+        config.write_text(
+            PLAYS_CONFIG.replace("pts, type: integer", "pts, type: real")
+            + "entity_attrs: [player]\ncategorical_attrs: [team]\n"
+            + "ranking_criteria: [{column: pts, aggregation: sum, direction: descending}]\n"
+        )
+        (tmp_path / "plays.csv").write_text("pid,player,team,pts\n0,ann,red,1\n1,bob,red,2\n2,cat,blue,3\n")
+        queries = tmp_path / "q.jsonl"
+        common = ["--config", str(config), "--data-dir", str(tmp_path)]
+        generated = runner.invoke(main, ["generate", *common, "--out", str(queries), "--k", "2", "--cnum", "0"])
+        assert generated.exit_code == 0, generated.output
+        updates = tmp_path / "updates.jsonl"
+        updates.write_text(write_update_stream([
+            UpdateRecord(1, "update", "plays", {"pts": 10**400}, {"pid": 0}),
+            UpdateRecord(2, "update", "plays", {"pts": Delta(10**400)}, {"pid": 0}),
+            UpdateRecord(3, "update", "plays", {"pts": 9.0}, {"pid": 0}),
+        ]))
+
+        def run(events, *extra):
+            args = ["run", *common, "--queries", str(queries), "--updates", str(updates), *extra]
+            return runner.invoke(main, [*args, "--events", str(tmp_path / events)])
+
+        aborted = run("ea.jsonl")
+        assert aborted.exit_code == 1 and isinstance(aborted.exception, SystemExit)
+        assert "Error: update seq 1: update 1, column pts: integer out of the real range" in aborted.output
+        skipped = run("es.jsonl", "--on-error", "skip")
+        assert skipped.exit_code == 0, skipped.output
+        assert "skipping update seq 1: update 1, column pts: integer out of the real range" in skipped.output
+        assert "skipping update seq 2: update 2, column pts: delta out of the real range" in skipped.output
+        docs = [json.loads(line) for line in (tmp_path / "es.jsonl").read_text().splitlines()]
+        assert [(d["seq"], d["entity"], d["to_rank"]) for d in docs] == [(3, "ann", 1)]
 
     def test_abort_keeps_the_lines_already_written(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -560,7 +609,8 @@ GOOD_EVENT = {
     "selectivity": 0.5, "dynamic_raw": 3.0, "dynamic_norm": 0.2, "entropy_bits": 1.0, "chain": [[1, 4, 1]],
 }
 GOOD_STATS = {
-    "seq": 1, "column_candidates": 3, "row_candidates": 1, "rebuilt": 1, "refilled": 0, "changed": 1, "latency_ms": 0.5,
+    "seq": 1, "column_candidates": 3, "row_candidates": 1, "rebuilt": 1, "refilled": 0, "changed": 1, "extended": 2,
+    "reused": 0, "latency_ms": 0.5,
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import operator
@@ -33,6 +34,7 @@ from oracles import (
     oracle_apply,
     oracle_eval_query,
     oracle_path_join,
+    oracle_path_rankings,
     oracle_rank,
     oracle_run,
     referenced_columns,
@@ -1013,3 +1015,64 @@ user_constraints:
         assert sorted(counts) == ["BMW", "Facebook", "Microsoft", "SAP", "Superfast Ferries"]
         assert (counts["SAP"], counts["Microsoft"]) == (2, 2)
         assert 99 not in {row[0] for row in store.table("company").rows}
+
+
+class TestFanoutCache:
+    """A criterion-only write to a leaf relation reads the fan-out of its
+    join value from the family's cache. A shape write and an insert into a
+    relation of the family must clear that cache. The cache is filled by
+    criterion writes to every row of both leaves. Then each move below is
+    made and followed by the same writes, so a stale fan-out would meet a
+    write to its join value. After every update, every ranking must equal
+    oracle_path_rankings."""
+
+    MOVES = [
+        # SAP moves from Germany to the USA: its amounts and value change instance
+        [("update", "company", {"c_countryid": 1}, {"c_id": 0})],
+        # a leaf join column: Amancio's holding moves from Superfast Ferries to Microsoft
+        [("update", "shareholder", {"s_companyid": 3}, {"s_personid": 1, "s_companyid": 8})],
+        # Ingvar now holds Facebook, so Facebook's value reaches him too
+        [("insert", "shareholder", {"s_personid": 2, "s_companyid": 5, "s_amount": 70}, {})],
+        # company 9's market and holding rows reach no company until company 9 exists
+        [
+            ("insert", "stockmarket", {"s_companyid": 9, "s_value": 80}, {}),
+            ("insert", "shareholder", {"s_personid": 0, "s_companyid": 9, "s_amount": 5}, {}),
+        ],
+        [("insert", "company", {"c_id": 9, "c_name": "Volvo", "c_countryid": 4}, {})],
+    ]
+
+    def test_moves_and_inserts_clear_the_fan_outs(self):
+        text = (DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8")
+        text = text.replace("ranking_criteria:\n", "ranking_criteria:\n" + TestFamilyScan.AMOUNT_CRITERIA)
+        catalog, store = load_dataset("bloomberg", text)
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
+        engine = Engine(catalog, store, queries)
+        assert sum(bool(fam.leaf) for fam in engine.families) > 20
+        tables = {name: [dict(zip(t.meta.column_names(), row)) for row in t.rows] for name, t in store.tables.items()}
+        rng = random.Random(17)
+        seq = itertools.count(1)
+        reused = 0
+
+        def step(kind, table, set_values, where):
+            u = UpdateRecord(next(seq), kind, table, set_values, where)
+            engine.detect(u)
+            oracle_apply(tables, u)
+            expected = oracle_path_rankings(tables, engine.queries.values())
+            for qid in engine.queries:
+                assert list(engine.rankings[qid].entries) == expected[qid], (u, qid)
+            return engine.last_stats.reused
+
+        def criterion_writes():
+            nonlocal reused
+            for row in list(tables["stockmarket"]):
+                reused += step("update", "stockmarket", {"s_value": rng.randrange(1000)}, {"s_companyid": row["s_companyid"]})
+            for row in list(tables["shareholder"]):
+                where = {"s_personid": row["s_personid"], "s_companyid": row["s_companyid"]}
+                reused += step("update", "shareholder", {"s_amount": rng.randrange(1000)}, where)
+
+        criterion_writes()
+        for moves in self.MOVES:
+            for move in moves:
+                step(*move)
+            criterion_writes()
+        assert reused > 0
