@@ -332,12 +332,6 @@ class _Resolver:
         return ColumnRef(owners[0], text)
 
 
-def _parse_constant(value: Any, context: str) -> Any:
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        return value
-    raise CatalogError(f"{context}: constant must be a string or number, got {value!r}")
-
-
 def load_catalog(config_text: str) -> SchemaCatalog:
     """Parse and validate a schema annotation config.
 
@@ -425,7 +419,7 @@ def load_catalog(config_text: str) -> SchemaCatalog:
                     f"{context}: cannot compare {left} ({left_type}) with {right} ({right_type})"
                 )
         else:  # ATOM_CONST, the schema's only other kind
-            right = _parse_constant(raw["right"], context)
+            right = raw["right"]  # the schema admits a string or a number, not a bool
             const_is_text = isinstance(right, str)
             if const_is_text != (left_type == "text"):
                 raise CatalogError(

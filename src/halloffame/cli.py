@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import statistics
 import time
@@ -13,7 +14,7 @@ from typing import Any, Callable
 import click
 
 from .catalog import CatalogError, SchemaCatalog, load_catalog
-from .detector import Engine
+from .detector import DetectStats, Engine
 from .generator import (
     GenerationError,
     GeneratorConfig,
@@ -174,7 +175,9 @@ def synth(config_path, data_dir, out_path, seed, updates_per_tuple, avg_literal)
 @click.option("--groups", default=4, show_default=True, help="coarse score groups")
 @click.option("--window", default=1000, show_default=True, help="window size in updates")
 @click.option("--no-filters", is_flag=True, help="debug: re-evaluate every query on every update")
-@click.option("--flush-every", default=0, show_default=True, help="emit a window ranking every N updates")
+@click.option(
+    "--flush-every", default=0, show_default=True, type=click.IntRange(min=0), help="emit a window ranking every N updates"
+)
 @click.option("--on-error", type=click.Choice(["abort", "skip"]), default="abort", show_default=True)
 def run(
     config_path,
@@ -213,13 +216,8 @@ def run(
     by_id = engine.queries
     window_events: deque[ScoredEvent] = deque()
 
-    n_updates = 0
     n_events = 0
-    col_cands: list[int] = []
-    row_cands: list[int] = []
-    changed: list[int] = []
-    rebuilt: list[int] = []
-    latencies: list[float] = []
+    kept: list[tuple[DetectStats, float]] = []  # per processed update: its stats and latency
 
     def bad_line(lineno: int, exc: Exception) -> None:
         if on_error == "abort":
@@ -253,47 +251,33 @@ def run(
             while window_events and window_events[0].seq <= u.seq - scorer_cfg.window_updates:
                 window_events.popleft()
 
-            n_updates += 1
             n_events += len(detected)
             st = engine.last_stats
-            col_cands.append(st.column_candidates)
-            row_cands.append(st.row_candidates)
-            changed.append(st.changed)
-            rebuilt.append(st.rebuilt)
-            latencies.append(latency_ms)
+            kept.append((st, latency_ms))
             if stats_out is not None:
-                doc = {
-                    "seq": u.seq,
-                    "column_candidates": st.column_candidates,
-                    "row_candidates": st.row_candidates,
-                    "changed": st.changed,
-                    "rebuilt": st.rebuilt,
-                    "refilled": st.refilled,
-                    "extended": st.extended,
-                    "reused": st.reused,
-                    "latency_ms": latency_ms,
-                }
+                doc = {"seq": u.seq, **dataclasses.asdict(st), "latency_ms": latency_ms}
                 stats_out.write(json.dumps(doc, sort_keys=True) + "\n")
-            if flush_out is not None and n_updates % flush_every == 0:
+            if flush_out is not None and len(kept) % flush_every == 0:
                 ranking = [
                     {"rank": i + 1, "seq": e.seq, "query_id": e.query_id, "entity": e.entity}
                     for i, e in enumerate(rank_events(window_events, scorer_cfg))
                 ]
                 flush_out.write(json.dumps({"flush_at": u.seq, "ranking": ranking}, sort_keys=True) + "\n")
 
-    def mean(xs):
-        return statistics.fmean(xs) if xs else 0.0
+    def mean(name: str) -> float:
+        return statistics.fmean(getattr(st, name) for st, _ in kept) if kept else 0.0
 
-    click.echo(f"updates processed      {n_updates}")
+    latencies = [ms for _, ms in kept]
+    click.echo(f"updates processed      {len(kept)}")
     click.echo(f"events detected        {n_events}")
     click.echo(f"queries total          {len(by_id)}")
     click.echo(f"start-up rows          {startup_rows}")
-    click.echo(f"mean column candidates {mean(col_cands):.2f}")
-    click.echo(f"mean row candidates    {mean(row_cands):.2f}")
-    click.echo(f"mean rebuilt rankings  {mean(rebuilt):.2f}")
-    click.echo(f"mean changed rankings  {mean(changed):.2f}")
-    click.echo(f"mean latency ms        {mean(latencies):.2f}")
-    click.echo(f"median latency ms      {statistics.median(latencies) if latencies else 0.0:.2f}")
+    click.echo(f"mean column candidates {mean('column_candidates'):.2f}")
+    click.echo(f"mean row candidates    {mean('row_candidates'):.2f}")
+    click.echo(f"mean rebuilt rankings  {mean('rebuilt'):.2f}")
+    click.echo(f"mean changed rankings  {mean('changed'):.2f}")
+    click.echo(f"mean latency ms        {statistics.fmean(latencies) if kept else 0.0:.2f}")
+    click.echo(f"median latency ms      {statistics.median(latencies) if kept else 0.0:.2f}")
 
 
 @main.command()
@@ -328,7 +312,7 @@ def rank(events_path, window_end, window, groups):
 @click.option("--stats", "stats_path", required=True, type=click.Path(path_type=Path))
 def stats(stats_path):
     """Summarize a per-update stats file."""
-    fields = ("column_candidates", "row_candidates", "rebuilt", "refilled", "changed", "extended", "reused", "latency_ms")
+    fields = [*(f.name for f in dataclasses.fields(DetectStats)), "latency_ms"]
     rows = _read_jsonl(stats_path, "stats", lambda doc: [_number(doc, f) for f in fields])
     if not rows:
         click.echo("no stats rows")

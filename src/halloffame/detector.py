@@ -16,14 +16,17 @@ Per update the engine runs a column filter (does the update write any
 column a family depends on?), then a row filter: the updated rows are
 extended along each touched family's join path, and every extension that
 satisfies the fixed atoms and lands in a query's instance contributes
-(instance, entity, joined row). A family's shape columns (entity,
-predicate and join-path columns) decide which extensions exist and where
-they land; an update that writes none of them is extended once, with the
-written criterion columns read before and after the update, any other
-before and after. Each contribution is added to, or for a pre-image
-subtracted from, its entity's count and totals in the instance. Totals of
-integer columns are exact ints, those of real columns exact Fractions, so
-no order of updates can make them drift.
+(instance, entity, joined row ids, values): the values are the exact
+terms of every criterion column, read when the contribution is made, so a
+contribution says by itself what it adds to its entity and why. A family's
+shape columns (entity, predicate and join-path columns) decide which
+extensions exist and where they land; an update that writes none of them
+is extended once, before it, and each written criterion column's new
+value is read against the contribution's old one; any other is extended
+before and after, and one signed loop subtracts the pre-image
+contributions from their entities' counts and totals and adds the
+post-image ones. Totals of integer columns are exact ints, those of real
+columns exact Fractions, so no order of updates can make them drift.
 
 A family with a leaf caches its fan-out: per join value of the leaf, the
 (instance, entity) of every extension of a leaf row holding it, filled on
@@ -53,6 +56,7 @@ so the two cross-check each other.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -111,7 +115,7 @@ def diff_rankings(old: RankingState, new: RankingState, k: int) -> list[tuple[An
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectStats:
     column_candidates: int
     row_candidates: int
@@ -122,7 +126,7 @@ class DetectStats:
     reused: int  # leaf fan-outs read from a family's cache instead
 
 
-Contribution = tuple[tuple, Any, tuple]  # (instance, entity, row ids of the joined row)
+Contribution = tuple[tuple, Any, tuple, list]  # (instance, entity, row ids of the joined row, exact values)
 Getter = tuple[int, int, list]  # a column: (position in a joined row, column position, table rows)
 
 
@@ -156,21 +160,17 @@ class Family:
         for inst, m in members:
             per_column = self.members.get(inst) or self.members.setdefault(inst, [[] for _ in self.columns])
             per_column[slot[m.criterion.column]].append(m.id)
-        # instance -> its key in members, which the cached pairs hold instead of a new tuple each
-        self.instances = {inst: inst for inst in self.members} if self.leaf else None
         self.counts: dict[tuple, dict[Any, int]] = {}  # instance -> entity -> joined rows
         self.totals: dict[tuple, list[dict[Any, Any]]] = {}  # instance -> per column: entity -> criterion total
         self.plans: dict[str, Callable[[Iterable[int]], list[Contribution]]] = {}
-        # base relation -> per column: where its plan's contributions hold the value, and its exact type
-        self.readers: dict[str, list[tuple[int, int, list, Callable]]] = {}
 
-    def plan(self, store: Store, base: str) -> tuple[Callable[[Iterable[int]], list[Contribution]], list[tuple]]:
-        """(row ids of `base` -> contributions of their extensions along the
-        join path that satisfy the fixed atoms and land in a member instance,
-        per criterion column: where a contribution's row ids hold its value
-        and the column's exact type).
-        A contribution holds the row ids, not the values, so every column
-        can be read before and after an update that writes it."""
+    def plan(self, store: Store, base: str) -> Callable[[Iterable[int]], list[Contribution]]:
+        """Row ids of `base` -> the contributions of their extensions along
+        the join path that satisfy the fixed atoms and land in a member
+        instance: (instance, entity, row ids of the joined row, per criterion
+        column its exact term). The instance is members' own key, so what
+        holds contributions shares it, and the values are read when the
+        contribution is made: before an update they are its pre-image."""
         rel_order = [base]
         steps = []
         remaining = list(self.path)
@@ -204,7 +204,8 @@ class Family:
 
         ei, ep, erows = getter(self.entity)
         bind = [getter(c) for c in self.binding_cols]
-        members = self.members
+        readers = [(*getter(c), exact) for c, exact in zip(self.columns, self.exact)]
+        keys = {inst: inst for inst in self.members}.get
 
         def contributions(row_ids: Iterable[int]) -> list[Contribution]:
             envs = [(rid,) for rid in row_ids]
@@ -212,12 +213,12 @@ class Family:
                 index = table.indices[column]
                 envs = [env + (rid,) for env in envs for rid in index.get(orows[env[oi]][opos], ())]
             return [
-                (inst, erows[env[ei]][ep], env)
+                (inst, erows[env[ei]][ep], env, [exact(rows[env[i]][p]) for i, p, rows, exact in readers])
                 for env in (filter(check, envs) if check else envs)
-                if (inst := tuple([rows[env[i]][p] for i, p, rows in bind])) in members
+                if (inst := keys(tuple([rows[env[i]][p] for i, p, rows in bind]))) is not None
             ]
 
-        return contributions, [(*getter(c), exact) for c, exact in zip(self.columns, self.exact)]
+        return contributions
 
     def scan(self, store: Store, exact: bool) -> Iterator[tuple[tuple, dict[Any, int], list[dict[Any, Any]]]]:
         """(instance, entity -> joined rows, per column: entity -> criterion
@@ -403,7 +404,7 @@ class Engine:
                             order = self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
                             self.rankings[qid] = order.ranking()
                 for rel in fam.needed:
-                    fam.plans[rel], fam.readers[rel] = fam.plan(store, rel)
+                    fam.plans[rel] = fam.plan(store, rel)
             store.drop_join_cache()  # the delta path never scans again
         else:
             self.rankings = self._rescan()
@@ -471,11 +472,10 @@ class Engine:
 
     def row_filter(
         self, u: UpdateRecord, rows: Iterable[int], families: Iterable[Family]
-    ) -> list[tuple[Family, tuple, Any, tuple]]:
-        """(family, instance, entity, row ids of the joined row) for every
-        extension of the given rows of u.table along a family's join path
-        that satisfies the fixed atoms and the bindings of one of the
-        family's queries."""
+    ) -> list[tuple[Family, tuple, Any, tuple, list]]:
+        """(family, *contribution) for every extension of the given rows of
+        u.table along a family's join path that satisfies the fixed atoms
+        and the bindings of one of the family's queries (see Family.plan)."""
         rows = list(rows)
         if not rows:
             return []
@@ -487,13 +487,13 @@ class Engine:
         """Apply one update and return the rank improvements it caused.
 
         Families whose shape columns the update does not write extend its
-        rows once, or with a leaf look up each row's cached fan-out, and
-        read the written criterion columns before and after the update; the
-        others extend the rows before and after it. Each
-        contribution goes straight into its family's counts and totals,
-        then every concerned query of a touched instance updates its order
-        once. The store is only mutated if the update is valid, and the
-        engine only after that.
+        rows once before the update and take the written criterion columns'
+        old values from the contributions, or with a leaf look up each row's
+        cached fan-out and read the old values from a copy of the row; the
+        others extend the rows before and after it. Each contribution goes
+        straight into its family's counts and totals, then every concerned
+        query of a touched instance updates its order once. The store is
+        only mutated if the update is valid, and the engine only after that.
         """
         events: list[RankEvent] = []
         changed = 0
@@ -511,42 +511,39 @@ class Engine:
         for fanout in cleared:  # u may change which joined rows a leaf row reaches
             fanout.clear()
         rows = self.store.match_rows(u)
-        # written columns are base columns, so an extension reads them from its first row
         table = self.store.table(u.table).rows
-        before = {rid: table[rid][:] for rid in rows} if once or cached else {}
+        # a cached fan-out holds no values, so its rows' old ones are copied
+        before = {rid: table[rid][:] for rid in rows} if cached else {}
         kept = self.row_filter(u, rows, once)
-        pre = [(fam, inst, e, [exact(rs[env[i]][p]) for i, p, rs, exact in fam.readers[u.table]])
-               for fam, inst, e, env in self.row_filter(u, rows, twice)]
+        pre = self.row_filter(u, rows, twice)
         touched = self.store.apply_update(u, rows)
         post = self.row_filter(u, touched, twice)
         extended = (len(rows) + len(touched)) * len(twice) + len(rows) * len(once)
         reused = 0
         # (family, instance, column index or None for every column) -> the
         # entities whose count or total in that column may have changed
-        moved: dict[tuple, set] = {}
-        for fam, inst, e, values in pre:
-            counts, totals = fam.counts[inst], fam.totals[inst]
-            if counts[e] > 1:
-                counts[e] -= 1
-                for t, v in zip(totals, values):
-                    t[e] -= v
-            else:  # its last row: the exact totals are 0 now
-                del counts[e]
-                for t in totals:
-                    del t[e]
-            (moved.get((fam, inst, None)) or moved.setdefault((fam, inst, None), set())).add(e)
-        for fam, inst, e, env in post:
-            counts = fam.counts[inst]
-            counts[e] = counts.get(e, 0) + 1
-            for t, (i, p, rs, exact) in zip(fam.totals[inst], fam.readers[u.table]):
-                t[e] = t.get(e, 0) + exact(rs[env[i]][p])
-            (moved.get((fam, inst, None)) or moved.setdefault((fam, inst, None), set())).add(e)
-        for fam, inst, e, env in kept:
-            old, new = before[env[0]], table[env[0]]
+        moved: defaultdict[tuple, set] = defaultdict(set)
+        for sign, images in ((-1, pre), (1, post)):
+            for fam, inst, e, _, values in images:
+                counts, totals = fam.counts[inst], fam.totals[inst]
+                n = counts.get(e, 0) + sign
+                if n:
+                    counts[e] = n
+                    for t, v in zip(totals, values):
+                        t[e] = t.get(e, 0) + sign * v
+                else:  # its last row: the exact totals are 0 now
+                    del counts[e]
+                    for t in totals:
+                        del t[e]
+                moved[fam, inst, None].add(e)
+        # written columns are base columns, so an extension reads them from its first row
+        for fam, inst, e, env, values in kept:
+            new = table[env[0]]
             for j, p, exact in once[fam]:
-                entities = moved.get((fam, inst, j)) or moved.setdefault((fam, inst, j), set())
-                if new[p] != old[p]:
-                    fam.totals[inst][j][e] += exact(new[p]) - exact(old[p])
+                entities = moved[fam, inst, j]
+                change = exact(new[p]) - values[j]
+                if change:
+                    fam.totals[inst][j][e] += change
                     entities.add(e)
         # a leaf row reaches what its join value reaches: look that up, extend
         # the row only on a miss, and add each written column's change once
@@ -556,8 +553,8 @@ class Engine:
                 old, new = before[rid], table[rid]
                 pairs = fanout.get(new[leaf])
                 if pairs is None:
-                    keys, contributions = fam.instances, fam.plans[u.table]((rid,))
-                    pairs = fanout[new[leaf]] = tuple([x for inst, e, _ in contributions for x in (keys[inst], e)])
+                    contributions = fam.plans[u.table]((rid,))
+                    pairs = fanout[new[leaf]] = tuple([x for inst, e, *_ in contributions for x in (inst, e)])
                     extended += 1
                 else:
                     reused += 1
@@ -565,7 +562,7 @@ class Engine:
                     change = exact(new[p]) - exact(old[p]) if new[p] != old[p] else None
                     it = iter(pairs)
                     for inst, e in zip(it, it):
-                        entities = moved.get((fam, inst, j)) or moved.setdefault((fam, inst, j), set())
+                        entities = moved[fam, inst, j]
                         if change is not None:
                             totals[inst][j][e] += change
                             entities.add(e)

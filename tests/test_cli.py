@@ -491,6 +491,14 @@ ranking_criteria:
         assert len(docs) == 2
         assert docs[0]["flush_at"] == 1 and docs[0]["ranking"]
 
+    def test_negative_flush_cadence_is_a_usage_error(self, runner, bloomberg_dir, tmp_path):
+        # n % -2 == 0 for every even n, so -2 would flush like 2
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text(), extra=["--flush-every", "-2"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--flush-every'" in result.output
+        assert not events.exists() and not Path(str(events) + ".flush").exists()
+
 
 class TestRank:
     def make_events(self, runner, bloomberg_dir, tmp_path):

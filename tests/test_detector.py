@@ -66,7 +66,7 @@ def lookup(engine, u, rows):
     """Ids of the queries whose instances the family lookup reaches from the
     given rows of u.table."""
     families = [engine.families[fid] for fid in column_filter(u, engine.column_index)]
-    return {qid for fam, inst, _, _ in engine.row_filter(u, rows, families) for qids in fam.members[inst] for qid in qids}
+    return {qid for fam, inst, *_ in engine.row_filter(u, rows, families) for qids in fam.members[inst] for qid in qids}
 
 
 class TestColumnIndex:
@@ -1041,13 +1041,19 @@ class TestFanoutCache:
         [("insert", "company", {"c_id": 9, "c_name": "Volvo", "c_countryid": 4}, {})],
     ]
 
-    def test_moves_and_inserts_clear_the_fan_outs(self):
+    @staticmethod
+    def setup():
+        """The Bloomberg fixture with both s_amount criteria: its store and engine."""
         text = (DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8")
         text = text.replace("ranking_criteria:\n", "ranking_criteria:\n" + TestFamilyScan.AMOUNT_CRITERIA)
         catalog, store = load_dataset("bloomberg", text)
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
         engine = Engine(catalog, store, queries)
         assert sum(bool(fam.leaf) for fam in engine.families) > 20
+        return store, engine
+
+    def test_moves_and_inserts_clear_the_fan_outs(self):
+        store, engine = self.setup()
         tables = {name: [dict(zip(t.meta.column_names(), row)) for row in t.rows] for name, t in store.tables.items()}
         rng = random.Random(17)
         seq = itertools.count(1)
@@ -1076,3 +1082,23 @@ class TestFanoutCache:
                 step(*move)
             criterion_writes()
         assert reused > 0
+
+    def test_cached_pairs_hold_the_member_keys(self):
+        # a cached pair holds the members dict's own instance key, so the
+        # pairs of one instance share one tuple instead of an equal copy each
+        store, engine = self.setup()
+        seq = itertools.count(1)
+        for rid, row in enumerate(store.table("stockmarket").rows):
+            engine.detect(UpdateRecord(next(seq), "update", "stockmarket", {"s_value": Delta(rid + 1)}, {"s_companyid": row[0]}))
+        for rid, row in enumerate(store.table("shareholder").rows):
+            where = {"s_personid": row[0], "s_companyid": row[1]}
+            engine.detect(UpdateRecord(next(seq), "update", "shareholder", {"s_amount": Delta(rid + 1)}, where))
+        held = 0
+        for fam in engine.families:
+            own = {inst: inst for inst in fam.members}
+            for pairs in (fam.fanout or {}).values():
+                it = iter(pairs)
+                for inst, _ in zip(it, it):
+                    assert inst is own[inst], (fam.id, inst)
+                    held += inst != ()
+        assert held > 20

@@ -1043,6 +1043,20 @@ class BloombergModel(StoreEngineModel):
     def amount_write(self, i, value, delta):
         self.step("update", "shareholder", {"s_amount": Delta(value - 150) if delta else value}, self.key_of("shareholder", i))
 
+    @rule(
+        leaf=st.sampled_from([("stockmarket", "s_value"), ("shareholder", "s_amount")]),
+        i=HOLDING,
+        value=st.integers(0, 300),
+        delta=st.booleans(),
+    )
+    def company_criterion_write(self, leaf, i, value, delta):
+        # every leaf row of the company of row i: where the leaf joins on the
+        # company, the first row fills its join value's fan-out and the others
+        # reuse it
+        table, column = leaf
+        where = {"s_companyid": self.row(table, i)["s_companyid"]}
+        self.step("update", table, {column: Delta(value - 150) if delta else value}, where)
+
     @rule(company=COMPANY, name=st.sampled_from(["SAP", "Fiat", "Volvo"]), country=COUNTRY)
     def insert_company(self, company, name, country):
         self.step("insert", "company", {"c_id": company, "c_name": name, "c_countryid": country}, {})
