@@ -43,8 +43,6 @@ from .scorer import (
     ScoredEvent,
     ScorerConfig,
     aggregate_chain,
-    compare_tradeoff,
-    compare_tradeoff_sequences,
     dynamic_score,
     entropy,
     quantize,

@@ -43,15 +43,19 @@ Each query keeps the sort keys (value, entity) of its instance's best 2k
 entities, best first (the value build_ranking ranks on, saturated to -inf
 or +inf when its float is out of range), and a bound above which lie the
 keys of all other entities. Per update it re-keys the entities whose count
-or total in its column may have changed, keeps the keys within the bound
-and cuts the list back to 2k; only when fewer than k keys remain does it
-sort the whole instance again. Only when the first k keys changed is its
-ranking rebuilt and diffed, and only rank improvements become events.
+or total in its column may have changed. When none of them is held, none
+falls within the bound and the order is not short, nothing changes and no
+list is sorted. Otherwise it keeps the keys within the bound and cuts the
+list back to 2k; only when fewer than k keys remain does it sort the whole
+instance again. Only when the first k keys changed is its ranking rebuilt:
+the order hands back its old first k keys, and every entity that ranks
+better in the new ones than in those becomes an event.
 
 With filters disabled the engine rescans every family from scratch on
-every update and ranks each instance with build_ranking instead. That path
-shares no code with the delta path's row extension or its entity orders,
-so the two cross-check each other.
+every update, ranks each instance with build_ranking and diffs the old and
+new rankings with diff_rankings instead. That path shares no code with the
+delta path's row extension, its entity orders or its event derivation, so
+the two cross-check each other.
 """
 from __future__ import annotations
 
@@ -67,7 +71,7 @@ from .generator import HofQuery
 from .store import JoinScan, RankingState, Store, UpdateRecord, build_ranking, compile_predicate, leaf_edge
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RankEvent:
     """An entity improved from from_rank to to_rank in one ranking."""
 
@@ -105,7 +109,9 @@ def column_filter(u: UpdateRecord, index: ColumnIndex) -> set:
 
 def diff_rankings(old: RankingState, new: RankingState, k: int) -> list[tuple[Any, int, int]]:
     """(entity, from_rank, to_rank) for every strict improvement; entities
-    absent from the old ranking improve from rank k + 1."""
+    absent from the old ranking improve from rank k + 1. Only the reference
+    path (filters off) diffs rankings; the delta path compares sort keys
+    (EntityOrder.improvements)."""
     old_ranks = old.ranks()
     out = []
     for rank, (entity, _) in enumerate(new.entries, start=1):
@@ -120,7 +126,7 @@ class DetectStats:
     column_candidates: int
     row_candidates: int
     changed: int
-    rebuilt: int  # rankings whose top-K keys changed, so they were rebuilt and diffed
+    rebuilt: int  # rankings whose top-K keys changed, so they were rebuilt and their events derived
     refilled: int  # entity orders that ran short of k keys and sorted their instance again
     extended: int  # base rows extended along a family's join path, once per family and pass
     reused: int  # leaf fan-outs read from a family's cache instead
@@ -314,14 +320,16 @@ class EntityOrder:
     """The order_key of one query's instance's best 2k entities, best first,
     and a bound: every entity not held has a key above it; None means every
     entity is held. The key reads the live totals of the query's column and
-    the family's live counts for the instance."""
+    the family's live counts for the instance. refills counts the updates
+    after which it ran short of k keys and filled itself again."""
 
-    __slots__ = ("keys", "bound", "key", "sign", "k")
+    __slots__ = ("keys", "bound", "key", "sign", "k", "refills")
 
     def __init__(self, totals: dict, counts: dict, real: bool, q: HofQuery):
         self.sign = -1 if q.criterion.direction == "descending" else 1
         self.key = order_key(totals, counts, real, q.criterion.aggregation == "avg", self.sign)
         self.k = q.k
+        self.refills = 0
         self.fill(counts)
 
     def fill(self, counts: dict) -> None:
@@ -331,26 +339,46 @@ class EntityOrder:
         self.bound = keys[cap - 1] if len(keys) > cap else None
         self.keys = keys[:cap]
 
-    def update(self, moved: set, counts: dict) -> tuple[bool, bool]:
+    def update(self, moved: set, counts: dict) -> list | None:
         """Re-key the moved entities after their count or total changed; one
-        no longer in counts leaves. Tells whether the first k keys changed
-        and whether the order filled itself again from every entity."""
+        no longer in counts leaves. Returns the first k keys held before the
+        update when they changed, else None. When no held entity moved, no
+        re-keyed one falls within the bound and the order holds k keys or
+        every entity, the keys stay as they are and nothing is sorted."""
         keys, bound, k = self.keys, self.bound, self.k
-        top = keys[:k]
         kept = [x for x in keys if x[1] not in moved]
         key = self.key
         fresh = [key(e) for e in moved if e in counts]
-        kept += fresh if bound is None else [x for x in fresh if x <= bound]
+        if bound is not None:
+            fresh = [x for x in fresh if x <= bound]
+        held = len(keys)
+        if not fresh and len(kept) == held and (held >= k or len(counts) <= held):
+            return None
+        top = keys[:k]
+        kept += fresh
         kept.sort()
         cap = 2 * k
         if len(kept) > cap:
             bound = kept[cap - 1]
             del kept[cap:]
         self.keys, self.bound = kept, bound
-        refilled = len(kept) < k and len(counts) > len(kept)
-        if refilled:
+        if len(kept) < k and len(counts) > len(kept):
             self.fill(counts)
-        return self.keys[:k] != top, refilled
+            self.refills += 1
+        return top if self.keys[:k] != top else None
+
+    def improvements(self, top: list) -> list[tuple[Any, int, int]]:
+        """(entity, from_rank, to_rank) of every entity that ranks better in
+        the first k keys than in top, the first k keys held before; one
+        absent from top improves from rank k + 1."""
+        k = self.k
+        before = {e: rank for rank, (_, e) in enumerate(top, start=1)}
+        out = []
+        for rank, (_, e) in enumerate(self.keys[:k], start=1):
+            previous = before.get(e, k + 1)
+            if rank < previous:
+                out.append((e, previous, rank))
+        return out
 
     def ranking(self) -> RankingState:
         """The top-K with build_ranking's values; multiplying by the sign is
@@ -425,7 +453,7 @@ class Engine:
 
     def _replace(self, qid: str, new: RankingState, seq: int, events: list[RankEvent]) -> bool:
         """Cache qid's new ranking, append its improvements to events and
-        tell whether its entity order changed."""
+        tell whether its entity order changed; the reference path's diff."""
         old = self.rankings[qid]
         if new == old:
             return False
@@ -569,18 +597,24 @@ class Engine:
 
         # row candidates count the queries of every named instance, unchanged ones too
         candidates = rebuilt = refilled = 0
-        orders = self.orders
+        orders, rankings, seq = self.orders, self.rankings, u.seq
         for (fam, inst, j), entities in moved.items():
             counts, per_column = fam.counts[inst], fam.members[inst]
             for qids in per_column if j is None else (per_column[j],):
                 candidates += len(qids)
                 for qid in qids if entities else ():
                     order = orders[qid]
-                    top, refill = order.update(entities, counts)
-                    refilled += refill
-                    if top:
+                    fills = order.refills
+                    top = order.update(entities, counts)
+                    refilled += order.refills - fills
+                    if top is not None:
                         rebuilt += 1
-                        changed += self._replace(qid, order.ranking(), u.seq, events)
+                        new = rankings[qid] = order.ranking()
+                        moves = order.improvements(top)
+                        events.extend(RankEvent(qid, e, from_rank, to_rank, seq) for e, from_rank, to_rank in moves)
+                        # as in _replace: the entity order changed exactly
+                        # when something improved or the length changed
+                        changed += bool(moves) or len(top) != len(new)
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
         self.last_stats = DetectStats(column_candidates, candidates, changed, rebuilt, refilled, extended, reused)
         return events

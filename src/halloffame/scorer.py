@@ -6,8 +6,7 @@ its query (how much competition the ranking has), the dynamic score of the
 rank jump, and the entropy of the predicate's column combination. The two
 leading scores are quantized into n coarse groups so that nearly equal
 values tie and the next component decides, which is what makes the sort
-key a lawful total preorder; the raw margin comparison (compare_tradeoff)
-is intransitive in its indifference and is kept for spot comparisons only.
+key a lawful total preorder.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
-
-LESS, EQUAL, GREATER = -1, 0, 1
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class ScoringError(Exception):
@@ -40,7 +37,7 @@ class ScorerConfig:
             raise ValueError("groups must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ImprovementPair:
     seq: int
     from_rank: int
@@ -61,7 +58,9 @@ class ChainStore:
 
     Chains are kept in the order they were last recorded to. Events arrive
     in stream order, so a chain whose newest pair has left the window holds
-    no live state and is dropped from the front.
+    no live state and is dropped from the front. A live chain's pair list
+    grows in place and is rebuilt only when its oldest pair leaves the
+    window.
     """
 
     def __init__(self):
@@ -80,8 +79,10 @@ class ChainStore:
             chain = chains[key] = ImprovementChain(event.query_id, event.entity, [])
         else:
             chains.move_to_end(key)
-        chain.pairs = [p for p in chain.pairs if p.seq > horizon]
-        chain.pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
+        pairs = chain.pairs
+        if pairs and pairs[0].seq <= horizon:
+            pairs = chain.pairs = [p for p in pairs if p.seq > horizon]
+        pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
         return chain
 
 
@@ -140,35 +141,12 @@ def entropy(counts: Mapping[Any, int]) -> float:
     return 0.0 - math.fsum(value / total * math.log2(value / total) for value in counts.values())
 
 
-def compare_tradeoff(u: float, v: float, considerably: Callable[[float, float], bool]) -> int:
-    """Single-position tradeoff comparison: GREATER/LESS only when the
-    ``considerably`` margin predicate says so, EQUAL otherwise."""
-    if considerably(u, v):
-        return GREATER
-    if considerably(v, u):
-        return LESS
-    return EQUAL
-
-
-def compare_tradeoff_sequences(
-    us: Sequence[float], vs: Sequence[float], considerably: Callable[[float, float], bool]
-) -> int:
-    """Left-to-right tradeoff comparison; the first non-equal position decides."""
-    if len(us) != len(vs):
-        raise ScoringError("sequences must have equal length")
-    for u, v in zip(us, vs):
-        decided = compare_tradeoff(u, v, considerably)
-        if decided != EQUAL:
-            return decided
-    return EQUAL
-
-
 def quantize(score: float, groups: int) -> int:
     """Coarse group of a [0, 1] score: floor(score * n) capped at n - 1."""
     return min(groups - 1, math.floor(score * groups))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ScoredEvent:
     """A detected improvement enriched with its ranking ingredients."""
 

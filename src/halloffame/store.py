@@ -82,7 +82,7 @@ class Delta:
     amount: Any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UpdateRecord:
     """One statement of the update stream.
 
@@ -98,7 +98,7 @@ class UpdateRecord:
     where: Mapping[str, Any]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RankingState:
     """Materialized top-K list of (entity, aggregate), best first.
 

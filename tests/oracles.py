@@ -403,6 +403,32 @@ def oracle_diff(old: list[tuple], new: list[tuple], k: int) -> list[tuple]:
     return out
 
 
+LESS, EQUAL, GREATER = -1, 0, 1
+
+
+def compare_tradeoff(u: float, v: float, considerably) -> int:
+    """The paper's single-position tradeoff comparison: GREATER/LESS only
+    when the ``considerably`` margin predicate says so, EQUAL otherwise. Its
+    indifference is intransitive, so the scorer ranks by quantized groups
+    instead; this is the definition those groups stand in for."""
+    if considerably(u, v):
+        return GREATER
+    if considerably(v, u):
+        return LESS
+    return EQUAL
+
+
+def compare_tradeoff_sequences(us, vs, considerably) -> int:
+    """Left-to-right tradeoff comparison; the first non-equal position decides."""
+    if len(us) != len(vs):
+        raise ValueError("sequences must have equal length")
+    for u, v in zip(us, vs):
+        decided = compare_tradeoff(u, v, considerably)
+        if decided != EQUAL:
+            return decided
+    return EQUAL
+
+
 def oracle_run(
     inst: Instance, queries: list[HofQuery], updates: list[UpdateRecord]
 ) -> list[tuple]:

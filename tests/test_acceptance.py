@@ -27,7 +27,6 @@ from halloffame import (
     SynthConfig,
     UpdateRecord,
     aggregate_chain,
-    compare_tradeoff_sequences,
     dynamic_score,
     entropy,
     generate_queries,
@@ -38,10 +37,9 @@ from halloffame import (
     write_update_stream,
 )
 from halloffame.cli import _event_line
-from halloffame.scorer import GREATER, LESS
 from halloffame.store import JoinScan
 from conftest import load_dataset, load_instance
-from oracles import make_instance, oracle_enumerate, query_signature
+from oracles import GREATER, LESS, compare_tradeoff_sequences, make_instance, oracle_enumerate, query_signature
 
 
 def ok(n, detail):

@@ -9,12 +9,14 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from halloffame import (
     ColumnRef,
     Delta,
     Engine,
     GeneratorConfig,
+    SynthConfig,
     UpdateRecord,
     build_column_index,
     build_families,
@@ -24,7 +26,9 @@ from halloffame import (
     generate_queries,
     load_catalog,
     load_queries,
+    synth_stream,
 )
+from halloffame import detector
 from halloffame.detector import EntityOrder
 from halloffame.store import RankingState, Store, build_ranking
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance
@@ -32,6 +36,7 @@ from oracles import (
     make_instance,
     make_updates,
     oracle_apply,
+    oracle_diff,
     oracle_eval_query,
     oracle_path_join,
     oracle_path_rankings,
@@ -157,6 +162,45 @@ class TestDiffRankings:
         old = RankingState((("Bill Gates", 210), ("Warren E. Buffet", 210), ("Amancio O. Gaona", 204)))
         new = RankingState((("Amancio O. Gaona", 214), ("Bill Gates", 210), ("Warren E. Buffet", 210)))
         assert diff_rankings(old, new, 3) == [("Amancio O. Gaona", 3, 1)]
+
+
+class TestEventsFromKeys:
+    """The delta path derives a rebuilt ranking's events from its entity
+    order's old and new first k keys; only the reference path (filters off)
+    diffs two rankings."""
+
+    def replay(self, filters_enabled: bool) -> list:
+        catalog, store = load_dataset("bloomberg")
+        stream = synth_stream(store, catalog, SynthConfig(seed=1))
+        queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=3), store)
+        engine = Engine(catalog, store, queries, filters_enabled=filters_enabled)
+        return [(e.seq, e.query_id, e.entity, e.from_rank, e.to_rank) for u in stream for e in engine.detect(u)]
+
+    def test_filtered_engine_never_diffs_rankings(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the delta path diffed two rankings")
+
+        monkeypatch.setattr(detector, "diff_rankings", forbidden)
+        monkeypatch.setattr(Engine, "_replace", forbidden)
+        events = self.replay(True)
+        assert events
+        monkeypatch.undo()
+
+        calls = Counter()
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(detector, "diff_rankings")
+        counting(Engine, "_replace")
+        assert self.replay(False) == events
+        assert calls["diff_rankings"] and calls["_replace"]
 
 
 class TestDetect:
@@ -541,6 +585,59 @@ class TestRefill:
                 assert list(engine.rankings[qid].entries) == TestMaintainedOrder().oracle_top(exact, q), (seq, qid)
         # with k = 2 the leader's order holds 4 keys and loses one per update
         assert sum(refilled) >= 60 // 3 and refilled.count(0) > 0
+
+
+ORDER_VALUES = st.tuples(st.integers(1, 3), st.integers(-20, 20))  # (count, total) of an entity
+
+
+class TestEntityOrderUpdate:
+    """EntityOrder.update against a full sort of the instance after every
+    step: it hands back its old first k keys exactly when they changed, and
+    the events derived from them are the oracle's diff of the two rankings."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        aggregation=st.sampled_from(["sum", "avg"]),
+        direction=st.sampled_from(["ascending", "descending"]),
+        initial=st.dictionaries(st.integers(0, 9), ORDER_VALUES, max_size=10),
+        # per step, one to five moved entities: new values, or None to leave
+        steps=st.lists(st.dictionaries(st.integers(0, 11), st.none() | ORDER_VALUES, min_size=1, max_size=5), max_size=12),
+    )
+    # four of five entities leave, the fifth held and the one beyond the
+    # bound among them: the order is short of k with a stale bound, and the
+    # entity that enters next lies above that bound
+    @example(
+        k=2,
+        aggregation="sum",
+        direction="descending",
+        initial={0: (1, 10), 1: (1, 9), 2: (1, 8), 3: (1, 7), 4: (1, 6)},
+        steps=[{1: None, 2: None, 3: None, 4: None}, {5: (1, 1)}],
+    )
+    def test_matches_full_sort(self, k, aggregation, direction, initial, steps):
+        counts = {e: n for e, (n, _) in initial.items()}
+        totals = {e: t for e, (_, t) in initial.items()}
+        q = SimpleNamespace(k=k, criterion=SimpleNamespace(aggregation=aggregation, direction=direction))
+        order = EntityOrder(totals, counts, False, q)
+        before = build_ranking(totals, counts, aggregation, direction, k)
+        for step in steps:
+            held = order.keys[:k]
+            for e, values in step.items():
+                if values is None:
+                    counts.pop(e, None)
+                    totals.pop(e, None)
+                else:
+                    counts[e], totals[e] = values
+            top = order.update(set(step), counts)
+            after = build_ranking(totals, counts, aggregation, direction, k)
+            assert order.ranking() == after
+            if order.keys[:k] == held:
+                assert top is None
+            else:
+                assert top == held
+            events = order.improvements(top) if top is not None else []
+            assert events == oracle_diff(list(before.entries), list(after.entries), k)
+            before = after
 
 
 PLAYS_CATALOG = """

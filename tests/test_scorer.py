@@ -14,15 +14,14 @@ from halloffame import (
     ScoredEvent,
     ScorerConfig,
     aggregate_chain,
-    compare_tradeoff,
-    compare_tradeoff_sequences,
     dynamic_score,
     entropy,
     quantize,
     rank_events,
     score_event,
 )
-from halloffame.scorer import EQUAL, GREATER, LESS, ScoringError
+from halloffame.scorer import ScoringError
+from oracles import EQUAL, GREATER, LESS, compare_tradeoff, compare_tradeoff_sequences
 
 
 def doubling(hi, lo):
