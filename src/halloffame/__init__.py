@@ -24,6 +24,7 @@ from .detector import (
     RankEvent,
     build_column_index,
     build_families,
+    build_ranking,
     column_filter,
     diff_rankings,
 )
@@ -51,12 +52,10 @@ from .scorer import (
 )
 from .store import (
     Delta,
-    RankingState,
     Store,
     StoreError,
     Table,
     UpdateRecord,
-    build_ranking,
     load_table,
     read_update_stream,
     update_from_json,

@@ -149,13 +149,12 @@ def generate(config_path, data_dir, out_path, k, cnum, jnum):
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--updates-per-tuple", default=10, show_default=True)
-@click.option("--avg-literal", is_flag=True, help="use final*g for avg criteria instead of final*(1+g)")
-def synth(config_path, data_dir, out_path, seed, updates_per_tuple, avg_literal):
+def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
     """Synthesize an update stream from the loaded data."""
     catalog = _load_catalog(config_path)
     store = _load_store(catalog, data_dir)
     try:
-        cfg = SynthConfig(updates_per_tuple=updates_per_tuple, seed=seed, avg_literal=avg_literal)
+        cfg = SynthConfig(updates_per_tuple=updates_per_tuple, seed=seed)
         stream = synth_stream(store, catalog, cfg)
     except (ValueError, StoreError) as exc:
         raise click.ClickException(str(exc)) from exc
@@ -214,7 +213,7 @@ def run(
     startup_rows = store.rows_read  # joined rows the start-up scans read
     chains = ChainStore()
     by_id = engine.queries
-    window_events: deque[ScoredEvent] = deque()
+    window_events: deque[ScoredEvent] = deque()  # the scoring window, kept only for --flush-every
 
     n_events = 0
     kept: list[tuple[DetectStats, float]] = []  # per processed update: its stats and latency
@@ -247,9 +246,8 @@ def run(
             for event in detected:
                 scored = score_event(event, by_id[event.query_id], chains, scorer_cfg)
                 events_out.write(_event_line(scored, by_id[event.query_id].sql()) + "\n")
-                window_events.append(scored)
-            while window_events and window_events[0].seq <= u.seq - scorer_cfg.window_updates:
-                window_events.popleft()
+                if flush_out is not None:
+                    window_events.append(scored)
 
             n_events += len(detected)
             st = engine.last_stats
@@ -257,12 +255,15 @@ def run(
             if stats_out is not None:
                 doc = {"seq": u.seq, **dataclasses.asdict(st), "latency_ms": latency_ms}
                 stats_out.write(json.dumps(doc, sort_keys=True) + "\n")
-            if flush_out is not None and len(kept) % flush_every == 0:
-                ranking = [
-                    {"rank": i + 1, "seq": e.seq, "query_id": e.query_id, "entity": e.entity}
-                    for i, e in enumerate(rank_events(window_events, scorer_cfg))
-                ]
-                flush_out.write(json.dumps({"flush_at": u.seq, "ranking": ranking}, sort_keys=True) + "\n")
+            if flush_out is not None:
+                while window_events and window_events[0].seq <= u.seq - scorer_cfg.window_updates:
+                    window_events.popleft()
+                if len(kept) % flush_every == 0:
+                    ranking = [
+                        {"rank": i + 1, "seq": e.seq, "query_id": e.query_id, "entity": e.entity}
+                        for i, e in enumerate(rank_events(window_events, scorer_cfg))
+                    ]
+                    flush_out.write(json.dumps({"flush_at": u.seq, "ranking": ranking}, sort_keys=True) + "\n")
 
     def mean(name: str) -> float:
         return statistics.fmean(getattr(st, name) for st, _ in kept) if kept else 0.0

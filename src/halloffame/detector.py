@@ -47,28 +47,31 @@ or total in its column may have changed. When none of them is held, none
 falls within the bound and the order is not short, nothing changes and no
 list is sorted. Otherwise it keeps the keys within the bound and cuts the
 list back to 2k; only when fewer than k keys remain does it sort the whole
-instance again. Only when the first k keys changed is its ranking rebuilt:
-the order hands back its old first k keys, and every entity that ranks
-better in the new ones than in those becomes an event.
+instance again. When the first k keys changed, the order hands back its old
+first k keys, and every entity that ranks better in the new ones than in
+those becomes an event. These orders are the delta path's only ranking
+state: it stores no ranking, and a query's top-K as (entity, value) pairs
+is built from its order's keys only when a reader asks for it.
 
 With filters disabled the engine rescans every family from scratch on
-every update, ranks each instance with build_ranking and diffs the old and
-new rankings with diff_rankings instead. That path shares no code with the
-delta path's row extension, its entity orders or its event derivation, so
-the two cross-check each other.
+every update, ranks each instance with build_ranking, stores the ranking
+and diffs it against the stored one with diff_rankings instead. That path
+shares no code with the delta path's row extension, its entity orders or
+its event derivation, so the two cross-check each other.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
 from .generator import HofQuery
-from .store import JoinScan, RankingState, Store, UpdateRecord, build_ranking, compile_predicate, leaf_edge
+from .store import JoinScan, Store, UpdateRecord, compile_predicate, leaf_edge
 
 
 @dataclass(slots=True)
@@ -107,14 +110,43 @@ def column_filter(u: UpdateRecord, index: ColumnIndex) -> set:
     return hit
 
 
-def diff_rankings(old: RankingState, new: RankingState, k: int) -> list[tuple[Any, int, int]]:
+Ranking = tuple[tuple[Any, Any], ...]  # a top-K: (entity, value) pairs, best first
+
+_ENTITY, _VALUE = operator.itemgetter(0), operator.itemgetter(1)  # of a (entity, value) item
+
+
+def build_ranking(totals: Mapping, counts: Mapping[Any, int], aggregation: str, direction: str, k: int) -> Ranking:
+    """Order per-entity totals and row counts into a ranking, truncated to k.
+
+    A full sort of every entity: it serves the reference path (filters
+    off), at start-up and on every update. The delta path never calls it:
+    each query keeps its own best keys (EntityOrder) and moves only the
+    entities an update touched, so the two check each other. An avg out of
+    the float range saturates to -inf or +inf; ties rank by ascending
+    entity, so the order is total and holds no entity twice.
+    """
+    if aggregation == "sum":
+        items = list(totals.items())
+    else:  # avg: arithmetic mean; groups exist only for present rows, so n >= 1
+        items = []
+        for entity, total in totals.items():
+            try:
+                items.append((entity, total / counts[entity]))
+            except OverflowError:
+                items.append((entity, math.inf if total > 0 else -math.inf))
+    items.sort(key=_ENTITY)  # ascending-entity tie-break
+    items.sort(key=_VALUE, reverse=direction == "descending")
+    return tuple(items[:k])
+
+
+def diff_rankings(old: Ranking, new: Ranking, k: int) -> list[tuple[Any, int, int]]:
     """(entity, from_rank, to_rank) for every strict improvement; entities
     absent from the old ranking improve from rank k + 1. Only the reference
     path (filters off) diffs rankings; the delta path compares sort keys
     (EntityOrder.improvements)."""
-    old_ranks = old.ranks()
+    old_ranks = {entity: rank for rank, (entity, _) in enumerate(old, start=1)}
     out = []
-    for rank, (entity, _) in enumerate(new.entries, start=1):
+    for rank, (entity, _) in enumerate(new, start=1):
         previous = old_ranks.get(entity, k + 1)
         if rank < previous:
             out.append((entity, previous, rank))
@@ -126,7 +158,7 @@ class DetectStats:
     column_candidates: int
     row_candidates: int
     changed: int
-    rebuilt: int  # rankings whose top-K keys changed, so they were rebuilt and their events derived
+    rebuilt: int  # entity orders whose first k keys changed, so their events were derived
     refilled: int  # entity orders that ran short of k keys and sorted their instance again
     extended: int  # base rows extended along a family's join path, once per family and pass
     reused: int  # leaf fan-outs read from a family's cache instead
@@ -380,11 +412,12 @@ class EntityOrder:
                 out.append((e, previous, rank))
         return out
 
-    def ranking(self) -> RankingState:
+    def ranking(self) -> Ranking:
         """The top-K with build_ranking's values; multiplying by the sign is
-        exact, so it restores each key's value."""
+        exact, so it restores each key's value. Only a reader asks for it:
+        the delta path itself works on the keys."""
         sign = self.sign
-        return RankingState(tuple([(e, sign * v) for v, e in self.keys[: self.k]]))
+        return tuple([(e, sign * v) for v, e in self.keys[: self.k]])
 
 
 def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[Family]:
@@ -405,7 +438,10 @@ def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[
 
 
 class Engine:
-    """Detection state: queries, their families, cached rankings, filter index."""
+    """Detection state: queries, their families and filter indexes, and one
+    ranking state per query. With filters on that state is the query's
+    EntityOrder, and a ranking is only built when ranking(qid) asks; with
+    filters off it is the reference path's own stored ranking."""
 
     def __init__(
         self,
@@ -421,28 +457,29 @@ class Engine:
         self.families = build_families(self.queries.values(), catalog)
         self.column_index = build_column_index(self.families)
         self.shape_index = build_column_index(self.families, "shape")
-        self.orders: dict[str, EntityOrder] = {}
-        self.rankings: dict[str, RankingState] = {}
+        self.orders: dict[str, EntityOrder] = {}  # the delta path's ranking state
+        self._rankings: dict[str, Ranking] = {} if filters_enabled else self._rescan()  # the reference path's
         if filters_enabled:
             for fam in self.families:
                 for inst, counts, totals in fam.scan(store, exact=True):
                     fam.counts[inst], fam.totals[inst] = counts, totals
                     for qids, t, real in zip(fam.members[inst], totals, fam.real):
                         for qid in qids:
-                            order = self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
-                            self.rankings[qid] = order.ranking()
+                            self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
                 for rel in fam.needed:
                     fam.plans[rel] = fam.plan(store, rel)
             store.drop_join_cache()  # the delta path never scans again
-        else:
-            self.rankings = self._rescan()
         self._routes: dict[tuple, tuple] = {}  # see _route
         self.last_stats = DetectStats(0, 0, 0, 0, 0, 0, 0)
 
-    def _rescan(self) -> dict[str, RankingState]:
+    def ranking(self, qid: str) -> Ranking:
+        """qid's current top-K: (entity, value) pairs, best first."""
+        return self.orders[qid].ranking() if self.filters_enabled else self._rankings[qid]
+
+    def _rescan(self) -> dict[str, Ranking]:
         """Every ranking from one from-scratch scan per family, each sorted
         in full by build_ranking."""
-        out: dict[str, RankingState] = {}
+        out: dict[str, Ranking] = {}
         for fam in self.families:
             for inst, counts, totals in fam.scan(self.store, exact=False):
                 for qids, t in zip(fam.members[inst], totals):
@@ -451,13 +488,13 @@ class Engine:
                         out[qid] = build_ranking(t, counts, c.aggregation, c.direction, self.queries[qid].k)
         return out
 
-    def _replace(self, qid: str, new: RankingState, seq: int, events: list[RankEvent]) -> bool:
-        """Cache qid's new ranking, append its improvements to events and
+    def _replace(self, qid: str, new: Ranking, seq: int, events: list[RankEvent]) -> bool:
+        """Store qid's new ranking, append its improvements to events and
         tell whether its entity order changed; the reference path's diff."""
-        old = self.rankings[qid]
+        old = self._rankings[qid]
         if new == old:
             return False
-        self.rankings[qid] = new
+        self._rankings[qid] = new
         moves = diff_rankings(old, new, self.queries[qid].k)
         events.extend(RankEvent(qid, entity, from_rank, to_rank, seq) for entity, from_rank, to_rank in moves)
         # Where the entity orders first differ, the new entity improves; with
@@ -597,7 +634,7 @@ class Engine:
 
         # row candidates count the queries of every named instance, unchanged ones too
         candidates = rebuilt = refilled = 0
-        orders, rankings, seq = self.orders, self.rankings, u.seq
+        orders, seq = self.orders, u.seq
         for (fam, inst, j), entities in moved.items():
             counts, per_column = fam.counts[inst], fam.members[inst]
             for qids in per_column if j is None else (per_column[j],):
@@ -609,12 +646,11 @@ class Engine:
                     refilled += order.refills - fills
                     if top is not None:
                         rebuilt += 1
-                        new = rankings[qid] = order.ranking()
                         moves = order.improvements(top)
                         events.extend(RankEvent(qid, e, from_rank, to_rank, seq) for e, from_rank, to_rank in moves)
                         # as in _replace: the entity order changed exactly
                         # when something improved or the length changed
-                        changed += bool(moves) or len(top) != len(new)
+                        changed += bool(moves) or len(top) != min(order.k, len(order.keys))
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
         self.last_stats = DetectStats(column_candidates, candidates, changed, rebuilt, refilled, extended, reused)
         return events

@@ -176,12 +176,14 @@ class HofQuery:
 
 def _sql_parts(entity_attr: ColumnRef, criterion: RankingCriterion, path: tuple[JoinEdge, ...], k: int) -> tuple[str, str]:
     """A query's SQL before and after its WHERE clause. Without a join path
-    every relation the query names is the entity's."""
+    every relation the query names is the entity's. Ties on the aggregate
+    rank by ascending entity, as the engine ranks them, so the SQL defines
+    the reported ranking."""
     agg = f"{criterion.aggregation.upper()}({criterion.column})"
     order = "ASC" if criterion.direction == "ascending" else "DESC"
     return (
         f"SELECT {entity_attr}, {agg} FROM {_from_clause(path) if path else entity_attr.relation}",
-        f" GROUP BY {entity_attr} ORDER BY {agg} {order} LIMIT {k}",
+        f" GROUP BY {entity_attr} ORDER BY {agg} {order}, {entity_attr} ASC LIMIT {k}",
     )
 
 

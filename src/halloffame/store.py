@@ -4,7 +4,8 @@ Holds the base tables and applies updates and inserts. For the rest of the
 engine it compiles predicates, materializes index-nested-loop joins along a
 fixed edge path, and scans their rows that satisfy a conjunction, a leaf
 relation summed per join value (JoinScan), for generation's counts and the
-detector's family scans; grouping rows into rankings is the detector's.
+detector's family scans. It holds no ranking code: grouping rows into
+rankings, ordering them and diffing them are the detector's.
 
 Indexing: hash value->rowset indices are kept for every categorical
 attribute, every join-edge column, and the key columns (as a composite
@@ -96,57 +97,6 @@ class UpdateRecord:
     table: str
     set_values: Mapping[str, Any]
     where: Mapping[str, Any]
-
-
-@dataclass(slots=True)
-class RankingState:
-    """Materialized top-K list of (entity, aggregate), best first.
-
-    Sorted by aggregate per the query direction; ties broken by ascending
-    entity value, so the order is a deterministic total order and never
-    contains duplicate entities.
-    """
-
-    entries: tuple[tuple[Any, Any], ...]
-
-    def ranks(self) -> dict[Any, int]:
-        return {entity: i + 1 for i, (entity, _) in enumerate(self.entries)}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-_ENTITY, _VALUE = operator.itemgetter(0), operator.itemgetter(1)  # of a (entity, value) item
-
-
-def build_ranking(
-    totals: Mapping[Any, Any],
-    counts: Mapping[Any, int],
-    aggregation: str,
-    direction: str,
-    k: int,
-) -> RankingState:
-    """Order per-entity totals and row counts into a RankingState, truncated to k.
-
-    A full sort of every entity: it serves the reference path (filters
-    off), at start-up and on every update. The delta path never calls it:
-    each query keeps its own best keys (detector.EntityOrder) and moves
-    only the entities an update touched, so the two check each other. An
-    avg out of the float range saturates to -inf or +inf; ties rank by
-    ascending entity.
-    """
-    if aggregation == "sum":
-        items = list(totals.items())
-    else:  # avg: arithmetic mean; groups exist only for present rows, so n >= 1
-        items = []
-        for entity, total in totals.items():
-            try:
-                items.append((entity, total / counts[entity]))
-            except OverflowError:
-                items.append((entity, math.inf if total > 0 else -math.inf))
-    items.sort(key=_ENTITY)  # ascending-entity tie-break
-    items.sort(key=_VALUE, reverse=direction == "descending")
-    return RankingState(tuple(items[:k]))
 
 
 class Table:

@@ -24,8 +24,6 @@ AVG_SIGMA = 0.1
 class SynthConfig:
     updates_per_tuple: int = 10
     seed: int = 0
-    # final * g instead of final * (1 + g) for avg criteria
-    avg_literal: bool = False
 
     def __post_init__(self):
         if self.updates_per_tuple < 1:
@@ -49,11 +47,7 @@ def _sum_profile(rng: random.Random, final, cfg: SynthConfig) -> list:
 
 def _avg_profile(rng: random.Random, final, cfg: SynthConfig) -> list:
     gs = _draw_in(rng, 0.0, AVG_SIGMA, -1.0, 1.0, cfg.updates_per_tuple - 1)
-    if cfg.avg_literal:
-        values = [final * g for g in gs]
-    else:
-        values = [final * (1.0 + g) for g in gs]
-    return values + [final]
+    return [final * (1.0 + g) for g in gs] + [final]
 
 
 def synth_stream(store: Store, catalog: SchemaCatalog, cfg: SynthConfig) -> list[UpdateRecord]:

@@ -40,6 +40,11 @@ def bloomberg_dir() -> Path:
     return DATA_DIR / "bloomberg"
 
 
+def rankings_of(engine) -> dict:
+    """query id -> the engine's current ranking of it."""
+    return {qid: engine.ranking(qid) for qid in engine.queries}
+
+
 def assert_best_keys(engine) -> None:
     """Every entity order of a filtered engine holds exactly the first keys
     of a from-scratch sort of its instance: at least min(k, entities) and at

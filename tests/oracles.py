@@ -1,9 +1,9 @@
 """Brute-force reference implementations and random instance builders.
 
 Everything here works on plain dict rows with nested-loop joins and no
-indices or pruning, sharing no evaluation code with the package. Tests
-compare engine output against these oracles; the oracles stay dumb on
-purpose.
+indices or pruning, or hands the rows to sqlite3 (oracle_sql_rankings),
+sharing no evaluation code with the package. Tests compare engine output
+against these oracles; the oracles stay dumb on purpose.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import random
+import sqlite3
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -281,7 +282,7 @@ def oracle_sql(q: HofQuery) -> str:
     entity = _ref(q.entity_attr)
     return (
         f"SELECT {entity}, {agg} FROM {from_clause}{where} "
-        f"GROUP BY {entity} ORDER BY {agg} {order} LIMIT {q.k}"
+        f"GROUP BY {entity} ORDER BY {agg} {order}, {entity} ASC LIMIT {q.k}"
     )
 
 
@@ -391,6 +392,56 @@ def oracle_path_rankings(tables: dict[str, list[dict]], queries) -> dict[str, li
             joins[key] = oracle_path_join(tables, q.join_path, set(q.relations()))
         out[q.id] = _oracle_ranking(joins[key], q)
     return out
+
+
+class _ExactSum:
+    """SUM over a group: an int column's exact int sum, a real column's
+    correctly rounded math.fsum."""
+
+    def __init__(self):
+        self.values = []
+
+    def step(self, value):
+        self.values.append(value)
+
+    def finalize(self):
+        if all(isinstance(v, int) for v in self.values):
+            return sum(self.values)
+        return math.fsum(self.values)
+
+
+class _ExactAvg(_ExactSum):
+    """AVG over a group: its exact SUM divided by the row count, rounded once
+    for an int column (int true division rounds correctly)."""
+
+    def finalize(self):
+        return super().finalize() / len(self.values)
+
+
+def oracle_sql_rankings(store, queries) -> dict[str, list[tuple]]:
+    """query id -> the rows its own SQL text (q.sql()) returns when sqlite3
+    runs it on a copy of the store's rows: the query's definition, as the
+    paper states it, evaluated by another engine.
+
+    SQLite 3.40's built-in SUM does not round correctly: 1e16 + 1 + 1 gives
+    1e16, while math.fsum gives 1.0000000000000002e16. So SUM and AVG are
+    replaced with create_aggregate, which overrides the built-ins, by exact
+    aggregates: an int column's exact sum, a real column's math.fsum, and
+    that sum over the row count for AVG. SQLite holds no integer beyond 64
+    bits, so out-of-range values are not for this oracle."""
+    db = sqlite3.connect(":memory:")
+    try:
+        db.create_aggregate("sum", 1, _ExactSum)
+        db.create_aggregate("avg", 1, _ExactAvg)
+        for name, table in store.tables.items():
+            columns = table.meta.column_names()
+            # no declared types, so every value keeps its Python type
+            db.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
+            marks = ", ".join("?" * len(columns))
+            db.executemany(f"INSERT INTO {name} VALUES ({marks})", table.rows)
+        return {q.id: db.execute(q.sql()).fetchall() for q in queries}
+    finally:
+        db.close()
 
 
 def oracle_diff(old: list[tuple], new: list[tuple], k: int) -> list[tuple]:

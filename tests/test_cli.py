@@ -608,7 +608,7 @@ class TestOutOfRangeValues:
                  for d in map(json.loads, logs[0].decode().splitlines())}
         for seq, order, entity, from_rank, to_rank in ties:
             column = order.split()[0]
-            query = f"SELECT games.player, {column} FROM games GROUP BY games.player ORDER BY {order} LIMIT 2"
+            query = f"SELECT games.player, {column} FROM games GROUP BY games.player ORDER BY {order}, games.player ASC LIMIT 2"
             assert (seq, query, entity, from_rank, to_rank) in moves
 
 

@@ -29,9 +29,9 @@ from halloffame import (
     synth_stream,
 )
 from halloffame import detector
-from halloffame.detector import EntityOrder
-from halloffame.store import RankingState, Store, build_ranking
-from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance
+from halloffame.detector import EntityOrder, build_ranking
+from halloffame.store import Store
+from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
 from oracles import (
     make_instance,
     make_updates,
@@ -42,6 +42,7 @@ from oracles import (
     oracle_path_rankings,
     oracle_rank,
     oracle_run,
+    oracle_sql_rankings,
     referenced_columns,
 )
 
@@ -150,31 +151,43 @@ class TestRowFilter:
 
 class TestDiffRankings:
     def test_identical_states(self):
-        state = RankingState((("a", 3), ("b", 2)))
+        state = (("a", 3), ("b", 2))
         assert diff_rankings(state, state, 5) == []
 
     def test_entering_from_outside(self):
-        old = RankingState((("a", 9), ("b", 8)))
-        new = RankingState((("a", 9), ("c", 8)))
+        old = (("a", 9), ("b", 8))
+        new = (("a", 9), ("c", 8))
         assert diff_rankings(old, new, 2) == [("c", 3, 2)]
 
     def test_fig5_before_after(self):
-        old = RankingState((("Bill Gates", 210), ("Warren E. Buffet", 210), ("Amancio O. Gaona", 204)))
-        new = RankingState((("Amancio O. Gaona", 214), ("Bill Gates", 210), ("Warren E. Buffet", 210)))
+        old = (("Bill Gates", 210), ("Warren E. Buffet", 210), ("Amancio O. Gaona", 204))
+        new = (("Amancio O. Gaona", 214), ("Bill Gates", 210), ("Warren E. Buffet", 210))
         assert diff_rankings(old, new, 3) == [("Amancio O. Gaona", 3, 1)]
 
 
 class TestEventsFromKeys:
-    """The delta path derives a rebuilt ranking's events from its entity
-    order's old and new first k keys; only the reference path (filters off)
-    diffs two rankings."""
+    """The delta path derives a changed order's events from its old and new
+    first k keys; only the reference path (filters off) stores and diffs
+    rankings. A filtered engine's ranking of a query is built from its
+    order's keys only when Engine.ranking asks."""
 
-    def replay(self, filters_enabled: bool) -> list:
+    def replay(self, filters_enabled: bool) -> tuple[Engine, list]:
         catalog, store = load_dataset("bloomberg")
         stream = synth_stream(store, catalog, SynthConfig(seed=1))
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=3), store)
         engine = Engine(catalog, store, queries, filters_enabled=filters_enabled)
-        return [(e.seq, e.query_id, e.entity, e.from_rank, e.to_rank) for u in stream for e in engine.detect(u)]
+        return engine, [(e.seq, e.query_id, e.entity, e.from_rank, e.to_rank) for u in stream for e in engine.detect(u)]
+
+    def test_filtered_engine_builds_no_ranking(self, monkeypatch):
+        def forbidden(order):
+            raise AssertionError("the delta path built a ranking")
+
+        monkeypatch.setattr(EntityOrder, "ranking", forbidden)
+        engine, events = self.replay(True)  # start-up and every detect
+        monkeypatch.undo()
+        reference, expected = self.replay(False)
+        assert events == expected
+        assert rankings_of(engine) == rankings_of(reference)
 
     def test_filtered_engine_never_diffs_rankings(self, monkeypatch):
         def forbidden(*args):
@@ -182,7 +195,7 @@ class TestEventsFromKeys:
 
         monkeypatch.setattr(detector, "diff_rankings", forbidden)
         monkeypatch.setattr(Engine, "_replace", forbidden)
-        events = self.replay(True)
+        _, events = self.replay(True)
         assert events
         monkeypatch.undo()
 
@@ -199,7 +212,7 @@ class TestEventsFromKeys:
 
         counting(detector, "diff_rankings")
         counting(Engine, "_replace")
-        assert self.replay(False) == events
+        assert self.replay(False)[1] == events
         assert calls["diff_rankings"] and calls["_replace"]
 
 
@@ -300,7 +313,7 @@ class TestSoundness:
             # cached states must equal a from-scratch evaluation at all times
             if u.seq % 17 == 0:
                 for qid, q in engine.queries.items():
-                    assert list(engine.rankings[qid].entries) == oracle_eval_query(tables, inst, q)
+                    assert list(engine.ranking(qid)) == oracle_eval_query(tables, inst, q)
         want = oracle_run(inst, queries, updates)
         assert got == want, f"trial {trial}"
 
@@ -338,7 +351,7 @@ class TestDeltaSoundness:
             oracle_apply(tables, u)
             for qid, q in engine.queries.items():
                 want = oracle_eval_query(tables, edges_inst, q)
-                assert list(engine.rankings[qid].entries) == want, (u.seq, qid)
+                assert list(engine.ranking(qid)) == want, (u.seq, qid)
 
     def test_two_table_structural_writes(self):
         rng = random.Random(21)
@@ -543,12 +556,12 @@ class TestMaintainedOrder:
                     seen["entities"] |= set(totals)
                     for qid in qids:
                         q = engine.queries[qid]
-                        got = engine.rankings[qid]
+                        got = engine.ranking(qid)
                         c = q.criterion
                         full_sort = build_ranking(totals, fam.counts[inst], c.aggregation, c.direction, q.k)
                         assert got == full_sort, (u.seq, qid)
-                        assert list(got.entries) == self.oracle_top(exact, q), (u.seq, qid)
-                        values = [v for _, v in got.entries]
+                        assert list(got) == self.oracle_top(exact, q), (u.seq, qid)
+                        values = [v for _, v in got]
                         seen["tie"] += len(set(values)) < len(values)
         assert seen["tie"] and seen["rebuilt"] and seen["skipped"]
         assert "p9" in seen["entities"] and any(e.startswith("n") for e in seen["entities"])  # new entities
@@ -574,7 +587,7 @@ class TestRefill:
         refilled = []
         for seq in range(1, 61):
             # the leader's rows drop to the bottom, and with them its rating
-            top = engine.rankings[leader].entries[0][0]
+            top = engine.ranking(leader)[0][0]
             u = UpdateRecord(seq, "update", "games", {"pts": 0, "rating": 0.1}, {"player": top})
             engine.detect(u)
             oracle_apply(tables, u)
@@ -582,7 +595,7 @@ class TestRefill:
             assert_best_keys(engine)
             exact = {"games": [{**r, "rating": Fraction(r["rating"])} for r in tables["games"]]}
             for qid, q in engine.queries.items():
-                assert list(engine.rankings[qid].entries) == TestMaintainedOrder().oracle_top(exact, q), (seq, qid)
+                assert list(engine.ranking(qid)) == TestMaintainedOrder().oracle_top(exact, q), (seq, qid)
         # with k = 2 the leader's order holds 4 keys and loses one per update
         assert sum(refilled) >= 60 // 3 and refilled.count(0) > 0
 
@@ -636,7 +649,7 @@ class TestEntityOrderUpdate:
             else:
                 assert top == held
             events = order.improvements(top) if top is not None else []
-            assert events == oracle_diff(list(before.entries), list(after.entries), k)
+            assert events == oracle_diff(list(before), list(after), k)
             before = after
 
 
@@ -765,7 +778,7 @@ class TestSingleExtension:
             rebuilt += engine.last_stats.rebuilt
             oracle_apply(tables, u)
             for qid, q in engine.queries.items():
-                assert list(engine.rankings[qid].entries) == oracle_eval_query(tables, PLAYS_EDGES, q), (u.seq, qid)
+                assert list(engine.ranking(qid)) == oracle_eval_query(tables, PLAYS_EDGES, q), (u.seq, qid)
         assert written_once and rebuilt  # both kinds of extension ran and rankings moved
 
 
@@ -795,7 +808,7 @@ class TestNetZero:
 
     def assert_fresh(self, catalog, store, queries, engine):
         fresh = Engine(catalog, self.store_of(catalog, store.table("games").rows), queries)
-        assert engine.rankings == fresh.rankings
+        assert rankings_of(engine) == rankings_of(fresh)
         # nothing changed, so every order is still the one start-up filled
         assert {qid: (o.keys, o.bound) for qid, o in engine.orders.items()} == {
             qid: (o.keys, o.bound) for qid, o in fresh.orders.items()
@@ -863,7 +876,7 @@ class TestMergedFamily:
         catalog, store, queries, engine = self.setup()
         others = {q.id for q in queries if q.criterion.column.column != column}
         held = {qid: (list(engine.orders[qid].keys), engine.orders[qid].bound) for qid in others}
-        rankings = {qid: engine.rankings[qid] for qid in others}
+        keys = {qid: engine.orders[qid].keys for qid in others}
         moved = []
         update = EntityOrder.update
 
@@ -876,13 +889,13 @@ class TestMergedFamily:
         assert moved and not set(moved) & others
         assert len(moved) == len(set(moved))  # each order is updated once
         assert {qid: (engine.orders[qid].keys, engine.orders[qid].bound) for qid in others} == held
-        assert all(engine.rankings[qid] is rankings[qid] for qid in others)  # none rebuilt
+        assert all(engine.orders[qid].keys is keys[qid] for qid in others)  # none re-sorted
         stats = engine.last_stats
         assert stats.column_candidates == len(queries) - len(others)
         assert 0 < stats.rebuilt <= stats.row_candidates <= len(queries) - len(others)
         assert_best_keys(engine)
         fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
-        assert engine.rankings == fresh.rankings
+        assert rankings_of(engine) == rankings_of(fresh)
 
     @pytest.mark.parametrize(
         "kind, set_values, where, calls",
@@ -908,7 +921,7 @@ class TestMergedFamily:
         assert len(extended) == calls and all(len(rows) == 1 for rows in extended)
         assert engine.last_stats.column_candidates == len(queries)
         fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
-        assert engine.rankings == fresh.rankings
+        assert rankings_of(engine) == rankings_of(fresh)
         assert_best_keys(engine)
 
 
@@ -1162,7 +1175,7 @@ class TestFanoutCache:
             oracle_apply(tables, u)
             expected = oracle_path_rankings(tables, engine.queries.values())
             for qid in engine.queries:
-                assert list(engine.rankings[qid].entries) == expected[qid], (u, qid)
+                assert list(engine.ranking(qid)) == expected[qid], (u, qid)
             return engine.last_stats.reused
 
         def criterion_writes():
@@ -1199,3 +1212,85 @@ class TestFanoutCache:
                     assert inst is own[inst], (fam.id, inst)
                     held += inst != ()
         assert held > 20
+
+
+class TestSqlDefinesRanking:
+    """Every query's own SQL text, run by sqlite3 on the store's rows
+    (oracle_sql_rankings), returns exactly the engine's top-K: the same
+    entities, order and values, ties included."""
+
+    @staticmethod
+    def assert_sql_agrees(store, *engines) -> int:
+        """Check every engine's rankings against their SQL; returns how many
+        of them hold two equal values."""
+        ties = 0
+        for engine in engines:
+            expected = oracle_sql_rankings(store, engine.queries.values())
+            for qid, q in engine.queries.items():
+                got = list(engine.ranking(qid))
+                assert got == expected[qid], (qid, q.sql())
+                values = [v for _, v in got]
+                ties += len(set(values)) < len(values)
+        return ties
+
+    def test_random_instances(self):
+        rng = random.Random(909)
+        ties = 0
+        for trial in range(6):
+            inst = make_instance(
+                rng,
+                n_rows=rng.randrange(40, 200),
+                n_entities=rng.randrange(5, 25),
+                two_tables=trial % 2 == 1,
+                with_user_atom=trial % 3 == 0,
+                real_c2=trial == 4,
+                value_range=rng.choice((5, 500)),  # small values tie often
+            )
+            catalog, store = load_instance(inst)
+            queries = generate_queries(catalog, GeneratorConfig(k=rng.randrange(2, 5), c_num=2, j_num=1), store)
+            assert queries, trial
+            engines = [Engine(catalog, store, queries, filters_enabled=f) for f in (True, False)]
+            ties += self.assert_sql_agrees(store, *engines)
+        assert ties
+
+    @pytest.mark.parametrize("amounts", [False, True])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bloomberg(self, amounts, k):
+        text = (DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8")
+        if amounts:
+            text = text.replace("ranking_criteria:\n", "ranking_criteria:\n" + TestFamilyScan.AMOUNT_CRITERIA)
+        catalog, store = load_dataset("bloomberg", text)
+        queries = generate_queries(catalog, GeneratorConfig(k=k, c_num=2, j_num=3), store)
+        assert any(len(q.join_path) == 3 for q in queries)
+        engine = Engine(catalog, store, queries)
+        self.assert_sql_agrees(store, engine)
+        # half the synthesized stream leaves every criterion value mid-way
+        stream = synth_stream(store, catalog, SynthConfig(seed=1))
+        for u in stream[: len(stream) // 2]:
+            engine.detect(u)
+        self.assert_sql_agrees(store, engine)
+
+    def test_final_state_of_a_structural_stream(self):
+        rng = random.Random(31)
+        inst = make_instance(rng, n_rows=150, n_entities=12, two_tables=True, with_user_atom=True, value_range=20)
+        catalog, store = load_instance(inst)
+        queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=2, j_num=1), store)
+        engine = Engine(catalog, store, queries)
+        for u in make_updates(rng, inst, 300, value_range=20):
+            engine.detect(u)
+        assert self.assert_sql_agrees(store, engine)
+
+    def test_real_criterion(self):
+        # rating sums and averages are rarely exact floats: the SQL's SUM and
+        # AVG must round the way the engine ranks them
+        rng = random.Random(62)
+        catalog = load_catalog(GAMES_CATALOG)
+        rows = [
+            [gid, f"p{rng.randrange(8)}", rng.choice(("red", "blue")), rng.randint(0, 4), rng.choice(RATINGS)]
+            for gid in range(30)
+        ]
+        store = TestNetZero.store_of(catalog, rows)
+        engine = Engine(catalog, store, load_queries(TestMaintainedOrder().query_catalog(), catalog))
+        for u in TestMaintainedOrder().updates(rng, [r[0] for r in rows]):
+            engine.detect(u)
+        assert self.assert_sql_agrees(store, engine)

@@ -33,7 +33,7 @@ from halloffame import (
     write_update_stream,
 )
 from halloffame.store import CsvLoadError, JoinScan, UpdateError, _coerce_cell, leaf_edge
-from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance
+from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
 from oracles import make_instance, make_updates, oracle_apply, oracle_eval_query, oracle_path_rankings
 
 PLAYS_CONFIG = """
@@ -71,7 +71,7 @@ def plays():
 
 def engine_rankings(catalog, store, queries):
     """The rankings a newly built engine holds: delta, then from scratch."""
-    return [Engine(catalog, store, queries, filters_enabled=f).rankings for f in (True, False)]
+    return [rankings_of(Engine(catalog, store, queries, filters_enabled=f)) for f in (True, False)]
 
 
 def snapshot(store, engine):
@@ -90,7 +90,7 @@ def snapshot(store, engine):
         for fam in engine.families
     ]
     orders = {qid: (list(o.keys), o.bound) for qid, o in engine.orders.items()}
-    return tables, dict(engine.rankings), families, orders
+    return tables, rankings_of(engine), families, orders
 
 
 def reloaded(store):
@@ -334,7 +334,7 @@ class TestApplyUpdate:
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=0), store)
         engine = Engine(catalog, store, queries)
         before = snapshot(store, engine)
-        assert engine.rankings
+        assert rankings_of(engine)
         collisions = [
             UpdateRecord(1, "update", "plays", {"pid": 3}, {"pid": 1}),  # onto an existing key
             UpdateRecord(2, "update", "plays", {"pid": 9}, {"team": "Phoenix"}),  # three rows onto one key
@@ -396,7 +396,7 @@ class TestApplyUpdate:
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=2), store)
         engine = Engine(catalog, store, queries)
         before = snapshot(store, engine)
-        assert engine.rankings
+        assert rankings_of(engine)
         for value in ("8", None, True, 8.5):
             u = UpdateRecord(1, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": value})
             with pytest.raises(UpdateError, match="update 1, where column s_companyid: expected integer"):
@@ -419,7 +419,7 @@ class TestEvaluateHof:
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=0, j_num=3), store)
         target = next(q for q in queries if str(q.entity_attr) == "person.p_name")
         for rankings in engine_rankings(catalog, store, queries):
-            assert set(rankings[target.id].entries) == {
+            assert set(rankings[target.id]) == {
                 ("Bill Gates", 210),
                 ("Warren E. Buffet", 210),
                 ("Amancio O. Gaona", 204),
@@ -432,7 +432,7 @@ class TestEvaluateHof:
         big = dataclasses.replace(target, k=100)
         for rankings in engine_rankings(catalog, store, [big]):
             # sums: Phoenix 90, San Antonio Spurs 40, Boston 20
-            assert [e for e, _ in rankings[big.id].entries] == ["Phoenix", "San Antonio Spurs", "Boston"]
+            assert [e for e, _ in rankings[big.id]] == ["Phoenix", "San Antonio Spurs", "Boston"]
 
     def test_three_row_toy_matches_brute_force(self):
         rng = random.Random(0)
@@ -441,7 +441,7 @@ class TestEvaluateHof:
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=0, j_num=0), store)
         for rankings in engine_rankings(catalog, store, queries):
             for q in queries:
-                assert list(rankings[q.id].entries) == oracle_eval_query(inst.tables, inst, q)
+                assert list(rankings[q.id]) == oracle_eval_query(inst.tables, inst, q)
 
     def test_random_instances_match_brute_force(self):
         rng = random.Random(202)
@@ -459,9 +459,9 @@ class TestEvaluateHof:
             for rankings in engine_rankings(catalog, store, queries):
                 for q in queries:
                     got = rankings[q.id]
-                    assert list(got.entries) == oracle_eval_query(inst.tables, inst, q)
+                    assert list(got) == oracle_eval_query(inst.tables, inst, q)
                     assert len(got) <= q.k
-                    assert len({e for e, _ in got.entries}) == len(got)
+                    assert len({e for e, _ in got}) == len(got)
 
 
 class TestSelectivityAndCounts:
@@ -888,7 +888,7 @@ class StoreEngineModel(RuleBasedStateMachine):
     def rankings_match_oracle(self):
         expected = self.oracle_rankings()
         for q in self.engine.queries.values():
-            assert list(self.engine.rankings[q.id].entries) == expected[q.id], q.sql()
+            assert list(self.engine.ranking(q.id)) == expected[q.id], q.sql()
 
 
 class EngineModel(StoreEngineModel):

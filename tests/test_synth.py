@@ -81,14 +81,6 @@ class TestSynthStream:
             for v in values[:-1]:
                 assert 0.0 < v < 2.0 * final
 
-    def test_avg_literal_flag(self):
-        catalog, store = real_store()
-        stream = synth_stream(store, catalog, SynthConfig(seed=5, avg_literal=True))
-        for key, values in by_tuple(stream, "ratio").items():
-            final = values[-1]
-            for v in values[:-1]:
-                assert -final < v < final  # g in (-1, 1) times final
-
     def test_seeded_determinism(self, bloomberg):
         catalog, store = bloomberg
         a = write_update_stream(synth_stream(store, catalog, SynthConfig(seed=9)))
