@@ -275,7 +275,7 @@ def run(
     click.echo(f"start-up rows          {startup_rows}")
     click.echo(f"mean column candidates {mean('column_candidates'):.2f}")
     click.echo(f"mean row candidates    {mean('row_candidates'):.2f}")
-    click.echo(f"mean rebuilt rankings  {mean('rebuilt'):.2f}")
+    click.echo(f"mean reordered top-Ks  {mean('reordered'):.2f}")
     click.echo(f"mean changed rankings  {mean('changed'):.2f}")
     click.echo(f"mean latency ms        {statistics.fmean(latencies) if kept else 0.0:.2f}")
     click.echo(f"median latency ms      {statistics.median(latencies) if kept else 0.0:.2f}")

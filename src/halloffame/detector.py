@@ -25,8 +25,8 @@ is extended once, before it, and each written criterion column's new
 value is read against the contribution's old one; any other is extended
 before and after, and one signed loop subtracts the pre-image
 contributions from their entities' counts and totals and adds the
-post-image ones. Totals of integer columns are exact ints, those of real
-columns exact Fractions, so no order of updates can make them drift.
+post-image ones. Every total is an exact int, a real column's in units of
+2**-1074 (fixed), so no order of updates can make a total drift.
 
 A family with a leaf caches its fan-out: per join value of the leaf, the
 (instance, entity) of every extension of a leaf row holding it, filled on
@@ -65,8 +65,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
@@ -158,7 +157,7 @@ class DetectStats:
     column_candidates: int
     row_candidates: int
     changed: int
-    rebuilt: int  # entity orders whose first k keys changed, so their events were derived
+    reordered: int  # entity orders whose first k keys changed, so their events were derived
     refilled: int  # entity orders that ran short of k keys and sorted their instance again
     extended: int  # base rows extended along a family's join path, once per family and pass
     reused: int  # leaf fan-outs read from a family's cache instead
@@ -166,6 +165,22 @@ class DetectStats:
 
 Contribution = tuple[tuple, Any, tuple, list]  # (instance, entity, row ids of the joined row, exact values)
 Getter = tuple[int, int, list]  # a column: (position in a joined row, column position, table rows)
+
+_SCALE = 1 << 1074  # every finite double is an integer multiple of 2**-1074
+
+
+def fixed(v: float) -> int:
+    """A real value's exact term in a total: v * 2**1074, an int."""
+    n, d = v.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
+
+
+def real_value(total: int) -> float:
+    """The correctly rounded float of a fixed total, -inf or +inf out of range."""
+    try:
+        return total / _SCALE
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 class Family:
@@ -185,7 +200,7 @@ class Family:
         self.shape = frozenset((self.entity, *q.predicate_columns(), *(c for e in self.path for c in e.columns())))
         self.referenced_columns = self.shape | set(self.columns)
         self.real = tuple(catalog.column_type(c) == "real" for c in self.columns)
-        self.exact = tuple(Fraction if r else int for r in self.real)  # criterion value -> its exact term in a total
+        self.exact = tuple(fixed if r else int for r in self.real)  # criterion value -> its exact term in a total
         # the edge to the relation of the criterion columns that scan sums
         # per join value before the join, or None
         self.leaf = leaf_edge(self.path, self.columns, (self.entity, *q.predicate_columns()))
@@ -258,16 +273,13 @@ class Family:
 
         return contributions
 
-    def scan(self, store: Store, exact: bool) -> Iterator[tuple[tuple, dict[Any, int], list[dict[Any, Any]]]]:
-        """(instance, entity -> joined rows, per column: entity -> criterion
+    def scan(self, store: Store) -> Iterator[tuple[tuple, dict[Any, int], list[dict[Any, int]]]]:
+        """(instance, entity -> joined rows, per column: entity -> exact int
         total) of every member instance, from one zip loop over a JoinScan
         (the leaf summed per join value); an instance without rows gets empty
-        dicts. A real column's totals are the correctly rounded math.fsum of
-        its values, -inf or +inf out of range, or with exact the Fraction sum."""
+        dicts. A real column's totals are fixed-point (see fixed)."""
         scan = JoinScan(store, self.needed, self.path, self.fixed, self.columns[0].relation if self.leaf else None)
-        # an entity's first term (an int, or a new list of a real column's
-        # values, kept for the final sum) becomes its total
-        streams = [scan.terms(c, real) for c, real in zip(self.columns, self.real)]
+        streams = [scan.terms(c, fixed if real else None) for c, real in zip(self.columns, self.real)]
         weights = scan.weights()
         insts = zip(*map(scan.values, self.binding_cols)) if self.binding_cols else repeat(())
         ents = scan.values(self.entity)
@@ -314,24 +326,14 @@ class Family:
                     for t, v in zip(sums, vs):
                         t[ent] = v
         for inst, (counts, sums) in per_inst.items():
-            for t in compress(sums, self.real):
-                for ent, terms in t.items():
-                    try:
-                        t[ent] = sum(map(Fraction, terms), Fraction()) if exact else math.fsum(terms)
-                    except OverflowError:  # fsum's sum, or only a partial sum, is out of range
-                        total = sum(map(Fraction, terms), Fraction())
-                        try:
-                            t[ent] = float(total)
-                        except OverflowError:
-                            t[ent] = math.inf if total > 0 else -math.inf
             yield inst, counts, sums
 
 
 def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[Any], tuple]:
     """entity -> (value, entity) over live totals t and counts n, where value
     is sign (-1 when descending, else 1) times what build_ranking ranks on:
-    the correctly rounded float of an exact real total, divided by the row
-    count for avg, or -inf or +inf when that float is out of range. Ascending
+    the total, for a real column its real_value, divided by the row count
+    for avg, or -inf or +inf when that is out of the float range. Ascending
     keys then put the best first, ties by ascending entity. Negation commutes
     with correctly rounded division, so negating before dividing gives
     build_ranking's value exactly negated."""
@@ -340,7 +342,7 @@ def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[A
 
     def key(e):
         try:
-            value = sign * float(t[e]) if real else sign * t[e]
+            value = sign * real_value(t[e]) if real else sign * t[e]
             return (value / n[e] if avg else value), e
         except OverflowError:
             return (math.inf if sign * t[e] > 0 else -math.inf), e
@@ -461,7 +463,7 @@ class Engine:
         self._rankings: dict[str, Ranking] = {} if filters_enabled else self._rescan()  # the reference path's
         if filters_enabled:
             for fam in self.families:
-                for inst, counts, totals in fam.scan(store, exact=True):
+                for inst, counts, totals in fam.scan(store):
                     fam.counts[inst], fam.totals[inst] = counts, totals
                     for qids, t, real in zip(fam.members[inst], totals, fam.real):
                         for qid in qids:
@@ -478,11 +480,13 @@ class Engine:
 
     def _rescan(self) -> dict[str, Ranking]:
         """Every ranking from one from-scratch scan per family, each sorted
-        in full by build_ranking."""
+        in full by build_ranking; a real column's totals as real_value."""
         out: dict[str, Ranking] = {}
         for fam in self.families:
-            for inst, counts, totals in fam.scan(self.store, exact=False):
-                for qids, t in zip(fam.members[inst], totals):
+            for inst, counts, totals in fam.scan(self.store):
+                for qids, t, real in zip(fam.members[inst], totals, fam.real):
+                    if real:
+                        t = {e: real_value(total) for e, total in t.items()}
                     for qid in qids:
                         c = self.queries[qid].criterion
                         out[qid] = build_ranking(t, counts, c.aggregation, c.direction, self.queries[qid].k)
@@ -633,7 +637,7 @@ class Engine:
                             entities.add(e)
 
         # row candidates count the queries of every named instance, unchanged ones too
-        candidates = rebuilt = refilled = 0
+        candidates = reordered = refilled = 0
         orders, seq = self.orders, u.seq
         for (fam, inst, j), entities in moved.items():
             counts, per_column = fam.counts[inst], fam.members[inst]
@@ -645,12 +649,12 @@ class Engine:
                     top = order.update(entities, counts)
                     refilled += order.refills - fills
                     if top is not None:
-                        rebuilt += 1
+                        reordered += 1
                         moves = order.improvements(top)
                         events.extend(RankEvent(qid, e, from_rank, to_rank, seq) for e, from_rank, to_rank in moves)
                         # as in _replace: the entity order changed exactly
                         # when something improved or the length changed
                         changed += bool(moves) or len(top) != min(order.k, len(order.keys))
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
-        self.last_stats = DetectStats(column_candidates, candidates, changed, rebuilt, refilled, extended, reused)
+        self.last_stats = DetectStats(column_candidates, candidates, changed, reordered, refilled, extended, reused)
         return events

@@ -558,18 +558,17 @@ class JoinScan:
         """Per row, the rows of the whole join it stands for."""
         return repeat(1) if self.buckets is None else map(len, map(self.buckets.__getitem__, self.values(self.joined)))
 
-    def terms(self, ref: ColumnRef, real: bool) -> Iterator:
+    def terms(self, ref: ColumnRef, exact: Callable[[Any], int] | None) -> Iterator:
         """Per row, ref's value, or for a column of the leaf the sum of its
-        values over the rows the row stands for; for a real column a new list
-        of the values instead, so that their final sum rounds once."""
+        values over the rows the row stands for; with exact, each value is
+        first mapped to the int it adds to an exact sum."""
         if ref.relation != self.leaf:
-            return map(list, zip(self.values(ref))) if real else self.values(ref)
+            return map(exact, self.values(ref)) if exact else self.values(ref)
         table = self.store.table(ref.relation)
         cell = operator.itemgetter(table.col_pos[ref.column])
-        add = list if real else sum
+        add = (lambda values: sum(map(exact, values))) if exact else sum
         group = {v: add(map(cell, map(table.rows.__getitem__, ids))) for v, ids in self.buckets.items()}
-        terms = map(group.__getitem__, self.values(self.joined))
-        return map(list, terms) if real else terms
+        return map(group.__getitem__, self.values(self.joined))
 
     def counts(self, columns: Sequence[ColumnRef]) -> dict[tuple, int]:
         """Rows of the whole join per distinct projection of columns, in no

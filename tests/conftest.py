@@ -49,10 +49,12 @@ def assert_best_keys(engine) -> None:
     """Every entity order of a filtered engine holds exactly the first keys
     of a from-scratch sort of its instance: at least min(k, entities) and at
     most 2k of them, every key it does not hold above its bound, and no
-    bound only when it holds every entity."""
+    bound only when it holds every entity. Every total is an exact int, a
+    real column's in units of 2**-1074."""
     for fam in engine.families:
         for inst, per_column in fam.members.items():
             counts = fam.counts[inst]
+            assert all(type(v) is int for t in fam.totals[inst] for v in t.values()), (fam.id, inst)
             for qids in per_column:
                 for qid in qids:
                     order = engine.orders[qid]

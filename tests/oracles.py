@@ -15,6 +15,7 @@ import random
 import sqlite3
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from halloffame import ColumnRef, Delta, HofQuery, UpdateRecord
 
@@ -381,6 +382,29 @@ def oracle_eval_query(tables: dict[str, list[dict]], inst: Instance, q: HofQuery
     return _oracle_ranking(oracle_join(tables, inst.edges, set(q.relations())), q)
 
 
+def oracle_round(total: Fraction) -> float:
+    """The correctly rounded float of an exact sum, -inf or +inf out of range."""
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def oracle_eval_real_query(tables: dict[str, list[dict]], inst: Instance, q: HofQuery) -> list[tuple]:
+    """oracle_eval_query for a real criterion, ranked the way the engine
+    ranks one: each entity's values summed exactly as Fractions, rounded
+    once (oracle_round), and for avg that float divided by the row count."""
+    atoms = [_atom_of(a) for a in q.predicate]
+    entity, crit = q.entity_attr, q.criterion.column
+    values: dict = {}
+    for jr in oracle_join(tables, inst.edges, set(q.relations())):
+        if all(oracle_check_atom(jr, a) for a in atoms):
+            values.setdefault(jr[entity.relation][entity.column], []).append(Fraction(jr[crit.relation][crit.column]))
+    avg = q.criterion.aggregation == "avg"
+    groups = {e: oracle_round(sum(vs)) / (len(vs) if avg else 1) for e, vs in values.items()}
+    return oracle_rank(groups, q.criterion.direction, q.k)
+
+
 def oracle_path_rankings(tables: dict[str, list[dict]], queries) -> dict[str, list[tuple]]:
     """query id -> its ranking over its own join path (oracle_path_join);
     each distinct (path, relations) is joined once."""
@@ -396,7 +420,8 @@ def oracle_path_rankings(tables: dict[str, list[dict]], queries) -> dict[str, li
 
 class _ExactSum:
     """SUM over a group: an int column's exact int sum, a real column's
-    correctly rounded math.fsum."""
+    correctly rounded math.fsum, or where a partial sum or the sum leaves
+    the float range the Fraction sum, rounded once (oracle_round)."""
 
     def __init__(self):
         self.values = []
@@ -407,7 +432,10 @@ class _ExactSum:
     def finalize(self):
         if all(isinstance(v, int) for v in self.values):
             return sum(self.values)
-        return math.fsum(self.values)
+        try:
+            return math.fsum(self.values)
+        except OverflowError:
+            return oracle_round(sum(map(Fraction, self.values)))
 
 
 class _ExactAvg(_ExactSum):
@@ -528,12 +556,15 @@ def make_instance(
     criteria: tuple = (("m1", "sum", "descending"), ("m2", "avg", "ascending")),
     value_range: int = 500,
     real_c2: bool = False,
+    real_criteria: bool = False,
 ) -> Instance:
     """One random benchmark instance: a stats table, optionally joined to a
     team table, with categorical attributes and numeric criteria. With
     real_c2 the categorical c2 is a real column whose first two values are
-    0.0 and -0.0."""
+    0.0 and -0.0. With real_criteria m1 and m2 are real columns, each drawn
+    value v stored as v * 0.37 + 0.1, whose sums are rarely exact floats."""
     c2_values = [0.0, -0.0, *(i / 2 for i in range(2, n_c2))] if real_c2 else [f"b{i}" for i in range(n_c2)]
+    measure = (lambda v: v * 0.37 + 0.1) if real_criteria else (lambda v: v)
     stats_rows = []
     for sid in range(n_rows):
         row = {
@@ -541,8 +572,8 @@ def make_instance(
             "player": f"p{rng.randrange(n_entities):03d}",
             "c1": f"a{rng.randrange(n_c1)}",
             "c2": c2_values[rng.randrange(n_c2)],
-            "m1": rng.randrange(value_range),
-            "m2": rng.randrange(value_range),
+            "m1": measure(rng.randrange(value_range)),
+            "m2": measure(rng.randrange(value_range)),
         }
         if two_tables:
             row["team_id"] = rng.randrange(n_teams)
@@ -556,8 +587,8 @@ def make_instance(
         "player": "text",
         "c1": "text",
         "c2": "real" if real_c2 else "text",
-        "m1": "integer",
-        "m2": "integer",
+        "m1": "real" if real_criteria else "integer",
+        "m2": "real" if real_criteria else "integer",
         "team_id": "integer",
     }
 

@@ -234,6 +234,26 @@ def test_c07_filter_soundness_end_to_end():
     ok(7, f"20 instances, mean {total_queries / 20:.0f} queries, logs byte-identical")
 
 
+def test_c07_real_criteria():
+    """c07 with real m1 and m2, each stored value v * 0.37 + 0.1 and the
+    synthesized writes fractions of it, so few sums are exact floats: on
+    three instances, one with a join, the filtered event log is
+    byte-identical to the --no-filters log."""
+    rng = random.Random(708)
+    scorer_cfg = ScorerConfig(b=2, k=2, window_updates=1000, groups=4)
+    events = 0
+    for trial in range(3):
+        inst = make_instance(rng, n_rows=120, n_entities=20, n_c1=10, n_c2=8, two_tables=trial == 2, real_criteria=True)
+        catalog, store = load_instance(inst)
+        queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store)
+        stream = synth_stream(store, catalog, SynthConfig(seed=trial))[:200]
+        filtered, plain = (_replay_log(inst, queries, stream, scorer_cfg, f) for f in (True, False))
+        assert filtered.encode() == plain.encode(), f"instance {trial} logs differ"
+        events += len(filtered.splitlines())
+    assert events
+    ok(7, f"3 real-criterion instances, {events} events, logs byte-identical")
+
+
 @pytest.fixture(scope="module")
 def effectiveness_run():
     rng = random.Random(4242)

@@ -272,11 +272,11 @@ class TestRun:
         assert result.exit_code == 0
         rows = [json.loads(line) for line in stats_path.read_text().splitlines()]
         assert len(rows) == 1
-        fields = {"column_candidates", "row_candidates", "rebuilt", "refilled", "changed", "extended", "reused", "latency_ms"}
+        fields = {"column_candidates", "row_candidates", "reordered", "refilled", "changed", "extended", "reused", "latency_ms"}
         assert {"seq", *fields} <= set(rows[0])
-        assert rows[0]["changed"] <= rows[0]["rebuilt"] <= rows[0]["row_candidates"]
-        assert rows[0]["rebuilt"] >= 1  # Gaona's ranking moved
-        assert "mean rebuilt rankings" in result.output
+        assert rows[0]["changed"] <= rows[0]["reordered"] <= rows[0]["row_candidates"]
+        assert rows[0]["reordered"] >= 1  # Gaona's ranking moved
+        assert "mean reordered top-Ks" in result.output
         summary = runner.invoke(main, ["stats", "--stats", str(stats_path)])
         assert summary.exit_code == 0
         assert {line.split()[0] for line in summary.output.splitlines()} == fields
@@ -291,7 +291,7 @@ class TestRun:
         assert result.exit_code == 0, result.output
         (row,) = [json.loads(line) for line in stats_path.read_text().splitlines()]
         n_queries = len(queries.read_text().splitlines())
-        assert row["rebuilt"] == row["row_candidates"] == n_queries
+        assert row["reordered"] == row["row_candidates"] == n_queries
         assert row["refilled"] == 0  # the rescan keeps no orders
         assert row["extended"] == row["reused"] == 0  # nor extends a row or reads a fan-out
 
@@ -617,7 +617,7 @@ GOOD_EVENT = {
     "selectivity": 0.5, "dynamic_raw": 3.0, "dynamic_norm": 0.2, "entropy_bits": 1.0, "chain": [[1, 4, 1]],
 }
 GOOD_STATS = {
-    "seq": 1, "column_candidates": 3, "row_candidates": 1, "rebuilt": 1, "refilled": 0, "changed": 1, "extended": 2,
+    "seq": 1, "column_candidates": 3, "row_candidates": 1, "reordered": 1, "refilled": 0, "changed": 1, "extended": 2,
     "reused": 0, "latency_ms": 0.5,
 }
 

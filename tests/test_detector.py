@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -29,7 +30,7 @@ from halloffame import (
     synth_stream,
 )
 from halloffame import detector
-from halloffame.detector import EntityOrder, build_ranking
+from halloffame.detector import EntityOrder, build_ranking, fixed, real_value
 from halloffame.store import Store
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
 from oracles import (
@@ -41,6 +42,7 @@ from oracles import (
     oracle_path_join,
     oracle_path_rankings,
     oracle_rank,
+    oracle_round,
     oracle_run,
     oracle_sql_rankings,
     referenced_columns,
@@ -539,7 +541,7 @@ class TestMaintainedOrder:
         assert all(len(qids) == len(GAMES_QUERIES) // 2 for per_column in fam.members.values() for qids in per_column)
         columns = ["gid", "player", "team", "pts", "rating"]
         tables = {"games": [dict(zip(columns, r)) for r in rows]}
-        seen = {"tie": 0, "rebuilt": 0, "skipped": 0, "entities": set()}
+        seen = {"tie": 0, "reordered": 0, "skipped": 0, "entities": set()}
         for u in self.updates(rng, [r[0] for r in rows]):
             engine.detect(u)
             oracle_apply(tables, u)
@@ -547,12 +549,12 @@ class TestMaintainedOrder:
             exact = {"games": [{**r, "rating": Fraction(r["rating"])} for r in tables["games"]]}
             assert_best_keys(engine)
             stats = engine.last_stats
-            assert stats.rebuilt <= stats.row_candidates
-            seen["rebuilt"] += stats.rebuilt
-            seen["skipped"] += stats.row_candidates - stats.rebuilt
+            assert stats.reordered <= stats.row_candidates
+            seen["reordered"] += stats.reordered
+            seen["skipped"] += stats.row_candidates - stats.reordered
             for inst, per_column in fam.members.items():
                 for qids, column_totals, real in zip(per_column, fam.totals[inst], fam.real):
-                    totals = {e: float(t) for e, t in column_totals.items()} if real else column_totals
+                    totals = {e: real_value(t) for e, t in column_totals.items()} if real else column_totals
                     seen["entities"] |= set(totals)
                     for qid in qids:
                         q = engine.queries[qid]
@@ -563,7 +565,7 @@ class TestMaintainedOrder:
                         assert list(got) == self.oracle_top(exact, q), (u.seq, qid)
                         values = [v for _, v in got]
                         seen["tie"] += len(set(values)) < len(values)
-        assert seen["tie"] and seen["rebuilt"] and seen["skipped"]
+        assert seen["tie"] and seen["reordered"] and seen["skipped"]
         assert "p9" in seen["entities"] and any(e.startswith("n") for e in seen["entities"])  # new entities
 
 
@@ -770,16 +772,16 @@ class TestSingleExtension:
         engine = Engine(catalog, store, self.queries(catalog))
         tables = {"plays": [dict(zip(columns, r)) for r in rows],
                   "levels": [{"lvl_id": i, "tier": t} for i, t in LEVELS]}
-        written_once = rebuilt = 0
+        written_once = reordered = 0
         for u in self.updates(rng, len(rows)):
             hit = column_filter(u, engine.column_index)
             written_once += bool(hit - column_filter(u, engine.shape_index)) and u.kind == "update"
             engine.detect(u)
-            rebuilt += engine.last_stats.rebuilt
+            reordered += engine.last_stats.reordered
             oracle_apply(tables, u)
             for qid, q in engine.queries.items():
                 assert list(engine.ranking(qid)) == oracle_eval_query(tables, PLAYS_EDGES, q), (u.seq, qid)
-        assert written_once and rebuilt  # both kinds of extension ran and rankings moved
+        assert written_once and reordered  # both kinds of extension ran and rankings moved
 
 
 class TestNetZero:
@@ -834,7 +836,7 @@ class TestNetZero:
         written = {ColumnRef("games", column) for column in set_values}
         red = [q for q in queries if q.id.startswith("red-")]
         assert engine.last_stats.row_candidates == sum(bool(referenced_columns(q) & written) for q in red)
-        assert engine.last_stats.rebuilt == 0
+        assert engine.last_stats.reordered == 0
         self.assert_fresh(catalog, store, queries, engine)
 
 
@@ -892,7 +894,7 @@ class TestMergedFamily:
         assert all(engine.orders[qid].keys is keys[qid] for qid in others)  # none re-sorted
         stats = engine.last_stats
         assert stats.column_candidates == len(queries) - len(others)
-        assert 0 < stats.rebuilt <= stats.row_candidates <= len(queries) - len(others)
+        assert 0 < stats.reordered <= stats.row_candidates <= len(queries) - len(others)
         assert_best_keys(engine)
         fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
         assert rankings_of(engine) == rankings_of(fresh)
@@ -928,11 +930,11 @@ class TestMergedFamily:
 COMPARATORS = {">": operator.gt, "<": operator.lt, "=": operator.eq, "!=": operator.ne, "<=": operator.le, ">=": operator.ge}
 
 
-def reference_scan(store, fam, exact):
+def reference_scan(store, fam):
     """instance -> (entity -> joined rows, per column: entity -> total) for
     every member instance of fam, from oracle_path_join along the family's
-    own join path over the stored rows: real totals are math.fsum of their
-    values, or with exact the Fraction sum."""
+    own join path over the stored rows: real totals are the Fraction sums of
+    their values."""
     tables = {name: [dict(zip(t.meta.column_names(), row)) for row in t.rows] for name, t in store.tables.items()}
 
     def cell(jrow, ref):
@@ -956,9 +958,7 @@ def reference_scan(store, fam, exact):
             per_entity.setdefault(ent, []).append(cell(jrow, c))
 
     def total(values, real):
-        if not real:
-            return sum(values)
-        return sum(map(Fraction, values), Fraction()) if exact else math.fsum(values)
+        return sum(map(Fraction, values), Fraction()) if real else sum(values)
 
     return {
         inst: (counts, [{e: total(v, real) for e, v in per.items()} for per, real in zip(values, fam.real)])
@@ -966,9 +966,55 @@ def reference_scan(store, fam, exact):
     }
 
 
-def typed(totals):
-    """Totals with each value's type, so 2.0 and Fraction(2) differ."""
-    return [{e: (type(v), v) for e, v in t.items()} for t in totals]
+MAX = sys.float_info.max
+# every finite double: subnormals, the largest magnitudes and both zeros included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFixedPoint:
+    """A real total is an int in units of 2**-1074 (detector.fixed), read back
+    as its correctly rounded float (detector.real_value). Fraction is the
+    oracle here only."""
+
+    @given(st.lists(FINITE, max_size=8))
+    @example([5e-324, -5e-324, 2.2250738585072014e-308])  # the smallest subnormal and normal
+    @example([MAX, -MAX, 0.0, -0.0])
+    def test_fixed_is_exact(self, vs):
+        total = sum(map(fixed, vs))
+        assert type(total) is int
+        assert Fraction(total, 2**1074) == sum(map(Fraction, vs), Fraction())
+
+    @given(st.lists(FINITE, max_size=8))
+    @example([MAX, MAX, -MAX])  # a partial sum overflows, the sum does not
+    @example([MAX, MAX * 2**-53])  # rounds up out of range
+    @example([-MAX, -MAX, 1.0])
+    @example([1e16, 1.0, 1.0])  # a float sum left to right stays 1e16
+    @example([0.1, 0.2, -0.3])
+    def test_real_value_rounds_once(self, vs):
+        exact = sum(map(Fraction, vs), Fraction())
+        got = real_value(sum(map(fixed, vs)))
+        assert got == oracle_round(exact)
+        try:
+            assert got == math.fsum(vs)  # a second reference, where its partial sums stay in range
+        except OverflowError:
+            pass
+
+    @given(st.lists(FINITE, min_size=1, max_size=8), st.lists(st.tuples(st.booleans(), FINITE), max_size=12))
+    def test_no_drift(self, vs, writes):
+        # a total kept by adding and subtracting terms equals the sum of the
+        # terms it holds, and an add then a subtract gives the same int back
+        total, held = sum(map(fixed, vs)), list(vs)
+        for add, v in writes:
+            before = total
+            total = total + fixed(v) - fixed(v)
+            assert total == before
+            if add:
+                total += fixed(v)
+                held.append(v)
+            elif held:
+                total -= fixed(held.pop())
+        assert total == sum(map(fixed, held))
+        assert Fraction(total, 2**1074) == sum(map(Fraction, held), Fraction())
 
 
 SH_CO = ("shareholder.s_companyid", "company.c_id")
@@ -991,8 +1037,9 @@ def bloomberg_query(qid, entity, column, aggregation, path, bindings=()) -> dict
 
 
 class TestFamilyScan:
-    """Family.scan against nested loops along each family's own join path,
-    with exact and with fsum totals. A family with a leaf relation (it holds
+    """Family.scan against nested loops along each family's own join path:
+    every total is an int, a real column's its Fraction sum times 2**1074.
+    A family with a leaf relation (it holds
     every criterion column and no entity, binding or fixed-atom column, and
     one path edge touches it) sums the leaf's rows per join value before the
     join; that must change no count and no correctly rounded total."""
@@ -1016,13 +1063,14 @@ user_constraints:
     @staticmethod
     def check(store, families):
         for fam in families:
-            for exact in (True, False):
-                got = list(fam.scan(store, exact))
-                assert len(got) == len(fam.members), fam.id
-                expected = reference_scan(store, fam, exact)
-                assert {inst: (counts, typed(totals)) for inst, counts, totals in got} == {
-                    inst: (counts, typed(totals)) for inst, (counts, totals) in expected.items()
-                }, (fam.id, exact)
+            got = list(fam.scan(store))
+            assert len(got) == len(fam.members), fam.id
+            assert all(type(v) is int for _, _, totals in got for t in totals for v in t.values()), fam.id
+            scales = [2**1074 if real else 1 for real in fam.real]
+            assert {inst: (counts, totals) for inst, counts, totals in got} == {
+                inst: (counts, [{e: v * scale for e, v in t.items()} for t, scale in zip(totals, scales)])
+                for inst, (counts, totals) in reference_scan(store, fam).items()
+            }, fam.id
 
     @staticmethod
     def leaves(families):
@@ -1115,13 +1163,13 @@ user_constraints:
         self.check(store, families)
 
         country = by_query[f"country-{amount}"]
-        [(_, counts, totals)] = country.scan(store, exact=False)
-        # pre-summed per join value, 1e16 + 1.0 rounds to 1e16 and the total stays 1e16
-        assert (counts["Germany"], totals[0]["Germany"]) == (3, 1.0000000000000002e16)
-        [(_, _, totals)] = country.scan(store, exact=True)
-        assert totals[0]["Germany"] == Fraction(10**16 + 2)
+        [(_, counts, totals)] = country.scan(store)
+        # pre-summed per join value in floats, 1e16 + 1.0 would round to 1e16
+        # and the total stay 1e16; the exact total rounds once
+        assert (counts["Germany"], totals[0]["Germany"]) == (3, fixed(1e16) + 2 * fixed(1.0))
+        assert real_value(totals[0]["Germany"]) == 1.0000000000000002e16
         # the leaf's dangling row (company 99) and the companies without shareholders add nothing
-        [(_, counts, _)] = by_query["company"].scan(store, exact=False)
+        [(_, counts, _)] = by_query["company"].scan(store)
         assert sorted(counts) == ["BMW", "Facebook", "Microsoft", "SAP", "Superfast Ferries"]
         assert (counts["SAP"], counts["Microsoft"]) == (2, 2)
         assert 99 not in {row[0] for row in store.table("company").rows}

@@ -34,7 +34,15 @@ from halloffame import (
 )
 from halloffame.store import CsvLoadError, JoinScan, UpdateError, _coerce_cell, leaf_edge
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
-from oracles import make_instance, make_updates, oracle_apply, oracle_eval_query, oracle_path_rankings
+from oracles import (
+    make_instance,
+    make_updates,
+    oracle_apply,
+    oracle_eval_query,
+    oracle_eval_real_query,
+    oracle_path_rankings,
+    oracle_sql_rankings,
+)
 
 PLAYS_CONFIG = """
 relations:
@@ -822,12 +830,12 @@ class TestUpdateStreamIO:
 
 
 @functools.cache
-def model_inputs():
+def model_inputs(real_criteria: bool = False):
     """A two-table instance small enough to check every ranking after every
     step, and the queries generated from it."""
     inst = make_instance(
         random.Random(11), n_rows=30, n_entities=8, n_c1=3, n_c2=3,
-        two_tables=True, n_teams=4, with_user_atom=True, value_range=60,
+        two_tables=True, n_teams=4, with_user_atom=True, value_range=60, real_criteria=real_criteria,
     )
     catalog, store = load_instance(inst)
     return inst, tuple(generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store))
@@ -841,7 +849,8 @@ class StoreEngineModel(RuleBasedStateMachine):
     each table's indices and key index equal ones rebuilt from its rows, the
     rows equal the oracle's (self.tables), every entity order holds its best
     keys and every ranking equals the oracle's (oracle_rankings). A rejected
-    step changes nothing."""
+    step changes nothing. At the end of each example every ranking also
+    equals what its own SQL returns (oracle_sql_rankings)."""
 
     store: Store
     engine: Engine
@@ -884,19 +893,26 @@ class StoreEngineModel(RuleBasedStateMachine):
     def orders_hold_best_keys(self):
         assert_best_keys(self.engine)
 
-    @invariant()
-    def rankings_match_oracle(self):
-        expected = self.oracle_rankings()
+    def assert_rankings(self, expected: dict[str, list[tuple]]) -> None:
         for q in self.engine.queries.values():
             assert list(self.engine.ranking(q.id)) == expected[q.id], q.sql()
+
+    @invariant()
+    def rankings_match_oracle(self):
+        self.assert_rankings(self.oracle_rankings())
+
+    def teardown(self):
+        self.assert_rankings(oracle_sql_rankings(self.store, self.engine.queries.values()))
 
 
 class EngineModel(StoreEngineModel):
     """The two-table instance of model_inputs against oracle_eval_query."""
 
+    real_criteria = False
+
     def __init__(self):
         super().__init__()
-        self.inst, queries = model_inputs()
+        self.inst, queries = model_inputs(self.real_criteria)
         catalog, self.store = load_instance(self.inst)
         self.engine = Engine(catalog, self.store, queries)
         self.tables = {name: [dict(r) for r in rows] for name, rows in self.inst.tables.items()}
@@ -959,6 +975,41 @@ class EngineModel(StoreEngineModel):
 
 EngineModel.TestCase.settings = settings(max_examples=30, stateful_step_count=20, derandomize=True, deadline=None)
 TestEngineModel = EngineModel.TestCase
+
+MAX = sys.float_info.max
+# sums of these are rarely exact floats: 1e16 + 1.0 + 1.0 is not 1e16 in
+# floats, 0.1 + 0.2 - 0.3 is not 0.0, and two of the huge ones leave the range
+REAL = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 1.0, -0.0, 1e16, -1e16, 1e308, -1e308, MAX, 5e-324]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+class RealEngineModel(EngineModel):
+    """EngineModel with m1 and m2 real, also written with real literals and
+    deltas, against oracle_eval_real_query. A delta that would take a value
+    out of the float range must be rejected."""
+
+    real_criteria = True
+
+    def oracle_rankings(self):
+        return {q.id: oracle_eval_real_query(self.tables, self.inst, q) for q in self.engine.queries.values()}
+
+    @rule(i=ROW, col=st.sampled_from(["m1", "m2"]), value=REAL)
+    def real_literal_write(self, i, col, value):
+        self.apply("update", "stats", {col: value}, {"sid": self.sid(i)})
+
+    @rule(c1=st.sampled_from(["a0", "a1", "a2"]), col=st.sampled_from(["m1", "m2"]), amount=REAL)
+    def real_delta_write_to_group(self, c1, col, amount):
+        step = ("update", "stats", {col: Delta(amount)}, {"c1": c1})
+        if all(math.isfinite(row[col] + amount) for row in self.tables["stats"] if row["c1"] == c1):
+            self.apply(*step)
+        else:
+            self.reject(*step)
+
+
+RealEngineModel.TestCase.settings = settings(max_examples=10, stateful_step_count=20, derandomize=True, deadline=None)
+TestRealEngineModel = RealEngineModel.TestCase
 
 
 @functools.cache
