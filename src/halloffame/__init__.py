@@ -22,10 +22,8 @@ from .detector import (
     Engine,
     Family,
     RankEvent,
-    build_column_index,
     build_families,
     build_ranking,
-    column_filter,
     diff_rankings,
 )
 from .generator import (

@@ -12,9 +12,11 @@ rest of the path is joined without it, so each joined row adds its join
 value's row count and totals. The engine builds its state from that scan
 at start-up and, for every update, keeps it current by delta.
 
-Per update the engine runs a column filter (does the update write any
-column a family depends on?), then a row filter: the updated rows are
-extended along each touched family's join path, and every extension that
+Per update the engine filters in two tiers. The column tier is the route
+(Engine._route), memoized per update kind, table and written columns: the
+families whose shape or criterion columns the update writes, and how each
+is extended. The row tier is row_filter: the updated rows are extended
+along each touched family's join path, and every extension that
 satisfies the fixed atoms and lands in a query's instance contributes
 (instance, entity, joined row ids, values): the values are the exact
 terms of every criterion column, read when the contribution is made, so a
@@ -82,31 +84,6 @@ class RankEvent:
     from_rank: int
     to_rank: int
     seq: int
-
-
-ColumnIndex = dict[ColumnRef, set]
-
-
-def build_column_index(items: Iterable, columns: str = "referenced_columns") -> ColumnIndex:
-    """column -> ids of all items (queries or families) whose columns (the
-    attribute named by `columns`) include it."""
-    index: ColumnIndex = {}
-    for item in items:
-        for col in getattr(item, columns):
-            index.setdefault(col, set()).add(item.id)
-    return index
-
-
-def column_filter(u: UpdateRecord, index: ColumnIndex) -> set:
-    """Ids of the items referencing at least one written column.
-
-    Inserts carry the full row in set_values, so every column of the table
-    counts as written.
-    """
-    hit: set = set()
-    for col in u.set_values:
-        hit |= index.get(ColumnRef(u.table, col), set())
-    return hit
 
 
 Ranking = tuple[tuple[Any, Any], ...]  # a top-K: (entity, value) pairs, best first
@@ -198,7 +175,6 @@ class Family:
         # the columns that decide which joined rows exist, pass the fixed
         # atoms and land in which instance and entity
         self.shape = frozenset((self.entity, *q.predicate_columns(), *(c for e in self.path for c in e.columns())))
-        self.referenced_columns = self.shape | set(self.columns)
         self.real = tuple(catalog.column_type(c) == "real" for c in self.columns)
         self.exact = tuple(fixed if r else int for r in self.real)  # criterion value -> its exact term in a total
         # the edge to the relation of the criterion columns that scan sums
@@ -440,10 +416,11 @@ def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[
 
 
 class Engine:
-    """Detection state: queries, their families and filter indexes, and one
-    ranking state per query. With filters on that state is the query's
-    EntityOrder, and a ranking is only built when ranking(qid) asks; with
-    filters off it is the reference path's own stored ranking."""
+    """Detection state: queries, their families, the memoized route of each
+    update shape, and one ranking state per query. With filters on that
+    state is the query's EntityOrder, and a ranking is only built when
+    ranking(qid) asks; with filters off it is the reference path's own
+    stored ranking."""
 
     def __init__(
         self,
@@ -452,13 +429,10 @@ class Engine:
         queries: Iterable[HofQuery],
         filters_enabled: bool = True,
     ):
-        self.catalog = catalog
         self.store = store
         self.queries: dict[str, HofQuery] = {q.id: q for q in queries}
         self.filters_enabled = filters_enabled
         self.families = build_families(self.queries.values(), catalog)
-        self.column_index = build_column_index(self.families)
-        self.shape_index = build_column_index(self.families, "shape")
         self.orders: dict[str, EntityOrder] = {}  # the delta path's ranking state
         self._rankings: dict[str, Ranking] = {} if filters_enabled else self._rescan()  # the reference path's
         if filters_enabled:
@@ -509,33 +483,35 @@ class Engine:
     # -- filtering --------------------------------------------------------
 
     def _route(self, u: UpdateRecord) -> tuple[dict[Family, list], list[tuple], list[Family], list[dict], int]:
-        """(families without a leaf extended once -> (index, position, exact)
-        of their written criterion columns, (family, those columns, position
-        of the leaf's join column) of families with a leaf that read their
-        fan-out cache instead, families extended twice, the fan-out caches
-        of those with a leaf, column candidates: the queries of the written
-        columns of the first two and of every column of the third) for u.
-        They depend only on u's kind, table and written columns, so they are
-        memoized on those."""
+        """The column tier for u: (families without a leaf extended once ->
+        (index, position, exact) of their written criterion columns, (family,
+        those columns, position of the leaf's join column) of families with a
+        leaf that read their fan-out cache instead, families extended twice,
+        the fan-out caches of those with a leaf, column candidates: the
+        queries of the written columns of the first two and of every column
+        of the third). A family is hit when u writes one of its shape or
+        criterion columns, and extended twice when it writes a shape column;
+        every relation a family reads holds one, so an insert that hits a
+        family is extended twice. Memoized on u's kind, table and columns."""
         key = (u.kind, u.table, tuple(u.set_values))
         route = self._routes.get(key)
         if route is None:
-            hit = column_filter(u, self.column_index)
-            # families whose shape the update may change are extended twice,
-            # those it can only revalue once, reading only the written columns
-            reshaped = column_filter(u, self.shape_index) if u.kind == "update" else hit
+            written = {ColumnRef(u.table, c) for c in u.set_values}  # an insert's: the full row
             positions = self.store.table(u.table).col_pos
-            once = {
-                fam: [(j, positions[c.column], exact) for j, (c, exact) in enumerate(zip(fam.columns, fam.exact))
-                      if c.relation == u.table and c.column in u.set_values]
-                for fam in (self.families[i] for i in sorted(hit - reshaped))
-            }
-            twice = [self.families[i] for i in sorted(hit & reshaped)]
-            n = sum(len(per_column[j]) for fam, written in once.items() for per_column in fam.members.values()
-                    for j, *_ in written)
-            n += sum(len(qids) for fam in twice for per_column in fam.members.values() for qids in per_column)
-            # a family's criterion columns are all in its leaf, so u.table is the leaf
-            cached = [(fam, once.pop(fam), positions[fam.leaf_column]) for fam in list(once) if fam.leaf]
+            once, cached, twice, n = {}, [], [], 0
+            for fam in self.families:
+                columns = [(j, positions[c.column], exact) for j, (c, exact) in enumerate(zip(fam.columns, fam.exact))
+                           if c in written]
+                if not written.isdisjoint(fam.shape):
+                    # u may change which joined rows exist and where they land
+                    twice.append(fam)
+                    n += sum(len(qids) for per_column in fam.members.values() for qids in per_column)
+                elif columns:  # u can only revalue them, in its written columns
+                    n += sum(len(per_column[j]) for per_column in fam.members.values() for j, *_ in columns)
+                    if fam.leaf:  # a family's criterion columns are all in its leaf, so u.table is the leaf
+                        cached.append((fam, columns, positions[fam.leaf_column]))
+                    else:
+                        once[fam] = columns
             route = self._routes[key] = (once, cached, twice, [fam.fanout for fam in twice if fam.leaf], n)
         return route
 

@@ -3,10 +3,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from halloffame import SchemaCatalog, Store, load_catalog
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# --hypothesis-profile=ci reports a failing example as found, without
+# shrinking it first: the same tests pass and fail, but a failure is
+# reported in about the time a pass takes, with a larger example
+settings.register_profile("ci", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 
 
 def load_dataset(name: str, catalog_text: str | None = None, csvs: dict[str, str] | None = None) -> tuple[SchemaCatalog, Store]:

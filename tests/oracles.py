@@ -178,10 +178,10 @@ def fixed_atoms(q: HofQuery) -> tuple:
     return tuple(a for a in q.predicate if a.kind != "binding")
 
 
-def referenced_columns(q: HofQuery) -> frozenset[ColumnRef]:
-    """Every column a query's fields name: its entity, criterion, predicate
-    and join path columns."""
-    cols = {q.entity_attr, q.criterion.column}
+def shape_columns(q: HofQuery) -> frozenset[ColumnRef]:
+    """The columns that decide which joined rows a query reads and which
+    entity each lands on: its entity, predicate and join path columns."""
+    cols = {q.entity_attr}
     for a in q.predicate:
         cols.add(a.left)
         if isinstance(a.right, ColumnRef):
@@ -189,6 +189,12 @@ def referenced_columns(q: HofQuery) -> frozenset[ColumnRef]:
     for edge in q.join_path:
         cols.update((edge.src, edge.dst))
     return frozenset(cols)
+
+
+def referenced_columns(q: HofQuery) -> frozenset[ColumnRef]:
+    """Every column a query's fields name: its shape columns and its
+    criterion column."""
+    return shape_columns(q) | {q.criterion.column}
 
 
 def _selectivity(jrows: list[dict], q: HofQuery) -> float:

@@ -19,9 +19,7 @@ from halloffame import (
     GeneratorConfig,
     SynthConfig,
     UpdateRecord,
-    build_column_index,
     build_families,
-    column_filter,
     diff_rankings,
     dump_queries,
     generate_queries,
@@ -46,6 +44,7 @@ from oracles import (
     oracle_run,
     oracle_sql_rankings,
     referenced_columns,
+    shape_columns,
 )
 
 
@@ -60,63 +59,111 @@ def bloomberg_engine(bloomberg):
     return catalog, store, Engine(catalog, store, queries)
 
 
-def queries_of(engine, fids):
-    """Ids of the queries in the given families."""
-    return {qid for fid in fids for per_column in engine.families[fid].members.values() for qids in per_column for qid in qids}
+def route_families(engine, u):
+    """The families the column tier (the route) touches for u, in fid order."""
+    once, cached, twice, *_ = engine._route(u)
+    return sorted([*once, *(fam for fam, *_ in cached), *twice], key=lambda fam: fam.id)
+
+
+def family_queries(fam):
+    """Ids of every query of a family."""
+    return {qid for per_column in fam.members.values() for qids in per_column for qid in qids}
 
 
 def column_candidates(engine, u):
-    """Ids of the queries in the families the column filter picks."""
-    return queries_of(engine, column_filter(u, engine.column_index))
+    """Ids of the queries the route reaches: those of the written columns of
+    the families it extends once, with or without their fan-out cache, and
+    every query of the families it extends twice."""
+    once, cached, twice, *_ = engine._route(u)
+    written = [*once.items(), *((fam, columns) for fam, columns, _ in cached)]
+    reached = {qid for fam, columns in written for per_column in fam.members.values()
+               for j, *_ in columns for qid in per_column[j]}
+    return reached.union(*map(family_queries, twice))
 
 
 def lookup(engine, u, rows):
     """Ids of the queries whose instances the family lookup reaches from the
     given rows of u.table."""
-    families = [engine.families[fid] for fid in column_filter(u, engine.column_index)]
+    families = route_families(engine, u)
     return {qid for fam, inst, *_ in engine.row_filter(u, rows, families) for qids in fam.members[inst] for qid in qids}
 
 
-class TestColumnIndex:
-    def test_queries_indexed_under_their_columns(self):
-        rng = random.Random(6)
-        inst = make_instance(rng, n_rows=60)
-        catalog, store = load_instance(inst)
-        queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=0), store)
-        items = [SimpleNamespace(id=q.id, referenced_columns=referenced_columns(q)) for q in queries]
-        index = build_column_index(items)
-        for q in queries:
-            for col in referenced_columns(q):
-                assert q.id in index[col]
-        # inverse direction: the index holds nothing beyond referenced_columns
-        for col, ids in index.items():
-            for qid in ids:
-                q = next(x for x in queries if x.id == qid)
-                assert col in referenced_columns(q)
+class TestRoute:
+    """The column tier against referenced_columns: an update reaches exactly
+    the queries whose columns it writes. Families whose shape columns it
+    writes, and every family an insert reaches, are extended twice; the
+    rest are extended once, through the fan-out cache when they have a leaf."""
 
-    def test_empty_query_set(self):
-        assert build_column_index([]) == {}
+    @staticmethod
+    def check(engine, u):
+        once, cached, twice, cleared, n = engine._route(u)
+        assert engine._route(u) is engine._routes[u.kind, u.table, tuple(u.set_values)]
+        written = {ColumnRef(u.table, c) for c in u.set_values}
+        reached = column_candidates(engine, u)
+        assert reached == {qid for qid, q in engine.queries.items() if referenced_columns(q) & written}, u
+        assert n == len(reached)
+        assert set().union(*map(family_queries, twice)) == {
+            qid for qid, q in engine.queries.items()
+            if shape_columns(q) & written or u.kind == "insert" and referenced_columns(q) & written
+        }, u
+        for group in (list(once), [fam for fam, *_ in cached], twice):
+            assert [fam.id for fam in group] == sorted({fam.id for fam in group})
+        assert len(route_families(engine, u)) == len(once) + len(cached) + len(twice)
+        assert all(fam.leaf for fam, *_ in cached) and not any(fam.leaf for fam in once)
+        assert cleared == [fam.fanout for fam in twice if fam.leaf]
+        return bool(once), bool(cached), bool(twice)
 
-    def test_criterion_column_always_present(self, bloomberg_engine):
-        _, _, engine = bloomberg_engine
-        s_value = ColumnRef("stockmarket", "s_value")
-        assert queries_of(engine, engine.column_index[s_value]) == set(engine.queries)
+    @staticmethod
+    def engine(name):
+        if name == "two-table":
+            inst = make_instance(random.Random(8), n_rows=90, n_entities=10, two_tables=True, with_user_atom=True)
+            catalog, store = load_instance(inst)
+            return catalog, Engine(catalog, store, generate_queries(catalog, GeneratorConfig(k=3, c_num=2, j_num=1), store))
+        text = (DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8")
+        if name == "bloomberg-amounts":
+            text = text.replace("ranking_criteria:\n", "ranking_criteria:\n" + TestFamilyScan.AMOUNT_CRITERIA)
+        catalog, store = load_dataset("bloomberg", text)
+        return catalog, Engine(catalog, store, generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store))
 
+    @pytest.mark.parametrize("name", ["bloomberg", "bloomberg-amounts", "two-table"])
+    def test_random_update_shapes(self, name):
+        catalog, engine = self.engine(name)
+        rng = random.Random(22)
+        paths = Counter()
+        for _ in range(200):
+            rel = rng.choice(catalog.relations)
+            columns = rel.column_names()
+            kind = rng.choice(("update", "insert"))
+            if kind == "update":
+                columns = rng.sample(columns, rng.randint(1, len(columns)))
+            u = UpdateRecord(1, kind, rel.name, dict.fromkeys(columns, 0), {})
+            paths.update(path for path, taken in zip(("once", "cached", "twice"), self.check(engine, u)) if taken)
+        assert paths["twice"] and paths["once"] + paths["cached"], paths  # both kinds of extension were checked
 
-class TestColumnFilter:
-    def test_unreferenced_column_filtered(self, bloomberg_engine):
+    def test_unreferenced_column_reaches_nothing(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
         u = UpdateRecord(1, "update", "shareholder", {"s_amount": 99}, {"s_personid": 0, "s_companyid": 3})
         assert column_candidates(engine, u) == set()
+        assert route_families(engine, u) == []
+        self.check(engine, u)
 
-    def test_criterion_column_matches_all_its_queries(self, bloomberg_engine):
+    def test_criterion_column_reaches_all_its_queries(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
         assert column_candidates(engine, fig5_update()) == set(engine.queries)
+        self.check(engine, fig5_update())
 
     def test_insert_counts_all_columns(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
         u = UpdateRecord(1, "insert", "stockmarket", {"s_companyid": 9, "s_value": 5}, {})
         assert column_candidates(engine, u) == set(engine.queries)
+        assert engine._route(u)[2] == engine.families
+        self.check(engine, u)
+
+    def test_criterion_column_always_present(self, bloomberg_engine):
+        # every family of the fixture ranks on s_value, so writing it alone reaches them all
+        _, _, engine = bloomberg_engine
+        u = UpdateRecord(1, "update", "stockmarket", {"s_value": 0}, {})
+        assert route_families(engine, u) == engine.families
 
 
 class TestRowFilter:
@@ -774,8 +821,8 @@ class TestSingleExtension:
                   "levels": [{"lvl_id": i, "tier": t} for i, t in LEVELS]}
         written_once = reordered = 0
         for u in self.updates(rng, len(rows)):
-            hit = column_filter(u, engine.column_index)
-            written_once += bool(hit - column_filter(u, engine.shape_index)) and u.kind == "update"
+            once, cached, *_ = engine._route(u)
+            written_once += bool(once or cached)
             engine.detect(u)
             reordered += engine.last_stats.reordered
             oracle_apply(tables, u)
