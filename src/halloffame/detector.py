@@ -30,30 +30,36 @@ contributions from their entities' counts and totals and adds the
 post-image ones. Every total is an exact int, a real column's in units of
 2**-1074 (fixed), so no order of updates can make a total drift.
 
-A family with a leaf caches its fan-out: per join value of the leaf, the
-(instance, entity) of every extension of a leaf row holding it, filled on
+A family with a leaf caches its fan-out: per join value of the leaf, per
+instance reached, the entity of every extension of a leaf row holding it
+(an entity reached through two joined rows is there twice), filled on
 first use from the family's extension of one such row. The leaf holds no
 entity, binding or fixed-atom column and one path edge touches it, so what
 a leaf row reaches depends only on its join value and the shape columns of
 the other relations. A criterion-only write to the leaf therefore looks
 its rows' join values up instead of extending the rows, and adds each
-written column's change, taken once per row, to every cached pair. The
-cache is cleared whenever an update extends the family twice: it writes
-one of the family's shape columns, or inserts into one of its relations.
+written column's change, taken once per row, to every cached entity, as
+often as it is there. The cache is cleared whenever an update extends the
+family twice: it writes one of the family's shape columns, or inserts into
+one of its relations.
 
 Each query keeps the sort keys (value, entity) of its instance's best 2k
 entities, best first (the value build_ranking ranks on, saturated to -inf
-or +inf when its float is out of range), and a bound above which lie the
-keys of all other entities. Per update it re-keys the entities whose count
-or total in its column may have changed. When none of them is held, none
-falls within the bound and the order is not short, nothing changes and no
-list is sorted. Otherwise it keeps the keys within the bound and cuts the
-list back to 2k; only when fewer than k keys remain does it sort the whole
-instance again. When the first k keys changed, the order hands back its old
-first k keys, and every entity that ranks better in the new ones than in
-those becomes an event. These orders are the delta path's only ranking
-state: it stores no ranking, and a query's top-K as (entity, value) pairs
-is built from its order's keys only when a reader asks for it.
+or +inf when its float is out of range), each held entity's key by entity,
+and a bound above which lie the keys of all other entities: the buffer of
+top-k view maintenance (Yi et al., ICDE 2003). Per update it re-keys only
+the entities whose count or total in its column may have changed, and
+pays per entity that moved, not per key held: a held entity whose key
+changed leaves the sorted keys by bisection, a new key within the bound
+enters by insertion, and an entity neither held nor within the bound, or
+held with its key unchanged, costs one key and nothing more. The keys are
+then cut back to 2k, which moves the bound; only when fewer than k keys
+remain of a larger instance does the order sort the whole instance again,
+its only sort after start-up. When the first k keys changed, the order
+hands back its old first k keys, and every entity that ranks better in the
+new ones than in those becomes an event. These orders are the delta path's
+only ranking state: it stores no ranking, and a query's top-K as (entity,
+value) pairs is built from its order's keys only when a reader asks for it.
 
 With filters disabled the engine rescans every family from scratch on
 every update, ranks each instance with build_ranking, stores the ranking
@@ -65,6 +71,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
@@ -180,10 +187,11 @@ class Family:
         # the edge to the relation of the criterion columns that scan sums
         # per join value before the join, or None
         self.leaf = leaf_edge(self.path, self.columns, (self.entity, *q.predicate_columns()))
-        # the leaf's join column, and per join value of it the (instance,
-        # entity) pairs, flat, of every extension of a leaf row holding it
+        # the leaf's join column, and per join value of it, per instance
+        # reached, the entity of every extension of a leaf row holding it:
+        # an entity reached through two joined rows is there twice
         self.leaf_column = self.leaf and self.leaf.endpoint(self.columns[0].relation).column
-        self.fanout: dict[Any, tuple] | None = {} if self.leaf else None
+        self.fanout: dict[Any, tuple[tuple[tuple, tuple], ...]] | None = {} if self.leaf else None
         self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
         slot = {c: j for j, c in enumerate(self.columns)}
         for inst, m in members:
@@ -328,12 +336,13 @@ def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[A
 
 class EntityOrder:
     """The order_key of one query's instance's best 2k entities, best first,
-    and a bound: every entity not held has a key above it; None means every
-    entity is held. The key reads the live totals of the query's column and
-    the family's live counts for the instance. refills counts the updates
-    after which it ran short of k keys and filled itself again."""
+    each held entity's key by entity, and a bound: every entity not held has
+    a key above it; None means every entity is held. The key reads the live
+    totals of the query's column and the family's live counts for the
+    instance. refills counts the updates after which it ran short of k keys
+    and filled itself again."""
 
-    __slots__ = ("keys", "bound", "key", "sign", "k", "refills")
+    __slots__ = ("keys", "held", "bound", "key", "sign", "k", "refills")
 
     def __init__(self, totals: dict, counts: dict, real: bool, q: HofQuery):
         self.sign = -1 if q.criterion.direction == "descending" else 1
@@ -343,39 +352,53 @@ class EntityOrder:
         self.fill(counts)
 
     def fill(self, counts: dict) -> None:
-        """Hold the best 2k keys of all entities in counts."""
+        """Hold the best 2k keys of all entities in counts: the only sort."""
         keys = sorted(map(self.key, counts))
         cap = 2 * self.k
         self.bound = keys[cap - 1] if len(keys) > cap else None
-        self.keys = keys[:cap]
+        del keys[cap:]
+        self.keys = keys
+        self.held = {x[1]: x for x in keys}
 
     def update(self, moved: set, counts: dict) -> list | None:
         """Re-key the moved entities after their count or total changed; one
         no longer in counts leaves. Returns the first k keys held before the
-        update when they changed, else None. When no held entity moved, no
-        re-keyed one falls within the bound and the order holds k keys or
-        every entity, the keys stay as they are and nothing is sorted."""
-        keys, bound, k = self.keys, self.bound, self.k
-        kept = [x for x in keys if x[1] not in moved]
-        key = self.key
-        fresh = [key(e) for e in moved if e in counts]
-        if bound is not None:
-            fresh = [x for x in fresh if x <= bound]
-        held = len(keys)
-        if not fresh and len(kept) == held and (held >= k or len(counts) <= held):
-            return None
-        top = keys[:k]
-        kept += fresh
-        kept.sort()
+        update when they changed, else None. Only the moved entities cost
+        anything: a held one whose key changed leaves the keys by bisection,
+        and a new key within the bound enters by insertion; one neither held
+        nor within the bound, or held with its key unchanged, moves nothing.
+        The keys are then cut back to 2k, and only when fewer than k remain
+        of a larger instance is it sorted again (fill)."""
+        keys, held, bound, key, k = self.keys, self.held, self.bound, self.key, self.k
+        top = None
+        for e in moved:
+            old = held.get(e)
+            new = key(e) if e in counts else None
+            if new is not None and bound is not None and new > bound:
+                new = None  # beyond the bound, among the entities not held
+            if new == old:
+                continue
+            if top is None:
+                top = keys[:k]
+            if old is not None:
+                del keys[bisect_left(keys, old)]
+            if new is None:
+                del held[e]
+            else:
+                insort(keys, new)
+                held[e] = new
         cap = 2 * k
-        if len(kept) > cap:
-            bound = kept[cap - 1]
-            del kept[cap:]
-        self.keys, self.bound = kept, bound
-        if len(kept) < k and len(counts) > len(kept):
+        if len(keys) > cap:
+            self.bound = keys[cap - 1]
+            for _, e in keys[cap:]:
+                del held[e]
+            del keys[cap:]
+        if len(keys) < k and len(counts) > len(keys):
+            if top is None:
+                top = keys[:k]
             self.fill(counts)
             self.refills += 1
-        return top if self.keys[:k] != top else None
+        return top if top is not None and self.keys[:k] != top else None
 
     def improvements(self, top: list) -> list[tuple[Any, int, int]]:
         """(entity, from_rank, to_rank) of every entity that ranks better in
@@ -592,25 +615,29 @@ class Engine:
                     entities.add(e)
         # a leaf row reaches what its join value reaches: look that up, extend
         # the row only on a miss, and add each written column's change once
+        # per joined row, with one moved set and one totals dict per instance
         for fam, columns, leaf in cached:
             fanout, totals = fam.fanout, fam.totals
             for rid in rows:
                 old, new = before[rid], table[rid]
-                pairs = fanout.get(new[leaf])
-                if pairs is None:
-                    contributions = fam.plans[u.table]((rid,))
-                    pairs = fanout[new[leaf]] = tuple([x for inst, e, *_ in contributions for x in (inst, e)])
+                groups = fanout.get(new[leaf])
+                if groups is None:
+                    reached: dict[tuple, list] = {}
+                    for inst, e, *_ in fam.plans[u.table]((rid,)):
+                        reached.setdefault(inst, []).append(e)
+                    groups = fanout[new[leaf]] = tuple([(inst, tuple(es)) for inst, es in reached.items()])
                     extended += 1
                 else:
                     reused += 1
                 for j, p, exact in columns:
-                    change = exact(new[p]) - exact(old[p]) if new[p] != old[p] else None
-                    it = iter(pairs)
-                    for inst, e in zip(it, it):
-                        entities = moved[fam, inst, j]
-                        if change is not None:
-                            totals[inst][j][e] += change
-                            entities.add(e)
+                    change = exact(new[p]) - exact(old[p]) if new[p] != old[p] else 0
+                    for inst, entities in groups:
+                        slot = moved[fam, inst, j]
+                        if change:
+                            t = totals[inst][j]
+                            for e in entities:
+                                t[e] += change
+                            slot.update(entities)
 
         # row candidates count the queries of every named instance, unchanged ones too
         candidates = reordered = refilled = 0

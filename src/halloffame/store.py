@@ -105,6 +105,7 @@ class Table:
     def __init__(self, meta: RelationMeta, indexed_columns: Iterable[str] = ()):
         self.meta = meta
         self.col_pos = {name: i for i, (name, _) in enumerate(meta.columns)}
+        self.types = dict(meta.columns)  # column -> declared type
         self.rows: list[list] = []
         self.indices: dict[str, dict[Any, set[int]]] = {
             col: {} for col in indexed_columns if col in self.col_pos
@@ -153,25 +154,31 @@ def _coerce_cell(text: str, col_type: str, where: str) -> Any:
         raise CsvLoadError(f"{where}: cannot parse {text!r} as {col_type}") from None
 
 
-def _check_value(value: Any, col_type: str, where: str) -> Any:
+class _BadValue(Exception):
+    """A value that does not fit its column; the caller, which knows where
+    the value was, raises the UpdateError that names it."""
+
+
+def _check_value(value: Any, col_type: str) -> Any:
+    """value as a col_type column stores it, or _BadValue."""
     if col_type == "text":
         if not isinstance(value, str):
-            raise UpdateError(f"{where}: expected text, got {value!r}")
+            raise _BadValue(f"expected text, got {value!r}")
         return sys.intern(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UpdateError(f"{where}: expected {col_type}, got {value!r}")
+        raise _BadValue(f"expected {col_type}, got {value!r}")
     if col_type == "integer":
         if isinstance(value, float):
             if not value.is_integer():
-                raise UpdateError(f"{where}: expected integer, got {value!r}")
+                raise _BadValue(f"expected integer, got {value!r}")
             return int(value)
         return value
     try:
         value = float(value) + 0.0  # -0.0 is stored as 0.0, as load_table stores it
     except OverflowError:  # an int beyond the float range
-        raise UpdateError(f"{where}: integer out of the real range") from None
+        raise _BadValue("integer out of the real range") from None
     if not math.isfinite(value):
-        raise UpdateError(f"{where}: non-finite value {value!r}")
+        raise _BadValue(f"non-finite value {value!r}")
     return value
 
 
@@ -326,12 +333,15 @@ class Store:
         if u.kind != "update":
             return []
         table = self.table(u.table)
-        pos = table.col_pos
+        pos, types = table.col_pos, table.types
         where = {}
         for col, value in u.where.items():
             if col not in pos:
                 raise UpdateError(f"update {u.seq}: unknown column {u.table}.{col}")
-            where[col] = _check_value(value, table.meta.column_type(col), f"update {u.seq}, where column {col}")
+            try:
+                where[col] = _check_value(value, types[col])
+            except _BadValue as exc:
+                raise UpdateError(f"update {u.seq}, where column {col}: {exc}") from None
         if table.meta.key_columns and set(where) >= set(table.meta.key_columns):
             key = tuple(where[c] for c in table.meta.key_columns)
             rid = table.key_index.get(key)
@@ -354,11 +364,10 @@ class Store:
         rows are not matched twice.
         """
         table = self.table(u.table)
-        pos = table.col_pos
+        pos, types = table.col_pos, table.types
         for col in u.set_values:
             if col not in pos:
                 raise UpdateError(f"update {u.seq}: unknown column {u.table}.{col}")
-        types = dict(table.meta.columns)
 
         if u.kind == "insert":
             declared = set(table.col_pos)
@@ -372,7 +381,10 @@ class Store:
             for col, value in u.set_values.items():
                 if isinstance(value, Delta):
                     raise UpdateError(f"insert {u.seq}: delta values are not allowed in inserts")
-                row[pos[col]] = _check_value(value, types[col], f"insert {u.seq}, column {col}")
+                try:
+                    row[pos[col]] = _check_value(value, types[col])
+                except _BadValue as exc:
+                    raise UpdateError(f"insert {u.seq}, column {col}: {exc}") from None
             if table.meta.key_columns:
                 key = table._key_of(row)
                 if key in table.key_index:
@@ -388,21 +400,23 @@ class Store:
             ids = self.match_rows(u)
         # validate every new value first so a bad update mutates nothing
         pending: list[tuple[int, str, Any]] = []
-        for rid in ids:
-            row = table.rows[rid]
-            for col, value in u.set_values.items():
-                where = f"update {u.seq}, column {col}"
-                if isinstance(value, Delta):
-                    if types[col] == "text":
-                        raise UpdateError(f"{where}: delta on text column")
-                    try:
-                        new = row[pos[col]] + value.amount
-                    except OverflowError:  # a float plus an int beyond the float range
-                        raise UpdateError(f"{where}: delta out of the real range") from None
-                    new = _check_value(new, types[col], where)
-                else:
-                    new = _check_value(value, types[col], where)
-                pending.append((rid, col, new))
+        try:
+            for rid in ids:
+                row = table.rows[rid]
+                for col, value in u.set_values.items():
+                    if isinstance(value, Delta):
+                        if types[col] == "text":
+                            raise _BadValue("delta on text column")
+                        try:
+                            new = row[pos[col]] + value.amount
+                        except OverflowError:  # a float plus an int beyond the float range
+                            raise _BadValue("delta out of the real range") from None
+                        new = _check_value(new, types[col])
+                    else:
+                        new = _check_value(value, types[col])
+                    pending.append((rid, col, new))
+        except _BadValue as exc:
+            raise UpdateError(f"update {u.seq}, column {col}: {exc}") from None
         if set(table.meta.key_columns) & set(u.set_values):
             new_keys = self._check_keys(table, u, pending)
             for rid in ids:
@@ -606,9 +620,11 @@ def update_to_json(u: UpdateRecord) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _expect(ok: bool, what: str, value: Any) -> None:
+def _expect(ok: bool, what: str, value: Any, col: str = "") -> None:
+    """Raise a StoreError for a field that is not ok; what may name the
+    column as {col!r}, filled in only then."""
     if not ok:
-        raise StoreError(f"{what}, got {value!r}")
+        raise StoreError(f"{what.format(col=col)}, got {value!r}")
 
 
 def update_from_json(line: str) -> UpdateRecord:
@@ -623,14 +639,14 @@ def update_from_json(line: str) -> UpdateRecord:
     _expect(isinstance(set_doc, dict), "set must be an object", set_doc)
     _expect(isinstance(where, dict), "where must be an object", where)
     for col, v in where.items():
-        _expect(not isinstance(v, (dict, list)), f"where value for column {col!r} must be a scalar", v)
+        _expect(not isinstance(v, (dict, list)), "where value for column {col!r} must be a scalar", v, col)
     set_values = {}
     for col, v in set_doc.items():
         if isinstance(v, dict):
-            _expect(set(v) == {"delta"}, f"bad set value for column {col!r}", v)
+            _expect(set(v) == {"delta"}, "bad set value for column {col!r}", v, col)
             amount = v["delta"]
             number = isinstance(amount, (int, float)) and not isinstance(amount, bool)
-            _expect(number, f"delta for column {col!r} must be a number", amount)
+            _expect(number, "delta for column {col!r} must be a number", amount, col)
             set_values[col] = Delta(amount)
         else:
             set_values[col] = v

@@ -655,7 +655,9 @@ ORDER_VALUES = st.tuples(st.integers(1, 3), st.integers(-20, 20))  # (count, tot
 class TestEntityOrderUpdate:
     """EntityOrder.update against a full sort of the instance after every
     step: it hands back its old first k keys exactly when they changed, and
-    the events derived from them are the oracle's diff of the two rankings."""
+    the events derived from them are the oracle's diff of the two rankings.
+    Its held map stays the keys' own, by entity, and the keys stay sorted
+    with no entity twice."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -676,6 +678,21 @@ class TestEntityOrderUpdate:
         initial={0: (1, 10), 1: (1, 9), 2: (1, 8), 3: (1, 7), 4: (1, 6)},
         steps=[{1: None, 2: None, 3: None, 4: None}, {5: (1, 1)}],
     )
+    # equal values, so the entity decides every bisection and which keys lie
+    # beyond the bound; in each step held entities fall beyond the bound,
+    # others rise within it and others move and stay beyond it; in the
+    # first, a held entity keeps its key and the order overfills, so the
+    # bound moves
+    @example(
+        k=2,
+        aggregation="sum",
+        direction="descending",
+        initial={e: (1, 5) for e in range(8)},
+        steps=[
+            {0: (2, 5), 2: (1, 4), 5: (1, 5), 6: (1, 6), 7: (1, 9)},
+            {1: (1, 4), 3: (1, 7), 4: (1, 5), 0: None, 2: (1, 5)},
+        ],
+    )
     def test_matches_full_sort(self, k, aggregation, direction, initial, steps):
         counts = {e: n for e, (n, _) in initial.items()}
         totals = {e: t for e, (_, t) in initial.items()}
@@ -693,6 +710,8 @@ class TestEntityOrderUpdate:
             top = order.update(set(step), counts)
             after = build_ranking(totals, counts, aggregation, direction, k)
             assert order.ranking() == after
+            assert order.held == {e: x for x in order.keys for e in (x[1],)}
+            assert order.keys == sorted(order.keys) and len(order.held) == len(order.keys)
             if order.keys[:k] == held:
                 assert top is None
             else:
@@ -1289,8 +1308,8 @@ class TestFanoutCache:
         assert reused > 0
 
     def test_cached_pairs_hold_the_member_keys(self):
-        # a cached pair holds the members dict's own instance key, so the
-        # pairs of one instance share one tuple instead of an equal copy each
+        # a fan-out holds the members dict's own instance key, once per
+        # instance reached, instead of an equal copy each
         store, engine = self.setup()
         seq = itertools.count(1)
         for rid, row in enumerate(store.table("stockmarket").rows):
@@ -1301,13 +1320,77 @@ class TestFanoutCache:
         held = 0
         for fam in engine.families:
             own = {inst: inst for inst in fam.members}
-            for pairs in (fam.fanout or {}).values():
-                it = iter(pairs)
-                for inst, _ in zip(it, it):
+            for groups in (fam.fanout or {}).values():
+                assert len({inst for inst, _ in groups}) == len(groups), fam.id
+                for inst, entities in groups:
                     assert inst is own[inst], (fam.id, inst)
+                    assert isinstance(entities, tuple) and entities, (fam.id, inst)
                     held += inst != ()
         assert held > 20
 
+
+    ROSTER_CATALOG = """
+relations:
+  - name: games
+    columns:
+      - {name: gid, type: integer}
+      - {name: player, type: text}
+      - {name: venue, type: text}
+      - {name: team, type: integer}
+    key: [gid]
+  - name: teams
+    columns:
+      - {name: tid, type: integer}
+      - {name: rating, type: integer}
+    key: [tid]
+entity_attrs: [games.player]
+categorical_attrs: [games.venue]
+ranking_criteria:
+  - {column: teams.rating, aggregation: sum, direction: both}
+join_edges:
+  - {from: games.team, to: teams.tid}
+"""
+
+    def test_a_pair_reached_twice_takes_the_change_twice(self):
+        # p1 plays two home games for team 1, so a write to team 1's rating
+        # reaches p1 through two joined rows, at home and over all venues,
+        # and moves p1's sums by twice the change; a fan-out that held each
+        # entity once would add it once, and differ from the reference
+        catalog = load_catalog(self.ROSTER_CATALOG)
+        games = [[0, "p1", "home", 1], [1, "p1", "home", 1], [2, "p2", "home", 1], [3, "p2", "away", 2], [4, "p3", "home", 2]]
+        docs = []
+        for venue in ("home", None):
+            for aggregation, direction in (("sum", "descending"), ("sum", "ascending"), ("avg", "descending")):
+                predicate = [] if venue is None else [
+                    {"kind": "binding", "left": "games.venue", "comparator": "=", "right": venue}]
+                docs.append({
+                    "id": f"{venue}-{aggregation}-{direction}",
+                    "entity": "games.player",
+                    "predicate": predicate,
+                    "criterion": {"column": "teams.rating", "aggregation": aggregation, "direction": direction},
+                    "join_path": [{"from": "games.team", "to": "teams.tid"}],
+                    "k": 1,
+                    "selectivity": 0.5,
+                    "entropy_bits": 1.0,
+                })
+        queries = load_queries("".join(json.dumps(d) + "\n" for d in docs), catalog)
+
+        def engine(filters_enabled):
+            store = Store(catalog)
+            store.load_table("games", "gid,player,venue,team\n" + "".join(",".join(map(str, r)) + "\n" for r in games))
+            store.load_table("teams", "tid,rating\n1,10\n2,24\n")
+            return Engine(catalog, store, queries, filters_enabled=filters_enabled)
+
+        delta, reference = engine(True), engine(False)
+        assert len(delta.families) == 2 and all(fam.leaf for fam in delta.families)
+        writes = [{"rating": 11}, {"rating": Delta(3)}, {"rating": 2}, {"rating": Delta(-4)}, {"rating": 30}]
+        for seq, set_values in enumerate(writes, start=1):
+            u = UpdateRecord(seq, "update", "teams", set_values, {"tid": 1})
+            assert delta.detect(u) == reference.detect(u), u
+            assert rankings_of(delta) == rankings_of(reference), u
+            assert delta.last_stats.reused == (2 if seq > 1 else 0)  # one lookup per family
+        reached = {inst: Counter(entities) for fam in delta.families for inst, entities in fam.fanout[1]}
+        assert reached == {("home",): {"p1": 2, "p2": 1}, (): {"p1": 2, "p2": 1}}
 
 class TestSqlDefinesRanking:
     """Every query's own SQL text, run by sqlite3 on the store's rows
