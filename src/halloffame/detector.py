@@ -47,18 +47,24 @@ Each query keeps the sort keys (value, entity) of its instance's best 2k
 entities, best first (the value build_ranking ranks on, saturated to -inf
 or +inf when its float is out of range), each held entity's key by entity,
 and a bound above which lie the keys of all other entities: the buffer of
-top-k view maintenance (Yi et al., ICDE 2003). Per update it re-keys only
-the entities whose count or total in its column may have changed, and
-pays per entity that moved, not per key held: a held entity whose key
-changed leaves the sorted keys by bisection, a new key within the bound
-enters by insertion, and an entity neither held nor within the bound, or
-held with its key unchanged, costs one key and nothing more. The keys are
-then cut back to 2k, which moves the bound; only when fewer than k keys
-remain of a larger instance does the order sort the whole instance again,
-its only sort after start-up. When the first k keys changed, the order
-hands back its old first k keys, and every entity that ranks better in the
-new ones than in those becomes an event. These orders are the delta path's
-only ranking state: it stores no ranking, and a query's top-K as (entity,
+top-k view maintenance (Yi et al., ICDE 2003). Per update one call of its
+order re-keys only the entities whose count or total in its column may
+have changed, and pays per entity that moved, not per key held: a held
+entity whose key changed leaves the sorted keys by bisection, a new key
+within the bound enters by insertion, and an entity neither held nor
+within the bound, or held with its key unchanged, costs one key and
+nothing more. A key that leaves or enters below position k changes the
+first k keys for good, as no later move can bring the key back or push
+the new one out again, so the order copies its old first k keys at the
+first such move and at no other. The keys are then cut back to 2k, which
+moves the bound; only when fewer than k keys remain of a larger instance
+does the order sort the whole instance again, its only sort after
+start-up, and a refill is the one case where the first k keys are
+compared instead. In the same call every entity that ranks better in the
+new first k keys than in the old ones becomes an event, and the call
+reports whether the first k keys changed, whether the entity order did and
+whether the order refilled. These orders are the delta path's only
+ranking state: it stores no ranking, and a query's top-K as (entity,
 value) pairs is built from its order's keys only when a reader asks for it.
 
 With filters disabled the engine rescans every family from scratch on
@@ -71,7 +77,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
@@ -125,8 +131,8 @@ def build_ranking(totals: Mapping, counts: Mapping[Any, int], aggregation: str, 
 def diff_rankings(old: Ranking, new: Ranking, k: int) -> list[tuple[Any, int, int]]:
     """(entity, from_rank, to_rank) for every strict improvement; entities
     absent from the old ranking improve from rank k + 1. Only the reference
-    path (filters off) diffs rankings; the delta path compares sort keys
-    (EntityOrder.improvements)."""
+    path (filters off) diffs rankings; the delta path derives its events
+    from sort keys (EntityOrder.update)."""
     old_ranks = {entity: rank for rank, (entity, _) in enumerate(old, start=1)}
     out = []
     for rank, (entity, _) in enumerate(new, start=1):
@@ -334,21 +340,23 @@ def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[A
     return key
 
 
+REORDERED, CHANGED, REFILLED = 1, 2, 4  # the bits of EntityOrder.update's result
+
+
 class EntityOrder:
     """The order_key of one query's instance's best 2k entities, best first,
     each held entity's key by entity, and a bound: every entity not held has
     a key above it; None means every entity is held. The key reads the live
     totals of the query's column and the family's live counts for the
-    instance. refills counts the updates after which it ran short of k keys
-    and filled itself again."""
+    instance; the query's id names its events."""
 
-    __slots__ = ("keys", "held", "bound", "key", "sign", "k", "refills")
+    __slots__ = ("keys", "held", "bound", "key", "sign", "k", "qid")
 
     def __init__(self, totals: dict, counts: dict, real: bool, q: HofQuery):
         self.sign = -1 if q.criterion.direction == "descending" else 1
         self.key = order_key(totals, counts, real, q.criterion.aggregation == "avg", self.sign)
         self.k = q.k
-        self.refills = 0
+        self.qid = q.id
         self.fill(counts)
 
     def fill(self, counts: dict) -> None:
@@ -360,17 +368,27 @@ class EntityOrder:
         self.keys = keys
         self.held = {x[1]: x for x in keys}
 
-    def update(self, moved: set, counts: dict) -> list | None:
+    def update(self, moved: set, counts: dict, seq: int, events: list[RankEvent]) -> int:
         """Re-key the moved entities after their count or total changed; one
-        no longer in counts leaves. Returns the first k keys held before the
-        update when they changed, else None. Only the moved entities cost
-        anything: a held one whose key changed leaves the keys by bisection,
-        and a new key within the bound enters by insertion; one neither held
-        nor within the bound, or held with its key unchanged, moves nothing.
-        The keys are then cut back to 2k, and only when fewer than k remain
-        of a larger instance is it sorted again (fill)."""
+        no longer in counts leaves. Appends a RankEvent of update seq for
+        every entity that ranks better in the new first k keys than in the
+        old ones (one absent from them improves from rank k + 1) and returns
+        0 when the first k keys are unchanged, else REORDERED, with CHANGED
+        when the entity order changed too; REFILLED is set when the order ran
+        short of k keys and sorted its instance again.
+
+        Only the moved entities cost anything: a held one whose key changed
+        leaves the keys by bisection, and a new key within the bound enters
+        by insertion; one neither held nor within the bound, or held with
+        its key unchanged, moves nothing. A key that leaves or enters below
+        position k changes the first k keys for good, so the old ones are
+        copied just before the first such move and at no other. The keys are
+        then cut back to 2k, and only when fewer than k remain of a larger
+        instance is it sorted again (fill); the first k keys are then
+        compared, as a new entity beyond a stale bound changes them without
+        moving any key."""
         keys, held, bound, key, k = self.keys, self.held, self.bound, self.key, self.k
-        top = None
+        top = None  # the first k keys before the update, once a move below k changed them
         for e in moved:
             old = held.get(e)
             new = key(e) if e in counts else None
@@ -378,14 +396,18 @@ class EntityOrder:
                 new = None  # beyond the bound, among the entities not held
             if new == old:
                 continue
-            if top is None:
-                top = keys[:k]
             if old is not None:
-                del keys[bisect_left(keys, old)]
+                i = bisect_left(keys, old)
+                if top is None and i < k:
+                    top = keys[:k]
+                del keys[i]
             if new is None:
                 del held[e]
             else:
-                insort(keys, new)
+                i = bisect_left(keys, new)
+                if top is None and i < k:
+                    top = keys[:k]
+                keys.insert(i, new)
                 held[e] = new
         cap = 2 * k
         if len(keys) > cap:
@@ -393,25 +415,28 @@ class EntityOrder:
             for _, e in keys[cap:]:
                 del held[e]
             del keys[cap:]
+        result = 0
         if len(keys) < k and len(counts) > len(keys):
+            result = REFILLED
             if top is None:
                 top = keys[:k]
             self.fill(counts)
-            self.refills += 1
-        return top if top is not None and self.keys[:k] != top else None
-
-    def improvements(self, top: list) -> list[tuple[Any, int, int]]:
-        """(entity, from_rank, to_rank) of every entity that ranks better in
-        the first k keys than in top, the first k keys held before; one
-        absent from top improves from rank k + 1."""
-        k = self.k
+            keys = self.keys
+            if keys[:k] == top:
+                return result
+        elif top is None:
+            return result
         before = {e: rank for rank, (_, e) in enumerate(top, start=1)}
-        out = []
-        for rank, (_, e) in enumerate(self.keys[:k], start=1):
+        qid, n = self.qid, len(events)
+        for rank, (_, e) in enumerate(keys[:k], start=1):
             previous = before.get(e, k + 1)
             if rank < previous:
-                out.append((e, previous, rank))
-        return out
+                events.append(RankEvent(qid, e, previous, rank, seq))
+        # as in Engine._replace: the entity order changed exactly when
+        # something improved or the length changed
+        if len(events) > n or len(top) != min(k, len(keys)):
+            return result | REORDERED | CHANGED
+        return result | REORDERED
 
     def ranking(self) -> Ranking:
         """The top-K with build_ranking's values; multiplying by the sign is
@@ -647,17 +672,11 @@ class Engine:
             for qids in per_column if j is None else (per_column[j],):
                 candidates += len(qids)
                 for qid in qids if entities else ():
-                    order = orders[qid]
-                    fills = order.refills
-                    top = order.update(entities, counts)
-                    refilled += order.refills - fills
-                    if top is not None:
-                        reordered += 1
-                        moves = order.improvements(top)
-                        events.extend(RankEvent(qid, e, from_rank, to_rank, seq) for e, from_rank, to_rank in moves)
-                        # as in _replace: the entity order changed exactly
-                        # when something improved or the length changed
-                        changed += bool(moves) or len(top) != min(order.k, len(order.keys))
+                    result = orders[qid].update(entities, counts, seq, events)
+                    if result:
+                        reordered += result & REORDERED
+                        changed += bool(result & CHANGED)
+                        refilled += bool(result & REFILLED)
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
         self.last_stats = DetectStats(column_candidates, candidates, changed, reordered, refilled, extended, reused)
         return events

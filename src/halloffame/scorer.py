@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Iterable, Mapping, Sequence
 
 
@@ -58,21 +59,27 @@ class ChainStore:
 
     Chains are kept in the order they were last recorded to. Events arrive
     in stream order, so a chain whose newest pair has left the window holds
-    no live state and is dropped from the front. A live chain's pair list
+    no live state and is dropped from the front. Chains are evicted only
+    when the window's horizon moved since the last eviction, once per
+    update: after one, every chain left is newer than the horizon, and so
+    is every chain recorded to until it moves. A live chain's pair list
     grows in place and is rebuilt only when its oldest pair leaves the
     window.
     """
 
     def __init__(self):
         self._chains: OrderedDict[tuple, ImprovementChain] = OrderedDict()
+        self._horizon = None  # the horizon of the last eviction
 
     def record(self, event, window_updates: int) -> ImprovementChain:
         """Append the event's pair to its chain, evicting expired pairs and
         chains."""
         horizon = event.seq - window_updates
         chains = self._chains
-        while chains and next(iter(chains.values())).pairs[-1].seq <= horizon:
-            chains.popitem(last=False)
+        if horizon != self._horizon:
+            self._horizon = horizon
+            while chains and next(iter(chains.values())).pairs[-1].seq <= horizon:
+                chains.popitem(last=False)
         key = (event.query_id, event.entity)
         chain = chains.get(key)
         if chain is None:
@@ -110,7 +117,8 @@ def dynamic_score(pairs: Sequence[ImprovementPair], cfg: ScorerConfig) -> tuple[
     raw = sum of (r - r') for pairs reaching rank r' <= b, plus
     (r - r') / log_b(r') for deeper pairs. Normalization maps the smallest
     noticeable improvement (K+1 -> K) to 0 and the largest (K+1 -> 1) to 1,
-    clamping multi-pair totals that exceed the single-pair bounds.
+    clamping multi-pair totals that exceed the single-pair bounds. The
+    smallest one's raw score, 1 / log_b(K), is computed once per (K, b).
     """
     if not pairs:
         raise ScoringError("dynamic_score needs at least one pair")
@@ -123,10 +131,16 @@ def dynamic_score(pairs: Sequence[ImprovementPair], cfg: ScorerConfig) -> tuple[
             raw += jump
         else:
             raw += jump / math.log(p.to_rank, cfg.b)
-    lo = 1.0 / math.log(cfg.k, cfg.b)
+    lo = _smallest_raw(cfg.k, cfg.b)
     normalized = (raw - lo) / (cfg.k - lo)
     normalized = min(1.0, max(0.0, normalized))
     return raw, normalized
+
+
+@cache
+def _smallest_raw(k: int, b: int) -> float:
+    """The raw score of the smallest noticeable improvement, K+1 -> K."""
+    return 1.0 / math.log(k, b)
 
 
 def entropy(counts: Mapping[Any, int]) -> float:
@@ -168,16 +182,16 @@ def score_event(event, query, chains: ChainStore, cfg: ScorerConfig) -> ScoredEv
     pairs = aggregate_chain(chain)
     raw, norm = dynamic_score(pairs, cfg)
     return ScoredEvent(
-        seq=event.seq,
-        query_id=event.query_id,
-        entity=event.entity,
-        from_rank=event.from_rank,
-        to_rank=event.to_rank,
-        selectivity=query.selectivity,
-        dynamic_raw=raw,
-        dynamic_norm=norm,
-        entropy_bits=query.entropy_bits,
-        chain=tuple(pairs),
+        event.seq,
+        event.query_id,
+        event.entity,
+        event.from_rank,
+        event.to_rank,
+        query.selectivity,
+        raw,
+        norm,
+        query.entropy_bits,
+        tuple(pairs),
     )
 
 

@@ -28,7 +28,7 @@ from halloffame import (
     synth_stream,
 )
 from halloffame import detector
-from halloffame.detector import EntityOrder, build_ranking, fixed, real_value
+from halloffame.detector import CHANGED, REFILLED, REORDERED, EntityOrder, build_ranking, fixed, real_value
 from halloffame.store import Store
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
 from oracles import (
@@ -218,24 +218,31 @@ class TestEventsFromKeys:
     """The delta path derives a changed order's events from its old and new
     first k keys; only the reference path (filters off) stores and diffs
     rankings. A filtered engine's ranking of a query is built from its
-    order's keys only when Engine.ranking asks."""
+    order's keys only when Engine.ranking asks. Per update, both count the
+    same changed entity orders."""
 
-    def replay(self, filters_enabled: bool) -> tuple[Engine, list]:
+    def replay(self, filters_enabled: bool) -> tuple[Engine, list, list[int]]:
+        """(engine, its events, per update the changed count it reported)."""
         catalog, store = load_dataset("bloomberg")
         stream = synth_stream(store, catalog, SynthConfig(seed=1))
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=3), store)
         engine = Engine(catalog, store, queries, filters_enabled=filters_enabled)
-        return engine, [(e.seq, e.query_id, e.entity, e.from_rank, e.to_rank) for u in stream for e in engine.detect(u)]
+        events, changed = [], []
+        for u in stream:
+            events += [(e.seq, e.query_id, e.entity, e.from_rank, e.to_rank) for e in engine.detect(u)]
+            changed.append(engine.last_stats.changed)
+        return engine, events, changed
 
     def test_filtered_engine_builds_no_ranking(self, monkeypatch):
         def forbidden(order):
             raise AssertionError("the delta path built a ranking")
 
         monkeypatch.setattr(EntityOrder, "ranking", forbidden)
-        engine, events = self.replay(True)  # start-up and every detect
+        engine, events, changed = self.replay(True)  # start-up and every detect
         monkeypatch.undo()
-        reference, expected = self.replay(False)
+        reference, expected, expected_changed = self.replay(False)
         assert events == expected
+        assert changed == expected_changed and any(changed)
         assert rankings_of(engine) == rankings_of(reference)
 
     def test_filtered_engine_never_diffs_rankings(self, monkeypatch):
@@ -244,7 +251,7 @@ class TestEventsFromKeys:
 
         monkeypatch.setattr(detector, "diff_rankings", forbidden)
         monkeypatch.setattr(Engine, "_replace", forbidden)
-        _, events = self.replay(True)
+        _, events, _ = self.replay(True)
         assert events
         monkeypatch.undo()
 
@@ -654,10 +661,11 @@ ORDER_VALUES = st.tuples(st.integers(1, 3), st.integers(-20, 20))  # (count, tot
 
 class TestEntityOrderUpdate:
     """EntityOrder.update against a full sort of the instance after every
-    step: it hands back its old first k keys exactly when they changed, and
-    the events derived from them are the oracle's diff of the two rankings.
-    Its held map stays the keys' own, by entity, and the keys stay sorted
-    with no entity twice."""
+    step: the events it appends are the oracle's diff of the two rankings,
+    and it reports REORDERED exactly when the first k keys changed, CHANGED
+    exactly when the ranking's entities changed and REFILLED exactly when it
+    sorted its instance again. Its held map stays the keys' own, by entity,
+    and the keys stay sorted with no entity twice."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -670,7 +678,8 @@ class TestEntityOrderUpdate:
     )
     # four of five entities leave, the fifth held and the one beyond the
     # bound among them: the order is short of k with a stale bound, and the
-    # entity that enters next lies above that bound
+    # entity that enters next lies above that bound, so no key moves and
+    # only the refill finds the first k keys changed
     @example(
         k=2,
         aggregation="sum",
@@ -693,31 +702,64 @@ class TestEntityOrderUpdate:
             {1: (1, 4), 3: (1, 7), 4: (1, 5), 0: None, 2: (1, 5)},
         ],
     )
+    # every move lands at index k or beyond: a held key moves within the
+    # tail, an entity not held rises but stays beyond the bound and another
+    # leaves, so nothing is reported
+    @example(
+        k=2,
+        aggregation="sum",
+        direction="descending",
+        initial={0: (1, 10), 1: (1, 9), 2: (1, 8), 3: (1, 7), 4: (1, 6), 5: (1, 5)},
+        steps=[{3: (1, 8), 4: (1, 7), 5: None}],
+    )
+    # three held entities leave, the first of them below k, so the old
+    # first k keys are copied there; the order then runs short of k and
+    # refills from the entities beyond the bound, whose values tie with the
+    # leavers'. A refill never leaves the first k keys as they were: the
+    # order runs short only after a key below k left, or when it held every
+    # entity and a new one beyond its stale bound arrives
+    @example(
+        k=2,
+        aggregation="sum",
+        direction="descending",
+        initial={0: (1, 9), 1: (1, 9), 2: (1, 9), 3: (1, 9), 4: (1, 9), 5: (1, 9)},
+        steps=[{0: None, 1: None, 2: None}],
+    )
+    # the second entity loses its last row: the top shrinks with no
+    # improvement, and the entity order still changed
+    @example(
+        k=2,
+        aggregation="sum",
+        direction="descending",
+        initial={0: (1, 10), 1: (1, 9)},
+        steps=[{1: None}],
+    )
     def test_matches_full_sort(self, k, aggregation, direction, initial, steps):
         counts = {e: n for e, (n, _) in initial.items()}
         totals = {e: t for e, (_, t) in initial.items()}
-        q = SimpleNamespace(k=k, criterion=SimpleNamespace(aggregation=aggregation, direction=direction))
+        q = SimpleNamespace(id="q", k=k, criterion=SimpleNamespace(aggregation=aggregation, direction=direction))
         order = EntityOrder(totals, counts, False, q)
         before = build_ranking(totals, counts, aggregation, direction, k)
-        for step in steps:
-            held = order.keys[:k]
+        for seq, step in enumerate(steps, start=1):
+            held, keys = order.keys[:k], order.keys
             for e, values in step.items():
                 if values is None:
                     counts.pop(e, None)
                     totals.pop(e, None)
                 else:
                     counts[e], totals[e] = values
-            top = order.update(set(step), counts)
+            events = []
+            result = order.update(set(step), counts, seq, events)
             after = build_ranking(totals, counts, aggregation, direction, k)
             assert order.ranking() == after
             assert order.held == {e: x for x in order.keys for e in (x[1],)}
             assert order.keys == sorted(order.keys) and len(order.held) == len(order.keys)
-            if order.keys[:k] == held:
-                assert top is None
-            else:
-                assert top == held
-            events = order.improvements(top) if top is not None else []
-            assert events == oracle_diff(list(before), list(after), k)
+            assert bool(result & REORDERED) == (order.keys[:k] != held)
+            assert bool(result & CHANGED) == ([e for e, _ in before] != [e for e, _ in after])
+            assert bool(result & REFILLED) == (order.keys is not keys)  # only fill replaces the list
+            assert result & ~(REORDERED | CHANGED | REFILLED) == 0
+            assert [(x.query_id, x.seq) for x in events] == [("q", seq)] * len(events)
+            assert [(x.entity, x.from_rank, x.to_rank) for x in events] == oracle_diff(list(before), list(after), k)
             before = after
 
 
@@ -948,9 +990,9 @@ class TestMergedFamily:
         moved = []
         update = EntityOrder.update
 
-        def recording(order, entities, counts):
+        def recording(order, *args):
             moved.append(next(qid for qid, o in engine.orders.items() if o is order))
-            return update(order, entities, counts)
+            return update(order, *args)
 
         monkeypatch.setattr(EntityOrder, "update", recording)
         engine.detect(UpdateRecord(1, "update", "games", set_values, where))

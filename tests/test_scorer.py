@@ -32,6 +32,18 @@ def event(qid="q", ent="e", frm=10, to=5, seq=1):
     return RankEvent(query_id=qid, entity=ent, from_rank=frm, to_rank=to, seq=seq)
 
 
+class KeepAllChains(ChainStore):
+    """Chains are never dropped, only their expired pairs."""
+
+    def record(self, event, window_updates):
+        key = (event.query_id, event.entity)
+        chain = self._chains.setdefault(key, ImprovementChain(event.query_id, event.entity, []))
+        horizon = event.seq - window_updates
+        chain.pairs = [p for p in chain.pairs if p.seq > horizon]
+        chain.pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
+        return chain
+
+
 class TestChains:
     def test_first_event_creates_chain(self):
         chains = ChainStore()
@@ -51,17 +63,6 @@ class TestChains:
         assert [(p.from_rank, p.to_rank) for p in chain.pairs] == [(100, 75), (84, 65)]
 
     def test_dead_chains_dropped_without_changing_scores(self):
-        class KeepAllChains(ChainStore):
-            """Chains are never dropped, only their expired pairs."""
-
-            def record(self, event, window_updates):
-                key = (event.query_id, event.entity)
-                chain = self._chains.setdefault(key, ImprovementChain(event.query_id, event.entity, []))
-                horizon = event.seq - window_updates
-                chain.pairs = [p for p in chain.pairs if p.seq > horizon]
-                chain.pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
-                return chain
-
         rng = random.Random(8)
         cfg = ScorerConfig(k=20, window_updates=50)
         query = SimpleNamespace(selectivity=0.5, entropy_bits=1.0)
@@ -75,6 +76,23 @@ class TestChains:
             most = max(most, len(bounded._chains))
         assert most <= 3 * cfg.window_updates
         assert len(reference._chains) > 4 * most
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_one_eviction_per_update_in_short_windows(self, window):
+        # several events per update, and updates that skip seqs, so chains
+        # expire while others are recorded to within one update
+        rng = random.Random(window)
+        cfg = ScorerConfig(k=20, window_updates=window)
+        query = SimpleNamespace(selectivity=0.5, entropy_bits=1.0)
+        bounded, reference = ChainStore(), KeepAllChains()
+        seq = 0
+        for _ in range(1500):
+            seq += rng.choice([1, 1, 2, 3])
+            for q, ent in rng.sample([(q, e) for q in range(3) for e in range(4)], rng.randint(2, 6)):
+                to = rng.randint(1, 19)
+                e = event(f"q{q}", f"e{ent}", rng.randint(to + 1, 21), to, seq)
+                assert score_event(e, query, bounded, cfg) == score_event(e, query, reference, cfg)
+            assert all(chain.pairs[-1].seq > seq - window for chain in bounded._chains.values())
 
 
 class TestAggregateChain:
@@ -161,6 +179,19 @@ class TestDynamicScore:
         better, _ = dynamic_score([ImprovementPair(1, to + jump, to)], cfg)
         worse, _ = dynamic_score([ImprovementPair(1, to + 1 + jump, to + 1)], cfg)
         assert better >= worse - 1e-12
+
+    def test_interleaved_configs_normalize_by_their_own_k_and_b(self):
+        # every pairing of two ks and two bs, so a normalization kept for
+        # one config, or keyed on k or b alone, scores another wrongly
+        rng = random.Random(3)
+        configs = [ScorerConfig(b=b, k=k) for k in (10, 40) for b in (2, 5)]
+        for _ in range(200):
+            to = rng.randrange(1, 11)
+            pairs = [ImprovementPair(1, rng.randrange(to + 1, 12), to)]
+            for cfg in rng.sample(configs, len(configs)):
+                raw, norm = dynamic_score(pairs, cfg)
+                lo = 1.0 / math.log(cfg.k, cfg.b)
+                assert norm == min(1.0, max(0.0, (raw - lo) / (cfg.k - lo)))
 
     def test_norm_always_in_unit_interval(self):
         rng = random.Random(9)

@@ -38,6 +38,7 @@ from oracles import (
     make_instance,
     make_updates,
     oracle_apply,
+    oracle_diff,
     oracle_eval_query,
     oracle_eval_real_query,
     oracle_path_rankings,
@@ -848,17 +849,26 @@ class StoreEngineModel(RuleBasedStateMachine):
     """A store and its filtered engine against an oracle: after every step
     each table's indices and key index equal ones rebuilt from its rows, the
     rows equal the oracle's (self.tables), every entity order holds its best
-    keys and every ranking equals the oracle's (oracle_rankings). A rejected
-    step changes nothing. At the end of each example every ranking also
-    equals what its own SQL returns (oracle_sql_rankings)."""
+    keys and every ranking equals the oracle's (oracle_rankings). An applied
+    step's events are the oracle's diff of every ranking before and after it
+    (oracle_diff), and it counts as changed the queries whose ranked
+    entities changed. A rejected step changes nothing. At the end of each
+    example every ranking also equals what its own SQL returns
+    (oracle_sql_rankings)."""
 
     store: Store
     engine: Engine
     tables: dict[str, list[dict]]
     seq = 0
+    expected: dict[str, list[tuple]] | None = None  # oracle_rankings of the tables as they are, once computed
 
     def oracle_rankings(self) -> dict[str, list[tuple]]:
         raise NotImplementedError
+
+    def current_rankings(self) -> dict[str, list[tuple]]:
+        if self.expected is None:
+            self.expected = self.oracle_rankings()
+        return self.expected
 
     def update(self, kind: str, table: str, set_values: dict, where: dict) -> UpdateRecord:
         self.seq += 1
@@ -866,8 +876,17 @@ class StoreEngineModel(RuleBasedStateMachine):
 
     def apply(self, *args) -> None:
         u = self.update(*args)
-        self.engine.detect(u)
+        before = self.current_rankings()
+        events = self.engine.detect(u)
         oracle_apply(self.tables, u)
+        self.expected = None
+        after = self.current_rankings()
+        moves = [(qid, *move) for qid, q in self.engine.queries.items() for move in oracle_diff(before[qid], after[qid], q.k)]
+        moves.sort(key=lambda m: (m[0], str(m[1])))
+        assert [(e.query_id, e.entity, e.from_rank, e.to_rank) for e in events] == moves, u
+        assert all(e.seq == u.seq for e in events)
+        changed = sum([e for e, _ in before[qid]] != [e for e, _ in after[qid]] for qid in after)
+        assert self.engine.last_stats.changed == changed, u
 
     def reject(self, *args) -> None:
         u = self.update(*args)
@@ -899,7 +918,7 @@ class StoreEngineModel(RuleBasedStateMachine):
 
     @invariant()
     def rankings_match_oracle(self):
-        self.assert_rankings(self.oracle_rankings())
+        self.assert_rankings(self.current_rankings())
 
     def teardown(self):
         self.assert_rankings(oracle_sql_rankings(self.store, self.engine.queries.values()))
