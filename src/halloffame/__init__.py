@@ -37,7 +37,6 @@ from .generator import (
 )
 from .scorer import (
     ChainStore,
-    ImprovementChain,
     ImprovementPair,
     ScoredEvent,
     ScorerConfig,

@@ -121,9 +121,9 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 @click.option("--data-dir", required=True, type=click.Path(path_type=Path))
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
-@click.option("--k", default=20, show_default=True, help="ranking size")
-@click.option("--cnum", default=3, show_default=True, help="max constraint atoms per predicate")
-@click.option("--jnum", default=3, show_default=True, help="max joins per query")
+@click.option("--k", default=GeneratorConfig.k, show_default=True, help="ranking size")
+@click.option("--cnum", default=GeneratorConfig.c_num, show_default=True, help="max constraint atoms per predicate")
+@click.option("--jnum", default=GeneratorConfig.j_num, show_default=True, help="max joins per query")
 def generate(config_path, data_dir, out_path, k, cnum, jnum):
     """Enumerate all valid queries and persist the query catalog."""
     catalog = _load_catalog(config_path)
@@ -147,8 +147,8 @@ def generate(config_path, data_dir, out_path, k, cnum, jnum):
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 @click.option("--data-dir", required=True, type=click.Path(path_type=Path))
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
-@click.option("--seed", default=0, show_default=True)
-@click.option("--updates-per-tuple", default=10, show_default=True)
+@click.option("--seed", default=SynthConfig.seed, show_default=True)
+@click.option("--updates-per-tuple", default=SynthConfig.updates_per_tuple, show_default=True)
 def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
     """Synthesize an update stream from the loaded data."""
     catalog = _load_catalog(config_path)
@@ -169,10 +169,11 @@ def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
 @click.option("--updates", "updates_path", required=True, type=click.Path(path_type=Path))
 @click.option("--events", "events_path", required=True, type=click.Path(path_type=Path))
 @click.option("--stats", "stats_path", type=click.Path(path_type=Path), help="write per-update stats as JSONL")
-@click.option("--k", default=20, show_default=True, help="ranking size for score normalization")
-@click.option("--b", default=5, show_default=True, help="undiscounted rank threshold")
-@click.option("--groups", default=4, show_default=True, help="coarse score groups")
-@click.option("--window", default=1000, show_default=True, help="window size in updates")
+@click.option(
+    "--b", default=ScorerConfig.b, show_default=True, help="undiscounted rank threshold; each query's own k normalizes its scores"
+)
+@click.option("--groups", default=ScorerConfig.groups, show_default=True, help="coarse score groups")
+@click.option("--window", default=ScorerConfig.window_updates, show_default=True, help="window size in updates")
 @click.option("--no-filters", is_flag=True, help="debug: re-evaluate every query on every update")
 @click.option(
     "--flush-every", default=0, show_default=True, type=click.IntRange(min=0), help="emit a window ranking every N updates"
@@ -185,7 +186,6 @@ def run(
     updates_path,
     events_path,
     stats_path,
-    k,
     b,
     groups,
     window,
@@ -200,7 +200,7 @@ def run(
     _echo_seconds("csv load s", time.perf_counter() - started)
     try:
         queries = load_queries(_read_file(queries_path, "query catalog"), catalog)
-        scorer_cfg = ScorerConfig(b=b, k=k, window_updates=window, groups=groups)
+        scorer_cfg = ScorerConfig(b=b, window_updates=window, groups=groups)
     except (GenerationError, CatalogError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -284,8 +284,8 @@ def run(
 @main.command()
 @click.option("--events", "events_path", required=True, type=click.Path(path_type=Path))
 @click.option("--window-end", type=int, help="last seq of the window (default: last event)")
-@click.option("--window", default=1000, show_default=True)
-@click.option("--groups", default=4, show_default=True)
+@click.option("--window", default=ScorerConfig.window_updates, show_default=True)
+@click.option("--groups", default=ScorerConfig.groups, show_default=True)
 def rank(events_path, window_end, window, groups):
     """Print the window's events in final ranked order."""
     parsed = _read_jsonl(events_path, "event log", _parse_event)

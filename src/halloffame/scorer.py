@@ -7,6 +7,9 @@ rank jump, and the entropy of the predicate's column combination. The two
 leading scores are quantized into n coarse groups so that nearly equal
 values tie and the next component decides, which is what makes the sort
 key a lawful total preorder.
+
+The dynamic score is normalized by the ranking size K of the event's own
+query, its k, with rules of its own for K <= b and K = 1 (dynamic_score).
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ class ScoringError(Exception):
 @dataclass(frozen=True)
 class ScorerConfig:
     b: int = 5  # rank threshold: improvements to rank <= b are undiscounted
-    k: int = 20  # ranking size used for score normalization
     window_updates: int = 1000  # improvement pairs older than this are dropped
     groups: int = 4  # number of coarse score groups for tradeoff ties
 
     def __post_init__(self):
-        if not (2 <= self.b <= self.k):
-            raise ValueError("b must satisfy 2 <= b <= k")
+        if self.b < 2:
+            raise ValueError("b must be >= 2")
         if self.window_updates < 1:
             raise ValueError("window_updates must be >= 1")
         if self.groups < 1:
@@ -45,17 +47,10 @@ class ImprovementPair:
     to_rank: int
 
 
-@dataclass(slots=True)
-class ImprovementChain:
-    """Time-ordered rank improvements of one entity in one ranking."""
-
-    query_id: str
-    entity: Any
-    pairs: list[ImprovementPair]
-
-
 class ChainStore:
-    """Per-(query, entity) improvement chains within the sliding window.
+    """Per-(query, entity) improvement chains within the sliding window. A
+    chain is the time-ordered list of one entity's rank improvements in one
+    ranking.
 
     Chains are kept in the order they were last recorded to. Events arrive
     in stream order, so a chain whose newest pair has left the window holds
@@ -68,32 +63,31 @@ class ChainStore:
     """
 
     def __init__(self):
-        self._chains: OrderedDict[tuple, ImprovementChain] = OrderedDict()
+        self._chains: OrderedDict[tuple, list[ImprovementPair]] = OrderedDict()
         self._horizon = None  # the horizon of the last eviction
 
-    def record(self, event, window_updates: int) -> ImprovementChain:
+    def record(self, event, window_updates: int) -> list[ImprovementPair]:
         """Append the event's pair to its chain, evicting expired pairs and
-        chains."""
+        chains; returns the chain."""
         horizon = event.seq - window_updates
         chains = self._chains
         if horizon != self._horizon:
             self._horizon = horizon
-            while chains and next(iter(chains.values())).pairs[-1].seq <= horizon:
+            while chains and next(iter(chains.values()))[-1].seq <= horizon:
                 chains.popitem(last=False)
         key = (event.query_id, event.entity)
-        chain = chains.get(key)
-        if chain is None:
-            chain = chains[key] = ImprovementChain(event.query_id, event.entity, [])
+        pairs = chains.get(key)
+        if pairs is None:
+            pairs = chains[key] = []
         else:
             chains.move_to_end(key)
-        pairs = chain.pairs
-        if pairs and pairs[0].seq <= horizon:
-            pairs = chain.pairs = [p for p in pairs if p.seq > horizon]
+            if pairs[0].seq <= horizon:
+                pairs = chains[key] = [p for p in pairs if p.seq > horizon]
         pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
-        return chain
+        return pairs
 
 
-def aggregate_chain(chain: ImprovementChain) -> list[ImprovementPair]:
+def aggregate_chain(pairs: list[ImprovementPair]) -> list[ImprovementPair]:
     """The suffix of the chain that counts as one combined improvement.
 
     Walking backward from the most recent pair, an earlier pair (p, p')
@@ -102,23 +96,26 @@ def aggregate_chain(chain: ImprovementChain) -> list[ImprovementPair]:
     intermediate worsening breaks the chain, since everything before it
     already had its chance to be reported.
     """
-    if not chain.pairs:
+    if not pairs:
         raise ScoringError("aggregate_chain on empty chain")
-    pairs = chain.pairs
     start = len(pairs) - 1
     while start > 0 and pairs[start].from_rank <= pairs[start - 1].to_rank:
         start -= 1
     return pairs[start:]
 
 
-def dynamic_score(pairs: Sequence[ImprovementPair], cfg: ScorerConfig) -> tuple[float, float]:
-    """(raw, normalized) jump score of an aggregated chain.
+def dynamic_score(pairs: Sequence[ImprovementPair], k: int, b: int) -> tuple[float, float]:
+    """(raw, normalized) jump score of an aggregated chain in a ranking of
+    size K = k with rank threshold b.
 
     raw = sum of (r - r') for pairs reaching rank r' <= b, plus
     (r - r') / log_b(r') for deeper pairs. Normalization maps the smallest
-    noticeable improvement (K+1 -> K) to 0 and the largest (K+1 -> 1) to 1,
-    clamping multi-pair totals that exceed the single-pair bounds. The
-    smallest one's raw score, 1 / log_b(K), is computed once per (K, b).
+    noticeable improvement (K+1 -> K) to 0 and the largest (K+1 -> 1, raw
+    K) to 1, clamping multi-pair totals that exceed the single-pair bounds.
+    The smallest one scores 1 / log_b(K) when K > b, and 1 when K <= b,
+    since every rank up to K is then undiscounted; it is computed once per
+    (K, b). K = 1 normalizes to 1: its only improvement, 2 -> 1, is also
+    the largest one.
     """
     if not pairs:
         raise ScoringError("dynamic_score needs at least one pair")
@@ -127,12 +124,14 @@ def dynamic_score(pairs: Sequence[ImprovementPair], cfg: ScorerConfig) -> tuple[
         if p.to_rank < 1 or p.from_rank <= p.to_rank:
             raise ScoringError(f"invalid improvement pair {p.from_rank}->{p.to_rank}")
         jump = p.from_rank - p.to_rank
-        if p.to_rank <= cfg.b:
+        if p.to_rank <= b:
             raw += jump
         else:
-            raw += jump / math.log(p.to_rank, cfg.b)
-    lo = _smallest_raw(cfg.k, cfg.b)
-    normalized = (raw - lo) / (cfg.k - lo)
+            raw += jump / math.log(p.to_rank, b)
+    if k == 1:
+        return raw, 1.0
+    lo = _smallest_raw(k, b)
+    normalized = (raw - lo) / (k - lo)
     normalized = min(1.0, max(0.0, normalized))
     return raw, normalized
 
@@ -140,7 +139,7 @@ def dynamic_score(pairs: Sequence[ImprovementPair], cfg: ScorerConfig) -> tuple[
 @cache
 def _smallest_raw(k: int, b: int) -> float:
     """The raw score of the smallest noticeable improvement, K+1 -> K."""
-    return 1.0 / math.log(k, b)
+    return 1.0 / math.log(k, b) if k > b else 1.0
 
 
 def entropy(counts: Mapping[Any, int]) -> float:
@@ -178,9 +177,8 @@ class ScoredEvent:
 
 def score_event(event, query, chains: ChainStore, cfg: ScorerConfig) -> ScoredEvent:
     """Record the event in its chain and compose the full score triple."""
-    chain = chains.record(event, cfg.window_updates)
-    pairs = aggregate_chain(chain)
-    raw, norm = dynamic_score(pairs, cfg)
+    pairs = aggregate_chain(chains.record(event, cfg.window_updates))
+    raw, norm = dynamic_score(pairs, query.k, cfg.b)
     return ScoredEvent(
         event.seq,
         event.query_id,

@@ -20,7 +20,6 @@ from halloffame import (
     Delta,
     Engine,
     GeneratorConfig,
-    ImprovementChain,
     ImprovementPair,
     ScoredEvent,
     ScorerConfig,
@@ -49,11 +48,10 @@ def ok(n, detail):
 def test_c01_dynamic_score_bounds():
     """K=20, b=5: (21->1) scores raw 20 / norm 1; (21->20) scores
     raw 1/log5(20) / norm 0; tolerance 1e-9."""
-    cfg = ScorerConfig(b=5, k=20)
-    raw_hi, norm_hi = dynamic_score([ImprovementPair(1, 21, 1)], cfg)
+    raw_hi, norm_hi = dynamic_score([ImprovementPair(1, 21, 1)], 20, 5)
     assert abs(raw_hi - 20.0) <= 1e-9
     assert abs(norm_hi - 1.0) <= 1e-9
-    raw_lo, norm_lo = dynamic_score([ImprovementPair(1, 21, 20)], cfg)
+    raw_lo, norm_lo = dynamic_score([ImprovementPair(1, 21, 20)], 20, 5)
     expected_lo = 1.0 / math.log(20, 5)
     assert abs(expected_lo - 0.537244) < 1e-6  # sanity on the constant itself
     assert abs(raw_lo - expected_lo) <= 1e-9
@@ -63,8 +61,7 @@ def test_c01_dynamic_score_bounds():
 
 def test_c02_chain_rule_example():
     """[(100,75),(84,65)] aggregates to exactly [(84,65)]."""
-    chain = ImprovementChain("q", "e", [ImprovementPair(1, 100, 75), ImprovementPair(2, 84, 65)])
-    merged = aggregate_chain(chain)
+    merged = aggregate_chain([ImprovementPair(1, 100, 75), ImprovementPair(2, 84, 65)])
     assert merged == [ImprovementPair(2, 84, 65)]
     ok(2, f"merged pairs {[(p.from_rank, p.to_rank) for p in merged]}")
 
@@ -208,7 +205,7 @@ def test_c07_filter_soundness_end_to_end():
     are built in order from one seeded generator; their two replays each run
     in a worker process, at most one per CPU and a few in all."""
     rng = random.Random(707)
-    scorer_cfg = ScorerConfig(b=2, k=2, window_updates=1000, groups=4)
+    scorer_cfg = ScorerConfig(b=2, window_updates=1000, groups=4)
     total_queries = 0
     logs = []
     spawn = multiprocessing.get_context("spawn")  # a worker imports this module afresh
@@ -240,7 +237,7 @@ def test_c07_real_criteria():
     three instances, one with a join, the filtered event log is
     byte-identical to the --no-filters log."""
     rng = random.Random(708)
-    scorer_cfg = ScorerConfig(b=2, k=2, window_updates=1000, groups=4)
+    scorer_cfg = ScorerConfig(b=2, window_updates=1000, groups=4)
     events = 0
     for trial in range(3):
         inst = make_instance(rng, n_rows=120, n_entities=20, n_c1=10, n_c2=8, two_tables=trial == 2, real_criteria=True)
@@ -268,7 +265,7 @@ def effectiveness_run():
     catalog, store = load_instance(inst)
     queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=0), store)
     stream = synth_stream(store, catalog, SynthConfig(seed=1))[:1500]
-    scorer_cfg = ScorerConfig(b=2, k=2)
+    scorer_cfg = ScorerConfig(b=2)
     _, survivors, latencies = _pipeline_log(load_instance(inst), queries, stream, scorer_cfg, True)
     return len(queries), survivors, latencies
 
@@ -330,7 +327,7 @@ def test_c12_ranking_lawfulness():
     """rank_events is permutation-invariant and its comparator is transitive
     on 10,000 random score triples."""
     rng = random.Random(1212)
-    cfg = ScorerConfig(b=5, k=20, groups=4)
+    cfg = ScorerConfig(b=5, groups=4)
 
     def random_event(i):
         # draw from a lattice half the time so exact ties occur

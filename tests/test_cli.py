@@ -191,7 +191,7 @@ def run_cmd(runner, bloomberg_dir, tmp_path, queries, updates_text, extra=(), ev
             "--queries", str(queries),
             "--updates", str(updates),
             "--events", str(events_path),
-            "--k", "3", "--b", "2",
+            "--b", "2",
             *extra,
         ],
     )
@@ -225,6 +225,22 @@ class TestRun:
             at = lines.index("queries total          5")
             assert lines[at + 1] == "start-up rows          33"
             assert lines[at + 2].startswith("mean column candidates ")
+
+    def test_scores_normalize_by_each_querys_k(self, runner, bloomberg_dir, tmp_path):
+        # with k = 3 queries the dynamic scores spread over several groups;
+        # run takes no k of its own, and a b above the queries' k is allowed
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        updates = tmp_path / "synth.jsonl"
+        synth = ["synth", "--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir)]
+        assert runner.invoke(main, [*synth, "--out", str(updates)]).exit_code == 0
+        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, updates.read_text())
+        assert result.exit_code == 0, result.output
+        groups = {halloffame.quantize(json.loads(line)["dynamic_norm"], 4) for line in events.read_text().splitlines()}
+        assert len(groups) >= 2, groups
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, updates.read_text(), extra=["--k", "20"])
+        assert result.exit_code == 2, result.output
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, updates.read_text(), extra=["--b", "7"])
+        assert result.exit_code == 0, result.output
 
     def test_zero_update_stream(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -599,7 +615,7 @@ class TestOutOfRangeValues:
         for extra in ([], ["--no-filters"]):
             events = tmp_path / f"events{len(logs)}.jsonl"
             result = runner.invoke(main, ["run", *common, "--queries", str(queries), "--updates", str(updates),
-                                          "--events", str(events), "--k", "2", "--b", "2", *extra])
+                                          "--events", str(events), "--b", "2", *extra])
             assert result.exit_code == 0, result.output
             logs.append(events.read_bytes())
         assert logs[0] == logs[1]

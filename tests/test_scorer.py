@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 
 from halloffame import (
     ChainStore,
-    ImprovementChain,
     ImprovementPair,
     RankEvent,
     ScoredEvent,
@@ -37,35 +36,33 @@ class KeepAllChains(ChainStore):
 
     def record(self, event, window_updates):
         key = (event.query_id, event.entity)
-        chain = self._chains.setdefault(key, ImprovementChain(event.query_id, event.entity, []))
         horizon = event.seq - window_updates
-        chain.pairs = [p for p in chain.pairs if p.seq > horizon]
-        chain.pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
-        return chain
+        pairs = self._chains[key] = [p for p in self._chains.get(key, []) if p.seq > horizon]
+        pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
+        return pairs
 
 
 class TestChains:
     def test_first_event_creates_chain(self):
         chains = ChainStore()
-        chain = chains.record(event(seq=1), 1000)
-        assert chain.pairs == [ImprovementPair(1, 10, 5)]
+        assert chains.record(event(seq=1), 1000) == [ImprovementPair(1, 10, 5)]
 
     def test_old_pairs_evicted_on_next_record(self):
         chains = ChainStore()
         chains.record(event(seq=1), 10)
-        chain = chains.record(event(seq=12, frm=5, to=4), 10)
-        assert [p.seq for p in chain.pairs] == [12]
+        pairs = chains.record(event(seq=12, frm=5, to=4), 10)
+        assert [p.seq for p in pairs] == [12]
 
     def test_two_jumps_kept_while_in_window(self):
         chains = ChainStore()
         chains.record(event(seq=100, frm=100, to=75), 1000)
-        chain = chains.record(event(seq=200, frm=84, to=65), 1000)
-        assert [(p.from_rank, p.to_rank) for p in chain.pairs] == [(100, 75), (84, 65)]
+        pairs = chains.record(event(seq=200, frm=84, to=65), 1000)
+        assert [(p.from_rank, p.to_rank) for p in pairs] == [(100, 75), (84, 65)]
 
     def test_dead_chains_dropped_without_changing_scores(self):
         rng = random.Random(8)
-        cfg = ScorerConfig(k=20, window_updates=50)
-        query = SimpleNamespace(selectivity=0.5, entropy_bits=1.0)
+        cfg = ScorerConfig(window_updates=50)
+        query = SimpleNamespace(k=20, selectivity=0.5, entropy_bits=1.0)
         bounded, reference = ChainStore(), KeepAllChains()
         most = 0
         for seq in range(1, 2001):  # 40 windows, up to 3 events per update
@@ -82,8 +79,8 @@ class TestChains:
         # several events per update, and updates that skip seqs, so chains
         # expire while others are recorded to within one update
         rng = random.Random(window)
-        cfg = ScorerConfig(k=20, window_updates=window)
-        query = SimpleNamespace(selectivity=0.5, entropy_bits=1.0)
+        cfg = ScorerConfig(window_updates=window)
+        query = SimpleNamespace(k=20, selectivity=0.5, entropy_bits=1.0)
         bounded, reference = ChainStore(), KeepAllChains()
         seq = 0
         for _ in range(1500):
@@ -92,70 +89,65 @@ class TestChains:
                 to = rng.randint(1, 19)
                 e = event(f"q{q}", f"e{ent}", rng.randint(to + 1, 21), to, seq)
                 assert score_event(e, query, bounded, cfg) == score_event(e, query, reference, cfg)
-            assert all(chain.pairs[-1].seq > seq - window for chain in bounded._chains.values())
+            assert all(pairs[-1].seq > seq - window for pairs in bounded._chains.values())
 
 
 class TestAggregateChain:
     def test_intermediate_worsening_breaks_chain(self):
-        chain = ImprovementChain("q", "e", [ImprovementPair(1, 100, 75), ImprovementPair(2, 84, 65)])
-        assert aggregate_chain(chain) == [ImprovementPair(2, 84, 65)]
+        pairs = [ImprovementPair(1, 100, 75), ImprovementPair(2, 84, 65)]
+        assert aggregate_chain(pairs) == [ImprovementPair(2, 84, 65)]
 
     def test_seamless_continuation_merges(self):
-        chain = ImprovementChain("q", "e", [ImprovementPair(1, 100, 84), ImprovementPair(2, 84, 65)])
-        assert aggregate_chain(chain) == chain.pairs
+        pairs = [ImprovementPair(1, 100, 84), ImprovementPair(2, 84, 65)]
+        assert aggregate_chain(pairs) == pairs
 
     def test_single_pair_is_itself(self):
-        chain = ImprovementChain("q", "e", [ImprovementPair(1, 9, 3)])
-        assert aggregate_chain(chain) == chain.pairs
+        pairs = [ImprovementPair(1, 9, 3)]
+        assert aggregate_chain(pairs) == pairs
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ScoringError):
-            aggregate_chain(ImprovementChain("q", "e", []))
+            aggregate_chain([])
 
     def test_result_is_suffix_and_scores_at_least_latest(self):
         rng = random.Random(4)
-        cfg = ScorerConfig(b=5, k=20)
         for _ in range(300):
             pairs = []
             for i in range(rng.randrange(1, 6)):
                 to = rng.randrange(1, 21)
                 frm = rng.randrange(to + 1, 22)
                 pairs.append(ImprovementPair(i, frm, to))
-            chain = ImprovementChain("q", "e", pairs)
-            merged = aggregate_chain(chain)
+            merged = aggregate_chain(pairs)
             assert merged == pairs[len(pairs) - len(merged):]
-            raw_merged, _ = dynamic_score(merged, cfg)
-            raw_latest, _ = dynamic_score(pairs[-1:], cfg)
+            raw_merged, _ = dynamic_score(merged, 20, 5)
+            raw_latest, _ = dynamic_score(pairs[-1:], 20, 5)
             assert raw_merged >= raw_latest - 1e-12
 
 
 class TestDynamicScore:
-    CFG = ScorerConfig(b=5, k=20)
-
     def test_biggest_noticeable_improvement(self):
-        raw, norm = dynamic_score([ImprovementPair(1, 21, 1)], self.CFG)
+        raw, norm = dynamic_score([ImprovementPair(1, 21, 1)], 20, 5)
         assert raw == pytest.approx(20.0, abs=1e-9)
         assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_smallest_noticeable_improvement(self):
-        raw, norm = dynamic_score([ImprovementPair(1, 21, 20)], self.CFG)
+        raw, norm = dynamic_score([ImprovementPair(1, 21, 20)], 20, 5)
         assert raw == pytest.approx(1.0 / math.log(20, 5), abs=1e-9)
         assert norm == pytest.approx(0.0, abs=1e-9)
 
     def test_deep_rank_discounted(self):
-        cfg = ScorerConfig(b=10, k=100)
-        raw, _ = dynamic_score([ImprovementPair(1, 84, 65)], cfg)
+        raw, _ = dynamic_score([ImprovementPair(1, 84, 65)], 100, 10)
         assert raw == pytest.approx(19.0 / math.log(65, 10), abs=1e-9)
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ScoringError):
-            dynamic_score([ImprovementPair(1, 5, 5)], self.CFG)
+            dynamic_score([ImprovementPair(1, 5, 5)], 20, 5)
         with pytest.raises(ScoringError):
-            dynamic_score([ImprovementPair(1, 5, 0)], self.CFG)
+            dynamic_score([ImprovementPair(1, 5, 0)], 20, 5)
 
     def test_multi_pair_normalization_clamped(self):
         pairs = [ImprovementPair(i, 21, 1) for i in range(3)]
-        raw, norm = dynamic_score(pairs, self.CFG)
+        raw, norm = dynamic_score(pairs, 20, 5)
         assert raw == pytest.approx(60.0)
         assert norm == 1.0
 
@@ -165,41 +157,49 @@ class TestDynamicScore:
         jump_b=st.integers(min_value=1, max_value=20),
     )
     def test_raw_increases_with_jump_size(self, to, jump_a, jump_b):
-        cfg = ScorerConfig(b=5, k=20)
         small, big = sorted((jump_a, jump_b))
         if small == big:
             return
-        raw_small, _ = dynamic_score([ImprovementPair(1, to + small, to)], cfg)
-        raw_big, _ = dynamic_score([ImprovementPair(1, to + big, to)], cfg)
+        raw_small, _ = dynamic_score([ImprovementPair(1, to + small, to)], 20, 5)
+        raw_big, _ = dynamic_score([ImprovementPair(1, to + big, to)], 20, 5)
         assert raw_big > raw_small
 
     @given(to=st.integers(min_value=1, max_value=19), jump=st.integers(min_value=1, max_value=10))
     def test_raw_nondecreasing_as_target_rank_improves(self, to, jump):
-        cfg = ScorerConfig(b=5, k=20)
-        better, _ = dynamic_score([ImprovementPair(1, to + jump, to)], cfg)
-        worse, _ = dynamic_score([ImprovementPair(1, to + 1 + jump, to + 1)], cfg)
+        better, _ = dynamic_score([ImprovementPair(1, to + jump, to)], 20, 5)
+        worse, _ = dynamic_score([ImprovementPair(1, to + 1 + jump, to + 1)], 20, 5)
         assert better >= worse - 1e-12
 
-    def test_interleaved_configs_normalize_by_their_own_k_and_b(self):
-        # every pairing of two ks and two bs, so a normalization kept for
-        # one config, or keyed on k or b alone, scores another wrongly
-        rng = random.Random(3)
-        configs = [ScorerConfig(b=b, k=k) for k in (10, 40) for b in (2, 5)]
-        for _ in range(200):
-            to = rng.randrange(1, 11)
-            pairs = [ImprovementPair(1, rng.randrange(to + 1, 12), to)]
-            for cfg in rng.sample(configs, len(configs)):
-                raw, norm = dynamic_score(pairs, cfg)
-                lo = 1.0 / math.log(cfg.k, cfg.b)
-                assert norm == min(1.0, max(0.0, (raw - lo) / (cfg.k - lo)))
+    @given(k=st.integers(min_value=1, max_value=60), b=st.integers(min_value=2, max_value=10), data=st.data())
+    def test_each_query_normalizes_by_its_own_k(self, k, b, data):
+        # K+1 -> 1 reads 1 and K+1 -> K reads 0 for every k, also k <= b
+        # and k = 1, and the norm grows with the jump in between
+        assert dynamic_score([ImprovementPair(1, k + 1, 1)], k, b)[1] == 1.0
+        if k >= 2:
+            assert dynamic_score([ImprovementPair(1, k + 1, k)], k, b)[1] == 0.0
+        to = data.draw(st.integers(min_value=1, max_value=k), label="to")
+        norms = [dynamic_score([ImprovementPair(1, frm, to)], k, b)[1] for frm in range(to + 1, k + 2)]
+        assert all(0.0 <= norm <= 1.0 for norm in norms)
+        assert norms == sorted(norms)
+        norms = [dynamic_score([ImprovementPair(1, k + 1, to)], k, b)[1] for to in range(k, 0, -1)]
+        assert norms == sorted(norms)
+        # the same pair through score_event, in a ranking of 2 and one of 5
+        chains, cfg = ChainStore(), ScorerConfig(b=b)
+        by_size = {}
+        for size in (2, 5):
+            query = SimpleNamespace(k=size, selectivity=0.5, entropy_bits=1.0)
+            by_size[size] = score_event(event(f"q{size}", frm=3, to=1), query, chains, cfg).dynamic_norm
+        assert by_size == {size: dynamic_score([ImprovementPair(1, 3, 1)], size, b)[1] for size in (2, 5)}
+        assert by_size[2] == 1.0 > by_size[5]
+        if b >= 5:  # every rank up to 5 is undiscounted: raw 2, smallest 1, largest 5
+            assert by_size[5] == 0.25
 
     def test_norm_always_in_unit_interval(self):
         rng = random.Random(9)
-        cfg = ScorerConfig(b=5, k=20)
         for _ in range(500):
             to = rng.randrange(1, 21)
             frm = rng.randrange(to + 1, 22)
-            _, norm = dynamic_score([ImprovementPair(1, frm, to)], cfg)
+            _, norm = dynamic_score([ImprovementPair(1, frm, to)], 20, 5)
             assert 0.0 <= norm <= 1.0
 
 
@@ -293,7 +293,7 @@ def scored(qid="q", ent="e", sel=0.5, dyn=0.5, bits=1.0, seq=1):
 
 
 class TestRankEvents:
-    CFG = ScorerConfig(b=5, k=20, groups=4)
+    CFG = ScorerConfig(b=5, groups=4)
 
     def test_dynamic_breaks_selectivity_tie(self):
         a = scored("a", sel=0.9, dyn=0.2)
