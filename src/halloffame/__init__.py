@@ -43,6 +43,8 @@ from .scorer import (
     aggregate_chain,
     dynamic_score,
     entropy,
+    event_from_json,
+    event_to_json,
     quantize,
     rank_events,
     score_event,

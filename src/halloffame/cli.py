@@ -1,4 +1,7 @@
-"""Command-line orchestration: generate, synth, run, rank, stats."""
+"""Command-line orchestration: generate, synth, run, rank, stats.
+
+``hof run`` writes the event log and ``hof rank`` ranks a window of it, each
+through scorer's one event-line codec."""
 
 from __future__ import annotations
 
@@ -6,7 +9,6 @@ import dataclasses
 import json
 import statistics
 import time
-from collections import deque
 from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Callable
@@ -22,7 +24,7 @@ from .generator import (
     generate_queries,
     load_queries,
 )
-from .scorer import ChainStore, ImprovementPair, ScoredEvent, ScorerConfig, rank_events, score_event
+from .scorer import ChainStore, ScorerConfig, ScoringError, event_from_json, event_to_json, rank_events, score_event
 from .store import Store, StoreError, read_update_stream, write_update_stream
 from .synth import SynthConfig, synth_stream
 
@@ -58,23 +60,6 @@ def _echo_seconds(label: str, seconds: float) -> None:
     click.echo(f"{label:22s} {seconds:.3f}")
 
 
-def _event_line(event: ScoredEvent, sql: str) -> str:
-    doc = {
-        "seq": event.seq,
-        "query_id": event.query_id,
-        "query": sql,
-        "entity": event.entity,
-        "from_rank": event.from_rank,
-        "to_rank": event.to_rank,
-        "selectivity": event.selectivity,
-        "dynamic_raw": event.dynamic_raw,
-        "dynamic_norm": event.dynamic_norm,
-        "entropy_bits": event.entropy_bits,
-        "chain": [[p.seq, p.from_rank, p.to_rank] for p in event.chain],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
 def _number(doc: dict, key: str) -> Any:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -82,32 +67,16 @@ def _number(doc: dict, key: str) -> Any:
     return value
 
 
-def _read_jsonl(path: Path, what: str, parse: Callable[[Any], Any]) -> list:
-    """parse(document) of every non-blank line; a bad line exits naming its number."""
+def _read_jsonl(path: Path, what: str, parse: Callable[[str], Any]) -> list:
+    """parse(line) of every non-blank line; a bad line exits naming its number."""
     out = []
     for lineno, line in enumerate(_read_file(path, what).splitlines(), start=1):
         if line.strip():
             try:
-                out.append(parse(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                out.append(parse(line))
+            except (KeyError, TypeError, ValueError, ScoringError) as exc:
                 raise click.ClickException(f"{what} line {lineno}: {type(exc).__name__}: {exc}") from exc
     return out
-
-
-def _parse_event(doc: dict) -> tuple[ScoredEvent, str]:
-    event = ScoredEvent(
-        seq=_number(doc, "seq"),
-        query_id=doc["query_id"],
-        entity=doc["entity"],
-        from_rank=_number(doc, "from_rank"),
-        to_rank=_number(doc, "to_rank"),
-        selectivity=_number(doc, "selectivity"),
-        dynamic_raw=_number(doc, "dynamic_raw"),
-        dynamic_norm=_number(doc, "dynamic_norm"),
-        entropy_bits=_number(doc, "entropy_bits"),
-        chain=tuple(ImprovementPair(s, f, t) for s, f, t in doc["chain"]),
-    )
-    return event, doc.get("query", "")
 
 
 @click.group(context_settings={"auto_envvar_prefix": "HOF"})
@@ -172,27 +141,10 @@ def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
 @click.option(
     "--b", default=ScorerConfig.b, show_default=True, help="undiscounted rank threshold; each query's own k normalizes its scores"
 )
-@click.option("--groups", default=ScorerConfig.groups, show_default=True, help="coarse score groups")
 @click.option("--window", default=ScorerConfig.window_updates, show_default=True, help="window size in updates")
 @click.option("--no-filters", is_flag=True, help="debug: re-evaluate every query on every update")
-@click.option(
-    "--flush-every", default=0, show_default=True, type=click.IntRange(min=0), help="emit a window ranking every N updates"
-)
 @click.option("--on-error", type=click.Choice(["abort", "skip"]), default="abort", show_default=True)
-def run(
-    config_path,
-    data_dir,
-    queries_path,
-    updates_path,
-    events_path,
-    stats_path,
-    b,
-    groups,
-    window,
-    no_filters,
-    flush_every,
-    on_error,
-):
+def run(config_path, data_dir, queries_path, updates_path, events_path, stats_path, b, window, no_filters, on_error):
     """Stream updates through detection and scoring; write the event log."""
     catalog = _load_catalog(config_path)
     started = time.perf_counter()
@@ -200,7 +152,7 @@ def run(
     _echo_seconds("csv load s", time.perf_counter() - started)
     try:
         queries = load_queries(_read_file(queries_path, "query catalog"), catalog)
-        scorer_cfg = ScorerConfig(b=b, window_updates=window, groups=groups)
+        scorer_cfg = ScorerConfig(b=b, window_updates=window)
     except (GenerationError, CatalogError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -213,7 +165,6 @@ def run(
     startup_rows = store.rows_read  # joined rows the start-up scans read
     chains = ChainStore()
     by_id = engine.queries
-    window_events: deque[ScoredEvent] = deque()  # the scoring window, kept only for --flush-every
 
     n_events = 0
     kept: list[tuple[DetectStats, float]] = []  # per processed update: its stats and latency
@@ -231,7 +182,6 @@ def run(
 
         events_out = open_out(events_path)
         stats_out = open_out(stats_path) if stats_path is not None else None
-        flush_out = open_out(Path(f"{events_path}.flush")) if flush_every else None
         for u in updates:
             started = time.perf_counter()
             try:
@@ -245,9 +195,7 @@ def run(
 
             for event in detected:
                 scored = score_event(event, by_id[event.query_id], chains, scorer_cfg)
-                events_out.write(_event_line(scored, by_id[event.query_id].sql()) + "\n")
-                if flush_out is not None:
-                    window_events.append(scored)
+                events_out.write(event_to_json(scored, by_id[event.query_id].sql()) + "\n")
 
             n_events += len(detected)
             st = engine.last_stats
@@ -255,15 +203,6 @@ def run(
             if stats_out is not None:
                 doc = {"seq": u.seq, **dataclasses.asdict(st), "latency_ms": latency_ms}
                 stats_out.write(json.dumps(doc, sort_keys=True) + "\n")
-            if flush_out is not None:
-                while window_events and window_events[0].seq <= u.seq - scorer_cfg.window_updates:
-                    window_events.popleft()
-                if len(kept) % flush_every == 0:
-                    ranking = [
-                        {"rank": i + 1, "seq": e.seq, "query_id": e.query_id, "entity": e.entity}
-                        for i, e in enumerate(rank_events(window_events, scorer_cfg))
-                    ]
-                    flush_out.write(json.dumps({"flush_at": u.seq, "ranking": ranking}, sort_keys=True) + "\n")
 
     def mean(name: str) -> float:
         return statistics.fmean(getattr(st, name) for st, _ in kept) if kept else 0.0
@@ -284,20 +223,15 @@ def run(
 @main.command()
 @click.option("--events", "events_path", required=True, type=click.Path(path_type=Path))
 @click.option("--window-end", type=int, help="last seq of the window (default: last event)")
-@click.option("--window", default=ScorerConfig.window_updates, show_default=True)
-@click.option("--groups", default=ScorerConfig.groups, show_default=True)
-def rank(events_path, window_end, window, groups):
-    """Print the window's events in final ranked order."""
-    parsed = _read_jsonl(events_path, "event log", _parse_event)
-    try:
-        cfg = ScorerConfig(window_updates=window, groups=groups)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+@click.option("--window", default=ScorerConfig.window_updates, show_default=True, type=click.IntRange(min=1))
+def rank(events_path, window_end, window):
+    """Print the events with seq in (window-end - window, window-end] in ranked order."""
+    parsed = _read_jsonl(events_path, "event log", event_from_json)
     if window_end is None:
         window_end = max((e.seq for e, _ in parsed), default=0)
     in_window = [(e, sql) for e, sql in parsed if window_end - window < e.seq <= window_end]
     sql_of = {id(e): sql for e, sql in in_window}
-    ordered = rank_events([e for e, _ in in_window], cfg)
+    ordered = rank_events([e for e, _ in in_window])
     if not ordered:
         click.echo(f"no events in window ({window_end - window}, {window_end}]")
         return
@@ -314,7 +248,7 @@ def rank(events_path, window_end, window, groups):
 def stats(stats_path):
     """Summarize a per-update stats file."""
     fields = [*(f.name for f in dataclasses.fields(DetectStats)), "latency_ms"]
-    rows = _read_jsonl(stats_path, "stats", lambda doc: [_number(doc, f) for f in fields])
+    rows = _read_jsonl(stats_path, "stats", lambda line: [_number(json.loads(line), f) for f in fields])
     if not rows:
         click.echo("no stats rows")
         return

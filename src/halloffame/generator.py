@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Union
 
@@ -374,9 +375,11 @@ def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
     _expect(crit["direction"] in ("ascending", "descending"), "direction must be concrete", crit["direction"])
     _expect(isinstance(k, int) and not isinstance(k, bool) and k >= 1, "k must be an integer >= 1", k)
     _expect(isinstance(doc["id"], str), "id must be a string", doc["id"])
-    for key in ("selectivity", "entropy_bits"):
-        number = isinstance(doc[key], (int, float)) and not isinstance(doc[key], bool)
-        _expect(number, f"{key} must be a number", doc[key])
+    sel, bits = doc["selectivity"], doc["entropy_bits"]
+    number = isinstance(sel, (int, float)) and not isinstance(sel, bool) and 0 < sel <= 1  # NaN fails the range
+    _expect(number, "selectivity must be a number in (0, 1]", sel)
+    number = isinstance(bits, (int, float)) and not isinstance(bits, bool) and 0 <= bits < math.inf
+    _expect(number, "entropy_bits must be a finite number >= 0", bits)
     q = HofQuery(
         id=doc["id"],
         entity_attr=_parse_ref(doc["entity"], catalog),
@@ -389,8 +392,8 @@ def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
             for e in doc["join_path"]
         ),
         k=k,
-        selectivity=doc["selectivity"],
-        entropy_bits=doc["entropy_bits"],
+        selectivity=sel,
+        entropy_bits=bits,
     )
     _check_join_path(q, catalog)
     return q

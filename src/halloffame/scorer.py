@@ -1,19 +1,24 @@
-"""Event scoring: improvement chains, dynamic scores, entropy, and the
-lexicographic-tradeoff ordering of detected events.
+"""Event scoring: improvement chains, dynamic scores, entropy, the
+lexicographic-tradeoff ordering of detected events, and the event log's
+line format.
 
 An event's final rank position is decided by, in order: the selectivity of
 its query (how much competition the ranking has), the dynamic score of the
 rank jump, and the entropy of the predicate's column combination. The two
-leading scores are quantized into n coarse groups so that nearly equal
-values tie and the next component decides, which is what makes the sort
-key a lawful total preorder.
+leading scores are quantized into GROUPS coarse groups so that nearly
+equal values tie and the next component decides, which is what makes the
+sort key a lawful total preorder. ``hof rank`` applies rank_events to a
+window of an event log.
 
 The dynamic score is normalized by the ranking size K of the event's own
 query, its k, with rules of its own for K <= b and K = 1 (dynamic_score).
+
+event_to_json and event_from_json are the event log's one codec.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -25,19 +30,19 @@ class ScoringError(Exception):
     pass
 
 
+GROUPS = 4  # coarse score groups for tradeoff ties
+
+
 @dataclass(frozen=True)
 class ScorerConfig:
     b: int = 5  # rank threshold: improvements to rank <= b are undiscounted
     window_updates: int = 1000  # improvement pairs older than this are dropped
-    groups: int = 4  # number of coarse score groups for tradeoff ties
 
     def __post_init__(self):
         if self.b < 2:
             raise ValueError("b must be >= 2")
         if self.window_updates < 1:
             raise ValueError("window_updates must be >= 1")
-        if self.groups < 1:
-            raise ValueError("groups must be >= 1")
 
 
 @dataclass(slots=True)
@@ -193,15 +198,14 @@ def score_event(event, query, chains: ChainStore, cfg: ScorerConfig) -> ScoredEv
     )
 
 
-def rank_events(events: Iterable[ScoredEvent], cfg: ScorerConfig) -> list[ScoredEvent]:
+def rank_events(events: Iterable[ScoredEvent]) -> list[ScoredEvent]:
     """Order events by quantized selectivity, then quantized dynamic score,
     then raw entropy; query id, entity, and seq break exact ties."""
-    n = cfg.groups
 
     def key(e: ScoredEvent):
         return (
-            -quantize(e.selectivity, n),
-            -quantize(e.dynamic_norm, n),
+            -quantize(e.selectivity, GROUPS),
+            -quantize(e.dynamic_norm, GROUPS),
             -e.entropy_bits,
             e.query_id,
             str(e.entity),
@@ -209,3 +213,57 @@ def rank_events(events: Iterable[ScoredEvent], cfg: ScorerConfig) -> list[Scored
         )
 
     return sorted(events, key=key)
+
+
+def event_to_json(event: ScoredEvent, sql: str) -> str:
+    """One event log line: the event and its query's SQL."""
+    doc = {
+        "seq": event.seq,
+        "query_id": event.query_id,
+        "query": sql,
+        "entity": event.entity,
+        "from_rank": event.from_rank,
+        "to_rank": event.to_rank,
+        "selectivity": event.selectivity,
+        "dynamic_raw": event.dynamic_raw,
+        "dynamic_norm": event.dynamic_norm,
+        "entropy_bits": event.entropy_bits,
+        "chain": [[p.seq, p.from_rank, p.to_rank] for p in event.chain],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def _expect(ok: bool, what: str, value: Any) -> None:
+    if not ok:
+        raise ScoringError(f"{what}, got {value!r}")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def event_from_json(line: str) -> tuple[ScoredEvent, str]:
+    """Parse one event log line into (event, SQL); a field that cannot be
+    ranked is a ScoringError."""
+    doc = json.loads(line)
+    _expect(isinstance(doc, dict), "an event must be a JSON object", doc)
+    for key in ("seq", "from_rank", "to_rank"):
+        _expect(_is_int(doc[key]), f"{key} must be an integer", doc[key])
+    _expect(isinstance(doc["query_id"], str), "query_id must be a string", doc["query_id"])
+    entity = doc["entity"]
+    _expect(isinstance(entity, (str, float)) or _is_int(entity), "entity must be a string or a number", entity)
+    for key in ("selectivity", "dynamic_raw", "dynamic_norm", "entropy_bits"):
+        _expect(_is_finite(doc[key]), f"{key} must be a finite number", doc[key])
+    chain = doc["chain"]
+    pairs = isinstance(chain, list) and all(isinstance(p, list) and len(p) == 3 and all(map(_is_int, p)) for p in chain)
+    _expect(pairs, "chain must be a list of [seq, from_rank, to_rank] integer lists", chain)
+    event = ScoredEvent(
+        doc["seq"], doc["query_id"], entity, doc["from_rank"], doc["to_rank"],
+        doc["selectivity"], doc["dynamic_raw"], doc["dynamic_norm"], doc["entropy_bits"],
+        tuple(ImprovementPair(*p) for p in chain),
+    )
+    return event, doc.get("query", "")

@@ -28,6 +28,7 @@ from halloffame import (
     aggregate_chain,
     dynamic_score,
     entropy,
+    event_to_json,
     generate_queries,
     quantize,
     rank_events,
@@ -35,7 +36,7 @@ from halloffame import (
     synth_stream,
     write_update_stream,
 )
-from halloffame.cli import _event_line
+from halloffame.scorer import GROUPS
 from halloffame.store import JoinScan
 from conftest import load_dataset, load_instance
 from oracles import GREATER, LESS, compare_tradeoff_sequences, make_instance, oracle_enumerate, query_signature
@@ -189,7 +190,7 @@ def _pipeline_log(catalog_store, queries, stream, scorer_cfg, filters_enabled):
         survivors.append(engine.last_stats.row_candidates)
         for event in events:
             scored = score_event(event, by_id[event.query_id], chains, scorer_cfg)
-            lines.append(_event_line(scored, by_id[event.query_id].sql()))
+            lines.append(event_to_json(scored, by_id[event.query_id].sql()))
     return "\n".join(lines), survivors, latencies
 
 
@@ -205,7 +206,7 @@ def test_c07_filter_soundness_end_to_end():
     are built in order from one seeded generator; their two replays each run
     in a worker process, at most one per CPU and a few in all."""
     rng = random.Random(707)
-    scorer_cfg = ScorerConfig(b=2, window_updates=1000, groups=4)
+    scorer_cfg = ScorerConfig(b=2, window_updates=1000)
     total_queries = 0
     logs = []
     spawn = multiprocessing.get_context("spawn")  # a worker imports this module afresh
@@ -237,7 +238,7 @@ def test_c07_real_criteria():
     three instances, one with a join, the filtered event log is
     byte-identical to the --no-filters log."""
     rng = random.Random(708)
-    scorer_cfg = ScorerConfig(b=2, window_updates=1000, groups=4)
+    scorer_cfg = ScorerConfig(b=2, window_updates=1000)
     events = 0
     for trial in range(3):
         inst = make_instance(rng, n_rows=120, n_entities=20, n_c1=10, n_c2=8, two_tables=trial == 2, real_criteria=True)
@@ -327,7 +328,6 @@ def test_c12_ranking_lawfulness():
     """rank_events is permutation-invariant and its comparator is transitive
     on 10,000 random score triples."""
     rng = random.Random(1212)
-    cfg = ScorerConfig(b=5, groups=4)
 
     def random_event(i):
         # draw from a lattice half the time so exact ties occur
@@ -347,8 +347,8 @@ def test_c12_ranking_lawfulness():
 
     def key(e):
         return (
-            -quantize(e.selectivity, cfg.groups),
-            -quantize(e.dynamic_norm, cfg.groups),
+            -quantize(e.selectivity, GROUPS),
+            -quantize(e.dynamic_norm, GROUPS),
             -e.entropy_bits,
             e.query_id,
             str(e.entity),
@@ -356,11 +356,11 @@ def test_c12_ranking_lawfulness():
         )
 
     events = [random_event(i) for i in range(600)]
-    baseline = rank_events(events, cfg)
+    baseline = rank_events(events)
     for _ in range(5):
         shuffled = events[:]
         rng.shuffle(shuffled)
-        assert rank_events(shuffled, cfg) == baseline
+        assert rank_events(shuffled) == baseline
 
     checked = 0
     for _ in range(10_000):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -8,7 +9,20 @@ import pytest
 from click.testing import CliRunner
 
 import halloffame
-from halloffame import Delta, StoreError, UpdateRecord, update_to_json, write_update_stream
+from halloffame import (
+    ChainStore,
+    Delta,
+    Engine,
+    ScorerConfig,
+    StoreError,
+    UpdateRecord,
+    load_queries,
+    rank_events,
+    read_update_stream,
+    score_event,
+    update_to_json,
+    write_update_stream,
+)
 from halloffame import cli
 from halloffame.cli import main
 
@@ -493,28 +507,6 @@ ranking_criteria:
         assert filtered.read_text().splitlines()
         assert filtered.read_bytes() == unfiltered.read_bytes()
 
-    def test_flush_cadence_writes_window_rankings(self, runner, bloomberg_dir, tmp_path):
-        queries, _ = gen(runner, bloomberg_dir, tmp_path)
-        two = fig5_stream_text() + update_to_json(
-            UpdateRecord(2, "update", "stockmarket", {"s_value": Delta(500)}, {"s_companyid": 0})
-        ) + "\n"
-        events, result = run_cmd(
-            runner, bloomberg_dir, tmp_path, queries, two, extra=["--flush-every", "1"]
-        )
-        assert result.exit_code == 0
-        flush = Path(str(events) + ".flush")
-        docs = [json.loads(line) for line in flush.read_text().splitlines()]
-        assert len(docs) == 2
-        assert docs[0]["flush_at"] == 1 and docs[0]["ranking"]
-
-    def test_negative_flush_cadence_is_a_usage_error(self, runner, bloomberg_dir, tmp_path):
-        # n % -2 == 0 for every even n, so -2 would flush like 2
-        queries, _ = gen(runner, bloomberg_dir, tmp_path)
-        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text(), extra=["--flush-every", "-2"])
-        assert result.exit_code == 2, result.output
-        assert "Invalid value for '--flush-every'" in result.output
-        assert not events.exists() and not Path(str(events) + ".flush").exists()
-
 
 class TestRank:
     def make_events(self, runner, bloomberg_dir, tmp_path):
@@ -542,6 +534,42 @@ class TestRank:
         events = self.make_events(runner, bloomberg_dir, tmp_path)
         args = ["rank", "--events", str(events)]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+    def test_each_window_ranks_as_the_scored_events(self, runner, bloomberg, bloomberg_dir, tmp_path):
+        # for every S of a replay, rank --window-end S lists the events
+        # scored in memory with seq in (S - W, S], in rank_events' order
+        window = 7
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        updates = tmp_path / "synth.jsonl"
+        synth = ["synth", "--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir)]
+        assert runner.invoke(main, [*synth, "--out", str(updates)]).exit_code == 0
+        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, updates.read_text(), extra=["--window", str(window)])
+        assert result.exit_code == 0, result.output
+        catalog, store = bloomberg
+        engine = Engine(catalog, store, load_queries(queries.read_text(), catalog))
+        chains, cfg = ChainStore(), ScorerConfig(b=2, window_updates=window)
+        scored, seqs = [], []
+        for u in read_update_stream(updates.read_text()):
+            seqs.append(u.seq)
+            for event in engine.detect(u):
+                query = engine.queries[event.query_id]
+                scored.append((score_event(event, query, chains, cfg), query.sql()))
+        assert len(seqs) > window and len({e.seq for e, _ in scored}) > 1
+        for end in seqs:
+            in_window = [(e, sql) for e, sql in scored if end - window < e.seq <= end]
+            sql_of = {id(e): sql for e, sql in in_window}
+            expected = rank_events([e for e, _ in in_window])
+            result = runner.invoke(main, ["rank", "--events", str(events), "--window-end", str(end), "--window", str(window)])
+            assert result.exit_code == 0, result.output
+            head, *lines = result.output.splitlines()
+            if not expected:
+                assert head == f"no events in window ({end - window}, {end}]" and not lines
+                continue
+            assert head == f"events in window ({end - window}, {end}]: {len(expected)}"
+            assert len(lines) == len(expected)
+            for i, (line, e) in enumerate(zip(lines, expected), start=1):
+                assert line.startswith(f"{i:4d}. seq={e.seq} "), (end, line)
+                assert line.endswith(f" {e.entity!r} {e.from_rank}->{e.to_rank} {sql_of[id(e)]}"), (end, line)
 
 
 GAMES_CONFIG = """
@@ -638,18 +666,40 @@ GOOD_STATS = {
 }
 
 
+COMMANDS = [("rank", "--events", "event log", GOOD_EVENT), ("stats", "--stats", "stats", GOOD_STATS)]
+# an event log field and a value that cannot be ranked
+BAD_EVENT_FIELDS = {
+    "bool-seq": ("seq", True),
+    "float-seq": ("seq", 1.5),
+    "float-from-rank": ("from_rank", 4.0),
+    "bool-to-rank": ("to_rank", False),
+    "number-query-id": ("query_id", 5),  # beside a str id it broke rank_events' sort
+    "list-entity": ("entity", [1]),
+    "null-entity": ("entity", None),
+    "nan-selectivity": ("selectivity", math.nan),
+    "inf-dynamic-norm": ("dynamic_norm", math.inf),
+    "text-entropy": ("entropy_bits", "1.0"),
+    "chain-object": ("chain", {"seq": 1}),
+    "short-pair": ("chain", [[1, 4]]),
+    "float-in-pair": ("chain", [[1, 4, 1.0]]),
+}
+
+
 class TestBadInputLines:
     @pytest.mark.parametrize(
-        "command, option, what, good",
-        [("rank", "--events", "event log", GOOD_EVENT), ("stats", "--stats", "stats", GOOD_STATS)],
+        "command, option, what, good, bad",
+        [(*c, bad) for c in COMMANDS for bad in ("not json", "[1, 2]", "missing-field", "text-number")]
+        + [(*COMMANDS[0], bad) for bad in BAD_EVENT_FIELDS],
     )
-    @pytest.mark.parametrize("bad", ["not json", "[1, 2]", "missing-field", "text-number"])
     def test_bad_line_is_named(self, runner, tmp_path, command, option, what, good, bad):
         doc = dict(good)
         if bad == "missing-field":
             del doc["seq" if command == "rank" else "changed"]
         if bad == "text-number":
             doc["to_rank" if command == "rank" else "latency_ms"] = "1"
+        if bad in BAD_EVENT_FIELDS:
+            key, value = BAD_EVENT_FIELDS[bad]
+            doc[key] = value
         line = bad if bad in ("not json", "[1, 2]") else json.dumps(doc)
         path = tmp_path / "input.jsonl"
         path.write_text(json.dumps(good) + "\n" + line + "\n")

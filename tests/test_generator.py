@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -474,12 +475,21 @@ class TestPersistence:
             (lambda doc: {**doc, "criterion": {**doc["criterion"], "aggregation": "max"}}, "unknown aggregation"),
             (lambda doc: {**doc, "predicate": [{**doc["predicate"][0], "right": 3}]}, "does not match the type"),
             (lambda doc: {**doc, "selectivity": "0.5"}, "selectivity must be a number"),
+            (lambda doc: {**doc, "selectivity": math.nan}, "selectivity must be a number in"),
+            (lambda doc: {**doc, "selectivity": math.inf}, "selectivity must be a number in"),
+            (lambda doc: {**doc, "selectivity": 0.0}, "selectivity must be a number in"),
+            (lambda doc: {**doc, "selectivity": 1.5}, "selectivity must be a number in"),
+            (lambda doc: {**doc, "entropy_bits": math.nan}, "entropy_bits must be a finite number >= 0"),
+            (lambda doc: {**doc, "entropy_bits": math.inf}, "entropy_bits must be a finite number >= 0"),
+            (lambda doc: {**doc, "entropy_bits": -0.5}, "entropy_bits must be a finite number >= 0"),
             (lambda doc: {**doc, "id": 7}, "id must be a string"),
             (lambda doc: doc, "duplicate query id"),
         ],
         ids=[
             "not-object", "atom-not-object", "unknown-relation", "k-text", "k-zero",
-            "comparator", "aggregation", "constant-type", "selectivity-text", "id-number", "dup-id",
+            "comparator", "aggregation", "constant-type", "selectivity-text",
+            "selectivity-nan", "selectivity-inf", "selectivity-zero", "selectivity-above-one",
+            "entropy-nan", "entropy-inf", "entropy-negative", "id-number", "dup-id",
         ],
     )
     def test_bad_line_is_located(self, bloomberg, mutate, message):

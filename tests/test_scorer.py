@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from types import SimpleNamespace
@@ -15,6 +16,8 @@ from halloffame import (
     aggregate_chain,
     dynamic_score,
     entropy,
+    event_from_json,
+    event_to_json,
     quantize,
     rank_events,
     score_event,
@@ -293,17 +296,15 @@ def scored(qid="q", ent="e", sel=0.5, dyn=0.5, bits=1.0, seq=1):
 
 
 class TestRankEvents:
-    CFG = ScorerConfig(b=5, groups=4)
-
     def test_dynamic_breaks_selectivity_tie(self):
         a = scored("a", sel=0.9, dyn=0.2)
         b = scored("b", sel=0.85, dyn=0.7)
-        assert [e.query_id for e in rank_events([a, b], self.CFG)] == ["b", "a"]
+        assert [e.query_id for e in rank_events([a, b])] == ["b", "a"]
 
     def test_selectivity_bucket_decides(self):
         a = scored("a", sel=0.50, dyn=0.9)
         b = scored("b", sel=0.80, dyn=0.1)
-        assert [e.query_id for e in rank_events([a, b], self.CFG)] == ["b", "a"]
+        assert [e.query_id for e in rank_events([a, b])] == ["b", "a"]
 
     def test_permutation_invariance(self):
         rng = random.Random(31)
@@ -311,11 +312,11 @@ class TestRankEvents:
             scored(f"q{i}", ent=f"e{i % 7}", sel=rng.random(), dyn=rng.random(), bits=rng.random() * 3, seq=i)
             for i in range(40)
         ]
-        baseline = rank_events(events, self.CFG)
+        baseline = rank_events(events)
         for _ in range(10):
             shuffled = events[:]
             rng.shuffle(shuffled)
-            assert rank_events(shuffled, self.CFG) == baseline
+            assert rank_events(shuffled) == baseline
 
     def test_quantize_edges(self):
         assert quantize(0.0, 4) == 0
@@ -329,10 +330,48 @@ class TestRankEvents:
             scored("b", sel=0.55, dyn=0.1),
             scored("c", sel=0.61, dyn=0.5),
         ]
-        before = [e.query_id for e in rank_events(events, self.CFG)]
+        before = [e.query_id for e in rank_events(events)]
         # nudge all selectivities by a constant that keeps them in bucket 2
         moved = [
             dataclasses.replace(e, selectivity=e.selectivity + 0.1) for e in events
         ]
-        after = [e.query_id for e in rank_events(moved, self.CFG)]
+        after = [e.query_id for e in rank_events(moved)]
         assert before == after
+
+
+HUGE_INTS = st.integers(min_value=-(10**400), max_value=10**400)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scored_events(draw):
+    def ints():
+        return draw(st.integers() | HUGE_INTS)
+
+    chain = draw(st.lists(st.builds(ImprovementPair, HUGE_INTS, HUGE_INTS, HUGE_INTS), max_size=60))
+    return ScoredEvent(
+        seq=ints(),
+        query_id=draw(st.text()),
+        entity=draw(st.text() | st.integers() | HUGE_INTS | st.floats(allow_nan=False)),
+        from_rank=ints(),
+        to_rank=ints(),
+        selectivity=draw(FINITE),
+        dynamic_raw=draw(FINITE),
+        dynamic_norm=draw(FINITE),
+        entropy_bits=draw(FINITE),
+        chain=tuple(chain),
+    )
+
+
+class TestEventCodec:
+    @given(scored_events(), st.text())
+    @example(scored(ent="Amancio O. Gaona \u00e9\U0001f3c6"), "SELECT \u00fc")
+    @example(dataclasses.replace(scored(ent=-(10**400)), seq=10**300), "")
+    @example(scored(ent=1.0), "SELECT")
+    def test_round_trip_and_json_dumps_oracle(self, e, sql):
+        line = event_to_json(e, sql)
+        assert event_from_json(line) == (e, sql)
+        doc = {f.name: getattr(e, f.name) for f in dataclasses.fields(ScoredEvent)}
+        doc["chain"] = [[p.seq, p.from_rank, p.to_rank] for p in e.chain]
+        doc["query"] = sql
+        assert line == json.dumps(doc, sort_keys=True)
