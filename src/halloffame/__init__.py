@@ -40,7 +40,6 @@ from .scorer import (
     ImprovementPair,
     ScoredEvent,
     ScorerConfig,
-    aggregate_chain,
     dynamic_score,
     entropy,
     event_from_json,

@@ -21,11 +21,9 @@ from typing import Any, Iterable, Iterator, Optional
 import yaml
 
 
-COLUMN_TYPES = ("integer", "real", "text")
 NUMERIC_TYPES = ("integer", "real")
 COMPARATORS = (">", "<", "=", "!=", "<=", ">=")
 AGGREGATIONS = ("sum", "avg")
-DIRECTIONS = ("ascending", "descending", "both")
 
 # accepted spellings in config text, normalized on load
 _COMPARATOR_ALIASES = {"≠": "!=", "<>": "!=", "≤": "<=", "≥": ">=", "==": "="}

@@ -24,7 +24,9 @@ from .generator import (
     generate_queries,
     load_queries,
 )
-from .scorer import ChainStore, ScorerConfig, ScoringError, event_from_json, event_to_json, rank_events, score_event
+from .scorer import (
+    ChainStore, ScorerConfig, ScoringError, event_from_json, event_to_json, is_finite, rank_events, score_event,
+)
 from .store import Store, StoreError, read_update_stream, write_update_stream
 from .synth import SynthConfig, synth_stream
 
@@ -62,8 +64,8 @@ def _echo_seconds(label: str, seconds: float) -> None:
 
 def _number(doc: dict, key: str) -> Any:
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not is_finite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return value
 
 

@@ -53,19 +53,16 @@ have changed, and pays per entity that moved, not per key held: a held
 entity whose key changed leaves the sorted keys by bisection, a new key
 within the bound enters by insertion, and an entity neither held nor
 within the bound, or held with its key unchanged, costs one key and
-nothing more. A key that leaves or enters below position k changes the
-first k keys for good, as no later move can bring the key back or push
-the new one out again, so the order copies its old first k keys at the
-first such move and at no other. The keys are then cut back to 2k, which
-moves the bound; only when fewer than k keys remain of a larger instance
-does the order sort the whole instance again, its only sort after
-start-up, and a refill is the one case where the first k keys are
-compared instead. In the same call every entity that ranks better in the
-new first k keys than in the old ones becomes an event, and the call
-reports whether the first k keys changed, whether the entity order did and
-whether the order refilled. These orders are the delta path's only
-ranking state: it stores no ranking, and a query's top-K as (entity,
-value) pairs is built from its order's keys only when a reader asks for it.
+nothing more. The keys are then cut back to 2k, which moves the bound;
+only when fewer than k keys remain of a larger instance does the order
+sort the whole instance again, its only sort after start-up. The call
+copies the first k keys on entry and compares them with the new ones at
+the end: every entity that ranks better in the new first k keys than in
+the old ones becomes an event, and the call reports whether the first k
+keys changed, whether the entity order did and whether the order
+refilled. These orders are the delta path's only ranking state: it stores
+no ranking, and a query's top-K as (entity, value) pairs is built from its
+order's keys only when a reader asks for it.
 
 With filters disabled the engine rescans every family from scratch on
 every update, ranks each instance with build_ranking, stores the ranking
@@ -77,7 +74,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
@@ -380,15 +377,12 @@ class EntityOrder:
         Only the moved entities cost anything: a held one whose key changed
         leaves the keys by bisection, and a new key within the bound enters
         by insertion; one neither held nor within the bound, or held with
-        its key unchanged, moves nothing. A key that leaves or enters below
-        position k changes the first k keys for good, so the old ones are
-        copied just before the first such move and at no other. The keys are
-        then cut back to 2k, and only when fewer than k remain of a larger
-        instance is it sorted again (fill); the first k keys are then
-        compared, as a new entity beyond a stale bound changes them without
-        moving any key."""
+        its key unchanged, moves nothing. The keys are then cut back to 2k,
+        and only when fewer than k remain of a larger instance is it sorted
+        again (fill). The first k keys are copied on entry and compared with
+        the new ones at the end, whatever moved."""
         keys, held, bound, key, k = self.keys, self.held, self.bound, self.key, self.k
-        top = None  # the first k keys before the update, once a move below k changed them
+        top = keys[:k]
         for e in moved:
             old = held.get(e)
             new = key(e) if e in counts else None
@@ -397,17 +391,11 @@ class EntityOrder:
             if new == old:
                 continue
             if old is not None:
-                i = bisect_left(keys, old)
-                if top is None and i < k:
-                    top = keys[:k]
-                del keys[i]
+                del keys[bisect_left(keys, old)]
             if new is None:
                 del held[e]
             else:
-                i = bisect_left(keys, new)
-                if top is None and i < k:
-                    top = keys[:k]
-                keys.insert(i, new)
+                insort(keys, new)
                 held[e] = new
         cap = 2 * k
         if len(keys) > cap:
@@ -418,13 +406,9 @@ class EntityOrder:
         result = 0
         if len(keys) < k and len(counts) > len(keys):
             result = REFILLED
-            if top is None:
-                top = keys[:k]
             self.fill(counts)
             keys = self.keys
-            if keys[:k] == top:
-                return result
-        elif top is None:
+        if keys[:k] == top:
             return result
         before = {e: rank for rank, (_, e) in enumerate(top, start=1)}
         qid, n = self.qid, len(events)

@@ -10,8 +10,11 @@ equal values tie and the next component decides, which is what makes the
 sort key a lawful total preorder. ``hof rank`` applies rank_events to a
 window of an event log.
 
-The dynamic score is normalized by the ranking size K of the event's own
-query, its k, with rules of its own for K <= b and K = 1 (dynamic_score).
+The dynamic score is of the event's improvement chain: the suffix of its
+entity's rank improvements in its query since the last worsening, which
+ChainStore keeps by applying the chain rule as it records each pair. The
+score is normalized by the ranking size K of the event's own query, its k,
+with rules of its own for K <= b and K = 1 (dynamic_score).
 
 event_to_json and event_from_json are the event log's one codec.
 """
@@ -54,17 +57,21 @@ class ImprovementPair:
 
 class ChainStore:
     """Per-(query, entity) improvement chains within the sliding window. A
-    chain is the time-ordered list of one entity's rank improvements in one
-    ranking.
+    chain is the suffix of one entity's rank improvements in one ranking
+    since its last intermediate worsening: the chain rule, applied as each
+    pair is recorded. Walking backward from the most recent pair, an
+    earlier pair (p, p') stays only while the later pair starts at a rank
+    at least as good as where the earlier one ended (from_rank <= p');
+    everything before a worsening already had its chance to be reported.
 
     Chains are kept in the order they were last recorded to. Events arrive
     in stream order, so a chain whose newest pair has left the window holds
     no live state and is dropped from the front. Chains are evicted only
     when the window's horizon moved since the last eviction, once per
     update: after one, every chain left is newer than the horizon, and so
-    is every chain recorded to until it moves. A live chain's pair list
-    grows in place and is rebuilt only when its oldest pair leaves the
-    window.
+    is every chain recorded to until it moves. A live chain grows in place,
+    restarts at a worsening and is rebuilt only when its oldest pair leaves
+    the window.
     """
 
     def __init__(self):
@@ -72,8 +79,9 @@ class ChainStore:
         self._horizon = None  # the horizon of the last eviction
 
     def record(self, event, window_updates: int) -> list[ImprovementPair]:
-        """Append the event's pair to its chain, evicting expired pairs and
-        chains; returns the chain."""
+        """Extend the event's chain by its pair, or restart it at a
+        worsening, evicting expired pairs and chains; returns the chain, the
+        pairs that count as one combined improvement."""
         horizon = event.seq - window_updates
         chains = self._chains
         if horizon != self._horizon:
@@ -81,32 +89,14 @@ class ChainStore:
             while chains and next(iter(chains.values()))[-1].seq <= horizon:
                 chains.popitem(last=False)
         key = (event.query_id, event.entity)
-        pairs = chains.get(key)
-        if pairs is None:
-            pairs = chains[key] = []
-        else:
-            chains.move_to_end(key)
-            if pairs[0].seq <= horizon:
-                pairs = chains[key] = [p for p in pairs if p.seq > horizon]
+        pairs = chains.pop(key, None)
+        if pairs is None or event.from_rank > pairs[-1].to_rank:
+            pairs = []
+        elif pairs[0].seq <= horizon:
+            pairs = [p for p in pairs if p.seq > horizon]
         pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
+        chains[key] = pairs
         return pairs
-
-
-def aggregate_chain(pairs: list[ImprovementPair]) -> list[ImprovementPair]:
-    """The suffix of the chain that counts as one combined improvement.
-
-    Walking backward from the most recent pair, an earlier pair (p, p')
-    stays included only while the later pair starts at a rank at least as
-    good as where the earlier one ended (from_rank <= p'); the first
-    intermediate worsening breaks the chain, since everything before it
-    already had its chance to be reported.
-    """
-    if not pairs:
-        raise ScoringError("aggregate_chain on empty chain")
-    start = len(pairs) - 1
-    while start > 0 and pairs[start].from_rank <= pairs[start - 1].to_rank:
-        start -= 1
-    return pairs[start:]
 
 
 def dynamic_score(pairs: Sequence[ImprovementPair], k: int, b: int) -> tuple[float, float]:
@@ -182,7 +172,7 @@ class ScoredEvent:
 
 def score_event(event, query, chains: ChainStore, cfg: ScorerConfig) -> ScoredEvent:
     """Record the event in its chain and compose the full score triple."""
-    pairs = aggregate_chain(chains.record(event, cfg.window_updates))
+    pairs = chains.record(event, cfg.window_updates)
     raw, norm = dynamic_score(pairs, query.k, cfg.b)
     return ScoredEvent(
         event.seq,
@@ -242,7 +232,8 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite(value: Any) -> bool:
+def is_finite(value: Any) -> bool:
+    """A finite JSON number: an int that is not a bool, or a finite float."""
     return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
@@ -257,7 +248,7 @@ def event_from_json(line: str) -> tuple[ScoredEvent, str]:
     entity = doc["entity"]
     _expect(isinstance(entity, (str, float)) or _is_int(entity), "entity must be a string or a number", entity)
     for key in ("selectivity", "dynamic_raw", "dynamic_norm", "entropy_bits"):
-        _expect(_is_finite(doc[key]), f"{key} must be a finite number", doc[key])
+        _expect(is_finite(doc[key]), f"{key} must be a finite number", doc[key])
     chain = doc["chain"]
     pairs = isinstance(chain, list) and all(isinstance(p, list) and len(p) == 3 and all(map(_is_int, p)) for p in chain)
     _expect(pairs, "chain must be a list of [seq, from_rank, to_rank] integer lists", chain)

@@ -370,6 +370,8 @@ class Store:
                 raise UpdateError(f"update {u.seq}: unknown column {u.table}.{col}")
 
         if u.kind == "insert":
+            if u.where:
+                raise UpdateError(f"insert {u.seq}: an insert takes no where, got {dict(u.where)!r}")
             declared = set(table.col_pos)
             given = set(u.set_values)
             if given != declared:

@@ -488,6 +488,20 @@ def oracle_diff(old: list[tuple], new: list[tuple], k: int) -> list[tuple]:
     return out
 
 
+def aggregate_chain(pairs: list) -> list:
+    """The suffix of a full chain of improvement pairs that counts as one
+    combined improvement. Walking backward from the most recent pair, an
+    earlier pair (p, p') stays included only while the later pair starts at
+    a rank at least as good as where the earlier one ended (from_rank <=
+    p'); the first intermediate worsening breaks the chain."""
+    if not pairs:
+        raise ValueError("aggregate_chain on empty chain")
+    start = len(pairs) - 1
+    while start > 0 and pairs[start].from_rank <= pairs[start - 1].to_rank:
+        start -= 1
+    return pairs[start:]
+
+
 LESS, EQUAL, GREATER = -1, 0, 1
 
 

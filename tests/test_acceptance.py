@@ -21,11 +21,11 @@ from halloffame import (
     Engine,
     GeneratorConfig,
     ImprovementPair,
+    RankEvent,
     ScoredEvent,
     ScorerConfig,
     SynthConfig,
     UpdateRecord,
-    aggregate_chain,
     dynamic_score,
     entropy,
     event_to_json,
@@ -39,7 +39,9 @@ from halloffame import (
 from halloffame.scorer import GROUPS
 from halloffame.store import JoinScan
 from conftest import load_dataset, load_instance
-from oracles import GREATER, LESS, compare_tradeoff_sequences, make_instance, oracle_enumerate, query_signature
+from oracles import (
+    GREATER, LESS, aggregate_chain, compare_tradeoff_sequences, make_instance, oracle_enumerate, query_signature,
+)
 
 
 def ok(n, detail):
@@ -61,9 +63,13 @@ def test_c01_dynamic_score_bounds():
 
 
 def test_c02_chain_rule_example():
-    """[(100,75),(84,65)] aggregates to exactly [(84,65)]."""
+    """[(100,75),(84,65)] aggregates to exactly [(84,65)], in the oracle and
+    as ChainStore records the two jumps."""
     merged = aggregate_chain([ImprovementPair(1, 100, 75), ImprovementPair(2, 84, 65)])
     assert merged == [ImprovementPair(2, 84, 65)]
+    chains = ChainStore()
+    chains.record(RankEvent("q", "e", 100, 75, 1), 1000)
+    assert chains.record(RankEvent("q", "e", 84, 65, 2), 1000) == merged
     ok(2, f"merged pairs {[(p.from_rank, p.to_rank) for p in merged]}")
 
 

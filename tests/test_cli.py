@@ -683,13 +683,19 @@ BAD_EVENT_FIELDS = {
     "short-pair": ("chain", [[1, 4]]),
     "float-in-pair": ("chain", [[1, 4, 1.0]]),
 }
+# a stats field and a value that cannot be summarized
+BAD_STATS_FIELDS = {
+    "nan-latency": ("latency_ms", math.nan),
+    "inf-counter": ("extended", math.inf),
+}
 
 
 class TestBadInputLines:
     @pytest.mark.parametrize(
         "command, option, what, good, bad",
         [(*c, bad) for c in COMMANDS for bad in ("not json", "[1, 2]", "missing-field", "text-number")]
-        + [(*COMMANDS[0], bad) for bad in BAD_EVENT_FIELDS],
+        + [(*COMMANDS[0], bad) for bad in BAD_EVENT_FIELDS]
+        + [(*COMMANDS[1], bad) for bad in BAD_STATS_FIELDS],
     )
     def test_bad_line_is_named(self, runner, tmp_path, command, option, what, good, bad):
         doc = dict(good)
@@ -697,8 +703,9 @@ class TestBadInputLines:
             del doc["seq" if command == "rank" else "changed"]
         if bad == "text-number":
             doc["to_rank" if command == "rank" else "latency_ms"] = "1"
-        if bad in BAD_EVENT_FIELDS:
-            key, value = BAD_EVENT_FIELDS[bad]
+        fields = BAD_EVENT_FIELDS if command == "rank" else BAD_STATS_FIELDS
+        if bad in fields:
+            key, value = fields[bad]
             doc[key] = value
         line = bad if bad in ("not json", "[1, 2]") else json.dumps(doc)
         path = tmp_path / "input.jsonl"

@@ -679,7 +679,7 @@ class TestEntityOrderUpdate:
     # four of five entities leave, the fifth held and the one beyond the
     # bound among them: the order is short of k with a stale bound, and the
     # entity that enters next lies above that bound, so no key moves and
-    # only the refill finds the first k keys changed
+    # the first k keys change only through the refill
     @example(
         k=2,
         aggregation="sum",
@@ -712,12 +712,11 @@ class TestEntityOrderUpdate:
         initial={0: (1, 10), 1: (1, 9), 2: (1, 8), 3: (1, 7), 4: (1, 6), 5: (1, 5)},
         steps=[{3: (1, 8), 4: (1, 7), 5: None}],
     )
-    # three held entities leave, the first of them below k, so the old
-    # first k keys are copied there; the order then runs short of k and
-    # refills from the entities beyond the bound, whose values tie with the
-    # leavers'. A refill never leaves the first k keys as they were: the
-    # order runs short only after a key below k left, or when it held every
-    # entity and a new one beyond its stale bound arrives
+    # three held entities leave, the first of them below k; the order then
+    # runs short of k and refills from the entities beyond the bound, whose
+    # values tie with the leavers'. A refill never leaves the first k keys
+    # as they were: the order runs short only after a key below k left, or
+    # when it held every entity and a new one beyond its stale bound arrives
     @example(
         k=2,
         aggregation="sum",

@@ -13,7 +13,6 @@ from halloffame import (
     RankEvent,
     ScoredEvent,
     ScorerConfig,
-    aggregate_chain,
     dynamic_score,
     entropy,
     event_from_json,
@@ -23,7 +22,7 @@ from halloffame import (
     score_event,
 )
 from halloffame.scorer import ScoringError
-from oracles import EQUAL, GREATER, LESS, compare_tradeoff, compare_tradeoff_sequences
+from oracles import EQUAL, GREATER, LESS, aggregate_chain, compare_tradeoff, compare_tradeoff_sequences
 
 
 def doubling(hi, lo):
@@ -35,14 +34,15 @@ def event(qid="q", ent="e", frm=10, to=5, seq=1):
 
 
 class KeepAllChains(ChainStore):
-    """Chains are never dropped, only their expired pairs."""
+    """Full chains, never dropped, only their expired pairs; each record
+    returns the oracle's aggregate of the full chain."""
 
     def record(self, event, window_updates):
         key = (event.query_id, event.entity)
         horizon = event.seq - window_updates
         pairs = self._chains[key] = [p for p in self._chains.get(key, []) if p.seq > horizon]
         pairs.append(ImprovementPair(event.seq, event.from_rank, event.to_rank))
-        return pairs
+        return aggregate_chain(pairs)
 
 
 class TestChains:
@@ -56,11 +56,22 @@ class TestChains:
         pairs = chains.record(event(seq=12, frm=5, to=4), 10)
         assert [p.seq for p in pairs] == [12]
 
-    def test_two_jumps_kept_while_in_window(self):
+    def test_seamless_continuation_kept(self):
         chains = ChainStore()
-        chains.record(event(seq=100, frm=100, to=75), 1000)
+        chains.record(event(seq=100, frm=100, to=84), 1000)
         pairs = chains.record(event(seq=200, frm=84, to=65), 1000)
-        assert [(p.from_rank, p.to_rank) for p in pairs] == [(100, 75), (84, 65)]
+        assert [(p.from_rank, p.to_rank) for p in pairs] == [(100, 84), (84, 65)]
+
+    def test_restarted_chain_trimmed_by_the_window(self):
+        chains = ChainStore()
+        chains.record(event(seq=1, frm=10, to=5), 10)
+        # 5 -> 8 in between is a worsening: the chain restarts at (8, 6)
+        assert chains.record(event(seq=2, frm=8, to=6), 10) == [ImprovementPair(2, 8, 6)]
+        assert chains.record(event(seq=3, frm=6, to=4), 10) == [ImprovementPair(2, 8, 6), ImprovementPair(3, 6, 4)]
+        # at seq 12 the horizon is 2: (8, 6) leaves the window, (6, 4) stays
+        pairs = chains.record(event(seq=12, frm=4, to=2), 10)
+        assert pairs == [ImprovementPair(3, 6, 4), ImprovementPair(12, 4, 2)]
+        assert chains._chains == {("q", "e"): pairs}
 
     def test_dead_chains_dropped_without_changing_scores(self):
         rng = random.Random(8)
@@ -109,7 +120,7 @@ class TestAggregateChain:
         assert aggregate_chain(pairs) == pairs
 
     def test_empty_chain_rejected(self):
-        with pytest.raises(ScoringError):
+        with pytest.raises(ValueError):
             aggregate_chain([])
 
     def test_result_is_suffix_and_scores_at_least_latest(self):

@@ -249,6 +249,21 @@ class TestApplyUpdate:
         with pytest.raises(StoreError, match="exactly the columns"):
             store.apply_update(UpdateRecord(1, "insert", "stockmarket", {"s_value": 7}, {}))
 
+    @pytest.mark.parametrize("filters", [True, False])
+    def test_insert_with_where_rejected_before_any_change(self, bloomberg, filters):
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=2), store)
+        engine = Engine(catalog, store, queries, filters_enabled=filters)
+        before = snapshot(store, engine)
+        u = update_from_json(
+            '{"seq": 3, "kind": "insert", "table": "country", "set": {"co_countryid": 99, "co_name": "X"}, '
+            '"where": {"bogus": 5}}'
+        )
+        with pytest.raises(UpdateError, match="insert 3: an insert takes no where"):
+            engine.detect(u)
+        assert snapshot(store, engine) == before
+        assert len(store.table("country")) == 6
+
     def test_unknown_column_rejected(self, bloomberg):
         _, store = bloomberg
         with pytest.raises(StoreError, match="unknown column"):
