@@ -8,6 +8,12 @@ interpreting only the keywords that file uses (``type``, ``enum``,
 ``minItems`` and ``minLength``), with the messages of the ``jsonschema``
 package; it raises on any other keyword, so the file and the checker cannot
 drift apart.
+
+What a query may say is written once, as SchemaCatalog's criterion, atom and
+join-path rules (check_criterion, check_atom, check_join_path): the config's
+loader, the query catalog's loader and the store's joins all apply them.
+is_int, is_number and is_finite are the JSON-number tests every reader of a
+JSON or YAML document shares; none of them takes a bool for a number.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import yaml
 
@@ -24,6 +31,7 @@ import yaml
 NUMERIC_TYPES = ("integer", "real")
 COMPARATORS = (">", "<", "=", "!=", "<=", ">=")
 AGGREGATIONS = ("sum", "avg")
+DIRECTIONS = ("ascending", "descending")  # concrete; a config's "both" expands to these
 
 # accepted spellings in config text, normalized on load
 _COMPARATOR_ALIASES = {"≠": "!=", "<>": "!=", "≤": "<=", "≥": ">=", "==": "="}
@@ -31,6 +39,22 @@ _COMPARATOR_ALIASES = {"≠": "!=", "<>": "!=", "≤": "<=", "≥": ">=", "==": 
 ATOM_BINDING = "binding"
 ATOM_CONST = "const_comparison"
 ATOM_INTER = "inter_attribute"
+ATOM_KINDS = (ATOM_BINDING, ATOM_CONST, ATOM_INTER)
+
+
+def is_int(value: Any) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """A JSON number: an int that is not a bool, or a float."""
+    return is_int(value) or isinstance(value, float)
+
+
+def is_finite(value: Any) -> bool:
+    """A finite JSON number."""
+    return is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
 class CatalogError(Exception):
@@ -92,7 +116,7 @@ class RankingCriterion:
 
     column: ColumnRef
     aggregation: str  # sum | avg
-    direction: str  # ascending | descending | both
+    direction: str  # ascending | descending: a config's "both" is expanded on load
 
     def sort_key(self) -> tuple:
         return (self.column, self.aggregation, self.direction)
@@ -205,6 +229,56 @@ class SchemaCatalog:
         needed = frozenset(needed)
         return any(needed <= allowed for allowed in self.join_allowlist)
 
+    # -- what a query may say: the config's and the query catalog's one rule book
+
+    def check_criterion(self, criterion: RankingCriterion) -> None:
+        """The criterion rule: sum or avg of a numeric column, in a concrete direction."""
+        col_type = self.column_type(criterion.column)
+        if col_type not in NUMERIC_TYPES:
+            raise CatalogError(f"ranking criterion on non-numeric column {criterion.column} ({col_type})")
+        if criterion.aggregation not in AGGREGATIONS:
+            raise CatalogError(f"unknown aggregation {criterion.aggregation!r}")
+        if criterion.direction not in DIRECTIONS:
+            raise CatalogError(f"direction must be concrete, got {criterion.direction!r}")
+
+    def check_atom(self, atom: ConstraintAtom) -> None:
+        """The atom rule: a known kind and comparator, '=' for a binding atom,
+        and text compared with text, a number with a number, whether the
+        right side is a constant or a column."""
+        if atom.kind not in ATOM_KINDS:
+            raise CatalogError(f"unknown atom kind {atom.kind!r}")
+        if atom.comparator not in COMPARATORS:
+            raise CatalogError(f"unknown comparator {atom.comparator!r}")
+        if atom.kind == ATOM_BINDING and atom.comparator != "=":
+            raise CatalogError(f"a binding atom compares with '=', got {atom.comparator!r}")
+        left_type = self.column_type(atom.left)
+        if atom.kind == ATOM_INTER:
+            right_type = self.column_type(atom.right)
+            if (left_type == "text") != (right_type == "text"):
+                raise CatalogError(f"cannot compare {atom.left} ({left_type}) with {atom.right} ({right_type})")
+        elif not (isinstance(atom.right, str) if left_type == "text" else is_number(atom.right)):
+            raise CatalogError(f"constant {atom.right!r} does not match the type of {atom.left} ({left_type})")
+
+    def check_join_path(self, path: Sequence[JoinEdge], named: Iterable[str]) -> str:
+        """The join-path rule; returns the relation the path starts from. A
+        path is joined edge by edge from its first edge's source relation (the
+        least named relation when it is empty), so every edge must be a join
+        edge of the catalog that adds exactly one relation to those before it
+        (a connected tree), and the path must reach every named relation."""
+        named = set(named)
+        start = path[0].src.relation if path else min(named)
+        joined = {start}
+        edges = set(self.join_edges)
+        for edge in path:
+            if edge not in edges and JoinEdge(edge.dst, edge.src) not in edges:
+                raise CatalogError(f"join path edge {edge} is not a join edge of the catalog")
+            if len(edge.relations() - joined) != 1:  # a catalog edge joins two relations
+                raise CatalogError(f"join path is not a connected tree: edge {edge} does not add one relation")
+            joined |= edge.relations()
+        if not named <= joined:
+            raise CatalogError(f"join path does not reach relations {sorted(named - joined)}")
+        return start
+
 
 # ---------------------------------------------------------------------------
 # Loading and validation
@@ -226,9 +300,8 @@ _JSON_TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
-    or (isinstance(v, float) and v.is_integer()),
+    "number": is_number,
+    "integer": lambda v: is_int(v) or isinstance(v, float) and v.is_integer(),
 }
 
 
@@ -372,6 +445,7 @@ def load_catalog(config_text: str) -> SchemaCatalog:
         relations.append(RelationMeta(name=name, columns=columns, key_columns=list(key)))
 
     resolver = _Resolver(relations)
+    catalog = SchemaCatalog(relations=relations, join_edges=[], user_constraints=[], ranking_criteria=[])
 
     # a repeated role entry or criterion would generate every query it is in twice
     for role in ("entity_attrs", "categorical_attrs"):
@@ -382,81 +456,49 @@ def load_catalog(config_text: str) -> SchemaCatalog:
                 raise CatalogError(f"{role}[{i}]: column {ref} listed twice")
             listed.append(ref.column)
 
-    criteria: list[RankingCriterion] = []
+    criteria = catalog.ranking_criteria
     for i, raw in enumerate(doc.get("ranking_criteria", [])):
         ref = resolver.resolve(raw["column"], "ranking_criteria")
-        col_type = resolver.by_name[ref.relation].column_type(ref.column)
-        if col_type not in NUMERIC_TYPES:
-            raise CatalogError(f"ranking criterion on non-numeric column {ref} ({col_type})")
         direction = raw["direction"]
         # eager expansion keeps generation a pure enumeration
-        directions = ("ascending", "descending") if direction == "both" else (direction,)
-        for one in directions:
+        for one in DIRECTIONS if direction == "both" else (direction,):
             criterion = RankingCriterion(ref, raw["aggregation"], one)
+            catalog.check_criterion(criterion)
             if criterion in criteria:
                 raise CatalogError(f"ranking_criteria[{i}]: criterion {criterion} listed twice")
             criteria.append(criterion)
 
-    constraints: list[ConstraintAtom] = []
     for i, raw in enumerate(doc.get("user_constraints", [])):
         context = f"user_constraints[{i}]"
-        kind = raw["kind"]
-        comparator = _COMPARATOR_ALIASES.get(raw["comparator"], raw["comparator"])
-        if comparator not in COMPARATORS:
-            raise CatalogError(f"{context}: unknown comparator {raw['comparator']!r}")
         left = resolver.resolve(raw["left"], context)
-        left_type = resolver.by_name[left.relation].column_type(left.column)
-        if kind == ATOM_INTER:
-            right: Any = resolver.resolve(str(raw["right"]), context)
-            right_type = resolver.by_name[right.relation].column_type(right.column)
-            compatible = left_type == right_type or (
-                left_type in NUMERIC_TYPES and right_type in NUMERIC_TYPES
-            )
-            if not compatible:
-                raise CatalogError(
-                    f"{context}: cannot compare {left} ({left_type}) with {right} ({right_type})"
-                )
-        else:  # ATOM_CONST, the schema's only other kind
-            right = raw["right"]  # the schema admits a string or a number, not a bool
-            const_is_text = isinstance(right, str)
-            if const_is_text != (left_type == "text"):
-                raise CatalogError(
-                    f"{context}: constant {right!r} does not match type of {left} ({left_type})"
-                )
-        constraints.append(ConstraintAtom(kind, left, comparator, right))
+        # the schema admits a string or a number, not a bool, on the right
+        right = resolver.resolve(str(raw["right"]), context) if raw["kind"] == ATOM_INTER else raw["right"]
+        atom = ConstraintAtom(raw["kind"], left, _COMPARATOR_ALIASES.get(raw["comparator"], raw["comparator"]), right)
+        try:
+            catalog.check_atom(atom)
+        except CatalogError as exc:
+            raise CatalogError(f"{context}: {exc}") from None
+        catalog.user_constraints.append(atom)
 
-    edges: list[JoinEdge] = []
     for i, raw in enumerate(doc.get("join_edges", [])):
         context = f"join_edges[{i}]"
         src = resolver.resolve(raw["from"], context)
         dst = resolver.resolve(raw["to"], context)
         if src.relation == dst.relation:
             raise CatalogError(f"{context}: self-join edges are not supported")
-        src_type = resolver.by_name[src.relation].column_type(src.column)
-        dst_type = resolver.by_name[dst.relation].column_type(dst.column)
-        compatible = src_type == dst_type or (
-            src_type in NUMERIC_TYPES and dst_type in NUMERIC_TYPES
-        )
-        if not compatible:
+        src_type, dst_type = catalog.column_type(src), catalog.column_type(dst)
+        if (src_type == "text") != (dst_type == "text"):
             raise CatalogError(f"{context}: incompatible column types {src_type}/{dst_type}")
-        edges.append(JoinEdge(src, dst))
+        catalog.join_edges.append(JoinEdge(src, dst))
 
-    allowlist = None
     if "join_allowlist" in doc:
-        allowlist = []
+        catalog.join_allowlist = []
         for i, group in enumerate(doc["join_allowlist"]):
             for name in group:
                 if name not in resolver.by_name:
                     raise CatalogError(f"join_allowlist[{i}]: unknown relation {name!r}")
-            allowlist.append(frozenset(group))
-
-    return SchemaCatalog(
-        relations=relations,
-        join_edges=edges,
-        user_constraints=constraints,
-        ranking_criteria=criteria,
-        join_allowlist=allowlist,
-    )
+            catalog.join_allowlist.append(frozenset(group))
+    return catalog
 
 
 # ---------------------------------------------------------------------------

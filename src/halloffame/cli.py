@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import click
 
-from .catalog import CatalogError, SchemaCatalog, load_catalog
+from .catalog import CatalogError, SchemaCatalog, is_finite, load_catalog
 from .detector import DetectStats, Engine
 from .generator import (
     GenerationError,
@@ -25,7 +25,7 @@ from .generator import (
     load_queries,
 )
 from .scorer import (
-    ChainStore, ScorerConfig, ScoringError, event_from_json, event_to_json, is_finite, rank_events, score_event,
+    ChainStore, ScorerConfig, ScoringError, event_from_json, event_to_json, rank_events, score_event,
 )
 from .store import Store, StoreError, read_update_stream, write_update_stream
 from .synth import SynthConfig, synth_stream
@@ -92,21 +92,22 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 @click.option("--data-dir", required=True, type=click.Path(path_type=Path))
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
-@click.option("--k", default=GeneratorConfig.k, show_default=True, help="ranking size")
-@click.option("--cnum", default=GeneratorConfig.c_num, show_default=True, help="max constraint atoms per predicate")
-@click.option("--jnum", default=GeneratorConfig.j_num, show_default=True, help="max joins per query")
+@click.option("--k", default=GeneratorConfig.k, show_default=True, type=click.IntRange(min=1), help="ranking size")
+@click.option(
+    "--cnum", default=GeneratorConfig.c_num, show_default=True, type=click.IntRange(min=0),
+    help="max constraint atoms per predicate",
+)
+@click.option(
+    "--jnum", default=GeneratorConfig.j_num, show_default=True, type=click.IntRange(min=0), help="max joins per query"
+)
 def generate(config_path, data_dir, out_path, k, cnum, jnum):
     """Enumerate all valid queries and persist the query catalog."""
     catalog = _load_catalog(config_path)
     started = time.perf_counter()
     store = _load_store(catalog, data_dir)
     _echo_seconds("csv load s", time.perf_counter() - started)
-    try:
-        cfg = GeneratorConfig(k=k, c_num=cnum, j_num=jnum)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
     started = time.perf_counter()
-    queries = generate_queries(catalog, cfg, store)
+    queries = generate_queries(catalog, GeneratorConfig(k=k, c_num=cnum, j_num=jnum), store)
     elapsed = time.perf_counter() - started
     _echo_seconds("generate s", elapsed)
     out_path.write_text(dump_queries(queries), encoding="utf-8")
@@ -119,15 +120,16 @@ def generate(config_path, data_dir, out_path, k, cnum, jnum):
 @click.option("--data-dir", required=True, type=click.Path(path_type=Path))
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", default=SynthConfig.seed, show_default=True)
-@click.option("--updates-per-tuple", default=SynthConfig.updates_per_tuple, show_default=True)
+@click.option(
+    "--updates-per-tuple", default=SynthConfig.updates_per_tuple, show_default=True, type=click.IntRange(min=1)
+)
 def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
     """Synthesize an update stream from the loaded data."""
     catalog = _load_catalog(config_path)
     store = _load_store(catalog, data_dir)
     try:
-        cfg = SynthConfig(updates_per_tuple=updates_per_tuple, seed=seed)
-        stream = synth_stream(store, catalog, cfg)
-    except (ValueError, StoreError) as exc:
+        stream = synth_stream(store, catalog, SynthConfig(updates_per_tuple=updates_per_tuple, seed=seed))
+    except StoreError as exc:
         raise click.ClickException(str(exc)) from exc
     out_path.write_text(write_update_stream(stream), encoding="utf-8")
     click.echo(f"synthesized {len(stream)} updates -> {out_path}")
@@ -141,9 +143,13 @@ def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
 @click.option("--events", "events_path", required=True, type=click.Path(path_type=Path))
 @click.option("--stats", "stats_path", type=click.Path(path_type=Path), help="write per-update stats as JSONL")
 @click.option(
-    "--b", default=ScorerConfig.b, show_default=True, help="undiscounted rank threshold; each query's own k normalizes its scores"
+    "--b", default=ScorerConfig.b, show_default=True, type=click.IntRange(min=2),
+    help="undiscounted rank threshold; each query's own k normalizes its scores",
 )
-@click.option("--window", default=ScorerConfig.window_updates, show_default=True, help="window size in updates")
+@click.option(
+    "--window", default=ScorerConfig.window_updates, show_default=True, type=click.IntRange(min=1),
+    help="window size in updates",
+)
 @click.option("--no-filters", is_flag=True, help="debug: re-evaluate every query on every update")
 @click.option("--on-error", type=click.Choice(["abort", "skip"]), default="abort", show_default=True)
 def run(config_path, data_dir, queries_path, updates_path, events_path, stats_path, b, window, no_filters, on_error):
@@ -154,9 +160,9 @@ def run(config_path, data_dir, queries_path, updates_path, events_path, stats_pa
     _echo_seconds("csv load s", time.perf_counter() - started)
     try:
         queries = load_queries(_read_file(queries_path, "query catalog"), catalog)
-        scorer_cfg = ScorerConfig(b=b, window_updates=window)
-    except (GenerationError, CatalogError, ValueError) as exc:
+    except GenerationError as exc:
         raise click.ClickException(str(exc)) from exc
+    scorer_cfg = ScorerConfig(b=b, window_updates=window)
 
     started = time.perf_counter()
     try:
@@ -262,9 +268,5 @@ def stats(stats_path):
         )
 
 
-def entry():
-    main(auto_envvar_prefix="HOF")
-
-
 if __name__ == "__main__":
-    entry()
+    main()

@@ -39,9 +39,9 @@ a leaf row reaches depends only on its join value and the shape columns of
 the other relations. A criterion-only write to the leaf therefore looks
 its rows' join values up instead of extending the rows, and adds each
 written column's change, taken once per row, to every cached entity, as
-often as it is there. The cache is cleared whenever an update extends the
-family twice: it writes one of the family's shape columns, or inserts into
-one of its relations.
+often as it is there. The cache is cleared whenever the store accepts an
+update that extends the family twice: it writes one of the family's shape
+columns, or inserts into one of its relations.
 
 Each query keeps the sort keys (value, entity) of its instance's best 2k
 entities, best first (the value build_ranking ranks on, saturated to -inf
@@ -585,8 +585,6 @@ class Engine:
             return events
 
         once, cached, twice, cleared, column_candidates = self._route(u)
-        for fanout in cleared:  # u may change which joined rows a leaf row reaches
-            fanout.clear()
         rows = self.store.match_rows(u)
         table = self.store.table(u.table).rows
         # a cached fan-out holds no values, so its rows' old ones are copied
@@ -594,6 +592,10 @@ class Engine:
         kept = self.row_filter(u, rows, once)
         pre = self.row_filter(u, rows, twice)
         touched = self.store.apply_update(u, rows)
+        # u may have changed which joined rows a leaf row reaches; a rejected
+        # u changed nothing, and no family in twice reads its cache below
+        for fanout in cleared:
+            fanout.clear()
         post = self.row_filter(u, touched, twice)
         extended = (len(rows) + len(touched)) * len(twice) + len(rows) * len(once)
         reused = 0

@@ -30,22 +30,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Union
 
 from .catalog import (
-    AGGREGATIONS,
     ATOM_BINDING,
-    ATOM_CONST,
     ATOM_INTER,
-    COMPARATORS,
     CatalogError,
     ColumnRef,
     ConstraintAtom,
     JoinEdge,
     RankingCriterion,
     SchemaCatalog,
+    is_finite,
+    is_int,
+    is_number,
     join_path,
 )
 from .scorer import entropy
@@ -352,70 +351,31 @@ def _parse_ref(text: Any, catalog: SchemaCatalog) -> ColumnRef:
 
 
 def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
-    """Parse one query catalog line; a field the engine cannot run is a GenerationError."""
+    """Parse one query catalog line; a field the engine cannot run is a
+    GenerationError, and a query the catalog's rules reject a CatalogError."""
     doc = json.loads(line)
     _expect(isinstance(doc, dict), "a query must be a JSON object", doc)
     atoms = []
     for raw in doc["predicate"]:
         _expect(isinstance(raw, dict), "a predicate atom must be an object", raw)
-        _expect(raw["kind"] in (ATOM_BINDING, ATOM_CONST, ATOM_INTER), "unknown atom kind", raw["kind"])
-        _expect(raw["comparator"] in COMPARATORS, "unknown comparator", raw["comparator"])
-        left = _parse_ref(raw["left"], catalog)
-        is_text = catalog.column_type(left) == "text"
-        if raw["kind"] == ATOM_INTER:
-            right = _parse_ref(raw["right"]["column"], catalog)
-            ok = (catalog.column_type(right) == "text") == is_text
-        else:
-            right = raw["right"]
-            ok = isinstance(right, str) if is_text else isinstance(right, (int, float)) and not isinstance(right, bool)
-        _expect(ok, f"right side does not match the type of {left}", raw["right"])
-        atoms.append(ConstraintAtom(raw["kind"], left, raw["comparator"], right))
+        right = _parse_ref(raw["right"]["column"], catalog) if raw["kind"] == ATOM_INTER else raw["right"]
+        atom = ConstraintAtom(raw["kind"], _parse_ref(raw["left"], catalog), raw["comparator"], right)
+        catalog.check_atom(atom)
+        atoms.append(atom)
     crit, k = doc["criterion"], doc["k"]
-    _expect(crit["aggregation"] in AGGREGATIONS, "unknown aggregation", crit["aggregation"])
-    _expect(crit["direction"] in ("ascending", "descending"), "direction must be concrete", crit["direction"])
-    _expect(isinstance(k, int) and not isinstance(k, bool) and k >= 1, "k must be an integer >= 1", k)
+    criterion = RankingCriterion(_parse_ref(crit["column"], catalog), crit["aggregation"], crit["direction"])
+    catalog.check_criterion(criterion)
+    _expect(is_int(k) and k >= 1, "k must be an integer >= 1", k)
     _expect(isinstance(doc["id"], str), "id must be a string", doc["id"])
     sel, bits = doc["selectivity"], doc["entropy_bits"]
-    number = isinstance(sel, (int, float)) and not isinstance(sel, bool) and 0 < sel <= 1  # NaN fails the range
-    _expect(number, "selectivity must be a number in (0, 1]", sel)
-    number = isinstance(bits, (int, float)) and not isinstance(bits, bool) and 0 <= bits < math.inf
-    _expect(number, "entropy_bits must be a finite number >= 0", bits)
-    q = HofQuery(
-        id=doc["id"],
-        entity_attr=_parse_ref(doc["entity"], catalog),
-        predicate=tuple(sorted(atoms, key=ConstraintAtom.sort_key)),
-        criterion=RankingCriterion(
-            _parse_ref(crit["column"], catalog), crit["aggregation"], crit["direction"]
-        ),
-        join_path=tuple(
-            JoinEdge(_parse_ref(e["from"], catalog), _parse_ref(e["to"], catalog))
-            for e in doc["join_path"]
-        ),
-        k=k,
-        selectivity=sel,
-        entropy_bits=bits,
+    _expect(is_number(sel) and 0 < sel <= 1, "selectivity must be a number in (0, 1]", sel)  # NaN fails the range
+    _expect(is_finite(bits) and bits >= 0, "entropy_bits must be a finite number >= 0", bits)
+    entity = _parse_ref(doc["entity"], catalog)
+    path = tuple(JoinEdge(_parse_ref(e["from"], catalog), _parse_ref(e["to"], catalog)) for e in doc["join_path"])
+    catalog.check_join_path(path, {entity.relation, criterion.column.relation}.union(*(a.relations() for a in atoms)))
+    return HofQuery(
+        doc["id"], entity, tuple(sorted(atoms, key=ConstraintAtom.sort_key)), criterion, path, k, sel, bits
     )
-    _check_join_path(q, catalog)
-    return q
-
-
-def _check_join_path(q: HofQuery, catalog: SchemaCatalog) -> None:
-    """The store joins a path edge by edge from its first edge's source
-    relation, so every edge must be a join edge of the catalog that adds
-    exactly one relation to those before it (a connected tree), and the
-    path must reach every relation the query names."""
-    named = {q.entity_attr.relation, q.criterion.column.relation}.union(*(a.relations() for a in q.predicate))
-    edges = set(catalog.join_edges)
-    joined = {q.join_path[0].src.relation if q.join_path else min(named)}
-    for edge in q.join_path:
-        if edge not in edges and JoinEdge(edge.dst, edge.src) not in edges:
-            raise GenerationError(f"join path edge {edge} is not a join edge of the catalog")
-        rels = edge.relations()
-        if len(rels) != 2 or len(rels - joined) != 1:
-            raise GenerationError(f"join path is not a connected tree: edge {edge} does not add one relation")
-        joined |= rels
-    if not named <= joined:
-        raise GenerationError(f"join path does not reach relations {sorted(named - joined)}")
 
 
 def dump_queries(queries: Iterable[HofQuery]) -> str:

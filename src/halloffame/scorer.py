@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Any, Iterable, Mapping, Sequence
 
+from .catalog import is_finite, is_int, is_number
+
 
 class ScoringError(Exception):
     pass
@@ -228,29 +230,20 @@ def _expect(ok: bool, what: str, value: Any) -> None:
         raise ScoringError(f"{what}, got {value!r}")
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_finite(value: Any) -> bool:
-    """A finite JSON number: an int that is not a bool, or a finite float."""
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
-
-
 def event_from_json(line: str) -> tuple[ScoredEvent, str]:
     """Parse one event log line into (event, SQL); a field that cannot be
     ranked is a ScoringError."""
     doc = json.loads(line)
     _expect(isinstance(doc, dict), "an event must be a JSON object", doc)
     for key in ("seq", "from_rank", "to_rank"):
-        _expect(_is_int(doc[key]), f"{key} must be an integer", doc[key])
+        _expect(is_int(doc[key]), f"{key} must be an integer", doc[key])
     _expect(isinstance(doc["query_id"], str), "query_id must be a string", doc["query_id"])
     entity = doc["entity"]
-    _expect(isinstance(entity, (str, float)) or _is_int(entity), "entity must be a string or a number", entity)
+    _expect(isinstance(entity, str) or is_number(entity), "entity must be a string or a number", entity)
     for key in ("selectivity", "dynamic_raw", "dynamic_norm", "entropy_bits"):
         _expect(is_finite(doc[key]), f"{key} must be a finite number", doc[key])
     chain = doc["chain"]
-    pairs = isinstance(chain, list) and all(isinstance(p, list) and len(p) == 3 and all(map(_is_int, p)) for p in chain)
+    pairs = isinstance(chain, list) and all(isinstance(p, list) and len(p) == 3 and all(map(is_int, p)) for p in chain)
     _expect(pairs, "chain must be a list of [seq, from_rank, to_rank] integer lists", chain)
     event = ScoredEvent(
         doc["seq"], doc["query_id"], entity, doc["from_rank"], doc["to_rank"],

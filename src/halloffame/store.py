@@ -46,11 +46,14 @@ from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .catalog import (
+    CatalogError,
     ColumnRef,
     ConstraintAtom,
     JoinEdge,
     RelationMeta,
     SchemaCatalog,
+    is_int,
+    is_number,
 )
 
 
@@ -165,7 +168,7 @@ def _check_value(value: Any, col_type: str) -> Any:
         if not isinstance(value, str):
             raise _BadValue(f"expected text, got {value!r}")
         return sys.intern(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise _BadValue(f"expected {col_type}, got {value!r}")
     if col_type == "integer":
         if isinstance(value, float):
@@ -472,45 +475,34 @@ class Store:
         Returns (relation order, envs): every row of the path's first relation
         (the single needed relation when the path is empty), extended edge by
         edge through index buckets, in no promised order. Cached until the
-        next write.
+        next write. A path that the catalog's join-path rule rejects for the
+        needed relations is a StoreError.
         """
         path = tuple(path)
-        needed_set = frozenset(needed)
-        if path:
-            start = path[0].src.relation
-        elif len(needed_set) == 1:
-            (start,) = needed_set
-        else:
-            raise StoreError(f"empty join path cannot cover relations {sorted(needed_set)}")
+        try:
+            start = self.catalog.check_join_path(path, needed)
+        except CatalogError as exc:
+            raise StoreError(str(exc)) from None
         key = (start, path)  # the envs depend on nothing else
         cached = self._join_cache.get(key)
         if cached is None:
             cached = self._join_cache[key] = self._join(start, path)
-        uncovered = needed_set - set(cached[0])
-        if uncovered:
-            raise StoreError(f"join path does not reach relations {sorted(uncovered)}")
         return cached
 
     def _join(self, start: str, path: tuple[JoinEdge, ...]) -> tuple[tuple[str, ...], list[tuple]]:
-        """The joined envs of a path, uncached: the start relation's row ids,
-        each extended per edge by the matching rows of the new relation, in
-        no promised order. Each distinct join value's index bucket becomes
-        one-element tuples once per edge, not once per env that reaches it."""
+        """The joined envs of a path the join-path rule accepts, uncached: the
+        start relation's row ids, each extended per edge by the matching rows
+        of the new relation (whose join column is indexed, as every join
+        edge's is), in no promised order. Each distinct join value's index
+        bucket becomes one-element tuples once per edge, not once per env
+        that reaches it."""
         rel_order = [start]
         envs = [(rid,) for rid in range(len(self.table(start).rows))]
         for edge in path:
-            known_rels = set(rel_order)
-            rels = edge.relations()
-            new_rels = rels - known_rels
-            if len(new_rels) != 1:
-                raise StoreError(f"join path edge {edge} does not extend the joined relations")
-            new_rel = next(iter(new_rels))
+            (new_rel,) = edge.relations() - set(rel_order)
             new_ref = edge.endpoint(new_rel)
             old_ref = edge.other(new_rel)
-            tn = self.table(new_rel)
-            idx = tn.indices.get(new_ref.column)
-            if idx is None:
-                raise StoreError(f"join column {new_ref} is not indexed")
+            idx = self.table(new_rel).indices[new_ref.column]
             to_table = self.table(old_ref.relation)
             oi = rel_order.index(old_ref.relation)
             opos = to_table.col_pos[old_ref.column]
@@ -635,7 +627,7 @@ def update_from_json(line: str) -> UpdateRecord:
     _expect(isinstance(doc, dict), "an update must be a JSON object", doc)
     seq, kind, table = doc["seq"], doc["kind"], doc["table"]
     set_doc, where = doc["set"], doc.get("where", {})
-    _expect(isinstance(seq, int) and not isinstance(seq, bool), "seq must be an integer", seq)
+    _expect(is_int(seq), "seq must be an integer", seq)
     _expect(isinstance(kind, str), "kind must be a string", kind)
     _expect(isinstance(table, str), "table must be a string", table)
     _expect(isinstance(set_doc, dict), "set must be an object", set_doc)
@@ -646,10 +638,8 @@ def update_from_json(line: str) -> UpdateRecord:
     for col, v in set_doc.items():
         if isinstance(v, dict):
             _expect(set(v) == {"delta"}, "bad set value for column {col!r}", v, col)
-            amount = v["delta"]
-            number = isinstance(amount, (int, float)) and not isinstance(amount, bool)
-            _expect(number, "delta for column {col!r} must be a number", amount, col)
-            set_values[col] = Delta(amount)
+            _expect(is_number(v["delta"]), "delta for column {col!r} must be a number", v["delta"], col)
+            set_values[col] = Delta(v["delta"])
         else:
             set_values[col] = v
     return UpdateRecord(seq=seq, kind=kind, table=table, set_values=set_values, where=where)

@@ -339,6 +339,49 @@ class TestRun:
         assert first["extended"] > 0 and first["reused"] == 0
         assert second["extended"] == 0 and second["reused"] == first["extended"]
 
+    def test_rejected_update_keeps_the_fan_outs(self, runner, bloomberg_dir, tmp_path):
+        # a duplicate-key insert into the leaf is rejected, so it leaves the
+        # fan-outs it would have cleared: the next write reads them all
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        write = UpdateRecord(1, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": 8})
+        duplicate = UpdateRecord(2, "insert", "stockmarket", {"s_companyid": 8, "s_value": 1}, {})
+        again = UpdateRecord(3, "update", "stockmarket", {"s_value": Delta(10)}, {"s_companyid": 8})
+        stats_path = tmp_path / "stats.jsonl"
+        extra = ["--stats", str(stats_path), "--on-error", "skip"]
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, write_update_stream([write, duplicate, again]), extra)
+        assert result.exit_code == 0, result.output
+        first, third = [json.loads(line) for line in stats_path.read_text().splitlines()]
+        assert first["extended"] > 0 and first["reused"] == 0
+        assert third["seq"] == 3 and third["extended"] == 0 and third["reused"] >= 1
+
+    @pytest.mark.parametrize(
+        "rewrite, message",
+        [
+            (
+                lambda doc: doc["criterion"].update(column="company.c_name"),
+                r"ranking criterion on non-numeric column company.c_name \(text\)",
+            ),
+            (
+                lambda doc: [atom.update(comparator=">") for atom in doc["predicate"]],
+                "a binding atom compares with '=', got '>'",
+            ),
+        ],
+        ids=["text-criterion", "binding-comparator"],
+    )
+    def test_query_its_sql_does_not_rank_is_located(self, runner, bloomberg_dir, tmp_path, rewrite, message):
+        # both lines used to load: a ValueError traceback ended the run at
+        # the text criterion's first company write, and the engine ranked
+        # co_name > 'Germany' as co_name = 'Germany'
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        doc = next(json.loads(line) for line in queries.read_text().splitlines() if "co_name = 'Germany'" in line)
+        rewrite(doc)
+        queries.write_text(json.dumps(doc) + "\n")
+        renamed = UpdateRecord(1, "update", "company", {"c_name": "Zeta"}, {"c_id": 0})  # SAP, in Germany
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, write_update_stream([renamed]))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert re.search(f"Error: query catalog line 1: {message}", result.output), result.output
+
     def test_join_path_short_of_a_relation_is_located(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
         docs = [json.loads(line) for line in queries.read_text().splitlines()]
@@ -716,6 +759,34 @@ class TestBadInputLines:
         assert f"Error: {what} line 2: " in result.output
 
 
+class TestOptionRanges:
+    REQUIRED = {
+        "generate": ["--out", "q.jsonl"],
+        "synth": ["--out", "u.jsonl"],
+        "run": ["--queries", "q.jsonl", "--updates", "u.jsonl", "--events", "e.jsonl"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("run", "--b", "1"),
+            ("run", "--window", "0"),
+            ("generate", "--k", "0"),
+            ("generate", "--cnum", "-1"),
+            ("generate", "--jnum", "-1"),
+            ("synth", "--updates-per-tuple", "0"),
+        ],
+    )
+    def test_out_of_range_exits_2_before_reading_csvs(self, runner, bloomberg_dir, monkeypatch, command, option, value):
+        loaded = []
+        monkeypatch.setattr(cli, "_load_store", lambda *args: loaded.append(args))
+        config = ["--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir)]
+        result = runner.invoke(main, [command, *config, *self.REQUIRED[command], option, value])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert loaded == []
+
+
 class TestEnvOverrides:
     def test_env_var_mirrors_flag(self, runner, bloomberg_dir, tmp_path):
         out = tmp_path / "q.jsonl"
@@ -729,7 +800,6 @@ class TestEnvOverrides:
                 "--cnum", "0",
             ],
             env={"HOF_GENERATE_K": "2"},
-            auto_envvar_prefix="HOF",
         )
         assert result.exit_code == 0, result.output
         docs = [json.loads(line) for line in out.read_text().splitlines()]

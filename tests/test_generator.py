@@ -484,12 +484,21 @@ class TestPersistence:
             (lambda doc: {**doc, "entropy_bits": -0.5}, "entropy_bits must be a finite number >= 0"),
             (lambda doc: {**doc, "id": 7}, "id must be a string"),
             (lambda doc: doc, "duplicate query id"),
+            (
+                lambda doc: {**doc, "criterion": {**doc["criterion"], "column": "company.c_name"}},
+                r"ranking criterion on non-numeric column company.c_name \(text\)",
+            ),
+            (
+                lambda doc: {**doc, "predicate": [{**doc["predicate"][0], "comparator": "<"}]},
+                "a binding atom compares with '=', got '<'",
+            ),
         ],
         ids=[
             "not-object", "atom-not-object", "unknown-relation", "k-text", "k-zero",
             "comparator", "aggregation", "constant-type", "selectivity-text",
             "selectivity-nan", "selectivity-inf", "selectivity-zero", "selectivity-above-one",
             "entropy-nan", "entropy-inf", "entropy-negative", "id-number", "dup-id",
+            "text-criterion", "binding-comparator",
         ],
     )
     def test_bad_line_is_located(self, bloomberg, mutate, message):

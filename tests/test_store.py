@@ -627,12 +627,15 @@ class TestJoinedRows:
         assert store.joined_rows({"person", "country"}, self.PATH) is store.joined_rows(rels, self.PATH)
 
     def test_malformed_paths_are_located_errors(self, bloomberg):
+        # the catalog's join-path rule, the one a query catalog line meets, in its words
         _, store = bloomberg
         repeated = self.PATH[:2] + self.PATH[1:2]  # its last edge adds no relation
+        outside = (JoinEdge(ColumnRef("company", "c_name"), ColumnRef("person", "p_name")),)
         cases = [
-            ({"person", "stockmarket"}, (), "empty join path cannot cover relations"),
-            ({"shareholder", "person", "company"}, repeated, "does not extend the joined relations"),
+            ({"person", "stockmarket"}, (), r"join path does not reach relations \['stockmarket'\]"),
+            ({"shareholder", "person", "company"}, repeated, "join path is not a connected tree: edge "),
             ({"person", "shareholder", "stockmarket"}, self.PATH[:1], r"does not reach relations \['stockmarket"),
+            ({"company", "person"}, outside, "join path edge company.c_name=person.p_name is not a join edge"),
         ]
         for needed, path, message in cases:
             with pytest.raises(StoreError, match=message):
