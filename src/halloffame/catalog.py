@@ -244,7 +244,7 @@ class SchemaCatalog:
     def check_atom(self, atom: ConstraintAtom) -> None:
         """The atom rule: a known kind and comparator, '=' for a binding atom,
         and text compared with text, a number with a number, whether the
-        right side is a constant or a column."""
+        right side is a constant or a column; a numeric constant is finite."""
         if atom.kind not in ATOM_KINDS:
             raise CatalogError(f"unknown atom kind {atom.kind!r}")
         if atom.comparator not in COMPARATORS:
@@ -258,6 +258,8 @@ class SchemaCatalog:
                 raise CatalogError(f"cannot compare {atom.left} ({left_type}) with {atom.right} ({right_type})")
         elif not (isinstance(atom.right, str) if left_type == "text" else is_number(atom.right)):
             raise CatalogError(f"constant {atom.right!r} does not match the type of {atom.left} ({left_type})")
+        elif not (isinstance(atom.right, str) or is_finite(atom.right)):
+            raise CatalogError(f"constant {atom.right!r} compared with {atom.left} is not finite")
 
     def check_join_path(self, path: Sequence[JoinEdge], named: Iterable[str]) -> str:
         """The join-path rule; returns the relation the path starts from. A

@@ -76,7 +76,7 @@ def _read_jsonl(path: Path, what: str, parse: Callable[[str], Any]) -> list:
         if line.strip():
             try:
                 out.append(parse(line))
-            except (KeyError, TypeError, ValueError, ScoringError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError, ScoringError) as exc:
                 raise click.ClickException(f"{what} line {lineno}: {type(exc).__name__}: {exc}") from exc
     return out
 

@@ -66,9 +66,10 @@ order's keys only when a reader asks for it.
 
 With filters disabled the engine rescans every family from scratch on
 every update, ranks each instance with build_ranking, stores the ranking
-and diffs it against the stored one with diff_rankings instead. That path
-shares no code with the delta path's row extension, its entity orders or
-its event derivation, so the two cross-check each other.
+and diffs it against the stored one with diff_rankings instead. Of the
+delta path's row extension that path shares only the order of its join
+steps (store.join_steps), and nothing of its entity orders or its event
+derivation, so the two cross-check each other.
 """
 from __future__ import annotations
 
@@ -82,7 +83,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
 from .generator import HofQuery
-from .store import JoinScan, Store, UpdateRecord, compile_predicate, leaf_edge
+from .store import JoinScan, Store, UpdateRecord, compile_predicate, join_steps, leaf_edge
 
 
 @dataclass(slots=True)
@@ -144,7 +145,7 @@ class DetectStats:
     column_candidates: int
     row_candidates: int
     changed: int
-    reordered: int  # entity orders whose first k keys changed, so their events were derived
+    reordered: int  # top-Ks that changed: entity orders whose first k keys did, or stored rankings
     refilled: int  # entity orders that ran short of k keys and sorted their instance again
     extended: int  # base rows extended along a family's join path, once per family and pass
     reused: int  # leaf fan-outs read from a family's cache instead
@@ -213,28 +214,18 @@ class Family:
         contribution is made: before an update they are its pre-image."""
         rel_order = [base]
         steps = []
-        remaining = list(self.path)
-        while remaining:
-            for i, edge in enumerate(remaining):
-                new = edge.relations() - set(rel_order)
-                if len(new) == 1:
-                    break
-            else:
-                raise RuntimeError(f"join path {self.path} is not connected to {base}")
-            del remaining[i]
-            new_rel = next(iter(new))
-            old_ref = edge.other(new_rel)
+        for old_ref, new_ref in join_steps(self.path, base):
             old_table = store.table(old_ref.relation)
             steps.append(
                 (
-                    store.table(new_rel),
-                    edge.endpoint(new_rel).column,
+                    store.table(new_ref.relation),
+                    new_ref.column,
                     rel_order.index(old_ref.relation),
                     old_table.rows,
                     old_table.col_pos[old_ref.column],
                 )
             )
-            rel_order.append(new_rel)
+            rel_order.append(new_ref.relation)
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         check = compile_predicate(self.fixed, rel_pos, store.tables) if self.fixed else None
 
@@ -499,11 +490,10 @@ class Engine:
         return out
 
     def _replace(self, qid: str, new: Ranking, seq: int, events: list[RankEvent]) -> bool:
-        """Store qid's new ranking, append its improvements to events and
-        tell whether its entity order changed; the reference path's diff."""
+        """Store qid's new ranking, which differs from its stored one, append
+        its improvements to events and tell whether its entity order
+        changed; the reference path's diff."""
         old = self._rankings[qid]
-        if new == old:
-            return False
         self._rankings[qid] = new
         moves = diff_rankings(old, new, self.queries[qid].k)
         events.extend(RankEvent(qid, entity, from_rank, to_rank, seq) for entity, from_rank, to_rank in moves)
@@ -577,10 +567,13 @@ class Engine:
         if not self.filters_enabled:
             self.store.apply_update(u)
             new_states = self._rescan()
+            reordered = 0  # the stored top-Ks that changed, as the delta path counts them
             for qid in sorted(new_states):
-                changed += self._replace(qid, new_states[qid], u.seq, events)
+                if new_states[qid] != self._rankings[qid]:
+                    reordered += 1
+                    changed += self._replace(qid, new_states[qid], u.seq, events)
             n = len(self.queries)
-            self.last_stats = DetectStats(n, n, changed, n, 0, 0, 0)
+            self.last_stats = DetectStats(n, n, changed, reordered, 0, 0, 0)
             events.sort(key=lambda e: (e.query_id, str(e.entity)))
             return events
 

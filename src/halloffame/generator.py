@@ -391,7 +391,7 @@ def load_queries(text: str, catalog: SchemaCatalog) -> list[HofQuery]:
         try:
             q = query_from_json(line, catalog)
             _expect(q.id not in out, "duplicate query id", q.id)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, CatalogError, GenerationError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError, CatalogError, GenerationError) as exc:
             raise GenerationError(f"query catalog line {lineno}: {exc}") from exc
         out[q.id] = q
     return list(out.values())

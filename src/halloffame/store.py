@@ -7,10 +7,11 @@ relation summed per join value (JoinScan), for generation's counts and the
 detector's family scans. It holds no ranking code: grouping rows into
 rankings, ordering them and diffing them are the detector's.
 
-Indexing: hash value->rowset indices are kept for every categorical
-attribute, every join-edge column, and the key columns (as a composite
-key index). Only equality lookups occur in generated predicates, so
-hash indices suffice.
+Indexing: a row is reached by its key or by a join value, so only those
+are indexed: the composite key index serves a where that names the whole
+key, an insert and a key move, and a hash value->rowset index on every
+join-edge column serves joins, leaf sums and the detector's row extension.
+Any other where scans the table.
 
 Concurrency model: single writer. apply_update is the only mutation and
 must be serialized by the caller; between mutations the store behaves as
@@ -110,9 +111,7 @@ class Table:
         self.col_pos = {name: i for i, (name, _) in enumerate(meta.columns)}
         self.types = dict(meta.columns)  # column -> declared type
         self.rows: list[list] = []
-        self.indices: dict[str, dict[Any, set[int]]] = {
-            col: {} for col in indexed_columns if col in self.col_pos
-        }
+        self.indices: dict[str, dict[Any, set[int]]] = {col: {} for col in indexed_columns}
         self.key_index: dict[tuple, int] = {}
         self._key_pos = [self.col_pos[c] for c in meta.key_columns]
 
@@ -296,8 +295,6 @@ def compile_predicate(
                     lrows[env[li]][lp], const
                 )
             )
-    if not compiled:
-        return lambda env: True
     if len(compiled) == 1:
         return compiled[0]
     return lambda env: all(check(env) for check in compiled)
@@ -317,8 +314,7 @@ class Store:
 
     def load_table(self, relation: str, csv_text: str) -> Table:
         meta = self.catalog.relation(relation)
-        indexed = set(meta.categorical_attrs) | self.catalog.join_columns(relation)
-        table = load_table(meta, csv_text, indexed)
+        table = load_table(meta, csv_text, self.catalog.join_columns(relation))
         self.tables[relation] = table
         self._join_cache.clear()
         return table
@@ -350,12 +346,7 @@ class Store:
             rid = table.key_index.get(key)
             candidates: Iterable[int] = [] if rid is None else [rid]
         else:
-            indexed = [c for c in where if c in table.indices]
-            if indexed:
-                col = indexed[0]
-                candidates = sorted(table.indices[col].get(where[col], ()))
-            else:
-                candidates = range(len(table.rows))
+            candidates = range(len(table.rows))
         rows = table.rows
         return [rid for rid in candidates if all(rows[rid][pos[c]] == v for c, v in where.items())]
 
@@ -491,18 +482,15 @@ class Store:
 
     def _join(self, start: str, path: tuple[JoinEdge, ...]) -> tuple[tuple[str, ...], list[tuple]]:
         """The joined envs of a path the join-path rule accepts, uncached: the
-        start relation's row ids, each extended per edge by the matching rows
-        of the new relation (whose join column is indexed, as every join
-        edge's is), in no promised order. Each distinct join value's index
-        bucket becomes one-element tuples once per edge, not once per env
-        that reaches it."""
+        start relation's row ids, each extended at every step of join_steps
+        by the matching rows of the new relation (whose join column is
+        indexed, as every join edge's is), in no promised order. Each
+        distinct join value's index bucket becomes one-element tuples once
+        per step, not once per env that reaches it."""
         rel_order = [start]
         envs = [(rid,) for rid in range(len(self.table(start).rows))]
-        for edge in path:
-            (new_rel,) = edge.relations() - set(rel_order)
-            new_ref = edge.endpoint(new_rel)
-            old_ref = edge.other(new_rel)
-            idx = self.table(new_rel).indices[new_ref.column]
+        for old_ref, new_ref in join_steps(path, start):
+            idx = self.table(new_ref.relation).indices[new_ref.column]
             to_table = self.table(old_ref.relation)
             oi = rel_order.index(old_ref.relation)
             opos = to_table.col_pos[old_ref.column]
@@ -511,8 +499,23 @@ class Store:
             # each bucket once, as one-element tuples ready to append
             buckets = {v: [(rid,) for rid in idx.get(v, ())] for v in set(values)}
             envs = [env + tail for env, v in zip(envs, values) for tail in buckets[v]]
-            rel_order.append(new_rel)
+            rel_order.append(new_ref.relation)
         return tuple(rel_order), envs
+
+
+def join_steps(path: Iterable[JoinEdge], base: str) -> list[tuple[ColumnRef, ColumnRef]]:
+    """Each edge of a tree path over base, in the order a join from base
+    takes them, as (endpoint already joined, endpoint it adds): always the
+    first remaining edge that adds one relation, so a path the join-path
+    rule accepts is walked in its own order from its start."""
+    joined, remaining, steps = {base}, list(path), []
+    while remaining:
+        edge = next(e for e in remaining if len(e.relations() - joined) == 1)
+        remaining.remove(edge)
+        (new,) = edge.relations() - joined
+        steps.append((edge.other(new), edge.endpoint(new)))
+        joined.add(new)
+    return steps
 
 
 def leaf_edge(path: tuple[JoinEdge, ...], columns: Iterable[ColumnRef], held: Iterable[ColumnRef]) -> JoinEdge | None:
@@ -666,7 +669,7 @@ def read_update_stream(
             u = update_from_json(line)
             if last is not None and u.seq <= last:
                 raise StoreError(f"seq {u.seq} not increasing")
-        except (json.JSONDecodeError, KeyError, StoreError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError, StoreError) as exc:
             if on_error is None:
                 raise StoreError(f"update stream line {lineno}: {exc}") from exc
             on_error(lineno, exc)

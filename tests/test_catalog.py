@@ -225,6 +225,16 @@ entity_attrs: [x]
         with pytest.raises(CatalogError, match="does not match"):
             load_catalog(bad)
 
+    @pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")])
+    def test_non_finite_constant_rejected(self, value, shown):
+        # the engine and SQL disagree on a NaN: v != nan keeps every row in
+        # Python and none in SQLite
+        atom = f"{{kind: const_comparison, left: x, comparator: '!=', right: {value}}}"
+        config = ONE_RELATION + f"user_constraints:\n  - {atom}\n"
+        with pytest.raises(CatalogError) as info:
+            load_catalog(config)
+        assert str(info.value) == f"user_constraints[0]: constant {shown} compared with a.x is not finite"
+
     def test_unicode_comparators_normalized(self):
         config = BASKETBALL_CONFIG.replace(
             "{kind: inter_attribute, left: steals, comparator: \">\", right: turnovers}",

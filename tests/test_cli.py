@@ -321,7 +321,8 @@ class TestRun:
         assert result.exit_code == 0, result.output
         (row,) = [json.loads(line) for line in stats_path.read_text().splitlines()]
         n_queries = len(queries.read_text().splitlines())
-        assert row["reordered"] == row["row_candidates"] == n_queries
+        assert row["row_candidates"] == n_queries
+        assert row["changed"] <= row["reordered"] < n_queries  # only the top-Ks that changed
         assert row["refilled"] == 0  # the rescan keeps no orders
         assert row["extended"] == row["reused"] == 0  # nor extends a row or reads a fan-out
 
@@ -420,6 +421,9 @@ class TestRun:
                 {"kind": 1},
                 {"table": None},
             )
+        ] + [
+            fig5_stream_text().strip().replace('"seq": 1', '"seq": ' + "9" * 5000),  # beyond int's digit limit
+            "[" * 100000 + "]" * 100000,  # beyond the parser's recursion limit
         ]
         for i, line in enumerate(malformed):
             bad = line + "\n" + fig5_stream_text()
@@ -736,7 +740,11 @@ BAD_STATS_FIELDS = {
 class TestBadInputLines:
     @pytest.mark.parametrize(
         "command, option, what, good, bad",
-        [(*c, bad) for c in COMMANDS for bad in ("not json", "[1, 2]", "missing-field", "text-number")]
+        [
+            (*c, bad)
+            for c in COMMANDS
+            for bad in ("not json", "[1, 2]", "deep-nesting", "missing-field", "text-number")
+        ]
         + [(*COMMANDS[0], bad) for bad in BAD_EVENT_FIELDS]
         + [(*COMMANDS[1], bad) for bad in BAD_STATS_FIELDS],
     )
@@ -750,7 +758,8 @@ class TestBadInputLines:
         if bad in fields:
             key, value = fields[bad]
             doc[key] = value
-        line = bad if bad in ("not json", "[1, 2]") else json.dumps(doc)
+        verbatim = {"not json": bad, "[1, 2]": bad, "deep-nesting": "[" * 100000 + "]" * 100000}
+        line = verbatim.get(bad) or json.dumps(doc)
         path = tmp_path / "input.jsonl"
         path.write_text(json.dumps(good) + "\n" + line + "\n")
         result = runner.invoke(main, [command, option, str(path)])

@@ -219,31 +219,41 @@ class TestEventsFromKeys:
     first k keys; only the reference path (filters off) stores and diffs
     rankings. A filtered engine's ranking of a query is built from its
     order's keys only when Engine.ranking asks. Per update, both count the
-    same changed entity orders."""
+    same changed entity orders and the same reordered top-Ks."""
 
-    def replay(self, filters_enabled: bool) -> tuple[Engine, list, list[int]]:
-        """(engine, its events, per update the changed count it reported)."""
+    def replay(self, filters_enabled: bool) -> tuple[Engine, list, list[detector.DetectStats]]:
+        """(engine, its events, per update the stats it reported)."""
         catalog, store = load_dataset("bloomberg")
         stream = synth_stream(store, catalog, SynthConfig(seed=1))
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=3), store)
         engine = Engine(catalog, store, queries, filters_enabled=filters_enabled)
-        events, changed = [], []
+        events, stats = [], []
         for u in stream:
             events += [(e.seq, e.query_id, e.entity, e.from_rank, e.to_rank) for e in engine.detect(u)]
-            changed.append(engine.last_stats.changed)
-        return engine, events, changed
+            stats.append(engine.last_stats)
+        return engine, events, stats
 
     def test_filtered_engine_builds_no_ranking(self, monkeypatch):
         def forbidden(order):
             raise AssertionError("the delta path built a ranking")
 
         monkeypatch.setattr(EntityOrder, "ranking", forbidden)
-        engine, events, changed = self.replay(True)  # start-up and every detect
+        engine, events, stats = self.replay(True)  # start-up and every detect
         monkeypatch.undo()
-        reference, expected, expected_changed = self.replay(False)
+        reference, expected, expected_stats = self.replay(False)
         assert events == expected
-        assert changed == expected_changed and any(changed)
+        changed = [s.changed for s in stats]
+        assert changed == [s.changed for s in expected_stats] and any(changed)
         assert rankings_of(engine) == rankings_of(reference)
+
+    def test_both_paths_count_the_same_reordered_top_ks(self):
+        # a top-K reorders when its entities or their values change, so a
+        # ranking can reorder without its entity order changing
+        stats, expected = self.replay(True)[2], self.replay(False)[2]
+        reordered = [s.reordered for s in stats]
+        assert reordered == [s.reordered for s in expected]
+        assert any(s.reordered > s.changed for s in stats)
+        assert all(s.reordered < s.row_candidates for s in expected)  # not every query the reference rescans
 
     def test_filtered_engine_never_diffs_rankings(self, monkeypatch):
         def forbidden(*args):

@@ -492,13 +492,22 @@ class TestPersistence:
                 lambda doc: {**doc, "predicate": [{**doc["predicate"][0], "comparator": "<"}]},
                 "a binding atom compares with '=', got '<'",
             ),
+            (
+                lambda doc: {
+                    **doc,
+                    "predicate": [{"kind": "const_comparison", "left": "stockmarket.s_value", "comparator": "!=",
+                                   "right": math.nan}],
+                },
+                "constant nan compared with stockmarket.s_value is not finite",
+            ),
+            (lambda doc: "[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),  # the line itself
         ],
         ids=[
             "not-object", "atom-not-object", "unknown-relation", "k-text", "k-zero",
             "comparator", "aggregation", "constant-type", "selectivity-text",
             "selectivity-nan", "selectivity-inf", "selectivity-zero", "selectivity-above-one",
             "entropy-nan", "entropy-inf", "entropy-negative", "id-number", "dup-id",
-            "text-criterion", "binding-comparator",
+            "text-criterion", "binding-comparator", "nan-constant", "deep-nesting",
         ],
     )
     def test_bad_line_is_located(self, bloomberg, mutate, message):
@@ -506,7 +515,8 @@ class TestPersistence:
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=3), store)
         first = next(q for q in queries if q.predicate)
         line = dump_queries([first])
-        text = line + json.dumps(mutate(json.loads(line))) + "\n"
+        bad = mutate(json.loads(line))
+        text = line + (bad if isinstance(bad, str) else json.dumps(bad)) + "\n"
         with pytest.raises(GenerationError, match=f"query catalog line 2: .*{message}"):
             load_queries(text, catalog)
 

@@ -32,7 +32,7 @@ from halloffame import (
     update_to_json,
     write_update_stream,
 )
-from halloffame.store import CsvLoadError, JoinScan, UpdateError, _coerce_cell, leaf_edge
+from halloffame.store import CsvLoadError, JoinScan, UpdateError, _coerce_cell, join_steps, leaf_edge
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
 from oracles import (
     make_instance,
@@ -186,7 +186,7 @@ class TestLoadTable:
         catalog = load_catalog((bloomberg_dir / "catalog.yaml").read_text(encoding="utf-8"))
         text = "c_id,c_name,c_countryid\n\n4,SAP,1\n7,BMW,1\n\n2,Microsoft,0\n5,Acme,99\n\n3,SAP,0\n"
         table = Store(catalog).load_table("company", text)
-        assert set(table.indices) == {"c_id", "c_name", "c_countryid"}
+        assert set(table.indices) == catalog.join_columns("company") == {"c_id", "c_countryid"}
         fresh = Table(table.meta, table.indices)
         for row in table.rows:
             fresh.append_row(row)
@@ -214,6 +214,28 @@ class TestLoadTable:
                 assert type(value) is type(expected) and repr(value) == repr(expected), (cell, col_type)
                 if col_type == "text":
                     assert value is sys.intern(cell)
+
+
+class TestMatchRows:
+    def test_where_on_a_categorical_column_scans(self, plays):
+        # only key and join columns are indexed: a where on another column
+        # scans the rows, and sees a write to that column at once
+        _, store = plays
+        table = store.table("plays")
+        assert table.indices == {}  # plays has no join column
+
+        def matched(**where):
+            got = store.match_rows(UpdateRecord(1, "update", "plays", {"points": Delta(1)}, where))
+            pos = table.col_pos
+            assert got == [rid for rid, row in enumerate(table.rows) if all(row[pos[c]] == v for c, v in where.items())]
+            return got
+
+        assert matched(team="Phoenix") == matched(team="Phoenix", year=2010) == [0, 2, 4]
+        assert matched(league="ABA") == [3] and matched(team="Lakers") == []
+        store.apply_update(UpdateRecord(2, "update", "plays", {"team": "Lakers"}, {"team": "Phoenix", "points": 30}))
+        assert matched(team="Phoenix") == [0, 4] and matched(team="Lakers") == [2]
+        store.apply_update(UpdateRecord(3, "update", "plays", {"team": "Boston"}, {"team": "Phoenix"}))
+        assert matched(team="Phoenix") == [] and matched(team="Boston") == [0, 1, 4]
 
 
 class TestApplyUpdate:
@@ -323,8 +345,12 @@ class TestApplyUpdate:
 
     def test_negative_zero_is_stored_as_zero(self):
         # a real column holds one zero, so no later reader can tell which
-        # zero a row was given: CSV load, set, delta and insert store +0.0
-        catalog = load_catalog(PLAYS_CONFIG.replace("year, type: integer", "year, type: real"))
+        # zero a row was given: CSV load, set, delta and insert store +0.0,
+        # and so does the index of year, a join column
+        config = PLAYS_CONFIG.replace("year, type: integer", "year, type: real").replace(
+            "entity_attrs:", "  - {name: seasons, columns: [{name: s_year, type: real}]}\nentity_attrs:"
+        )
+        catalog = load_catalog(config + "join_edges:\n  - {from: plays.year, to: seasons.s_year}\n")
         store = Store(catalog)
         table = store.load_table("plays", "pid,team,year,league,points\n1,A,-0.0,NBA,1\n2,B,1.5,NBA,2\n")
         year = table.col_pos["year"]
@@ -698,6 +724,41 @@ def check_counts(store, needed, path, columns, atoms=(), leaf=None):
     return got
 
 
+class TestJoinSteps:
+    @staticmethod
+    def catalogs():
+        yield load_catalog(make_instance(random.Random(1)).config_text)
+        yield load_catalog(make_instance(random.Random(2), two_tables=True).config_text)
+        yield load_catalog((DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8"))  # join cycles
+
+    def test_every_path_from_every_relation(self):
+        # each join_path path, as found and shuffled, walked from each of its
+        # relations: each edge once, from an endpoint already joined; from the
+        # path's start, in the path's own order
+        rng = random.Random(5)
+        walked = 0
+        for catalog in self.catalogs():
+            names = [rel.name for rel in catalog.relations]
+            for needed in itertools.chain.from_iterable(itertools.combinations(names, n) for n in range(1, 5)):
+                path = join_path(catalog, needed, 3)
+                if path is None:
+                    continue
+                start = catalog.check_join_path(path, needed)
+                steps = join_steps(path, start)
+                assert [frozenset(step) for step in steps] == [frozenset(e.columns()) for e in path]
+                shuffled = rng.sample(path, len(path))
+                for order in (path, shuffled):
+                    for base in {start}.union(*(e.relations() for e in path)):
+                        joined = {base}
+                        steps = join_steps(order, base)
+                        for old, new in steps:
+                            assert old.relation in joined and new.relation not in joined
+                            joined.add(new.relation)
+                        assert Counter(map(frozenset, steps)) == Counter(frozenset(e.columns()) for e in path)
+                        walked += 1
+        assert walked > 50, walked
+
+
 class TestStoreKernels:
     """joined_rows and JoinScan's counts against nested loops: the same
     multiset of envs (a join promises no order), and the same counts per
@@ -847,6 +908,19 @@ class TestUpdateStreamIO:
         assert got == [update_from_json(good)]
         assert seen == [1, 3]
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [('{"seq": ' + "9" * 5000 + "}", "Exceeds the limit"), ("[" * 100000 + "]" * 100000, "maximum recursion")],
+        ids=["huge-integer", "deep-nesting"],
+    )
+    def test_unparsable_line_is_located(self, line, message):
+        # valid JSON text that the parser still rejects, with a ValueError or a RecursionError
+        with pytest.raises(StoreError, match=f"update stream line 1: {message}"):
+            list(read_update_stream(line + "\n"))
+        seen = []
+        assert list(read_update_stream(line + "\n", lambda lineno, exc: seen.append(lineno))) == []
+        assert seen == [1]
+
 
 @functools.cache
 def model_inputs(real_criteria: bool = False):
@@ -865,14 +939,14 @@ ROW = st.integers(0, 10**6)  # any stats row, by position modulo the row count
 
 class StoreEngineModel(RuleBasedStateMachine):
     """A store and its filtered engine against an oracle: after every step
-    each table's indices and key index equal ones rebuilt from its rows, the
-    rows equal the oracle's (self.tables), every entity order holds its best
-    keys and every ranking equals the oracle's (oracle_rankings). An applied
-    step's events are the oracle's diff of every ranking before and after it
-    (oracle_diff), and it counts as changed the queries whose ranked
-    entities changed. A rejected step changes nothing. At the end of each
-    example every ranking also equals what its own SQL returns
-    (oracle_sql_rankings)."""
+    each table's indices, one per join column, and its key index equal ones
+    rebuilt from its rows, the rows equal the oracle's (self.tables), every
+    entity order holds its best keys and every ranking equals the oracle's
+    (oracle_rankings). An applied step's events are the oracle's diff of
+    every ranking before and after it (oracle_diff), and it counts as
+    changed the queries whose ranked entities changed. A rejected step
+    changes nothing. At the end of each example every ranking also equals
+    what its own SQL returns (oracle_sql_rankings)."""
 
     store: Store
     engine: Engine
@@ -918,7 +992,7 @@ class StoreEngineModel(RuleBasedStateMachine):
         for name, table in self.store.tables.items():
             columns = table.meta.column_names()
             assert [dict(zip(columns, row)) for row in table.rows] == self.tables[name]
-            rebuilt = {col: {} for col in table.indices}
+            rebuilt = {col: {} for col in self.store.catalog.join_columns(name)}
             for rid, row in enumerate(table.rows):
                 for col, index in rebuilt.items():
                     index.setdefault(row[table.col_pos[col]], set()).add(rid)
