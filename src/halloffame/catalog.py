@@ -418,9 +418,12 @@ def load_catalog(config_text: str) -> SchemaCatalog:
     the least deep (fewest path parts); among equally deep ones, the first
     that ``_schema_violations`` yields.
     """
-    doc = _parse_yaml(config_text)
-    # the packaged schema is checked against its metaschema by the tests, not at every load
-    violation = min(_schema_violations(doc, _config_schema()), key=lambda v: len(v[0]), default=None)
+    try:
+        doc = _parse_yaml(config_text)
+        # the packaged schema is checked against its metaschema by the tests, not at every load
+        violation = min(_schema_violations(doc, _config_schema()), key=lambda v: len(v[0]), default=None)
+    except (ValueError, RecursionError) as exc:  # an int beyond Python's digit limit, or nesting beyond the stack
+        raise CatalogError(f"config unreadable: {type(exc).__name__}: {exc}") from None
     if violation is not None:
         path, message = violation
         raise CatalogError(f"config schema violation at {'/'.join(map(str, path)) or '<top>'}: {message}")

@@ -34,7 +34,11 @@ from .synth import SynthConfig, synth_stream
 def _read_file(path: Path, what: str) -> str:
     if not path.exists():
         raise click.UsageError(f"{what} file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # read in one piece, so exc.start is the file's byte offset
+        line = path.read_bytes().count(b"\n", 0, exc.start) + 1
+        raise click.ClickException(f"{what} file {path}, line {line}: not UTF-8 ({exc.reason})") from None
 
 
 def _load_catalog(path: Path) -> SchemaCatalog:

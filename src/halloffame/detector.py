@@ -53,15 +53,17 @@ have changed, and pays per entity that moved, not per key held: a held
 entity whose key changed leaves the sorted keys by bisection, a new key
 within the bound enters by insertion, and an entity neither held nor
 within the bound, or held with its key unchanged, costs one key and
-nothing more. The keys are then cut back to 2k, which moves the bound;
-only when fewer than k keys remain of a larger instance does the order
-sort the whole instance again, its only sort after start-up. The call
-copies the first k keys on entry and compares them with the new ones at
-the end: every entity that ranks better in the new first k keys than in
-the old ones becomes an event, and the call reports whether the first k
-keys changed, whether the entity order did and whether the order
-refilled. These orders are the delta path's only ranking state: it stores
-no ranking, and a query's top-K as (entity, value) pairs is built from its
+nothing more. A call that moves no key returns at once, unless the order
+holds fewer than k keys of a larger instance. Otherwise the keys are cut
+back to 2k, which moves the bound; only when fewer than k keys remain of a
+larger instance does the order sort the whole instance again, its only
+sort after start-up. The call copies the first k keys at its first move
+(or before that refill) and compares them with the new ones at the end:
+every entity that ranks better in the new first k keys than in the old
+ones becomes an event, and the call reports whether the first k keys
+changed, whether the entity order did and whether the order refilled.
+These orders are the delta path's only ranking state: it stores no
+ranking, and a query's top-K as (entity, value) pairs is built from its
 order's keys only when a reader asks for it.
 
 With filters disabled the engine rescans every family from scratch on
@@ -197,6 +199,7 @@ class Family:
         self.leaf_column = self.leaf and self.leaf.endpoint(self.columns[0].relation).column
         self.fanout: dict[Any, tuple[tuple[tuple, tuple], ...]] | None = {} if self.leaf else None
         self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
+        self.orders: dict[tuple, list[list[EntityOrder]]] = {}  # as members, their entity orders (filters on)
         slot = {c: j for j, c in enumerate(self.columns)}
         for inst, m in members:
             per_column = self.members.get(inst) or self.members.setdefault(inst, [[] for _ in self.columns])
@@ -243,11 +246,12 @@ class Family:
             for table, column, oi, orows, opos in steps:
                 index = table.indices[column]
                 envs = [env + (rid,) for env in envs for rid in index.get(orows[env[oi]][opos], ())]
-            return [
-                (inst, erows[env[ei]][ep], env, [exact(rows[env[i]][p]) for i, p, rows, exact in readers])
-                for env in (filter(check, envs) if check else envs)
-                if (inst := keys(tuple([rows[env[i]][p] for i, p, rows in bind]))) is not None
-            ]
+            out = []
+            for env in filter(check, envs) if check else envs:
+                inst = keys(tuple([rows[env[i]][p] for i, p, rows in bind]))
+                if inst is not None:
+                    out.append((inst, erows[env[ei]][ep], env, [exact(rows[env[i]][p]) for i, p, rows, exact in readers]))
+            return out
 
         return contributions
 
@@ -366,14 +370,15 @@ class EntityOrder:
         short of k keys and sorted its instance again.
 
         Only the moved entities cost anything: a held one whose key changed
-        leaves the keys by bisection, and a new key within the bound enters
-        by insertion; one neither held nor within the bound, or held with
-        its key unchanged, moves nothing. The keys are then cut back to 2k,
-        and only when fewer than k remain of a larger instance is it sorted
-        again (fill). The first k keys are copied on entry and compared with
-        the new ones at the end, whatever moved."""
+        leaves the keys by bisection, and a new key within the bound enters by
+        insertion; one neither held nor within the bound, or held with its key
+        unchanged, moves nothing. A call that moves no key returns 0 at once
+        unless the order holds fewer than k keys of a larger instance;
+        otherwise the keys are cut back to 2k, such a short order sorts its
+        instance again (fill), and the first k keys, copied at the first move,
+        are compared with the new ones."""
         keys, held, bound, key, k = self.keys, self.held, self.bound, self.key, self.k
-        top = keys[:k]
+        top = None
         for e in moved:
             old = held.get(e)
             new = key(e) if e in counts else None
@@ -381,6 +386,8 @@ class EntityOrder:
                 new = None  # beyond the bound, among the entities not held
             if new == old:
                 continue
+            if top is None:
+                top = keys[:k]
             if old is not None:
                 del keys[bisect_left(keys, old)]
             if new is None:
@@ -388,6 +395,10 @@ class EntityOrder:
             else:
                 insort(keys, new)
                 held[e] = new
+        if top is None:
+            if len(keys) >= k or len(counts) <= len(keys):
+                return 0
+            top = keys[:k]
         cap = 2 * k
         if len(keys) > cap:
             self.bound = keys[cap - 1]
@@ -456,15 +467,18 @@ class Engine:
         self.queries: dict[str, HofQuery] = {q.id: q for q in queries}
         self.filters_enabled = filters_enabled
         self.families = build_families(self.queries.values(), catalog)
-        self.orders: dict[str, EntityOrder] = {}  # the delta path's ranking state
+        self.orders: dict[str, EntityOrder] = {}  # the delta path's ranking state, by query id for ranking()
         self._rankings: dict[str, Ranking] = {} if filters_enabled else self._rescan()  # the reference path's
         if filters_enabled:
             for fam in self.families:
                 for inst, counts, totals in fam.scan(store):
                     fam.counts[inst], fam.totals[inst] = counts, totals
+                    fam.orders[inst] = per_column = []
                     for qids, t, real in zip(fam.members[inst], totals, fam.real):
+                        per_column.append(orders := [])
                         for qid in qids:
-                            self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
+                            order = self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
+                            orders.append(order)
                 for rel in fam.needed:
                     fam.plans[rel] = fam.plan(store, rel)
             store.drop_join_cache()  # the delta path never scans again
@@ -553,14 +567,15 @@ class Engine:
     def detect(self, u: UpdateRecord) -> list[RankEvent]:
         """Apply one update and return the rank improvements it caused.
 
-        Families whose shape columns the update does not write extend its
-        rows once before the update and take the written criterion columns'
-        old values from the contributions, or with a leaf look up each row's
-        cached fan-out and read the old values from a copy of the row; the
-        others extend the rows before and after it. Each contribution goes
-        straight into its family's counts and totals, then every concerned
-        query of a touched instance updates its order once. The store is
-        only mutated if the update is valid, and the engine only after that.
+        Families whose shape columns the update does not write extend its rows
+        once before the update and take the written criterion columns' old
+        values from the contributions, or with a leaf look up each row's cached
+        fan-out and read the old values from a copy of the row; only the others
+        extend the rows before and after it and net the two in a signed loop.
+        Each contribution goes straight into its family's counts and totals,
+        then every concerned query of a touched instance updates its order
+        once. The store is only mutated if the update is valid, and the engine
+        only after that.
         """
         events: list[RankEvent] = []
         changed = 0
@@ -582,41 +597,44 @@ class Engine:
         table = self.store.table(u.table).rows
         # a cached fan-out holds no values, so its rows' old ones are copied
         before = {rid: table[rid][:] for rid in rows} if cached else {}
-        kept = self.row_filter(u, rows, once)
-        pre = self.row_filter(u, rows, twice)
+        kept = [(fam, columns, fam.plans[u.table](rows)) for fam, columns in once.items()]
+        pre = self.row_filter(u, rows, twice) if twice else ()
         touched = self.store.apply_update(u, rows)
         # u may have changed which joined rows a leaf row reaches; a rejected
         # u changed nothing, and no family in twice reads its cache below
         for fanout in cleared:
             fanout.clear()
-        post = self.row_filter(u, touched, twice)
-        extended = (len(rows) + len(touched)) * len(twice) + len(rows) * len(once)
+        extended = len(rows) * len(once)
         reused = 0
         # (family, instance, column index or None for every column) -> the
         # entities whose count or total in that column may have changed
         moved: defaultdict[tuple, set] = defaultdict(set)
-        for sign, images in ((-1, pre), (1, post)):
-            for fam, inst, e, _, values in images:
-                counts, totals = fam.counts[inst], fam.totals[inst]
-                n = counts.get(e, 0) + sign
-                if n:
-                    counts[e] = n
-                    for t, v in zip(totals, values):
-                        t[e] = t.get(e, 0) + sign * v
-                else:  # its last row: the exact totals are 0 now
-                    del counts[e]
-                    for t in totals:
-                        del t[e]
-                moved[fam, inst, None].add(e)
+        if twice:
+            post = self.row_filter(u, touched, twice)
+            extended += (len(rows) + len(touched)) * len(twice)
+            for sign, images in ((-1, pre), (1, post)):
+                for fam, inst, e, _, values in images:
+                    counts, totals = fam.counts[inst], fam.totals[inst]
+                    n = counts.get(e, 0) + sign
+                    if n:
+                        counts[e] = n
+                        for t, v in zip(totals, values):
+                            t[e] = t.get(e, 0) + sign * v
+                    else:  # its last row: the exact totals are 0 now
+                        del counts[e]
+                        for t in totals:
+                            del t[e]
+                    moved[fam, inst, None].add(e)
         # written columns are base columns, so an extension reads them from its first row
-        for fam, inst, e, env, values in kept:
-            new = table[env[0]]
-            for j, p, exact in once[fam]:
-                entities = moved[fam, inst, j]
-                change = exact(new[p]) - values[j]
-                if change:
-                    fam.totals[inst][j][e] += change
-                    entities.add(e)
+        for fam, columns, contributions in kept:
+            for inst, e, env, values in contributions:
+                new = table[env[0]]
+                for j, p, exact in columns:
+                    entities = moved[fam, inst, j]
+                    change = exact(new[p]) - values[j]
+                    if change:
+                        fam.totals[inst][j][e] += change
+                        entities.add(e)
         # a leaf row reaches what its join value reaches: look that up, extend
         # the row only on a miss, and add each written column's change once
         # per joined row, with one moved set and one totals dict per instance
@@ -645,17 +663,18 @@ class Engine:
 
         # row candidates count the queries of every named instance, unchanged ones too
         candidates = reordered = refilled = 0
-        orders, seq = self.orders, u.seq
+        seq = u.seq
         for (fam, inst, j), entities in moved.items():
-            counts, per_column = fam.counts[inst], fam.members[inst]
-            for qids in per_column if j is None else (per_column[j],):
-                candidates += len(qids)
-                for qid in qids if entities else ():
-                    result = orders[qid].update(entities, counts, seq, events)
+            counts, per_column = fam.counts[inst], fam.orders[inst]
+            for orders in per_column if j is None else (per_column[j],):
+                candidates += len(orders)
+                for order in orders if entities else ():
+                    result = order.update(entities, counts, seq, events)
                     if result:
                         reordered += result & REORDERED
                         changed += bool(result & CHANGED)
                         refilled += bool(result & REFILLED)
-        events.sort(key=lambda e: (e.query_id, str(e.entity)))
+        if len(events) > 1:
+            events.sort(key=lambda e: (e.query_id, str(e.entity)))
         self.last_stats = DetectStats(column_candidates, candidates, changed, reordered, refilled, extended, reused)
         return events

@@ -113,6 +113,7 @@ class Table:
         self.rows: list[list] = []
         self.indices: dict[str, dict[Any, set[int]]] = {col: {} for col in indexed_columns}
         self.key_index: dict[tuple, int] = {}
+        self.key_set = frozenset(meta.key_columns)
         self._key_pos = [self.col_pos[c] for c in meta.key_columns]
 
     def __len__(self) -> int:
@@ -184,6 +185,11 @@ def _check_value(value: Any, col_type: str) -> Any:
     return value
 
 
+def _unreadable(relation: str, reader: Any, exc: csv.Error) -> CsvLoadError:
+    """The located error of a record the csv module cannot read (a cell beyond its field limit, say)."""
+    return CsvLoadError(f"table {relation!r}, line {reader.line_num}: {exc}")
+
+
 def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str] = ()) -> Table:
     """Build a table from CSV text (UTF-8, header row, RFC-4180 quoting).
 
@@ -201,6 +207,8 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
         header = next(reader)
     except StopIteration:
         raise CsvLoadError(f"table {meta.name!r}: CSV has no header row") from None
+    except csv.Error as exc:
+        raise _unreadable(meta.name, reader, exc) from None
     declared = meta.column_names()
     missing = [c for c in declared if c not in header]
     extra = [c for c in header if c not in declared]
@@ -235,8 +243,10 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
                     for i, src in enumerate(src_pos)
                 ]
             rows.append(row)
-    except CsvLoadError:
+    except (CsvLoadError, csv.Error) as exc:
         _index_keys(table, blank, range(len(rows)))  # a duplicate key in an earlier row comes first
+        if isinstance(exc, csv.Error):
+            raise _unreadable(meta.name, reader, exc) from None
         raise
     ids = list(range(len(rows)))  # one int per row id, shared by every index as append_row shares it
     _index_keys(table, blank, ids)
@@ -328,7 +338,10 @@ class Store:
     # -- updates ------------------------------------------------------------
 
     def match_rows(self, u: UpdateRecord) -> list[int]:
-        """Row ids matching u.where in the current (pre-update) state."""
+        """Row ids matching u.where in the current (pre-update) state. Every
+        where column is validated; a where that names the whole key is then
+        one key-index probe whose other columns alone are compared, any
+        other where scans the table."""
         if u.kind != "update":
             return []
         table = self.table(u.table)
@@ -341,14 +354,14 @@ class Store:
                 where[col] = _check_value(value, types[col])
             except _BadValue as exc:
                 raise UpdateError(f"update {u.seq}, where column {col}: {exc}") from None
-        if table.meta.key_columns and set(where) >= set(table.meta.key_columns):
-            key = tuple(where[c] for c in table.meta.key_columns)
-            rid = table.key_index.get(key)
-            candidates: Iterable[int] = [] if rid is None else [rid]
-        else:
-            candidates = range(len(table.rows))
-        rows = table.rows
-        return [rid for rid in candidates if all(rows[rid][pos[c]] == v for c, v in where.items())]
+        key_set = table.key_set
+        if key_set and where.keys() >= key_set:
+            rid = table.key_index.get(tuple([where[c] for c in table.meta.key_columns]))
+            if rid is None:
+                return []
+            row = table.rows[rid]
+            return [rid] if all(row[pos[c]] == v for c, v in where.items() if c not in key_set) else []
+        return [rid for rid, row in enumerate(table.rows) if all(row[pos[c]] == v for c, v in where.items())]
 
     def apply_update(self, u: UpdateRecord, ids: Optional[list[int]] = None) -> list[int]:
         """Apply one update or insert; returns the touched row ids (sorted).
@@ -413,7 +426,7 @@ class Store:
                     pending.append((rid, col, new))
         except _BadValue as exc:
             raise UpdateError(f"update {u.seq}, column {col}: {exc}") from None
-        if set(table.meta.key_columns) & set(u.set_values):
+        if not table.key_set.isdisjoint(u.set_values):
             new_keys = self._check_keys(table, u, pending)
             for rid in ids:
                 del table.key_index[table._key_of(table.rows[rid])]

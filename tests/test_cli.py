@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -766,6 +767,65 @@ class TestBadInputLines:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {what} line 2: " in result.output
+
+
+class TestUnreadableFiles:
+    """A config, CSV or line-delimited file that Python cannot read ends in
+    one located Error line, not a traceback."""
+
+    @pytest.fixture
+    def data(self, bloomberg_dir, tmp_path):
+        return Path(shutil.copytree(bloomberg_dir, tmp_path / "data"))
+
+    def generate(self, runner, data, tmp_path):
+        return runner.invoke(
+            main,
+            ["generate", "--config", str(data / "catalog.yaml"), "--data-dir", str(data), "--out", str(tmp_path / "q.jsonl")],
+        )
+
+    @pytest.mark.parametrize("fault", ["digits", "nesting"])
+    def test_config_beyond_the_parser(self, runner, data, tmp_path, fault):
+        config = data / "catalog.yaml"
+        if fault == "digits":  # beyond Python's int digit limit: PyYAML's int constructor raises ValueError
+            config.write_text(
+                config.read_text()
+                + "user_constraints:\n  - {kind: const_comparison, left: s_value, comparator: '>', right: "
+                + "9" * 5000
+                + "}\n"
+            )
+            message = "config unreadable: ValueError: Exceeds the limit"
+        else:  # parses, but the schema check's message recurses deeper than the stack
+            config.write_text("relations: " + "[" * 5000 + "]" * 5000 + "\n")
+            message = "config unreadable: RecursionError: maximum recursion"
+        result = self.generate(runner, data, tmp_path)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"Error: catalog: {message}")
+
+    def test_csv_cell_beyond_the_field_limit(self, runner, data, tmp_path):
+        country = data / "country.csv"
+        country.write_text(country.read_text() + "99," + "x" * 200_000 + "\n")
+        result = self.generate(runner, data, tmp_path)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: table 'country', line 8: field larger than field limit" in result.output
+
+    @pytest.mark.parametrize("command", ["run", "rank"])
+    def test_file_not_utf8(self, runner, bloomberg_dir, tmp_path, command):
+        bad = tmp_path / "input.jsonl"
+        bad.write_bytes(fig5_stream_text().encode() + b'{"seq": 2, "table": "caf\xe9"}\n')
+        if command == "rank":
+            args, what = ["rank", "--events", str(bad)], "event log"
+        else:
+            queries, _ = gen(runner, bloomberg_dir, tmp_path)
+            config = ["--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir)]
+            args = ["run", *config, "--queries", str(queries), "--updates", str(bad), "--events", str(tmp_path / "e.jsonl")]
+            args += ["--on-error", "skip"]
+            what = "update stream"
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {what} file {bad}, line 2: not UTF-8 (invalid continuation byte)" in result.output
 
 
 class TestOptionRanges:

@@ -772,6 +772,24 @@ class TestEntityOrderUpdate:
             before = after
 
 
+    def test_moves_beyond_the_bound_return_0_at_once(self):
+        # every moved entity stays beyond the bound, one of them entering
+        # the instance: nothing moves, so the call returns 0 at once and
+        # the keys stay the same list with the same contents
+        counts = {e: 1 for e in range(8)}
+        totals = {e: 10 - e for e in range(8)}
+        q = SimpleNamespace(id="q", k=2, criterion=SimpleNamespace(aggregation="sum", direction="descending"))
+        order = EntityOrder(totals, counts, False, q)
+        keys, held, bound = order.keys, dict(order.held), order.bound
+        contents = list(keys)
+        totals.update({5: 4, 6: 2, 8: 1})
+        counts[8] = 1
+        events = []
+        assert order.update({5, 6, 8}, counts, 1, events) == 0
+        assert order.keys is keys and keys == contents and order.held == held and order.bound == bound
+        assert events == []
+
+
 PLAYS_CATALOG = """
 relations:
   - name: plays

@@ -10,7 +10,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from halloffame import (
@@ -216,6 +216,26 @@ class TestLoadTable:
                     assert value is sys.intern(cell)
 
 
+KEYED_CONFIG = """
+relations:
+  - name: pair
+    columns:
+      - {name: a, type: integer}
+      - {name: b, type: text}
+      - {name: v, type: integer}
+    key: [a, b]
+  - name: solo
+    columns:
+      - {name: id, type: integer}
+      - {name: tag, type: text}
+      - {name: v, type: integer}
+    key: [id]
+entity_attrs: [pair.b, solo.tag]
+ranking_criteria:
+  - {column: pair.v, aggregation: sum, direction: descending}
+"""
+
+
 class TestMatchRows:
     def test_where_on_a_categorical_column_scans(self, plays):
         # only key and join columns are indexed: a where on another column
@@ -236,6 +256,70 @@ class TestMatchRows:
         assert matched(team="Phoenix") == [0, 4] and matched(team="Lakers") == [2]
         store.apply_update(UpdateRecord(3, "update", "plays", {"team": "Boston"}, {"team": "Phoenix"}))
         assert matched(team="Phoenix") == [] and matched(team="Boston") == [0, 1, 4]
+
+    @staticmethod
+    def brute_force(table, where):
+        pos = table.col_pos
+        return [rid for rid, row in enumerate(table.rows) if all(row[pos[c]] == v for c, v in where.items())]
+
+    @staticmethod
+    def wheres(table, a, b, v):
+        """Every where shape for the probe (a, b, v): the key alone, with an
+        agreeing and with a disagreeing non-key column, part of the key or
+        none of it; an absent key when no row holds (a, b) or a."""
+        composite = table.meta.name == "pair"
+        key = {"a": a, "b": b} if composite else {"id": a}
+        rid = table.key_index.get((a, b) if composite else (a,))
+        held = v if rid is None else table.rows[rid][table.col_pos["v"]]
+        out = [key, {**key, "v": held}, {**key, "v": held + 1}, {**key, "v": v}]
+        out += [{"a": a}, {"b": b, "v": v}] if composite else [{"tag": b}, {**key, "tag": b}]
+        return out
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        rows=st.dictionaries(st.tuples(st.integers(0, 3), st.sampled_from("xy")), st.integers(0, 2), max_size=8),
+        moves=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 4), st.sampled_from("xyz")), max_size=4),
+        probes=st.lists(st.tuples(st.integers(0, 4), st.sampled_from("xyz"), st.integers(0, 2)), min_size=1, max_size=4),
+    )
+    def test_equals_a_brute_force_filter(self, rows, moves, probes):
+        # on a composite-key and a single-key table, before and after key
+        # moves: a where naming the whole key probes the key index and
+        # compares only its other columns, any other where scans; a bad
+        # where column is still rejected
+        store = Store(load_catalog(KEYED_CONFIG))
+        solo = {a: (b, v) for (a, b), v in rows.items()}  # one row per a
+        store.load_table("pair", "a,b,v\n" + "".join(f"{a},{b},{v}\n" for (a, b), v in rows.items()))
+        store.load_table("solo", "id,tag,v\n" + "".join(f"{a},{b},{v}\n" for a, (b, v) in solo.items()))
+
+        def check():
+            for table in store.tables.values():
+                for probe in probes:
+                    for where in self.wheres(table, *probe):
+                        u = UpdateRecord(1, "update", table.meta.name, {"v": Delta(1)}, where)
+                        assert store.match_rows(u) == self.brute_force(table, where), (table.meta.name, where)
+
+        check()
+        for seq, (i, a, b) in enumerate(moves, start=2):
+            for name, table in store.tables.items():
+                if i >= len(table.rows):
+                    continue
+                row = table.rows[i]
+                key = dict(zip(table.meta.key_columns, row))
+                new = {"a": a, "b": b} if name == "pair" else {"id": a}
+                try:
+                    store.apply_update(UpdateRecord(seq, "update", name, new, key))
+                except UpdateError as exc:  # onto a key another row holds
+                    assert "duplicate key" in str(exc)
+            check()
+
+        for where, message in [
+            ({"a": 0, "b": "x", "nope": 1}, "unknown column pair.nope"),
+            ({"a": "0", "b": "x"}, "where column a: expected integer"),
+            ({"a": 0, "b": 1}, "where column b: expected text"),
+            ({"a": 0.5, "b": "x"}, "where column a: expected integer"),
+        ]:
+            with pytest.raises(UpdateError, match=message):
+                store.match_rows(UpdateRecord(9, "update", "pair", {"v": 1}, where))
 
 
 class TestApplyUpdate:
