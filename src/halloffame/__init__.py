@@ -23,8 +23,6 @@ from .detector import (
     Family,
     RankEvent,
     build_families,
-    build_ranking,
-    diff_rankings,
 )
 from .generator import (
     ConstraintCombination,
@@ -35,6 +33,7 @@ from .generator import (
     get_combinations,
     load_queries,
 )
+from .reference import Reference
 from .scorer import (
     ChainStore,
     ImprovementPair,

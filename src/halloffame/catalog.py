@@ -7,7 +7,8 @@ interpreting only the keywords that file uses (``type``, ``enum``,
 ``required``, ``additionalProperties: false``, ``properties``, ``items``,
 ``minItems`` and ``minLength``), with the messages of the ``jsonschema``
 package; it raises on any other keyword, so the file and the checker cannot
-drift apart.
+drift apart. A message quotes the value at fault as repr prints it while it
+is short, and cut with ``...`` where it is long or deep (_quote).
 
 What a query may say is written once, as SchemaCatalog's criterion, atom and
 join-path rules (check_criterion, check_atom, check_join_path): the config's
@@ -22,7 +23,9 @@ import functools
 import importlib.resources
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import yaml
@@ -307,6 +310,30 @@ _JSON_TYPES = {
 }
 
 
+class _Quote(reprlib.Repr):
+    """repr for quoting a config value in a message: as repr prints it while
+    it is short, cut with '...' past 8 items, 6 levels or 60 characters of a
+    string or number, so a long value cannot make the message long nor a
+    deep one make the quoting recurse beyond the stack."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel = 6
+        self.maxlist = self.maxtuple = self.maxdict = self.maxset = 8
+        self.maxstring = self.maxlong = self.maxother = 60
+
+    def repr_dict(self, x: dict, level: int) -> str:  # reprlib sorts the keys; repr keeps their order
+        if not x:
+            return "{}"
+        if level <= 0:
+            return "{...}"
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in islice(x.items(), self.maxdict)]
+        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+
+
+_quote = _Quote().repr
+
+
 def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
     """Yield ``(path, message)`` for each rule of ``schema`` that ``value`` breaks.
 
@@ -320,14 +347,14 @@ def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[t
         if keyword == "type":
             names = [rule] if isinstance(rule, str) else rule
             if not any(_JSON_TYPES[name](value) for name in names):
-                yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+                yield path, f"{_quote(value)} is not of type {', '.join(map(repr, names))}"
         elif keyword == "enum":
             if value not in rule:
-                yield path, f"{value!r} is not one of {rule!r}"
+                yield path, f"{_quote(value)} is not one of {rule!r}"
         elif keyword in ("minItems", "minLength"):
             sized = isinstance(value, list if keyword == "minItems" else str)
             if sized and len(value) < rule:
-                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+                yield path, f"{_quote(value)} {'should be non-empty' if rule == 1 else 'is too short'}"
         elif keyword == "items":
             if isinstance(value, list):
                 for i, item in enumerate(value):

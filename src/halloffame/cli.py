@@ -24,6 +24,7 @@ from .generator import (
     generate_queries,
     load_queries,
 )
+from .reference import Reference
 from .scorer import (
     ChainStore, ScorerConfig, ScoringError, event_from_json, event_to_json, rank_events, score_event,
 )
@@ -154,7 +155,10 @@ def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
     "--window", default=ScorerConfig.window_updates, show_default=True, type=click.IntRange(min=1),
     help="window size in updates",
 )
-@click.option("--no-filters", is_flag=True, help="debug: re-evaluate every query on every update")
+@click.option(
+    "--no-filters", is_flag=True,
+    help="check: run the from-scratch reference, which evaluates every query again after every update",
+)
 @click.option("--on-error", type=click.Choice(["abort", "skip"]), default="abort", show_default=True)
 def run(config_path, data_dir, queries_path, updates_path, events_path, stats_path, b, window, no_filters, on_error):
     """Stream updates through detection and scoring; write the event log."""
@@ -170,11 +174,11 @@ def run(config_path, data_dir, queries_path, updates_path, events_path, stats_pa
 
     started = time.perf_counter()
     try:
-        engine = Engine(catalog, store, queries, filters_enabled=not no_filters)
+        engine = (Reference if no_filters else Engine)(catalog, store, queries)
     except StoreError as exc:
         raise click.ClickException(f"engine start-up: {exc}") from exc
     _echo_seconds("engine start-up s", time.perf_counter() - started)
-    startup_rows = store.rows_read  # joined rows the start-up scans read
+    startup_rows = store.rows_read  # joined rows the start-up read
     chains = ChainStore()
     by_id = engine.queries
 

@@ -44,8 +44,8 @@ update that extends the family twice: it writes one of the family's shape
 columns, or inserts into one of its relations.
 
 Each query keeps the sort keys (value, entity) of its instance's best 2k
-entities, best first (the value build_ranking ranks on, saturated to -inf
-or +inf when its float is out of range), each held entity's key by entity,
+entities, best first (the value its SQL ranks on, saturated to -inf or
++inf when its float is out of range), each held entity's key by entity,
 and a bound above which lie the keys of all other entities: the buffer of
 top-k view maintenance (Yi et al., ICDE 2003). Per update one call of its
 order re-keys only the entities whose count or total in its column may
@@ -66,22 +66,20 @@ These orders are the delta path's only ranking state: it stores no
 ranking, and a query's top-K as (entity, value) pairs is built from its
 order's keys only when a reader asks for it.
 
-With filters disabled the engine rescans every family from scratch on
-every update, ranks each instance with build_ranking, stores the ranking
-and diffs it against the stored one with diff_rankings instead. Of the
-delta path's row extension that path shares only the order of its join
-steps (store.join_steps), and nothing of its entity orders or its event
-derivation, so the two cross-check each other.
+The from-scratch reference that the delta path is checked against
+(hof run --no-filters) is reference.Reference: it evaluates every query
+again after every update and shares no code with this module's scans,
+extensions, entity orders or event derivation, so a fault in any of them
+shows as a difference between the two.
 """
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
 from .generator import HofQuery
@@ -101,53 +99,13 @@ class RankEvent:
 
 Ranking = tuple[tuple[Any, Any], ...]  # a top-K: (entity, value) pairs, best first
 
-_ENTITY, _VALUE = operator.itemgetter(0), operator.itemgetter(1)  # of a (entity, value) item
-
-
-def build_ranking(totals: Mapping, counts: Mapping[Any, int], aggregation: str, direction: str, k: int) -> Ranking:
-    """Order per-entity totals and row counts into a ranking, truncated to k.
-
-    A full sort of every entity: it serves the reference path (filters
-    off), at start-up and on every update. The delta path never calls it:
-    each query keeps its own best keys (EntityOrder) and moves only the
-    entities an update touched, so the two check each other. An avg out of
-    the float range saturates to -inf or +inf; ties rank by ascending
-    entity, so the order is total and holds no entity twice.
-    """
-    if aggregation == "sum":
-        items = list(totals.items())
-    else:  # avg: arithmetic mean; groups exist only for present rows, so n >= 1
-        items = []
-        for entity, total in totals.items():
-            try:
-                items.append((entity, total / counts[entity]))
-            except OverflowError:
-                items.append((entity, math.inf if total > 0 else -math.inf))
-    items.sort(key=_ENTITY)  # ascending-entity tie-break
-    items.sort(key=_VALUE, reverse=direction == "descending")
-    return tuple(items[:k])
-
-
-def diff_rankings(old: Ranking, new: Ranking, k: int) -> list[tuple[Any, int, int]]:
-    """(entity, from_rank, to_rank) for every strict improvement; entities
-    absent from the old ranking improve from rank k + 1. Only the reference
-    path (filters off) diffs rankings; the delta path derives its events
-    from sort keys (EntityOrder.update)."""
-    old_ranks = {entity: rank for rank, (entity, _) in enumerate(old, start=1)}
-    out = []
-    for rank, (entity, _) in enumerate(new, start=1):
-        previous = old_ranks.get(entity, k + 1)
-        if rank < previous:
-            out.append((entity, previous, rank))
-    return out
-
 
 @dataclass(slots=True)
 class DetectStats:
     column_candidates: int
     row_candidates: int
     changed: int
-    reordered: int  # top-Ks that changed: entity orders whose first k keys did, or stored rankings
+    reordered: int  # top-Ks that changed: entity orders whose first k keys did
     refilled: int  # entity orders that ran short of k keys and sorted their instance again
     extended: int  # base rows extended along a family's join path, once per family and pass
     reused: int  # leaf fan-outs read from a family's cache instead
@@ -175,8 +133,8 @@ def real_value(total: int) -> float:
 
 class Family:
     """Queries sharing entity attribute, join path, fixed atoms and binding
-    columns, whatever their criterion columns; one scan evaluates every
-    column of all their instances."""
+    columns, whatever their criterion columns; one scan at start-up
+    evaluates every column of all their instances."""
 
     def __init__(self, fid: int, key: tuple, members: list[tuple[tuple, HofQuery]], catalog: SchemaCatalog):
         q = members[0][1]
@@ -199,7 +157,7 @@ class Family:
         self.leaf_column = self.leaf and self.leaf.endpoint(self.columns[0].relation).column
         self.fanout: dict[Any, tuple[tuple[tuple, tuple], ...]] | None = {} if self.leaf else None
         self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
-        self.orders: dict[tuple, list[list[EntityOrder]]] = {}  # as members, their entity orders (filters on)
+        self.orders: dict[tuple, list[list[EntityOrder]]] = {}  # as members, their entity orders
         slot = {c: j for j, c in enumerate(self.columns)}
         for inst, m in members:
             per_column = self.members.get(inst) or self.members.setdefault(inst, [[] for _ in self.columns])
@@ -313,12 +271,12 @@ class Family:
 
 def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[Any], tuple]:
     """entity -> (value, entity) over live totals t and counts n, where value
-    is sign (-1 when descending, else 1) times what build_ranking ranks on:
-    the total, for a real column its real_value, divided by the row count
-    for avg, or -inf or +inf when that is out of the float range. Ascending
-    keys then put the best first, ties by ascending entity. Negation commutes
-    with correctly rounded division, so negating before dividing gives
-    build_ranking's value exactly negated."""
+    is sign (-1 when descending, else 1) times what the query's SQL ranks
+    on: the total, for a real column its real_value, divided by the row
+    count for avg, or -inf or +inf when that is out of the float range.
+    Ascending keys then put the best first, ties by ascending entity.
+    Negation commutes with correctly rounded division, so negating before
+    dividing gives that value exactly negated."""
     if not (real or avg):
         return lambda e: (sign * t[e], e)
 
@@ -418,15 +376,16 @@ class EntityOrder:
             previous = before.get(e, k + 1)
             if rank < previous:
                 events.append(RankEvent(qid, e, previous, rank, seq))
-        # as in Engine._replace: the entity order changed exactly when
-        # something improved or the length changed
+        # where the entity orders first differ the new entity improves; with
+        # no such position one is a prefix of the other, so the entity order
+        # changed exactly when something improved or the length changed
         if len(events) > n or len(top) != min(k, len(keys)):
             return result | REORDERED | CHANGED
         return result | REORDERED
 
     def ranking(self) -> Ranking:
-        """The top-K with build_ranking's values; multiplying by the sign is
-        exact, so it restores each key's value. Only a reader asks for it:
+        """The top-K with the values its SQL ranks on; multiplying by the sign
+        is exact, so it restores each key's value. Only a reader asks for it:
         the delta path itself works on the keys."""
         sign = self.sign
         return tuple([(e, sign * v) for v, e in self.keys[: self.k]])
@@ -451,70 +410,42 @@ def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[
 
 class Engine:
     """Detection state: queries, their families, the memoized route of each
-    update shape, and one ranking state per query. With filters on that
-    state is the query's EntityOrder, and a ranking is only built when
-    ranking(qid) asks; with filters off it is the reference path's own
-    stored ranking."""
+    update shape, and one EntityOrder per query, from which a ranking is only
+    built when ranking(qid) asks."""
 
-    def __init__(
-        self,
-        catalog: SchemaCatalog,
-        store: Store,
-        queries: Iterable[HofQuery],
-        filters_enabled: bool = True,
-    ):
+    # The one caller that still asks for the unfiltered engine,
+    # perfbench/replay.py::reference_log, gets the reference instead; the
+    # filters_enabled keyword exists for it alone.
+    def __new__(cls, catalog: SchemaCatalog, store: Store, queries: Iterable[HofQuery], filters_enabled: bool = True):
+        if not filters_enabled:
+            from .reference import Reference
+
+            return Reference(catalog, store, queries)
+        return super().__new__(cls)
+
+    def __init__(self, catalog: SchemaCatalog, store: Store, queries: Iterable[HofQuery], filters_enabled: bool = True):
         self.store = store
         self.queries: dict[str, HofQuery] = {q.id: q for q in queries}
-        self.filters_enabled = filters_enabled
         self.families = build_families(self.queries.values(), catalog)
-        self.orders: dict[str, EntityOrder] = {}  # the delta path's ranking state, by query id for ranking()
-        self._rankings: dict[str, Ranking] = {} if filters_enabled else self._rescan()  # the reference path's
-        if filters_enabled:
-            for fam in self.families:
-                for inst, counts, totals in fam.scan(store):
-                    fam.counts[inst], fam.totals[inst] = counts, totals
-                    fam.orders[inst] = per_column = []
-                    for qids, t, real in zip(fam.members[inst], totals, fam.real):
-                        per_column.append(orders := [])
-                        for qid in qids:
-                            order = self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
-                            orders.append(order)
-                for rel in fam.needed:
-                    fam.plans[rel] = fam.plan(store, rel)
-            store.drop_join_cache()  # the delta path never scans again
+        self.orders: dict[str, EntityOrder] = {}  # the ranking state, by query id for ranking()
+        for fam in self.families:
+            for inst, counts, totals in fam.scan(store):
+                fam.counts[inst], fam.totals[inst] = counts, totals
+                fam.orders[inst] = per_column = []
+                for qids, t, real in zip(fam.members[inst], totals, fam.real):
+                    per_column.append(orders := [])
+                    for qid in qids:
+                        order = self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
+                        orders.append(order)
+            for rel in fam.needed:
+                fam.plans[rel] = fam.plan(store, rel)
+        store.drop_join_cache()  # nothing scans again
         self._routes: dict[tuple, tuple] = {}  # see _route
         self.last_stats = DetectStats(0, 0, 0, 0, 0, 0, 0)
 
     def ranking(self, qid: str) -> Ranking:
         """qid's current top-K: (entity, value) pairs, best first."""
-        return self.orders[qid].ranking() if self.filters_enabled else self._rankings[qid]
-
-    def _rescan(self) -> dict[str, Ranking]:
-        """Every ranking from one from-scratch scan per family, each sorted
-        in full by build_ranking; a real column's totals as real_value."""
-        out: dict[str, Ranking] = {}
-        for fam in self.families:
-            for inst, counts, totals in fam.scan(self.store):
-                for qids, t, real in zip(fam.members[inst], totals, fam.real):
-                    if real:
-                        t = {e: real_value(total) for e, total in t.items()}
-                    for qid in qids:
-                        c = self.queries[qid].criterion
-                        out[qid] = build_ranking(t, counts, c.aggregation, c.direction, self.queries[qid].k)
-        return out
-
-    def _replace(self, qid: str, new: Ranking, seq: int, events: list[RankEvent]) -> bool:
-        """Store qid's new ranking, which differs from its stored one, append
-        its improvements to events and tell whether its entity order
-        changed; the reference path's diff."""
-        old = self._rankings[qid]
-        self._rankings[qid] = new
-        moves = diff_rankings(old, new, self.queries[qid].k)
-        events.extend(RankEvent(qid, entity, from_rank, to_rank, seq) for entity, from_rank, to_rank in moves)
-        # Where the entity orders first differ, the new entity improves; with
-        # no such position one order is a prefix of the other, so the order
-        # changed exactly when something improved or the length changed.
-        return bool(moves) or len(old) != len(new)
+        return self.orders[qid].ranking()
 
     # -- filtering --------------------------------------------------------
 
@@ -578,20 +509,6 @@ class Engine:
         only after that.
         """
         events: list[RankEvent] = []
-        changed = 0
-        if not self.filters_enabled:
-            self.store.apply_update(u)
-            new_states = self._rescan()
-            reordered = 0  # the stored top-Ks that changed, as the delta path counts them
-            for qid in sorted(new_states):
-                if new_states[qid] != self._rankings[qid]:
-                    reordered += 1
-                    changed += self._replace(qid, new_states[qid], u.seq, events)
-            n = len(self.queries)
-            self.last_stats = DetectStats(n, n, changed, reordered, 0, 0, 0)
-            events.sort(key=lambda e: (e.query_id, str(e.entity)))
-            return events
-
         once, cached, twice, cleared, column_candidates = self._route(u)
         rows = self.store.match_rows(u)
         table = self.store.table(u.table).rows
@@ -662,7 +579,7 @@ class Engine:
                             slot.update(entities)
 
         # row candidates count the queries of every named instance, unchanged ones too
-        candidates = reordered = refilled = 0
+        candidates = changed = reordered = refilled = 0
         seq = u.seq
         for (fam, inst, j), entities in moved.items():
             counts, per_column = fam.counts[inst], fam.orders[inst]

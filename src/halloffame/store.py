@@ -5,7 +5,8 @@ engine it compiles predicates, materializes index-nested-loop joins along a
 fixed edge path, and scans their rows that satisfy a conjunction, a leaf
 relation summed per join value (JoinScan), for generation's counts and the
 detector's family scans. It holds no ranking code: grouping rows into
-rankings, ordering them and diffing them are the detector's.
+rankings, ordering them and diffing them are the detector's and the
+reference's.
 
 Indexing: a row is reached by its key or by a join value, so only those
 are indexed: the composite key index serves a where that names the whole
@@ -22,8 +23,9 @@ per path, whatever relations a caller needs from them. Every insert and
 every update that changes a value clears the whole cache. Set-up never
 writes, and generation and the engine's start-up pick a leaf by one rule
 (leaf_edge) and join the same path without it, so start-up reuses
-generation's reduced joins. The delta path reads no joined rows, so only
-the from-scratch reference path rebuilds them after each write.
+generation's reduced joins. Nothing scans after a write: the delta path
+reads no joined rows, and the from-scratch reference joins the base rows
+itself.
 
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of
@@ -318,7 +320,7 @@ class Store:
         self.tables: dict[str, Table] = {}
         # (first relation, path) -> (rel_order, envs)
         self._join_cache: dict[tuple, tuple] = {}
-        self.rows_read = 0  # joined rows every JoinScan so far has read
+        self.rows_read = 0  # joined rows read so far: every JoinScan's, and the reference's start-up joins
 
     # -- loading ------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from halloffame import (
     GeneratorConfig,
     ImprovementPair,
     RankEvent,
+    Reference,
     ScoredEvent,
     ScorerConfig,
     SynthConfig,
@@ -181,9 +182,11 @@ def test_c06_pruning_trends():
     ok(6, f"k10={counts[10]} k20={counts[20]}")
 
 
-def _pipeline_log(catalog_store, queries, stream, scorer_cfg, filters_enabled):
+def _pipeline_log(catalog_store, queries, stream, scorer_cfg, engine_class):
+    """An engine_class (Engine or Reference) replay: its event log, per
+    update its row candidates, and its detect latencies."""
     catalog, store = catalog_store
-    engine = Engine(catalog, store, queries, filters_enabled=filters_enabled)
+    engine = engine_class(catalog, store, queries)
     chains = ChainStore()
     by_id = engine.queries
     lines = []
@@ -200,15 +203,16 @@ def _pipeline_log(catalog_store, queries, stream, scorer_cfg, filters_enabled):
     return "\n".join(lines), survivors, latencies
 
 
-def _replay_log(inst, queries, stream, scorer_cfg, filters_enabled):
+def _replay_log(inst, queries, stream, scorer_cfg, engine_class):
     """The event log of one replay of an instance; a worker process's task."""
-    log, _, _ = _pipeline_log(load_instance(inst), queries, stream, scorer_cfg, filters_enabled)
+    log, _, _ = _pipeline_log(load_instance(inst), queries, stream, scorer_cfg, engine_class)
     return log
 
 
 def test_c07_filter_soundness_end_to_end():
     """>= 20 random instances, >= 500 queries, 1000 synthesized updates:
-    filtered event log byte-identical to the --no-filters log. The instances
+    the delta path's event log byte-identical to the reference's (hof run
+    --no-filters). The instances
     are built in order from one seeded generator; their two replays each run
     in a worker process, at most one per CPU and a few in all."""
     rng = random.Random(707)
@@ -232,7 +236,7 @@ def test_c07_filter_soundness_end_to_end():
             total_queries += len(queries)
             stream = synth_stream(store, catalog, SynthConfig(seed=trial))[:1000]
             assert len(stream) == 1000
-            logs.append([pool.submit(_replay_log, inst, queries, stream, scorer_cfg, f) for f in (True, False)])
+            logs.append([pool.submit(_replay_log, inst, queries, stream, scorer_cfg, c) for c in (Engine, Reference)])
         for trial, (filtered, plain) in enumerate(logs):
             assert filtered.result().encode() == plain.result().encode(), f"instance {trial} logs differ"
     ok(7, f"20 instances, mean {total_queries / 20:.0f} queries, logs byte-identical")
@@ -241,8 +245,8 @@ def test_c07_filter_soundness_end_to_end():
 def test_c07_real_criteria():
     """c07 with real m1 and m2, each stored value v * 0.37 + 0.1 and the
     synthesized writes fractions of it, so few sums are exact floats: on
-    three instances, one with a join, the filtered event log is
-    byte-identical to the --no-filters log."""
+    three instances, one with a join, the delta path's event log is
+    byte-identical to the reference's."""
     rng = random.Random(708)
     scorer_cfg = ScorerConfig(b=2, window_updates=1000)
     events = 0
@@ -251,7 +255,7 @@ def test_c07_real_criteria():
         catalog, store = load_instance(inst)
         queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store)
         stream = synth_stream(store, catalog, SynthConfig(seed=trial))[:200]
-        filtered, plain = (_replay_log(inst, queries, stream, scorer_cfg, f) for f in (True, False))
+        filtered, plain = (_replay_log(inst, queries, stream, scorer_cfg, c) for c in (Engine, Reference))
         assert filtered.encode() == plain.encode(), f"instance {trial} logs differ"
         events += len(filtered.splitlines())
     assert events
@@ -273,7 +277,7 @@ def effectiveness_run():
     queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=0), store)
     stream = synth_stream(store, catalog, SynthConfig(seed=1))[:1500]
     scorer_cfg = ScorerConfig(b=2)
-    _, survivors, latencies = _pipeline_log(load_instance(inst), queries, stream, scorer_cfg, True)
+    _, survivors, latencies = _pipeline_log(load_instance(inst), queries, stream, scorer_cfg, Engine)
     return len(queries), survivors, latencies
 
 

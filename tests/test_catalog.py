@@ -256,6 +256,8 @@ entity_attrs: [x]
             "relations:\n  - {name: a, columns: [{name: x, type: blob}]}\n",
             "relations:\n  - {name: a, columns: [{name: x, type: integer}]}\nranking_criteria: [{column: x}]\n",
             "relations:\n  - {name: a, columns: [{name: x, type: integer}]}\nsurprise: 1\n",
+            # a quoted mapping keeps its keys in their own order, as repr does
+            "relations:\n  - {name: a, columns: {x: 1, b: [2.5, 'c', null, true]}}\n",
             *(config for config, _ in PINNED_VIOLATIONS),
         ],
     )

@@ -230,15 +230,16 @@ class TestRun:
             assert re.match(rest, lines[2])
 
     def test_start_up_rows_follow_queries_total(self, runner, bloomberg_dir, tmp_path):
-        # the joined rows the start-up scans read, with and without filters:
-        # the four families read 9, 9, 9 and 6
+        # the joined rows the start-up read: the delta path's four family
+        # scans read 9, 9, 9 and 6; the reference (--no-filters) joins each
+        # of its three paths once, 9, 9 and 6 rows
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
-        for extra in ([], ["--no-filters"]):
+        for extra, rows in (([], 33), (["--no-filters"], 24)):
             _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text(), extra=extra)
             assert result.exit_code == 0, result.output
             lines = result.output.splitlines()
             at = lines.index("queries total          5")
-            assert lines[at + 1] == "start-up rows          33"
+            assert lines[at + 1] == f"start-up rows          {rows}"
             assert lines[at + 2].startswith("mean column candidates ")
 
     def test_scores_normalize_by_each_querys_k(self, runner, bloomberg_dir, tmp_path):
@@ -783,7 +784,7 @@ class TestUnreadableFiles:
             ["generate", "--config", str(data / "catalog.yaml"), "--data-dir", str(data), "--out", str(tmp_path / "q.jsonl")],
         )
 
-    @pytest.mark.parametrize("fault", ["digits", "nesting"])
+    @pytest.mark.parametrize("fault", ["digits", "nesting", "long"])
     def test_config_beyond_the_parser(self, runner, data, tmp_path, fault):
         config = data / "catalog.yaml"
         if fault == "digits":  # beyond Python's int digit limit: PyYAML's int constructor raises ValueError
@@ -794,13 +795,17 @@ class TestUnreadableFiles:
                 + "}\n"
             )
             message = "config unreadable: ValueError: Exceeds the limit"
-        else:  # parses, but the schema check's message recurses deeper than the stack
+        elif fault == "nesting":  # parses; the message quotes six levels of the value, then [...]
             config.write_text("relations: " + "[" * 5000 + "]" * 5000 + "\n")
-            message = "config unreadable: RecursionError: maximum recursion"
+            message = "config schema violation at relations/0: [[[[[[[...]]]]]]] is not of type 'object'"
+        else:  # a 20,000-item list: the message quotes its first eight items
+            config.write_text("relations: [[" + "0, " * 20000 + "0]]\n")
+            message = "config schema violation at relations/0: [0, 0, 0, 0, 0, 0, 0, 0, ...] is not of type 'object'"
         result = self.generate(runner, data, tmp_path)
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(f"Error: catalog: {message}")
+        assert len(result.output.splitlines()[0]) < 200
 
     def test_csv_cell_beyond_the_field_limit(self, runner, data, tmp_path):
         country = data / "country.csv"

@@ -17,10 +17,10 @@ from halloffame import (
     Delta,
     Engine,
     GeneratorConfig,
+    Reference,
     SynthConfig,
     UpdateRecord,
     build_families,
-    diff_rankings,
     dump_queries,
     generate_queries,
     load_catalog,
@@ -28,7 +28,8 @@ from halloffame import (
     synth_stream,
 )
 from halloffame import detector
-from halloffame.detector import CHANGED, REFILLED, REORDERED, EntityOrder, build_ranking, fixed, real_value
+from halloffame.detector import CHANGED, REFILLED, REORDERED, EntityOrder, fixed, real_value
+from halloffame.reference import diff_rankings
 from halloffame.store import Store
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
 from oracles import (
@@ -46,6 +47,13 @@ from oracles import (
     referenced_columns,
     shape_columns,
 )
+
+
+def full_sort(totals: dict, counts: dict, aggregation: str, direction: str, k: int) -> tuple:
+    """The top k of an instance by a full sort: oracle_rank of its entities'
+    totals, or of their means for avg."""
+    values = totals if aggregation == "sum" else {e: t / counts[e] for e, t in totals.items()}
+    return tuple(oracle_rank(values, direction, k))
 
 
 def fig5_update(seq=1):
@@ -216,17 +224,17 @@ class TestDiffRankings:
 
 class TestEventsFromKeys:
     """The delta path derives a changed order's events from its old and new
-    first k keys; only the reference path (filters off) stores and diffs
-    rankings. A filtered engine's ranking of a query is built from its
-    order's keys only when Engine.ranking asks. Per update, both count the
-    same changed entity orders and the same reordered top-Ks."""
+    first k keys; only the reference stores and diffs rankings. The delta
+    path's ranking of a query is built from its order's keys only when
+    Engine.ranking asks. Per update, both count the same changed entity
+    orders and the same reordered top-Ks."""
 
-    def replay(self, filters_enabled: bool) -> tuple[Engine, list, list[detector.DetectStats]]:
-        """(engine, its events, per update the stats it reported)."""
+    def replay(self, engine_class: type) -> tuple[Engine | Reference, list, list[detector.DetectStats]]:
+        """(engine_class's engine, its events, per update the stats it reported)."""
         catalog, store = load_dataset("bloomberg")
         stream = synth_stream(store, catalog, SynthConfig(seed=1))
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=3), store)
-        engine = Engine(catalog, store, queries, filters_enabled=filters_enabled)
+        engine = engine_class(catalog, store, queries)
         events, stats = [], []
         for u in stream:
             events += [(e.seq, e.query_id, e.entity, e.from_rank, e.to_rank) for e in engine.detect(u)]
@@ -238,9 +246,9 @@ class TestEventsFromKeys:
             raise AssertionError("the delta path built a ranking")
 
         monkeypatch.setattr(EntityOrder, "ranking", forbidden)
-        engine, events, stats = self.replay(True)  # start-up and every detect
+        engine, events, stats = self.replay(Engine)  # start-up and every detect
         monkeypatch.undo()
-        reference, expected, expected_stats = self.replay(False)
+        reference, expected, expected_stats = self.replay(Reference)
         assert events == expected
         changed = [s.changed for s in stats]
         assert changed == [s.changed for s in expected_stats] and any(changed)
@@ -249,37 +257,11 @@ class TestEventsFromKeys:
     def test_both_paths_count_the_same_reordered_top_ks(self):
         # a top-K reorders when its entities or their values change, so a
         # ranking can reorder without its entity order changing
-        stats, expected = self.replay(True)[2], self.replay(False)[2]
+        stats, expected = self.replay(Engine)[2], self.replay(Reference)[2]
         reordered = [s.reordered for s in stats]
         assert reordered == [s.reordered for s in expected]
         assert any(s.reordered > s.changed for s in stats)
         assert all(s.reordered < s.row_candidates for s in expected)  # not every query the reference rescans
-
-    def test_filtered_engine_never_diffs_rankings(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("the delta path diffed two rankings")
-
-        monkeypatch.setattr(detector, "diff_rankings", forbidden)
-        monkeypatch.setattr(Engine, "_replace", forbidden)
-        _, events, _ = self.replay(True)
-        assert events
-        monkeypatch.undo()
-
-        calls = Counter()
-
-        def counting(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counting(detector, "diff_rankings")
-        counting(Engine, "_replace")
-        assert self.replay(False)[1] == events
-        assert calls["diff_rankings"] and calls["_replace"]
 
 
 class TestDetect:
@@ -395,7 +377,7 @@ class TestSoundness:
         queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=2, j_num=1), store)
         engine = Engine(catalog, store, queries)
         shadow_catalog, shadow_store = load_instance(inst)
-        shadow = Engine(shadow_catalog, shadow_store, queries, filters_enabled=False)
+        shadow = Reference(shadow_catalog, shadow_store, queries)
         for u in make_updates(rng, inst, 80):
             filtered = engine.detect(u)
             unfiltered = shadow.detect(UpdateRecord(u.seq, u.kind, u.table, u.set_values, u.where))
@@ -516,8 +498,8 @@ RATINGS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.5)
 
 class TestMaintainedOrder:
     """The sorted entity orders that the delta path maintains give, after
-    every update, exactly the top-K that build_ranking computes from the
-    family's current totals, and the brute-force oracle's ranking."""
+    every update, exactly the top-K of a full sort of the family's current
+    totals, and the brute-force oracle's ranking."""
 
     def query_catalog(self) -> str:
         lines = []
@@ -624,8 +606,7 @@ class TestMaintainedOrder:
                         q = engine.queries[qid]
                         got = engine.ranking(qid)
                         c = q.criterion
-                        full_sort = build_ranking(totals, fam.counts[inst], c.aggregation, c.direction, q.k)
-                        assert got == full_sort, (u.seq, qid)
+                        assert got == full_sort(totals, fam.counts[inst], c.aggregation, c.direction, q.k), (u.seq, qid)
                         assert list(got) == self.oracle_top(exact, q), (u.seq, qid)
                         values = [v for _, v in got]
                         seen["tie"] += len(set(values)) < len(values)
@@ -748,7 +729,7 @@ class TestEntityOrderUpdate:
         totals = {e: t for e, (_, t) in initial.items()}
         q = SimpleNamespace(id="q", k=k, criterion=SimpleNamespace(aggregation=aggregation, direction=direction))
         order = EntityOrder(totals, counts, False, q)
-        before = build_ranking(totals, counts, aggregation, direction, k)
+        before = full_sort(totals, counts, aggregation, direction, k)
         for seq, step in enumerate(steps, start=1):
             held, keys = order.keys[:k], order.keys
             for e, values in step.items():
@@ -759,7 +740,7 @@ class TestEntityOrderUpdate:
                     counts[e], totals[e] = values
             events = []
             result = order.update(set(step), counts, seq, events)
-            after = build_ranking(totals, counts, aggregation, direction, k)
+            after = full_sort(totals, counts, aggregation, direction, k)
             assert order.ranking() == after
             assert order.held == {e: x for x in order.keys for e in (x[1],)}
             assert order.keys == sorted(order.keys) and len(order.held) == len(order.keys)
@@ -1444,13 +1425,13 @@ join_edges:
                 })
         queries = load_queries("".join(json.dumps(d) + "\n" for d in docs), catalog)
 
-        def engine(filters_enabled):
+        def engine(engine_class):
             store = Store(catalog)
             store.load_table("games", "gid,player,venue,team\n" + "".join(",".join(map(str, r)) + "\n" for r in games))
             store.load_table("teams", "tid,rating\n1,10\n2,24\n")
-            return Engine(catalog, store, queries, filters_enabled=filters_enabled)
+            return engine_class(catalog, store, queries)
 
-        delta, reference = engine(True), engine(False)
+        delta, reference = engine(Engine), engine(Reference)
         assert len(delta.families) == 2 and all(fam.leaf for fam in delta.families)
         writes = [{"rating": 11}, {"rating": Delta(3)}, {"rating": 2}, {"rating": Delta(-4)}, {"rating": 30}]
         for seq, set_values in enumerate(writes, start=1):
@@ -1496,7 +1477,7 @@ class TestSqlDefinesRanking:
             catalog, store = load_instance(inst)
             queries = generate_queries(catalog, GeneratorConfig(k=rng.randrange(2, 5), c_num=2, j_num=1), store)
             assert queries, trial
-            engines = [Engine(catalog, store, queries, filters_enabled=f) for f in (True, False)]
+            engines = [engine_class(catalog, store, queries) for engine_class in (Engine, Reference)]
             ties += self.assert_sql_agrees(store, *engines)
         assert ties
 

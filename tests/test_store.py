@@ -20,6 +20,7 @@ from halloffame import (
     Engine,
     GeneratorConfig,
     JoinEdge,
+    Reference,
     Store,
     StoreError,
     Table,
@@ -79,13 +80,14 @@ def plays():
 
 
 def engine_rankings(catalog, store, queries):
-    """The rankings a newly built engine holds: delta, then from scratch."""
-    return [rankings_of(Engine(catalog, store, queries, filters_enabled=f)) for f in (True, False)]
+    """The rankings a newly built engine holds: delta, then the reference's."""
+    return [rankings_of(engine_class(catalog, store, queries)) for engine_class in (Engine, Reference)]
 
 
 def snapshot(store, engine):
     """Copies of every table's rows, column indices and key index, and of the
-    engine's rankings, family counts and totals, and entity orders."""
+    engine's rankings; of the delta path's also its family counts and totals
+    and entity orders."""
     tables = {
         name: (
             [list(r) for r in t.rows],
@@ -94,6 +96,8 @@ def snapshot(store, engine):
         )
         for name, t in store.tables.items()
     }
+    if isinstance(engine, Reference):
+        return tables, rankings_of(engine)
     families = [
         ({i: dict(c) for i, c in fam.counts.items()}, {i: [dict(t) for t in ts] for i, ts in fam.totals.items()})
         for fam in engine.families
@@ -359,7 +363,7 @@ class TestApplyUpdate:
     def test_insert_with_where_rejected_before_any_change(self, bloomberg, filters):
         catalog, store = bloomberg
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=2), store)
-        engine = Engine(catalog, store, queries, filters_enabled=filters)
+        engine = (Engine if filters else Reference)(catalog, store, queries)
         before = snapshot(store, engine)
         u = update_from_json(
             '{"seq": 3, "kind": "insert", "table": "country", "set": {"co_countryid": 99, "co_name": "X"}, '
@@ -546,7 +550,7 @@ class TestApplyUpdate:
 
 class TestEvaluateHof:
     """The rankings an engine starts from, built by the delta engine's
-    set-up scan and by the from-scratch path, against the oracle."""
+    set-up scan and by the reference, against the oracle."""
 
     def test_figure_before_state(self, bloomberg):
         catalog, store = bloomberg
