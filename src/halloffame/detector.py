@@ -12,36 +12,47 @@ rest of the path is joined without it, so each joined row adds its join
 value's row count and totals. The engine builds its state from that scan
 at start-up and, for every update, keeps it current by delta.
 
+That state is held in slots, built once at start-up: one per member
+instance of a family, and one per criterion column of it (an instance
+with a single column is its own column slot). An instance's slot holds
+its live counts and per-column totals and every entity order of the
+instance; a column slot holds the same counts and the orders of that
+column. Whatever names an instance on the update path (a contribution, a
+fan-out, the entities an update moved) holds its slot, hashed by
+identity, so no instance tuple is hashed or looked up again per update.
+
 Per update the engine filters in two tiers. The column tier is the route
 (Engine._route), memoized per update kind, table and written columns: the
 families whose shape or criterion columns the update writes, and how each
 is extended. The row tier is row_filter: the updated rows are extended
-along each touched family's join path, and every extension that
-satisfies the fixed atoms and lands in a query's instance contributes
-(instance, entity, joined row ids, values): the values are the exact
+along each touched family's join path, and every extension that satisfies
+the fixed atoms and lands in a query's instance contributes (the
+instance's slot, entity, joined row ids, values): the values are the exact
 terms of every criterion column, read when the contribution is made, so a
 contribution says by itself what it adds to its entity and why. A family's
 shape columns (entity, predicate and join-path columns) decide which
 extensions exist and where they land; an update that writes none of them
-is extended once, before it, and each written criterion column's new
-value is read against the contribution's old one; any other is extended
-before and after, and one signed loop subtracts the pre-image
-contributions from their entities' counts and totals and adds the
-post-image ones. Every total is an exact int, a real column's in units of
-2**-1074 (fixed), so no order of updates can make a total drift.
+is extended once, before it, and each written criterion column's new value
+is read against the contribution's old one; any other is extended before
+and after, and one signed loop subtracts the pre-image contributions from
+their entities' counts and totals and adds the post-image ones. Every
+total is an exact int, a real column's in units of 2**-1074 (fixed), so no
+order of updates can make a total drift. The entities moved go to the slot
+they moved in: the instance's slot after a signed loop, which may move
+every column, else the written column's slot.
 
 A family with a leaf caches its fan-out: per join value of the leaf, per
-instance reached, the entity of every extension of a leaf row holding it
-(an entity reached through two joined rows is there twice), filled on
-first use from the family's extension of one such row. The leaf holds no
-entity, binding or fixed-atom column and one path edge touches it, so what
-a leaf row reaches depends only on its join value and the shape columns of
-the other relations. A criterion-only write to the leaf therefore looks
-its rows' join values up instead of extending the rows, and adds each
-written column's change, taken once per row, to every cached entity, as
-often as it is there. The cache is cleared whenever the store accepts an
-update that extends the family twice: it writes one of the family's shape
-columns, or inserts into one of its relations.
+instance reached, the instance's slot and the entity of every extension of
+a leaf row holding it (an entity reached through two joined rows is there
+twice), filled on first use from the family's extension of one such row.
+The leaf holds no entity, binding or fixed-atom column and one path edge
+touches it, so what a leaf row reaches depends only on its join value and
+the shape columns of the other relations. A criterion-only write to the
+leaf therefore looks its rows' join values up instead of extending the
+rows, and adds each written column's change, taken once per row, to every
+cached entity, as often as it is there. The cache is cleared whenever the
+store accepts an update that extends the family twice: it writes one of
+the family's shape columns, or inserts into one of its relations.
 
 Each query keeps the sort keys (value, entity) of its instance's best 2k
 entities, best first (the value its SQL ranks on, saturated to -inf or
@@ -53,15 +64,20 @@ have changed, and pays per entity that moved, not per key held: a held
 entity whose key changed leaves the sorted keys by bisection, a new key
 within the bound enters by insertion, and an entity neither held nor
 within the bound, or held with its key unchanged, costs one key and
-nothing more. A call that moves no key returns at once, unless the order
-holds fewer than k keys of a larger instance. Otherwise the keys are cut
-back to 2k, which moves the bound; only when fewer than k keys remain of a
-larger instance does the order sort the whole instance again, its only
-sort after start-up. The call copies the first k keys at its first move
-(or before that refill) and compares them with the new ones at the end:
-every entity that ranks better in the new first k keys than in the old
-ones becomes an event, and the call reports whether the first k keys
-changed, whether the entity order did and whether the order refilled.
+nothing more. An order whose key is a plain int sum (neither real nor avg)
+does not build that key for an entity beyond the bound: it compares sign
+times the raw total with the bound's value, and the entity with the
+bound's entity only on a tie, so such an entity costs two dict reads. This
+relies on every column's totals holding exactly the counts' entities,
+which the signed loop keeps. A call that moves no key returns at once,
+unless the order holds fewer than k keys of a larger instance. Otherwise
+the keys are cut back to 2k, which moves the bound; only when fewer than k
+keys remain of a larger instance does the order sort the whole instance
+again, its only sort after start-up. The call copies the first k keys at
+its first move (or before that refill) and compares them with the new ones
+at the end: every entity that ranks better in the new first k keys than in
+the old ones becomes an event, and the call reports whether the first k
+keys changed, whether the entity order did and whether the order refilled.
 These orders are the delta path's only ranking state: it stores no
 ranking, and a query's top-K as (entity, value) pairs is built from its
 order's keys only when a reader asks for it.
@@ -79,6 +95,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
+from operator import neg
 from typing import Any, Callable, Iterable, Iterator
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
@@ -109,9 +126,10 @@ class DetectStats:
     refilled: int  # entity orders that ran short of k keys and sorted their instance again
     extended: int  # base rows extended along a family's join path, once per family and pass
     reused: int  # leaf fan-outs read from a family's cache instead
+    idle: int  # entity order calls that returned 0: their first k keys stayed
 
 
-Contribution = tuple[tuple, Any, tuple, list]  # (instance, entity, row ids of the joined row, exact values)
+Contribution = tuple["Slot", Any, tuple, list]  # (instance's slot, entity, row ids of the joined row, exact values)
 Getter = tuple[int, int, list]  # a column: (position in a joined row, column position, table rows)
 
 _SCALE = 1 << 1074  # every finite double is an integer multiple of 2**-1074
@@ -129,6 +147,23 @@ def real_value(total: int) -> float:
         return total / _SCALE
     except OverflowError:
         return math.inf if total > 0 else -math.inf
+
+
+class Slot:
+    """One member instance of a family, or one criterion column of it: the
+    instance's live counts (entity -> joined rows) and totals (per column:
+    entity -> exact int total, with exactly the counts' entities), and the
+    entity orders to re-key when the slot's entities move: every order of
+    the instance, or the column's. An instance's slot holds its column
+    slots, and is its own one when it has a single column; a column slot
+    holds none. Built once at start-up, slots are what contributions,
+    fan-outs and moved entities carry, hashed by identity."""
+
+    __slots__ = ("inst", "counts", "totals", "orders", "columns")
+
+    def __init__(self, inst: tuple, counts: dict, totals: list[dict], orders: tuple[EntityOrder, ...],
+                 columns: tuple[Slot, ...] = ()):
+        self.inst, self.counts, self.totals, self.orders, self.columns = inst, counts, totals, orders, columns
 
 
 class Family:
@@ -152,27 +187,25 @@ class Family:
         # per join value before the join, or None
         self.leaf = leaf_edge(self.path, self.columns, (self.entity, *q.predicate_columns()))
         # the leaf's join column, and per join value of it, per instance
-        # reached, the entity of every extension of a leaf row holding it:
-        # an entity reached through two joined rows is there twice
+        # reached, its slot and the entity of every extension of a leaf row
+        # holding it: an entity reached through two joined rows is there twice
         self.leaf_column = self.leaf and self.leaf.endpoint(self.columns[0].relation).column
-        self.fanout: dict[Any, tuple[tuple[tuple, tuple], ...]] | None = {} if self.leaf else None
+        self.fanout: dict[Any, tuple[tuple[Slot, tuple], ...]] | None = {} if self.leaf else None
         self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
-        self.orders: dict[tuple, list[list[EntityOrder]]] = {}  # as members, their entity orders
-        slot = {c: j for j, c in enumerate(self.columns)}
+        at = {c: j for j, c in enumerate(self.columns)}
         for inst, m in members:
             per_column = self.members.get(inst) or self.members.setdefault(inst, [[] for _ in self.columns])
-            per_column[slot[m.criterion.column]].append(m.id)
-        self.counts: dict[tuple, dict[Any, int]] = {}  # instance -> entity -> joined rows
-        self.totals: dict[tuple, list[dict[Any, Any]]] = {}  # instance -> per column: entity -> criterion total
+            per_column[at[m.criterion.column]].append(m.id)
+        self.slots: dict[tuple, Slot] = {}  # instance -> its slot, filled at start-up
         self.plans: dict[str, Callable[[Iterable[int]], list[Contribution]]] = {}
 
     def plan(self, store: Store, base: str) -> Callable[[Iterable[int]], list[Contribution]]:
         """Row ids of `base` -> the contributions of their extensions along
         the join path that satisfy the fixed atoms and land in a member
-        instance: (instance, entity, row ids of the joined row, per criterion
-        column its exact term). The instance is members' own key, so what
-        holds contributions shares it, and the values are read when the
-        contribution is made: before an update they are its pre-image."""
+        instance: (slot, entity, row ids of the joined row, per criterion
+        column its exact term). The instance comes as its slot, and the
+        values are read when the contribution is made: before an update they
+        are its pre-image."""
         rel_order = [base]
         steps = []
         for old_ref, new_ref in join_steps(self.path, base):
@@ -197,7 +230,7 @@ class Family:
         ei, ep, erows = getter(self.entity)
         bind = [getter(c) for c in self.binding_cols]
         readers = [(*getter(c), exact) for c, exact in zip(self.columns, self.exact)]
-        keys = {inst: inst for inst in self.members}.get
+        slots = self.slots.get
 
         def contributions(row_ids: Iterable[int]) -> list[Contribution]:
             envs = [(rid,) for rid in row_ids]
@@ -206,9 +239,9 @@ class Family:
                 envs = [env + (rid,) for env in envs for rid in index.get(orows[env[oi]][opos], ())]
             out = []
             for env in filter(check, envs) if check else envs:
-                inst = keys(tuple([rows[env[i]][p] for i, p, rows in bind]))
-                if inst is not None:
-                    out.append((inst, erows[env[ei]][ep], env, [exact(rows[env[i]][p]) for i, p, rows, exact in readers]))
+                slot = slots(tuple([rows[env[i]][p] for i, p, rows in bind]))
+                if slot is not None:
+                    out.append((slot, erows[env[ei]][ep], env, [exact(rows[env[i]][p]) for i, p, rows, exact in readers]))
             return out
 
         return contributions
@@ -270,15 +303,15 @@ class Family:
 
 
 def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[Any], tuple]:
-    """entity -> (value, entity) over live totals t and counts n, where value
-    is sign (-1 when descending, else 1) times what the query's SQL ranks
-    on: the total, for a real column its real_value, divided by the row
-    count for avg, or -inf or +inf when that is out of the float range.
-    Ascending keys then put the best first, ties by ascending entity.
-    Negation commutes with correctly rounded division, so negating before
-    dividing gives that value exactly negated."""
-    if not (real or avg):
-        return lambda e: (sign * t[e], e)
+    """entity -> (value, entity) over live totals t and counts n of a real
+    or avg criterion, where value is sign (-1 when descending, else 1) times
+    what the query's SQL ranks on: the total, for a real column its
+    real_value, divided by the row count for avg, or -inf or +inf when that
+    is out of the float range. Ascending keys then put the best first, ties
+    by ascending entity. Negation commutes with correctly rounded division,
+    so negating before dividing gives that value exactly negated. A plain
+    int sum's key, (sign * total, entity), needs no function: see
+    EntityOrder."""
 
     def key(e):
         try:
@@ -294,24 +327,35 @@ REORDERED, CHANGED, REFILLED = 1, 2, 4  # the bits of EntityOrder.update's resul
 
 
 class EntityOrder:
-    """The order_key of one query's instance's best 2k entities, best first,
+    """The sort keys of one query's instance's best 2k entities, best first,
     each held entity's key by entity, and a bound: every entity not held has
-    a key above it; None means every entity is held. The key reads the live
-    totals of the query's column and the family's live counts for the
-    instance; the query's id names its events."""
+    a key above it; None means every entity is held. A key reads the live
+    totals of the query's column, and for avg the family's live counts for
+    the instance: through order_key for a real or avg criterion, else
+    straight from the totals (raw), as (sign * total, entity). The query's
+    id names its events."""
 
-    __slots__ = ("keys", "held", "bound", "key", "sign", "k", "qid")
+    __slots__ = ("keys", "held", "bound", "key", "raw", "sign", "k", "qid")
 
     def __init__(self, totals: dict, counts: dict, real: bool, q: HofQuery):
         self.sign = -1 if q.criterion.direction == "descending" else 1
-        self.key = order_key(totals, counts, real, q.criterion.aggregation == "avg", self.sign)
+        avg = q.criterion.aggregation == "avg"
+        if real or avg:
+            self.key, self.raw = order_key(totals, counts, real, avg, self.sign), None
+        else:
+            self.key, self.raw = None, totals
         self.k = q.k
         self.qid = q.id
         self.fill(counts)
 
     def fill(self, counts: dict) -> None:
         """Hold the best 2k keys of all entities in counts: the only sort."""
-        keys = sorted(map(self.key, counts))
+        raw = self.raw
+        if raw is None:
+            keys = sorted(map(self.key, counts))
+        else:  # a plain int sum: (sign * total, entity), a total per entity of counts
+            totals = map(raw.__getitem__, counts)
+            keys = sorted(zip(map(neg, totals) if self.sign < 0 else totals, counts))
         cap = 2 * self.k
         self.bound = keys[cap - 1] if len(keys) > cap else None
         del keys[cap:]
@@ -330,18 +374,32 @@ class EntityOrder:
         Only the moved entities cost anything: a held one whose key changed
         leaves the keys by bisection, and a new key within the bound enters by
         insertion; one neither held nor within the bound, or held with its key
-        unchanged, moves nothing. A call that moves no key returns 0 at once
-        unless the order holds fewer than k keys of a larger instance;
-        otherwise the keys are cut back to 2k, such a short order sorts its
-        instance again (fill), and the first k keys, copied at the first move,
-        are compared with the new ones."""
+        unchanged, moves nothing, and for a plain int sum one beyond the bound
+        is told by its raw total, without a key. A call that moves no key
+        returns 0 at once unless the order holds fewer than k keys of a larger
+        instance; otherwise the keys are cut back to 2k, such a short order
+        sorts its instance again (fill), and the first k keys, copied at the
+        first move, are compared with the new ones."""
         keys, held, bound, key, k = self.keys, self.held, self.bound, self.key, self.k
+        raw, sign = self.raw, self.sign
+        if raw is not None:  # the bound's value and entity; no bound lies above every int
+            limit, last = bound or (math.inf, None)
         top = None
         for e in moved:
             old = held.get(e)
-            new = key(e) if e in counts else None
-            if new is not None and bound is not None and new > bound:
-                new = None  # beyond the bound, among the entities not held
+            if raw is not None:
+                # the raw total against the bound's value, its entity only on
+                # a tie: an entity beyond the bound costs no key
+                value = raw.get(e)  # the totals hold exactly the counts' entities
+                if value is None:
+                    new = None
+                else:
+                    value *= sign
+                    new = None if value > limit or value == limit and e > last else (value, e)
+            else:
+                new = key(e) if e in counts else None
+                if new is not None and bound is not None and new > bound:
+                    new = None  # beyond the bound, among the entities not held
             if new == old:
                 continue
             if top is None:
@@ -430,18 +488,24 @@ class Engine:
         self.orders: dict[str, EntityOrder] = {}  # the ranking state, by query id for ranking()
         for fam in self.families:
             for inst, counts, totals in fam.scan(store):
-                fam.counts[inst], fam.totals[inst] = counts, totals
-                fam.orders[inst] = per_column = []
+                columns = []
                 for qids, t, real in zip(fam.members[inst], totals, fam.real):
-                    per_column.append(orders := [])
+                    orders = []
                     for qid in qids:
                         order = self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
                         orders.append(order)
+                    columns.append(Slot(inst, counts, totals, tuple(orders)))
+                if len(columns) == 1:
+                    slot = columns[0]
+                    slot.columns = (slot,)
+                else:
+                    slot = Slot(inst, counts, totals, sum([c.orders for c in columns], ()), tuple(columns))
+                fam.slots[inst] = slot
             for rel in fam.needed:
                 fam.plans[rel] = fam.plan(store, rel)
         store.drop_join_cache()  # nothing scans again
         self._routes: dict[tuple, tuple] = {}  # see _route
-        self.last_stats = DetectStats(0, 0, 0, 0, 0, 0, 0)
+        self.last_stats = DetectStats(0, 0, 0, 0, 0, 0, 0, 0)
 
     def ranking(self, qid: str) -> Ranking:
         """qid's current top-K: (entity, value) pairs, best first."""
@@ -514,7 +578,7 @@ class Engine:
         table = self.store.table(u.table).rows
         # a cached fan-out holds no values, so its rows' old ones are copied
         before = {rid: table[rid][:] for rid in rows} if cached else {}
-        kept = [(fam, columns, fam.plans[u.table](rows)) for fam, columns in once.items()]
+        kept = [(columns, fam.plans[u.table](rows)) for fam, columns in once.items()]
         pre = self.row_filter(u, rows, twice) if twice else ()
         touched = self.store.apply_update(u, rows)
         # u may have changed which joined rows a leaf row reaches; a rejected
@@ -523,75 +587,80 @@ class Engine:
             fanout.clear()
         extended = len(rows) * len(once)
         reused = 0
-        # (family, instance, column index or None for every column) -> the
-        # entities whose count or total in that column may have changed
-        moved: defaultdict[tuple, set] = defaultdict(set)
+        # an instance's slot, or one of its column slots -> the entities
+        # whose count or total in the slot's columns may have changed
+        moved: defaultdict[Slot, set] = defaultdict(set)
         if twice:
             post = self.row_filter(u, touched, twice)
             extended += (len(rows) + len(touched)) * len(twice)
             for sign, images in ((-1, pre), (1, post)):
-                for fam, inst, e, _, values in images:
-                    counts, totals = fam.counts[inst], fam.totals[inst]
+                for _, slot, e, _, values in images:
+                    counts = slot.counts
                     n = counts.get(e, 0) + sign
                     if n:
                         counts[e] = n
-                        for t, v in zip(totals, values):
+                        for t, v in zip(slot.totals, values):
                             t[e] = t.get(e, 0) + sign * v
                     else:  # its last row: the exact totals are 0 now
                         del counts[e]
-                        for t in totals:
+                        for t in slot.totals:
                             del t[e]
-                    moved[fam, inst, None].add(e)
+                    moved[slot].add(e)
         # written columns are base columns, so an extension reads them from its first row
-        for fam, columns, contributions in kept:
-            for inst, e, env, values in contributions:
+        for columns, contributions in kept:
+            for slot, e, env, values in contributions:
                 new = table[env[0]]
                 for j, p, exact in columns:
-                    entities = moved[fam, inst, j]
+                    entities = moved[slot.columns[j]]
                     change = exact(new[p]) - values[j]
                     if change:
-                        fam.totals[inst][j][e] += change
+                        slot.totals[j][e] += change
                         entities.add(e)
         # a leaf row reaches what its join value reaches: look that up, extend
         # the row only on a miss, and add each written column's change once
         # per joined row, with one moved set and one totals dict per instance
         for fam, columns, leaf in cached:
-            fanout, totals = fam.fanout, fam.totals
+            fanout = fam.fanout
             for rid in rows:
                 old, new = before[rid], table[rid]
                 groups = fanout.get(new[leaf])
                 if groups is None:
-                    reached: dict[tuple, list] = {}
-                    for inst, e, *_ in fam.plans[u.table]((rid,)):
-                        reached.setdefault(inst, []).append(e)
-                    groups = fanout[new[leaf]] = tuple([(inst, tuple(es)) for inst, es in reached.items()])
+                    reached: dict[Slot, list] = {}
+                    for slot, e, *_ in fam.plans[u.table]((rid,)):
+                        reached.setdefault(slot, []).append(e)
+                    groups = fanout[new[leaf]] = tuple([(slot, tuple(es)) for slot, es in reached.items()])
                     extended += 1
                 else:
                     reused += 1
                 for j, p, exact in columns:
                     change = exact(new[p]) - exact(old[p]) if new[p] != old[p] else 0
-                    for inst, entities in groups:
-                        slot = moved[fam, inst, j]
+                    for slot, entities in groups:
+                        into = moved[slot.columns[j]]
                         if change:
-                            t = totals[inst][j]
+                            t = slot.totals[j]
                             for e in entities:
                                 t[e] += change
-                            slot.update(entities)
+                            into.update(entities)
 
-        # row candidates count the queries of every named instance, unchanged ones too
-        candidates = changed = reordered = refilled = 0
+        # row candidates count the queries of every named slot, unchanged ones too
+        candidates = changed = reordered = refilled = idle = 0
         seq = u.seq
-        for (fam, inst, j), entities in moved.items():
-            counts, per_column = fam.counts[inst], fam.orders[inst]
-            for orders in per_column if j is None else (per_column[j],):
-                candidates += len(orders)
-                for order in orders if entities else ():
+        for slot, entities in moved.items():
+            orders = slot.orders
+            candidates += len(orders)
+            if entities:
+                counts = slot.counts
+                for order in orders:
                     result = order.update(entities, counts, seq, events)
                     if result:
                         reordered += result & REORDERED
                         changed += bool(result & CHANGED)
                         refilled += bool(result & REFILLED)
+                    else:
+                        idle += 1
         if len(events) > 1:
             events.sort(key=lambda e: (e.query_id, str(e.entity)))
-        self.last_stats = DetectStats(column_candidates, candidates, changed, reordered, refilled, extended, reused)
+        self.last_stats = DetectStats(
+            column_candidates, candidates, changed, reordered, refilled, extended, reused, idle
+        )
         return events

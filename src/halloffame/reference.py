@@ -102,7 +102,7 @@ class Reference:
                         for key, shapes in groups.items()]
         self._rankings, joined = self._evaluate()
         store.rows_read += joined  # the joined rows of its start-up
-        self.last_stats = DetectStats(0, 0, 0, 0, 0, 0, 0)
+        self.last_stats = DetectStats(0, 0, 0, 0, 0, 0, 0, 0)
 
     def ranking(self, qid: str) -> Ranking:
         """qid's current top-K: (entity, value) pairs, best first."""
@@ -127,7 +127,7 @@ class Reference:
                 changed += bool(moves) or len(old) != len(ranking)
         self._rankings = new
         n = len(self.queries)
-        self.last_stats = DetectStats(n, n, changed, reordered, 0, 0, 0)
+        self.last_stats = DetectStats(n, n, changed, reordered, 0, 0, 0, 0)
         events.sort(key=lambda e: (e.query_id, str(e.entity)))
         return events
 

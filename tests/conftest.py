@@ -56,15 +56,25 @@ def assert_best_keys(engine) -> None:
     of a from-scratch sort of its instance: at least min(k, entities) and at
     most 2k of them, every key it does not hold above its bound, and no
     bound only when it holds every entity. Every total is an exact int, a
-    real column's in units of 2**-1074."""
+    real column's in units of 2**-1074, and each column's totals have
+    exactly the entities of the instance's counts, as the bound test on raw
+    totals relies on. Each instance's slot holds its orders, column by
+    column, in its column slots and all together."""
     for fam in engine.families:
+        assert list(fam.slots) == list(fam.members), fam.id
         for inst, per_column in fam.members.items():
-            counts = fam.counts[inst]
-            assert all(type(v) is int for t in fam.totals[inst] for v in t.values()), (fam.id, inst)
+            slot = fam.slots[inst]
+            counts = slot.counts
+            assert all(type(v) is int for t in slot.totals for v in t.values()), (fam.id, inst)
+            assert all(t.keys() == counts.keys() for t in slot.totals), (fam.id, inst)
+            assert [[o.qid for o in column.orders] for column in slot.columns] == per_column, (fam.id, inst)
+            assert list(slot.orders) == [o for column in slot.columns for o in column.orders], (fam.id, inst)
+            assert all(column.counts is counts for column in slot.columns), (fam.id, inst)
             for qids in per_column:
                 for qid in qids:
                     order = engine.orders[qid]
-                    full = sorted(map(order.key, counts))
+                    key = order.key or (lambda e: (order.sign * order.raw[e], e))
+                    full = sorted(map(key, counts))
                     held = len(order.keys)
                     assert min(order.k, len(full)) <= held <= 2 * order.k, qid
                     assert order.keys == full[:held], qid

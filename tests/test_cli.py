@@ -287,12 +287,18 @@ class TestRun:
             ],
         )
         text = synth_out.read_text()
-        filtered, r1 = run_cmd(runner, bloomberg_dir, tmp_path, queries, text, events="e1.jsonl")
+        stats_path = tmp_path / "stats.jsonl"
+        filtered, r1 = run_cmd(runner, bloomberg_dir, tmp_path, queries, text, extra=["--stats", str(stats_path)],
+                               events="e1.jsonl")
         unfiltered, r2 = run_cmd(
             runner, bloomberg_dir, tmp_path, queries, text, extra=["--no-filters"], events="e2.jsonl"
         )
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert filtered.read_bytes() == unfiltered.read_bytes()
+        # 90 updates: of the order calls, 59 left the first k keys as they were
+        rows = [json.loads(line) for line in stats_path.read_text().splitlines()]
+        assert all(row["idle"] + row["reordered"] <= row["row_candidates"] for row in rows)
+        assert [sum(row[f] for row in rows) for f in ("row_candidates", "reordered", "idle")] == [280, 177, 59]
 
     def test_stats_file_and_command(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -304,10 +310,12 @@ class TestRun:
         assert result.exit_code == 0
         rows = [json.loads(line) for line in stats_path.read_text().splitlines()]
         assert len(rows) == 1
-        fields = {"column_candidates", "row_candidates", "reordered", "refilled", "changed", "extended", "reused", "latency_ms"}
+        fields = {"column_candidates", "row_candidates", "reordered", "refilled", "changed", "extended", "reused", "idle",
+                  "latency_ms"}
         assert {"seq", *fields} <= set(rows[0])
         assert rows[0]["changed"] <= rows[0]["reordered"] <= rows[0]["row_candidates"]
         assert rows[0]["reordered"] >= 1  # Gaona's ranking moved
+        assert (rows[0]["row_candidates"], rows[0]["reordered"], rows[0]["idle"]) == (3, 3, 0)  # no order call idle
         assert "mean reordered top-Ks" in result.output
         summary = runner.invoke(main, ["stats", "--stats", str(stats_path)])
         assert summary.exit_code == 0
@@ -327,6 +335,7 @@ class TestRun:
         assert row["changed"] <= row["reordered"] < n_queries  # only the top-Ks that changed
         assert row["refilled"] == 0  # the rescan keeps no orders
         assert row["extended"] == row["reused"] == 0  # nor extends a row or reads a fan-out
+        assert row["idle"] == 0  # nor calls an order
 
     def test_repeated_writes_reuse_the_fan_outs(self, runner, bloomberg_dir, tmp_path):
         # the second write to company 8's market value finds every fan-out
@@ -711,7 +720,7 @@ GOOD_EVENT = {
 }
 GOOD_STATS = {
     "seq": 1, "column_candidates": 3, "row_candidates": 1, "reordered": 1, "refilled": 0, "changed": 1, "extended": 2,
-    "reused": 0, "latency_ms": 0.5,
+    "reused": 0, "idle": 0, "latency_ms": 0.5,
 }
 
 

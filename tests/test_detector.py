@@ -93,7 +93,7 @@ def lookup(engine, u, rows):
     """Ids of the queries whose instances the family lookup reaches from the
     given rows of u.table."""
     families = route_families(engine, u)
-    return {qid for fam, inst, *_ in engine.row_filter(u, rows, families) for qids in fam.members[inst] for qid in qids}
+    return {qid for fam, slot, *_ in engine.row_filter(u, rows, families) for qids in fam.members[slot.inst] for qid in qids}
 
 
 class TestRoute:
@@ -599,14 +599,15 @@ class TestMaintainedOrder:
             seen["reordered"] += stats.reordered
             seen["skipped"] += stats.row_candidates - stats.reordered
             for inst, per_column in fam.members.items():
-                for qids, column_totals, real in zip(per_column, fam.totals[inst], fam.real):
+                slot = fam.slots[inst]
+                for qids, column_totals, real in zip(per_column, slot.totals, fam.real):
                     totals = {e: real_value(t) for e, t in column_totals.items()} if real else column_totals
                     seen["entities"] |= set(totals)
                     for qid in qids:
                         q = engine.queries[qid]
                         got = engine.ranking(qid)
                         c = q.criterion
-                        assert got == full_sort(totals, fam.counts[inst], c.aggregation, c.direction, q.k), (u.seq, qid)
+                        assert got == full_sort(totals, slot.counts, c.aggregation, c.direction, q.k), (u.seq, qid)
                         assert list(got) == self.oracle_top(exact, q), (u.seq, qid)
                         values = [v for _, v in got]
                         seen["tie"] += len(set(values)) < len(values)
@@ -723,6 +724,26 @@ class TestEntityOrderUpdate:
         direction="descending",
         initial={0: (1, 10), 1: (1, 9)},
         steps=[{1: None}],
+    )
+    # entities not held reach the value of the bound, which entity 4 holds
+    # (5 ties it, beyond the bound): as the leader leaves, entity 1, below
+    # the bound's entity, enters and ranks first; as 1 leaves, entity 6,
+    # above it, stays out, so when 4 leaves too the order refills and 5
+    # ranks first. Admitting every tie keeps 6 and ranks it first; admitting
+    # none ranks 4 first after the first step
+    @example(
+        k=1,
+        aggregation="sum",
+        direction="descending",
+        initial={2: (1, 12), 4: (1, 10), 5: (2, 10), 1: (1, 3), 6: (1, 2)},
+        steps=[{2: None, 1: (1, 10)}, {1: None, 6: (2, 10)}, {4: None}],
+    )
+    @example(
+        k=1,
+        aggregation="sum",
+        direction="ascending",
+        initial={2: (1, -12), 4: (1, -10), 5: (2, -10), 1: (1, 3), 6: (1, 2)},
+        steps=[{2: None, 1: (1, -10)}, {1: None, 6: (2, -10)}, {4: None}],
     )
     def test_matches_full_sort(self, k, aggregation, direction, initial, steps):
         counts = {e: n for e, (n, _) in initial.items()}
@@ -1358,8 +1379,8 @@ class TestFanoutCache:
         assert reused > 0
 
     def test_cached_pairs_hold_the_member_keys(self):
-        # a fan-out holds the members dict's own instance key, once per
-        # instance reached, instead of an equal copy each
+        # a fan-out holds the family's own slot of each instance reached,
+        # once per instance
         store, engine = self.setup()
         seq = itertools.count(1)
         for rid, row in enumerate(store.table("stockmarket").rows):
@@ -1369,13 +1390,12 @@ class TestFanoutCache:
             engine.detect(UpdateRecord(next(seq), "update", "shareholder", {"s_amount": Delta(rid + 1)}, where))
         held = 0
         for fam in engine.families:
-            own = {inst: inst for inst in fam.members}
             for groups in (fam.fanout or {}).values():
-                assert len({inst for inst, _ in groups}) == len(groups), fam.id
-                for inst, entities in groups:
-                    assert inst is own[inst], (fam.id, inst)
-                    assert isinstance(entities, tuple) and entities, (fam.id, inst)
-                    held += inst != ()
+                assert len({slot.inst for slot, _ in groups}) == len(groups), fam.id
+                for slot, entities in groups:
+                    assert slot is fam.slots[slot.inst], (fam.id, slot.inst)
+                    assert isinstance(entities, tuple) and entities, (fam.id, slot.inst)
+                    held += slot.inst != ()
         assert held > 20
 
 
@@ -1439,7 +1459,7 @@ join_edges:
             assert delta.detect(u) == reference.detect(u), u
             assert rankings_of(delta) == rankings_of(reference), u
             assert delta.last_stats.reused == (2 if seq > 1 else 0)  # one lookup per family
-        reached = {inst: Counter(entities) for fam in delta.families for inst, entities in fam.fanout[1]}
+        reached = {slot.inst: Counter(entities) for fam in delta.families for slot, entities in fam.fanout[1]}
         assert reached == {("home",): {"p1": 2, "p2": 1}, (): {"p1": 2, "p2": 1}}
 
 class TestSqlDefinesRanking:

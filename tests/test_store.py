@@ -99,7 +99,7 @@ def snapshot(store, engine):
     if isinstance(engine, Reference):
         return tables, rankings_of(engine)
     families = [
-        ({i: dict(c) for i, c in fam.counts.items()}, {i: [dict(t) for t in ts] for i, ts in fam.totals.items()})
+        {i: (dict(slot.counts), [dict(t) for t in slot.totals]) for i, slot in fam.slots.items()}
         for fam in engine.families
     ]
     orders = {qid: (list(o.keys), o.bound) for qid, o in engine.orders.items()}
