@@ -56,8 +56,12 @@ def is_number(value: Any) -> bool:
 
 
 def is_finite(value: Any) -> bool:
-    """A finite JSON number."""
-    return is_int(value) or isinstance(value, float) and math.isfinite(value)
+    """A finite JSON number: a float other than inf and NaN, or an int that
+    converts to one (10**400 does not)."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 class CatalogError(Exception):

@@ -3,43 +3,46 @@
 Queries that share entity attribute, join path, fixed atoms and binding
 columns form a family, whatever their criterion columns; they differ in
 their binding values, the instance, and in their criterion. A family owns
-its from-scratch scan, which yields, for every instance that is a query,
+its from-scratch scan, which gives, for every instance that is a query,
 per-entity row counts and one per-entity total for each criterion column.
 It reads the joined rows through store.JoinScan, as generation counts
 them: when the criterion columns' relation is a leaf (store.leaf_edge),
 that relation is summed per join value first (eager aggregation) and the
 rest of the path is joined without it, so each joined row adds its join
-value's row count and totals. The engine builds its state from that scan
-at start-up and, for every update, keeps it current by delta.
+value's row count and totals. The family builds its state from that scan
+at start-up, and the engine keeps it current by delta, update by update.
 
-That state is held in slots, built once at start-up: one per member
-instance of a family, and one per criterion column of it (an instance
-with a single column is its own column slot). An instance's slot holds
-its live counts and per-column totals and every entity order of the
-instance; a column slot holds the same counts and the orders of that
-column. Whatever names an instance on the update path (a contribution, a
-fan-out, the entities an update moved) holds its slot, hashed by
-identity, so no instance tuple is hashed or looked up again per update.
+A family is built complete at start-up: it groups its queries per instance
+and criterion column, scans, and gives every member instance a slot, plus
+one per criterion column of it (an instance with a single column is its own
+column slot). An instance's slot holds its live counts and per-column
+totals and every entity order of the instance; a column slot holds the same
+counts and the orders of that column. The slots are the family's only index
+of its queries: the route counts its candidates from them, the engine reads
+its orders off them, and whatever names an instance on the update path (a
+contribution, a fan-out, the entities an update moved) holds its slot,
+hashed by identity, so no instance tuple is hashed or looked up again per
+update.
 
 Per update the engine filters in two tiers. The column tier is the route
 (Engine._route), memoized per update kind, table and written columns: the
 families whose shape or criterion columns the update writes, and how each
-is extended. The row tier is row_filter: the updated rows are extended
-along each touched family's join path, and every extension that satisfies
-the fixed atoms and lands in a query's instance contributes (the
-instance's slot, entity, joined row ids, values): the values are the exact
-terms of every criterion column, read when the contribution is made, so a
-contribution says by itself what it adds to its entity and why. A family's
-shape columns (entity, predicate and join-path columns) decide which
-extensions exist and where they land; an update that writes none of them
-is extended once, before it, and each written criterion column's new value
-is read against the contribution's old one; any other is extended before
-and after, and one signed loop subtracts the pre-image contributions from
-their entities' counts and totals and adds the post-image ones. Every
-total is an exact int, a real column's in units of 2**-1074 (fixed), so no
-order of updates can make a total drift. The entities moved go to the slot
-they moved in: the instance's slot after a signed loop, which may move
-every column, else the written column's slot.
+is extended. The row tier is each family's plans (Family.plan): the updated
+rows are extended along each touched family's join path, and every
+extension that satisfies the fixed atoms and lands in a query's instance
+contributes (the instance's slot, entity, joined row ids, values): the
+values are the exact terms of every criterion column, read when the
+contribution is made, so a contribution says by itself what it adds to its
+entity and why. A family's shape columns (entity, predicate and join-path
+columns) decide which extensions exist and where they land; an update that
+writes none of them is extended once, before it, and each written criterion
+column's new value is read against the contribution's old one; any other is
+extended before and after, and one signed loop subtracts the pre-image
+contributions from their entities' counts and totals and adds the
+post-image ones. Every total is an exact int, a real column's in units of
+2**-1074 (fixed), so no order of updates can make a total drift. The
+entities moved go to the slot they moved in: the instance's slot after a
+signed loop, which may move every column, else the written column's slot.
 
 A family with a leaf caches its fan-out: per join value of the leaf, per
 instance reached, the instance's slot and the entity of every extension of
@@ -96,7 +99,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 from operator import neg
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
 from .generator import HofQuery
@@ -156,7 +159,7 @@ class Slot:
     entity orders to re-key when the slot's entities move: every order of
     the instance, or the column's. An instance's slot holds its column
     slots, and is its own one when it has a single column; a column slot
-    holds none. Built once at start-up, slots are what contributions,
+    holds none. Built once, with its family, slots are what contributions,
     fan-outs and moved entities carry, hashed by identity."""
 
     __slots__ = ("inst", "counts", "totals", "orders", "columns")
@@ -168,15 +171,19 @@ class Slot:
 
 class Family:
     """Queries sharing entity attribute, join path, fixed atoms and binding
-    columns, whatever their criterion columns; one scan at start-up
-    evaluates every column of all their instances."""
+    columns, whatever their criterion columns, built complete: one scan of
+    the store evaluates every column of all their instances, each member
+    instance gets its slot and each query its EntityOrder in it, and a plan
+    is compiled per relation the family reads. The slots are the family's
+    only index of its queries."""
 
-    def __init__(self, fid: int, key: tuple, members: list[tuple[tuple, HofQuery]], catalog: SchemaCatalog):
-        q = members[0][1]
+    def __init__(self, fid: int, key: tuple, group: list[tuple[tuple, HofQuery]], catalog: SchemaCatalog,
+                 store: Store):
+        q = group[0][1]
         self.id = fid
         self.entity, self.path, self.fixed, self.binding_cols = key
-        self.columns = tuple(dict.fromkeys(m.criterion.column for _, m in members))  # criterion columns
-        # members differ only in binding values and criterion
+        self.columns = tuple(dict.fromkeys(m.criterion.column for _, m in group))  # criterion columns
+        # the queries differ only in binding values and criterion
         self.needed = q.relations() | {c.relation for c in self.columns}
         # the columns that decide which joined rows exist, pass the fixed
         # atoms and land in which instance and entity
@@ -191,13 +198,26 @@ class Family:
         # holding it: an entity reached through two joined rows is there twice
         self.leaf_column = self.leaf and self.leaf.endpoint(self.columns[0].relation).column
         self.fanout: dict[Any, tuple[tuple[Slot, tuple], ...]] | None = {} if self.leaf else None
-        self.members: dict[tuple, list[list[str]]] = {}  # instance -> per column: query ids
+        queries: dict[tuple, list[list[HofQuery]]] = {}  # instance -> per column: its queries
         at = {c: j for j, c in enumerate(self.columns)}
-        for inst, m in members:
-            per_column = self.members.get(inst) or self.members.setdefault(inst, [[] for _ in self.columns])
-            per_column[at[m.criterion.column]].append(m.id)
-        self.slots: dict[tuple, Slot] = {}  # instance -> its slot, filled at start-up
-        self.plans: dict[str, Callable[[Iterable[int]], list[Contribution]]] = {}
+        for inst, m in group:
+            per_column = queries.get(inst) or queries.setdefault(inst, [[] for _ in self.columns])
+            per_column[at[m.criterion.column]].append(m)
+        self.slots: dict[tuple, Slot] = {}  # instance -> its slot
+        for inst, (counts, totals) in self.scan(store, queries).items():
+            columns = []
+            for column_queries, t, real in zip(queries[inst], totals, self.real):
+                orders = []
+                for m in column_queries:
+                    orders.append(EntityOrder(t, counts, real, m))
+                columns.append(Slot(inst, counts, totals, tuple(orders)))
+            if len(columns) == 1:
+                slot = columns[0]
+                slot.columns = (slot,)
+            else:
+                slot = Slot(inst, counts, totals, sum([c.orders for c in columns], ()), tuple(columns))
+            self.slots[inst] = slot
+        self.plans = {rel: self.plan(store, rel) for rel in self.needed}  # relation -> its rows' contributions
 
     def plan(self, store: Store, base: str) -> Callable[[Iterable[int]], list[Contribution]]:
         """Row ids of `base` -> the contributions of their extensions along
@@ -246,17 +266,17 @@ class Family:
 
         return contributions
 
-    def scan(self, store: Store) -> Iterator[tuple[tuple, dict[Any, int], list[dict[Any, int]]]]:
-        """(instance, entity -> joined rows, per column: entity -> exact int
-        total) of every member instance, from one zip loop over a JoinScan
-        (the leaf summed per join value); an instance without rows gets empty
-        dicts. A real column's totals are fixed-point (see fixed)."""
+    def scan(self, store: Store, instances: Iterable) -> dict[tuple, tuple[dict, list]]:
+        """instance -> (entity -> joined rows, per column: entity -> exact int
+        total) of each given instance, from one zip loop over a JoinScan of
+        the store (the leaf summed per join value); an instance without rows
+        gets empty dicts. A real column's totals are fixed-point (see fixed)."""
         scan = JoinScan(store, self.needed, self.path, self.fixed, self.columns[0].relation if self.leaf else None)
         streams = [scan.terms(c, fixed if real else None) for c, real in zip(self.columns, self.real)]
         weights = scan.weights()
         insts = zip(*map(scan.values, self.binding_cols)) if self.binding_cols else repeat(())
         ents = scan.values(self.entity)
-        per_inst = {inst: ({}, [{} for _ in self.columns]) for inst in self.members}
+        per_inst = {inst: ({}, [{} for _ in self.columns]) for inst in instances}
         get = per_inst.get
         if len(streams) == 1:
             for inst, ent, n, v in zip(insts, ents, weights, *streams):
@@ -298,8 +318,7 @@ class Family:
                     counts[ent] = n
                     for t, v in zip(sums, vs):
                         t[ent] = v
-        for inst, (counts, sums) in per_inst.items():
-            yield inst, counts, sums
+        return per_inst
 
 
 def order_key(t: dict, n: dict, real: bool, avg: bool, sign: int) -> Callable[[Any], tuple]:
@@ -449,10 +468,11 @@ class EntityOrder:
         return tuple([(e, sign * v) for v, e in self.keys[: self.k]])
 
 
-def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[Family]:
+def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog, store: Store) -> list[Family]:
     """Group queries by (entity attribute, join path, fixed atoms, binding
-    columns), the key of their Family, reading each predicate once."""
-    groups: dict[tuple, list[tuple[tuple, HofQuery]]] = {}  # key -> (instance, query) per member
+    columns), the key of their Family, reading each predicate once, and
+    build each family complete over the store."""
+    groups: dict[tuple, list[tuple[tuple, HofQuery]]] = {}  # key -> (instance, query) per query
     for q in queries:
         cols, inst, fixed = [], [], []
         for a in q.predicate:
@@ -463,13 +483,14 @@ def build_families(queries: Iterable[HofQuery], catalog: SchemaCatalog) -> list[
                 fixed.append(a)
         key = (q.entity_attr, q.join_path, tuple(fixed), tuple(cols))
         groups.setdefault(key, []).append((tuple(inst), q))
-    return [Family(fid, key, members, catalog) for fid, (key, members) in enumerate(groups.items())]
+    return [Family(fid, key, group, catalog, store) for fid, (key, group) in enumerate(groups.items())]
 
 
 class Engine:
-    """Detection state: queries, their families, the memoized route of each
-    update shape, and one EntityOrder per query, from which a ranking is only
-    built when ranking(qid) asks."""
+    """Detection state: queries, their families, each built complete with
+    its slots, the memoized route of each update shape, and each query's
+    EntityOrder, read off the slots, from which a ranking is only built when
+    ranking(qid) asks."""
 
     # The one caller that still asks for the unfiltered engine,
     # perfbench/replay.py::reference_log, gets the reference instead; the
@@ -484,25 +505,9 @@ class Engine:
     def __init__(self, catalog: SchemaCatalog, store: Store, queries: Iterable[HofQuery], filters_enabled: bool = True):
         self.store = store
         self.queries: dict[str, HofQuery] = {q.id: q for q in queries}
-        self.families = build_families(self.queries.values(), catalog)
-        self.orders: dict[str, EntityOrder] = {}  # the ranking state, by query id for ranking()
-        for fam in self.families:
-            for inst, counts, totals in fam.scan(store):
-                columns = []
-                for qids, t, real in zip(fam.members[inst], totals, fam.real):
-                    orders = []
-                    for qid in qids:
-                        order = self.orders[qid] = EntityOrder(t, counts, real, self.queries[qid])
-                        orders.append(order)
-                    columns.append(Slot(inst, counts, totals, tuple(orders)))
-                if len(columns) == 1:
-                    slot = columns[0]
-                    slot.columns = (slot,)
-                else:
-                    slot = Slot(inst, counts, totals, sum([c.orders for c in columns], ()), tuple(columns))
-                fam.slots[inst] = slot
-            for rel in fam.needed:
-                fam.plans[rel] = fam.plan(store, rel)
+        self.families = build_families(self.queries.values(), catalog, store)
+        # the ranking state, by query id for ranking()
+        self.orders = {o.qid: o for fam in self.families for slot in fam.slots.values() for o in slot.orders}
         store.drop_join_cache()  # nothing scans again
         self._routes: dict[tuple, tuple] = {}  # see _route
         self.last_stats = DetectStats(0, 0, 0, 0, 0, 0, 0, 0)
@@ -536,26 +541,15 @@ class Engine:
                 if not written.isdisjoint(fam.shape):
                     # u may change which joined rows exist and where they land
                     twice.append(fam)
-                    n += sum(len(qids) for per_column in fam.members.values() for qids in per_column)
+                    n += sum(len(slot.orders) for slot in fam.slots.values())
                 elif columns:  # u can only revalue them, in its written columns
-                    n += sum(len(per_column[j]) for per_column in fam.members.values() for j, *_ in columns)
+                    n += sum(len(slot.columns[j].orders) for slot in fam.slots.values() for j, *_ in columns)
                     if fam.leaf:  # a family's criterion columns are all in its leaf, so u.table is the leaf
                         cached.append((fam, columns, positions[fam.leaf_column]))
                     else:
                         once[fam] = columns
             route = self._routes[key] = (once, cached, twice, [fam.fanout for fam in twice if fam.leaf], n)
         return route
-
-    def row_filter(
-        self, u: UpdateRecord, rows: Iterable[int], families: Iterable[Family]
-    ) -> list[tuple[Family, tuple, Any, tuple, list]]:
-        """(family, *contribution) for every extension of the given rows of
-        u.table along a family's join path that satisfies the fixed atoms
-        and the bindings of one of the family's queries (see Family.plan)."""
-        rows = list(rows)
-        if not rows:
-            return []
-        return [(fam, *c) for fam in families for c in fam.plans[u.table](rows)]
 
     # -- detection ----------------------------------------------------------
 
@@ -579,7 +573,7 @@ class Engine:
         # a cached fan-out holds no values, so its rows' old ones are copied
         before = {rid: table[rid][:] for rid in rows} if cached else {}
         kept = [(columns, fam.plans[u.table](rows)) for fam, columns in once.items()]
-        pre = self.row_filter(u, rows, twice) if twice else ()
+        pre = [c for fam in twice for c in fam.plans[u.table](rows)] if twice and rows else ()
         touched = self.store.apply_update(u, rows)
         # u may have changed which joined rows a leaf row reaches; a rejected
         # u changed nothing, and no family in twice reads its cache below
@@ -591,10 +585,10 @@ class Engine:
         # whose count or total in the slot's columns may have changed
         moved: defaultdict[Slot, set] = defaultdict(set)
         if twice:
-            post = self.row_filter(u, touched, twice)
+            post = [c for fam in twice for c in fam.plans[u.table](touched)] if touched else ()
             extended += (len(rows) + len(touched)) * len(twice)
             for sign, images in ((-1, pre), (1, post)):
-                for _, slot, e, _, values in images:
+                for slot, e, _, values in images:
                     counts = slot.counts
                     n = counts.get(e, 0) + sign
                     if n:

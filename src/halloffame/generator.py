@@ -199,11 +199,10 @@ def _from_clause(path: tuple[JoinEdge, ...]) -> str:
         if not seen:
             parts.append(f"{edge.src.relation} JOIN {edge.dst.relation} ON {edge}")
             seen.update(edge.relations())
-        else:
-            new = next(iter(edge.relations() - seen), None)
+        else:  # the join-path rule: each later edge adds exactly one relation
+            (new,) = edge.relations() - seen
             parts.append(f"JOIN {new} ON {edge}")
-            if new:
-                seen.add(new)
+            seen.add(new)
     return " ".join(parts)
 
 
@@ -365,7 +364,7 @@ def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
     crit, k = doc["criterion"], doc["k"]
     criterion = RankingCriterion(_parse_ref(crit["column"], catalog), crit["aggregation"], crit["direction"])
     catalog.check_criterion(criterion)
-    _expect(is_int(k) and k >= 1, "k must be an integer >= 1", k)
+    _expect(is_int(k) and is_finite(k) and k >= 1, "k must be a finite integer >= 1", k)
     _expect(isinstance(doc["id"], str), "id must be a string", doc["id"])
     sel, bits = doc["selectivity"], doc["entropy_bits"]
     _expect(is_number(sel) and 0 < sel <= 1, "selectivity must be a number in (0, 1]", sel)  # NaN fails the range

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, settings
 
 from halloffame import SchemaCatalog, Store, load_catalog
+from oracles import fixed_atoms
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -51,6 +52,19 @@ def rankings_of(engine) -> dict:
     return {qid: engine.ranking(qid) for qid in engine.queries}
 
 
+def grouped_queries(engine) -> dict:
+    """(entity attribute, join path, fixed atoms, binding columns) ->
+    instance -> criterion column -> ids of the engine's queries, in their
+    order, grouped from each query's own predicate."""
+    out: dict = {}
+    for qid, q in engine.queries.items():
+        binding = [a for a in q.predicate if a.kind == "binding"]
+        key = (q.entity_attr, q.join_path, fixed_atoms(q), tuple(a.left for a in binding))
+        inst = tuple(a.right for a in binding)
+        out.setdefault(key, {}).setdefault(inst, {}).setdefault(q.criterion.column, []).append(qid)
+    return out
+
+
 def assert_best_keys(engine) -> None:
     """Every entity order of a filtered engine holds exactly the first keys
     of a from-scratch sort of its instance: at least min(k, entities) and at
@@ -58,11 +72,17 @@ def assert_best_keys(engine) -> None:
     bound only when it holds every entity. Every total is an exact int, a
     real column's in units of 2**-1074, and each column's totals have
     exactly the entities of the instance's counts, as the bound test on raw
-    totals relies on. Each instance's slot holds its orders, column by
-    column, in its column slots and all together."""
+    totals relies on. The families' slots hold every query of the engine
+    once: each instance's slot holds its orders, column by column, in its
+    column slots and all together, and the engine's orders are the slots'."""
+    expected = grouped_queries(engine)
+    assert [(fam.entity, fam.path, fam.fixed, fam.binding_cols) for fam in engine.families] == list(expected)
+    assert len(engine.orders) == len(engine.queries)
     for fam in engine.families:
-        assert list(fam.slots) == list(fam.members), fam.id
-        for inst, per_column in fam.members.items():
+        members = expected[fam.entity, fam.path, fam.fixed, fam.binding_cols]
+        assert list(fam.slots) == list(members), fam.id
+        for inst, by_column in members.items():
+            per_column = [by_column.get(c, []) for c in fam.columns]
             slot = fam.slots[inst]
             counts = slot.counts
             assert all(type(v) is int for t in slot.totals for v in t.values()), (fam.id, inst)
@@ -70,6 +90,7 @@ def assert_best_keys(engine) -> None:
             assert [[o.qid for o in column.orders] for column in slot.columns] == per_column, (fam.id, inst)
             assert list(slot.orders) == [o for column in slot.columns for o in column.orders], (fam.id, inst)
             assert all(column.counts is counts for column in slot.columns), (fam.id, inst)
+            assert all(engine.orders[o.qid] is o for o in slot.orders), (fam.id, inst)
             for qids in per_column:
                 for qid in qids:
                     order = engine.orders[qid]

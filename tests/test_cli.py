@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import halloffame
 from halloffame import (
@@ -26,6 +27,7 @@ from halloffame import (
 )
 from halloffame import cli
 from halloffame.cli import main
+from conftest import DATA_DIR
 
 
 @pytest.fixture
@@ -740,11 +742,13 @@ BAD_EVENT_FIELDS = {
     "chain-object": ("chain", {"seq": 1}),
     "short-pair": ("chain", [[1, 4]]),
     "float-in-pair": ("chain", [[1, 4, 1.0]]),
+    "huge-selectivity": ("selectivity", 10**400),  # no float holds it: rank's formatting raised
 }
 # a stats field and a value that cannot be summarized
 BAD_STATS_FIELDS = {
     "nan-latency": ("latency_ms", math.nan),
     "inf-counter": ("extended", math.inf),
+    "huge-counter": ("changed", 10**400),  # no float holds it: statistics.fmean raised
 }
 
 
@@ -777,6 +781,31 @@ class TestBadInputLines:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {what} line 2: " in result.output
+
+
+class TestIntegersBeyondTheFloatRange:
+    """An integer that converts to no finite float is not a finite number. A
+    query catalog line that gives one as k or entropy_bits is a located
+    error of hof run; the run used to end in a traceback at the first event
+    (k) or write an event log that hof rank could not format (entropy_bits)."""
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("k", "k must be a finite integer >= 1"), ("entropy_bits", "entropy_bits must be a finite number >= 0")],
+    )
+    def test_query_catalog_field(self, runner, bloomberg_dir, tmp_path, field, message):
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        docs = [json.loads(line) for line in queries.read_text().splitlines()]
+        queries.write_text("".join(json.dumps({**doc, field: 10**400}) + "\n" for doc in docs))
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: query catalog line 1: {message}, got 1{'0' * 400}" in result.output
+        # 10**300 converts to a float: such a k holds every entity
+        queries.write_text("".join(json.dumps({**doc, field: 10**300}) + "\n" for doc in docs))
+        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
+        assert result.exit_code == 0, result.output
+        assert runner.invoke(main, ["rank", "--events", str(events)]).exit_code == 0
 
 
 class TestUnreadableFiles:
@@ -840,6 +869,99 @@ class TestUnreadableFiles:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {what} file {bad}, line 2: not UTF-8 (invalid continuation byte)" in result.output
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid file of each line-delimited input, from the Bloomberg fixture:
+    a query catalog, the first 20 lines of its synthesized update stream,
+    and the event log and stats that hof run writes from them."""
+    tmp_path, runner, bloomberg_dir = tmp_path_factory.mktemp("valid"), CliRunner(), DATA_DIR / "bloomberg"
+    queries, _ = gen(runner, bloomberg_dir, tmp_path)
+    updates = tmp_path / "updates.jsonl"
+    config = ["--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir)]
+    assert runner.invoke(main, ["synth", *config, "--out", str(updates)]).exit_code == 0
+    updates.write_text("".join(updates.read_text().splitlines(keepends=True)[:20]))
+    events, stats = tmp_path / "events.jsonl", tmp_path / "stats.jsonl"
+    result = runner.invoke(main, ["run", *config, "--queries", str(queries), "--updates", str(updates),
+                                  "--events", str(events), "--stats", str(stats)])
+    assert result.exit_code == 0, result.output
+    assert events.read_text() and stats.read_text()
+    return {"update stream": updates, "query catalog": queries, "event log": events, "stats": stats, "config": config}
+
+
+def fields_of(doc, path=()):
+    """(path, value) of every field of a JSON document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from fields_of(value, path + (key,))
+
+
+def mutate(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
+    """The file's bytes with one fault: cut at a byte, one byte flipped (xor
+    byte), an invalid UTF-8 byte inserted, or, in one line, one field (a
+    numeric one for digits) replaced by a 400-digit integer, 100,000 levels
+    of nesting or a 100,000-character string."""
+    data = text.encode()
+    if mutation == "truncate":
+        return data[: at % len(data)]
+    if mutation == "flip":
+        i = at % len(data)
+        return data[:i] + bytes([data[i] ^ byte]) + data[i + 1:]
+    if mutation == "utf8":
+        i = at % len(data)
+        return data[:i] + b"\xff" + data[i:]
+    lines = text.splitlines()
+    n = at % len(lines)
+    doc = json.loads(lines[n])
+    fields = [path for path, value in fields_of(doc)
+              if mutation != "digits" or isinstance(value, (int, float)) and not isinstance(value, bool)]
+    *parents, last = fields[pick % len(fields)]
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    owner[last] = {"digits": -(10**400) if byte & 1 else 10**400, "nesting": "@nest@", "oversized": "x" * 100_000}[mutation]
+    lines[n] = json.dumps(doc).replace('"@nest@"', "[" * 100_000 + "]" * 100_000)
+    return "\n".join(lines).encode() + b"\n"
+
+
+class TestCorruptInputs:
+    """Any one fault in an update stream, a query catalog, an event log or a
+    stats file ends the command that reads it with exit 0, or with exit 1
+    and one located Error line, never a traceback."""
+
+    COMMANDS = {"update stream": "run", "query catalog": "run", "event log": "rank", "stats": "stats"}
+
+    @settings(max_examples=300, deadline=None)  # about 5 ms each
+    @given(
+        kind=st.sampled_from(list(COMMANDS)),
+        mutation=st.sampled_from(["truncate", "flip", "utf8", "digits", "nesting", "oversized"]),
+        at=st.integers(0, 10**6),
+        pick=st.integers(0, 100),
+        byte=st.integers(1, 255),
+    )
+    # 400-digit integers that once ended in a traceback: the first line's k,
+    # selectivity and changed (pick indexes the fields in sorted key order)
+    @example(kind="query catalog", mutation="digits", at=0, pick=1, byte=2)
+    @example(kind="event log", mutation="digits", at=0, pick=7, byte=2)
+    @example(kind="stats", mutation="digits", at=0, pick=0, byte=2)
+    def test_one_fault_is_a_located_error(self, valid_inputs, tmp_path_factory, kind, mutation, at, pick, byte):
+        bad = tmp_path_factory.getbasetemp() / "corrupt.jsonl"
+        bad.write_bytes(mutate(valid_inputs[kind].read_text(), mutation, at, pick, byte))
+        command = self.COMMANDS[kind]
+        if command == "run":
+            files = {**valid_inputs, kind: bad}
+            args = ["run", *files["config"], "--queries", str(files["query catalog"]),
+                    "--updates", str(files["update stream"]), "--events", str(bad.with_suffix(".events"))]
+        else:
+            args = [command, "--events" if command == "rank" else "--stats", str(bad)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1), result.output
+        assert "Traceback" not in result.output
+        if result.exit_code:
+            assert isinstance(result.exception, SystemExit), repr(result.exception)
+            assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1, result.output
 
 
 class TestOptionRanges:

@@ -74,8 +74,14 @@ def route_families(engine, u):
 
 
 def family_queries(fam):
-    """Ids of every query of a family."""
-    return {qid for per_column in fam.members.values() for qids in per_column for qid in qids}
+    """Ids of every query of a family, read off its slots."""
+    return {o.qid for slot in fam.slots.values() for o in slot.orders}
+
+
+def slot_queries(fam):
+    """instance -> per criterion column: the ids of its queries, read off
+    the family's slots."""
+    return {inst: [[o.qid for o in column.orders] for column in slot.columns] for inst, slot in fam.slots.items()}
 
 
 def column_candidates(engine, u):
@@ -84,16 +90,15 @@ def column_candidates(engine, u):
     every query of the families it extends twice."""
     once, cached, twice, *_ = engine._route(u)
     written = [*once.items(), *((fam, columns) for fam, columns, _ in cached)]
-    reached = {qid for fam, columns in written for per_column in fam.members.values()
-               for j, *_ in columns for qid in per_column[j]}
+    reached = {o.qid for fam, columns in written for slot in fam.slots.values()
+               for j, *_ in columns for o in slot.columns[j].orders}
     return reached.union(*map(family_queries, twice))
 
 
 def lookup(engine, u, rows):
     """Ids of the queries whose instances the family lookup reaches from the
-    given rows of u.table."""
-    families = route_families(engine, u)
-    return {qid for fam, slot, *_ in engine.row_filter(u, rows, families) for qids in fam.members[slot.inst] for qid in qids}
+    given rows of u.table, through each routed family's plan."""
+    return {o.qid for fam in route_families(engine, u) for slot, *_ in fam.plans[u.table](rows) for o in slot.orders}
 
 
 class TestRoute:
@@ -584,7 +589,7 @@ class TestMaintainedOrder:
         # one family holds both criterion columns, integer pts and real rating
         (fam,) = engine.families
         assert fam.columns == (ColumnRef("games", "pts"), ColumnRef("games", "rating")) and fam.real == (False, True)
-        assert all(len(qids) == len(GAMES_QUERIES) // 2 for per_column in fam.members.values() for qids in per_column)
+        assert all(len(column.orders) == len(GAMES_QUERIES) // 2 for slot in fam.slots.values() for column in slot.columns)
         columns = ["gid", "player", "team", "pts", "rating"]
         tables = {"games": [dict(zip(columns, r)) for r in rows]}
         seen = {"tie": 0, "reordered": 0, "skipped": 0, "entities": set()}
@@ -598,12 +603,12 @@ class TestMaintainedOrder:
             assert stats.reordered <= stats.row_candidates
             seen["reordered"] += stats.reordered
             seen["skipped"] += stats.row_candidates - stats.reordered
-            for inst, per_column in fam.members.items():
-                slot = fam.slots[inst]
-                for qids, column_totals, real in zip(per_column, slot.totals, fam.real):
+            for slot in fam.slots.values():
+                for column, column_totals, real in zip(slot.columns, slot.totals, fam.real):
                     totals = {e: real_value(t) for e, t in column_totals.items()} if real else column_totals
                     seen["entities"] |= set(totals)
-                    for qid in qids:
+                    for order in column.orders:
+                        qid = order.qid
                         q = engine.queries[qid]
                         got = engine.ranking(qid)
                         c = q.criterion
@@ -1081,7 +1086,7 @@ def reference_scan(store, fam):
         right = cell(jrow, atom.right) if isinstance(atom.right, ColumnRef) else atom.right
         return COMPARATORS[atom.comparator](cell(jrow, atom.left), right)
 
-    out = {inst: ({}, [{} for _ in fam.columns]) for inst in fam.members}
+    out = {inst: ({}, [{} for _ in fam.columns]) for inst in fam.slots}
     for jrow in oracle_path_join(tables, fam.path, fam.needed):
         if not all(passes(jrow, atom) for atom in fam.fixed):
             continue
@@ -1200,14 +1205,16 @@ user_constraints:
     @staticmethod
     def check(store, families):
         for fam in families:
-            got = list(fam.scan(store))
-            assert len(got) == len(fam.members), fam.id
-            assert all(type(v) is int for _, _, totals in got for t in totals for v in t.values()), fam.id
+            got = fam.scan(store, fam.slots)
+            assert len(got) == len(fam.slots), fam.id
+            assert all(type(v) is int for _, totals in got.values() for t in totals for v in t.values()), fam.id
             scales = [2**1074 if real else 1 for real in fam.real]
-            assert {inst: (counts, totals) for inst, counts, totals in got} == {
+            assert got == {
                 inst: (counts, [{e: v * scale for e, v in t.items()} for t, scale in zip(totals, scales)])
                 for inst, (counts, totals) in reference_scan(store, fam).items()
             }, fam.id
+            # the slots start from that scan
+            assert got == {inst: (slot.counts, slot.totals) for inst, slot in fam.slots.items()}, fam.id
 
     @staticmethod
     def leaves(families):
@@ -1230,7 +1237,8 @@ user_constraints:
     )
     def test_bloomberg_families(self, bloomberg, k, c_num, j_num, leaves):
         catalog, store = bloomberg
-        families = build_families(generate_queries(catalog, GeneratorConfig(k=k, c_num=c_num, j_num=j_num), store), catalog)
+        queries = generate_queries(catalog, GeneratorConfig(k=k, c_num=c_num, j_num=j_num), store)
+        families = build_families(queries, catalog, store)
         assert self.leaves(families) == leaves
         self.check(store, families)
 
@@ -1241,16 +1249,20 @@ user_constraints:
         catalog, store = self.real_store() if amounts else bloomberg
         generated = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
         loaded = load_queries(dump_queries(generated), catalog)
-        fields = operator.attrgetter("members", "needed", "columns", "shape", "fixed", "binding_cols", "leaf")
-        families = list(map(fields, build_families(generated, catalog)))
-        assert families == list(map(fields, build_families(loaded, catalog)))
+        attributes = operator.attrgetter("needed", "columns", "shape", "fixed", "binding_cols", "leaf")
+
+        def fields(fam):
+            return slot_queries(fam), *attributes(fam)
+
+        families = list(map(fields, build_families(generated, catalog, store)))
+        assert families == list(map(fields, build_families(loaded, catalog, store)))
         assert len(families) == (42 if amounts else 12)
         assert any(fixed for *_, fixed, _, _ in families) == amounts
 
     def test_real_amounts_sum_and_avg_with_a_fixed_atom(self):
         catalog, store = self.real_store()
         queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=2, j_num=3), store)
-        families = build_families(queries, catalog)
+        families = build_families(queries, catalog, store)
         assert self.leaves(families) == {
             ("stockmarket", "company.c_id=stockmarket.s_companyid"): 20,
             ("stockmarket", "shareholder.s_companyid=stockmarket.s_companyid"): 1,
@@ -1285,8 +1297,9 @@ user_constraints:
             # two path edges touch the criterion relation: no leaf
             bloomberg_query("middle", "person.p_name", amount, "avg", [SH_PERSON, SH_CO]),
         ]
-        families = build_families(load_queries("".join(json.dumps(d) + "\n" for d in docs), catalog), catalog)
-        by_query = {fam.members[next(iter(fam.members))][0][0]: fam for fam in families}
+        queries = load_queries("".join(json.dumps(d) + "\n" for d in docs), catalog)
+        families = build_families(queries, catalog, store)
+        by_query = {next(iter(slot_queries(fam).values()))[0][0]: fam for fam in families}
         assert {qid: fam.leaf and str(fam.leaf) for qid, fam in by_query.items()} == {
             f"country-{amount}": "shareholder.s_companyid=company.c_id",
             "company": "shareholder.s_companyid=company.c_id",
@@ -1300,13 +1313,15 @@ user_constraints:
         self.check(store, families)
 
         country = by_query[f"country-{amount}"]
-        [(_, counts, totals)] = country.scan(store)
+        [slot] = country.slots.values()
+        counts, totals = slot.counts, slot.totals
         # pre-summed per join value in floats, 1e16 + 1.0 would round to 1e16
         # and the total stay 1e16; the exact total rounds once
         assert (counts["Germany"], totals[0]["Germany"]) == (3, fixed(1e16) + 2 * fixed(1.0))
         assert real_value(totals[0]["Germany"]) == 1.0000000000000002e16
         # the leaf's dangling row (company 99) and the companies without shareholders add nothing
-        [(_, counts, _)] = by_query["company"].scan(store)
+        [slot] = by_query["company"].slots.values()
+        counts = slot.counts
         assert sorted(counts) == ["BMW", "Facebook", "Microsoft", "SAP", "Superfast Ferries"]
         assert (counts["SAP"], counts["Microsoft"]) == (2, 2)
         assert 99 not in {row[0] for row in store.table("company").rows}

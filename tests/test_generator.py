@@ -111,7 +111,7 @@ def load_amounts(holdings=None):
     return load_dataset("bloomberg", text, {"shareholder": holdings} if holdings else None)
 
 
-RELATIONS = ["stats", "teams", "länder"]
+RELATIONS = ["stats", "teams", "länder", "ligen"]
 COLUMN_NAMES = ["c1", "m1", "größe"]
 TEXTS = st.one_of(st.text(), st.sampled_from(["Zürich", "O'Brien", 'say "hi"', "back\\slash", "'\"\\", "日本", "\x00\n\t"]))
 NUMBERS = st.one_of(
@@ -123,12 +123,18 @@ NUMBERS = st.one_of(
 
 @st.composite
 def hof_queries(draw) -> HofQuery:
-    """Any query the renderers may meet; without a join path every column is
-    in one relation."""
-    path = tuple(
-        JoinEdge(ColumnRef(draw(st.sampled_from(RELATIONS)), "id"), ColumnRef(draw(st.sampled_from(RELATIONS)), "fk"))
-        for _ in range(draw(st.integers(0, 3)))
-    )
+    """Any query the renderers may meet: its join path obeys the join-path
+    rule (each edge adds one relation to those before it), as generation and
+    the query catalog's loader both check; without a join path every column
+    is in one relation."""
+    order = draw(st.permutations(RELATIONS))
+    path = []
+    for i in range(1, draw(st.integers(1, len(RELATIONS)))):
+        ends = [order[draw(st.integers(0, i - 1))], order[i]]  # a relation joined before, the new one
+        if draw(st.booleans()):
+            ends.reverse()
+        path.append(JoinEdge(ColumnRef(ends[0], "id"), ColumnRef(ends[1], "fk")))
+    path = tuple(path)
     relations = sorted({r for e in path for r in (e.src.relation, e.dst.relation)}) or [draw(st.sampled_from(RELATIONS))]
 
     def column():
@@ -469,8 +475,8 @@ class TestPersistence:
             (lambda doc: [doc], "a query must be a JSON object"),
             (lambda doc: {**doc, "predicate": ["co_name = 'USA'"]}, "a predicate atom must be an object"),
             (lambda doc: {**doc, "entity": "nosuch.c_name"}, "unknown relation 'nosuch'"),
-            (lambda doc: {**doc, "k": "3"}, "k must be an integer >= 1"),
-            (lambda doc: {**doc, "k": 0}, "k must be an integer >= 1"),
+            (lambda doc: {**doc, "k": "3"}, "k must be a finite integer >= 1"),
+            (lambda doc: {**doc, "k": 0}, "k must be a finite integer >= 1"),
             (lambda doc: {**doc, "predicate": [{**doc["predicate"][0], "comparator": "~"}]}, "unknown comparator"),
             (lambda doc: {**doc, "criterion": {**doc["criterion"], "aggregation": "max"}}, "unknown aggregation"),
             (lambda doc: {**doc, "predicate": [{**doc["predicate"][0], "right": 3}]}, "does not match the type"),
