@@ -807,6 +807,26 @@ class TestIntegersBeyondTheFloatRange:
         assert result.exit_code == 0, result.output
         assert runner.invoke(main, ["rank", "--events", str(events)]).exit_code == 0
 
+    def test_binding_constant_from_an_integer_column(self, runner, tmp_path):
+        # an integer cell holds an exact int of any size, and a binding atom
+        # compares it exactly, so a catalog generated from it runs
+        (tmp_path / "catalog.yaml").write_text(GAMES_CONFIG.replace("categorical_attrs: [team]", "categorical_attrs: [pts]"))
+        (tmp_path / "games.csv").write_text(f"gid,player,team,rating,pts\n0,a,red,1.0,{HUGE}\n1,b,red,2.0,{HUGE}\n2,c,blue,3.0,1\n")
+        common = ["--config", str(tmp_path / "catalog.yaml"), "--data-dir", str(tmp_path)]
+        queries = tmp_path / "q.jsonl"
+        generated = runner.invoke(main, ["generate", *common, "--out", str(queries), "--k", "2", "--cnum", "1"])
+        assert generated.exit_code == 0, generated.output
+        bound = [doc for doc in map(json.loads, queries.read_text().splitlines()) if doc["predicate"]]
+        assert {atom["right"] for doc in bound for atom in doc["predicate"]} == {HUGE}
+        updates = tmp_path / "updates.jsonl"
+        updates.write_text(write_update_stream([UpdateRecord(1, "update", "games", {"rating": 5.0}, {"gid": 0})]))
+        events = tmp_path / "events.jsonl"
+        args = ["run", *common, "--queries", str(queries), "--updates", str(updates), "--events", str(events)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        docs = [json.loads(line) for line in events.read_text().splitlines()]
+        assert any(d["entity"] == "a" and f"games.pts = {HUGE}" in d["query"] for d in docs), docs
+
 
 class TestUnreadableFiles:
     """A config, CSV or line-delimited file that Python cannot read ends in
