@@ -8,7 +8,8 @@ interpreting only the keywords that file uses (``type``, ``enum``,
 ``minItems`` and ``minLength``), with the messages of the ``jsonschema``
 package; it raises on any other keyword, so the file and the checker cannot
 drift apart. A message quotes the value at fault as repr prints it while it
-is short, and cut with ``...`` where it is long or deep (_quote).
+is short, and cut with ``...`` where it is long or deep (quote); every
+located error of the package that quotes input quotes it so.
 
 What a query may say is written once, as SchemaCatalog's criterion, atom and
 join-path rules (check_criterion, check_atom, check_join_path): the config's
@@ -203,7 +204,7 @@ class SchemaCatalog:
         for rel in self.relations:
             if rel.name == name:
                 return rel
-        raise CatalogError(f"unknown relation {name!r}")
+        raise CatalogError(f"unknown relation {quote(name)}")
 
     def column_type(self, ref: ColumnRef) -> str:
         return self.relation(ref.relation).column_type(ref.column)
@@ -244,9 +245,9 @@ class SchemaCatalog:
         if col_type not in NUMERIC_TYPES:
             raise CatalogError(f"ranking criterion on non-numeric column {criterion.column} ({col_type})")
         if criterion.aggregation not in AGGREGATIONS:
-            raise CatalogError(f"unknown aggregation {criterion.aggregation!r}")
+            raise CatalogError(f"unknown aggregation {quote(criterion.aggregation)}")
         if criterion.direction not in DIRECTIONS:
-            raise CatalogError(f"direction must be concrete, got {criterion.direction!r}")
+            raise CatalogError(f"direction must be concrete, got {quote(criterion.direction)}")
 
     def check_atom(self, atom: ConstraintAtom) -> None:
         """The atom rule: a known kind and comparator, '=' for a binding atom,
@@ -254,20 +255,20 @@ class SchemaCatalog:
         right side is a constant or a column; a float constant is finite (an
         int, of any size, is compared exactly, as the data's int cells are)."""
         if atom.kind not in ATOM_KINDS:
-            raise CatalogError(f"unknown atom kind {atom.kind!r}")
+            raise CatalogError(f"unknown atom kind {quote(atom.kind)}")
         if atom.comparator not in COMPARATORS:
-            raise CatalogError(f"unknown comparator {atom.comparator!r}")
+            raise CatalogError(f"unknown comparator {quote(atom.comparator)}")
         if atom.kind == ATOM_BINDING and atom.comparator != "=":
-            raise CatalogError(f"a binding atom compares with '=', got {atom.comparator!r}")
+            raise CatalogError(f"a binding atom compares with '=', got {quote(atom.comparator)}")
         left_type = self.column_type(atom.left)
         if atom.kind == ATOM_INTER:
             right_type = self.column_type(atom.right)
             if (left_type == "text") != (right_type == "text"):
                 raise CatalogError(f"cannot compare {atom.left} ({left_type}) with {atom.right} ({right_type})")
         elif not (isinstance(atom.right, str) if left_type == "text" else is_number(atom.right)):
-            raise CatalogError(f"constant {atom.right!r} does not match the type of {atom.left} ({left_type})")
+            raise CatalogError(f"constant {quote(atom.right)} does not match the type of {atom.left} ({left_type})")
         elif isinstance(atom.right, float) and not math.isfinite(atom.right):
-            raise CatalogError(f"constant {atom.right!r} compared with {atom.left} is not finite")
+            raise CatalogError(f"constant {quote(atom.right)} compared with {atom.left} is not finite")
 
     def check_join_path(self, path: Sequence[JoinEdge], named: Iterable[str]) -> str:
         """The join-path rule; returns the relation the path starts from. A
@@ -316,7 +317,7 @@ _JSON_TYPES = {
 
 
 class _Quote(reprlib.Repr):
-    """repr for quoting a config value in a message: as repr prints it while
+    """repr for quoting a value at fault in a message: as repr prints it while
     it is short, cut with '...' past 8 items, 6 levels or 60 characters of a
     string or number, so a long value cannot make the message long nor a
     deep one make the quoting recurse beyond the stack."""
@@ -336,7 +337,7 @@ class _Quote(reprlib.Repr):
         return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
 
 
-_quote = _Quote().repr
+quote = _Quote().repr
 
 
 def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
@@ -352,14 +353,14 @@ def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[t
         if keyword == "type":
             names = [rule] if isinstance(rule, str) else rule
             if not any(_JSON_TYPES[name](value) for name in names):
-                yield path, f"{_quote(value)} is not of type {', '.join(map(repr, names))}"
+                yield path, f"{quote(value)} is not of type {', '.join(map(repr, names))}"
         elif keyword == "enum":
             if value not in rule:
-                yield path, f"{_quote(value)} is not one of {rule!r}"
+                yield path, f"{quote(value)} is not one of {rule!r}"
         elif keyword in ("minItems", "minLength"):
             sized = isinstance(value, list if keyword == "minItems" else str)
             if sized and len(value) < rule:
-                yield path, f"{_quote(value)} {'should be non-empty' if rule == 1 else 'is too short'}"
+                yield path, f"{quote(value)} {'should be non-empty' if rule == 1 else 'is too short'}"
         elif keyword == "items":
             if isinstance(value, list):
                 for i, item in enumerate(value):
@@ -423,16 +424,16 @@ class _Resolver:
             rel_name, col = text.split(".", 1)
             rel = self.by_name.get(rel_name)
             if rel is None:
-                raise CatalogError(f"{context}: unknown relation {rel_name!r}")
+                raise CatalogError(f"{context}: unknown relation {quote(rel_name)}")
             if not rel.has_column(col):
-                raise CatalogError(f"{context}: unknown column {text!r}")
+                raise CatalogError(f"{context}: unknown column {quote(text)}")
             return ColumnRef(rel_name, col)
         owners = self.column_owners.get(text, [])
         if not owners:
-            raise CatalogError(f"{context}: unknown column {text!r}")
+            raise CatalogError(f"{context}: unknown column {quote(text)}")
         if len(owners) > 1:
             raise CatalogError(
-                f"{context}: column {text!r} is ambiguous (declared in {', '.join(sorted(owners))})"
+                f"{context}: column {quote(text)} is ambiguous (declared in {', '.join(sorted(owners))})"
             )
         return ColumnRef(owners[0], text)
 
@@ -469,16 +470,16 @@ def load_catalog(config_text: str) -> SchemaCatalog:
     for raw in raw_relations:
         name = raw["name"]
         if name in seen:
-            raise CatalogError(f"relation {name!r} declared twice")
+            raise CatalogError(f"relation {quote(name)} declared twice")
         seen.add(name)
         columns = [(c["name"], c["type"]) for c in raw["columns"]]
         col_names = [c for c, _ in columns]
         if len(set(col_names)) != len(col_names):
-            raise CatalogError(f"relation {name!r} has duplicate column names")
+            raise CatalogError(f"relation {quote(name)} has duplicate column names")
         key = raw.get("key", [])
         for k in key:
             if k not in col_names:
-                raise CatalogError(f"relation {name!r}: key column {k!r} not declared")
+                raise CatalogError(f"relation {quote(name)}: key column {quote(k)} not declared")
         relations.append(RelationMeta(name=name, columns=columns, key_columns=list(key)))
 
     resolver = _Resolver(relations)
@@ -533,7 +534,7 @@ def load_catalog(config_text: str) -> SchemaCatalog:
         for i, group in enumerate(doc["join_allowlist"]):
             for name in group:
                 if name not in resolver.by_name:
-                    raise CatalogError(f"join_allowlist[{i}]: unknown relation {name!r}")
+                    raise CatalogError(f"join_allowlist[{i}]: unknown relation {quote(name)}")
             catalog.join_allowlist.append(frozenset(group))
     return catalog
 

@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import click
 
-from .catalog import CatalogError, SchemaCatalog, is_finite, load_catalog
+from .catalog import CatalogError, SchemaCatalog, is_finite, load_catalog, quote
 from .detector import DetectStats, Engine
 from .generator import (
     GenerationError,
@@ -54,7 +54,7 @@ def _load_store(catalog: SchemaCatalog, data_dir: Path) -> Store:
     store = Store(catalog)
     for rel in catalog.relations:
         csv_path = data_dir / f"{rel.name}.csv"
-        text = _read_file(csv_path, f"CSV for relation {rel.name!r}")
+        text = _read_file(csv_path, f"CSV for relation {quote(rel.name)}")
         try:
             store.load_table(rel.name, text)
         except StoreError as exc:
@@ -70,7 +70,7 @@ def _echo_seconds(label: str, seconds: float) -> None:
 def _number(doc: dict, key: str) -> Any:
     value = doc[key]
     if not is_finite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
+        raise ValueError(f"{key} must be a finite number, got {quote(value)}")
     return value
 
 

@@ -26,23 +26,39 @@ update.
 
 Per update the engine filters in two tiers. The column tier is the route
 (Engine._route), memoized per update kind, table and written columns: the
-families whose shape or criterion columns the update writes, and how each
-is extended. The row tier is each family's plans (Family.plan): the updated
+families whose shape or criterion columns the update writes, and the lane
+each takes. The row tier is each family's plans (Family.plan): the updated
 rows are extended along each touched family's join path, and every
 extension that satisfies the fixed atoms and lands in a query's instance
 contributes (the instance's slot, entity, joined row ids, values): the
 values are the exact terms of every criterion column, read when the
 contribution is made, so a contribution says by itself what it adds to its
 entity and why. A family's shape columns (entity, predicate and join-path
-columns) decide which extensions exist and where they land; an update that
-writes none of them is extended once, before it, and each written criterion
-column's new value is read against the contribution's old one; any other is
-extended before and after, and one signed loop subtracts the pre-image
-contributions from their entities' counts and totals and adds the
-post-image ones. Every total is an exact int, a real column's in units of
-2**-1074 (fixed), so no order of updates can make a total drift. The
-entities moved go to the slot they moved in: the instance's slot after a
-signed loop, which may move every column, else the written column's slot.
+columns) decide which extensions exist and where they land. An update takes
+each family it hits through one of four lanes:
+
+- direct: it writes none of the shape columns of a family without a join
+  path. Each written row is its own extension, so the family's reader (its
+  slot lookup, the row's instance from the binding columns, the entity
+  position and the fixed-atom check) finds the row's slot and entity, and
+  each written column adds exact(new) - exact(old) from a copy of the row
+  taken before the update. No plan runs and no contribution is built.
+- extend once: it writes none of the shape columns of a family with a join
+  path and no leaf. The rows are extended once, before the update, and each
+  written criterion column's new value is read against the contribution's
+  old one.
+- leaf cache: it writes none of the shape columns of a family with a leaf.
+  Each row's cached fan-out is looked up instead of extending it (below).
+- twice: it writes a shape column, or inserts. The rows are extended before
+  and after, and one signed loop subtracts the pre-image contributions from
+  their entities' counts and totals and adds the post-image ones. A family
+  without a join path makes its contributions with the direct lane's
+  reader, from the rows alone.
+
+Every total is an exact int, a real column's in units of 2**-1074 (fixed),
+so no order of updates can make a total drift. The entities moved go to the
+slot they moved in: the instance's slot after a signed loop, which may move
+every column, else the written column's slot.
 
 A family with a leaf caches its fan-out: per join value of the leaf, per
 instance reached, the instance's slot and the entity of every extension of
@@ -98,7 +114,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
-from operator import neg
+from operator import itemgetter, neg
 from typing import Any, Callable, Iterable
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
@@ -127,7 +143,9 @@ class DetectStats:
     changed: int
     reordered: int  # top-Ks that changed: entity orders whose first k keys did
     refilled: int  # entity orders that ran short of k keys and sorted their instance again
-    extended: int  # base rows extended along a family's join path, once per family and pass
+    # base rows extended along a family's join path, once per family and pass;
+    # a row that a family without a join path reads directly counts as its own extension
+    extended: int
     reused: int  # leaf fan-outs read from a family's cache instead
     idle: int  # entity order calls that returned 0: their first k keys stayed
 
@@ -175,7 +193,9 @@ class Family:
     the store evaluates every column of all their instances, each member
     instance gets its slot and each query its EntityOrder in it, and a plan
     is compiled per relation the family reads. The slots are the family's
-    only index of its queries."""
+    only index of its queries. A family without a join path also gets a
+    reader, by which its plan and the engine's direct lane read a row as its
+    own extension."""
 
     def __init__(self, fid: int, key: tuple, group: list[tuple[tuple, HofQuery]], catalog: SchemaCatalog,
                  store: Store):
@@ -217,7 +237,24 @@ class Family:
             else:
                 slot = Slot(inst, counts, totals, sum([c.orders for c in columns], ()), tuple(columns))
             self.slots[inst] = slot
+        # without a join path each row is its own extension, read directly
+        self.reader = None if self.path else self._reader(store)
         self.plans = {rel: self.plan(store, rel) for rel in self.needed}  # relation -> its rows' contributions
+
+    def _reader(self, store: Store) -> tuple[Callable, Callable, int, Callable | None]:
+        """(instance -> its slot or None, row -> its instance tuple, the
+        entity's position, the fixed atoms' check of a 1-tuple env or None)
+        over the family's one relation."""
+        table = store.table(self.entity.relation)
+        pos = table.col_pos
+        ps = [pos[c.column] for c in self.binding_cols]
+        if len(ps) == 1:  # itemgetter of one position gives the value, not a 1-tuple
+            (p,) = ps
+            inst = lambda row: (row[p],)
+        else:
+            inst = itemgetter(*ps) if ps else lambda row: ()
+        check = compile_predicate(self.fixed, {table.meta.name: 0}, store.tables) if self.fixed else None
+        return self.slots.get, inst, pos[self.entity.column], check
 
     def plan(self, store: Store, base: str) -> Callable[[Iterable[int]], list[Contribution]]:
         """Row ids of `base` -> the contributions of their extensions along
@@ -225,7 +262,25 @@ class Family:
         instance: (slot, entity, row ids of the joined row, per criterion
         column its exact term). The instance comes as its slot, and the
         values are read when the contribution is made: before an update they
-        are its pre-image."""
+        are its pre-image. Without a join path the family's reader makes them
+        from the rows alone."""
+        if self.reader is not None:
+            slot_of, inst, ep, check = self.reader
+            table = store.table(base)
+            rows = table.rows
+            readers = [(table.col_pos[c.column], exact) for c, exact in zip(self.columns, self.exact)]
+
+            def direct(row_ids: Iterable[int]) -> list[Contribution]:
+                out = []
+                for rid in row_ids:
+                    row = rows[rid]
+                    if check is None or check((rid,)):
+                        slot = slot_of(inst(row))
+                        if slot is not None:
+                            out.append((slot, row[ep], (rid,), [exact(row[p]) for p, exact in readers]))
+                return out
+
+            return direct
         rel_order = [base]
         steps = []
         for old_ref, new_ref in join_steps(self.path, base):
@@ -519,13 +574,15 @@ class Engine:
     # -- filtering --------------------------------------------------------
 
     def _route(self, u: UpdateRecord) -> tuple[dict[Family, list], list[tuple], list[Family], list[dict], int]:
-        """The column tier for u: (families without a leaf extended once ->
-        (index, position, exact) of their written criterion columns, (family,
-        those columns, position of the leaf's join column) of families with a
-        leaf that read their fan-out cache instead, families extended twice,
-        the fan-out caches of those with a leaf, column candidates: the
-        queries of the written columns of the first two and of every column
-        of the third). A family is hit when u writes one of its shape or
+        """The column tier for u, one entry per lane: ((family, columns) of
+        families without a join path read directly, families with a join
+        path and no leaf extended once -> columns, (family, columns, position
+        of the leaf's join column) of families with a leaf that read their
+        fan-out cache instead, families extended twice, the fan-out caches of
+        those with a leaf, column candidates: the queries of the written
+        columns of the first three lanes and of every column of the fourth).
+        A family's columns are (index, position, exact) of its written
+        criterion columns. A family is hit when u writes one of its shape or
         criterion columns, and extended twice when it writes a shape column;
         every relation a family reads holds one, so an insert that hits a
         family is extended twice. Memoized on u's kind, table and columns."""
@@ -534,7 +591,7 @@ class Engine:
         if route is None:
             written = {ColumnRef(u.table, c) for c in u.set_values}  # an insert's: the full row
             positions = self.store.table(u.table).col_pos
-            once, cached, twice, n = {}, [], [], 0
+            direct, once, cached, twice, n = [], {}, [], [], 0
             for fam in self.families:
                 columns = [(j, positions[c.column], exact) for j, (c, exact) in enumerate(zip(fam.columns, fam.exact))
                            if c in written]
@@ -546,9 +603,11 @@ class Engine:
                     n += sum(len(slot.columns[j].orders) for slot in fam.slots.values() for j, *_ in columns)
                     if fam.leaf:  # a family's criterion columns are all in its leaf, so u.table is the leaf
                         cached.append((fam, columns, positions[fam.leaf_column]))
+                    elif fam.reader:
+                        direct.append((fam, columns))
                     else:
                         once[fam] = columns
-            route = self._routes[key] = (once, cached, twice, [fam.fanout for fam in twice if fam.leaf], n)
+            route = self._routes[key] = (direct, once, cached, twice, [fam.fanout for fam in twice if fam.leaf], n)
         return route
 
     # -- detection ----------------------------------------------------------
@@ -556,22 +615,26 @@ class Engine:
     def detect(self, u: UpdateRecord) -> list[RankEvent]:
         """Apply one update and return the rank improvements it caused.
 
-        Families whose shape columns the update does not write extend its rows
-        once before the update and take the written criterion columns' old
-        values from the contributions, or with a leaf look up each row's cached
-        fan-out and read the old values from a copy of the row; only the others
-        extend the rows before and after it and net the two in a signed loop.
-        Each contribution goes straight into its family's counts and totals,
-        then every concerned query of a touched instance updates its order
-        once. The store is only mutated if the update is valid, and the engine
-        only after that.
+        Each family the route hits takes one lane. A family whose shape
+        columns the update does not write reads the rows directly when it has
+        no join path (its reader: no plan, no contribution), extends them once
+        before the update and takes the written criterion columns' old values
+        from the contributions when it has a path and no leaf, or with a leaf
+        looks up each row's cached fan-out; the direct and leaf-cache lanes
+        read the old values from a copy of the row. Only the others extend
+        the rows before and after it and net the two in a signed loop. Each
+        change goes straight into its family's counts and totals, then every
+        concerned query of a touched instance updates its order once. The
+        store is only mutated if the update is valid, and the engine only
+        after that.
         """
         events: list[RankEvent] = []
-        once, cached, twice, cleared, column_candidates = self._route(u)
+        direct, once, cached, twice, cleared, column_candidates = self._route(u)
         rows = self.store.match_rows(u)
         table = self.store.table(u.table).rows
-        # a cached fan-out holds no values, so its rows' old ones are copied
-        before = {rid: table[rid][:] for rid in rows} if cached else {}
+        # a row read directly or through a cached fan-out carries no values,
+        # so its old ones are copied
+        before = {rid: table[rid][:] for rid in rows} if direct or cached else {}
         kept = [(columns, fam.plans[u.table](rows)) for fam, columns in once.items()]
         pre = [c for fam in twice for c in fam.plans[u.table](rows)] if twice and rows else ()
         touched = self.store.apply_update(u, rows)
@@ -579,7 +642,7 @@ class Engine:
         # u changed nothing, and no family in twice reads its cache below
         for fanout in cleared:
             fanout.clear()
-        extended = len(rows) * len(once)
+        extended = len(rows) * (len(direct) + len(once))  # a row read directly is its own extension
         reused = 0
         # an instance's slot, or one of its column slots -> the entities
         # whose count or total in the slot's columns may have changed
@@ -600,6 +663,24 @@ class Engine:
                         for t in slot.totals:
                             del t[e]
                     moved[slot].add(e)
+        # a family without a join path reads each row itself: it passes the
+        # fixed atoms, lands in its slot and entity before u as after (u writes
+        # no shape column), and adds each written column's change
+        for fam, columns in direct:
+            slot_of, inst, ep, check = fam.reader
+            for rid in rows:
+                new = table[rid]
+                if check is not None and not check((rid,)):
+                    continue
+                slot = slot_of(inst(new))
+                if slot is None:
+                    continue
+                old, e = before[rid], new[ep]
+                for j, p, exact in columns:
+                    entities = moved[slot.columns[j]]
+                    if new[p] != old[p]:  # a column's values map one to one to their exact terms
+                        slot.totals[j][e] += exact(new[p]) - exact(old[p])
+                        entities.add(e)
         # written columns are base columns, so an extension reads them from its first row
         for columns, contributions in kept:
             for slot, e, env, values in contributions:

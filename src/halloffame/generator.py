@@ -46,6 +46,7 @@ from .catalog import (
     is_int,
     is_number,
     join_path,
+    quote,
 )
 from .scorer import entropy
 from .store import JoinScan, Store, leaf_edge
@@ -338,14 +339,14 @@ def query_to_json(q: HofQuery) -> str:
 
 def _expect(ok: bool, what: str, value: Any) -> None:
     if not ok:
-        raise GenerationError(f"{what}, got {value!r}")
+        raise GenerationError(f"{what}, got {quote(value)}")
 
 
 def _parse_ref(text: Any, catalog: SchemaCatalog) -> ColumnRef:
     _expect(isinstance(text, str) and "." in text, "a column must be written relation.column", text)
     relation, column = text.split(".", 1)
     if not catalog.relation(relation).has_column(column):
-        raise GenerationError(f"unknown column {text!r} in query catalog")
+        raise GenerationError(f"unknown column {quote(text)} in query catalog")
     return ColumnRef(relation, column)
 
 

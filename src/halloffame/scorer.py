@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Any, Iterable, Mapping, Sequence
 
-from .catalog import is_finite, is_int, is_number
+from .catalog import is_finite, is_int, is_number, quote
 
 
 class ScoringError(Exception):
@@ -146,7 +146,7 @@ def entropy(counts: Mapping[Any, int]) -> float:
     if not counts:
         raise ScoringError("entropy of empty distribution")
     if min(counts.values()) <= 0:
-        raise ScoringError(f"non-positive count {min(counts.values())!r}")
+        raise ScoringError(f"non-positive count {quote(min(counts.values()))}")
     total = sum(counts.values())
     return 0.0 - math.fsum(value / total * math.log2(value / total) for value in counts.values())
 
@@ -227,7 +227,7 @@ def event_to_json(event: ScoredEvent, sql: str) -> str:
 
 def _expect(ok: bool, what: str, value: Any) -> None:
     if not ok:
-        raise ScoringError(f"{what}, got {value!r}")
+        raise ScoringError(f"{what}, got {quote(value)}")
 
 
 def event_from_json(line: str) -> tuple[ScoredEvent, str]:

@@ -57,6 +57,7 @@ from .catalog import (
     SchemaCatalog,
     is_int,
     is_number,
+    quote,
 )
 
 
@@ -154,9 +155,9 @@ def _coerce_cell(text: str, col_type: str, where: str) -> Any:
     try:
         return _CONVERTERS[col_type](text)
     except _NonFinite:
-        raise CsvLoadError(f"{where}: non-finite value {text!r}") from None
+        raise CsvLoadError(f"{where}: non-finite value {quote(text)}") from None
     except ValueError:
-        raise CsvLoadError(f"{where}: cannot parse {text!r} as {col_type}") from None
+        raise CsvLoadError(f"{where}: cannot parse {quote(text)} as {col_type}") from None
 
 
 class _BadValue(Exception):
@@ -168,14 +169,14 @@ def _check_value(value: Any, col_type: str) -> Any:
     """value as a col_type column stores it, or _BadValue."""
     if col_type == "text":
         if not isinstance(value, str):
-            raise _BadValue(f"expected text, got {value!r}")
+            raise _BadValue(f"expected text, got {quote(value)}")
         return sys.intern(value)
     if not is_number(value):
-        raise _BadValue(f"expected {col_type}, got {value!r}")
+        raise _BadValue(f"expected {col_type}, got {quote(value)}")
     if col_type == "integer":
         if isinstance(value, float):
             if not value.is_integer():
-                raise _BadValue(f"expected integer, got {value!r}")
+                raise _BadValue(f"expected integer, got {quote(value)}")
             return int(value)
         return value
     try:
@@ -183,13 +184,13 @@ def _check_value(value: Any, col_type: str) -> Any:
     except OverflowError:  # an int beyond the float range
         raise _BadValue("integer out of the real range") from None
     if not math.isfinite(value):
-        raise _BadValue(f"non-finite value {value!r}")
+        raise _BadValue(f"non-finite value {quote(value)}")
     return value
 
 
 def _unreadable(relation: str, reader: Any, exc: csv.Error) -> CsvLoadError:
     """The located error of a record the csv module cannot read (a cell beyond its field limit, say)."""
-    return CsvLoadError(f"table {relation!r}, line {reader.line_num}: {exc}")
+    return CsvLoadError(f"table {quote(relation)}, line {reader.line_num}: {exc}")
 
 
 def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str] = ()) -> Table:
@@ -208,7 +209,7 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
     try:
         header = next(reader)
     except StopIteration:
-        raise CsvLoadError(f"table {meta.name!r}: CSV has no header row") from None
+        raise CsvLoadError(f"table {quote(meta.name)}: CSV has no header row") from None
     except csv.Error as exc:
         raise _unreadable(meta.name, reader, exc) from None
     declared = meta.column_names()
@@ -220,9 +221,9 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
             parts.append(f"missing columns {missing}")
         if extra:
             parts.append(f"unknown columns {extra}")
-        raise CsvLoadError(f"table {meta.name!r}: {'; '.join(parts)}")
+        raise CsvLoadError(f"table {quote(meta.name)}: {'; '.join(parts)}")
     if len(set(header)) != len(header):
-        raise CsvLoadError(f"table {meta.name!r}: duplicate header columns")
+        raise CsvLoadError(f"table {quote(meta.name)}: duplicate header columns")
 
     table = Table(meta, indexed_columns)
     rows = table.rows
@@ -236,12 +237,12 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
                 blank.append(rownum)
                 continue
             if len(record) != len(header):
-                raise CsvLoadError(f"table {meta.name!r}, row {rownum}: expected {len(header)} cells")
+                raise CsvLoadError(f"table {quote(meta.name)}, row {rownum}: expected {len(header)} cells")
             try:
                 row = [convert(record[src]) for convert, src in converters]
             except ValueError:  # the cell-by-cell path names the bad cell
                 row = [
-                    _coerce_cell(record[src], types[i], f"table {meta.name!r}, row {rownum}, column {declared[i]!r}")
+                    _coerce_cell(record[src], types[i], f"table {quote(meta.name)}, row {rownum}, column {quote(declared[i])}")
                     for i, src in enumerate(src_pos)
                 ]
             rows.append(row)
@@ -273,7 +274,7 @@ def _index_keys(table: Table, blank: list[int], ids: Sequence[int]) -> None:
     rownum = rid + 1
     for number in blank:
         rownum += number <= rownum
-    raise CsvLoadError(f"table {table.meta.name!r}, row {rownum}: duplicate key {keys[rid]}") from None
+    raise CsvLoadError(f"table {quote(table.meta.name)}, row {rownum}: duplicate key {quote(keys[rid])}") from None
 
 
 def compile_predicate(
@@ -335,7 +336,7 @@ class Store:
         try:
             return self.tables[relation]
         except KeyError:
-            raise StoreError(f"table {relation!r} not loaded") from None
+            raise StoreError(f"table {quote(relation)} not loaded") from None
 
     # -- updates ------------------------------------------------------------
 
@@ -361,6 +362,8 @@ class Store:
             rid = table.key_index.get(tuple([where[c] for c in table.meta.key_columns]))
             if rid is None:
                 return []
+            if len(where) == len(key_set):  # exactly the key: nothing else to compare
+                return [rid]
             row = table.rows[rid]
             return [rid] if all(row[pos[c]] == v for c, v in where.items() if c not in key_set) else []
         return [rid for rid, row in enumerate(table.rows) if all(row[pos[c]] == v for c, v in where.items())]
@@ -380,7 +383,7 @@ class Store:
 
         if u.kind == "insert":
             if u.where:
-                raise UpdateError(f"insert {u.seq}: an insert takes no where, got {dict(u.where)!r}")
+                raise UpdateError(f"insert {u.seq}: an insert takes no where, got {quote(dict(u.where))}")
             declared = set(table.col_pos)
             given = set(u.set_values)
             if given != declared:
@@ -399,13 +402,13 @@ class Store:
             if table.meta.key_columns:
                 key = table._key_of(row)
                 if key in table.key_index:
-                    raise UpdateError(f"insert {u.seq}: duplicate key {key} in {u.table}")
+                    raise UpdateError(f"insert {u.seq}: duplicate key {quote(key)} in {u.table}")
             rid = table.append_row(row)
             self._join_cache.clear()
             return [rid]
 
         if u.kind != "update":
-            raise UpdateError(f"update {u.seq}: unknown kind {u.kind!r}")
+            raise UpdateError(f"update {u.seq}: unknown kind {quote(u.kind)}")
 
         if ids is None:
             ids = self.match_rows(u)
@@ -465,7 +468,7 @@ class Store:
             key = table._key_of(row)
             holder = table.key_index.get(key)
             if key in seen or (holder is not None and holder not in moved):
-                raise UpdateError(f"update {u.seq}: duplicate key {key} in {u.table}")
+                raise UpdateError(f"update {u.seq}: duplicate key {quote(key)} in {u.table}")
             seen[key] = rid
         return seen
 
@@ -634,30 +637,41 @@ def update_to_json(u: UpdateRecord) -> str:
 
 def _expect(ok: bool, what: str, value: Any, col: str = "") -> None:
     """Raise a StoreError for a field that is not ok; what may name the
-    column as {col!r}, filled in only then."""
+    column as {col}, quoted and filled in only then."""
     if not ok:
-        raise StoreError(f"{what.format(col=col)}, got {value!r}")
+        raise StoreError(f"{what.format(col=quote(col))}, got {quote(value)}")
 
 
 def update_from_json(line: str) -> UpdateRecord:
-    """Parse one stream line; a field of the wrong JSON type is a StoreError."""
+    """Parse one stream line; a field of the wrong JSON type is a StoreError.
+    json.loads gives exact types, so each field's type is tested with type()
+    first and _expect runs only on a mismatch."""
     doc = json.loads(line)
-    _expect(isinstance(doc, dict), "an update must be a JSON object", doc)
+    if type(doc) is not dict:
+        _expect(isinstance(doc, dict), "an update must be a JSON object", doc)
     seq, kind, table = doc["seq"], doc["kind"], doc["table"]
     set_doc, where = doc["set"], doc.get("where", {})
-    _expect(is_int(seq), "seq must be an integer", seq)
-    _expect(isinstance(kind, str), "kind must be a string", kind)
-    _expect(isinstance(table, str), "table must be a string", table)
-    _expect(isinstance(set_doc, dict), "set must be an object", set_doc)
-    _expect(isinstance(where, dict), "where must be an object", where)
+    if type(seq) is not int:
+        _expect(is_int(seq), "seq must be an integer", seq)
+    if type(kind) is not str:
+        _expect(isinstance(kind, str), "kind must be a string", kind)
+    if type(table) is not str:
+        _expect(isinstance(table, str), "table must be a string", table)
+    if type(set_doc) is not dict:
+        _expect(isinstance(set_doc, dict), "set must be an object", set_doc)
+    if type(where) is not dict:
+        _expect(isinstance(where, dict), "where must be an object", where)
     for col, v in where.items():
-        _expect(not isinstance(v, (dict, list)), "where value for column {col!r} must be a scalar", v, col)
+        if type(v) is dict or type(v) is list:
+            _expect(not isinstance(v, (dict, list)), "where value for column {col} must be a scalar", v, col)
     set_values = {}
     for col, v in set_doc.items():
-        if isinstance(v, dict):
-            _expect(set(v) == {"delta"}, "bad set value for column {col!r}", v, col)
-            _expect(is_number(v["delta"]), "delta for column {col!r} must be a number", v["delta"], col)
-            set_values[col] = Delta(v["delta"])
+        if type(v) is dict:
+            _expect(set(v) == {"delta"}, "bad set value for column {col}", v, col)
+            amount = v["delta"]
+            if type(amount) is not int and type(amount) is not float:
+                _expect(is_number(amount), "delta for column {col} must be a number", amount, col)
+            set_values[col] = Delta(amount)
         else:
             set_values[col] = v
     return UpdateRecord(seq=seq, kind=kind, table=table, set_values=set_values, where=where)
@@ -683,7 +697,7 @@ def read_update_stream(
         try:
             u = update_from_json(line)
             if last is not None and u.seq <= last:
-                raise StoreError(f"seq {u.seq} not increasing")
+                raise StoreError(f"seq {quote(u.seq)} not increasing")
         except (KeyError, TypeError, ValueError, RecursionError, StoreError) as exc:
             if on_error is None:
                 raise StoreError(f"update stream line {lineno}: {exc}") from exc

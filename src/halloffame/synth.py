@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .catalog import SchemaCatalog
+from .catalog import SchemaCatalog, quote
 from .store import Store, StoreError, UpdateRecord
 
 SUM_MU = 0.5
@@ -75,11 +75,11 @@ def synth_stream(store: Store, catalog: SchemaCatalog, cfg: SynthConfig) -> list
     for relation, column, aggregation in targets:
         table = store.tables.get(relation)
         if table is None:
-            raise StoreError(f"criterion table {relation!r} is not loaded")
+            raise StoreError(f"criterion table {quote(relation)} is not loaded")
         if column not in table.col_pos:
             raise StoreError(f"criterion column {relation}.{column} missing from table")
         if not table.meta.key_columns:
-            raise StoreError(f"table {relation!r} needs key columns to synthesize updates")
+            raise StoreError(f"table {quote(relation)} needs key columns to synthesize updates")
         col_pos = table.col_pos[column]
         integer = table.meta.column_type(column) == "integer"
         for row in table.rows:

@@ -800,7 +800,8 @@ class TestIntegersBeyondTheFloatRange:
         _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
-        assert f"Error: query catalog line 1: {message}, got 1{'0' * 400}" in result.output
+        # the error quotes the value cut to 60 characters, not all 401 digits
+        assert f"Error: query catalog line 1: {message}, got 1{'0' * 27}...{'0' * 29}\n" in result.output
         # 10**300 converts to a float: such a k holds every entity
         queries.write_text("".join(json.dumps({**doc, field: 10**300}) + "\n" for doc in docs))
         events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
@@ -949,7 +950,7 @@ def mutate(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
 class TestCorruptInputs:
     """Any one fault in an update stream, a query catalog, an event log or a
     stats file ends the command that reads it with exit 0, or with exit 1
-    and one located Error line, never a traceback."""
+    and one located Error line of at most 300 characters, never a traceback."""
 
     COMMANDS = {"update stream": "run", "query catalog": "run", "event log": "rank", "stats": "stats"}
 
@@ -966,6 +967,10 @@ class TestCorruptInputs:
     @example(kind="query catalog", mutation="digits", at=0, pick=1, byte=2)
     @example(kind="event log", mutation="digits", at=0, pick=7, byte=2)
     @example(kind="stats", mutation="digits", at=0, pick=0, byte=2)
+    # values that were once quoted in full, in an Error line of about
+    # 100,000 characters: the first update's where s_companyid and its seq
+    @example(kind="update stream", mutation="oversized", at=0, pick=6, byte=2)
+    @example(kind="update stream", mutation="oversized", at=0, pick=1, byte=2)
     def test_one_fault_is_a_located_error(self, valid_inputs, tmp_path_factory, kind, mutation, at, pick, byte):
         bad = tmp_path_factory.getbasetemp() / "corrupt.jsonl"
         bad.write_bytes(mutate(valid_inputs[kind].read_text(), mutation, at, pick, byte))
@@ -981,7 +986,9 @@ class TestCorruptInputs:
         assert "Traceback" not in result.output
         if result.exit_code:
             assert isinstance(result.exception, SystemExit), repr(result.exception)
-            assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1, result.output
+            errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+            assert len(errors) == 1, result.output
+            assert len(errors[0]) <= 300, errors[0][:400]  # the value at fault is quoted cut short
 
 
 class TestOptionRanges:

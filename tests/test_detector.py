@@ -69,8 +69,8 @@ def bloomberg_engine(bloomberg):
 
 def route_families(engine, u):
     """The families the column tier (the route) touches for u, in fid order."""
-    once, cached, twice, *_ = engine._route(u)
-    return sorted([*once, *(fam for fam, *_ in cached), *twice], key=lambda fam: fam.id)
+    direct, once, cached, twice, *_ = engine._route(u)
+    return sorted([*(fam for fam, _ in direct), *once, *(fam for fam, *_ in cached), *twice], key=lambda fam: fam.id)
 
 
 def family_queries(fam):
@@ -86,10 +86,11 @@ def slot_queries(fam):
 
 def column_candidates(engine, u):
     """Ids of the queries the route reaches: those of the written columns of
-    the families it extends once, with or without their fan-out cache, and
-    every query of the families it extends twice."""
-    once, cached, twice, *_ = engine._route(u)
-    written = [*once.items(), *((fam, columns) for fam, columns, _ in cached)]
+    the families it extends once, read directly, through their plans or
+    through their fan-out cache, and every query of the families it extends
+    twice."""
+    direct, once, cached, twice, *_ = engine._route(u)
+    written = [*direct, *once.items(), *((fam, columns) for fam, columns, _ in cached)]
     reached = {o.qid for fam, columns in written for slot in fam.slots.values()
                for j, *_ in columns for o in slot.columns[j].orders}
     return reached.union(*map(family_queries, twice))
@@ -105,11 +106,12 @@ class TestRoute:
     """The column tier against referenced_columns: an update reaches exactly
     the queries whose columns it writes. Families whose shape columns it
     writes, and every family an insert reaches, are extended twice; the
-    rest are extended once, through the fan-out cache when they have a leaf."""
+    rest are extended once: read directly when they have no join path,
+    through the fan-out cache when they have a leaf."""
 
     @staticmethod
     def check(engine, u):
-        once, cached, twice, cleared, n = engine._route(u)
+        direct, once, cached, twice, cleared, n = engine._route(u)
         assert engine._route(u) is engine._routes[u.kind, u.table, tuple(u.set_values)]
         written = {ColumnRef(u.table, c) for c in u.set_values}
         reached = column_candidates(engine, u)
@@ -119,12 +121,19 @@ class TestRoute:
             qid for qid, q in engine.queries.items()
             if shape_columns(q) & written or u.kind == "insert" and referenced_columns(q) & written
         }, u
-        for group in (list(once), [fam for fam, *_ in cached], twice):
+        for group in ([fam for fam, _ in direct], list(once), [fam for fam, *_ in cached], twice):
             assert [fam.id for fam in group] == sorted({fam.id for fam in group})
-        assert len(route_families(engine, u)) == len(once) + len(cached) + len(twice)
+        assert len(route_families(engine, u)) == len(direct) + len(once) + len(cached) + len(twice)
         assert all(fam.leaf for fam, *_ in cached) and not any(fam.leaf for fam in once)
+        # the direct lane holds exactly the families hit once that have no join path
+        once_hit = {fam.id for fam in route_families(engine, u)} - {fam.id for fam in twice}
+        assert [fam.id for fam, _ in direct] == sorted(
+            fam.id for fam in engine.families if fam.id in once_hit and not fam.path
+        ), u
+        assert all(fam.reader is not None and not fam.leaf for fam, _ in direct)
+        assert all(fam.path and fam.reader is None for fam in once)
         assert cleared == [fam.fanout for fam in twice if fam.leaf]
-        return bool(once), bool(cached), bool(twice)
+        return bool(direct), bool(once), bool(cached), bool(twice)
 
     @staticmethod
     def engine(name):
@@ -150,8 +159,11 @@ class TestRoute:
             if kind == "update":
                 columns = rng.sample(columns, rng.randint(1, len(columns)))
             u = UpdateRecord(1, kind, rel.name, dict.fromkeys(columns, 0), {})
-            paths.update(path for path, taken in zip(("once", "cached", "twice"), self.check(engine, u)) if taken)
+            lanes = ("direct", "once", "cached", "twice")
+            paths.update(path for path, taken in zip(lanes, self.check(engine, u)) if taken)
         assert paths["twice"] and paths["once"] + paths["cached"], paths  # both kinds of extension were checked
+        # an engine with a family without a join path took the direct lane
+        assert paths["direct"] or all(fam.path for fam in engine.families), paths
 
     def test_unreferenced_column_reaches_nothing(self, bloomberg_engine):
         _, _, engine = bloomberg_engine
@@ -169,7 +181,7 @@ class TestRoute:
         _, _, engine = bloomberg_engine
         u = UpdateRecord(1, "insert", "stockmarket", {"s_companyid": 9, "s_value": 5}, {})
         assert column_candidates(engine, u) == set(engine.queries)
-        assert engine._route(u)[2] == engine.families
+        assert engine._route(u)[3] == engine.families
         self.check(engine, u)
 
     def test_criterion_column_always_present(self, bloomberg_engine):
@@ -916,8 +928,8 @@ class TestSingleExtension:
                   "levels": [{"lvl_id": i, "tier": t} for i, t in LEVELS]}
         written_once = reordered = 0
         for u in self.updates(rng, len(rows)):
-            once, cached, *_ = engine._route(u)
-            written_once += bool(once or cached)
+            direct, once, cached, *_ = engine._route(u)
+            written_once += bool(direct or once or cached)
             engine.detect(u)
             reordered += engine.last_stats.reordered
             oracle_apply(tables, u)
@@ -1047,7 +1059,9 @@ class TestMergedFamily:
             ("update", {"team": "blue"}, {"gid": 2}, 2),  # a shape write: before and after
             ("update", {"player": "p5", "pts": 7}, {"gid": 4}, 2),
             ("insert", {"gid": 8, "player": "p6", "team": "red", "pts": 6, "rating": 0.5}, {}, 1),  # after only
-            ("update", {"pts": 7, "rating": 0.5}, {"gid": 4}, 1),  # both criteria, no shape column: once
+            # both criteria, no shape column: the family has no join path, so
+            # its reader reads the row directly and no plan runs
+            ("update", {"pts": 7, "rating": 0.5}, {"gid": 4}, 0),
         ],
     )
     def test_rows_extended_once_per_family(self, kind, set_values, where, calls):
@@ -1063,10 +1077,130 @@ class TestMergedFamily:
         fam.plans["games"] = counting
         engine.detect(UpdateRecord(1, kind, "games", set_values, where))
         assert len(extended) == calls and all(len(rows) == 1 for rows in extended)
+        assert engine.last_stats.extended == (2 if kind == "update" and calls == 2 else 1)  # once per row and pass
         assert engine.last_stats.column_candidates == len(queries)
         fresh = Engine(catalog, TestNetZero.store_of(catalog, store.table("games").rows), queries)
         assert rankings_of(engine) == rankings_of(fresh)
         assert_best_keys(engine)
+
+
+BOX_CATALOG = """
+relations:
+  - name: box
+    columns:
+      - {name: gid, type: integer}
+      - {name: player, type: text}
+      - {name: team, type: text}
+      - {name: div, type: integer}
+      - {name: lvl, type: integer}
+      - {name: pts, type: integer}
+      - {name: rating, type: real}
+    key: [gid]
+entity_attrs: [player]
+categorical_attrs: [team, div]
+ranking_criteria:
+  - {column: pts, aggregation: sum, direction: both}
+  - {column: rating, aggregation: avg, direction: both}
+"""
+
+BOX_COLUMNS = ["gid", "player", "team", "div", "lvl", "pts", "rating"]
+
+box_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["p0", "p1", "p2", "p3", "p4"]),
+        st.sampled_from(["red", "blue"]),
+        st.integers(0, 1),
+        st.integers(0, 3),
+        st.integers(-5, 9),
+        st.floats(-8, 8, allow_nan=False).map(lambda v: v + 0.0),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@st.composite
+def box_updates(draw, n_rows):
+    """Writes to the box rows: mostly value and delta writes of the
+    criterion columns, some of a shape column (team, div or lvl) and some
+    inserts, each naming one row by key or several by team."""
+    updates, n = [], n_rows
+    for seq in range(1, draw(st.integers(1, 12)) + 1):
+        kind = draw(st.sampled_from(["pts", "rating", "both", "pts", "rating", "shape", "insert"]))
+        if kind == "insert":
+            row = {"gid": n, "player": draw(st.sampled_from(["p0", "p5"])), "team": draw(st.sampled_from(["red", "blue"])),
+                   "div": draw(st.integers(0, 1)), "lvl": draw(st.integers(0, 3)), "pts": draw(st.integers(-5, 9)),
+                   "rating": draw(st.floats(-8, 8, allow_nan=False)) + 0.0}
+            updates.append(UpdateRecord(seq, "insert", "box", row, {}))
+            n += 1
+            continue
+        where = draw(st.sampled_from([{"gid": draw(st.integers(0, n - 1))}, {"team": draw(st.sampled_from(["red", "blue"]))}]))
+        pts = draw(st.integers(-5, 9) | st.integers(-3, 3).map(Delta))
+        rating = draw(st.floats(-8, 8, allow_nan=False).map(lambda v: v + 0.0) | st.sampled_from([-0.75, 0.5]).map(Delta))
+        if kind == "shape":
+            column = draw(st.sampled_from(["team", "div", "lvl"]))
+            set_values = {column: {"team": draw(st.sampled_from(["red", "blue"])), "div": draw(st.integers(0, 1)),
+                                   "lvl": draw(st.integers(0, 3))}[column]}
+        else:
+            set_values = {"pts": {"pts": pts}, "rating": {"rating": rating}, "both": {"pts": pts, "rating": rating}}[kind]
+        updates.append(UpdateRecord(seq, "update", "box", set_values, where))
+    return updates
+
+
+class TestDirectLane:
+    """Families without a join path read each written row directly: no
+    plan, no extension. With 0, 1 and 2 binding columns, with and without a
+    fixed atom on a column no update writes as a value (lvl), over int sums
+    and real avgs, the delta path equals the reference after every update."""
+
+    BINDINGS = [(), ("team",), ("team", "div")]
+    INSTANCES = {(): [()], ("team",): [("red",), ("blue",)], ("team", "div"): [(t, d) for t in ("red", "blue") for d in (0, 1)]}
+    # (column, aggregation, direction, k)
+    CRITERIA = [("pts", "sum", "descending", 2), ("pts", "avg", "ascending", 1),
+                ("rating", "sum", "ascending", 2), ("rating", "avg", "descending", 3)]
+
+    def query_catalog(self) -> str:
+        lines = []
+        for binding in self.BINDINGS:
+            for inst in self.INSTANCES[binding]:
+                atoms = [{"kind": "binding", "left": f"box.{c}", "comparator": "=", "right": v} for c, v in zip(binding, inst)]
+                for fixed_atoms in ([], [{"kind": "const_comparison", "left": "box.lvl", "comparator": ">=", "right": 2}]):
+                    for column, aggregation, direction, k in self.CRITERIA:
+                        doc = {
+                            "id": "-".join(map(str, (*inst, len(fixed_atoms), column, aggregation, direction, k))),
+                            "entity": "box.player",
+                            "predicate": atoms + fixed_atoms,
+                            "criterion": {"column": f"box.{column}", "aggregation": aggregation, "direction": direction},
+                            "join_path": [],
+                            "k": k,
+                            "selectivity": 0.5,
+                            "entropy_bits": 1.0,
+                        }
+                        lines.append(json.dumps(doc))
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def store_of(catalog, rows):
+        store = Store(catalog)
+        store.load_table("box", ",".join(BOX_COLUMNS) + "\n" + "".join(",".join(map(str, (gid, *r))) + "\n" for gid, r in enumerate(rows)))
+        return store
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=box_rows)
+    def test_delta_path_equals_reference(self, data, rows):
+        catalog = load_catalog(BOX_CATALOG)
+        queries = load_queries(self.query_catalog(), catalog)
+        engine = Engine(catalog, self.store_of(catalog, rows), queries)
+        reference = Reference(catalog, self.store_of(catalog, rows), queries)
+        assert len(engine.families) == 6 and all(fam.reader and not fam.path for fam in engine.families)
+        assert rankings_of(engine) == rankings_of(reference)
+        for u in data.draw(box_updates(len(rows))):
+            direct, once, cached, twice, *_ = engine._route(u)
+            if u.kind == "update" and not {"team", "div", "lvl"} & set(u.set_values):
+                assert len(direct) == len(engine.families) and not (once or cached or twice), u  # the direct lane
+            assert engine.detect(u) == reference.detect(u), u
+            assert rankings_of(engine) == rankings_of(reference), u
+            assert_best_keys(engine)
 
 
 COMPARATORS = {">": operator.gt, "<": operator.lt, "=": operator.eq, "!=": operator.ne, "<=": operator.le, ">=": operator.ge}
