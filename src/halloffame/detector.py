@@ -28,14 +28,15 @@ Per update the engine filters in two tiers. The column tier is the route
 (Engine._route), memoized per update kind, table and written columns: the
 families whose shape or criterion columns the update writes, and the lane
 each takes. The row tier is each family's plans (Family.plan): the updated
-rows are extended along each touched family's join path, and every
+rows are extended along each touched family's join path (store.extension,
+the one join walk, which the store's own joins take too), and every
 extension that satisfies the fixed atoms and lands in a query's instance
 contributes (the instance's slot, entity, joined row ids, values): the
 values are the exact terms of every criterion column, read when the
 contribution is made, so a contribution says by itself what it adds to its
 entity and why. A family's shape columns (entity, predicate and join-path
 columns) decide which extensions exist and where they land. An update takes
-each family it hits through one of four lanes:
+each family it hits through one of three lanes:
 
 - direct: it writes none of the shape columns of a family without a join
   path. Each written row is its own extension, so the family's reader (its
@@ -43,12 +44,12 @@ each family it hits through one of four lanes:
   position and the fixed-atom check) finds the row's slot and entity, and
   each written column adds exact(new) - exact(old) from a copy of the row
   taken before the update. No plan runs and no contribution is built.
-- extend once: it writes none of the shape columns of a family with a join
-  path and no leaf. The rows are extended once, before the update, and each
-  written criterion column's new value is read against the contribution's
-  old one.
-- leaf cache: it writes none of the shape columns of a family with a leaf.
-  Each row's cached fan-out is looked up instead of extending it (below).
+- fan-out: it writes none of the shape columns of a family with a join
+  path. Each row reaches the same slots and entities before the update as
+  after it: its fan-out, read from the family's cache when it has a leaf
+  (below), else from the family's extension of the row after the update.
+  Each written column's change, exact(new) - exact(old) from a copy of the
+  row, is added to every entity reached, as often as it is reached.
 - twice: it writes a shape column, or inserts. The rows are extended before
   and after, and one signed loop subtracts the pre-image contributions from
   their entities' counts and totals and adds the post-image ones. A family
@@ -67,11 +68,11 @@ twice), filled on first use from the family's extension of one such row.
 The leaf holds no entity, binding or fixed-atom column and one path edge
 touches it, so what a leaf row reaches depends only on its join value and
 the shape columns of the other relations. A criterion-only write to the
-leaf therefore looks its rows' join values up instead of extending the
-rows, and adds each written column's change, taken once per row, to every
-cached entity, as often as it is there. The cache is cleared whenever the
-store accepts an update that extends the family twice: it writes one of
-the family's shape columns, or inserts into one of its relations.
+leaf therefore looks its rows' join values up and extends a row only on a
+miss; a family without a leaf has no cache, so each of its rows misses. The
+cache is cleared whenever the store accepts an update that extends the
+family twice: it writes one of the family's shape columns, or inserts into
+one of its relations.
 
 Each query keeps the sort keys (value, entity) of its instance's best 2k
 entities, best first (the value its SQL ranks on, saturated to -inf or
@@ -119,7 +120,7 @@ from typing import Any, Callable, Iterable
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
 from .generator import HofQuery
-from .store import JoinScan, Store, UpdateRecord, compile_predicate, join_steps, leaf_edge
+from .store import JoinScan, Store, UpdateRecord, compile_predicate, extension, leaf_edge
 
 
 @dataclass(slots=True)
@@ -260,10 +261,11 @@ class Family:
         """Row ids of `base` -> the contributions of their extensions along
         the join path that satisfy the fixed atoms and land in a member
         instance: (slot, entity, row ids of the joined row, per criterion
-        column its exact term). The instance comes as its slot, and the
-        values are read when the contribution is made: before an update they
-        are its pre-image. Without a join path the family's reader makes them
-        from the rows alone."""
+        column its exact term). The rows are extended by store.extension, the
+        instance comes as its slot, and the values are read when the
+        contribution is made: before an update they are its pre-image.
+        Without a join path the family's reader makes them from the rows
+        alone."""
         if self.reader is not None:
             slot_of, inst, ep, check = self.reader
             table = store.table(base)
@@ -281,20 +283,7 @@ class Family:
                 return out
 
             return direct
-        rel_order = [base]
-        steps = []
-        for old_ref, new_ref in join_steps(self.path, base):
-            old_table = store.table(old_ref.relation)
-            steps.append(
-                (
-                    store.table(new_ref.relation),
-                    new_ref.column,
-                    rel_order.index(old_ref.relation),
-                    old_table.rows,
-                    old_table.col_pos[old_ref.column],
-                )
-            )
-            rel_order.append(new_ref.relation)
+        rel_order, extend = extension(store, self.path, base)
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         check = compile_predicate(self.fixed, rel_pos, store.tables) if self.fixed else None
 
@@ -308,10 +297,7 @@ class Family:
         slots = self.slots.get
 
         def contributions(row_ids: Iterable[int]) -> list[Contribution]:
-            envs = [(rid,) for rid in row_ids]
-            for table, column, oi, orows, opos in steps:
-                index = table.indices[column]
-                envs = [env + (rid,) for env in envs for rid in index.get(orows[env[oi]][opos], ())]
+            envs = extend([(rid,) for rid in row_ids])
             out = []
             for env in filter(check, envs) if check else envs:
                 slot = slots(tuple([rows[env[i]][p] for i, p, rows in bind]))
@@ -573,15 +559,14 @@ class Engine:
 
     # -- filtering --------------------------------------------------------
 
-    def _route(self, u: UpdateRecord) -> tuple[dict[Family, list], list[tuple], list[Family], list[dict], int]:
+    def _route(self, u: UpdateRecord) -> tuple[list[tuple], list[tuple], list[Family], list[dict], int]:
         """The column tier for u, one entry per lane: ((family, columns) of
-        families without a join path read directly, families with a join
-        path and no leaf extended once -> columns, (family, columns, position
-        of the leaf's join column) of families with a leaf that read their
-        fan-out cache instead, families extended twice, the fan-out caches of
+        families without a join path read directly, (family, columns,
+        position of the leaf's join column or None) of families with a join
+        path that fan out, families extended twice, the fan-out caches of
         those with a leaf, column candidates: the queries of the written
-        columns of the first three lanes and of every column of the fourth).
-        A family's columns are (index, position, exact) of its written
+        columns of the first two lanes and of every column of the third). A
+        family's columns are (index, position, exact) of its written
         criterion columns. A family is hit when u writes one of its shape or
         criterion columns, and extended twice when it writes a shape column;
         every relation a family reads holds one, so an insert that hits a
@@ -591,7 +576,7 @@ class Engine:
         if route is None:
             written = {ColumnRef(u.table, c) for c in u.set_values}  # an insert's: the full row
             positions = self.store.table(u.table).col_pos
-            direct, once, cached, twice, n = [], {}, [], [], 0
+            direct, fanned, twice, n = [], [], [], 0
             for fam in self.families:
                 columns = [(j, positions[c.column], exact) for j, (c, exact) in enumerate(zip(fam.columns, fam.exact))
                            if c in written]
@@ -601,13 +586,11 @@ class Engine:
                     n += sum(len(slot.orders) for slot in fam.slots.values())
                 elif columns:  # u can only revalue them, in its written columns
                     n += sum(len(slot.columns[j].orders) for slot in fam.slots.values() for j, *_ in columns)
-                    if fam.leaf:  # a family's criterion columns are all in its leaf, so u.table is the leaf
-                        cached.append((fam, columns, positions[fam.leaf_column]))
-                    elif fam.reader:
+                    if fam.reader:
                         direct.append((fam, columns))
-                    else:
-                        once[fam] = columns
-            route = self._routes[key] = (direct, once, cached, twice, [fam.fanout for fam in twice if fam.leaf], n)
+                    else:  # with a leaf, a family's criterion columns are all in it, so u.table is the leaf
+                        fanned.append((fam, columns, fam.leaf and positions[fam.leaf_column]))
+            route = self._routes[key] = (direct, fanned, twice, [fam.fanout for fam in twice if fam.leaf], n)
         return route
 
     # -- detection ----------------------------------------------------------
@@ -617,32 +600,30 @@ class Engine:
 
         Each family the route hits takes one lane. A family whose shape
         columns the update does not write reads the rows directly when it has
-        no join path (its reader: no plan, no contribution), extends them once
-        before the update and takes the written criterion columns' old values
-        from the contributions when it has a path and no leaf, or with a leaf
-        looks up each row's cached fan-out; the direct and leaf-cache lanes
-        read the old values from a copy of the row. Only the others extend
-        the rows before and after it and net the two in a signed loop. Each
-        change goes straight into its family's counts and totals, then every
-        concerned query of a touched instance updates its order once. The
-        store is only mutated if the update is valid, and the engine only
-        after that.
+        no join path (its reader: no plan, no contribution), and else fans
+        each row out to the slots and entities it reaches: through the
+        family's cache of its leaf's join value when it has a leaf and the
+        value is cached, else by extending the row after the update. Both
+        lanes read the old values from a copy of the row taken before it.
+        Only the others extend the rows before and after it and net the two
+        in a signed loop. Each change goes straight into its family's counts
+        and totals, then every concerned query of a touched instance updates
+        its order once. The store is only mutated if the update is valid, and
+        the engine only after that.
         """
         events: list[RankEvent] = []
-        direct, once, cached, twice, cleared, column_candidates = self._route(u)
+        direct, fanned, twice, cleared, column_candidates = self._route(u)
         rows = self.store.match_rows(u)
         table = self.store.table(u.table).rows
-        # a row read directly or through a cached fan-out carries no values,
-        # so its old ones are copied
-        before = {rid: table[rid][:] for rid in rows} if direct or cached else {}
-        kept = [(columns, fam.plans[u.table](rows)) for fam, columns in once.items()]
+        # a row read directly or fanned out carries no values, so its old ones are copied
+        before = {rid: table[rid][:] for rid in rows} if direct or fanned else {}
         pre = [c for fam in twice for c in fam.plans[u.table](rows)] if twice and rows else ()
         touched = self.store.apply_update(u, rows)
         # u may have changed which joined rows a leaf row reaches; a rejected
         # u changed nothing, and no family in twice reads its cache below
         for fanout in cleared:
             fanout.clear()
-        extended = len(rows) * (len(direct) + len(once))  # a row read directly is its own extension
+        extended = len(rows) * len(direct)  # a row read directly is its own extension
         reused = 0
         # an instance's slot, or one of its column slots -> the entities
         # whose count or total in the slot's columns may have changed
@@ -681,29 +662,23 @@ class Engine:
                     if new[p] != old[p]:  # a column's values map one to one to their exact terms
                         slot.totals[j][e] += exact(new[p]) - exact(old[p])
                         entities.add(e)
-        # written columns are base columns, so an extension reads them from its first row
-        for columns, contributions in kept:
-            for slot, e, env, values in contributions:
-                new = table[env[0]]
-                for j, p, exact in columns:
-                    entities = moved[slot.columns[j]]
-                    change = exact(new[p]) - values[j]
-                    if change:
-                        slot.totals[j][e] += change
-                        entities.add(e)
-        # a leaf row reaches what its join value reaches: look that up, extend
-        # the row only on a miss, and add each written column's change once
-        # per joined row, with one moved set and one totals dict per instance
-        for fam, columns, leaf in cached:
+        # a row reaches the same joined rows before u as after (u writes no
+        # shape column); a leaf row reaches what its join value reaches, so
+        # look that up and extend the row only on a miss (a family without a
+        # leaf always misses), then add each written column's change once per
+        # joined row, with one moved set and one totals dict per instance
+        for fam, columns, leaf in fanned:
             fanout = fam.fanout
             for rid in rows:
                 old, new = before[rid], table[rid]
-                groups = fanout.get(new[leaf])
+                groups = fanout.get(new[leaf]) if fanout is not None else None
                 if groups is None:
                     reached: dict[Slot, list] = {}
                     for slot, e, *_ in fam.plans[u.table]((rid,)):
                         reached.setdefault(slot, []).append(e)
-                    groups = fanout[new[leaf]] = tuple([(slot, tuple(es)) for slot, es in reached.items()])
+                    groups = reached.items()
+                    if fanout is not None:
+                        groups = fanout[new[leaf]] = tuple([(slot, tuple(es)) for slot, es in groups])
                     extended += 1
                 else:
                     reused += 1

@@ -30,9 +30,9 @@ itself.
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of
 per-column converters per CSV row, one pass per indexed column after the
-last row, one tuple list per join bucket and edge, and one Counter over the
-zipped values of each column, whose loop runs in C and builds no key in
-Python (a summed leaf adds each row's weight).
+last row, and one Counter over the zipped values of each column, whose
+loop runs in C and builds no key in Python (a summed leaf adds each row's
+weight).
 """
 
 from __future__ import annotations
@@ -218,9 +218,9 @@ def load_table(meta: RelationMeta, csv_text: str, indexed_columns: Iterable[str]
     if missing or extra:
         parts = []
         if missing:
-            parts.append(f"missing columns {missing}")
+            parts.append(f"missing columns {quote(missing)}")
         if extra:
-            parts.append(f"unknown columns {extra}")
+            parts.append(f"unknown columns {quote(extra)}")
         raise CsvLoadError(f"table {quote(meta.name)}: {'; '.join(parts)}")
     if len(set(header)) != len(header):
         raise CsvLoadError(f"table {quote(meta.name)}: duplicate header columns")
@@ -352,7 +352,7 @@ class Store:
         where = {}
         for col, value in u.where.items():
             if col not in pos:
-                raise UpdateError(f"update {u.seq}: unknown column {u.table}.{col}")
+                raise UpdateError(f"update {u.seq}: unknown column {quote(col)} of table {quote(u.table)}")
             try:
                 where[col] = _check_value(value, types[col])
             except _BadValue as exc:
@@ -379,18 +379,14 @@ class Store:
         pos, types = table.col_pos, table.types
         for col in u.set_values:
             if col not in pos:
-                raise UpdateError(f"update {u.seq}: unknown column {u.table}.{col}")
+                raise UpdateError(f"update {u.seq}: unknown column {quote(col)} of table {quote(u.table)}")
 
         if u.kind == "insert":
             if u.where:
                 raise UpdateError(f"insert {u.seq}: an insert takes no where, got {quote(dict(u.where))}")
-            declared = set(table.col_pos)
-            given = set(u.set_values)
-            if given != declared:
-                raise UpdateError(
-                    f"insert {u.seq}: row must supply exactly the columns of {u.table} "
-                    f"(missing {sorted(declared - given)}, extra {sorted(given - declared)})"
-                )
+            missing = sorted(set(pos) - set(u.set_values))  # an unknown column is rejected above
+            if missing:
+                raise UpdateError(f"insert {u.seq}: row must supply exactly the columns of {u.table} (missing {missing})")
             row = [None] * len(pos)
             for col, value in u.set_values.items():
                 if isinstance(value, Delta):
@@ -499,26 +495,11 @@ class Store:
         return cached
 
     def _join(self, start: str, path: tuple[JoinEdge, ...]) -> tuple[tuple[str, ...], list[tuple]]:
-        """The joined envs of a path the join-path rule accepts, uncached: the
-        start relation's row ids, each extended at every step of join_steps
-        by the matching rows of the new relation (whose join column is
-        indexed, as every join edge's is), in no promised order. Each
-        distinct join value's index bucket becomes one-element tuples once
-        per step, not once per env that reaches it."""
-        rel_order = [start]
-        envs = [(rid,) for rid in range(len(self.table(start).rows))]
-        for old_ref, new_ref in join_steps(path, start):
-            idx = self.table(new_ref.relation).indices[new_ref.column]
-            to_table = self.table(old_ref.relation)
-            oi = rel_order.index(old_ref.relation)
-            opos = to_table.col_pos[old_ref.column]
-            orows = to_table.rows
-            values = [orows[env[oi]][opos] for env in envs]
-            # each bucket once, as one-element tuples ready to append
-            buckets = {v: [(rid,) for rid in idx.get(v, ())] for v in set(values)}
-            envs = [env + tail for env, v in zip(envs, values) for tail in buckets[v]]
-            rel_order.append(new_ref.relation)
-        return tuple(rel_order), envs
+        """The joined envs of a path the join-path rule accepts, uncached:
+        every row of the start relation, extended along the path (extension),
+        in no promised order."""
+        rel_order, extend = extension(self, path, start)
+        return rel_order, extend([(rid,) for rid in range(len(self.table(start).rows))])
 
 
 def join_steps(path: Iterable[JoinEdge], base: str) -> list[tuple[ColumnRef, ColumnRef]]:
@@ -534,6 +515,29 @@ def join_steps(path: Iterable[JoinEdge], base: str) -> list[tuple[ColumnRef, Col
         steps.append((edge.other(new), edge.endpoint(new)))
         joined.add(new)
     return steps
+
+
+def extension(store: Store, path: Iterable[JoinEdge], base: str) -> tuple[tuple[str, ...], Callable[[list[tuple]], list[tuple]]]:
+    """(relation order, extend) of the join along a tree path from base:
+    extend maps envs of base row ids, 1-tuples, to every env they extend
+    to, each extended at every step of join_steps by the matching rows of
+    the new relation, found through its join column's index (every join
+    edge's column is indexed). The envs list the relation order's row ids
+    and come in no promised order; the rows are read on each call, so an
+    extension stays current under writes."""
+    rel_order, steps = [base], []
+    for old_ref, new_ref in join_steps(path, base):
+        old_table = store.table(old_ref.relation)
+        index = store.table(new_ref.relation).indices[new_ref.column]
+        steps.append((index, rel_order.index(old_ref.relation), old_table.rows, old_table.col_pos[old_ref.column]))
+        rel_order.append(new_ref.relation)
+
+    def extend(envs: list[tuple]) -> list[tuple]:
+        for index, oi, orows, opos in steps:
+            envs = [env + (rid,) for env in envs for rid in index.get(orows[env[oi]][opos], ())]
+        return envs
+
+    return tuple(rel_order), extend
 
 
 def leaf_edge(path: tuple[JoinEdge, ...], columns: Iterable[ColumnRef], held: Iterable[ColumnRef]) -> JoinEdge | None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -919,32 +921,89 @@ def fields_of(doc, path=()):
         yield from fields_of(value, path + (key,))
 
 
-def mutate(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
-    """The file's bytes with one fault: cut at a byte, one byte flipped (xor
-    byte), an invalid UTF-8 byte inserted, or, in one line, one field (a
-    numeric one for digits) replaced by a 400-digit integer, 100,000 levels
-    of nesting or a 100,000-character string."""
-    data = text.encode()
+MUTATIONS = ["truncate", "flip", "utf8", "digits", "nesting", "oversized", "key"]
+
+
+def oversized(mutation: str, byte: int):
+    """The value of a field or cell mutation: a 400-digit integer (digits),
+    100,000 levels of nesting, or a 100,000-character string (oversized,
+    and for key the key or column name)."""
+    if mutation == "digits":
+        return -(10**400) if byte & 1 else 10**400
+    return "@nest@" if mutation == "nesting" else "x" * 100_000
+
+
+def mutate_bytes(data: bytes, mutation: str, at: int, byte: int) -> bytes | None:
+    """The bytes with one byte-level fault: cut at a byte, one byte flipped
+    (xor byte) or an invalid UTF-8 byte inserted; None for another mutation."""
+    i = at % len(data)
     if mutation == "truncate":
-        return data[: at % len(data)]
+        return data[:i]
     if mutation == "flip":
-        i = at % len(data)
         return data[:i] + bytes([data[i] ^ byte]) + data[i + 1:]
     if mutation == "utf8":
-        i = at % len(data)
         return data[:i] + b"\xff" + data[i:]
+    return None
+
+
+def mutate(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
+    """The file's bytes with one fault: a byte-level one (mutate_bytes), or,
+    in one line, one field (a numeric one for digits) replaced by an
+    oversized value, or one field's key (a key of an object) by a
+    100,000-character string."""
+    data = mutate_bytes(text.encode(), mutation, at, byte)
+    if data is not None:
+        return data
     lines = text.splitlines()
     n = at % len(lines)
     doc = json.loads(lines[n])
     fields = [path for path, value in fields_of(doc)
               if mutation != "digits" or isinstance(value, (int, float)) and not isinstance(value, bool)]
+    if mutation == "key":
+        fields = [path for path in fields if isinstance(path[-1], str)]
     *parents, last = fields[pick % len(fields)]
     owner = doc
     for key in parents:
         owner = owner[key]
-    owner[last] = {"digits": -(10**400) if byte & 1 else 10**400, "nesting": "@nest@", "oversized": "x" * 100_000}[mutation]
+    if mutation == "key":
+        owner[oversized(mutation, byte)] = owner.pop(last)
+    else:
+        owner[last] = oversized(mutation, byte)
     lines[n] = json.dumps(doc).replace('"@nest@"', "[" * 100_000 + "]" * 100_000)
     return "\n".join(lines).encode() + b"\n"
+
+
+def mutate_csv(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
+    """A CSV file's bytes with one fault: a byte-level one (mutate_bytes),
+    one header name replaced by a 100,000-character string (key), or one
+    data cell (a numeric one for digits) by an oversized value written as
+    text, its nesting as 100,000 brackets opened and closed."""
+    data = mutate_bytes(text.encode(), mutation, at, byte)
+    if data is not None:
+        return data
+    rows = list(csv.reader(io.StringIO(text)))
+    if mutation == "key":
+        rows[0][pick % len(rows[0])] = oversized(mutation, byte)
+    else:
+        row = rows[1 + at % (len(rows) - 1)]
+        cells = [i for i, cell in enumerate(row) if mutation != "digits" or re.fullmatch(r"-?[0-9]+", cell)]
+        nesting = "[" * 100_000 + "]" * 100_000
+        row[cells[pick % len(cells)]] = nesting if mutation == "nesting" else str(oversized(mutation, byte))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
+
+
+def assert_located_error(result) -> None:
+    """A command ended with exit 0, or with exit 1 and one located Error
+    line of at most 300 characters, never a traceback."""
+    assert result.exit_code in (0, 1), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code:
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1, result.output
+        assert len(errors[0]) <= 300, errors[0][:400]  # the value at fault is quoted cut short
 
 
 class TestCorruptInputs:
@@ -957,7 +1016,7 @@ class TestCorruptInputs:
     @settings(max_examples=300, deadline=None)  # about 5 ms each
     @given(
         kind=st.sampled_from(list(COMMANDS)),
-        mutation=st.sampled_from(["truncate", "flip", "utf8", "digits", "nesting", "oversized"]),
+        mutation=st.sampled_from(MUTATIONS),
         at=st.integers(0, 10**6),
         pick=st.integers(0, 100),
         byte=st.integers(1, 255),
@@ -971,6 +1030,10 @@ class TestCorruptInputs:
     # 100,000 characters: the first update's where s_companyid and its seq
     @example(kind="update stream", mutation="oversized", at=0, pick=6, byte=2)
     @example(kind="update stream", mutation="oversized", at=0, pick=1, byte=2)
+    # column names that were once printed in full: the first update's where
+    # key and set key
+    @example(kind="update stream", mutation="key", at=0, pick=6, byte=2)
+    @example(kind="update stream", mutation="key", at=0, pick=3, byte=2)
     def test_one_fault_is_a_located_error(self, valid_inputs, tmp_path_factory, kind, mutation, at, pick, byte):
         bad = tmp_path_factory.getbasetemp() / "corrupt.jsonl"
         bad.write_bytes(mutate(valid_inputs[kind].read_text(), mutation, at, pick, byte))
@@ -981,14 +1044,33 @@ class TestCorruptInputs:
                     "--updates", str(files["update stream"]), "--events", str(bad.with_suffix(".events"))]
         else:
             args = [command, "--events" if command == "rank" else "--stats", str(bad)]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code in (0, 1), result.output
-        assert "Traceback" not in result.output
-        if result.exit_code:
-            assert isinstance(result.exception, SystemExit), repr(result.exception)
-            errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-            assert len(errors) == 1, result.output
-            assert len(errors[0]) <= 300, errors[0][:400]  # the value at fault is quoted cut short
+        assert_located_error(CliRunner().invoke(main, args))
+
+
+class TestCorruptCsv:
+    """Any one fault in one Bloomberg CSV ends hof run over it with exit 0,
+    or with exit 1 and one located Error line of at most 300 characters,
+    never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mutation=st.sampled_from(MUTATIONS),
+        at=st.integers(0, 10**6),
+        pick=st.integers(0, 100),
+        byte=st.integers(1, 255),
+    )
+    # a header name that was once printed in full, in its unknown columns list
+    @example(mutation="key", at=0, pick=1, byte=2)
+    def test_one_fault_is_a_located_error(self, valid_inputs, tmp_path_factory, mutation, at, pick, byte):
+        data_dir = tmp_path_factory.getbasetemp() / "corrupt-csv"
+        if not data_dir.exists():
+            shutil.copytree(DATA_DIR / "bloomberg", data_dir)
+        (data_dir / "company.csv").write_bytes(
+            mutate_csv((DATA_DIR / "bloomberg" / "company.csv").read_text(), mutation, at, pick, byte))
+        args = ["run", "--config", str(data_dir / "catalog.yaml"), "--data-dir", str(data_dir),
+                "--queries", str(valid_inputs["query catalog"]), "--updates", str(valid_inputs["update stream"]),
+                "--events", str(data_dir / "events.jsonl")]
+        assert_located_error(CliRunner().invoke(main, args))
 
 
 class TestOptionRanges:

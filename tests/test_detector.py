@@ -69,8 +69,8 @@ def bloomberg_engine(bloomberg):
 
 def route_families(engine, u):
     """The families the column tier (the route) touches for u, in fid order."""
-    direct, once, cached, twice, *_ = engine._route(u)
-    return sorted([*(fam for fam, _ in direct), *once, *(fam for fam, *_ in cached), *twice], key=lambda fam: fam.id)
+    direct, fanned, twice, *_ = engine._route(u)
+    return sorted([*(fam for fam, _ in direct), *(fam for fam, *_ in fanned), *twice], key=lambda fam: fam.id)
 
 
 def family_queries(fam):
@@ -86,11 +86,11 @@ def slot_queries(fam):
 
 def column_candidates(engine, u):
     """Ids of the queries the route reaches: those of the written columns of
-    the families it extends once, read directly, through their plans or
-    through their fan-out cache, and every query of the families it extends
+    the families it reads directly or fans out, through their plans or
+    their fan-out cache, and every query of the families it extends
     twice."""
-    direct, once, cached, twice, *_ = engine._route(u)
-    written = [*direct, *once.items(), *((fam, columns) for fam, columns, _ in cached)]
+    direct, fanned, twice, *_ = engine._route(u)
+    written = [*direct, *((fam, columns) for fam, columns, _ in fanned)]
     reached = {o.qid for fam, columns in written for slot in fam.slots.values()
                for j, *_ in columns for o in slot.columns[j].orders}
     return reached.union(*map(family_queries, twice))
@@ -106,12 +106,13 @@ class TestRoute:
     """The column tier against referenced_columns: an update reaches exactly
     the queries whose columns it writes. Families whose shape columns it
     writes, and every family an insert reaches, are extended twice; the
-    rest are extended once: read directly when they have no join path,
-    through the fan-out cache when they have a leaf."""
+    rest are read directly when they have no join path, and else fanned
+    out: through the fan-out cache when they have a leaf, by an extension
+    of each row when they have none."""
 
     @staticmethod
     def check(engine, u):
-        direct, once, cached, twice, cleared, n = engine._route(u)
+        direct, fanned, twice, cleared, n = engine._route(u)
         assert engine._route(u) is engine._routes[u.kind, u.table, tuple(u.set_values)]
         written = {ColumnRef(u.table, c) for c in u.set_values}
         reached = column_candidates(engine, u)
@@ -121,19 +122,25 @@ class TestRoute:
             qid for qid, q in engine.queries.items()
             if shape_columns(q) & written or u.kind == "insert" and referenced_columns(q) & written
         }, u
-        for group in ([fam for fam, _ in direct], list(once), [fam for fam, *_ in cached], twice):
+        for group in ([fam for fam, _ in direct], [fam for fam, *_ in fanned], twice):
             assert [fam.id for fam in group] == sorted({fam.id for fam in group})
-        assert len(route_families(engine, u)) == len(direct) + len(once) + len(cached) + len(twice)
-        assert all(fam.leaf for fam, *_ in cached) and not any(fam.leaf for fam in once)
+        assert len(route_families(engine, u)) == len(direct) + len(fanned) + len(twice)
+        # a fanned family has a join path and no reader, and a fan-out cache,
+        # read at its leaf's join column, exactly when it has a leaf
+        positions = engine.store.table(u.table).col_pos
+        for fam, _, leaf in fanned:
+            assert fam.path and fam.reader is None, fam.id
+            assert (fam.fanout is not None) == bool(fam.leaf), fam.id
+            assert leaf == (positions[fam.leaf_column] if fam.leaf else None), fam.id
         # the direct lane holds exactly the families hit once that have no join path
         once_hit = {fam.id for fam in route_families(engine, u)} - {fam.id for fam in twice}
         assert [fam.id for fam, _ in direct] == sorted(
             fam.id for fam in engine.families if fam.id in once_hit and not fam.path
         ), u
         assert all(fam.reader is not None and not fam.leaf for fam, _ in direct)
-        assert all(fam.path and fam.reader is None for fam in once)
         assert cleared == [fam.fanout for fam in twice if fam.leaf]
-        return bool(direct), bool(once), bool(cached), bool(twice)
+        uncached = [fam for fam, *_ in fanned if fam.fanout is None]
+        return bool(direct), bool(uncached), len(fanned) > len(uncached), bool(twice)
 
     @staticmethod
     def engine(name):
@@ -159,9 +166,9 @@ class TestRoute:
             if kind == "update":
                 columns = rng.sample(columns, rng.randint(1, len(columns)))
             u = UpdateRecord(1, kind, rel.name, dict.fromkeys(columns, 0), {})
-            lanes = ("direct", "once", "cached", "twice")
+            lanes = ("direct", "uncached", "cached", "twice")
             paths.update(path for path, taken in zip(lanes, self.check(engine, u)) if taken)
-        assert paths["twice"] and paths["once"] + paths["cached"], paths  # both kinds of extension were checked
+        assert paths["twice"] and paths["uncached"] + paths["cached"], paths  # both kinds of extension were checked
         # an engine with a family without a join path took the direct lane
         assert paths["direct"] or all(fam.path for fam in engine.families), paths
 
@@ -181,7 +188,7 @@ class TestRoute:
         _, _, engine = bloomberg_engine
         u = UpdateRecord(1, "insert", "stockmarket", {"s_companyid": 9, "s_value": 5}, {})
         assert column_candidates(engine, u) == set(engine.queries)
-        assert engine._route(u)[3] == engine.families
+        assert engine._route(u)[2] == engine.families
         self.check(engine, u)
 
     def test_criterion_column_always_present(self, bloomberg_engine):
@@ -926,16 +933,27 @@ class TestSingleExtension:
         engine = Engine(catalog, store, self.queries(catalog))
         tables = {"plays": [dict(zip(columns, r)) for r in rows],
                   "levels": [{"lvl_id": i, "tier": t} for i, t in LEVELS]}
-        written_once = reordered = 0
+        # the joined family of lvl-join-* and pts-join-* has no leaf (plays
+        # holds its entity), so it fans out through no cache
+        (joined,) = [fam for fam in engine.families if fam.path]
+        assert not joined.leaf and joined.fanout is None
+        written_once = reordered = fanned_out = 0
         for u in self.updates(rng, len(rows)):
-            direct, once, cached, *_ = engine._route(u)
-            written_once += bool(direct or once or cached)
+            direct, fanned, twice, *_ = engine._route(u)
+            written_once += bool(direct or fanned)
+            fanned_out += any(fam is joined for fam, *_ in fanned)
+            n = len(store.match_rows(u))
             engine.detect(u)
+            assert joined.fanout is None
+            # one extension per row and family read directly or fanned out,
+            # per row and pass of one extended twice
+            touched = n if u.kind == "update" else 1
+            assert engine.last_stats.extended == n * (len(direct) + len(fanned)) + (n + touched) * len(twice), u
             reordered += engine.last_stats.reordered
             oracle_apply(tables, u)
             for qid, q in engine.queries.items():
                 assert list(engine.ranking(qid)) == oracle_eval_query(tables, PLAYS_EDGES, q), (u.seq, qid)
-        assert written_once and reordered  # both kinds of extension ran and rankings moved
+        assert written_once and fanned_out and reordered  # both kinds of extension ran and rankings moved
 
 
 class TestNetZero:
@@ -1195,9 +1213,9 @@ class TestDirectLane:
         assert len(engine.families) == 6 and all(fam.reader and not fam.path for fam in engine.families)
         assert rankings_of(engine) == rankings_of(reference)
         for u in data.draw(box_updates(len(rows))):
-            direct, once, cached, twice, *_ = engine._route(u)
+            direct, fanned, twice, *_ = engine._route(u)
             if u.kind == "update" and not {"team", "div", "lvl"} & set(u.set_values):
-                assert len(direct) == len(engine.families) and not (once or cached or twice), u  # the direct lane
+                assert len(direct) == len(engine.families) and not (fanned or twice), u  # the direct lane
             assert engine.detect(u) == reference.detect(u), u
             assert rankings_of(engine) == rankings_of(reference), u
             assert_best_keys(engine)

@@ -33,7 +33,7 @@ from halloffame import (
     update_to_json,
     write_update_stream,
 )
-from halloffame.store import CsvLoadError, JoinScan, UpdateError, _coerce_cell, join_steps, leaf_edge
+from halloffame.store import CsvLoadError, JoinScan, UpdateError, _coerce_cell, extension, join_steps, leaf_edge
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
 from oracles import (
     make_instance,
@@ -317,7 +317,7 @@ class TestMatchRows:
             check()
 
         for where, message in [
-            ({"a": 0, "b": "x", "nope": 1}, "unknown column pair.nope"),
+            ({"a": 0, "b": "x", "nope": 1}, "unknown column 'nope' of table 'pair'"),
             ({"a": "0", "b": "x"}, "where column a: expected integer"),
             ({"a": 0, "b": 1}, "where column b: expected text"),
             ({"a": 0.5, "b": "x"}, "where column a: expected integer"),
@@ -376,10 +376,35 @@ class TestApplyUpdate:
 
     def test_unknown_column_rejected(self, bloomberg):
         _, store = bloomberg
-        with pytest.raises(StoreError, match="unknown column"):
+        with pytest.raises(StoreError, match="unknown column 'nope' of table 'stockmarket'"):
             store.apply_update(
                 UpdateRecord(1, "update", "stockmarket", {"nope": 1}, {"s_companyid": 8})
             )
+
+    def test_long_column_names_are_quoted_cut_short(self, bloomberg):
+        # a where column, a set column and a CSV header name of 100,000
+        # characters: each message quotes the name cut short
+        catalog, store = bloomberg
+        name = "x" * 100_000
+        where = UpdateRecord(1, "update", "stockmarket", {"s_value": 1}, {name: 8})
+        written = UpdateRecord(1, "update", "stockmarket", {name: 1}, {"s_companyid": 8})
+        for call in (lambda: store.match_rows(where), lambda: store.apply_update(written)):
+            with pytest.raises(UpdateError, match="unknown column 'x+\\.\\.\\.x+' of table 'stockmarket'") as exc:
+                call()
+            assert len(str(exc.value)) < 120
+        header = f"s_companyid,{name}\n0,1\n"
+        with pytest.raises(CsvLoadError, match="missing columns \\['s_value'\\]; unknown columns \\['x+\\.\\.\\.x+'\\]") as exc:
+            store.load_table("stockmarket", header)
+        assert len(str(exc.value)) < 150
+
+    def test_insert_names_its_missing_columns(self, bloomberg):
+        _, store = bloomberg
+        u = UpdateRecord(1, "insert", "shareholder", {"s_personid": 0}, {})
+        with pytest.raises(UpdateError) as exc:
+            store.apply_update(u)
+        assert str(exc.value) == (
+            "insert 1: row must supply exactly the columns of shareholder (missing ['s_amount', 's_companyid'])"
+        )
 
     def test_delta_on_text_rejected(self, bloomberg):
         _, store = bloomberg
@@ -814,10 +839,46 @@ def check_counts(store, needed, path, columns, atoms=(), leaf=None):
 
 class TestJoinSteps:
     @staticmethod
-    def catalogs():
-        yield load_catalog(make_instance(random.Random(1)).config_text)
-        yield load_catalog(make_instance(random.Random(2), two_tables=True).config_text)
-        yield load_catalog((DATA_DIR / "bloomberg" / "catalog.yaml").read_text(encoding="utf-8"))  # join cycles
+    def stores():
+        yield load_instance(make_instance(random.Random(1)))
+        yield load_instance(make_instance(random.Random(2), two_tables=True))
+        yield load_dataset("bloomberg")  # join cycles
+
+    @classmethod
+    def catalogs(cls):
+        for catalog, _ in cls.stores():
+            yield catalog
+
+    @staticmethod
+    def paths(catalog):
+        """(relations, join_path of them) for every 1 to 4 of the catalog's
+        relations that join_path joins in at most 3 joins."""
+        names = [rel.name for rel in catalog.relations]
+        for needed in itertools.chain.from_iterable(itertools.combinations(names, n) for n in range(1, 5)):
+            path = join_path(catalog, needed, 3)
+            if path is not None:
+                yield needed, path
+
+    def test_extension_is_the_nested_loop_join(self):
+        # extension from each relation of each path, applied to all of its
+        # base rows and to a sample of them, gives the nested-loop join of
+        # those rows, as a multiset of row-id maps (relation -> row id)
+        rng = random.Random(9)
+        checked = 0
+        for catalog, store in self.stores():
+            for path in dict.fromkeys(tuple(path) for _, path in self.paths(catalog) if path):
+                order, envs = nested_loop_envs(store, path[0].src.relation, path)
+                joined = [dict(zip(order, env)) for env in envs]
+                for base in order:
+                    rel_order, extend = extension(store, path, base)
+                    assert rel_order[0] == base and sorted(rel_order) == sorted(order)
+                    n = len(store.tables[base].rows)
+                    for ids in (range(n), rng.sample(range(n), n // 3)):
+                        got = Counter(frozenset(zip(rel_order, env)) for env in extend([(rid,) for rid in ids]))
+                        keep = set(ids)
+                        assert got == Counter(frozenset(m.items()) for m in joined if m[base] in keep), (path, base)
+                    checked += 1
+        assert checked > 50, checked
 
     def test_every_path_from_every_relation(self):
         # each join_path path, as found and shuffled, walked from each of its
@@ -826,11 +887,7 @@ class TestJoinSteps:
         rng = random.Random(5)
         walked = 0
         for catalog in self.catalogs():
-            names = [rel.name for rel in catalog.relations]
-            for needed in itertools.chain.from_iterable(itertools.combinations(names, n) for n in range(1, 5)):
-                path = join_path(catalog, needed, 3)
-                if path is None:
-                    continue
+            for needed, path in self.paths(catalog):
                 start = catalog.check_join_path(path, needed)
                 steps = join_steps(path, start)
                 assert [frozenset(step) for step in steps] == [frozenset(e.columns()) for e in path]
