@@ -8,8 +8,16 @@ interpreting only the keywords that file uses (``type``, ``enum``,
 ``minItems`` and ``minLength``), with the messages of the ``jsonschema``
 package; it raises on any other keyword, so the file and the checker cannot
 drift apart. A message quotes the value at fault as repr prints it while it
-is short, and cut with ``...`` where it is long or deep (quote); every
-located error of the package that quotes input quotes it so.
+is short, and cut with ``...`` where it is long, wide or deep (quote): past
+8 items, 6 levels or 60 characters of one string or number, and past
+QUOTE_CAP (100) characters in all, which also bounds what a quote costs.
+Every located error of the package that quotes input quotes it so, the
+keys an ``additionalProperties`` message lists included.
+
+A config shorter than 16,384 characters is parsed by libyaml when PyYAML
+has it, and any other by PyYAML's pure-Python parser: libyaml recurses in C
+and crashes on nesting that deep, while the pure parser's recursion ends in
+a RecursionError, reported as ``config unreadable``.
 
 What a query may say is written once, as SchemaCatalog's criterion, atom and
 join-path rules (check_criterion, check_atom, check_join_path): the config's
@@ -316,17 +324,31 @@ _JSON_TYPES = {
 }
 
 
+QUOTE_CAP = 100  # characters of one quote at most, its closing "..." included
+
+
 class _Quote(reprlib.Repr):
     """repr for quoting a value at fault in a message: as repr prints it while
     it is short, cut with '...' past 8 items, 6 levels or 60 characters of a
-    string or number, so a long value cannot make the message long nor a
-    deep one make the quoting recurse beyond the stack."""
+    string or number, and past QUOTE_CAP characters in all. An instance is
+    one quote's budget: once the parts already quoted are longer than the
+    cap, every part left is '...', so no value, however long, wide or deep,
+    makes the message long, the quoting slow or its recursion deep."""
 
     def __init__(self):
         super().__init__()
         self.maxlevel = 6
         self.maxlist = self.maxtuple = self.maxdict = self.maxset = 8
         self.maxstring = self.maxlong = self.maxother = 60
+        self.left = QUOTE_CAP  # the cap less the characters of the parts quoted
+
+    def repr1(self, x: Any, level: int) -> str:
+        if self.left < 0:  # the quote is cut at the cap whatever follows
+            return "..."
+        left = self.left
+        s = super().repr1(x, level)
+        self.left = left - len(s)  # this part, its own parts included
+        return s
 
     def repr_dict(self, x: dict, level: int) -> str:  # reprlib sorts the keys; repr keeps their order
         if not x:
@@ -337,7 +359,12 @@ class _Quote(reprlib.Repr):
         return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
 
 
-quote = _Quote().repr
+def quote(value: Any) -> str:
+    """value as _Quote quotes it, cut to QUOTE_CAP characters: a quote
+    within the cap is its whole text, any other that text's first
+    QUOTE_CAP - 3 characters and '...'."""
+    s = _Quote().repr(value)
+    return s if len(s) <= QUOTE_CAP else s[: QUOTE_CAP - 3] + "..."
 
 
 def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
@@ -375,7 +402,7 @@ def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[t
                 extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
                 if extras:
                     verb = "was" if len(extras) == 1 else "were"
-                    listed = ", ".join(map(repr, extras))
+                    listed = quote(extras)[1:].removesuffix("]")  # as a list is quoted, without brackets
                     yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
         elif keyword == "properties":
             if isinstance(value, dict):
@@ -386,13 +413,22 @@ def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[t
             raise NotImplementedError(f"catalog schema keyword {keyword!r} is not interpreted")
 
 
+# libyaml's composer recurses in C, so a config nested some 25,000 levels
+# deep kills the process (SIGSEGV) instead of raising; at 20,000 it parses
+# or raises YAMLError. Nesting is never deeper than the text is long, so
+# only a config shorter than this goes to libyaml, and any longer one to
+# the pure-Python parser, whose recursion Python bounds (RecursionError).
+_LIBYAML_MAX_CHARS = 16_384
+
+
 def _parse_yaml(config_text: str) -> dict:
-    """The config document. libyaml parses it when PyYAML has it; when that
-    fails or gives no mapping, or without libyaml, the pure-Python parser
-    parses it (again), so every error text and line number is that
+    """The config document. libyaml parses a config shorter than
+    _LIBYAML_MAX_CHARS when PyYAML has it; when that fails or gives no
+    mapping, for a longer config, or without libyaml, the pure-Python
+    parser parses it (again), so every error text and line number is that
     parser's."""
     doc = None
-    if yaml.__with_libyaml__:
+    if yaml.__with_libyaml__ and len(config_text) < _LIBYAML_MAX_CHARS:
         try:
             doc = yaml.load(config_text, Loader=yaml.CSafeLoader)
         except yaml.YAMLError:

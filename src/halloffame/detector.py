@@ -52,9 +52,7 @@ each family it hits through one of three lanes:
   row, is added to every entity reached, as often as it is reached.
 - twice: it writes a shape column, or inserts. The rows are extended before
   and after, and one signed loop subtracts the pre-image contributions from
-  their entities' counts and totals and adds the post-image ones. A family
-  without a join path makes its contributions with the direct lane's
-  reader, from the rows alone.
+  their entities' counts and totals and adds the post-image ones.
 
 Every total is an exact int, a real column's in units of 2**-1074 (fixed),
 so no order of updates can make a total drift. The entities moved go to the
@@ -195,8 +193,8 @@ class Family:
     instance gets its slot and each query its EntityOrder in it, and a plan
     is compiled per relation the family reads. The slots are the family's
     only index of its queries. A family without a join path also gets a
-    reader, by which its plan and the engine's direct lane read a row as its
-    own extension."""
+    reader, by which the engine's direct lane reads a written row as its own
+    extension, with no plan."""
 
     def __init__(self, fid: int, key: tuple, group: list[tuple[tuple, HofQuery]], catalog: SchemaCatalog,
                  store: Store):
@@ -238,14 +236,15 @@ class Family:
             else:
                 slot = Slot(inst, counts, totals, sum([c.orders for c in columns], ()), tuple(columns))
             self.slots[inst] = slot
-        # without a join path each row is its own extension, read directly
+        # without a join path the direct lane reads each row as its own extension
         self.reader = None if self.path else self._reader(store)
         self.plans = {rel: self.plan(store, rel) for rel in self.needed}  # relation -> its rows' contributions
 
     def _reader(self, store: Store) -> tuple[Callable, Callable, int, Callable | None]:
-        """(instance -> its slot or None, row -> its instance tuple, the
-        entity's position, the fixed atoms' check of a 1-tuple env or None)
-        over the family's one relation."""
+        """The direct lane's reader (Engine.detect): (instance -> its slot or
+        None, row -> its instance tuple, the entity's position, the fixed
+        atoms' check of a 1-tuple env or None) over the family's one
+        relation. The plans do not read it."""
         table = store.table(self.entity.relation)
         pos = table.col_pos
         ps = [pos[c.column] for c in self.binding_cols]
@@ -264,25 +263,7 @@ class Family:
         column its exact term). The rows are extended by store.extension, the
         instance comes as its slot, and the values are read when the
         contribution is made: before an update they are its pre-image.
-        Without a join path the family's reader makes them from the rows
-        alone."""
-        if self.reader is not None:
-            slot_of, inst, ep, check = self.reader
-            table = store.table(base)
-            rows = table.rows
-            readers = [(table.col_pos[c.column], exact) for c, exact in zip(self.columns, self.exact)]
-
-            def direct(row_ids: Iterable[int]) -> list[Contribution]:
-                out = []
-                for rid in row_ids:
-                    row = rows[rid]
-                    if check is None or check((rid,)):
-                        slot = slot_of(inst(row))
-                        if slot is not None:
-                            out.append((slot, row[ep], (rid,), [exact(row[p]) for p, exact in readers]))
-                return out
-
-            return direct
+        Without a join path each row extends to itself alone."""
         rel_order, extend = extension(store, self.path, base)
         rel_pos = {rel: i for i, rel in enumerate(rel_order)}
         check = compile_predicate(self.fixed, rel_pos, store.tables) if self.fixed else None

@@ -19,13 +19,15 @@ must be serialized by the caller; between mutations the store behaves as
 an immutable snapshot that any number of readers may evaluate against.
 
 Joined-row caching: the row-id tuples produced by a join path are cached
-per path, whatever relations a caller needs from them. Every insert and
-every update that changes a value clears the whole cache. Set-up never
-writes, and generation and the engine's start-up pick a leaf by one rule
-(leaf_edge) and join the same path without it, so start-up reuses
-generation's reduced joins. Nothing scans after a write: the delta path
-reads no joined rows, and the from-scratch reference joins the base rows
-itself.
+per path, whatever relations a caller needs from them. Every accepted
+insert or update clears the whole cache, whether or not it changes a
+value: clearing is always sound, and under the engine the cache is empty
+by then (Engine drops it once start-up has scanned). A rejected update
+changes nothing, the cache included. Set-up never writes, and generation
+and the engine's start-up pick a leaf by one rule (leaf_edge) and join the
+same path without it, so start-up reuses generation's reduced joins.
+Nothing scans after a write: the delta path reads no joined rows, and the
+from-scratch reference joins the base rows itself.
 
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of
@@ -433,7 +435,6 @@ class Store:
                 del table.key_index[table._key_of(table.rows[rid])]
             table.key_index.update(new_keys)
 
-        changed_cols: set[str] = set()
         for rid, col, new in pending:
             row = table.rows[rid]
             old = row[pos[col]]
@@ -446,9 +447,7 @@ class Store:
                     del bucket[old]
                 bucket.setdefault(new, set()).add(rid)
             row[pos[col]] = new
-            changed_cols.add(col)
-        if changed_cols:
-            self._join_cache.clear()
+        self._join_cache.clear()
         return sorted(ids)
 
     @staticmethod

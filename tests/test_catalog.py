@@ -1,6 +1,7 @@
 import copy
 import importlib.resources
 import json
+import math
 import random
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from halloffame import (
     load_catalog,
     join_path,
 )
-from halloffame.catalog import _parse_yaml, _schema_violations
+from halloffame.catalog import QUOTE_CAP, _parse_yaml, _Quote, _schema_violations, quote
 
 BASKETBALL_CONFIG = """
 relations:
@@ -289,6 +290,21 @@ entity_attrs: [x]
         assert str(got.value) == f"config schema violation at {message}"
 
     @pytest.mark.parametrize(
+        "extras, listed",
+        [
+            # once listed by repr in full: a message of 100,091 characters
+            (["x" * 100_000], "'xxxxxxxxxxxxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxxxxxxxxxxxxxx' was"),
+            # and of 43,978 characters
+            ([f"k{i}" for i in range(5000)], "'k0', 'k1', 'k10', 'k100', 'k1000', 'k1001', 'k1002', 'k1003', ... were"),
+        ],
+    )
+    def test_unexpected_keys_are_quoted_as_a_list(self, extras, listed):
+        doc = {**yaml.safe_load(ONE_RELATION), **dict.fromkeys(extras, 1)}  # a long key is written as ? key
+        with pytest.raises(CatalogError) as got:
+            load_catalog(yaml.safe_dump(doc))
+        assert str(got.value) == f"config schema violation at <top>: Additional properties are not allowed ({listed} unexpected)"
+
+    @pytest.mark.parametrize(
         "value, schema",
         [
             (5, {"type": "integer", "maximum": 3}),
@@ -348,6 +364,53 @@ entity_attrs: [x]
     def test_round_trip_basketball(self):
         catalog = load_catalog(BASKETBALL_CONFIG)
         assert load_catalog(serialize_catalog(catalog)) == catalog
+
+
+def wide(width: int, depth: int):
+    """A list width wide and depth deep, one list width times at each level."""
+    value = 0
+    for _ in range(depth):
+        value = [value] * width
+    return value
+
+
+QUOTED = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids, max_size=10) | st.tuples(kids) | st.dictionaries(st.text(max_size=4), kids, max_size=10),
+    max_leaves=80,
+)
+
+
+class TestQuote:
+    @settings(max_examples=200, deadline=None)
+    @given(QUOTED)
+    def test_a_quote_is_its_uncapped_text_cut_at_the_cap(self, value):
+        whole = _Quote()
+        whole.left = math.inf  # no budget
+        text, got = whole.repr(value), quote(value)
+        if len(text) <= QUOTE_CAP:
+            assert got == text
+        else:
+            assert len(got) == QUOTE_CAP and got == text[: QUOTE_CAP - 3] + "..."
+
+    @pytest.mark.parametrize("value, text", [
+        # the uncapped quote was 861,328 characters, built in 0.2 s
+        (wide(8, 6), "[[[[[[0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0..."),
+        (wide(8, 7), "[[[[[[[...], [...], [...], [...], [...], [...], [...], [...]], [[...], [...], [...], [...], [...]..."),
+        (["x" * 100_000] * 3, "['xxxxxxxxxxxxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxxxxxxxxxxxxxx', 'xxxxxxxxxxxxxxxxxxxxxxxxxxx...xxx..."),
+    ])
+    def test_a_wide_value_costs_the_cap(self, value, text):
+        calls = 0
+
+        class Counting(_Quote):
+            def repr1(self, x, level):
+                nonlocal calls
+                calls += 1
+                return super().repr1(x, level)
+
+        assert quote(value) == text
+        Counting().repr(value)
+        assert calls <= QUOTE_CAP + 8 * 6  # a call per part within the cap, and per item left open
 
 
 def catalog_texts() -> dict[str, str]:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
@@ -868,6 +870,21 @@ class TestUnreadableFiles:
         assert result.output.startswith(f"Error: catalog: {message}")
         assert len(result.output.splitlines()[0]) < 200
 
+    @pytest.mark.parametrize("form", ["flow", "block"])
+    def test_config_nested_beyond_libyaml(self, data, tmp_path, form):
+        # 100,000 levels once crashed libyaml's recursive composer (exit 139,
+        # no Error line), so the command runs in a process of its own
+        nested = " " + "[" * 100_000 + "]" * 100_000 if form == "flow" else "\n" + "- " * 100_000 + "x"
+        config = data / "catalog.yaml"
+        config.write_text(config.read_text() + "user_constraints:" + nested + "\n")
+        src = Path(halloffame.__file__).resolve().parents[1]
+        args = ["generate", "--config", str(config), "--data-dir", str(data), "--out", str(tmp_path / "q.jsonl")]
+        done = subprocess.run([sys.executable, "-m", "halloffame.cli", *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 1, (done.returncode, done.stderr[-300:])
+        assert done.stderr.startswith("Error: catalog: config unreadable: RecursionError: "), done.stderr[:300]
+        assert len(done.stderr.splitlines()) == 1
+
     def test_csv_cell_beyond_the_field_limit(self, runner, data, tmp_path):
         country = data / "country.csv"
         country.write_text(country.read_text() + "99," + "x" * 200_000 + "\n")
@@ -921,15 +938,22 @@ def fields_of(doc, path=()):
         yield from fields_of(value, path + (key,))
 
 
-MUTATIONS = ["truncate", "flip", "utf8", "digits", "nesting", "oversized", "key"]
+MUTATIONS = ["truncate", "flip", "utf8", "digits", "nesting", "oversized", "key", "wide"]
 
 
 def oversized(mutation: str, byte: int):
     """The value of a field or cell mutation: a 400-digit integer (digits),
-    100,000 levels of nesting, or a 100,000-character string (oversized,
-    and for key the key or column name)."""
+    100,000 levels of nesting, a list 8 wide and 6 deep (wide: one list 8
+    times at each level, which YAML writes with aliases), or a
+    100,000-character string (oversized, and for key the key or column
+    name)."""
     if mutation == "digits":
         return -(10**400) if byte & 1 else 10**400
+    if mutation == "wide":
+        value = 0
+        for _ in range(6):
+            value = [value] * 8
+        return value
     return "@nest@" if mutation == "nesting" else "x" * 100_000
 
 
@@ -946,19 +970,14 @@ def mutate_bytes(data: bytes, mutation: str, at: int, byte: int) -> bytes | None
     return None
 
 
-def mutate(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
-    """The file's bytes with one fault: a byte-level one (mutate_bytes), or,
-    in one line, one field (a numeric one for digits) replaced by an
-    oversized value, or one field's key (a key of an object) by a
-    100,000-character string."""
-    data = mutate_bytes(text.encode(), mutation, at, byte)
-    if data is not None:
-        return data
-    lines = text.splitlines()
-    n = at % len(lines)
-    doc = json.loads(lines[n])
-    fields = [path for path, value in fields_of(doc)
-              if mutation != "digits" or isinstance(value, (int, float)) and not isinstance(value, bool)]
+def mutate_field(doc, mutation: str, pick: int, byte: int) -> None:
+    """Replace one field of a parsed document (a numeric one for digits,
+    when it has one) by an oversized value, or one field's key (a key of an
+    object) by a 100,000-character string."""
+    fields = [path for path, _ in fields_of(doc)]
+    numeric = [path for path, value in fields_of(doc) if isinstance(value, (int, float)) and not isinstance(value, bool)]
+    if mutation == "digits" and numeric:
+        fields = numeric
     if mutation == "key":
         fields = [path for path in fields if isinstance(path[-1], str)]
     *parents, last = fields[pick % len(fields)]
@@ -969,8 +988,32 @@ def mutate(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
         owner[oversized(mutation, byte)] = owner.pop(last)
     else:
         owner[last] = oversized(mutation, byte)
+
+
+def mutate(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
+    """The file's bytes with one fault: a byte-level one (mutate_bytes), or
+    one field mutation (mutate_field) in one line."""
+    data = mutate_bytes(text.encode(), mutation, at, byte)
+    if data is not None:
+        return data
+    lines = text.splitlines()
+    n = at % len(lines)
+    doc = json.loads(lines[n])
+    mutate_field(doc, mutation, pick, byte)
     lines[n] = json.dumps(doc).replace('"@nest@"', "[" * 100_000 + "]" * 100_000)
     return "\n".join(lines).encode() + b"\n"
+
+
+def mutate_yaml(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
+    """A YAML document's bytes with one fault: a byte-level one
+    (mutate_bytes), or one field mutation (mutate_field) of the parsed
+    document, written back as YAML (a long key as an explicit ? key)."""
+    data = mutate_bytes(text.encode(), mutation, at, byte)
+    if data is not None:
+        return data
+    doc = yaml.safe_load(text)
+    mutate_field(doc, mutation, pick, byte)
+    return yaml.safe_dump(doc).replace("'@nest@'", "[" * 100_000 + "]" * 100_000).encode()
 
 
 def mutate_csv(text: str, mutation: str, at: int, pick: int, byte: int) -> bytes:
@@ -1034,6 +1077,9 @@ class TestCorruptInputs:
     # key and set key
     @example(kind="update stream", mutation="key", at=0, pick=6, byte=2)
     @example(kind="update stream", mutation="key", at=0, pick=3, byte=2)
+    # an 8-wide, 6-deep list once quoted in 861,328 characters: the first
+    # update's where s_companyid
+    @example(kind="update stream", mutation="wide", at=0, pick=6, byte=2)
     def test_one_fault_is_a_located_error(self, valid_inputs, tmp_path_factory, kind, mutation, at, pick, byte):
         bad = tmp_path_factory.getbasetemp() / "corrupt.jsonl"
         bad.write_bytes(mutate(valid_inputs[kind].read_text(), mutation, at, pick, byte))
@@ -1070,6 +1116,33 @@ class TestCorruptCsv:
         args = ["run", "--config", str(data_dir / "catalog.yaml"), "--data-dir", str(data_dir),
                 "--queries", str(valid_inputs["query catalog"]), "--updates", str(valid_inputs["update stream"]),
                 "--events", str(data_dir / "events.jsonl")]
+        assert_located_error(CliRunner().invoke(main, args))
+
+
+class TestCorruptConfig:
+    """Any one fault in the Bloomberg catalog.yaml ends hof generate over it
+    with exit 0, or with exit 1 and one located Error line of at most 300
+    characters, never a traceback."""
+
+    @settings(max_examples=50, deadline=None)  # about 0.8 s for nesting, which the pure parser reads, else 30 ms
+    @given(
+        mutation=st.sampled_from(MUTATIONS),
+        at=st.integers(0, 10**6),
+        pick=st.integers(0, 100),
+        byte=st.integers(1, 255),
+    )
+    # values that were once quoted in full, in an Error line of about
+    # 100,000 characters: relations[0]'s key written as the key of the
+    # mapping, and a wide list as its value
+    @example(mutation="key", at=0, pick=9, byte=2)
+    @example(mutation="wide", at=0, pick=13, byte=2)
+    def test_one_fault_is_a_located_error(self, tmp_path_factory, mutation, at, pick, byte):
+        data_dir = tmp_path_factory.getbasetemp() / "corrupt-config"
+        if not data_dir.exists():
+            shutil.copytree(DATA_DIR / "bloomberg", data_dir)
+        config = data_dir / "catalog.yaml"
+        config.write_bytes(mutate_yaml((DATA_DIR / "bloomberg" / "catalog.yaml").read_text(), mutation, at, pick, byte))
+        args = ["generate", "--config", str(config), "--data-dir", str(data_dir), "--out", str(data_dir / "q.jsonl")]
         assert_located_error(CliRunner().invoke(main, args))
 
 

@@ -1019,6 +1019,20 @@ class TestJoinCache:
                 got = JoinScan(store, needed, path, leaf=leaf).counts(names)
                 assert list(got.items()) == list(JoinScan(fresh, needed, path, leaf=leaf).counts(names).items()), u.seq
 
+    def test_every_accepted_write_clears_the_cache(self, bloomberg):
+        catalog, store = bloomberg
+        needed = {"company", "stockmarket"}
+        path = tuple(join_path(catalog, needed, 3))
+        cached = store.joined_rows(needed, path)
+        table = store.table("stockmarket")
+        value = table.rows[table.key_index[(8,)]][table.col_pos["s_value"]]
+        with pytest.raises(UpdateError):  # a rejected write changes nothing
+            store.apply_update(UpdateRecord(1, "update", "stockmarket", {"s_value": "x"}, {"s_companyid": 8}))
+        assert store.joined_rows(needed, path) is cached
+        # an accepted write clears the cache, though this one changes no value
+        store.apply_update(UpdateRecord(2, "update", "stockmarket", {"s_value": value}, {"s_companyid": 8}))
+        assert store.joined_rows(needed, path) is not cached
+
 
 class TestUpdateStreamIO:
     def test_round_trip(self):
