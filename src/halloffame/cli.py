@@ -32,14 +32,28 @@ from .store import Store, StoreError, read_update_stream, write_update_stream
 from .synth import SynthConfig, synth_stream
 
 
+def _file_error(path: Path, what: str, exc: OSError) -> click.ClickException:
+    """One Error line for a file the system cannot open, read or write."""
+    return click.ClickException(f"{what} file {path}: {exc.strerror or exc}")
+
+
 def _read_file(path: Path, what: str) -> str:
-    if not path.exists():
-        raise click.UsageError(f"{what} file not found: {path}")
     try:
         return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise click.UsageError(f"{what} file not found: {path}") from None
+    except OSError as exc:  # a directory, a name too long, no permission
+        raise _file_error(path, what, exc) from None
     except UnicodeDecodeError as exc:  # read in one piece, so exc.start is the file's byte offset
         line = path.read_bytes().count(b"\n", 0, exc.start) + 1
         raise click.ClickException(f"{what} file {path}, line {line}: not UTF-8 ({exc.reason})") from None
+
+
+def _write_file(path: Path, what: str, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _file_error(path, what, exc) from None
 
 
 def _load_catalog(path: Path) -> SchemaCatalog:
@@ -115,7 +129,7 @@ def generate(config_path, data_dir, out_path, k, cnum, jnum):
     queries = generate_queries(catalog, GeneratorConfig(k=k, c_num=cnum, j_num=jnum), store)
     elapsed = time.perf_counter() - started
     _echo_seconds("generate s", elapsed)
-    out_path.write_text(dump_queries(queries), encoding="utf-8")
+    _write_file(out_path, "query catalog", dump_queries(queries))
     click.echo(f"generated {len(queries)} queries in {elapsed:.2f}s -> {out_path}")
     click.echo(f"generate rows          {store.rows_read}")  # joined rows its counts read
 
@@ -136,7 +150,7 @@ def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
         stream = synth_stream(store, catalog, SynthConfig(updates_per_tuple=updates_per_tuple, seed=seed))
     except StoreError as exc:
         raise click.ClickException(str(exc)) from exc
-    out_path.write_text(write_update_stream(stream), encoding="utf-8")
+    _write_file(out_path, "update stream", write_update_stream(stream))
     click.echo(f"synthesized {len(stream)} updates -> {out_path}")
 
 
@@ -193,11 +207,14 @@ def run(config_path, data_dir, queries_path, updates_path, events_path, stats_pa
     updates = read_update_stream(_read_file(updates_path, "update stream"), bad_line)
     with ExitStack() as files:
         # line-buffered, so a run that stops early leaves whole lines behind
-        def open_out(path: Path):
-            return files.enter_context(path.open("w", encoding="utf-8", buffering=1))
+        def open_out(path: Path, what: str):
+            try:
+                return files.enter_context(path.open("w", encoding="utf-8", buffering=1))
+            except OSError as exc:
+                raise _file_error(path, what, exc) from None
 
-        events_out = open_out(events_path)
-        stats_out = open_out(stats_path) if stats_path is not None else None
+        events_out = open_out(events_path, "event log")
+        stats_out = open_out(stats_path, "stats") if stats_path is not None else None
         for u in updates:
             started = time.perf_counter()
             try:

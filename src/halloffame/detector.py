@@ -179,11 +179,10 @@ class Slot:
     holds none. Built once, with its family, slots are what contributions,
     fan-outs and moved entities carry, hashed by identity."""
 
-    __slots__ = ("inst", "counts", "totals", "orders", "columns")
+    __slots__ = ("counts", "totals", "orders", "columns")
 
-    def __init__(self, inst: tuple, counts: dict, totals: list[dict], orders: tuple[EntityOrder, ...],
-                 columns: tuple[Slot, ...] = ()):
-        self.inst, self.counts, self.totals, self.orders, self.columns = inst, counts, totals, orders, columns
+    def __init__(self, counts: dict, totals: list[dict], orders: tuple[EntityOrder, ...], columns: tuple[Slot, ...] = ()):
+        self.counts, self.totals, self.orders, self.columns = counts, totals, orders, columns
 
 
 class Family:
@@ -229,12 +228,12 @@ class Family:
                 orders = []
                 for m in column_queries:
                     orders.append(EntityOrder(t, counts, real, m))
-                columns.append(Slot(inst, counts, totals, tuple(orders)))
+                columns.append(Slot(counts, totals, tuple(orders)))
             if len(columns) == 1:
                 slot = columns[0]
                 slot.columns = (slot,)
             else:
-                slot = Slot(inst, counts, totals, sum([c.orders for c in columns], ()), tuple(columns))
+                slot = Slot(counts, totals, sum([c.orders for c in columns], ()), tuple(columns))
             self.slots[inst] = slot
         # without a join path the direct lane reads each row as its own extension
         self.reader = None if self.path else self._reader(store)

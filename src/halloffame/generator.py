@@ -17,7 +17,8 @@ join path) when the first query using them survives. Without fixed atoms
 the predicate columns are the binding columns, so that distribution is the
 count's rows per instance and needs no scan of its own. With fixed atoms
 the count kept only the rows that pass them, so the distribution over all
-joined rows takes one more JoinScan, without the atoms.
+joined rows takes one more JoinScan, without the atoms, whose instances
+over the predicate columns give its rows.
 
 A query's id (query_identity) and its SQL are joined from parts: text per
 (entity, criterion, join path, k) and text per predicate, the predicate and
@@ -291,10 +292,10 @@ def generate_queries(
                     if n_entities < cfg.k:
                         continue
                     if ent_key not in entropies:  # the first surviving instance pays for it
-                        if fixed:  # the count kept only the rows that pass the fixed atoms
-                            entropies[ent_key] = entropy(JoinScan(store, needed2, path2, (), leaf).counts(pred_cols))
-                        else:  # the predicate columns are the binding columns (or none): the count's row counts
-                            entropies[ent_key] = entropy({key: rows for key, (_, rows) in sizes.items()})
+                        # rows per predicate-column value over all joined rows; sizes counted only
+                        # the rows that pass the fixed atoms
+                        dist = JoinScan(store, needed2, path2, (), leaf).instances(pred_cols, e_attr) if fixed else sizes
+                        entropies[ent_key] = entropy({key: rows for key, (_, rows) in dist.items()})
                     parts = shared.get(inst)
                     if parts is None:
                         # binding atoms sort before fixed ones, by column (ConstraintAtom.sort_key)

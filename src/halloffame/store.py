@@ -32,9 +32,9 @@ from-scratch reference joins the base rows itself.
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of
 per-column converters per CSV row, one pass per indexed column after the
-last row, and one Counter over the zipped values of each column, whose
-loop runs in C and builds no key in Python (a summed leaf adds each row's
-weight).
+last row, and one loop over the zipped columns of a scan that adds each
+row's weight (1, or a summed leaf's rows) to its entity in its
+instance's dict.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import json
 import math
 import operator
 import sys
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -553,7 +553,9 @@ class JoinScan:
 
     A leaf relation (leaf_edge) is summed per join value (eager aggregation)
     and the rest of the path joined without it; rows without leaf rows are
-    dropped. Rows, and so the keys of counts, come in no promised order."""
+    dropped. Rows, and so the instances, come in no promised order.
+    Generation counts a scan's instances; the detector's families sum its
+    terms."""
 
     def __init__(self, store: Store, needed: Iterable[str], path: tuple[JoinEdge, ...], atoms=(), leaf=None):
         self.store, self.leaf, self.buckets = store, leaf, None  # buckets: join value -> leaf row ids
@@ -602,26 +604,17 @@ class JoinScan:
         group = {v: add(map(cell, map(table.rows.__getitem__, ids))) for v, ids in self.buckets.items()}
         return map(group.__getitem__, self.values(self.joined))
 
-    def counts(self, columns: Sequence[ColumnRef]) -> dict[tuple, int]:
-        """Rows of the whole join per distinct projection of columns, in no
-        promised key order. With no columns every row projects to ():
-        {(): rows}, or {} when none pass."""
-        keys = zip(*map(self.values, columns)) if columns else repeat((), len(self.envs))
-        if self.buckets is None:
-            return Counter(keys)
-        counts: Counter = Counter()
-        for key, n in zip(keys, self.weights()):
-            counts[key] += n
-        return counts
-
     def instances(self, columns: Sequence[ColumnRef], entity: ColumnRef) -> dict[tuple, tuple[int, int]]:
         """Per distinct projection of columns (an instance), in no promised
-        key order: its distinct entity values and its rows of the whole join."""
-        out: dict[tuple, tuple[int, int]] = {}
-        for key, rows in self.counts([*columns, entity]).items():
-            n, total = out.get(key[:-1], (0, 0))
-            out[key[:-1]] = n + 1, total + rows
-        return out
+        key order: its distinct entity values and its rows of the whole join.
+        With no columns every row projects to (): {(): ...}, or {} when none
+        pass."""
+        keys = zip(*map(self.values, columns)) if columns else repeat(())
+        groups: defaultdict[tuple, dict] = defaultdict(dict)  # instance -> entity -> rows
+        for key, value, n in zip(keys, self.values(entity), self.weights()):
+            rows = groups[key]
+            rows[value] = rows.get(value, 0) + n
+        return {key: (len(rows), sum(rows.values())) for key, rows in groups.items()}
 
 
 # ---------------------------------------------------------------------------

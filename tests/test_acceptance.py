@@ -100,7 +100,9 @@ relations:
         "5,Phoenix,2010,NBA\n",
     )
     cols = [ColumnRef("plays", "team"), ColumnRef("plays", "year"), ColumnRef("plays", "league")]
-    counts = JoinScan(store, {"plays"}, ()).counts(cols)
+    sizes = JoinScan(store, {"plays"}, ()).instances(cols, ColumnRef("plays", "pid"))
+    assert sorted(sizes.values()) == [(1, 1), (1, 1), (3, 3)]  # (distinct pids, rows) per projection
+    counts = {key: rows for key, (_, rows) in sizes.items()}
     assert sorted(counts.values()) == [1, 1, 3]
     total = sum(counts.values())
     oracle = -sum((c / total) * math.log2(c / total) for c in counts.values())

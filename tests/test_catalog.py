@@ -15,12 +15,17 @@ from halloffame import (
     CatalogError,
     ColumnRef,
     ConfigParseError,
+    GeneratorConfig,
     JoinEdge,
     SchemaCatalog,
+    dump_queries,
+    generate_queries,
     load_catalog,
+    load_queries,
     join_path,
 )
 from halloffame.catalog import QUOTE_CAP, _parse_yaml, _Quote, _schema_violations, quote
+from halloffame.generator import GenerationError
 
 BASKETBALL_CONFIG = """
 relations:
@@ -364,6 +369,58 @@ entity_attrs: [x]
     def test_round_trip_basketball(self):
         catalog = load_catalog(BASKETBALL_CONFIG)
         assert load_catalog(serialize_catalog(catalog)) == catalog
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (ONE_RELATION + "  - {name: a, columns: [{name: y, type: integer}]}\n", "relation 'a' declared twice"),
+            (
+                "relations:\n  - {name: a, columns: [{name: x, type: integer}, {name: x, type: text}]}\n",
+                "relation 'a' has duplicate column names",
+            ),
+            (
+                "relations:\n  - {name: a, columns: [{name: x, type: integer}], key: [y]}\n",
+                "relation 'a': key column 'y' not declared",
+            ),
+            (
+                "relations:\n  - {name: a, columns: [{name: x, type: integer}, {name: y, type: integer}]}\n"
+                "join_edges:\n  - {from: a.x, to: a.y}\n",
+                "join_edges[0]: self-join edges are not supported",
+            ),
+            (
+                ONE_RELATION + "  - {name: b, columns: [{name: z, type: text}]}\njoin_edges:\n  - {from: a.x, to: b.z}\n",
+                "join_edges[0]: incompatible column types integer/text",
+            ),
+            (
+                "relations:\n  - {name: a, columns: [{name: x, type: integer}, {name: t, type: text}]}\n"
+                "user_constraints:\n  - {kind: inter_attribute, left: t, comparator: '>', right: x}\n",
+                "user_constraints[0]: cannot compare a.t (text) with a.x (integer)",
+            ),
+        ],
+        ids=["relation-twice", "duplicate-columns", "undeclared-key", "self-join", "edge-types", "inter-attribute-types"],
+    )
+    def test_relation_and_edge_rules(self, config, message):
+        with pytest.raises(CatalogError) as info:
+            load_catalog(config)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("kind", "nosuch", "unknown atom kind 'nosuch'"), ("direction", "both", "direction must be concrete, got 'both'")],
+    )
+    def test_query_catalog_line_meets_the_same_rules(self, bloomberg, field, value, message):
+        # a query catalog line is checked by the config's rule book: an atom
+        # kind the config schema cannot give, and a direction left unexpanded
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=3), store)
+        doc = json.loads(dump_queries([next(q for q in queries if q.predicate)]))
+        if field == "kind":
+            doc["predicate"][0]["kind"] = value
+        else:
+            doc["criterion"]["direction"] = value
+        with pytest.raises(GenerationError) as info:
+            load_queries(json.dumps(doc) + "\n", catalog)
+        assert str(info.value) == f"query catalog line 1: {message}"
 
 
 def wide(width: int, depth: int):

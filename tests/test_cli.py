@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -30,6 +31,7 @@ from halloffame import (
     write_update_stream,
 )
 from halloffame import cli
+from halloffame.catalog import quote
 from halloffame.cli import main
 from conftest import DATA_DIR
 
@@ -909,6 +911,43 @@ class TestUnreadableFiles:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {what} file {bad}, line 2: not UTF-8 (invalid continuation byte)" in result.output
+
+    @pytest.mark.parametrize(
+        "case",
+        ["updates directory", "config directory", "events directory", "stats directory", "out in a missing directory",
+         "synth out in a missing directory", "long events name", "long relation name"],
+    )
+    def test_file_the_system_cannot_open(self, runner, data, tmp_path, case):
+        # a directory, a missing directory or a name too long for the file
+        # system: one Error line naming the file and the system's reason
+        # (a permission fault is the same OSError, but root reads any file)
+        (queries := tmp_path / "q.jsonl").write_text("")
+        (updates := tmp_path / "u.jsonl").write_text(fig5_stream_text())
+        common = ["--config", str(data / "catalog.yaml"), "--data-dir", str(data)]
+        run = ["run", *common, "--queries", str(queries), "--updates", str(updates), "--events", str(tmp_path / "e.jsonl")]
+        missing, long_name = tmp_path / "missing" / "out.jsonl", tmp_path / ("e" * 300)
+        is_dir, no_such, too_long = (os.strerror(e) for e in (errno.EISDIR, errno.ENOENT, errno.ENAMETOOLONG))
+        args, what, path, reason = {
+            "updates directory": ([*run, "--updates", str(tmp_path)], "update stream", tmp_path, is_dir),
+            "config directory": (["generate", "--config", str(data), "--data-dir", str(data), "--out", str(queries)],
+                                 "catalog config", data, is_dir),
+            "events directory": ([*run, "--events", str(tmp_path)], "event log", tmp_path, is_dir),
+            "stats directory": ([*run, "--stats", str(tmp_path)], "stats", tmp_path, is_dir),
+            "out in a missing directory": (["generate", *common, "--out", str(missing)], "query catalog", missing, no_such),
+            "synth out in a missing directory": (["synth", *common, "--out", str(missing)], "update stream", missing, no_such),
+            "long events name": (["rank", "--events", str(long_name)], "event log", long_name, too_long),
+            "long relation name": (["generate", *common, "--out", str(queries)],
+                                   f"CSV for relation {quote('c' * 300)}", data / ("c" * 300 + ".csv"), too_long),
+        }[case]
+        if case == "long relation name":  # renamed in its join edges too, so the config loads
+            (data / "catalog.yaml").write_text((data / "catalog.yaml").read_text().replace("company", "c" * 300))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        assert "Traceback" not in result.output
+        assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [
+            f"Error: {what} file {path}: {reason}"
+        ]
 
 
 @pytest.fixture(scope="module")

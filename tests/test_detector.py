@@ -1557,12 +1557,13 @@ class TestFanoutCache:
             engine.detect(UpdateRecord(next(seq), "update", "shareholder", {"s_amount": Delta(rid + 1)}, where))
         held = 0
         for fam in engine.families:
+            inst_of = {slot: inst for inst, slot in fam.slots.items()}  # a slot hashes by identity
             for groups in (fam.fanout or {}).values():
-                assert len({slot.inst for slot, _ in groups}) == len(groups), fam.id
+                assert all(slot in inst_of for slot, _ in groups), fam.id
+                assert len({inst_of[slot] for slot, _ in groups}) == len(groups), fam.id
                 for slot, entities in groups:
-                    assert slot is fam.slots[slot.inst], (fam.id, slot.inst)
-                    assert isinstance(entities, tuple) and entities, (fam.id, slot.inst)
-                    held += slot.inst != ()
+                    assert isinstance(entities, tuple) and entities, (fam.id, inst_of[slot])
+                    held += inst_of[slot] != ()
         assert held > 20
 
 
@@ -1626,7 +1627,8 @@ join_edges:
             assert delta.detect(u) == reference.detect(u), u
             assert rankings_of(delta) == rankings_of(reference), u
             assert delta.last_stats.reused == (2 if seq > 1 else 0)  # one lookup per family
-        reached = {slot.inst: Counter(entities) for fam in delta.families for slot, entities in fam.fanout[1]}
+        inst_of = {slot: inst for fam in delta.families for inst, slot in fam.slots.items()}
+        reached = {inst_of[slot]: Counter(entities) for fam in delta.families for slot, entities in fam.fanout[1]}
         assert reached == {("home",): {"p1": 2, "p2": 1}, (): {"p1": 2, "p2": 1}}
 
 class TestSqlDefinesRanking:

@@ -526,6 +526,14 @@ class TestPersistence:
         with pytest.raises(GenerationError, match=f"query catalog line 2: .*{message}"):
             load_queries(text, catalog)
 
+    def test_unknown_column_is_located(self, bloomberg):
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=3), store)
+        doc = {**json.loads(dump_queries(queries[:1])), "entity": "company.nosuch"}
+        with pytest.raises(GenerationError) as info:
+            load_queries(json.dumps(doc) + "\n", catalog)
+        assert str(info.value) == "query catalog line 1: unknown column 'company.nosuch' in query catalog"
+
     @pytest.mark.parametrize(
         "cut, message",
         [

@@ -169,6 +169,21 @@ class TestLoadTable:
                 Store(catalog).load_table("plays", header + rows)
             assert str(info.value) == text
 
+    def test_duplicate_header_column(self):
+        # every declared column is there and none is unknown: the repeat is named
+        with pytest.raises(CsvLoadError) as info:
+            Store(load_catalog(PLAYS_CONFIG)).load_table("plays", "pid,team,year,league,points,team\n")
+        assert str(info.value) == "table 'plays': duplicate header columns"
+
+    def test_table_without_key_columns(self):
+        # a keyless table indexes no key; a where on a non-key column scans it
+        store = Store(load_catalog(PLAYS_CONFIG.replace("    key: [pid]\n", "")))
+        table = store.load_table("plays", PLAYS_CSV)
+        assert table.key_index == {}
+        assert store.apply_update(UpdateRecord(1, "update", "plays", {"points": Delta(5)}, {"team": "Phoenix"})) == [0, 2, 4]
+        assert [row[table.col_pos["points"]] for row in table.rows] == [15, 20, 35, 40, 55]
+        assert table.key_index == {}
+
     def test_first_bad_row_named_across_fault_kinds(self):
         header = "pid,team,year,league,points\n"
         cases = [
@@ -396,6 +411,14 @@ class TestApplyUpdate:
         with pytest.raises(CsvLoadError, match="missing columns \\['s_value'\\]; unknown columns \\['x+\\.\\.\\.x+'\\]") as exc:
             store.load_table("stockmarket", header)
         assert len(str(exc.value)) < 150
+
+    def test_insert_rejects_a_delta(self, bloomberg):
+        _, store = bloomberg
+        u = UpdateRecord(1, "insert", "stockmarket", {"s_companyid": 9, "s_value": Delta(7)}, {})
+        with pytest.raises(UpdateError) as exc:
+            store.apply_update(u)
+        assert str(exc.value) == "insert 1: delta values are not allowed in inserts"
+        assert len(store.table("stockmarket")) == 9
 
     def test_insert_names_its_missing_columns(self, bloomberg):
         _, store = bloomberg
@@ -668,34 +691,35 @@ class TestSelectivityAndCounts:
     def test_projection_counts(self, plays):
         _, store = plays
         cols = [ColumnRef("plays", "team"), ColumnRef("plays", "year"), ColumnRef("plays", "league")]
-        counts = check_counts(store, {"plays"}, (), cols)
+        counts = check_instances(store, {"plays"}, (), cols, ColumnRef("plays", "pid"))
         assert counts == {
-            ("Phoenix", 2010, "NBA"): 3,
-            ("Boston", 2011, "NBA"): 1,
-            ("San Antonio Spurs", 1972, "ABA"): 1,
+            ("Phoenix", 2010, "NBA"): (3, 3),
+            ("Boston", 2011, "NBA"): (1, 1),
+            ("San Antonio Spurs", 1972, "ABA"): (1, 1),
         }
 
     def test_single_and_duplicate_rows(self):
         catalog = load_catalog(PLAYS_CONFIG)
         store = Store(catalog)
         store.load_table("plays", "pid,team,year,league,points\n1,A,2000,NBA,5\n")
-        assert check_counts(store, {"plays"}, (), [ColumnRef("plays", "team")]) == {("A",): 1}
+        team, year = ColumnRef("plays", "team"), ColumnRef("plays", "year")
+        assert check_instances(store, {"plays"}, (), [team], year) == {("A",): (1, 1)}
         store2 = Store(catalog)
         store2.load_table(
             "plays", "pid,team,year,league,points\n1,A,2000,NBA,5\n2,A,2000,NBA,5\n"
         )
-        assert check_counts(store2, {"plays"}, (), [ColumnRef("plays", "team")]) == {("A",): 2}
+        assert check_instances(store2, {"plays"}, (), [team], year) == {("A",): (1, 2)}  # one entity, two rows
 
     def test_counts_sum_to_joined_rows(self, bloomberg):
         _, store = bloomberg
         needed = {"person", "stockmarket"}
         path = tuple(join_path(store.catalog, needed, 3))
-        names = [ColumnRef("person", "p_name")]
-        assert leaf_edge(path, [ColumnRef("stockmarket", "s_value")], names)
+        names, p_id = [ColumnRef("person", "p_name")], ColumnRef("person", "p_id")
+        assert leaf_edge(path, [ColumnRef("stockmarket", "s_value")], [*names, p_id])
         _, envs = store.joined_rows(needed, path)
         for leaf in (None, "stockmarket"):
-            counts = check_counts(store, needed, path, names, leaf=leaf)
-            assert sum(counts.values()) == len(envs)
+            counts = check_instances(store, needed, path, names, p_id, leaf=leaf)
+            assert sum(rows for _, rows in counts.values()) == len(envs)
 
 
 class TestJoinedRows:
@@ -751,14 +775,18 @@ class TestJoinedRows:
             table = store.table(ref.relation)
             return table.rows[combo[pos[ref.relation]]][table.col_pos[ref.column]]
 
-        expected = Counter()
+        # per country: its distinct persons and its rows of the whole join
+        rows, entities = Counter(), {}
         for combo, n in combos.items():
             if value(amount, combo) < 100 and value(p_country, combo) != value(c_country, combo):
-                expected[tuple(value(c, combo) for c in columns)] += n
-        got = JoinScan(store, rels, self.PATH, atoms).counts(columns)
-        assert got == dict(expected)
+                key = (value(columns[0], combo),)
+                rows[key] += n
+                entities.setdefault(key, set()).add(value(columns[1], combo))
+        got = JoinScan(store, rels, self.PATH, atoms).instances(columns[:1], columns[1])
+        assert got == {key: (len(entities[key]), n) for key, n in rows.items()}
         assert len(got) > 1
-        assert sum(got.values()) < sum(JoinScan(store, rels, self.PATH).counts(columns).values())
+        unfiltered = JoinScan(store, rels, self.PATH).instances(columns[:1], columns[1])
+        assert sum(n for _, n in got.values()) < sum(n for _, n in unfiltered.values())
 
     def test_one_join_per_path(self, bloomberg):
         _, store = bloomberg
@@ -824,15 +852,22 @@ def nested_loop_counts(store, order, envs, columns, atoms=()):
     return counts
 
 
-def check_counts(store, needed, path, columns, atoms=(), leaf=None):
-    """JoinScan's counts against nested_loop_counts over the whole path, as
-    mappings (a scan promises no key order), and its total against the whole
-    path's joined rows."""
+def nested_loop_instances(store, order, envs, columns, entity, atoms=()):
+    """Reference instances: per projection of columns, its distinct entity
+    values and its rows, from nested_loop_counts with and without entity."""
+    entities = Counter(key[:-1] for key in nested_loop_counts(store, order, envs, [*columns, entity], atoms))
+    return {key: (entities[key], n) for key, n in nested_loop_counts(store, order, envs, columns, atoms).items()}
+
+
+def check_instances(store, needed, path, columns, entity, atoms=(), leaf=None):
+    """JoinScan's instances against nested_loop_instances over the whole
+    path, as mappings (a scan promises no key order), and its total against
+    the whole path's joined rows."""
     start = path[0].src.relation if path else next(iter(needed))
     order, envs = nested_loop_envs(store, start, path)
     scan = JoinScan(store, needed, path, atoms, leaf)
-    got = scan.counts(columns)
-    assert got == nested_loop_counts(store, order, envs, columns, atoms), (path, atoms, leaf)
+    got = scan.instances(columns, entity)
+    assert got == nested_loop_instances(store, order, envs, columns, entity, atoms), (path, atoms, leaf)
     assert scan.total == len(envs)
     return got
 
@@ -905,18 +940,19 @@ class TestJoinSteps:
 
 
 class TestStoreKernels:
-    """joined_rows and JoinScan's counts against nested loops: the same
-    multiset of envs (a join promises no order), and the same counts per
-    key, with and without a leaf relation summed per join value."""
+    """joined_rows and JoinScan's instances against nested loops: the same
+    multiset of envs (a join promises no order), and the same distinct
+    entities and rows per instance, with and without a leaf relation summed
+    per join value."""
 
-    def check_path(self, store, path, columns, atoms):
+    def check_path(self, store, path, columns, entity, atoms):
         start = path[0].src.relation
         expected_order, expected_envs = nested_loop_envs(store, start, path)
         rel_order, envs = store.joined_rows(expected_order, path)
         assert rel_order == expected_order
         assert Counter(envs) == Counter(expected_envs)
         for fixed in ((), atoms):
-            check_counts(store, expected_order, path, columns, fixed)
+            check_instances(store, expected_order, path, columns, entity, fixed)
         return envs
 
     def test_two_tables_with_a_dangling_key(self):
@@ -928,13 +964,13 @@ class TestStoreKernels:
         assert any(list(ids) != sorted(ids) for ids in buckets.values())
         assert max(len(ids) for ids in buckets.values()) > 1
         team_id, t_id = ColumnRef("stats", "team_id"), ColumnRef("teams", "t_id")
-        columns = [ColumnRef("teams", "league"), ColumnRef("stats", "c1"), ColumnRef("stats", "player")]
+        columns, player = [ColumnRef("teams", "league"), ColumnRef("stats", "c1")], ColumnRef("stats", "player")
         atoms = (
             ConstraintAtom("inter_attribute", ColumnRef("stats", "m1"), ">", ColumnRef("stats", "m2")),
             ConstraintAtom("const_comparison", ColumnRef("teams", "league"), "=", "L0"),
         )
-        from_stats = self.check_path(store, (JoinEdge(team_id, t_id),), columns, atoms)
-        from_teams = self.check_path(store, (JoinEdge(t_id, team_id),), columns, atoms)
+        from_stats = self.check_path(store, (JoinEdge(team_id, t_id),), columns, player, atoms)
+        from_teams = self.check_path(store, (JoinEdge(t_id, team_id),), columns, player, atoms)
         assert len(from_stats) == len(from_teams) == 59  # row 0's team is gone
 
     def test_every_bloomberg_path_at_three_joins(self, bloomberg):
@@ -954,7 +990,7 @@ class TestStoreKernels:
             start = store.tables[path[0].src.relation]
             first = ColumnRef(path[0].src.relation, start.meta.columns[0][0])
             atoms = (ConstraintAtom("const_comparison", first, ">", 1),)
-            assert self.check_path(store, path, columns, atoms)
+            assert self.check_path(store, path, columns, first, atoms)
 
     def test_leaf_paths_count_as_the_full_join(self, bloomberg):
         # every relation one edge of a path touches, summed per join value as
@@ -981,20 +1017,21 @@ class TestStoreKernels:
                 other = next(r for r in sorted(rels) if r != leaf)
                 first = ColumnRef(other, store.tables[other].meta.columns[0][0])
                 for atoms in ((), (ConstraintAtom("const_comparison", first, ">", 1),)):
-                    assert check_counts(store, rels, path, columns, atoms, leaf) or atoms
+                    assert check_instances(store, rels, path, columns, first, atoms, leaf) or atoms
         assert where == {(True, True): 7, (False, True): 15, (False, False): 15}
 
     def test_no_columns_and_empty_tables(self, plays):
         catalog, store = plays
         high = (ConstraintAtom("const_comparison", ColumnRef("plays", "points"), ">", 30),)
         none = (ConstraintAtom("const_comparison", ColumnRef("plays", "points"), ">", 50),)
-        assert check_counts(store, ["plays"], (), []) == {(): 5}
-        assert check_counts(store, ["plays"], (), [], high) == {(): 2}
-        assert check_counts(store, ["plays"], (), [], none) == {}
+        team = ColumnRef("plays", "team")
+        assert check_instances(store, ["plays"], (), [], team) == {(): (3, 5)}
+        assert check_instances(store, ["plays"], (), [], team, high) == {(): (2, 2)}
+        assert check_instances(store, ["plays"], (), [], team, none) == {}
         empty = Store(catalog)
         empty.load_table("plays", "pid,team,year,league,points\n")
-        assert check_counts(empty, ["plays"], (), []) == {}
-        assert check_counts(empty, ["plays"], (), [ColumnRef("plays", "team")]) == {}
+        assert check_instances(empty, ["plays"], (), [], team) == {}
+        assert check_instances(empty, ["plays"], (), [team], ColumnRef("plays", "year")) == {}
 
 
 class TestJoinCache:
@@ -1003,7 +1040,7 @@ class TestJoinCache:
         needed = {"person", "stockmarket"}
         path = tuple(join_path(catalog, needed, 3))
         assert any("shareholder" in edge.relations() for edge in path)
-        names = [ColumnRef("person", "p_name")]
+        names, p_id = [ColumnRef("person", "p_name")], ColumnRef("person", "p_id")
         writes = [
             UpdateRecord(1, "update", "stockmarket", {"s_value": Delta(5)}, {"s_companyid": 8}),
             UpdateRecord(2, "update", "shareholder", {"s_companyid": 7}, {"s_personid": 1, "s_companyid": 8}),
@@ -1011,13 +1048,13 @@ class TestJoinCache:
         ]
         for u in writes:
             for leaf in (None, "stockmarket"):  # cache both joins before the write
-                JoinScan(store, needed, path, leaf=leaf).counts(names)
+                JoinScan(store, needed, path, leaf=leaf).instances(names, p_id)
             store.apply_update(u)
             fresh = reloaded(store)
             assert store.joined_rows(needed, path) == fresh.joined_rows(needed, path), u.seq
             for leaf in (None, "stockmarket"):
-                got = JoinScan(store, needed, path, leaf=leaf).counts(names)
-                assert list(got.items()) == list(JoinScan(fresh, needed, path, leaf=leaf).counts(names).items()), u.seq
+                got = JoinScan(store, needed, path, leaf=leaf).instances(names, p_id)
+                assert list(got.items()) == list(JoinScan(fresh, needed, path, leaf=leaf).instances(names, p_id).items()), u.seq
 
     def test_every_accepted_write_clears_the_cache(self, bloomberg):
         catalog, store = bloomberg

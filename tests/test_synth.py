@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from halloffame import (
     Store,
@@ -10,6 +11,7 @@ from halloffame import (
     synth_stream,
     write_update_stream,
 )
+from halloffame.cli import main
 from conftest import load_instance
 from oracles import make_instance
 
@@ -129,6 +131,26 @@ class TestSynthStream:
         store = Store(catalog)  # nothing loaded
         with pytest.raises(StoreError, match="not loaded"):
             synth_stream(store, catalog, SynthConfig())
+
+    def test_criterion_column_missing_from_its_table(self):
+        # a store loaded under another catalog: the criterion names a column
+        # its table does not have
+        _, store = real_store()
+        extra = "{name: ratio, type: real}\n      - {name: extra, type: real}"
+        other = load_catalog(REAL_CONFIG.replace("{name: ratio, type: real}", extra).replace("column: score,", "column: extra,"))
+        with pytest.raises(StoreError) as info:
+            synth_stream(store, other, SynthConfig())
+        assert str(info.value) == "criterion column metrics.extra missing from table"
+
+    def test_criterion_table_without_key_columns(self, tmp_path):
+        # hof synth names the table; a keyless row has no where to address it by
+        (tmp_path / "catalog.yaml").write_text(REAL_CONFIG.replace("    key: [mid]\n", ""))
+        (tmp_path / "metrics.csv").write_text(REAL_CSV)
+        args = ["synth", "--config", str(tmp_path / "catalog.yaml"), "--data-dir", str(tmp_path), "--out", str(tmp_path / "u.jsonl")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        assert result.output == "Error: table 'metrics' needs key columns to synthesize updates\n"
 
     def test_seq_strictly_increasing_from_one(self, bloomberg):
         catalog, store = bloomberg
