@@ -24,6 +24,15 @@ join-path rules (check_criterion, check_atom, check_join_path): the config's
 loader, the query catalog's loader and the store's joins all apply them.
 is_int, is_number and is_finite are the JSON-number tests every reader of a
 JSON or YAML document shares; none of them takes a bool for a number.
+
+The catalog also owns the JSON Lines rule of the package's four
+line-delimited inputs, the update stream, the query catalog, the event log
+and the stats file: one splitter (json_lines), one fault rule (INPUT_FAULTS
+and fault) and one field check (expect), which raises "<what>, got <value
+quoted>". A line ends at "\n" alone, so a string may hold U+2028, U+2029
+or U+0085 unescaped, as JSON allows, and a line of JSON whitespace only is
+skipped. A bad line is named by its number and its fault: a Python error
+by its type and message, the package's own error by its message alone.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import math
 import reprlib
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import yaml
 
@@ -367,6 +376,49 @@ def quote(value: Any) -> str:
     return s if len(s) <= QUOTE_CAP else s[: QUOTE_CAP - 3] + "..."
 
 
+# ---------------------------------------------------------------------------
+# JSON Lines: the one rule of every line-delimited input
+# ---------------------------------------------------------------------------
+
+
+# what a line's parser raises on input it cannot read, besides the reader's own errors
+INPUT_FAULTS = (KeyError, TypeError, ValueError, RecursionError)
+
+
+def fault(exc: Exception) -> str:
+    """The text naming a bad input: one of INPUT_FAULTS by its type and
+    message ("KeyError: 'seq'"), the package's own error by its message."""
+    return f"{type(exc).__name__}: {exc}" if isinstance(exc, INPUT_FAULTS) else str(exc)
+
+
+def json_lines(
+    text: str, what: str, parse: Callable[[str], Any], errors: tuple[type[Exception], ...],
+    on_error: Optional[Callable[[int, Exception], None]] = None,
+) -> Iterator[Any]:
+    """parse(line) for each line of text, the input a message calls what.
+    A line ends at "\n" alone, and a line of JSON whitespace only is
+    skipped. Where parse raises one of INPUT_FAULTS or errors,
+    on_error(line number, exception) is called and the line skipped;
+    without on_error, errors[0] is raised: "<what> line <number>: <fault>"."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.strip(" \t\r"):  # JSON's whitespace, "\n" aside
+            try:
+                value = parse(line)
+            except (*INPUT_FAULTS, *errors) as exc:
+                if on_error is None:
+                    raise errors[0](f"{what} line {lineno}: {fault(exc)}") from exc
+                on_error(lineno, exc)
+            else:
+                yield value
+
+
+def expect(ok: bool, what: str, value: Any, error: type[Exception]) -> None:
+    """The field check of every reader: raise error("<what>, got <value
+    quoted>") unless ok."""
+    if not ok:
+        raise error(f"{what}, got {quote(value)}")
+
+
 def _schema_violations(value: Any, schema: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
     """Yield ``(path, message)`` for each rule of ``schema`` that ``value`` breaks.
 
@@ -492,7 +544,7 @@ def load_catalog(config_text: str) -> SchemaCatalog:
         # the packaged schema is checked against its metaschema by the tests, not at every load
         violation = min(_schema_violations(doc, _config_schema()), key=lambda v: len(v[0]), default=None)
     except (ValueError, RecursionError) as exc:  # an int beyond Python's digit limit, or nesting beyond the stack
-        raise CatalogError(f"config unreadable: {type(exc).__name__}: {exc}") from None
+        raise CatalogError(f"config unreadable: {fault(exc)}") from None
     if violation is not None:
         path, message = violation
         raise CatalogError(f"config schema violation at {'/'.join(map(str, path)) or '<top>'}: {message}")

@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import click
 
-from .catalog import CatalogError, SchemaCatalog, is_finite, load_catalog, quote
+from .catalog import CatalogError, SchemaCatalog, expect, fault, is_finite, json_lines, load_catalog, quote
 from .detector import DetectStats, Engine
 from .generator import (
     GenerationError,
@@ -81,26 +81,13 @@ def _echo_seconds(label: str, seconds: float) -> None:
     click.echo(f"{label:22s} {seconds:.3f}")
 
 
-def _number(doc: dict, key: str) -> Any:
-    value = doc[key]
-    if not is_finite(value):
-        raise ValueError(f"{key} must be a finite number, got {quote(value)}")
-    return value
-
-
 def _read_jsonl(path: Path, what: str, parse: Callable[[str], Any]) -> list:
-    """parse(line) of every non-blank line; a bad line exits naming its number."""
-    out = []
-    for lineno, line in enumerate(_read_file(path, what).splitlines(), start=1):
-        if line.strip():
-            try:
-                out.append(parse(line))
-            except (KeyError, TypeError, ValueError, RecursionError, ScoringError) as exc:
-                raise click.ClickException(f"{what} line {lineno}: {type(exc).__name__}: {exc}") from exc
-    return out
+    """parse(line) of every line, by the catalog's JSON Lines rule; a bad
+    line exits naming its number and its fault."""
+    return list(json_lines(_read_file(path, what), what, parse, (click.ClickException, ScoringError)))
 
 
-@click.group(context_settings={"auto_envvar_prefix": "HOF"})
+@click.group()
 def main():
     """Hall of Fame engine: generate top-K ranking queries from an annotated
     schema, maintain them under an update stream, and rank the detected
@@ -201,8 +188,8 @@ def run(config_path, data_dir, queries_path, updates_path, events_path, stats_pa
 
     def bad_line(lineno: int, exc: Exception) -> None:
         if on_error == "abort":
-            raise click.ClickException(f"update line {lineno}: {exc}") from exc
-        click.echo(f"warning: skipping update line {lineno}: {exc}", err=True)
+            raise click.ClickException(f"update line {lineno}: {fault(exc)}") from exc
+        click.echo(f"warning: skipping update line {lineno}: {fault(exc)}", err=True)
 
     updates = read_update_stream(_read_file(updates_path, "update stream"), bad_line)
     with ExitStack() as files:
@@ -281,7 +268,15 @@ def rank(events_path, window_end, window):
 def stats(stats_path):
     """Summarize a per-update stats file."""
     fields = [*(f.name for f in dataclasses.fields(DetectStats)), "latency_ms"]
-    rows = _read_jsonl(stats_path, "stats", lambda line: [_number(json.loads(line), f) for f in fields])
+
+    def row(line: str) -> list:
+        doc = json.loads(line)
+        expect(isinstance(doc, dict), "a stats line must be a JSON object", doc, click.ClickException)
+        for f in fields:
+            expect(is_finite(doc[f]), f"{f} must be a finite number", doc[f], click.ClickException)
+        return [doc[f] for f in fields]
+
+    rows = _read_jsonl(stats_path, "stats", row)
     if not rows:
         click.echo("no stats rows")
         return

@@ -43,10 +43,12 @@ from .catalog import (
     JoinEdge,
     RankingCriterion,
     SchemaCatalog,
+    expect,
     is_finite,
     is_int,
     is_number,
     join_path,
+    json_lines,
     quote,
 )
 from .scorer import entropy
@@ -338,13 +340,8 @@ def query_to_json(q: HofQuery) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _expect(ok: bool, what: str, value: Any) -> None:
-    if not ok:
-        raise GenerationError(f"{what}, got {quote(value)}")
-
-
 def _parse_ref(text: Any, catalog: SchemaCatalog) -> ColumnRef:
-    _expect(isinstance(text, str) and "." in text, "a column must be written relation.column", text)
+    expect(isinstance(text, str) and "." in text, "a column must be written relation.column", text, GenerationError)
     relation, column = text.split(".", 1)
     if not catalog.relation(relation).has_column(column):
         raise GenerationError(f"unknown column {quote(text)} in query catalog")
@@ -355,10 +352,10 @@ def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
     """Parse one query catalog line; a field the engine cannot run is a
     GenerationError, and a query the catalog's rules reject a CatalogError."""
     doc = json.loads(line)
-    _expect(isinstance(doc, dict), "a query must be a JSON object", doc)
+    expect(isinstance(doc, dict), "a query must be a JSON object", doc, GenerationError)
     atoms = []
     for raw in doc["predicate"]:
-        _expect(isinstance(raw, dict), "a predicate atom must be an object", raw)
+        expect(isinstance(raw, dict), "a predicate atom must be an object", raw, GenerationError)
         right = _parse_ref(raw["right"]["column"], catalog) if raw["kind"] == ATOM_INTER else raw["right"]
         atom = ConstraintAtom(raw["kind"], _parse_ref(raw["left"], catalog), raw["comparator"], right)
         catalog.check_atom(atom)
@@ -366,11 +363,12 @@ def query_from_json(line: str, catalog: SchemaCatalog) -> HofQuery:
     crit, k = doc["criterion"], doc["k"]
     criterion = RankingCriterion(_parse_ref(crit["column"], catalog), crit["aggregation"], crit["direction"])
     catalog.check_criterion(criterion)
-    _expect(is_int(k) and is_finite(k) and k >= 1, "k must be a finite integer >= 1", k)
-    _expect(isinstance(doc["id"], str), "id must be a string", doc["id"])
+    expect(is_int(k) and is_finite(k) and k >= 1, "k must be a finite integer >= 1", k, GenerationError)
+    expect(isinstance(doc["id"], str), "id must be a string", doc["id"], GenerationError)
     sel, bits = doc["selectivity"], doc["entropy_bits"]
-    _expect(is_number(sel) and 0 < sel <= 1, "selectivity must be a number in (0, 1]", sel)  # NaN fails the range
-    _expect(is_finite(bits) and bits >= 0, "entropy_bits must be a finite number >= 0", bits)
+    # NaN fails the range
+    expect(is_number(sel) and 0 < sel <= 1, "selectivity must be a number in (0, 1]", sel, GenerationError)
+    expect(is_finite(bits) and bits >= 0, "entropy_bits must be a finite number >= 0", bits, GenerationError)
     entity = _parse_ref(doc["entity"], catalog)
     path = tuple(JoinEdge(_parse_ref(e["from"], catalog), _parse_ref(e["to"], catalog)) for e in doc["join_path"])
     catalog.check_join_path(path, {entity.relation, criterion.column.relation}.union(*(a.relations() for a in atoms)))
@@ -384,15 +382,15 @@ def dump_queries(queries: Iterable[HofQuery]) -> str:
 
 
 def load_queries(text: str, catalog: SchemaCatalog) -> list[HofQuery]:
-    """Parse a query catalog; a bad line raises a GenerationError naming its line number."""
-    out: dict[str, HofQuery] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            q = query_from_json(line, catalog)
-            _expect(q.id not in out, "duplicate query id", q.id)
-        except (KeyError, TypeError, ValueError, RecursionError, CatalogError, GenerationError) as exc:
-            raise GenerationError(f"query catalog line {lineno}: {exc}") from exc
-        out[q.id] = q
-    return list(out.values())
+    """Parse a query catalog by the catalog's JSON Lines rule (json_lines);
+    a bad line raises a GenerationError naming its line number and its
+    fault (catalog.fault)."""
+    ids: set[str] = set()
+
+    def parse(line: str) -> HofQuery:
+        q = query_from_json(line, catalog)
+        expect(q.id not in ids, "duplicate query id", q.id, GenerationError)
+        ids.add(q.id)
+        return q
+
+    return list(json_lines(text, "query catalog", parse, (GenerationError, CatalogError)))

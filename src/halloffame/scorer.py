@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Any, Iterable, Mapping, Sequence
 
-from .catalog import is_finite, is_int, is_number, quote
+from .catalog import expect, is_finite, is_int, is_number, quote
 
 
 class ScoringError(Exception):
@@ -225,26 +225,21 @@ def event_to_json(event: ScoredEvent, sql: str) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _expect(ok: bool, what: str, value: Any) -> None:
-    if not ok:
-        raise ScoringError(f"{what}, got {quote(value)}")
-
-
 def event_from_json(line: str) -> tuple[ScoredEvent, str]:
     """Parse one event log line into (event, SQL); a field that cannot be
     ranked is a ScoringError."""
     doc = json.loads(line)
-    _expect(isinstance(doc, dict), "an event must be a JSON object", doc)
+    expect(isinstance(doc, dict), "an event must be a JSON object", doc, ScoringError)
     for key in ("seq", "from_rank", "to_rank"):
-        _expect(is_int(doc[key]), f"{key} must be an integer", doc[key])
-    _expect(isinstance(doc["query_id"], str), "query_id must be a string", doc["query_id"])
+        expect(is_int(doc[key]), f"{key} must be an integer", doc[key], ScoringError)
+    expect(isinstance(doc["query_id"], str), "query_id must be a string", doc["query_id"], ScoringError)
     entity = doc["entity"]
-    _expect(isinstance(entity, str) or is_number(entity), "entity must be a string or a number", entity)
+    expect(isinstance(entity, str) or is_number(entity), "entity must be a string or a number", entity, ScoringError)
     for key in ("selectivity", "dynamic_raw", "dynamic_norm", "entropy_bits"):
-        _expect(is_finite(doc[key]), f"{key} must be a finite number", doc[key])
+        expect(is_finite(doc[key]), f"{key} must be a finite number", doc[key], ScoringError)
     chain = doc["chain"]
     pairs = isinstance(chain, list) and all(isinstance(p, list) and len(p) == 3 and all(map(is_int, p)) for p in chain)
-    _expect(pairs, "chain must be a list of [seq, from_rank, to_rank] integer lists", chain)
+    expect(pairs, "chain must be a list of [seq, from_rank, to_rank] integer lists", chain, ScoringError)
     event = ScoredEvent(
         doc["seq"], doc["query_id"], entity, doc["from_rank"], doc["to_rank"],
         doc["selectivity"], doc["dynamic_raw"], doc["dynamic_norm"], doc["entropy_bits"],

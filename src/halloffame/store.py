@@ -57,8 +57,10 @@ from .catalog import (
     JoinEdge,
     RelationMeta,
     SchemaCatalog,
+    expect,
     is_int,
     is_number,
+    json_lines,
     quote,
 )
 
@@ -618,7 +620,7 @@ class JoinScan:
 
 
 # ---------------------------------------------------------------------------
-# Update stream serialization (line-delimited JSON)
+# Update stream serialization (JSON Lines, by the catalog's rule: json_lines)
 # ---------------------------------------------------------------------------
 
 
@@ -631,42 +633,36 @@ def update_to_json(u: UpdateRecord) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _expect(ok: bool, what: str, value: Any, col: str = "") -> None:
-    """Raise a StoreError for a field that is not ok; what may name the
-    column as {col}, quoted and filled in only then."""
-    if not ok:
-        raise StoreError(f"{what.format(col=quote(col))}, got {quote(value)}")
-
-
 def update_from_json(line: str) -> UpdateRecord:
     """Parse one stream line; a field of the wrong JSON type is a StoreError.
     json.loads gives exact types, so each field's type is tested with type()
-    first and _expect runs only on a mismatch."""
+    first and expect runs only on a mismatch."""
     doc = json.loads(line)
     if type(doc) is not dict:
-        _expect(isinstance(doc, dict), "an update must be a JSON object", doc)
+        expect(isinstance(doc, dict), "an update must be a JSON object", doc, StoreError)
     seq, kind, table = doc["seq"], doc["kind"], doc["table"]
     set_doc, where = doc["set"], doc.get("where", {})
     if type(seq) is not int:
-        _expect(is_int(seq), "seq must be an integer", seq)
+        expect(is_int(seq), "seq must be an integer", seq, StoreError)
     if type(kind) is not str:
-        _expect(isinstance(kind, str), "kind must be a string", kind)
+        expect(isinstance(kind, str), "kind must be a string", kind, StoreError)
     if type(table) is not str:
-        _expect(isinstance(table, str), "table must be a string", table)
+        expect(isinstance(table, str), "table must be a string", table, StoreError)
     if type(set_doc) is not dict:
-        _expect(isinstance(set_doc, dict), "set must be an object", set_doc)
+        expect(isinstance(set_doc, dict), "set must be an object", set_doc, StoreError)
     if type(where) is not dict:
-        _expect(isinstance(where, dict), "where must be an object", where)
-    for col, v in where.items():
+        expect(isinstance(where, dict), "where must be an object", where, StoreError)
+    for col, v in where.items():  # a column is quoted only in a message, on a mismatch
         if type(v) is dict or type(v) is list:
-            _expect(not isinstance(v, (dict, list)), "where value for column {col} must be a scalar", v, col)
+            expect(False, f"where value for column {quote(col)} must be a scalar", v, StoreError)
     set_values = {}
     for col, v in set_doc.items():
         if type(v) is dict:
-            _expect(set(v) == {"delta"}, "bad set value for column {col}", v, col)
+            if v.keys() != {"delta"}:
+                expect(False, f"bad set value for column {quote(col)}", v, StoreError)
             amount = v["delta"]
             if type(amount) is not int and type(amount) is not float:
-                _expect(is_number(amount), "delta for column {col} must be a number", amount, col)
+                expect(is_number(amount), f"delta for column {quote(col)} must be a number", amount, StoreError)
             set_values[col] = Delta(amount)
         else:
             set_values[col] = v
@@ -680,24 +676,21 @@ def write_update_stream(updates: Iterable[UpdateRecord]) -> str:
 def read_update_stream(
     text: str, on_error: Optional[Callable[[int, Exception], None]] = None
 ) -> Iterator[UpdateRecord]:
-    """Parse a stream, enforcing strictly increasing sequence numbers.
+    """Parse a stream by the catalog's JSON Lines rule (json_lines),
+    enforcing strictly increasing sequence numbers.
 
-    A bad line raises a StoreError naming its line number; with on_error
-    given, on_error(line number, exception) is called instead and the line
-    is skipped.
+    A bad line raises a StoreError naming its line number and its fault
+    (catalog.fault); with on_error given, on_error(line number, exception)
+    is called instead and the line is skipped.
     """
     last = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            u = update_from_json(line)
-            if last is not None and u.seq <= last:
-                raise StoreError(f"seq {quote(u.seq)} not increasing")
-        except (KeyError, TypeError, ValueError, RecursionError, StoreError) as exc:
-            if on_error is None:
-                raise StoreError(f"update stream line {lineno}: {exc}") from exc
-            on_error(lineno, exc)
-            continue
+
+    def parse(line: str) -> UpdateRecord:
+        nonlocal last
+        u = update_from_json(line)
+        if last is not None and u.seq <= last:
+            raise StoreError(f"seq {quote(u.seq)} not increasing")
         last = u.seq
-        yield u
+        return u
+
+    return json_lines(text, "update stream", parse, (StoreError,), on_error)

@@ -24,7 +24,7 @@ from halloffame import (
     load_queries,
     join_path,
 )
-from halloffame.catalog import QUOTE_CAP, _parse_yaml, _Quote, _schema_violations, quote
+from halloffame.catalog import QUOTE_CAP, _parse_yaml, _Quote, _schema_violations, expect, fault, json_lines, quote
 from halloffame.generator import GenerationError
 
 BASKETBALL_CONFIG = """
@@ -396,8 +396,12 @@ entity_attrs: [x]
                 "user_constraints:\n  - {kind: inter_attribute, left: t, comparator: '>', right: x}\n",
                 "user_constraints[0]: cannot compare a.t (text) with a.x (integer)",
             ),
+            (ONE_RELATION + "join_allowlist: [[a, nosuch]]\n", "join_allowlist[0]: unknown relation 'nosuch'"),
         ],
-        ids=["relation-twice", "duplicate-columns", "undeclared-key", "self-join", "edge-types", "inter-attribute-types"],
+        ids=[
+            "relation-twice", "duplicate-columns", "undeclared-key", "self-join", "edge-types", "inter-attribute-types",
+            "allowlist-relation",
+        ],
     )
     def test_relation_and_edge_rules(self, config, message):
         with pytest.raises(CatalogError) as info:
@@ -421,6 +425,72 @@ entity_attrs: [x]
         with pytest.raises(GenerationError) as info:
             load_queries(json.dumps(doc) + "\n", catalog)
         assert str(info.value) == f"query catalog line 1: {message}"
+
+
+def parse_record(line: str):
+    """A line reader as the package's are: JSON, an object, a required field."""
+    doc = json.loads(line)
+    expect(isinstance(doc, dict), "a record must be a JSON object", doc, CatalogError)
+    return doc["seq"]
+
+
+class TestJsonLines:
+    """The one JSON Lines rule of the update stream, the query catalog, the
+    event log and the stats file."""
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_a_line_ends_at_newline_alone(self, char):
+        # str.splitlines ends a line at each of these as well; a JSON string
+        # may hold them unescaped
+        escaped = '{"seq": "New\\u%04xCo"}\n{"seq": 2}\n' % ord(char)
+        raw = f'{{"seq": "New{char}Co"}}\n{{"seq": 2}}\n'
+        assert list(json_lines(raw, "input", parse_record, ())) == [f"New{char}Co", 2]
+        assert list(json_lines(escaped, "input", parse_record, ())) == [f"New{char}Co", 2]
+
+    def test_lines_of_json_whitespace_are_skipped(self):
+        assert list(json_lines('{"seq": 1}\r\n \t\r\n\n{"seq": 2}', "input", parse_record, ())) == [1, 2]
+
+    def test_other_whitespace_is_a_bad_line(self):
+        # a form feed is no JSON whitespace, so its line is no blank line
+        with pytest.raises(CatalogError) as info:
+            list(json_lines('{"seq": 1}\n\x0c\n', "input", parse_record, (CatalogError,)))
+        assert str(info.value) == "input line 2: JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{}", "KeyError: 'seq'"),
+            ('{"seq": 1', "JSONDecodeError: Expecting ',' delimiter: line 1 column 10 (char 9)"),
+            ('{"seq": ' + "9" * 5000 + "}", "ValueError: Exceeds the limit (4300 digits)"),
+            ("[" * 100000 + "]" * 100000, "RecursionError: maximum recursion depth exceeded"),
+            ("[1, 2]", "a record must be a JSON object, got [1, 2]"),
+        ],
+        ids=["missing-field", "not-json", "huge-integer", "deep-nesting", "list-line"],
+    )
+    def test_fault_rule(self, line, message):
+        # a Python error is named by its type, the package's own by its message alone
+        with pytest.raises(CatalogError) as info:
+            list(json_lines('{"seq": 1}\n' + line + "\n", "input", parse_record, (CatalogError,)))
+        assert str(info.value).startswith(f"input line 2: {message}")
+        assert isinstance(info.value.__cause__, (KeyError, ValueError, RecursionError, CatalogError))
+        assert str(info.value) == f"input line 2: {fault(info.value.__cause__)}"
+
+    def test_on_error_skips_the_bad_lines(self):
+        seen = []
+        text = '{"seq": 1}\n[1, 2]\n{}\n{"seq": 4}\n'
+        got = list(json_lines(text, "input", parse_record, (CatalogError,), lambda n, exc: seen.append((n, fault(exc)))))
+        assert got == [1, 4]
+        assert seen == [(2, "a record must be a JSON object, got [1, 2]"), (3, "KeyError: 'seq'")]
+
+    def test_any_other_error_is_no_input_fault(self):
+        with pytest.raises(ZeroDivisionError):
+            list(json_lines("1\n", "input", lambda line: int(line) / 0, (CatalogError,)))
+
+    def test_expect_quotes_the_value(self):
+        expect(True, "seq must be an integer", "x", CatalogError)
+        with pytest.raises(CatalogError) as info:
+            expect(False, "seq must be an integer", "x" * 200, CatalogError)
+        assert str(info.value) == f"seq must be an integer, got {quote('x' * 200)}"
 
 
 def wide(width: int, depth: int):

@@ -1213,20 +1213,105 @@ class TestOptionRanges:
         assert loaded == []
 
 
-class TestEnvOverrides:
-    def test_env_var_mirrors_flag(self, runner, bloomberg_dir, tmp_path):
-        out = tmp_path / "q.jsonl"
-        result = runner.invoke(
-            main,
-            [
-                "generate",
-                "--config", str(bloomberg_dir / "catalog.yaml"),
-                "--data-dir", str(bloomberg_dir),
-                "--out", str(out),
-                "--cnum", "0",
-            ],
-            env={"HOF_GENERATE_K": "2"},
-        )
-        assert result.exit_code == 0, result.output
-        docs = [json.loads(line) for line in out.read_text().splitlines()]
-        assert docs and all(d["k"] == 2 for d in docs)
+def untimed(output: str) -> list[str]:
+    """A command's output lines, the ones that report a time left out."""
+    return [line for line in output.splitlines() if not re.search(r"( s| ms) +\d+\.\d+$| in \d+\.\d+s -> ", line)]
+
+
+class TestSettingsFromTheCommandLine:
+    # one variable each for a generate option, a run flag and a run choice
+    ENV = {"HOF_GENERATE_K": "2", "HOF_RUN_NO_FILTERS": "1", "HOF_RUN_ON_ERROR": "skip"}
+
+    def outputs(self, runner, bloomberg_dir, tmp_path, name):
+        # a catalog at the default k (no query reaches 20 entities here), and
+        # runs over one at k 3
+        default_k = tmp_path / f"{name}-default-k.jsonl"
+        config = ["--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir)]
+        generated = runner.invoke(main, ["generate", *config, "--out", str(default_k)])
+        assert generated.exit_code == 0, generated.output
+        queries, _ = gen(runner, bloomberg_dir, tmp_path, f"{name}.jsonl")
+        events, ran = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text(), events=f"{name}-e.jsonl")
+        _, bad = run_cmd(runner, bloomberg_dir, tmp_path, queries, "[1, 2]\n" + fig5_stream_text(), events="bad.jsonl")
+        return {
+            "default-k catalog": default_k.read_bytes(), "catalog": queries.read_bytes(),
+            "events": events.read_bytes(), "run": untimed(ran.output),
+            "bad run": (bad.exit_code, untimed(bad.output)[-1]),
+        }
+
+    def test_environment_leaves_the_output_unchanged(self, runner, bloomberg_dir, tmp_path, monkeypatch):
+        plain = self.outputs(runner, bloomberg_dir, tmp_path, "plain")
+        assert plain["default-k catalog"] == b""
+        assert "start-up rows          33" in plain["run"]  # the delta path's, not the reference's 24
+        assert plain["bad run"] == (1, "Error: update line 1: an update must be a JSON object, got [1, 2]")
+        for name, value in self.ENV.items():
+            monkeypatch.setenv(name, value)
+        assert self.outputs(runner, bloomberg_dir, tmp_path, "env") == plain
+
+
+SEPARATORS = {"U+2028": "\u2028", "U+2029": "\u2029", "U+0085": "\x85"}
+
+
+class TestJsonLinesRule:
+    """The four line-delimited inputs read by the catalog's one JSON Lines
+    rule: only "\\n" ends a line, and a bad line's fault is named alike."""
+
+    def invoke(self, valid_inputs, tmp_path, kind, first_line, extra=()):
+        """The command that reads kind over its valid input with the first
+        line replaced; returns the result and the event log of a run."""
+        path, events = tmp_path / "input.jsonl", tmp_path / "events.jsonl"
+        path.write_text(first_line + "\n" + valid_inputs[kind].read_text().split("\n", 1)[1], encoding="utf-8")
+        command = TestCorruptInputs.COMMANDS[kind]
+        if command == "run":
+            files = {**valid_inputs, kind: path}
+            args = ["run", *files["config"], "--queries", str(files["query catalog"]),
+                    "--updates", str(files["update stream"]), "--events", str(events), *extra]
+        else:
+            args = [command, "--events" if command == "rank" else "--stats", str(path)]
+        return CliRunner().invoke(main, args), events
+
+    @staticmethod
+    def first_doc(valid_inputs, kind: str, text: str) -> dict:
+        """The first line of kind's valid input with a string field set to text."""
+        doc = json.loads(valid_inputs[kind].read_text().split("\n", 1)[0])
+        if kind == "update stream":  # a company renamed
+            return {**doc, "table": "company", "set": {"c_name": text}, "where": {"c_id": 0}}
+        return {**doc, {"query catalog": "id", "event log": "entity", "stats": "note"}[kind]: text}
+
+    @pytest.mark.parametrize("char", SEPARATORS.values(), ids=SEPARATORS)
+    @pytest.mark.parametrize("kind", TestCorruptInputs.COMMANDS)
+    def test_raw_separator_in_a_string_reads_as_its_escape(self, valid_inputs, tmp_path, kind, char):
+        escaped = json.dumps(self.first_doc(valid_inputs, kind, f"New{char}Co"))
+        raw = escaped.replace("\\u%04x" % ord(char), char)
+        assert char in raw and char not in escaped
+        results = []
+        for name, line in (("raw", raw), ("escaped", escaped)):
+            (tmp_path / name).mkdir()
+            result, events = self.invoke(valid_inputs, tmp_path / name, kind, line)
+            assert result.exit_code == 0, result.output
+            results.append((untimed(result.output), events.read_bytes() if events.exists() else None))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "kind, field, message",
+        [
+            ("update stream", "seq", "update line 1: KeyError: 'seq'"),
+            ("update stream", None, "update line 1: an update must be a JSON object, got [1, 2]"),
+            ("query catalog", "k", "query catalog line 1: KeyError: 'k'"),
+            ("query catalog", None, "query catalog line 1: a query must be a JSON object, got [1, 2]"),
+            ("event log", "seq", "event log line 1: KeyError: 'seq'"),
+            ("event log", None, "event log line 1: an event must be a JSON object, got [1, 2]"),
+            ("stats", "changed", "stats line 1: KeyError: 'changed'"),
+            ("stats", None, "stats line 1: a stats line must be a JSON object, got [1, 2]"),
+        ],
+    )
+    def test_missing_field_and_list_line(self, valid_inputs, tmp_path, kind, field, message):
+        # a Python error is named by its type, the package's own by its message alone
+        doc = json.loads(valid_inputs[kind].read_text().split("\n", 1)[0])
+        line = json.dumps({f: v for f, v in doc.items() if f != field}) if field else "[1, 2]"
+        result, _ = self.invoke(valid_inputs, tmp_path, kind, line)
+        assert result.exit_code == 1, result.output
+        assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [f"Error: {message}"]
+        if kind == "update stream":
+            result, _ = self.invoke(valid_inputs, tmp_path, kind, line, extra=["--on-error", "skip"])
+            assert result.exit_code == 0, result.output
+            assert f"warning: skipping {message}" in result.output

@@ -205,6 +205,19 @@ class TestGetCombinations:
         assert sizes == sorted(sizes)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"k": 0}, "k must be >= 1"), ({"c_num": -1}, "c_num and j_num must be >= 0"),
+     ({"j_num": -1}, "c_num and j_num must be >= 0")],
+    ids=["k", "cnum", "jnum"],
+)
+def test_config_bounds(kwargs, message):
+    # hof generate's option ranges check the same bounds before the config sees them
+    with pytest.raises(ValueError) as info:
+        GeneratorConfig(**kwargs)
+    assert str(info.value) == message
+
+
 class TestGenerateQueries:
     def test_k_exceeding_entity_count_yields_nothing(self):
         rng = random.Random(1)
@@ -462,6 +475,34 @@ class TestPersistence:
         queries = generate_queries(catalog, GeneratorConfig(k=2, c_num=2, j_num=1), store)
         assert any(a.kind == "inter_attribute" for q in queries for a in q.predicate)
         assert load_queries(dump_queries(queries), catalog) == queries
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_raw_line_separator_in_a_string(self, bloomberg, char):
+        # valid JSON and JSON Lines: only "\n" ends a query catalog line
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=1, j_num=3), store)
+        docs = [json.loads(line) for line in dump_queries(queries).split("\n") if line]
+        docs[0]["id"] = f"q{char}0"
+        escaped = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+        raw = escaped.replace("\\u%04x" % ord(char), char)
+        assert char in raw and char not in escaped
+        loaded = load_queries(raw, catalog)
+        assert loaded == load_queries(escaped, catalog)
+        assert [q.id for q in loaded] == [f"q{char}0"] + [q.id for q in queries[1:]]
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [(lambda doc: {f: v for f, v in doc.items() if f != "k"}, "KeyError: 'k'"),
+         (lambda doc: [1, 2], "a query must be a JSON object, got [1, 2]")],
+        ids=["missing-field", "list-line"],
+    )
+    def test_bad_line_texts(self, bloomberg, mutate, message):
+        # a Python error is named by its type, the generator's own by its message alone
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=3), store)
+        with pytest.raises(GenerationError) as info:
+            load_queries(json.dumps(mutate(json.loads(dump_queries(queries[:1])))) + "\n", catalog)
+        assert str(info.value) == f"query catalog line 1: {message}"
 
     def test_dump_contains_sql_rendering(self, bloomberg):
         catalog, store = bloomberg

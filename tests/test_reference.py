@@ -8,8 +8,19 @@ import math
 from pathlib import Path
 
 import halloffame
-from halloffame import Engine, Reference, Store, UpdateRecord, load_catalog, load_queries
-from conftest import rankings_of
+from halloffame import (
+    Engine,
+    GeneratorConfig,
+    Reference,
+    Store,
+    SynthConfig,
+    UpdateRecord,
+    generate_queries,
+    load_catalog,
+    load_queries,
+    synth_stream,
+)
+from conftest import load_dataset, rankings_of
 
 PACKAGE = Path(halloffame.__file__).parent
 
@@ -57,6 +68,26 @@ def test_detector_imports_the_reference_only_in_its_shim():
 
     imports = [node for node in ast.walk(tree) if names_reference(node)]
     assert imports and all(id(node) in in_shim for node in imports)
+
+
+def test_unfiltered_engine_is_the_reference():
+    # Engine(..., filters_enabled=False) is how the benchmark's correctness
+    # gate asks for the from-scratch reference: its events over a
+    # synthesized stream equal the Reference's and the delta path's
+    catalog, store = load_dataset("bloomberg")
+    queries = generate_queries(catalog, GeneratorConfig(k=3, c_num=2, j_num=3), store)
+    stream = synth_stream(store, catalog, SynthConfig(seed=1))
+    unfiltered = Engine(catalog, load_dataset("bloomberg")[1], queries, filters_enabled=False)
+    reference = Reference(catalog, load_dataset("bloomberg")[1], queries)
+    delta = Engine(catalog, load_dataset("bloomberg")[1], queries)
+    assert type(unfiltered) is Reference and type(delta) is Engine
+    events = 0
+    for u in stream:
+        got = unfiltered.detect(u)
+        assert got == reference.detect(u) == delta.detect(u), u.seq
+        events += len(got)
+    assert events > 0
+    assert rankings_of(unfiltered) == rankings_of(reference) == rankings_of(delta)
 
 
 CATALOG = """

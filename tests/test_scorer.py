@@ -45,6 +45,18 @@ class KeepAllChains(ChainStore):
         return aggregate_chain(pairs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"b": 1}, "b must be >= 2"), ({"window_updates": 0}, "window_updates must be >= 1")],
+    ids=["b", "window"],
+)
+def test_config_bounds(kwargs, message):
+    # hof run's option ranges check the same bounds before the config sees them
+    with pytest.raises(ValueError) as info:
+        ScorerConfig(**kwargs)
+    assert str(info.value) == message
+
+
 class TestChains:
     def test_first_event_creates_chain(self):
         chains = ChainStore()
@@ -152,6 +164,11 @@ class TestDynamicScore:
     def test_deep_rank_discounted(self):
         raw, _ = dynamic_score([ImprovementPair(1, 84, 65)], 100, 10)
         assert raw == pytest.approx(19.0 / math.log(65, 10), abs=1e-9)
+
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ScoringError) as info:
+            dynamic_score([], 20, 5)
+        assert str(info.value) == "dynamic_score needs at least one pair"
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ScoringError):

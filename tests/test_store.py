@@ -134,6 +134,14 @@ class TestLoadTable:
         with pytest.raises(StoreError, match="row 1"):
             store.load_table("plays", bad)
 
+    def test_header_beyond_the_field_limit(self):
+        # a header cell the csv module cannot read, longer than its field limit
+        store = Store(load_catalog(PLAYS_CONFIG))
+        header = "pid,team,year,league," + "p" * (csv.field_size_limit() + 1)
+        with pytest.raises(CsvLoadError) as info:
+            store.load_table("plays", header + "\n")
+        assert str(info.value) == f"table 'plays', line 1: field larger than field limit ({csv.field_size_limit()})"
+
     def test_missing_and_extra_columns(self):
         catalog = load_catalog(PLAYS_CONFIG)
         store = Store(catalog)
@@ -388,6 +396,18 @@ class TestApplyUpdate:
             engine.detect(u)
         assert snapshot(store, engine) == before
         assert len(store.table("country")) == 6
+
+    @pytest.mark.parametrize("filters", [True, False])
+    def test_unknown_kind_rejected_before_any_change(self, bloomberg, filters):
+        # the stream's kinds are update and insert: a delete is no kind of it
+        catalog, store = bloomberg
+        queries = generate_queries(catalog, GeneratorConfig(k=1, c_num=1, j_num=2), store)
+        engine = (Engine if filters else Reference)(catalog, store, queries)
+        before = snapshot(store, engine)
+        with pytest.raises(UpdateError) as info:
+            engine.detect(UpdateRecord(7, "delete", "stockmarket", {}, {"s_companyid": 8}))
+        assert str(info.value) == "update 7: unknown kind 'delete'"
+        assert snapshot(store, engine) == before
 
     def test_unknown_column_rejected(self, bloomberg):
         _, store = bloomberg
@@ -1104,15 +1124,32 @@ class TestUpdateStreamIO:
         assert got == [update_from_json(good)]
         assert seen == [1, 3]
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_raw_line_separator_in_a_string(self, char):
+        # valid JSON and JSON Lines: only "\n" ends a stream line
+        u = UpdateRecord(1, "update", "company", {"c_name": f"New{char}Co"}, {"c_id": 0})
+        escaped = update_to_json(u) + "\n"
+        raw = escaped.replace("\\u%04x" % ord(char), char)
+        assert char in raw and char not in escaped
+        assert list(read_update_stream(raw)) == list(read_update_stream(escaped)) == [u]
+
     @pytest.mark.parametrize(
         "line, message",
-        [('{"seq": ' + "9" * 5000 + "}", "Exceeds the limit"), ("[" * 100000 + "]" * 100000, "maximum recursion")],
-        ids=["huge-integer", "deep-nesting"],
+        [
+            ('{"seq": ' + "9" * 5000 + "}", "ValueError: Exceeds the limit"),
+            ("[" * 100000 + "]" * 100000, "RecursionError: maximum recursion"),
+            ('{"kind": "update", "table": "t", "set": {}}', "KeyError: 'seq'"),
+            ("[1, 2]", "an update must be a JSON object, got [1, 2]"),
+        ],
+        ids=["huge-integer", "deep-nesting", "missing-field", "list-line"],
     )
     def test_unparsable_line_is_located(self, line, message):
-        # valid JSON text that the parser still rejects, with a ValueError or a RecursionError
-        with pytest.raises(StoreError, match=f"update stream line 1: {message}"):
+        # valid JSON text that the parser still rejects, with a ValueError or
+        # a RecursionError, and JSON the stream cannot read: a Python error is
+        # named by its type, the store's own by its message alone
+        with pytest.raises(StoreError) as info:
             list(read_update_stream(line + "\n"))
+        assert str(info.value).startswith(f"update stream line 1: {message}")
         seen = []
         assert list(read_update_stream(line + "\n", lambda lineno, exc: seen.append(lineno))) == []
         assert seen == [1]

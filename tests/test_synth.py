@@ -126,6 +126,12 @@ class TestSynthStream:
         stream = synth_stream(store, catalog, SynthConfig(seed=1, updates_per_tuple=4))
         assert len(stream) == 9 * 4
 
+    def test_updates_per_tuple_bound(self):
+        # hof synth's option range checks the same bound before the config sees it
+        with pytest.raises(ValueError) as info:
+            SynthConfig(updates_per_tuple=0)
+        assert str(info.value) == "updates_per_tuple must be >= 1"
+
     def test_missing_table_is_an_error(self):
         catalog = load_catalog(REAL_CONFIG)
         store = Store(catalog)  # nothing loaded
