@@ -37,6 +37,7 @@ from .reference import Reference
 from .scorer import (
     ChainStore,
     ImprovementPair,
+    Pipeline,
     ScoredEvent,
     ScorerConfig,
     dynamic_score,

@@ -27,9 +27,9 @@ JSON or YAML document shares; none of them takes a bool for a number.
 
 The catalog also owns the JSON Lines rule of the package's four
 line-delimited inputs, the update stream, the query catalog, the event log
-and the stats file: one splitter (json_lines), one fault rule (INPUT_FAULTS
-and fault) and one field check (expect), which raises "<what>, got <value
-quoted>". A line ends at "\n" alone, so a string may hold U+2028, U+2029
+and the stats file: one splitter (json_lines, over a text or an open file),
+one fault rule (INPUT_FAULTS and fault) and one field check (expect), which
+raises "<what>, got <value quoted>". A line ends at "\n" alone, so a string may hold U+2028, U+2029
 or U+0085 unescaped, as JSON allows, and a line of JSON whitespace only is
 skipped. A bad line is named by its number and its fault: a Python error
 by its type and message, the package's own error by its message alone.
@@ -44,7 +44,7 @@ import math
 import reprlib
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import yaml
 
@@ -392,18 +392,19 @@ def fault(exc: Exception) -> str:
 
 
 def json_lines(
-    text: str, what: str, parse: Callable[[str], Any], errors: tuple[type[Exception], ...],
+    source: str | TextIO, what: str, parse: Callable[[str], Any], errors: tuple[type[Exception], ...],
     on_error: Optional[Callable[[int, Exception], None]] = None,
 ) -> Iterator[Any]:
-    """parse(line) for each line of text, the input a message calls what.
-    A line ends at "\n" alone, and a line of JSON whitespace only is
+    """parse(line) for each line of source, a text or a text file opened
+    with newline="\n", the input a message calls what. A line ends at "\n"
+    alone, which parse does not see, and a line of JSON whitespace only is
     skipped. Where parse raises one of INPUT_FAULTS or errors,
     on_error(line number, exception) is called and the line skipped;
     without on_error, errors[0] is raised: "<what> line <number>: <fault>"."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.strip(" \t\r"):  # JSON's whitespace, "\n" aside
+    for lineno, line in enumerate(source.split("\n") if isinstance(source, str) else source, start=1):
+        if line.strip(" \t\r\n"):  # JSON's whitespace; a file's line keeps its "\n"
             try:
-                value = parse(line)
+                value = parse(line.removesuffix("\n"))
             except (*INPUT_FAULTS, *errors) as exc:
                 if on_error is None:
                     raise errors[0](f"{what} line {lineno}: {fault(exc)}") from exc

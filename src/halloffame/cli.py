@@ -1,7 +1,12 @@
 """Command-line orchestration: generate, synth, run, rank, stats.
 
-``hof run`` writes the event log and ``hof rank`` ranks a window of it, each
-through scorer's one event-line codec."""
+generate, synth and run open their output files before any other work (run
+opens its update stream first), so an output they cannot write fails at once.
+``hof run`` streams its update stream: it reads one line at a time, passes
+each update through scorer's Pipeline and writes its event lines as they come,
+keeping per update only its latency, for the summary's median. ``hof rank``
+ranks a window of the event log; both go through scorer's one event-line
+codec."""
 
 from __future__ import annotations
 
@@ -9,57 +14,60 @@ import dataclasses
 import json
 import statistics
 import time
+from array import array
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 import click
 
 from .catalog import CatalogError, SchemaCatalog, expect, fault, is_finite, json_lines, load_catalog, quote
 from .detector import DetectStats, Engine
-from .generator import (
-    GenerationError,
-    GeneratorConfig,
-    dump_queries,
-    generate_queries,
-    load_queries,
-)
+from .generator import GenerationError, GeneratorConfig, dump_queries, generate_queries, load_queries
 from .reference import Reference
-from .scorer import (
-    ChainStore, ScorerConfig, ScoringError, event_from_json, event_to_json, rank_events, score_event,
-)
+from .scorer import Pipeline, ScorerConfig, ScoringError, event_from_json, rank_events
 from .store import Store, StoreError, read_update_stream, write_update_stream
 from .synth import SynthConfig, synth_stream
 
 
-def _file_error(path: Path, what: str, exc: OSError) -> click.ClickException:
-    """One Error line for a file the system cannot open, read or write."""
-    return click.ClickException(f"{what} file {path}: {exc.strerror or exc}")
+def _not_utf8(path: Path, what: str) -> click.ClickException:
+    """The Error line of a file that is not UTF-8, naming the first line
+    whose bytes do not decode. No byte of a longer UTF-8 sequence is "\n",
+    so a line decodes alone as it does within the file."""
+    with path.open("rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return click.ClickException(f"{what} file {path}, line {lineno}: not UTF-8 ({exc.reason})")
+
+
+def _open(path: Path, what: str, mode: str = "r", newline: str | None = "\n") -> TextIO:
+    """path as UTF-8 text, by default with lines that end at "\n" alone:
+    read, or written ("w") a line at a time, so a command that stops early
+    leaves whole lines behind; a file the system cannot open is one Error
+    line."""
+    try:
+        return path.open(mode, encoding="utf-8", newline=newline, buffering=1 if mode == "w" else -1)
+    except OSError as exc:  # a missing file or directory, a directory, a name too long, no permission
+        if mode == "r" and isinstance(exc, FileNotFoundError):
+            raise click.UsageError(f"{what} file not found: {path}") from None
+        raise click.ClickException(f"{what} file {path}: {exc.strerror or exc}") from None
 
 
 def _read_file(path: Path, what: str) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise click.UsageError(f"{what} file not found: {path}") from None
-    except OSError as exc:  # a directory, a name too long, no permission
-        raise _file_error(path, what, exc) from None
-    except UnicodeDecodeError as exc:  # read in one piece, so exc.start is the file's byte offset
-        line = path.read_bytes().count(b"\n", 0, exc.start) + 1
-        raise click.ClickException(f"{what} file {path}, line {line}: not UTF-8 ({exc.reason})") from None
-
-
-def _write_file(path: Path, what: str, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise _file_error(path, what, exc) from None
+    """The whole text of a config, CSV or query catalog, event log or stats
+    file, read with universal newlines ("\r\n" and "\r" read as "\n")."""
+    with _open(path, what, newline=None) as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError:
+            raise _not_utf8(path, what) from None
 
 
 def _load_catalog(path: Path) -> SchemaCatalog:
-    text = _read_file(path, "catalog config")
     try:
-        return load_catalog(text)
+        return load_catalog(_read_file(path, "catalog config"))
     except CatalogError as exc:
         raise click.ClickException(f"catalog: {exc}") from exc
 
@@ -67,8 +75,7 @@ def _load_catalog(path: Path) -> SchemaCatalog:
 def _load_store(catalog: SchemaCatalog, data_dir: Path) -> Store:
     store = Store(catalog)
     for rel in catalog.relations:
-        csv_path = data_dir / f"{rel.name}.csv"
-        text = _read_file(csv_path, f"CSV for relation {quote(rel.name)}")
+        text = _read_file(data_dir / f"{rel.name}.csv", f"CSV for relation {quote(rel.name)}")
         try:
             store.load_table(rel.name, text)
         except StoreError as exc:
@@ -108,15 +115,16 @@ def main():
 )
 def generate(config_path, data_dir, out_path, k, cnum, jnum):
     """Enumerate all valid queries and persist the query catalog."""
-    catalog = _load_catalog(config_path)
-    started = time.perf_counter()
-    store = _load_store(catalog, data_dir)
-    _echo_seconds("csv load s", time.perf_counter() - started)
-    started = time.perf_counter()
-    queries = generate_queries(catalog, GeneratorConfig(k=k, c_num=cnum, j_num=jnum), store)
-    elapsed = time.perf_counter() - started
-    _echo_seconds("generate s", elapsed)
-    _write_file(out_path, "query catalog", dump_queries(queries))
+    with _open(out_path, "query catalog", "w") as out:
+        catalog = _load_catalog(config_path)
+        started = time.perf_counter()
+        store = _load_store(catalog, data_dir)
+        _echo_seconds("csv load s", time.perf_counter() - started)
+        started = time.perf_counter()
+        queries = generate_queries(catalog, GeneratorConfig(k=k, c_num=cnum, j_num=jnum), store)
+        elapsed = time.perf_counter() - started
+        _echo_seconds("generate s", elapsed)
+        out.write(dump_queries(queries))
     click.echo(f"generated {len(queries)} queries in {elapsed:.2f}s -> {out_path}")
     click.echo(f"generate rows          {store.rows_read}")  # joined rows its counts read
 
@@ -131,14 +139,20 @@ def generate(config_path, data_dir, out_path, k, cnum, jnum):
 )
 def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
     """Synthesize an update stream from the loaded data."""
-    catalog = _load_catalog(config_path)
-    store = _load_store(catalog, data_dir)
-    try:
-        stream = synth_stream(store, catalog, SynthConfig(updates_per_tuple=updates_per_tuple, seed=seed))
-    except StoreError as exc:
-        raise click.ClickException(str(exc)) from exc
-    _write_file(out_path, "update stream", write_update_stream(stream))
+    with _open(out_path, "update stream", "w") as out:
+        catalog = _load_catalog(config_path)
+        store = _load_store(catalog, data_dir)
+        try:
+            stream = synth_stream(store, catalog, SynthConfig(updates_per_tuple=updates_per_tuple, seed=seed))
+        except StoreError as exc:
+            raise click.ClickException(str(exc)) from exc
+        out.write(write_update_stream(stream))
     click.echo(f"synthesized {len(stream)} updates -> {out_path}")
+
+
+# hof run's summary: per label, the DetectStats field it gives the mean of
+_MEANS = {"column candidates": "column_candidates", "row candidates": "row_candidates",
+          "reordered top-Ks": "reordered", "changed rankings": "changed"}
 
 
 @main.command()
@@ -163,81 +177,65 @@ def synth(config_path, data_dir, out_path, seed, updates_per_tuple):
 @click.option("--on-error", type=click.Choice(["abort", "skip"]), default="abort", show_default=True)
 def run(config_path, data_dir, queries_path, updates_path, events_path, stats_path, b, window, no_filters, on_error):
     """Stream updates through detection and scoring; write the event log."""
-    catalog = _load_catalog(config_path)
-    started = time.perf_counter()
-    store = _load_store(catalog, data_dir)
-    _echo_seconds("csv load s", time.perf_counter() - started)
-    try:
-        queries = load_queries(_read_file(queries_path, "query catalog"), catalog)
-    except GenerationError as exc:
-        raise click.ClickException(str(exc)) from exc
-    scorer_cfg = ScorerConfig(b=b, window_updates=window)
+    with ExitStack() as files:  # the update stream first, so its own fault comes first
+        updates = files.enter_context(_open(updates_path, "update stream"))
+        events_out = files.enter_context(_open(events_path, "event log", "w"))
+        stats_out = files.enter_context(_open(stats_path, "stats", "w")) if stats_path is not None else None
+        catalog = _load_catalog(config_path)
+        started = time.perf_counter()
+        store = _load_store(catalog, data_dir)
+        _echo_seconds("csv load s", time.perf_counter() - started)
+        try:
+            queries = load_queries(_read_file(queries_path, "query catalog"), catalog)
+        except GenerationError as exc:
+            raise click.ClickException(str(exc)) from exc
 
-    started = time.perf_counter()
-    try:
-        engine = (Reference if no_filters else Engine)(catalog, store, queries)
-    except StoreError as exc:
-        raise click.ClickException(f"engine start-up: {exc}") from exc
-    _echo_seconds("engine start-up s", time.perf_counter() - started)
-    startup_rows = store.rows_read  # joined rows the start-up read
-    chains = ChainStore()
-    by_id = engine.queries
+        started = time.perf_counter()
+        try:
+            engine = (Reference if no_filters else Engine)(catalog, store, queries)
+        except StoreError as exc:
+            raise click.ClickException(f"engine start-up: {exc}") from exc
+        _echo_seconds("engine start-up s", time.perf_counter() - started)
+        startup_rows = store.rows_read  # joined rows the start-up read
+        pipeline = Pipeline(engine, ScorerConfig(b=b, window_updates=window))
 
-    n_events = 0
-    kept: list[tuple[DetectStats, float]] = []  # per processed update: its stats and latency
+        def bad_line(lineno: int, exc: Exception) -> None:
+            if on_error == "abort":
+                raise click.ClickException(f"update line {lineno}: {fault(exc)}") from exc
+            click.echo(f"warning: skipping update line {lineno}: {fault(exc)}", err=True)
 
-    def bad_line(lineno: int, exc: Exception) -> None:
-        if on_error == "abort":
-            raise click.ClickException(f"update line {lineno}: {fault(exc)}") from exc
-        click.echo(f"warning: skipping update line {lineno}: {fault(exc)}", err=True)
+        n_events = 0
+        totals = dict.fromkeys(_MEANS.values(), 0)  # per field, its sum over the processed updates
+        latencies = array("d")  # per processed update, its detect ms
+        try:
+            for u in read_update_stream(updates, bad_line):
+                try:
+                    lines, latency_ms = pipeline.step(u)
+                except StoreError as exc:
+                    if on_error == "skip":
+                        click.echo(f"warning: skipping update seq {u.seq}: {exc}", err=True)
+                        continue
+                    raise click.ClickException(f"update seq {u.seq}: {exc}") from exc
+                events_out.writelines(line + "\n" for line in lines)
+                n_events += len(lines)
+                st = engine.last_stats
+                totals = {name: total + getattr(st, name) for name, total in totals.items()}
+                latencies.append(latency_ms)
+                if stats_out is not None:
+                    doc = {"seq": u.seq, **dataclasses.asdict(st), "latency_ms": latency_ms}
+                    stats_out.write(json.dumps(doc, sort_keys=True) + "\n")
+        except UnicodeDecodeError:  # reading the stream is the loop's only decode
+            raise _not_utf8(updates_path, "update stream") from None
 
-    updates = read_update_stream(_read_file(updates_path, "update stream"), bad_line)
-    with ExitStack() as files:
-        # line-buffered, so a run that stops early leaves whole lines behind
-        def open_out(path: Path, what: str):
-            try:
-                return files.enter_context(path.open("w", encoding="utf-8", buffering=1))
-            except OSError as exc:
-                raise _file_error(path, what, exc) from None
-
-        events_out = open_out(events_path, "event log")
-        stats_out = open_out(stats_path, "stats") if stats_path is not None else None
-        for u in updates:
-            started = time.perf_counter()
-            try:
-                detected = engine.detect(u)
-            except StoreError as exc:
-                if on_error == "skip":
-                    click.echo(f"warning: skipping update seq {u.seq}: {exc}", err=True)
-                    continue
-                raise click.ClickException(f"update seq {u.seq}: {exc}") from exc
-            latency_ms = (time.perf_counter() - started) * 1000.0
-
-            for event in detected:
-                scored = score_event(event, by_id[event.query_id], chains, scorer_cfg)
-                events_out.write(event_to_json(scored, by_id[event.query_id].sql()) + "\n")
-
-            n_events += len(detected)
-            st = engine.last_stats
-            kept.append((st, latency_ms))
-            if stats_out is not None:
-                doc = {"seq": u.seq, **dataclasses.asdict(st), "latency_ms": latency_ms}
-                stats_out.write(json.dumps(doc, sort_keys=True) + "\n")
-
-    def mean(name: str) -> float:
-        return statistics.fmean(getattr(st, name) for st, _ in kept) if kept else 0.0
-
-    latencies = [ms for _, ms in kept]
-    click.echo(f"updates processed      {len(kept)}")
+    n = len(latencies)
+    click.echo(f"updates processed      {n}")
     click.echo(f"events detected        {n_events}")
-    click.echo(f"queries total          {len(by_id)}")
+    click.echo(f"queries total          {len(engine.queries)}")
     click.echo(f"start-up rows          {startup_rows}")
-    click.echo(f"mean column candidates {mean('column_candidates'):.2f}")
-    click.echo(f"mean row candidates    {mean('row_candidates'):.2f}")
-    click.echo(f"mean reordered top-Ks  {mean('reordered'):.2f}")
-    click.echo(f"mean changed rankings  {mean('changed'):.2f}")
-    click.echo(f"mean latency ms        {statistics.fmean(latencies) if kept else 0.0:.2f}")
-    click.echo(f"median latency ms      {statistics.median(latencies) if kept else 0.0:.2f}")
+    for label, name in _MEANS.items():
+        click.echo(f"mean {label:17s} {totals[name] / n if n else 0.0:.2f}")
+    click.echo(f"mean latency ms        {statistics.fmean(latencies) if n else 0.0:.2f}")
+    click.echo(f"median latency ms      {statistics.median(latencies) if n else 0.0:.2f}")
 
 
 @main.command()

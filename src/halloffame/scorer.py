@@ -16,13 +16,15 @@ ChainStore keeps by applying the chain rule as it records each pair. The
 score is normalized by the ranking size K of the event's own query, its k,
 with rules of its own for K <= b and K = 1 (dynamic_score).
 
-event_to_json and event_from_json are the event log's one codec.
+event_to_json and event_from_json are the event log's one codec. Pipeline
+is the one per-update step from an update to its event log lines.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache
@@ -246,3 +248,24 @@ def event_from_json(line: str) -> tuple[ScoredEvent, str]:
         tuple(ImprovementPair(*p) for p in chain),
     )
     return event, doc.get("query", "")
+
+
+class Pipeline:
+    """The per-update step of ``hof run`` over an Engine or a Reference:
+    detect, then score each event in its query's chain and render it as an
+    event log line. Its only state is the chains; the update's DetectStats
+    are the engine's last_stats."""
+
+    def __init__(self, engine, cfg: ScorerConfig):
+        self.engine, self.cfg, self.chains = engine, cfg, ChainStore()
+
+    def step(self, u) -> tuple[list[str], float]:
+        """The update's event lines, in detection order, and the milliseconds
+        detect alone took. An update the engine rejects raises its
+        StoreError and changes nothing."""
+        started = time.perf_counter()
+        detected = self.engine.detect(u)
+        detect_ms = (time.perf_counter() - started) * 1000.0
+        queries = self.engine.queries
+        scored = [score_event(event, queries[event.query_id], self.chains, self.cfg) for event in detected]
+        return [event_to_json(event, queries[event.query_id].sql()) for event in scored], detect_ms

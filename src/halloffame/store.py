@@ -48,7 +48,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .catalog import (
     CatalogError,
@@ -674,10 +674,10 @@ def write_update_stream(updates: Iterable[UpdateRecord]) -> str:
 
 
 def read_update_stream(
-    text: str, on_error: Optional[Callable[[int, Exception], None]] = None
+    source: str | TextIO, on_error: Optional[Callable[[int, Exception], None]] = None
 ) -> Iterator[UpdateRecord]:
-    """Parse a stream by the catalog's JSON Lines rule (json_lines),
-    enforcing strictly increasing sequence numbers.
+    """Parse a stream, a text or an open text file, by the catalog's JSON
+    Lines rule (json_lines), enforcing strictly increasing sequence numbers.
 
     A bad line raises a StoreError naming its line number and its fault
     (catalog.fault); with on_error given, on_error(line number, exception)
@@ -693,4 +693,4 @@ def read_update_stream(
         last = u.seq
         return u
 
-    return json_lines(text, "update stream", parse, (StoreError,), on_error)
+    return json_lines(source, "update stream", parse, (StoreError,), on_error)

@@ -10,7 +10,6 @@ import multiprocessing
 import os
 import random
 import statistics
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -21,6 +20,7 @@ from halloffame import (
     Engine,
     GeneratorConfig,
     ImprovementPair,
+    Pipeline,
     RankEvent,
     Reference,
     ScoredEvent,
@@ -29,11 +29,9 @@ from halloffame import (
     UpdateRecord,
     dynamic_score,
     entropy,
-    event_to_json,
     generate_queries,
     quantize,
     rank_events,
-    score_event,
     synth_stream,
     write_update_stream,
 )
@@ -185,23 +183,18 @@ def test_c06_pruning_trends():
 
 
 def _pipeline_log(catalog_store, queries, stream, scorer_cfg, engine_class):
-    """An engine_class (Engine or Reference) replay: its event log, per
-    update its row candidates, and its detect latencies."""
+    """An engine_class (Engine or Reference) replay through hof run's
+    Pipeline: its event log, per update its row candidates, and its detect
+    latencies."""
     catalog, store = catalog_store
     engine = engine_class(catalog, store, queries)
-    chains = ChainStore()
-    by_id = engine.queries
-    lines = []
-    survivors = []
-    latencies = []
+    pipeline = Pipeline(engine, scorer_cfg)
+    lines, survivors, latencies = [], [], []
     for u in stream:
-        t0 = time.perf_counter()
-        events = engine.detect(u)
-        latencies.append((time.perf_counter() - t0) * 1000.0)
+        events, ms = pipeline.step(u)
+        lines += events
         survivors.append(engine.last_stats.row_candidates)
-        for event in events:
-            scored = score_event(event, by_id[event.query_id], chains, scorer_cfg)
-            lines.append(event_to_json(scored, by_id[event.query_id].sql()))
+        latencies.append(ms)
     return "\n".join(lines), survivors, latencies
 
 

@@ -1,5 +1,6 @@
 import copy
 import importlib.resources
+import io
 import json
 import math
 import random
@@ -434,9 +435,15 @@ def parse_record(line: str):
     return doc["seq"]
 
 
+def text_and_file(text: str) -> list:
+    """text, and an open text file of its UTF-8 bytes whose lines end at
+    "\n" alone, as hof run opens its update stream: json_lines reads both."""
+    return [text, io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\n")]
+
+
 class TestJsonLines:
     """The one JSON Lines rule of the update stream, the query catalog, the
-    event log and the stats file."""
+    event log and the stats file, over a text and over an open file alike."""
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
     def test_a_line_ends_at_newline_alone(self, char):
@@ -444,17 +451,20 @@ class TestJsonLines:
         # may hold them unescaped
         escaped = '{"seq": "New\\u%04xCo"}\n{"seq": 2}\n' % ord(char)
         raw = f'{{"seq": "New{char}Co"}}\n{{"seq": 2}}\n'
-        assert list(json_lines(raw, "input", parse_record, ())) == [f"New{char}Co", 2]
-        assert list(json_lines(escaped, "input", parse_record, ())) == [f"New{char}Co", 2]
+        for source in (*text_and_file(raw), *text_and_file(escaped)):
+            assert list(json_lines(source, "input", parse_record, ())) == [f"New{char}Co", 2]
 
     def test_lines_of_json_whitespace_are_skipped(self):
-        assert list(json_lines('{"seq": 1}\r\n \t\r\n\n{"seq": 2}', "input", parse_record, ())) == [1, 2]
+        # "\r\n" endings, a line of whitespace, an empty line, and a last line without "\n"
+        for source in text_and_file('{"seq": 1}\r\n \t\r\n\n{"seq": 2}'):
+            assert list(json_lines(source, "input", parse_record, ())) == [1, 2]
 
     def test_other_whitespace_is_a_bad_line(self):
         # a form feed is no JSON whitespace, so its line is no blank line
-        with pytest.raises(CatalogError) as info:
-            list(json_lines('{"seq": 1}\n\x0c\n', "input", parse_record, (CatalogError,)))
-        assert str(info.value) == "input line 2: JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
+        for source in text_and_file('{"seq": 1}\n\x0c\n'):
+            with pytest.raises(CatalogError) as info:
+                list(json_lines(source, "input", parse_record, (CatalogError,)))
+            assert str(info.value) == "input line 2: JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
 
     @pytest.mark.parametrize(
         "line, message",
@@ -468,19 +478,25 @@ class TestJsonLines:
         ids=["missing-field", "not-json", "huge-integer", "deep-nesting", "list-line"],
     )
     def test_fault_rule(self, line, message):
-        # a Python error is named by its type, the package's own by its message alone
-        with pytest.raises(CatalogError) as info:
-            list(json_lines('{"seq": 1}\n' + line + "\n", "input", parse_record, (CatalogError,)))
-        assert str(info.value).startswith(f"input line 2: {message}")
-        assert isinstance(info.value.__cause__, (KeyError, ValueError, RecursionError, CatalogError))
-        assert str(info.value) == f"input line 2: {fault(info.value.__cause__)}"
+        # a Python error is named by its type, the package's own by its
+        # message alone; a file's line is parsed without its "\n", so a
+        # JSON error's position is the same
+        for source in text_and_file('{"seq": 1}\n' + line + "\n"):
+            with pytest.raises(CatalogError) as info:
+                list(json_lines(source, "input", parse_record, (CatalogError,)))
+            assert str(info.value).startswith(f"input line 2: {message}")
+            assert isinstance(info.value.__cause__, (KeyError, ValueError, RecursionError, CatalogError))
+            assert str(info.value) == f"input line 2: {fault(info.value.__cause__)}"
 
     def test_on_error_skips_the_bad_lines(self):
-        seen = []
-        text = '{"seq": 1}\n[1, 2]\n{}\n{"seq": 4}\n'
-        got = list(json_lines(text, "input", parse_record, (CatalogError,), lambda n, exc: seen.append((n, fault(exc)))))
-        assert got == [1, 4]
-        assert seen == [(2, "a record must be a JSON object, got [1, 2]"), (3, "KeyError: 'seq'")]
+        for source in text_and_file('{"seq": 1}\n[1, 2]\n\n{}\n{"seq": 5}\n{"seq": 6'):
+            seen = []
+            got = list(json_lines(source, "input", parse_record, (CatalogError,), lambda n, exc: seen.append((n, fault(exc)))))
+            assert got == [1, 5]
+            assert seen == [
+                (2, "a record must be a JSON object, got [1, 2]"), (4, "KeyError: 'seq'"),
+                (6, "JSONDecodeError: Expecting ',' delimiter: line 1 column 10 (char 9)"),
+            ]
 
     def test_any_other_error_is_no_input_fault(self):
         with pytest.raises(ZeroDivisionError):

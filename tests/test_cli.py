@@ -63,6 +63,15 @@ def gen(runner, bloomberg_dir, tmp_path, name="queries.jsonl", extra=()):
     return out, result
 
 
+def synth_text(runner, bloomberg_dir, tmp_path, *extra, name="synth.jsonl") -> str:
+    """The update stream hof synth writes from the Bloomberg fixture."""
+    out = tmp_path / name
+    args = ["synth", "--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir), "--out", str(out)]
+    result = runner.invoke(main, [*args, *extra])
+    assert result.exit_code == 0, result.output
+    return out.read_text()
+
+
 class TestGenerate:
     def test_deterministic_output(self, runner, bloomberg_dir, tmp_path):
         out1, res1 = gen(runner, bloomberg_dir, tmp_path, "q1.jsonl")
@@ -150,7 +159,7 @@ class TestDuplicateCatalogEntries:
         )
         assert result.exit_code == 1, result.output
         assert result.output == f"Error: catalog: {located}\n"
-        assert not out.exists()
+        assert out.read_bytes() == b""  # opened before the config was read, and nothing written
 
 
 class TestImports:
@@ -169,36 +178,11 @@ class TestImports:
 
 class TestSynth:
     def test_writes_stream(self, runner, bloomberg_dir, tmp_path):
-        out = tmp_path / "updates.jsonl"
-        result = runner.invoke(
-            main,
-            [
-                "synth",
-                "--config", str(bloomberg_dir / "catalog.yaml"),
-                "--data-dir", str(bloomberg_dir),
-                "--out", str(out),
-                "--seed", "5",
-            ],
-        )
-        assert result.exit_code == 0, result.output
-        assert len(out.read_text().splitlines()) == 90
+        assert len(synth_text(runner, bloomberg_dir, tmp_path, "--seed", "5").splitlines()) == 90
 
     def test_seed_determinism(self, runner, bloomberg_dir, tmp_path):
-        outs = []
-        for name in ("u1.jsonl", "u2.jsonl"):
-            out = tmp_path / name
-            runner.invoke(
-                main,
-                [
-                    "synth",
-                    "--config", str(bloomberg_dir / "catalog.yaml"),
-                    "--data-dir", str(bloomberg_dir),
-                    "--out", str(out),
-                    "--seed", "5",
-                ],
-            )
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        first, second = (synth_text(runner, bloomberg_dir, tmp_path, "--seed", "5", name=name) for name in ("u1", "u2"))
+        assert first == second
 
 
 def run_cmd(runner, bloomberg_dir, tmp_path, queries, updates_text, extra=(), events="events.jsonl"):
@@ -219,6 +203,16 @@ def run_cmd(runner, bloomberg_dir, tmp_path, queries, updates_text, extra=(), ev
         ],
     )
     return events_path, result
+
+
+def one_error(result) -> str:
+    """The one Error line of a command that ended in exit 1, not in a traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    return errors[0]
 
 
 class TestRun:
@@ -254,16 +248,14 @@ class TestRun:
         # with k = 3 queries the dynamic scores spread over several groups;
         # run takes no k of its own, and a b above the queries' k is allowed
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
-        updates = tmp_path / "synth.jsonl"
-        synth = ["synth", "--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir)]
-        assert runner.invoke(main, [*synth, "--out", str(updates)]).exit_code == 0
-        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, updates.read_text())
+        text = synth_text(runner, bloomberg_dir, tmp_path)
+        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, text)
         assert result.exit_code == 0, result.output
         groups = {halloffame.quantize(json.loads(line)["dynamic_norm"], 4) for line in events.read_text().splitlines()}
         assert len(groups) >= 2, groups
-        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, updates.read_text(), extra=["--k", "20"])
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, text, extra=["--k", "20"])
         assert result.exit_code == 2, result.output
-        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, updates.read_text(), extra=["--b", "7"])
+        _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, text, extra=["--b", "7"])
         assert result.exit_code == 0, result.output
 
     def test_zero_update_stream(self, runner, bloomberg_dir, tmp_path):
@@ -283,18 +275,7 @@ class TestRun:
 
     def test_no_filters_gives_identical_event_log(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
-        synth_out = tmp_path / "synth.jsonl"
-        runner.invoke(
-            main,
-            [
-                "synth",
-                "--config", str(bloomberg_dir / "catalog.yaml"),
-                "--data-dir", str(bloomberg_dir),
-                "--out", str(synth_out),
-                "--seed", "2",
-            ],
-        )
-        text = synth_out.read_text()
+        text = synth_text(runner, bloomberg_dir, tmp_path, "--seed", "2")
         stats_path = tmp_path / "stats.jsonl"
         filtered, r1 = run_cmd(runner, bloomberg_dir, tmp_path, queries, text, extra=["--stats", str(stats_path)],
                                events="e1.jsonl")
@@ -398,9 +379,7 @@ class TestRun:
         queries.write_text(json.dumps(doc) + "\n")
         renamed = UpdateRecord(1, "update", "company", {"c_name": "Zeta"}, {"c_id": 0})  # SAP, in Germany
         _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, write_update_stream([renamed]))
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert re.search(f"Error: query catalog line 1: {message}", result.output), result.output
+        assert re.match(f"Error: query catalog line 1: {message}", one_error(result)), result.output
 
     def test_join_path_short_of_a_relation_is_located(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -409,9 +388,7 @@ class TestRun:
         doc["join_path"] = doc["join_path"][:1]
         queries.write_text("".join(json.dumps(d) + "\n" for d in docs))
         _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert f"Error: query catalog line {lineno}: join path does not reach relations" in result.output
+        assert one_error(result).startswith(f"Error: query catalog line {lineno}: join path does not reach relations")
 
     def test_store_error_at_start_up_is_a_click_error(self, runner, bloomberg_dir, tmp_path, monkeypatch):
         def failing_engine(*args, **kwargs):
@@ -420,9 +397,7 @@ class TestRun:
         monkeypatch.setattr(cli, "Engine", failing_engine)
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
         _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "Error: engine start-up: join column company.c_id is not indexed" in result.output
+        assert one_error(result) == "Error: engine start-up: join column company.c_id is not indexed"
 
     def test_malformed_line_abort_vs_skip(self, runner, bloomberg_dir, tmp_path):
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
@@ -606,16 +581,14 @@ class TestRank:
         # scored in memory with seq in (S - W, S], in rank_events' order
         window = 7
         queries, _ = gen(runner, bloomberg_dir, tmp_path)
-        updates = tmp_path / "synth.jsonl"
-        synth = ["synth", "--config", str(bloomberg_dir / "catalog.yaml"), "--data-dir", str(bloomberg_dir)]
-        assert runner.invoke(main, [*synth, "--out", str(updates)]).exit_code == 0
-        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, updates.read_text(), extra=["--window", str(window)])
+        text = synth_text(runner, bloomberg_dir, tmp_path)
+        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, text, extra=["--window", str(window)])
         assert result.exit_code == 0, result.output
         catalog, store = bloomberg
         engine = Engine(catalog, store, load_queries(queries.read_text(), catalog))
         chains, cfg = ChainStore(), ScorerConfig(b=2, window_updates=window)
         scored, seqs = [], []
-        for u in read_update_stream(updates.read_text()):
+        for u in read_update_stream(text):
             seqs.append(u.seq)
             for event in engine.detect(u):
                 query = engine.queries[event.query_id]
@@ -784,9 +757,7 @@ class TestBadInputLines:
         path = tmp_path / "input.jsonl"
         path.write_text(json.dumps(good) + "\n" + line + "\n")
         result = runner.invoke(main, [command, option, str(path)])
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert f"Error: {what} line 2: " in result.output
+        assert one_error(result).startswith(f"Error: {what} line 2: ")
 
 
 class TestIntegersBeyondTheFloatRange:
@@ -804,10 +775,8 @@ class TestIntegersBeyondTheFloatRange:
         docs = [json.loads(line) for line in queries.read_text().splitlines()]
         queries.write_text("".join(json.dumps({**doc, field: 10**400}) + "\n" for doc in docs))
         _, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)
         # the error quotes the value cut to 60 characters, not all 401 digits
-        assert f"Error: query catalog line 1: {message}, got 1{'0' * 27}...{'0' * 29}\n" in result.output
+        assert one_error(result) == f"Error: query catalog line 1: {message}, got 1{'0' * 27}...{'0' * 29}"
         # 10**300 converts to a float: such a k holds every entity
         queries.write_text("".join(json.dumps({**doc, field: 10**300}) + "\n" for doc in docs))
         events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, fig5_stream_text())
@@ -867,10 +836,8 @@ class TestUnreadableFiles:
             config.write_text("relations: [[" + "0, " * 20000 + "0]]\n")
             message = "config schema violation at relations/0: [0, 0, 0, 0, 0, 0, 0, 0, ...] is not of type 'object'"
         result = self.generate(runner, data, tmp_path)
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(f"Error: catalog: {message}")
-        assert len(result.output.splitlines()[0]) < 200
+        assert len(one_error(result)) < 200
 
     @pytest.mark.parametrize("form", ["flow", "block"])
     def test_config_nested_beyond_libyaml(self, data, tmp_path, form):
@@ -891,14 +858,20 @@ class TestUnreadableFiles:
         country = data / "country.csv"
         country.write_text(country.read_text() + "99," + "x" * 200_000 + "\n")
         result = self.generate(runner, data, tmp_path)
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "Error: table 'country', line 8: field larger than field limit" in result.output
+        assert one_error(result).startswith("Error: table 'country', line 8: field larger than field limit")
 
-    @pytest.mark.parametrize("command", ["run", "rank"])
+    @pytest.mark.parametrize("command", ["run", "run past 64 KB", "rank"])
     def test_file_not_utf8(self, runner, bloomberg_dir, tmp_path, command):
+        # hof run reads its stream a line at a time, so a fault past the first
+        # read is named by its line as well, after the lines before it ran
         bad = tmp_path / "input.jsonl"
-        bad.write_bytes(fig5_stream_text().encode() + b'{"seq": 2, "table": "caf\xe9"}\n')
+        lines = [fig5_stream_text()]
+        if command == "run past 64 KB":
+            lines += [update_to_json(UpdateRecord(seq, "update", "stockmarket", {"s_value": Delta(0)}, {"s_companyid": 8}))
+                      + "\n" for seq in range(2, 1000)]
+            assert len("".join(lines)) > 64 * 1024
+        lineno = len(lines) + 1
+        bad.write_bytes("".join(lines).encode() + b'{"seq": 5000, "table": "caf\xe9"}\n')
         if command == "rank":
             args, what = ["rank", "--events", str(bad)], "event log"
         else:
@@ -908,25 +881,28 @@ class TestUnreadableFiles:
             args += ["--on-error", "skip"]
             what = "update stream"
         result = runner.invoke(main, args)
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert f"Error: {what} file {bad}, line 2: not UTF-8 (invalid continuation byte)" in result.output
+        assert one_error(result) == f"Error: {what} file {bad}, line {lineno}: not UTF-8 (invalid continuation byte)"
+        if command == "run past 64 KB":  # the event of update 1 was written before the fault was read
+            assert '"entity": "Amancio O. Gaona"' in (tmp_path / "e.jsonl").read_text()
 
     @pytest.mark.parametrize(
         "case",
         ["updates directory", "config directory", "events directory", "stats directory", "out in a missing directory",
-         "synth out in a missing directory", "long events name", "long relation name"],
+         "synth out in a missing directory", "long events name", "long relation name", "config without permission",
+         "events without permission"],
     )
-    def test_file_the_system_cannot_open(self, runner, data, tmp_path, case):
-        # a directory, a missing directory or a name too long for the file
-        # system: one Error line naming the file and the system's reason
-        # (a permission fault is the same OSError, but root reads any file)
+    def test_file_the_system_cannot_open(self, runner, data, tmp_path, monkeypatch, case):
+        # a directory, a missing directory, a name too long for the file
+        # system or no permission: one Error line naming the file and the
+        # system's reason. Outputs open first, so every file is met before
+        # a CSV that would fail is read.
         (queries := tmp_path / "q.jsonl").write_text("")
         (updates := tmp_path / "u.jsonl").write_text(fig5_stream_text())
         common = ["--config", str(data / "catalog.yaml"), "--data-dir", str(data)]
         run = ["run", *common, "--queries", str(queries), "--updates", str(updates), "--events", str(tmp_path / "e.jsonl")]
         missing, long_name = tmp_path / "missing" / "out.jsonl", tmp_path / ("e" * 300)
-        is_dir, no_such, too_long = (os.strerror(e) for e in (errno.EISDIR, errno.ENOENT, errno.ENAMETOOLONG))
+        is_dir, no_such, too_long, denied = (os.strerror(e) for e in (errno.EISDIR, errno.ENOENT, errno.ENAMETOOLONG,
+                                                                        errno.EACCES))
         args, what, path, reason = {
             "updates directory": ([*run, "--updates", str(tmp_path)], "update stream", tmp_path, is_dir),
             "config directory": (["generate", "--config", str(data), "--data-dir", str(data), "--out", str(queries)],
@@ -938,16 +914,23 @@ class TestUnreadableFiles:
             "long events name": (["rank", "--events", str(long_name)], "event log", long_name, too_long),
             "long relation name": (["generate", *common, "--out", str(queries)],
                                    f"CSV for relation {quote('c' * 300)}", data / ("c" * 300 + ".csv"), too_long),
+            "config without permission": (run, "catalog config", data / "catalog.yaml", denied),
+            "events without permission": (run, "event log", tmp_path / "e.jsonl", denied),
         }[case]
         if case == "long relation name":  # renamed in its join edges too, so the config loads
             (data / "catalog.yaml").write_text((data / "catalog.yaml").read_text().replace("company", "c" * 300))
-        result = runner.invoke(main, args)
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit), repr(result.exception)
-        assert "Traceback" not in result.output
-        assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [
-            f"Error: {what} file {path}: {reason}"
-        ]
+        else:
+            (data / "country.csv").write_text("c_id\nnot an integer\n")
+        if reason == denied:  # root reads and writes any file here, so the open call refuses it
+            path_open = Path.open
+
+            def refusing_open(file, *args, **kwargs):
+                if file == path:
+                    raise PermissionError(errno.EACCES, denied, str(file))
+                return path_open(file, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "open", refusing_open)
+        assert one_error(runner.invoke(main, args)) == f"Error: {what} file {path}: {reason}"
 
 
 @pytest.fixture(scope="module")
