@@ -44,7 +44,7 @@ import math
 import reprlib
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import yaml
 
@@ -392,15 +392,16 @@ def fault(exc: Exception) -> str:
 
 
 def json_lines(
-    source: str | TextIO, what: str, parse: Callable[[str], Any], errors: tuple[type[Exception], ...],
+    source: str | Iterable[str], what: str, parse: Callable[[str], Any], errors: tuple[type[Exception], ...],
     on_error: Optional[Callable[[int, Exception], None]] = None,
 ) -> Iterator[Any]:
-    """parse(line) for each line of source, a text or a text file opened
-    with newline="\n", the input a message calls what. A line ends at "\n"
-    alone, which parse does not see, and a line of JSON whitespace only is
-    skipped. Where parse raises one of INPUT_FAULTS or errors,
-    on_error(line number, exception) is called and the line skipped;
-    without on_error, errors[0] is raised: "<what> line <number>: <fault>"."""
+    """parse(line) for each line of source, a text or the lines of a text
+    file opened with newline="\n", the input a message calls what. A line
+    ends at "\n" alone, which parse does not see, and a line of JSON
+    whitespace only is skipped. Where parse raises one of INPUT_FAULTS or
+    errors, on_error(line number, exception) is called and the line
+    skipped; without on_error, errors[0] is raised:
+    "<what> line <number>: <fault>"."""
     for lineno, line in enumerate(source.split("\n") if isinstance(source, str) else source, start=1):
         if line.strip(" \t\r\n"):  # JSON's whitespace; a file's line keeps its "\n"
             try:

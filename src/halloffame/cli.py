@@ -5,19 +5,23 @@ opens its update stream first), so an output they cannot write fails at once.
 ``hof run`` streams its update stream: it reads one line at a time, passes
 each update through scorer's Pipeline and writes its event lines as they come,
 keeping per update only its latency, for the summary's median. ``hof rank``
-ranks a window of the event log; both go through scorer's one event-line
-codec."""
+ranks a window of the event log, which it streams, holding only the events
+that can still fall in the window; both go through scorer's one event-line
+codec. The line-delimited inputs (update stream, query catalog, event log,
+stats file) are read a line at a time, a line ending at "\n" alone; the
+config and the CSVs are read whole, with universal newlines."""
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import statistics
 import time
 from array import array
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 import click
 
@@ -56,8 +60,8 @@ def _open(path: Path, what: str, mode: str = "r", newline: str | None = "\n") ->
 
 
 def _read_file(path: Path, what: str) -> str:
-    """The whole text of a config, CSV or query catalog, event log or stats
-    file, read with universal newlines ("\r\n" and "\r" read as "\n")."""
+    """The whole text of a config or CSV, read with universal newlines
+    ("\r\n" and "\r" read as "\n")."""
     with _open(path, what, newline=None) as f:
         try:
             return f.read()
@@ -88,10 +92,21 @@ def _echo_seconds(label: str, seconds: float) -> None:
     click.echo(f"{label:22s} {seconds:.3f}")
 
 
-def _read_jsonl(path: Path, what: str, parse: Callable[[str], Any]) -> list:
-    """parse(line) of every line, by the catalog's JSON Lines rule; a bad
-    line exits naming its number and its fault."""
-    return list(json_lines(_read_file(path, what), what, parse, (click.ClickException, ScoringError)))
+def _lines(path: Path, what: str) -> Iterator[str]:
+    """The lines of a line-delimited input, read a line at a time, each
+    ending at "\n" alone (a lone "\r" ends none); the first line that is
+    not UTF-8 exits naming it."""
+    with _open(path, what) as f:
+        try:
+            yield from f
+        except UnicodeDecodeError:
+            raise _not_utf8(path, what) from None
+
+
+def _read_jsonl(path: Path, what: str, parse: Callable[[str], Any]) -> Iterator:
+    """parse(line) of each line, by the catalog's JSON Lines rule, as it is
+    read; a bad line exits naming its number and its fault."""
+    return json_lines(_lines(path, what), what, parse, (click.ClickException, ScoringError))
 
 
 @click.group()
@@ -186,7 +201,7 @@ def run(config_path, data_dir, queries_path, updates_path, events_path, stats_pa
         store = _load_store(catalog, data_dir)
         _echo_seconds("csv load s", time.perf_counter() - started)
         try:
-            queries = load_queries(_read_file(queries_path, "query catalog"), catalog)
+            queries = load_queries(_lines(queries_path, "query catalog"), catalog)
         except GenerationError as exc:
             raise click.ClickException(str(exc)) from exc
 
@@ -244,10 +259,21 @@ def run(config_path, data_dir, queries_path, updates_path, events_path, stats_pa
 @click.option("--window", default=ScorerConfig.window_updates, show_default=True, type=click.IntRange(min=1))
 def rank(events_path, window_end, window):
     """Print the events with seq in (window-end - window, window-end] in ranked order."""
-    parsed = _read_jsonl(events_path, "event log", event_from_json)
-    if window_end is None:
-        window_end = max((e.seq for e, _ in parsed), default=0)
-    in_window = [(e, sql) for e, sql in parsed if window_end - window < e.seq <= window_end]
+    # the events that can still fall in the window, as (seq, line order,
+    # event, SQL), least seq first: those within window of its end, or
+    # without --window-end of the largest seq read so far
+    held: list[tuple[int, int, Any, str]] = []
+    end = window_end
+    for order, (e, sql) in enumerate(_read_jsonl(events_path, "event log", event_from_json)):
+        if window_end is None:
+            end = e.seq if end is None else max(end, e.seq)
+        elif e.seq > window_end:
+            continue
+        heapq.heappush(held, (e.seq, order, e, sql))
+        while held and held[0][0] <= end - window:
+            heapq.heappop(held)
+    window_end = 0 if end is None else end
+    in_window = [(e, sql) for _, _, e, sql in sorted(held, key=lambda h: h[1])]  # in file order, as rank_events ties
     sql_of = {id(e): sql for e, sql in in_window}
     ordered = rank_events([e for e, _ in in_window])
     if not ordered:
@@ -274,7 +300,7 @@ def stats(stats_path):
             expect(is_finite(doc[f]), f"{f} must be a finite number", doc[f], click.ClickException)
         return [doc[f] for f in fields]
 
-    rows = _read_jsonl(stats_path, "stats", row)
+    rows = list(_read_jsonl(stats_path, "stats", row))
     if not rows:
         click.echo("no stats rows")
         return

@@ -5,8 +5,12 @@ columns form a family, whatever their criterion columns; they differ in
 their binding values, the instance, and in their criterion. A family owns
 its from-scratch scan, which gives, for every instance that is a query,
 per-entity row counts and one per-entity total for each criterion column.
-It reads the joined rows through store.JoinScan, as generation counts
-them: when the criterion columns' relation is a leaf (store.leaf_edge),
+It reads the joined rows through the JoinScan that Store.scan gives, as
+generation counts them, so families of one shape, and generation before
+them in one process, share one scan and its columns. A scan is a snapshot
+of one store state: start-up reads it before any write, and the engine
+drops every scan once start-up is done, so nothing holds one across a
+write. When the criterion columns' relation is a leaf (store.leaf_edge),
 that relation is summed per join value first (eager aggregation) and the
 rest of the path is joined without it, so each joined row adds its join
 value's row count and totals. The family builds its state from that scan
@@ -118,7 +122,7 @@ from typing import Any, Callable, Iterable
 
 from .catalog import ATOM_BINDING, ColumnRef, SchemaCatalog
 from .generator import HofQuery
-from .store import JoinScan, Store, UpdateRecord, compile_predicate, extension, leaf_edge
+from .store import Store, UpdateRecord, compile_predicate, extension, leaf_edge
 
 
 @dataclass(slots=True)
@@ -289,10 +293,11 @@ class Family:
 
     def scan(self, store: Store, instances: Iterable) -> dict[tuple, tuple[dict, list]]:
         """instance -> (entity -> joined rows, per column: entity -> exact int
-        total) of each given instance, from one zip loop over a JoinScan of
-        the store (the leaf summed per join value); an instance without rows
-        gets empty dicts. A real column's totals are fixed-point (see fixed)."""
-        scan = JoinScan(store, self.needed, self.path, self.fixed, self.columns[0].relation if self.leaf else None)
+        total) of each given instance, from one zip loop over the store's
+        JoinScan of the family's shape (Store.scan; the leaf summed per join
+        value); an instance without rows gets empty dicts. A real column's
+        totals are fixed-point (see fixed)."""
+        scan = store.scan(self.needed, self.path, self.fixed, self.columns[0].relation if self.leaf else None)
         streams = [scan.terms(c, fixed if real else None) for c, real in zip(self.columns, self.real)]
         weights = scan.weights()
         insts = zip(*map(scan.values, self.binding_cols)) if self.binding_cols else repeat(())

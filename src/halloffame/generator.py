@@ -5,9 +5,13 @@ binding values x concrete criterion). Each relation set's join path is
 searched once and memoized, and a query is kept only if its relations join
 within the budget and its ranking reaches at least K entities. Generation
 reads no criterion value: per (entity, combination, join path) one
-store.JoinScan, as the detector's families scan, with the criterion's
-relation summed per join value when it is a leaf, gives every instance's
-entity count and row count and the path's joined rows at once.
+store.JoinScan from Store.scan, as the detector's families scan, with the
+criterion's relation summed per join value when it is a leaf, gives every
+instance's entity count and row count and the path's joined rows at once.
+Store.scan keeps one scan per key and store state, so every entity and
+combination of one shape counts over one scan's columns, and the engine's
+start-up in the same process reads them again; nothing holds a scan across
+a write, and generation writes nothing.
 
 Each query carries the two static scores the scorer ranks its events by:
 its selectivity (the share of the joined rows its predicate keeps, taken
@@ -17,7 +21,7 @@ join path) when the first query using them survives. Without fixed atoms
 the predicate columns are the binding columns, so that distribution is the
 count's rows per instance and needs no scan of its own. With fixed atoms
 the count kept only the rows that pass them, so the distribution over all
-joined rows takes one more JoinScan, without the atoms, whose instances
+joined rows takes the scan without the atoms (Store.scan), whose instances
 over the predicate columns give its rows.
 
 A query's id (query_identity) and its SQL are joined from parts: text per
@@ -52,7 +56,7 @@ from .catalog import (
     quote,
 )
 from .scorer import entropy
-from .store import JoinScan, Store, leaf_edge
+from .store import Store, leaf_edge
 
 Source = Union[ColumnRef, ConstraintAtom]
 
@@ -283,7 +287,7 @@ def generate_queries(
                 # criteria over one join path share one count
                 if path2 not in counted:
                     leaf = crit.column.relation if leaf_edge(path2, (crit.column,), (e_attr, *pred_cols)) else None
-                    scan = JoinScan(store, needed2, path2, fixed, leaf)
+                    scan = store.scan(needed2, path2, fixed, leaf)
                     counted[path2] = scan.instances(binding_cols, e_attr), scan.total, leaf
                 sizes, n_joined, leaf = counted[path2]
                 id_head = _id_head(e_attr, crit, path2, cfg.k)
@@ -296,7 +300,7 @@ def generate_queries(
                     if ent_key not in entropies:  # the first surviving instance pays for it
                         # rows per predicate-column value over all joined rows; sizes counted only
                         # the rows that pass the fixed atoms
-                        dist = JoinScan(store, needed2, path2, (), leaf).instances(pred_cols, e_attr) if fixed else sizes
+                        dist = store.scan(needed2, path2, (), leaf).instances(pred_cols, e_attr) if fixed else sizes
                         entropies[ent_key] = entropy({key: rows for key, (_, rows) in dist.items()})
                     parts = shared.get(inst)
                     if parts is None:
@@ -381,10 +385,10 @@ def dump_queries(queries: Iterable[HofQuery]) -> str:
     return "".join(query_to_json(q) + "\n" for q in queries)
 
 
-def load_queries(text: str, catalog: SchemaCatalog) -> list[HofQuery]:
-    """Parse a query catalog by the catalog's JSON Lines rule (json_lines);
-    a bad line raises a GenerationError naming its line number and its
-    fault (catalog.fault)."""
+def load_queries(source: str | Iterable[str], catalog: SchemaCatalog) -> list[HofQuery]:
+    """Parse a query catalog, a text or the lines of a file, by the catalog's
+    JSON Lines rule (json_lines); a bad line raises a GenerationError naming
+    its line number and its fault (catalog.fault)."""
     ids: set[str] = set()
 
     def parse(line: str) -> HofQuery:
@@ -393,4 +397,4 @@ def load_queries(text: str, catalog: SchemaCatalog) -> list[HofQuery]:
         ids.add(q.id)
         return q
 
-    return list(json_lines(text, "query catalog", parse, (GenerationError, CatalogError)))
+    return list(json_lines(source, "query catalog", parse, (GenerationError, CatalogError)))

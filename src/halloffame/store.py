@@ -19,22 +19,26 @@ must be serialized by the caller; between mutations the store behaves as
 an immutable snapshot that any number of readers may evaluate against.
 
 Joined-row caching: the row-id tuples produced by a join path are cached
-per path, whatever relations a caller needs from them. Every accepted
-insert or update clears the whole cache, whether or not it changes a
-value: clearing is always sound, and under the engine the cache is empty
-by then (Engine drops it once start-up has scanned). A rejected update
-changes nothing, the cache included. Set-up never writes, and generation
-and the engine's start-up pick a leaf by one rule (leaf_edge) and join the
-same path without it, so start-up reuses generation's reduced joins.
-Nothing scans after a write: the delta path reads no joined rows, and the
-from-scratch reference joins the base rows itself.
+per path, whatever relations a caller needs from them. Every scan goes
+through Store.scan, which keeps one JoinScan per (relations, path, atoms,
+leaf) in the same cache, and a scan's leaf sums are kept there too, so
+generation's counts and entropy scans and every family of one shape share
+one scan and its columns. A JoinScan is a snapshot of one store state.
+Every accepted insert or update clears the whole cache, whether or not it
+changes a value: clearing is always sound, and under the engine the cache
+is empty by then (Engine drops it once start-up has scanned). A rejected
+update changes nothing, the cache included. Nothing holds a scan across a
+write: set-up never writes, the delta path reads no joined rows, and the
+from-scratch reference joins the base rows itself. Generation and the
+engine's start-up pick a leaf by one rule (leaf_edge), so start-up reuses
+generation's scans when both run in one process.
 
 Set-up in bulk: loading, joining and counting do start-up's per-row work,
 so each works a row or a column at a time: one comprehension of
 per-column converters per CSV row, one pass per indexed column after the
-last row, and one loop over the zipped columns of a scan that adds each
-row's weight (1, or a summed leaf's rows) to its entity in its
-instance's dict.
+last row, and one loop over the zipped columns of a scan (lists built once
+per scan) that adds each row's weight (1, or a summed leaf's rows) to its
+entity in its instance's dict.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import operator
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
@@ -323,9 +328,15 @@ class Store:
     def __init__(self, catalog: SchemaCatalog):
         self.catalog = catalog
         self.tables: dict[str, Table] = {}
-        # (first relation, path) -> (rel_order, envs)
-        self._join_cache: dict[tuple, tuple] = {}
-        self.rows_read = 0  # joined rows read so far: every JoinScan's, and the reference's start-up joins
+        # (first relation, path) -> (rel_order, envs), ("scan", relations,
+        # path, atoms, leaf) -> its JoinScan (scan), and ("sum", leaf join
+        # column, leaf column, exact) -> a leaf's sums per join value
+        # (JoinScan.terms)
+        self._join_cache: dict[tuple, Any] = {}
+        # Joined rows read so far: per scan call, hit or not, its path's joined
+        # rows before the leaf compress (JoinScan.read), plus the joined rows of
+        # the reference's start-up
+        self.rows_read = 0
 
     # -- loading ------------------------------------------------------------
 
@@ -470,8 +481,20 @@ class Store:
         return seen
 
     def drop_join_cache(self) -> None:
-        """Free every cached joined table; later scans rebuild what they need."""
+        """Free every cached joined table and scan; later scans rebuild what they need."""
         self._join_cache.clear()
+
+    def scan(self, needed: Iterable[str], path: tuple[JoinEdge, ...], atoms: tuple = (), leaf: str | None = None) -> JoinScan:
+        """The JoinScan of the current state for (needed relations, path,
+        atoms, leaf), built once per key and kept in the join cache, so every
+        accepted write, load_table and drop_join_cache end it. The key's
+        relations are needed and the path's together, so callers that name
+        the same join with or without its inner relations share a scan."""
+        path = tuple(path)
+        key = ("scan", frozenset(needed).union(*(e.relations() for e in path)), path, tuple(atoms), leaf)
+        scan = _kept(self._join_cache, key, lambda: JoinScan(self, needed, path, atoms, leaf))
+        self.rows_read += scan.read
+        return scan
 
     # -- join evaluation ----------------------------------------------------
 
@@ -489,11 +512,7 @@ class Store:
             start = self.catalog.check_join_path(path, needed)
         except CatalogError as exc:
             raise StoreError(str(exc)) from None
-        key = (start, path)  # the envs depend on nothing else
-        cached = self._join_cache.get(key)
-        if cached is None:
-            cached = self._join_cache[key] = self._join(start, path)
-        return cached
+        return _kept(self._join_cache, (start, path), lambda: self._join(start, path))  # the envs depend on nothing else
 
     def _join(self, start: str, path: tuple[JoinEdge, ...]) -> tuple[tuple[str, ...], list[tuple]]:
         """The joined envs of a path the join-path rule accepts, uncached:
@@ -501,6 +520,14 @@ class Store:
         in no promised order."""
         rel_order, extend = extension(self, path, start)
         return rel_order, extend([(rid,) for rid in range(len(self.table(start).rows))])
+
+
+def _kept(cache: dict, key: Any, build: Callable[[], Any]) -> Any:
+    """cache[key], built by build() on its first read."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+    return value
 
 
 def join_steps(path: Iterable[JoinEdge], base: str) -> list[tuple[ColumnRef, ColumnRef]]:
@@ -557,54 +584,70 @@ class JoinScan:
     and the rest of the path joined without it; rows without leaf rows are
     dropped. Rows, and so the instances, come in no promised order.
     Generation counts a scan's instances; the detector's families sum its
-    terms."""
+    terms.
+
+    A scan is a snapshot of one store state, got through Store.scan, which
+    keeps it until the next write. Each column it gives (values, weights,
+    terms) is built once, as a list over its final rows (after the leaf
+    compress and the atoms), and shared by every later reader: callers must
+    not mutate it."""
 
     def __init__(self, store: Store, needed: Iterable[str], path: tuple[JoinEdge, ...], atoms=(), leaf=None):
         self.store, self.leaf, self.buckets = store, leaf, None  # buckets: join value -> leaf row ids
         if leaf:
             (edge,) = [e for e in path if leaf in e.relations()]
-            self.joined, self.buckets = edge.other(leaf), store.table(leaf).indices[edge.endpoint(leaf).column]
+            self.joined, self.leaf_ref = edge.other(leaf), edge.endpoint(leaf)  # the edge's join columns
+            self.buckets = store.table(leaf).indices[self.leaf_ref.column]
             needed, path = set(needed) - {leaf}, tuple(e for e in path if e != edge)
-        rel_order, self.envs = store.joined_rows(needed, path)
-        store.rows_read += len(self.envs)
+        rel_order, envs = store.joined_rows(needed, path)
+        self.read = len(envs)  # joined rows read, before the leaf compress: Store.rows_read counts these
         self.rel_pos = {rel: i for i, rel in enumerate(rel_order)}
-        if leaf:
-            self.envs = list(compress(self.envs, map(self.buckets.__contains__, self.values(self.joined))))
-        self.unfiltered = self.envs  # before the atoms
-        if atoms:
-            self.envs = list(filter(compile_predicate(atoms, self.rel_pos, store.tables), self.envs))
+        if leaf:  # over the joined rows, so no column of it is kept
+            envs = list(compress(envs, map(self.buckets.__contains__, self._column(self.joined, envs))))
+        self.unfiltered = envs  # before the atoms
+        self.envs = list(filter(compile_predicate(atoms, self.rel_pos, store.tables), envs)) if atoms else envs
+        self._lists: dict[Any, list] = {}  # ref, "weights" or (ref, exact) -> its list over self.envs
 
-    @property
+    @cached_property
     def total(self) -> int:
-        """Rows of the whole join, before the atoms, summed on each read."""
+        """Rows of the whole join, before the atoms."""
         if self.buckets is None:
             return len(self.unfiltered)
         return sum(map(len, map(self.buckets.__getitem__, self._column(self.joined, self.unfiltered))))
 
-    def values(self, ref: ColumnRef) -> Iterator:
+    def values(self, ref: ColumnRef) -> list:
         """Per row, the value of ref, a column of the joined relations."""
-        return self._column(ref, self.envs)
+        return _kept(self._lists, ref, lambda: list(self._column(ref, self.envs)))
 
     def _column(self, ref: ColumnRef, envs: list[tuple]) -> Iterator:
         table = self.store.table(ref.relation)
         rows = map(table.rows.__getitem__, map(operator.itemgetter(self.rel_pos[ref.relation]), envs))
         return map(operator.itemgetter(table.col_pos[ref.column]), rows)
 
-    def weights(self) -> Iterator[int]:
+    def weights(self) -> list[int]:
         """Per row, the rows of the whole join it stands for."""
-        return repeat(1) if self.buckets is None else map(len, map(self.buckets.__getitem__, self.values(self.joined)))
+        if self.buckets is None:
+            return _kept(self._lists, "weights", lambda: [1] * len(self.envs))
+        return _kept(self._lists, "weights", lambda: list(map(len, map(self.buckets.__getitem__, self.values(self.joined)))))
 
-    def terms(self, ref: ColumnRef, exact: Callable[[Any], int] | None) -> Iterator:
+    def terms(self, ref: ColumnRef, exact: Callable[[Any], int] | None) -> list:
         """Per row, ref's value, or for a column of the leaf the sum of its
         values over the rows the row stands for; with exact, each value is
         first mapped to the int it adds to an exact sum."""
         if ref.relation != self.leaf:
-            return map(exact, self.values(ref)) if exact else self.values(ref)
+            return _kept(self._lists, (ref, exact), lambda: list(map(exact, self.values(ref)))) if exact else self.values(ref)
+        return _kept(self._lists, (ref, exact), lambda: list(map(self._sums(ref, exact).__getitem__, self.values(self.joined))))
+
+    def _sums(self, ref: ColumnRef, exact: Callable[[Any], int] | None) -> dict:
+        """Per join value of the leaf, the sum of ref's values (of their exact
+        terms, with exact) over its rows, kept in the store's join cache, so
+        every scan of one store state shares it."""
         table = self.store.table(ref.relation)
         cell = operator.itemgetter(table.col_pos[ref.column])
         add = (lambda values: sum(map(exact, values))) if exact else sum
-        group = {v: add(map(cell, map(table.rows.__getitem__, ids))) for v, ids in self.buckets.items()}
-        return map(group.__getitem__, self.values(self.joined))
+        return _kept(self.store._join_cache, ("sum", self.leaf_ref, ref, exact), lambda: {
+            v: add(map(cell, map(table.rows.__getitem__, ids))) for v, ids in self.buckets.items()
+        })
 
     def instances(self, columns: Sequence[ColumnRef], entity: ColumnRef) -> dict[tuple, tuple[int, int]]:
         """Per distinct projection of columns (an instance), in no promised

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -23,6 +24,7 @@ from halloffame import (
     ScorerConfig,
     StoreError,
     UpdateRecord,
+    event_from_json,
     load_queries,
     rank_events,
     read_update_stream,
@@ -609,6 +611,36 @@ class TestRank:
             for i, (line, e) in enumerate(zip(lines, expected), start=1):
                 assert line.startswith(f"{i:4d}. seq={e.seq} "), (end, line)
                 assert line.endswith(f" {e.entity!r} {e.from_rank}->{e.to_rank} {sql_of[id(e)]}"), (end, line)
+
+    def test_streamed_window_is_the_whole_log_window(self, runner, bloomberg, bloomberg_dir, tmp_path):
+        # hof rank keeps only the events that can still fall in the window;
+        # over a log in file order and shuffled, its output is that of
+        # ranking the window of the whole log read into memory
+        queries, _ = gen(runner, bloomberg_dir, tmp_path)
+        events, result = run_cmd(runner, bloomberg_dir, tmp_path, queries, synth_text(runner, bloomberg_dir, tmp_path))
+        assert result.exit_code == 0, result.output
+        lines = events.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("".join(random.Random(1).sample(lines, len(lines))))
+        parsed = [event_from_json(line) for line in lines]
+        top = max(e.seq for e, _ in parsed)
+        assert len({e.seq for e, _ in parsed}) > 10
+        for end, window in [(None, 1), (None, 5), (None, 10**6), (top // 2, 3), (top, 1), (0, 5), (top + 50, 60)]:
+            last = top if end is None else end
+            in_window = [(e, sql) for e, sql in parsed if last - window < e.seq <= last]
+            sql_of = {id(e): sql for e, sql in in_window}
+            ranked = rank_events([e for e, _ in in_window])
+            expected = (
+                f"events in window ({last - window}, {last}]: {len(ranked)}\n" + "".join(
+                    f"{i:4d}. seq={e.seq} sel={e.selectivity:.4f} dyn={e.dynamic_norm:.4f} ent={e.entropy_bits:.4f} "
+                    f"{e.entity!r} {e.from_rank}->{e.to_rank} {sql_of[id(e)]}\n" for i, e in enumerate(ranked, start=1))
+                if ranked else f"no events in window ({last - window}, {last}]\n"
+            )
+            args = ["--window", str(window)] + ([] if end is None else ["--window-end", str(end)])
+            for path in (events, shuffled):
+                result = runner.invoke(main, ["rank", "--events", str(path), *args])
+                assert result.exit_code == 0, result.output
+                assert result.output == expected, (end, window, path.name)
 
 
 GAMES_CONFIG = """
@@ -1298,3 +1330,41 @@ class TestJsonLinesRule:
             result, _ = self.invoke(valid_inputs, tmp_path, kind, line, extra=["--on-error", "skip"])
             assert result.exit_code == 0, result.output
             assert f"warning: skipping {message}" in result.output
+
+    @pytest.mark.parametrize("kind", ["query catalog", "event log", "stats"])
+    def test_lone_carriage_return_ends_no_line(self, valid_inputs, tmp_path, kind):
+        # "line1\rline2\n" is one line, which is not one JSON document
+        first, second = valid_inputs[kind].read_text().split("\n")[:2]
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(f"{first}\r{second}\n".encode())
+        command = TestCorruptInputs.COMMANDS[kind]
+        if command == "run":
+            files = {**valid_inputs, kind: path}
+            args = ["run", *files["config"], "--queries", str(path), "--updates", str(files["update stream"]),
+                    "--events", str(tmp_path / "events.jsonl")]
+        else:
+            args = [command, "--events" if command == "rank" else "--stats", str(path)]
+        error = one_error(CliRunner().invoke(main, args))
+        assert error.startswith(f"Error: {kind} line 1: JSONDecodeError: Extra data: line 1 column {len(first) + 2} "), error
+
+    @pytest.mark.parametrize("kind", ["query catalog", "event log", "stats"])
+    def test_crlf_file_reads_as_lf(self, valid_inputs, tmp_path, kind):
+        text = valid_inputs[kind].read_text()
+        outputs = []
+        for name, ending in (("lf", "\n"), ("crlf", "\r\n")):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "input.jsonl"
+            path.write_bytes(text.replace("\n", ending).encode())
+            command = TestCorruptInputs.COMMANDS[kind]
+            events = tmp_path / name / "events.jsonl"
+            if command == "run":
+                files = {**valid_inputs, kind: path}
+                args = ["run", *files["config"], "--queries", str(path), "--updates", str(files["update stream"]),
+                        "--events", str(events)]
+            else:
+                args = [command, "--events" if command == "rank" else "--stats", str(path)]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+            outputs.append((untimed(result.output), events.read_bytes() if events.exists() else None))
+        assert outputs[0] == outputs[1]
+        assert b"\r\n" in (tmp_path / "crlf" / "input.jsonl").read_bytes()

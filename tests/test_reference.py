@@ -27,7 +27,7 @@ PACKAGE = Path(halloffame.__file__).parent
 # what builds the delta path's state or reads the store's joins for it
 DELTA_PATH_NAMES = {
     "JoinScan", "Family", "build_families", "compile_predicate", "join_steps", "leaf_edge",
-    "fixed", "real_value", "EntityOrder", "order_key", "joined_rows",
+    "fixed", "real_value", "EntityOrder", "order_key", "joined_rows", "scan",
 }
 
 

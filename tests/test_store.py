@@ -6,8 +6,10 @@ import itertools
 import math
 import operator
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,7 @@ from halloffame import (
     update_to_json,
     write_update_stream,
 )
+from halloffame import store as store_module
 from halloffame.store import CsvLoadError, JoinScan, UpdateError, _coerce_cell, extension, join_steps, leaf_edge
 from conftest import DATA_DIR, assert_best_keys, load_dataset, load_instance, rankings_of
 from oracles import (
@@ -1089,6 +1092,123 @@ class TestJoinCache:
         # an accepted write clears the cache, though this one changes no value
         store.apply_update(UpdateRecord(2, "update", "stockmarket", {"s_value": value}, {"s_companyid": 8}))
         assert store.joined_rows(needed, path) is not cached
+
+
+def record_scans(monkeypatch) -> tuple[list, list]:
+    """Record the scans the store builds and the key of every Store.scan
+    call, (relations with the path's, path, atoms, leaf); returns both lists."""
+    built, keys = [], []
+
+    class Recorded(JoinScan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    scan = Store.scan
+
+    def recorded(self, needed, path, atoms=(), leaf=None):
+        keys.append((frozenset(needed).union(*(e.relations() for e in path)), tuple(path), tuple(atoms), leaf))
+        return scan(self, needed, path, atoms, leaf)
+
+    monkeypatch.setattr(store_module, "JoinScan", Recorded)
+    monkeypatch.setattr(Store, "scan", recorded)
+    return built, keys
+
+
+# per benchmark workload, its generator settings and the scans one seed-1
+# set-up builds, one per distinct key
+BENCHMARK_SCANS = {"flat-growth": ((2, 2, 0), 1), "join-churn": ((5, 2, 1), 2), "bloomberg-scaled": ((5, 2, 3), 10)}
+
+
+class TestSharedScans:
+    """Store.scan builds one JoinScan per key and store state, and a scan
+    builds each of its columns once, over its final rows."""
+
+    @pytest.mark.parametrize("dataset, cfg, scans, calls", [
+        ("bloomberg", GeneratorConfig(k=3, c_num=1, j_num=3), 4, 13),
+        ("bloomberg", GeneratorConfig(k=2, c_num=2, j_num=3), 4, 19),
+        ("plays", GeneratorConfig(k=2, c_num=2, j_num=0), 1, 9),
+    ])
+    def test_set_up_builds_one_scan_per_key(self, monkeypatch, plays, dataset, cfg, scans, calls):
+        catalog, store = load_dataset("bloomberg") if dataset == "bloomberg" else plays
+        built, keys = record_scans(monkeypatch)
+        engine = Engine(catalog, store, generate_queries(catalog, cfg, store))
+        assert (len(built), len(keys)) == (scans, calls)
+        assert len(built) == len(set(keys))
+        assert engine.families and not store._join_cache  # start-up drops every scan
+
+    @pytest.mark.parametrize("workload", BENCHMARK_SCANS)
+    def test_benchmark_set_up_builds_one_scan_per_key(self, monkeypatch, tmp_path, workload):
+        (k, c_num, j_num), scans = BENCHMARK_SCANS[workload]
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / workload
+        subprocess.run([sys.executable, str(root / ".github" / "write_workload.py"), "workload", workload, "1", "1", str(out)],
+                       check=True)
+        catalog = load_catalog((out / "catalog.yaml").read_text())
+        store = Store(catalog)
+        for rel in catalog.relations:
+            store.load_table(rel.name, (out / f"{rel.name}.csv").read_text())
+        built, keys = record_scans(monkeypatch)
+        Engine(catalog, store, generate_queries(catalog, GeneratorConfig(k=k, c_num=c_num, j_num=j_num), store))
+        assert len(built) == len(set(keys)) == scans
+        assert len(keys) > scans
+
+    @staticmethod
+    def rows(scan, columns, value):
+        """The scan's rows as sorted tuples of its columns' values, its weight
+        and its terms of value, plain and exact."""
+        out = [*map(scan.values, columns), scan.weights(), scan.terms(value, None), scan.terms(value, int)]
+        assert {len(c) for c in out} == {len(scan.envs)}
+        return sorted(zip(*out))
+
+    def test_writes_end_a_scan(self, bloomberg):
+        catalog, store = bloomberg
+        needed = {"person", "stockmarket"}
+        path = tuple(join_path(catalog, needed, 3))
+        columns = [ColumnRef("person", "p_name"), ColumnRef("shareholder", "s_amount")]
+        value = ColumnRef("stockmarket", "s_value")
+        writes = [
+            UpdateRecord(1, "update", "stockmarket", {"s_value": Delta(5)}, {"s_companyid": 8}),
+            UpdateRecord(2, "update", "shareholder", {"s_amount": 41}, {"s_personid": 1, "s_companyid": 8}),
+            UpdateRecord(3, "insert", "shareholder", {"s_personid": 2, "s_companyid": 4, "s_amount": 70}, {}),
+        ]
+        for u in writes:
+            before = {leaf: store.scan(needed, path, leaf=leaf) for leaf in (None, "stockmarket")}
+            old = {leaf: self.rows(scan, columns, value) for leaf, scan in before.items()}
+            criterion = {"stockmarket": "s_value", "shareholder": "s_amount"}[u.table]
+            with pytest.raises(UpdateError):  # a rejected write keeps the scans
+                store.apply_update(UpdateRecord(u.seq, "update", u.table, {criterion: "x"}, {}))
+            assert all(store.scan(needed, path, leaf=leaf) is scan for leaf, scan in before.items())
+            store.apply_update(u)
+            fresh = reloaded(store)
+            for leaf, scan in before.items():
+                after = store.scan(needed, path, leaf=leaf)
+                assert after is not scan
+                got = self.rows(after, columns, value)
+                assert got != old[leaf], (u.seq, leaf)
+                assert got == self.rows(fresh.scan(needed, path, leaf=leaf), columns, value), (u.seq, leaf)
+
+    @pytest.mark.parametrize("atoms, rows", [
+        ((), {0: (1, 10), 3: (2, 500), 5: (2, 110), 8: (1, 40)}),
+        ((ConstraintAtom("const_comparison", ColumnRef("company", "c_countryid"), ">", 0),),
+         {3: (2, 500), 5: (2, 110), 8: (1, 40)}),
+    ])
+    def test_leaf_columns_are_over_the_final_rows(self, bloomberg, atoms, rows):
+        # companies 1, 2, 4, 6 and 7 hold no shareholder row: the leaf
+        # compress drops them from the 9 joined rows, and the atoms drop
+        # company 0, whose country is 0
+        _, store = bloomberg
+        needed, path = {"company", "shareholder"}, (JoinEdge(ColumnRef("shareholder", "s_companyid"), ColumnRef("company", "c_id")),)
+        amount = ColumnRef("shareholder", "s_amount")
+        for _ in range(2):  # a hit counts the joined rows again
+            read = store.rows_read
+            scan = store.scan(needed, path, atoms, "shareholder")
+            assert store.rows_read - read == scan.read == 9
+        c_id = scan.values(ColumnRef("company", "c_id"))
+        assert len(scan.envs) == len(rows) and scan.total == 6
+        assert {c: (n, t) for c, n, t in zip(c_id, scan.weights(), scan.terms(amount, None))} == rows
+        assert scan.terms(amount, int) == scan.terms(amount, None)
+        assert scan.values(ColumnRef("company", "c_name")) is scan.values(ColumnRef("company", "c_name"))
 
 
 class TestUpdateStreamIO:
